@@ -13,8 +13,8 @@ from .data import (DatasetRecord, HeldOutSplit, SyntheticWorld, build_heldout_sp
 from .decoder import CaptionModel, DecodeTrace, LstmState, decode_greedy, forward_teacher_forced, init_state
 from .evaluation import F1Report, ObjectScore, evaluate_split, f1_for_object
 from .memory import Detection, ObjectMemory, QueryResult, make_query, memory_read, select_top_detections
-from .numerics import AdamState, adam_step, cross_entropy, finite_diff_check, matmul, softmax
-from .pipeline import Caption, TrainExample, caption_image, caption_no_memory, train_model, train_step
+from .numerics import AdamState, adam_step, cross_entropy, finite_diff_check, softmax
+from .pipeline import Caption, TrainExample, make_captioner, train_model, train_step
 from .vocabulary import DetectableSet, Vocabulary, build_vocabulary, intersect_detectable, mask_weights, rewrite_targets
 
 __version__ = "0.1.0"

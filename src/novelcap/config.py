@@ -9,7 +9,6 @@ lines; command-line flags win over file values.
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError, ParseError
-from .memory import ADDRESSING_MODES
 
 
 @dataclass
@@ -30,9 +29,7 @@ class RunConfig:
     seed: int = 7
     min_count: int = 1
     clip_norm: float = 5.0
-    addressing: str = "softmax"
     key_projection: bool = False
-    bptt_through_query: bool = True
     image_to_cell: bool = False
     train_mode: str = "dnoc"
     dataset: str = "data/dataset.jsonl"
@@ -97,18 +94,14 @@ def apply_overrides(cfg: RunConfig, overrides: dict) -> RunConfig:
 
 
 def validate_config(cfg: RunConfig) -> RunConfig:
-    for name in ("hidden_size", "embed_size", "image_dim", "key_dim", "n_det",
+    for name in ("hidden_size", "embed_size", "image_dim", "key_dim", "n_det", "max_steps",
                  "epochs", "batch_size", "min_count"):
         if getattr(cfg, name) < 1:
             raise ConfigError(f"config: {name} must be >= 1, got {getattr(cfg, name)}")
-    if cfg.max_steps < 0:
-        raise ConfigError(f"config: max_steps must be >= 0, got {cfg.max_steps}")
     if cfg.lr <= 0:
         raise ConfigError(f"config: lr must be > 0, got {cfg.lr}")
     if cfg.weight_decay < 0:
         raise ConfigError(f"config: weight_decay must be >= 0, got {cfg.weight_decay}")
-    if cfg.addressing not in ADDRESSING_MODES:
-        raise ConfigError(f"config: addressing must be one of {ADDRESSING_MODES}, got {cfg.addressing!r}")
     if cfg.train_mode not in ("dnoc", "no-placeholder"):
         raise ConfigError(f"config: train_mode must be dnoc or no-placeholder, got {cfg.train_mode!r}")
     return cfg

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericError, ShapeError
+from .errors import CheckpointError, DomainError, NumericError, ShapeError
 from .numerics import FLOAT, cross_entropy
 
 log = logging.getLogger(__name__)
@@ -125,20 +125,50 @@ class CaptionModel:
 
     @classmethod
     def from_params(cls, params: dict[str, np.ndarray]) -> "CaptionModel":
-        """Rebuild a model from named arrays (e.g. a loaded checkpoint)."""
+        """Rebuild a model from named arrays (e.g. a loaded checkpoint).
+
+        Raises CheckpointError naming a parameter that is missing, unknown,
+        or shaped inconsistently with the others.
+        """
+        expected = _expected_shapes(params)
+        for name in params:
+            if name not in expected:
+                raise CheckpointError(f"decoder: unknown parameter {name!r}")
+        required = list(_REQUIRED)
+        if "w_img_cell" in params or "b_img_cell" in params:
+            required += ["w_img_cell", "b_img_cell"]
+        for name in required:
+            if name not in params:
+                raise CheckpointError(f"decoder: parameter {name!r} is missing")
+        for name, arr in params.items():
+            if np.shape(arr) != expected[name]:
+                raise CheckpointError(f"decoder: parameter {name!r} has shape {np.shape(arr)}, "
+                                      f"expected {expected[name]}")
         model = cls.__new__(cls)
-        model.embed = np.asarray(params["embed"], dtype=FLOAT)
-        model.lstm_w = np.asarray(params["lstm_w"], dtype=FLOAT)
-        model.lstm_b = np.asarray(params["lstm_b"], dtype=FLOAT)
-        model.w_out = np.asarray(params["w_out"], dtype=FLOAT)
-        model.b_out = np.asarray(params["b_out"], dtype=FLOAT)
-        model.w_img = np.asarray(params["w_img"], dtype=FLOAT)
-        model.b_img = np.asarray(params["b_img"], dtype=FLOAT)
-        model.w_query = np.asarray(params["w_query"], dtype=FLOAT)
-        model.w_key = np.asarray(params["w_key"], dtype=FLOAT) if "w_key" in params else None
-        model.w_img_cell = np.asarray(params["w_img_cell"], dtype=FLOAT) if "w_img_cell" in params else None
-        model.b_img_cell = np.asarray(params["b_img_cell"], dtype=FLOAT) if "b_img_cell" in params else None
+        for name in expected:
+            setattr(model, name, np.asarray(params[name], dtype=FLOAT) if name in params else None)
         return model
+
+
+_REQUIRED = ("embed", "lstm_w", "lstm_b", "w_out", "b_out", "w_img", "b_img", "w_query")
+
+
+def _expected_shapes(params: dict[str, np.ndarray]) -> dict[str, tuple[int, ...]]:
+    """The shape of every known parameter, implied by the four matrices
+    that fix the vocabulary, embedding, hidden, image and key sizes."""
+    for name in ("embed", "w_out", "w_img", "w_query"):
+        if name not in params:
+            raise CheckpointError(f"decoder: parameter {name!r} is missing")
+        if np.ndim(params[name]) != 2:
+            raise CheckpointError(f"decoder: parameter {name!r} has shape {np.shape(params[name])}, "
+                                  f"expected a matrix")
+    e, v = np.shape(params["embed"])
+    h = np.shape(params["w_out"])[1]
+    d = np.shape(params["w_img"])[1]
+    k = np.shape(params["w_query"])[0]
+    return {"embed": (e, v), "lstm_w": (4 * h, e + h), "lstm_b": (4 * h,), "w_out": (v, h),
+            "b_out": (v,), "w_img": (h, d), "b_img": (h,), "w_query": (k, h), "w_key": (k, k),
+            "w_img_cell": (h, d), "b_img_cell": (h,)}
 
 
 def init_state(image_feature: np.ndarray, model: CaptionModel) -> LstmState:
@@ -290,14 +320,13 @@ def sequence_loss(logits: np.ndarray, targets: list[int], pad_id: int) -> tuple[
 
 def backward_pass(model: CaptionModel, cache: ForwardCache, dlogits: np.ndarray,
                   dq_by_step: dict[int, np.ndarray] | None = None,
-                  bptt_through_query: bool = True,
                   grads: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
     """Backpropagation through time for one example.
 
     ``dq_by_step`` carries memory-loss gradients w.r.t. the query vector
-    at each masked position; they feed the query transform and, unless
-    the flag is off, flow back into the hidden state that produced them.
-    Gradients accumulate into ``grads`` (a fresh dict if not given).
+    at each masked position; they feed the query transform and flow back
+    into the hidden state that produced them. Gradients accumulate into
+    ``grads`` (a fresh dict if not given).
     """
     if grads is None:
         grads = model.zero_grads()
@@ -317,8 +346,7 @@ def backward_pass(model: CaptionModel, cache: ForwardCache, dlogits: np.ndarray,
         dq = dq_by_step.get(t)
         if dq is not None:
             grads["w_query"] += np.outer(dq, cache.h_states[t])
-            if bptt_through_query:
-                dh_prev = dh_prev + model.w_query.T @ dq
+            dh_prev = dh_prev + model.w_query.T @ dq
         grads["embed"][:, cache.input_ids[t]] += dx
         dh, dc = dh_prev, dc_prev
     h0 = cache.h_states[0]

@@ -1,17 +1,11 @@
 """Per-image key-value object memory.
 
 Each detection contributes one slot: the appearance feature is the key,
-the one-hot class label is the value. A read turns query/key similarity
-into addressing weights and mixes the values into a class distribution.
-Two addressing modes exist:
-
-  softmax   -- weights = softmax(q . K^T), distribution = weights @ V.
-               Cross-entropy is taken on the mixed distribution directly.
-  raw-logit -- (q . K^T) @ V is treated as a vector of class logits and
-               fed through a regular softmax cross-entropy.
-
-softmax is the default; raw similarity mixing is not a distribution and
-cross-entropy on it is undefined for negative similarities.
+the class index is the value (the key-value read of Miller et al. 2016).
+A read turns query/key similarity into addressing weights,
+softmax(q . K^T), and sums the weights of the slots that carry each
+class into a class distribution. The read loss is the cross-entropy of
+that distribution against the annotated class.
 """
 
 import logging
@@ -20,11 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DomainError, EmptyMemoryError, ShapeError
-from .numerics import FLOAT, cross_entropy, softmax
+from .numerics import FLOAT, softmax
+from .numerics import cross_entropy  # noqa: F401 -- not called here; the benchmark's traced run wraps it
 
 log = logging.getLogger(__name__)
-
-ADDRESSING_MODES = ("softmax", "raw-logit")
 
 
 @dataclass(frozen=True)
@@ -64,13 +57,19 @@ class ObjectMemory:
         self.capacity = capacity
         self.key_dim = key_dim
         self.n_classes = n_classes
-        self.keys = np.zeros((0, key_dim), dtype=FLOAT)
-        self.values = np.zeros((0, n_classes), dtype=FLOAT)
-        self.labels: list[int] = []
+        self.n = 0
+        self._keys = np.zeros((capacity, key_dim), dtype=FLOAT)
+        self._labels = np.zeros(capacity, dtype=np.intp)
 
     @property
-    def n(self) -> int:
-        return len(self.labels)
+    def keys(self) -> np.ndarray:
+        """(n, key_dim) view of the written keys, in insertion order."""
+        return self._keys[:self.n]
+
+    @property
+    def labels(self) -> np.ndarray:
+        """(n,) class index of each written slot."""
+        return self._labels[:self.n]
 
     def write(self, det: Detection) -> "ObjectMemory":
         """Append one key-value slot; order of insertion is preserved."""
@@ -80,11 +79,9 @@ class ObjectMemory:
             raise ShapeError(f"memory: key shape {det.feature.shape} != ({self.key_dim},)")
         if det.label >= self.n_classes:
             raise DomainError(f"memory: label {det.label} out of range for {self.n_classes} classes")
-        onehot = np.zeros(self.n_classes, dtype=FLOAT)
-        onehot[det.label] = 1.0
-        self.keys = np.vstack([self.keys, det.feature[None, :]])
-        self.values = np.vstack([self.values, onehot[None, :]])
-        self.labels.append(det.label)
+        self._keys[self.n] = det.feature
+        self._labels[self.n] = det.label
+        self.n += 1
         return self
 
 
@@ -95,14 +92,22 @@ def select_top_detections(dets: list[Detection], n_det: int) -> list[Detection]:
 
 
 def build_memory(dets: list[Detection], n_det: int, key_dim: int, n_classes: int,
-                 key_projection: np.ndarray | None = None) -> ObjectMemory:
-    """Memory from the top-``n_det`` detections; keys optionally projected."""
+                 key_projection: np.ndarray | None = None) -> tuple[ObjectMemory, np.ndarray]:
+    """Memory from the top-``n_det`` detections; keys optionally projected.
+
+    Also returns the unprojected features of the written slots, row for
+    row (the gradient of the key projection needs them). Without a
+    projection they are the keys themselves.
+    """
+    top = select_top_detections(dets, n_det)
     mem = ObjectMemory(n_det, key_dim, n_classes)
-    for det in select_top_detections(dets, n_det):
+    for det in top:
         if key_projection is not None:
             det = Detection(key_projection @ det.feature, det.label, det.score)
         mem.write(det)
-    return mem
+    if key_projection is None:
+        return mem, mem.keys
+    return mem, np.array([det.feature for det in top], dtype=FLOAT).reshape(len(top), key_dim)
 
 
 def make_query(h_prev: np.ndarray, w_query: np.ndarray) -> np.ndarray:
@@ -112,29 +117,24 @@ def make_query(h_prev: np.ndarray, w_query: np.ndarray) -> np.ndarray:
     return w_query @ h_prev
 
 
-def memory_read(q: np.ndarray, mem: ObjectMemory, det_map=None,
-                addressing: str = "softmax") -> tuple[QueryResult, np.ndarray]:
-    """Content-based read: similarity, addressing weights, mixed class scores.
-
-    Returns the QueryResult and the raw class-score vector (a probability
-    distribution in softmax mode, unnormalized logits in raw-logit mode).
-    Argmax ties break toward the lowest class index.
-    """
+def _address(q: np.ndarray, mem: ObjectMemory) -> tuple[np.ndarray, np.ndarray]:
+    """Slot weights softmax(K q) and the class distribution they mix into."""
     if mem.n == 0:
         raise EmptyMemoryError("memory: read on an empty memory")
-    if addressing not in ADDRESSING_MODES:
-        raise DomainError(f"memory: unknown addressing mode {addressing!r}")
-    sims = mem.keys @ q
-    if addressing == "softmax":
-        weights = softmax(sims)
-        scores = weights @ mem.values
-        distribution = scores
-    else:
-        scores = sims @ mem.values
-        distribution = softmax(scores)
+    weights = softmax(mem.keys @ q)
+    return weights, np.bincount(mem.labels, weights, minlength=mem.n_classes)
+
+
+def memory_read(q: np.ndarray, mem: ObjectMemory, det_map=None) -> tuple[QueryResult, np.ndarray]:
+    """Content-based read: similarity, addressing weights, mixed class scores.
+
+    Returns the QueryResult and the class distribution it was read from.
+    Argmax ties break toward the lowest class index.
+    """
+    _, distribution = _address(q, mem)
     argmax_class = int(np.argmax(distribution))  # np.argmax takes the first (lowest) index on ties
     word = det_map.word_for_class(argmax_class) if det_map is not None else None
-    return QueryResult(distribution=distribution, argmax_class=argmax_class, argmax_word=word), scores
+    return QueryResult(distribution=distribution, argmax_class=argmax_class, argmax_word=word), distribution
 
 
 @dataclass
@@ -142,51 +142,32 @@ class ReadCache:
     """Forward intermediates one read needs for its backward pass."""
 
     q: np.ndarray
-    sims: np.ndarray
-    weights: np.ndarray | None
-    scores: np.ndarray
+    weights: np.ndarray
+    target_prob: float
     target_class: int
     step: int
 
 
 def read_loss_forward(q: np.ndarray, mem: ObjectMemory, target_class: int,
-                      addressing: str, step: int) -> tuple[float, ReadCache]:
+                      step: int) -> tuple[float, ReadCache]:
     """Cross-entropy of one read against the annotated class."""
-    if mem.n == 0:
-        raise EmptyMemoryError("memory: read on an empty memory")
-    sims = mem.keys @ q
-    if addressing == "softmax":
-        weights = softmax(sims)
-        scores = weights @ mem.values
-        loss = float(-np.log(scores[target_class]))
-        cache = ReadCache(q=q, sims=sims, weights=weights, scores=scores,
-                          target_class=target_class, step=step)
-    else:
-        scores = sims @ mem.values
-        loss, _ = cross_entropy(scores, target_class)
-        cache = ReadCache(q=q, sims=sims, weights=None, scores=scores,
-                          target_class=target_class, step=step)
-    return loss, cache
+    weights, distribution = _address(q, mem)
+    p = distribution[target_class]
+    return float(-np.log(p)), ReadCache(q=q, weights=weights, target_prob=p,
+                                        target_class=target_class, step=step)
 
 
-def read_loss_backward(cache: ReadCache, mem: ObjectMemory, addressing: str,
+def read_loss_backward(cache: ReadCache, mem: ObjectMemory,
                        scale: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of the read loss w.r.t. the query and the slot keys.
 
     ``scale`` multiplies the loss (batch averaging). Returns (dq, dkeys)
     with dkeys shaped like mem.keys.
     """
-    if addressing == "softmax":
-        # loss = -log(sum of weights on slots labeled target)
-        w = cache.weights
-        p = cache.scores[cache.target_class]
-        dalpha = -mem.values[:, cache.target_class] / p
-        dsims = w * (dalpha - float(w @ dalpha))
-    else:
-        probs = softmax(cache.scores)
-        dscores = probs.copy()
-        dscores[cache.target_class] -= 1.0
-        dsims = mem.values @ dscores
+    # loss = -log(sum of weights on slots labeled target)
+    w = cache.weights
+    dalpha = np.where(mem.labels == cache.target_class, -1.0 / cache.target_prob, 0.0)
+    dsims = w * (dalpha - float(w @ dalpha))
     dsims = dsims * scale
     dq = mem.keys.T @ dsims
     dkeys = np.outer(dsims, cache.q)
@@ -194,15 +175,15 @@ def read_loss_backward(cache: ReadCache, mem: ObjectMemory, addressing: str,
 
 
 def memory_loss_forward(hiddens: list[np.ndarray], original: list[int], a: list[int],
-                        det_map, mem: ObjectMemory, w_query: np.ndarray,
-                        addressing: str = "softmax") -> tuple[float, list[ReadCache]]:
+                        det_map, mem: ObjectMemory,
+                        w_query: np.ndarray) -> tuple[float, list[ReadCache]]:
     """Masked memory loss over one sentence.
 
     For each step with a[t] = 1: query from the pre-step hidden state,
     read the memory, cross-entropy against the class of the original
     word. Steps whose word has no detection class, or whose class has no
-    slot in the memory under softmax addressing (where its probability
-    would be exactly zero), are skipped with a warning.
+    slot in the memory (its probability would be exactly zero), are
+    skipped with a warning.
     """
     total = 0.0
     caches: list[ReadCache] = []
@@ -217,14 +198,14 @@ def memory_loss_forward(hiddens: list[np.ndarray], original: list[int], a: list[
         if mem.n == 0:
             log.warning("memory: no detections available for a masked step; step skipped")
             continue
-        if addressing == "softmax" and target_class not in mem.labels:
+        if target_class not in mem.labels:
             # expected when the annotated object fell below the top-n_det
             # cut; its mixed probability would be exactly zero
             log.debug("memory: class %d absent from memory slots at step %d; step skipped",
                       target_class, t)
             continue
         q = make_query(hiddens[t], w_query)
-        loss, cache = read_loss_forward(q, mem, target_class, addressing, step=t)
+        loss, cache = read_loss_forward(q, mem, target_class, step=t)
         total += loss
         caches.append(cache)
     return total, caches

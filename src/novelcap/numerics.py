@@ -15,20 +15,6 @@ from .errors import DomainError, NumericError, ShapeError
 FLOAT = np.float64
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit shape check.
-
-    a (n, k) @ b (k, m) -> (n, m).
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"numerics: matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"numerics: matmul shapes {a.shape} and {b.shape} are not aligned")
-    return a @ b
-
-
 def softmax(x: np.ndarray) -> np.ndarray:
     """Stable softmax: invariant to adding a constant to every entry."""
     x = np.asarray(x, dtype=FLOAT)

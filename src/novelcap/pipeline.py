@@ -8,7 +8,8 @@ Captioning: (i) decode greedily, emitting placeholders; (ii) build the
 key-value memory from the image's top detections; (iii) query the memory
 with the hidden state recorded before each placeholder and substitute
 the retrieved word. Filling is a pure post-process: non-placeholder
-positions are untouched.
+positions are untouched. The ablations share steps (i) and (iii) and
+swap only the filler.
 """
 
 import logging
@@ -20,9 +21,9 @@ import numpy as np
 from .data import HeldOutSplit
 from .decoder import CaptionModel, backward_pass, decode_greedy, forward_teacher_forced, sequence_loss
 from .errors import NumericError
-from .memory import (Detection, ObjectMemory, build_memory, make_query, memory_loss_forward,
-                     memory_read, read_loss_backward, select_top_detections)
-from .numerics import FLOAT, AdamState, adam_step
+from .memory import (Detection, build_memory, make_query, memory_loss_forward, memory_read,
+                     read_loss_backward, select_top_detections)
+from .numerics import AdamState, adam_step
 from .vocabulary import PLACEHOLDER, DetectableSet, Vocabulary, mask_weights, rewrite_targets
 
 log = logging.getLogger(__name__)
@@ -37,13 +38,6 @@ class TrainExample:
     detections: list[Detection]
 
 
-def make_batch(examples: list[TrainExample], pad_id: int) -> list[TrainExample]:
-    """Pad every sequence in the batch to the longest one with <PAD>."""
-    width = max(len(ex.targets) for ex in examples)
-    return [TrainExample(ex.feature, ex.targets + [pad_id] * (width - len(ex.targets)), ex.detections)
-            for ex in examples]
-
-
 @dataclass
 class Caption:
     """Finished caption: surface tokens, with novel words as raw strings."""
@@ -52,28 +46,8 @@ class Caption:
     placeholder_count_unfilled: int = 0
 
 
-def _strip_padding(targets: list[int], pad_id: int) -> list[int]:
-    end = len(targets)
-    while end > 1 and targets[end - 1] == pad_id:
-        end -= 1
-    return targets[:end]
-
-
-def _memory_for_example(detections, n_det, key_dim, n_classes, w_key):
-    """Memory plus the raw top features (needed for the key-transform grad)."""
-    top = select_top_detections(detections, n_det)
-    mem = ObjectMemory(n_det, key_dim, n_classes)
-    raw = np.zeros((len(top), key_dim), dtype=FLOAT)
-    for i, det in enumerate(top):
-        raw[i] = det.feature
-        key = w_key @ det.feature if w_key is not None else det.feature
-        mem.write(Detection(feature=key, label=det.label, score=det.score))
-    return mem, raw
-
-
 def example_losses(model: CaptionModel, feature, targets: list[int], detections,
                    pd: DetectableSet, *, go_id: int, pad_id: int, n_det: int,
-                   addressing: str = "softmax", bptt_through_query: bool = True,
                    max_steps: int | None = None, rewrite: bool = True,
                    grads: dict[str, np.ndarray] | None = None,
                    scale: float = 1.0) -> tuple[float, float, dict[str, np.ndarray]]:
@@ -83,13 +57,12 @@ def example_losses(model: CaptionModel, feature, targets: list[int], detections,
     ``rewrite`` off (the no-placeholder baseline) the raw targets are
     used and the memory loss is skipped entirely.
     """
-    original = _strip_padding(list(targets), pad_id)
     if rewrite:
-        decoder_targets = rewrite_targets(original, pd)
-        mask = mask_weights(original, pd)
+        decoder_targets = rewrite_targets(targets, pd)
+        mask = mask_weights(targets, pd)
     else:
-        decoder_targets = original
-        mask = [0] * len(original)
+        decoder_targets = targets
+        mask = [0] * len(targets)
     cache = forward_teacher_forced(decoder_targets, feature, model, go_id, max_steps)
     n_steps = len(cache.targets)
     loss_seq, dlogits = sequence_loss(cache.logits, cache.targets, pad_id)
@@ -99,37 +72,26 @@ def example_losses(model: CaptionModel, feature, targets: list[int], detections,
     if grads is None:
         grads = model.zero_grads()
     if any(mask[:n_steps]):
-        mem, raw_feats = _memory_for_example(detections, n_det, model.key_dim, pd.n_classes, model.w_key)
-        loss_mem, read_caches = memory_loss_forward(cache.hiddens, original[:n_steps], mask[:n_steps],
-                                                    pd, mem, model.w_query, addressing)
+        mem, raw_feats = build_memory(detections, n_det, model.key_dim, pd.n_classes,
+                                      key_projection=model.w_key)
+        loss_mem, read_caches = memory_loss_forward(cache.hiddens, targets[:n_steps], mask[:n_steps],
+                                                    pd, mem, model.w_query)
         for rc in read_caches:
-            dq, dkeys = read_loss_backward(rc, mem, addressing, scale=scale)
+            dq, dkeys = read_loss_backward(rc, mem, scale=scale)
             dq_by_step[rc.step] = dq
             if model.has_key_projection:
                 grads["w_key"] += dkeys.T @ raw_feats
-    backward_pass(model, cache, dlogits * scale, dq_by_step, bptt_through_query, grads)
+    backward_pass(model, cache, dlogits * scale, dq_by_step, grads)
     return loss_seq, loss_mem, grads
 
 
 def joint_loss(model: CaptionModel, feature, targets: list[int], detections, pd: DetectableSet,
-               *, go_id: int, pad_id: int, n_det: int, addressing: str = "softmax",
-               max_steps: int | None = None, rewrite: bool = True) -> float:
-    """Forward-only total loss; the reference for finite-difference checks."""
-    original = _strip_padding(list(targets), pad_id)
-    if rewrite:
-        decoder_targets = rewrite_targets(original, pd)
-        mask = mask_weights(original, pd)
-    else:
-        decoder_targets = original
-        mask = [0] * len(original)
-    cache = forward_teacher_forced(decoder_targets, feature, model, go_id, max_steps)
-    n_steps = len(cache.targets)
-    loss_seq, _ = sequence_loss(cache.logits, cache.targets, pad_id)
-    loss_mem = 0.0
-    if any(mask[:n_steps]):
-        mem, _ = _memory_for_example(detections, n_det, model.key_dim, pd.n_classes, model.w_key)
-        loss_mem, _ = memory_loss_forward(cache.hiddens, original[:n_steps], mask[:n_steps],
-                                          pd, mem, model.w_query, addressing)
+               *, go_id: int, pad_id: int, n_det: int, max_steps: int | None = None,
+               rewrite: bool = True) -> float:
+    """Total loss of one example; the reference for finite-difference checks."""
+    loss_seq, loss_mem, _ = example_losses(model, feature, targets, detections, pd, go_id=go_id,
+                                           pad_id=pad_id, n_det=n_det, max_steps=max_steps,
+                                           rewrite=rewrite)
     return loss_seq + loss_mem
 
 
@@ -145,8 +107,7 @@ def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
 
 def train_step(batch: list[TrainExample], model: CaptionModel, pd: DetectableSet,
                opt_states: dict[str, AdamState], vocab: Vocabulary, *, n_det: int,
-               max_steps: int | None = None, addressing: str = "softmax",
-               bptt_through_query: bool = True, clip_norm: float = 5.0,
+               max_steps: int | None = None, clip_norm: float = 5.0,
                rewrite: bool = True) -> tuple[float, float, float]:
     """One joint update over a batch; returns (loss_seq, loss_mem, total).
 
@@ -160,7 +121,6 @@ def train_step(batch: list[TrainExample], model: CaptionModel, pd: DetectableSet
     for ex in batch:
         ls, lm, _ = example_losses(model, ex.feature, ex.targets, ex.detections, pd,
                                    go_id=vocab.go_id, pad_id=vocab.pad_id, n_det=n_det,
-                                   addressing=addressing, bptt_through_query=bptt_through_query,
                                    max_steps=max_steps, rewrite=rewrite, grads=grads, scale=1.0 / b)
         loss_seq_total += ls
         loss_mem_total += lm
@@ -172,88 +132,6 @@ def train_step(batch: list[TrainExample], model: CaptionModel, pd: DetectableSet
     for name, p in model.params().items():
         adam_step(p, grads[name], opt_states[name])
     return loss_seq, loss_mem, loss_seq + loss_mem
-
-
-# ---------------------------------------------------------------------------
-# Captioning
-# ---------------------------------------------------------------------------
-
-
-def fill_placeholders(trace, mem: ObjectMemory, model: CaptionModel, vocab: Vocabulary,
-                      det_map: DetectableSet, addressing: str = "softmax") -> tuple[Caption, int]:
-    """Substitute each emitted placeholder with its memory query result.
-
-    With an empty memory the literal placeholder token stays in the
-    output. Returns the caption and the number of memory reads performed.
-    """
-    placeholder_at = set(trace.placeholder_positions)
-    tokens: list[str] = []
-    unfilled = 0
-    reads = 0
-    skip = {vocab.go_id, vocab.pad_id, vocab.eos_id}
-    for pos, tok_id in enumerate(trace.ids):
-        if pos in placeholder_at:
-            if mem.n == 0:
-                tokens.append(PLACEHOLDER)
-                unfilled += 1
-            else:
-                q = make_query(trace.hiddens[pos], model.w_query)
-                result, _ = memory_read(q, mem, det_map, addressing)
-                tokens.append(result.argmax_word)
-                reads += 1
-        elif tok_id in skip:
-            continue
-        else:
-            tokens.append(vocab.word_of(tok_id))
-    return Caption(tokens=tokens, placeholder_count_unfilled=unfilled), reads
-
-
-def caption_image(image_feature, detections, model: CaptionModel, vocab: Vocabulary,
-                  det_map: DetectableSet, n_det: int, max_steps: int,
-                  addressing: str = "softmax") -> Caption:
-    """Decode with placeholders, build the memory, fill the placeholders."""
-    trace = decode_greedy(image_feature, model, vocab.go_id, vocab.eos_id,
-                          vocab.placeholder_id, max_steps)
-    mem = build_memory(detections, n_det, model.key_dim, det_map.n_classes,
-                       key_projection=model.w_key)
-    caption, _ = fill_placeholders(trace, mem, model, vocab, det_map, addressing)
-    return caption
-
-
-def caption_no_memory(image_feature, detections, model: CaptionModel, vocab: Vocabulary,
-                      det_map: DetectableSet, n_det: int, max_steps: int,
-                      rng: np.random.Generator) -> Caption:
-    """Ablation: placeholders get a uniformly random top-detection label
-    instead of a memory read."""
-    trace = decode_greedy(image_feature, model, vocab.go_id, vocab.eos_id,
-                          vocab.placeholder_id, max_steps)
-    labels = [d.label for d in select_top_detections(detections, n_det)]
-    placeholder_at = set(trace.placeholder_positions)
-    tokens: list[str] = []
-    unfilled = 0
-    skip = {vocab.go_id, vocab.pad_id, vocab.eos_id}
-    for pos, tok_id in enumerate(trace.ids):
-        if pos in placeholder_at:
-            if not labels:
-                tokens.append(PLACEHOLDER)
-                unfilled += 1
-            else:
-                tokens.append(det_map.word_for_class(labels[int(rng.integers(len(labels)))]))
-        elif tok_id in skip:
-            continue
-        else:
-            tokens.append(vocab.word_of(tok_id))
-    return Caption(tokens=tokens, placeholder_count_unfilled=unfilled)
-
-
-def caption_plain(image_feature, model: CaptionModel, vocab: Vocabulary,
-                  max_steps: int) -> Caption:
-    """No-placeholder baseline: decode and map ids straight to words."""
-    trace = decode_greedy(image_feature, model, vocab.go_id, vocab.eos_id,
-                          vocab.placeholder_id, max_steps)
-    skip = {vocab.go_id, vocab.pad_id, vocab.eos_id}
-    tokens = [vocab.word_of(i) for i in trace.ids if i not in skip]
-    return Caption(tokens=tokens, placeholder_count_unfilled=0)
 
 
 # ---------------------------------------------------------------------------
@@ -312,12 +190,9 @@ def train_model(split: HeldOutSplit, vocab: Vocabulary, det_map: DetectableSet, 
         sums = np.zeros(2)
         n_batches = 0
         for start in range(0, len(order), cfg.batch_size):
-            chunk = [pairs[i] for i in order[start:start + cfg.batch_size]]
-            batch = make_batch(chunk, vocab.pad_id)
+            batch = [pairs[i] for i in order[start:start + cfg.batch_size]]
             ls, lm, _ = train_step(batch, model, det_map, opt_states, vocab, n_det=cfg.n_det,
-                                   max_steps=cfg.max_steps, addressing=cfg.addressing,
-                                   bptt_through_query=cfg.bptt_through_query,
-                                   clip_norm=cfg.clip_norm, rewrite=rewrite)
+                                   max_steps=cfg.max_steps, clip_norm=cfg.clip_norm, rewrite=rewrite)
             sums += (ls, lm)
             n_batches += 1
         loss_seq, loss_mem = sums / max(n_batches, 1)
@@ -338,19 +213,54 @@ def train_model(split: HeldOutSplit, vocab: Vocabulary, det_map: DetectableSet, 
 
 def make_captioner(model: CaptionModel, vocab: Vocabulary, det_map: DetectableSet, cfg,
                    mode: str = "dnoc"):
-    """Record -> Caption callable for one of the three evaluation modes."""
+    """Record -> Caption callable for one of the three evaluation modes.
+
+    Every mode decodes once, then fills each placeholder with a word from
+    its filler: a memory read ("dnoc"), a seeded uniformly random
+    top-detection label ("no-memory"), or nothing ("no-placeholder"). A
+    placeholder without a word stays in the output as the literal token.
+    """
     if mode == "dnoc":
-        def captioner(rec):
-            return caption_image(rec.feature, rec.detections, model, vocab, det_map,
-                                 cfg.n_det, cfg.max_steps, cfg.addressing)
+        def filler(rec):
+            mem, _ = build_memory(rec.detections, cfg.n_det, model.key_dim, det_map.n_classes,
+                                  key_projection=model.w_key)
+            if mem.n == 0:
+                return None
+
+            def fill(h_prev):
+                result, _ = memory_read(make_query(h_prev, model.w_query), mem, det_map)
+                return result.argmax_word
+            return fill
     elif mode == "no-memory":
-        def captioner(rec):
+        def filler(rec):
+            labels = [d.label for d in select_top_detections(rec.detections, cfg.n_det)]
+            if not labels:
+                return None
             rng = np.random.default_rng([cfg.seed, zlib.crc32(rec.image_id.encode())])
-            return caption_no_memory(rec.feature, rec.detections, model, vocab, det_map,
-                                     cfg.n_det, cfg.max_steps, rng)
+            return lambda h_prev: det_map.word_for_class(labels[int(rng.integers(len(labels)))])
     elif mode == "no-placeholder":
-        def captioner(rec):
-            return caption_plain(rec.feature, model, vocab, cfg.max_steps)
+        def filler(rec):
+            return None
     else:
         raise ValueError(f"pipeline: unknown captioning mode {mode!r}")
+
+    skip = {vocab.go_id, vocab.pad_id, vocab.eos_id}
+
+    def captioner(rec):
+        trace = decode_greedy(rec.feature, model, vocab.go_id, vocab.eos_id,
+                              vocab.placeholder_id, cfg.max_steps)
+        fill = filler(rec)
+        placeholder_at = set(trace.placeholder_positions)
+        tokens: list[str] = []
+        unfilled = 0
+        for pos, tok_id in enumerate(trace.ids):
+            if pos in placeholder_at:
+                if fill is None:
+                    tokens.append(PLACEHOLDER)
+                    unfilled += 1
+                else:
+                    tokens.append(fill(trace.hiddens[pos]))
+            elif tok_id not in skip:
+                tokens.append(vocab.word_of(tok_id))
+        return Caption(tokens=tokens, placeholder_count_unfilled=unfilled)
     return captioner

@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from novelcap.checkpoint import load_checkpoint
+from novelcap.checkpoint import load_checkpoint, save_checkpoint
 from novelcap.cli import main
 from novelcap.config import load_config
 from novelcap.data import load_dataset, load_manifest, make_world, save_world_config, split_from_manifest
@@ -192,6 +193,20 @@ class TestEvalAndSweep:
         assert code == 1
         assert "CheckpointError" in capsys.readouterr().err
 
+    def test_malformed_checkpoint_is_checkpoint_error(self, trained, capsys):
+        tmp_path, cfg_path = trained
+        params, vocab_ref = load_checkpoint(load_config(cfg_path).checkpoint)
+        missing = {k: v for k, v in params.items() if k != "embed"}
+        extra = dict(params, w_extra=np.zeros(3))
+        misshapen = dict(params, lstm_w=params["lstm_w"][:, 1:])
+        for name, bad in (("embed", missing), ("w_extra", extra), ("lstm_w", misshapen)):
+            path = tmp_path / f"bad_{name}.ckpt"
+            save_checkpoint(path, bad, vocab_ref=vocab_ref)
+            code = main(["eval", "--config", cfg_path, "--checkpoint", str(path)])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert "CheckpointError" in err and repr(name) in err, err
+
 
 class TestCaption:
     def test_prints_single_caption(self, trained, capsys):
@@ -215,9 +230,10 @@ class TestConfigPlumbing:
         cfg = load_config(cfg_path)
         assert cfg.seed == 3
 
-    def test_invalid_value_rejected(self, tmp_path):
+    @pytest.mark.parametrize("line", ["lr = -1", "max_steps = 0"], ids=["lr", "max_steps"])
+    def test_invalid_value_rejected(self, tmp_path, line):
         path = tmp_path / "bad.cfg"
-        path.write_text("lr = -1\n")
+        path.write_text(line + "\n")
         from novelcap.config import validate_config
         from novelcap.errors import ConfigError
         with pytest.raises(ConfigError):

@@ -40,13 +40,13 @@ class TestWriteAndSelect:
         mem = memory_of(([1.0, 2.0], 1))
         assert mem.n == 1
         assert np.array_equal(mem.keys[0], [1.0, 2.0])
-        assert np.array_equal(mem.values[0], [0.0, 1.0, 0.0])
+        assert mem.labels.tolist() == [1]
 
     def test_insertion_order_preserved(self):
         slots = [([float(i), 0.0], i % 3) for i in range(4)]
         mem = memory_of(*slots)
         assert [k[0] for k in mem.keys] == [0.0, 1.0, 2.0, 3.0]
-        assert mem.labels == [0, 1, 2, 0]
+        assert mem.labels.tolist() == [0, 1, 2, 0]
 
     def test_fifth_write_exceeds_capacity(self):
         mem = memory_of(*[([float(i)], 0) for i in range(4)], n_classes=1)
@@ -121,12 +121,6 @@ class TestMemoryRead:
         result, _ = memory_read(np.array([1.0]), mem, det_map)
         assert result.argmax_word == "zebra"
 
-    def test_raw_logit_mode_distribution(self):
-        mem = memory_of(([2.0, 0.0], 0), ([0.0, 2.0], 1))
-        result, scores = memory_read(np.array([1.0, 0.0]), mem, addressing="raw-logit")
-        assert np.allclose(scores, [2.0, 0.0, 0.0])
-        assert abs(result.distribution.sum() - 1.0) < 1e-9
-
     @settings(max_examples=60)
     @given(st.data())
     def test_matches_brute_force_and_permutation_free(self, data):
@@ -168,38 +162,46 @@ class TestMemoryRead:
 class TestReadLoss:
     def test_saturated_single_slot(self):
         mem = memory_of(([1.0, 0.0], 2))
-        loss, _ = read_loss_forward(np.array([5.0, 0.0]), mem, target_class=2,
-                                    addressing="softmax", step=0)
+        loss, _ = read_loss_forward(np.array([5.0, 0.0]), mem, target_class=2, step=0)
         assert abs(loss) < 1e-12
 
     def test_two_slot_hand_value(self):
         mem = memory_of(([2.0, 0.0], 0), ([0.0, 2.0], 1))
-        loss, _ = read_loss_forward(np.array([1.0, 0.0]), mem, target_class=1,
-                                    addressing="softmax", step=0)
+        loss, _ = read_loss_forward(np.array([1.0, 0.0]), mem, target_class=1, step=0)
         expected = -math.log(1.0 / (1.0 + math.exp(2.0)))
         assert abs(loss - expected) < 1e-12
         assert abs(loss - 2.1269) < 1e-3
 
-    @pytest.mark.parametrize("addressing", ["softmax", "raw-logit"])
-    def test_query_and_key_gradients(self, addressing):
+    def test_query_and_key_gradients(self):
         rng = np.random.default_rng(7)
         mem = memory_of((rng.normal(size=3), 0), (rng.normal(size=3), 1),
                         (rng.normal(size=3), 2))
         q = rng.normal(size=3)
-        _, cache = read_loss_forward(q, mem, target_class=1, addressing=addressing, step=0)
-        dq, dkeys = read_loss_backward(cache, mem, addressing)
+        _, cache = read_loss_forward(q, mem, target_class=1, step=0)
+        dq, dkeys = read_loss_backward(cache, mem)
 
         def loss_of_q(params):
-            loss, _ = read_loss_forward(params["q"], mem, 1, addressing, 0)
+            loss, _ = read_loss_forward(params["q"], mem, 1, 0)
             return loss
 
         assert finite_diff_check(loss_of_q, {"q": q}, {"q": dq}) < 1e-6
 
         def loss_of_keys(params):
-            loss, _ = read_loss_forward(q, mem, 1, addressing, 0)
+            loss, _ = read_loss_forward(q, mem, 1, 0)
             return loss
 
         assert finite_diff_check(loss_of_keys, {"keys": mem.keys}, {"keys": dkeys}) < 1e-6
+
+    def test_gradients_with_two_target_slots(self):
+        rng = np.random.default_rng(8)
+        mem = memory_of(*[(rng.normal(size=3), label) for label in (1, 0, 1)])
+        q = rng.normal(size=3)
+        _, cache = read_loss_forward(q, mem, target_class=1, step=0)
+        dq, dkeys = read_loss_backward(cache, mem)
+        assert finite_diff_check(lambda p: read_loss_forward(p["q"], mem, 1, 0)[0],
+                                 {"q": q}, {"q": dq}) < 1e-6
+        assert finite_diff_check(lambda _p: read_loss_forward(q, mem, 1, 0)[0],
+                                 {"keys": mem.keys}, {"keys": dkeys}) < 1e-6
 
 
 class TestMemoryLoss:
@@ -246,11 +248,13 @@ class TestBuildMemory:
     def test_key_projection_applied(self):
         dets = [det([1.0, 2.0], 0, 0.9)]
         proj = np.array([[0.0, 1.0], [1.0, 0.0]])
-        mem = build_memory(dets, 4, key_dim=2, n_classes=1, key_projection=proj)
+        mem, raw = build_memory(dets, 4, key_dim=2, n_classes=1, key_projection=proj)
         assert np.array_equal(mem.keys[0], [2.0, 1.0])
+        assert np.array_equal(raw[0], [1.0, 2.0])
 
     def test_truncates_to_top(self):
         dets = [det([float(i)], 0, 0.1 * i) for i in range(1, 7)]
-        mem = build_memory(dets, 4, key_dim=1, n_classes=1)
+        mem, raw = build_memory(dets, 4, key_dim=1, n_classes=1)
         assert mem.n == 4
+        assert np.array_equal(raw, mem.keys)
         assert sorted(k[0] for k in mem.keys) == [3.0, 4.0, 5.0, 6.0]

@@ -5,33 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from novelcap.errors import DomainError, NumericError, ShapeError
-from novelcap.numerics import AdamState, adam_step, cross_entropy, finite_diff_check, matmul, softmax
-
-
-class TestMatmul:
-    def test_identity(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(matmul(a, np.eye(2)), a)
-
-    def test_unit_selector_row(self):
-        assert np.array_equal(matmul(np.array([[1.0, 0.0]]), np.array([[2.0], [5.0]])),
-                              np.array([[2.0]]))
-
-    def test_hand_multiplication(self):
-        # oracle: explicit loop product
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[5.0, 6.0], [7.0, 8.0]])
-        expected = np.zeros((2, 2))
-        for i in range(2):
-            for j in range(2):
-                for k in range(2):
-                    expected[i, j] += a[i, k] * b[k, j]
-        assert np.array_equal(expected, np.array([[19.0, 22.0], [43.0, 50.0]]))
-        assert np.allclose(matmul(a, b), expected)
-
-    def test_mismatch_names_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
-            matmul(np.zeros((2, 3)), np.zeros((2, 2)))
+from novelcap.numerics import AdamState, adam_step, cross_entropy, finite_diff_check, softmax
 
 
 class TestSoftmax:

@@ -1,12 +1,14 @@
+import dataclasses
+
 import numpy as np
 
-from novelcap.data import generate_synthetic, make_world
+from novelcap import pipeline
+from novelcap.config import RunConfig
+from novelcap.data import DatasetRecord, generate_synthetic, make_world
 from novelcap.decoder import CaptionModel, DecodeTrace
-from novelcap.memory import Detection, ObjectMemory
+from novelcap.memory import Detection
 from novelcap.numerics import AdamState
-from novelcap.pipeline import (TrainExample, caption_image, caption_no_memory,
-                               caption_plain, example_losses, fill_placeholders, joint_loss,
-                               make_batch, train_step)
+from novelcap.pipeline import TrainExample, example_losses, joint_loss, make_captioner, train_step
 from novelcap.vocabulary import PLACEHOLDER, build_vocabulary, intersect_detectable
 
 
@@ -29,17 +31,21 @@ def fresh_opt(model, lr=1e-3):
     return {name: AdamState.for_param(p, lr=lr) for name, p in model.params().items()}
 
 
-def record_batch(records, vocab, pad_id):
-    examples = [TrainExample(r.feature, vocab.encode(r.references[0], append_eos=True),
-                             r.detections) for r in records]
-    return make_batch(examples, pad_id)
+def record_batch(records, vocab):
+    return [TrainExample(r.feature, vocab.encode(r.references[0], append_eos=True), r.detections)
+            for r in records]
+
+
+def caption(model, vocab, det_map, rec, mode="dnoc", n_det=4, max_steps=15):
+    cfg = RunConfig(n_det=n_det, max_steps=max_steps)
+    return make_captioner(model, vocab, det_map, cfg, mode)(rec)
 
 
 class TestTrainStep:
     def test_total_is_exact_sum(self):
         _, records, vocab, det_map = small_setup()
         model = fresh_model(vocab)
-        batch = record_batch(records[:8], vocab, vocab.pad_id)
+        batch = record_batch(records[:8], vocab)
         ls, lm, total = train_step(batch, model, det_map, fresh_opt(model), vocab, n_det=4)
         assert lm > 0.0
         assert abs(total - (ls + lm)) < 1e-12
@@ -49,7 +55,7 @@ class TestTrainStep:
         # detector classes disjoint from the vocabulary: empty intersection
         empty_map = intersect_detectable(vocab, ["xylophone", "quokka"])
         model = fresh_model(vocab)
-        batch = record_batch(records[:8], vocab, vocab.pad_id)
+        batch = record_batch(records[:8], vocab)
         ls, lm, total = train_step(batch, model, empty_map, fresh_opt(model), vocab, n_det=4)
         assert lm == 0.0
         assert total == ls
@@ -70,7 +76,7 @@ class TestTrainStep:
         rng = np.random.default_rng(7)
         for step in range(200):
             idx = rng.permutation(len(examples))[:10]
-            batch = make_batch([examples[i] for i in idx], vocab.pad_id)
+            batch = [examples[i] for i in idx]
             train_step(batch, model, det_map, opt, vocab, n_det=4)
         after = corpus_loss()
         assert after <= 0.5 * before, (before, after)
@@ -79,7 +85,7 @@ class TestTrainStep:
         _, records, vocab, det_map = small_setup()
         model = fresh_model(vocab)
         before = {k: p.copy() for k, p in model.params().items()}
-        batch = record_batch(records[:8], vocab, vocab.pad_id)
+        batch = record_batch(records[:8], vocab)
         _, lm, _ = train_step(batch, model, det_map, fresh_opt(model), vocab, n_det=4)
         assert lm > 0.0
         for name in ("w_query", "lstm_w", "embed", "w_out", "w_img"):
@@ -87,19 +93,22 @@ class TestTrainStep:
 
     def test_gradients_match_batch_mean(self):
         _, records, vocab, det_map = small_setup()
-        model = fresh_model(vocab)
-        batch = record_batch(records[:4], vocab, vocab.pad_id)
+        model = fresh_model(vocab, key_projection=True, image_to_cell=True)
+        batch = record_batch(records[:4], vocab)
         kw = dict(go_id=vocab.go_id, pad_id=vocab.pad_id, n_det=4)
         summed = model.zero_grads()
+        per_example = []
         for ex in batch:
             example_losses(model, ex.feature, ex.targets, ex.detections, det_map,
                            grads=summed, scale=1.0 / len(batch), **kw)
-        lone = model.zero_grads()
-        example_losses(model, batch[0].feature, batch[0].targets, batch[0].detections,
-                       det_map, grads=lone, scale=1.0, **kw)
+            _, _, grads = example_losses(model, ex.feature, ex.targets, ex.detections, det_map, **kw)
+            per_example.append(grads)
         # scale=1/B accumulation equals the mean of per-example gradients
-        assert summed["w_out"].shape == lone["w_out"].shape
-        assert not np.allclose(summed["w_out"], lone["w_out"])
+        assert summed.keys() == model.params().keys()
+        for name, g in summed.items():
+            mean = sum(grads[name] for grads in per_example) / len(batch)
+            assert np.max(np.abs(g - mean)) <= 1e-12, name
+            assert np.any(g != 0.0), name
 
 
 def test_sequence_loss_gradient_on_minimal_model():
@@ -126,46 +135,53 @@ def test_sequence_loss_gradient_on_minimal_model():
     assert worst < 1e-4
 
 
-def fig3_setup():
+def fig3_setup(monkeypatch):
+    """A two-placeholder decode whose queries hit the dog and the cake slot."""
     sentence = ["a", "dog", "is", "looking", "at", "a", "cake"]
     vocab = build_vocabulary([sentence], 1)
     det_map = intersect_detectable(vocab, ["dog", "cake"])
     model = CaptionModel(vocab.size, hidden_size=2, embed_size=2, image_dim=2, key_dim=2, seed=0)
     model.w_query = np.eye(2)
-    mem = ObjectMemory(4, key_dim=2, n_classes=2)
-    mem.write(Detection(np.array([3.0, 0.0]), 0, 0.9))  # dog
-    mem.write(Detection(np.array([0.0, 3.0]), 1, 0.8))  # cake
+    rec = DatasetRecord("fig3", np.zeros(2), [sentence],
+                        [Detection(np.array([3.0, 0.0]), 0, 0.9),    # dog
+                         Detection(np.array([0.0, 3.0]), 1, 0.8)])   # cake
     ids = [vocab.id_of(w) if w not in ("dog", "cake") else vocab.placeholder_id
            for w in sentence]
     hiddens = [np.zeros(2) for _ in ids]
     hiddens[1] = np.array([1.0, 0.0])   # queries that hit the dog key
     hiddens[6] = np.array([0.0, 1.0])   # and the cake key
     trace = DecodeTrace(ids=ids, hiddens=hiddens, placeholder_positions=[1, 6])
-    return vocab, det_map, model, mem, trace
+    monkeypatch.setattr(pipeline, "decode_greedy", lambda *args: trace)
+    return vocab, det_map, model, rec, trace
 
 
 class TestFillPlaceholders:
-    def test_two_placeholder_sentence_filled(self):
-        vocab, det_map, model, mem, trace = fig3_setup()
-        caption, reads = fill_placeholders(trace, mem, model, vocab, det_map)
-        assert caption.tokens == ["a", "dog", "is", "looking", "at", "a", "cake"]
-        assert caption.placeholder_count_unfilled == 0
-        assert reads == len(trace.placeholder_positions) == 2
+    def test_two_placeholder_sentence_filled(self, monkeypatch):
+        vocab, det_map, model, rec, trace = fig3_setup(monkeypatch)
+        reads = []
+        read = pipeline.memory_read
 
-    def test_empty_memory_keeps_placeholder(self):
-        vocab, det_map, model, _, trace = fig3_setup()
-        empty = ObjectMemory(4, key_dim=2, n_classes=2)
-        caption, reads = fill_placeholders(trace, empty, model, vocab, det_map)
-        assert caption.tokens.count(PLACEHOLDER) == 2
-        assert caption.placeholder_count_unfilled == 2
-        assert reads == 0
+        def counted_read(*args):
+            reads.append(args)
+            return read(*args)
+        monkeypatch.setattr(pipeline, "memory_read", counted_read)
+        filled = caption(model, vocab, det_map, rec)
+        assert filled.tokens == ["a", "dog", "is", "looking", "at", "a", "cake"]
+        assert filled.placeholder_count_unfilled == 0
+        assert len(reads) == len(trace.placeholder_positions) == 2
 
-    def test_filling_is_pure_post_process(self):
-        vocab, det_map, model, mem, trace = fig3_setup()
-        caption, _ = fill_placeholders(trace, mem, model, vocab, det_map)
+    def test_empty_memory_keeps_placeholder(self, monkeypatch):
+        vocab, det_map, model, rec, _ = fig3_setup(monkeypatch)
+        filled = caption(model, vocab, det_map, dataclasses.replace(rec, detections=[]))
+        assert filled.tokens.count(PLACEHOLDER) == 2
+        assert filled.placeholder_count_unfilled == 2
+
+    def test_filling_is_pure_post_process(self, monkeypatch):
+        vocab, det_map, model, rec, trace = fig3_setup(monkeypatch)
+        filled = caption(model, vocab, det_map, rec)
         for pos, tok_id in enumerate(trace.ids):
             if pos not in trace.placeholder_positions:
-                assert caption.tokens[pos] == vocab.word_of(tok_id)
+                assert filled.tokens[pos] == vocab.word_of(tok_id)
 
 
 def eos_rigged_model(vocab, **kwargs):
@@ -180,68 +196,54 @@ class TestCaptionImage:
         _, records, vocab, det_map = small_setup()
         model = eos_rigged_model(vocab)
         rec = records[0]
-        with_dets = caption_image(rec.feature, rec.detections, model, vocab, det_map, 4, 15)
-        without = caption_image(rec.feature, [], model, vocab, det_map, 4, 15)
+        with_dets = caption(model, vocab, det_map, rec)
+        without = caption(model, vocab, det_map, dataclasses.replace(rec, detections=[]))
         assert with_dets.tokens == without.tokens
 
     def test_no_detections_keeps_placeholder_literal(self):
         _, records, vocab, det_map = small_setup()
         model = eos_rigged_model(vocab)
         model.b_out[vocab.placeholder_id] = 60.0  # placeholder then eos never wins
-        caption = caption_image(records[0].feature, [], model, vocab, det_map, 4, max_steps=3)
-        assert PLACEHOLDER in caption.tokens
-        assert caption.placeholder_count_unfilled >= 1
+        filled = caption(model, vocab, det_map, dataclasses.replace(records[0], detections=[]),
+                         max_steps=3)
+        assert PLACEHOLDER in filled.tokens
+        assert filled.placeholder_count_unfilled >= 1
 
     def test_tokens_stay_in_vocab_or_detection_words(self):
         _, records, vocab, det_map = small_setup()
         model = fresh_model(vocab, seed=5)
         allowed = set(vocab.words) | set(det_map.class_words)
         for rec in records[:10]:
-            caption = caption_image(rec.feature, rec.detections, model, vocab, det_map, 4, 15)
-            assert set(caption.tokens) <= allowed
+            assert set(caption(model, vocab, det_map, rec).tokens) <= allowed
 
     def test_no_go_or_pad_in_output(self):
         _, records, vocab, det_map = small_setup()
         model = fresh_model(vocab, seed=6)
         for rec in records[:10]:
-            caption = caption_image(rec.feature, rec.detections, model, vocab, det_map, 4, 15)
-            assert "<GO>" not in caption.tokens and "<PAD>" not in caption.tokens
+            tokens = caption(model, vocab, det_map, rec).tokens
+            assert "<GO>" not in tokens and "<PAD>" not in tokens
 
 
 class TestNoMemoryAblation:
-    def test_single_detection_matches_full_pipeline(self):
-        vocab, det_map, model, _, _ = fig3_setup()
-        rng = np.random.default_rng(0)
-        world_feature = np.array([0.5, 0.5])
-        dets = [Detection(np.array([3.0, 0.0]), 0, 0.9)]
-        full = caption_image(world_feature, dets, model, vocab, det_map, 4, 8)
-        random_fill = caption_no_memory(world_feature, dets, model, vocab, det_map, 4, 8, rng)
+    def test_single_detection_matches_full_pipeline(self, monkeypatch):
+        vocab, det_map, model, rec, _ = fig3_setup(monkeypatch)
+        rec = dataclasses.replace(rec, detections=rec.detections[:1])
+        full = caption(model, vocab, det_map, rec, max_steps=8)
+        random_fill = caption(model, vocab, det_map, rec, mode="no-memory", max_steps=8)
         assert full.tokens == random_fill.tokens
 
     def test_seeded_runs_reproducible(self):
         _, records, vocab, det_map = small_setup()
         model = fresh_model(vocab, seed=5)
-        rec = records[0]
-        a = caption_no_memory(rec.feature, rec.detections, model, vocab, det_map, 4, 15,
-                              np.random.default_rng(42))
-        b = caption_no_memory(rec.feature, rec.detections, model, vocab, det_map, 4, 15,
-                              np.random.default_rng(42))
+        a = caption(model, vocab, det_map, records[0], mode="no-memory")
+        b = caption(model, vocab, det_map, records[0], mode="no-memory")
         assert a.tokens == b.tokens
 
 
 class TestCaptionPlain:
     def test_never_contains_specials(self):
-        _, records, vocab, _ = small_setup()
+        _, records, vocab, det_map = small_setup()
         model = fresh_model(vocab, seed=3)
         for rec in records[:10]:
-            caption = caption_plain(rec.feature, model, vocab, 15)
-            assert not {"<GO>", "<PAD>", "<EOS>"} & set(caption.tokens)
-
-
-class TestMakeBatch:
-    def test_pads_to_common_length(self):
-        examples = [TrainExample(np.zeros(2), [1, 2], []),
-                    TrainExample(np.zeros(2), [1, 2, 3, 4], [])]
-        batch = make_batch(examples, pad_id=0)
-        assert [len(ex.targets) for ex in batch] == [4, 4]
-        assert batch[0].targets == [1, 2, 0, 0]
+            tokens = caption(model, vocab, det_map, rec, mode="no-placeholder").tokens
+            assert not {"<GO>", "<PAD>", "<EOS>"} & set(tokens)
