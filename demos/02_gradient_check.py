@@ -23,8 +23,7 @@ sentences = [["a", "dog", "sees", "cake"], ["a", "cake", "sees", "dog"]]
 vocab = build_vocabulary(sentences, min_count=1)
 det_map = intersect_detectable(vocab, ["dog", "cake", "zebra"])
 
-model = CaptionModel(vocab.size, hidden_size=6, embed_size=5, image_dim=7, key_dim=6,
-                     key_projection=True, image_to_cell=True, seed=11)
+model = CaptionModel(vocab.size, hidden_size=6, embed_size=5, image_dim=7, key_dim=6, seed=11)
 # O(1) weights keep every gradient entry well above the finite-difference
 # noise floor
 for p in model.params().values():

@@ -6,6 +6,8 @@ float64 data). Writing the same model twice produces identical bytes,
 and a save/load round trip is bit-exact.
 """
 
+import math
+import os
 import struct
 
 import numpy as np
@@ -24,15 +26,18 @@ def _write_str(f, s: str) -> None:
 
 
 def _read_exact(f, n: int) -> bytes:
-    raw = f.read(n)
-    if len(raw) != n:
-        raise CheckpointError("checkpoint: file truncated")
-    return raw
+    # checked before reading, so a corrupt length never sizes an allocation
+    if n > os.fstat(f.fileno()).st_size - f.tell():
+        raise CheckpointError(f"checkpoint: file truncated (a field needs {n} more bytes)")
+    return f.read(n)
 
 
 def _read_str(f) -> str:
     (n,) = struct.unpack("<I", _read_exact(f, 4))
-    return _read_exact(f, n).decode("utf-8")
+    try:
+        return _read_exact(f, n).decode("utf-8")
+    except UnicodeDecodeError:
+        raise CheckpointError("checkpoint: a name or vocabulary reference is not UTF-8") from None
 
 
 def save_checkpoint(path, params: dict[str, np.ndarray], vocab_ref: str = "") -> None:
@@ -65,8 +70,7 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], str]:
             name = _read_str(f)
             (ndim,) = struct.unpack("<I", _read_exact(f, 4))
             shape = tuple(struct.unpack("<I", _read_exact(f, 4))[0] for _ in range(ndim))
-            n_items = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(_read_exact(f, 8 * n_items), dtype="<f8")
+            data = np.frombuffer(_read_exact(f, 8 * math.prod(shape)), dtype="<f8")
             params[name] = data.reshape(shape).astype(FLOAT)
         if f.read(1):
             raise CheckpointError("checkpoint: trailing bytes after the last parameter")

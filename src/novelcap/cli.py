@@ -15,7 +15,7 @@ from . import checkpoint as ckpt
 from . import data as datamod
 from .config import RunConfig, apply_overrides, load_config, validate_config
 from .decoder import CaptionModel
-from .errors import CheckpointError, CoverageError, DomainError, NovelcapError
+from .errors import CheckpointError, ConfigError, CoverageError, DomainError, NovelcapError
 from .evaluation import average_f1_over, evaluate_split, format_report_lines, write_report
 from .pipeline import make_captioner, train_model
 from .vocabulary import Vocabulary, build_vocabulary, intersect_detectable
@@ -24,6 +24,18 @@ from .vocabulary import Vocabulary, build_vocabulary, intersect_detectable
 def _ensure_parent(path):
     parent = os.path.dirname(os.path.abspath(path))
     os.makedirs(parent, exist_ok=True)
+
+
+def _list_flag(flag: str, raw: str, kind, count: int | None = None) -> list:
+    """Comma-separated flag values, or a ConfigError naming the flag."""
+    try:
+        values = [kind(x) for x in raw.split(",")]
+    except ValueError:
+        values = None
+    if values is None or count not in (None, len(values)):
+        size = f"{count} " if count else ""
+        raise ConfigError(f"cli: {flag} expects {size}comma-separated {kind.__name__} values, got {raw!r}")
+    return values
 
 
 def _build_config(args) -> RunConfig:
@@ -69,13 +81,13 @@ def _load_model(cfg, vocab) -> CaptionModel:
 
 def cmd_gen_data(args) -> int:
     cfg = _build_config(args)
+    lo, hi = _list_flag("--objects-per-image", args.objects_per_image, int, count=2)
+    ratios = tuple(_list_flag("--ratios", args.ratios, float, count=3))
     world = _load_world(args, cfg)
     held_out = tuple(args.held_out.split(",")) if args.held_out else datamod.DEFAULT_HELD_OUT
     for w in held_out:
         if w not in world.names:
             raise CoverageError(f"cli: held-out word {w!r} is not in the object inventory")
-    lo, hi = (int(x) for x in args.objects_per_image.split(","))
-    ratios = tuple(float(x) for x in args.ratios.split(","))
     records = datamod.generate_synthetic(world, args.n_images, (lo, hi))
     split = datamod.build_heldout_split(records, held_out, ratios, seed=cfg.seed)
 
@@ -87,8 +99,7 @@ def cmd_gen_data(args) -> int:
         cfg.manifest = os.path.join(out_dir, "split.json")
     for path in (cfg.dataset, cfg.vocab, cfg.manifest):
         _ensure_parent(path)
-    vocab = build_vocabulary([ref for rec in split.train for ref in rec.references],
-                             min_count=cfg.min_count)
+    vocab = build_vocabulary([ref for rec in split.train for ref in rec.references])
     datamod.save_dataset(records, cfg.dataset)
     vocab.save(cfg.vocab)
     datamod.save_manifest(split, world.names, cfg.manifest)
@@ -159,11 +170,11 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep_ndet(args) -> int:
     cfg = _build_config(args)
-    _, vocab, _, split, det_map = _load_common(cfg)
-    model = _load_model(cfg, vocab)
-    values = [int(x) for x in args.values.split(",")]
+    values = _list_flag("--values", args.values, int)
     if any(v < 1 for v in values):
         raise DomainError("cli: sweep values must all be >= 1")
+    _, vocab, _, split, det_map = _load_common(cfg)
+    model = _load_model(cfg, vocab)
     lines = ["n_det\taverage_f1"]
     for n_det in values:
         sweep_cfg = dataclasses.replace(cfg, n_det=n_det)

@@ -21,16 +21,9 @@ class RunConfig:
     max_steps: int = 15
     lr: float = 1e-3
     weight_decay: float = 5e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     epochs: int = 50
     batch_size: int = 16
     seed: int = 7
-    min_count: int = 1
-    clip_norm: float = 5.0
-    key_projection: bool = False
-    image_to_cell: bool = False
     train_mode: str = "dnoc"
     dataset: str = "data/dataset.jsonl"
     vocab: str = "data/vocab.txt"
@@ -41,30 +34,16 @@ class RunConfig:
     train_log: str = "out/train.log"
 
 
-_BOOL_WORDS = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
-
-
 def _convert(name: str, kind, raw: str):
-    if kind is bool:
-        try:
-            return _BOOL_WORDS[raw.lower()]
-        except KeyError:
-            raise ConfigError(f"config: {name} expects true/false, got {raw!r}") from None
     try:
         return kind(raw)
     except ValueError:
         raise ConfigError(f"config: {name} expects {kind.__name__}, got {raw!r}") from None
 
 
-def _field_types() -> dict[str, type]:
-    by_name = {"int": int, "float": float, "str": str, "bool": bool}
-    return {f.name: (f.type if isinstance(f.type, type) else by_name[f.type])
-            for f in fields(RunConfig)}
-
-
 def load_config(path) -> RunConfig:
     """Parse a key-value config file into a RunConfig."""
-    known = _field_types()
+    known = {f.name: f.type for f in fields(RunConfig)}
     values = {}
     with open(path, encoding="utf-8") as f:
         for line_no, line in enumerate(f, start=1):
@@ -95,7 +74,7 @@ def apply_overrides(cfg: RunConfig, overrides: dict) -> RunConfig:
 
 def validate_config(cfg: RunConfig) -> RunConfig:
     for name in ("hidden_size", "embed_size", "image_dim", "key_dim", "n_det", "max_steps",
-                 "epochs", "batch_size", "min_count"):
+                 "epochs", "batch_size"):
         if getattr(cfg, name) < 1:
             raise ConfigError(f"config: {name} must be >= 1, got {getattr(cfg, name)}")
     if cfg.lr <= 0:

@@ -1,11 +1,11 @@
 """Placeholder-emitting LSTM caption decoder with hand-derived gradients.
 
 The trainable model is a single-layer LSTM over learned word embeddings,
-an output projection onto the vocabulary, an image projection that seeds
-the initial hidden state, and the linear transform that turns hidden
-states into object-memory queries. There is no autodiff graph: every
-layer carries a matching backward function, and backpropagation through
-time walks the cached steps in reverse.
+an output projection onto the vocabulary, two image projections that
+seed the initial hidden and cell states, and the linear transform that
+turns hidden states into object-memory queries. There is no autodiff
+graph: every layer carries a matching backward function, and
+backpropagation through time walks the cached steps in reverse.
 
 Shape conventions (all float64):
     embed    (embed_size, vocab_size)    column per word id
@@ -14,7 +14,7 @@ Shape conventions (all float64):
     w_out    (vocab_size, hidden)        b_out (vocab_size,)
     w_img    (hidden, image_dim)         b_img (hidden,)
     w_query  (key_dim, hidden)
-    w_key    (key_dim, key_dim)          optional learned key projection
+    w_img_cell (hidden, image_dim)       b_img_cell (hidden,)
 """
 
 import logging
@@ -29,6 +29,9 @@ log = logging.getLogger(__name__)
 
 INIT_SCALE = 0.08
 CELL_SANITY_BOUND = 50.0
+# every trainable array, in initialization and checkpoint order
+PARAM_NAMES = ("embed", "lstm_w", "lstm_b", "w_out", "b_out", "w_img", "b_img", "w_query",
+               "w_img_cell", "b_img_cell")
 
 
 def _sigmoid(x):
@@ -51,13 +54,11 @@ class CaptionModel:
     """All trainable parameters, initialized uniform in [-0.08, 0.08].
 
     Biases start at zero except the forget gate (1.0, for stable early
-    training) and the optional key projection (identity, so enabling the
-    flag starts from raw detection keys).
+    training).
     """
 
     def __init__(self, vocab_size: int, hidden_size: int = 64, embed_size: int = 64,
-                 image_dim: int = 32, key_dim: int = 32, key_projection: bool = False,
-                 image_to_cell: bool = False, seed: int = 0):
+                 image_dim: int = 32, key_dim: int = 32, seed: int = 0):
         rng = np.random.default_rng(seed)
 
         def u(*shape):
@@ -72,13 +73,8 @@ class CaptionModel:
         self.w_img = u(hidden_size, image_dim)
         self.b_img = np.zeros(hidden_size, dtype=FLOAT)
         self.w_query = u(key_dim, hidden_size)
-        self.w_key = np.eye(key_dim, dtype=FLOAT) if key_projection else None
-        if image_to_cell:
-            self.w_img_cell = u(hidden_size, image_dim)
-            self.b_img_cell = np.zeros(hidden_size, dtype=FLOAT)
-        else:
-            self.w_img_cell = None
-            self.b_img_cell = None
+        self.w_img_cell = u(hidden_size, image_dim)
+        self.b_img_cell = np.zeros(hidden_size, dtype=FLOAT)
 
     @property
     def vocab_size(self) -> int:
@@ -100,25 +96,9 @@ class CaptionModel:
     def key_dim(self) -> int:
         return self.w_query.shape[0]
 
-    @property
-    def has_key_projection(self) -> bool:
-        return self.w_key is not None
-
-    @property
-    def has_cell_init(self) -> bool:
-        return self.w_img_cell is not None
-
     def params(self) -> dict[str, np.ndarray]:
         """Named parameter arrays (live views, fixed order)."""
-        out = {"embed": self.embed, "lstm_w": self.lstm_w, "lstm_b": self.lstm_b,
-               "w_out": self.w_out, "b_out": self.b_out, "w_img": self.w_img,
-               "b_img": self.b_img, "w_query": self.w_query}
-        if self.w_key is not None:
-            out["w_key"] = self.w_key
-        if self.w_img_cell is not None:
-            out["w_img_cell"] = self.w_img_cell
-            out["b_img_cell"] = self.b_img_cell
-        return out
+        return {name: getattr(self, name) for name in PARAM_NAMES}
 
     def zero_grads(self) -> dict[str, np.ndarray]:
         return {name: np.zeros_like(p) for name, p in self.params().items()}
@@ -134,10 +114,7 @@ class CaptionModel:
         for name in params:
             if name not in expected:
                 raise CheckpointError(f"decoder: unknown parameter {name!r}")
-        required = list(_REQUIRED)
-        if "w_img_cell" in params or "b_img_cell" in params:
-            required += ["w_img_cell", "b_img_cell"]
-        for name in required:
+        for name in PARAM_NAMES:
             if name not in params:
                 raise CheckpointError(f"decoder: parameter {name!r} is missing")
         for name, arr in params.items():
@@ -145,12 +122,9 @@ class CaptionModel:
                 raise CheckpointError(f"decoder: parameter {name!r} has shape {np.shape(arr)}, "
                                       f"expected {expected[name]}")
         model = cls.__new__(cls)
-        for name in expected:
-            setattr(model, name, np.asarray(params[name], dtype=FLOAT) if name in params else None)
+        for name in PARAM_NAMES:
+            setattr(model, name, np.asarray(params[name], dtype=FLOAT))
         return model
-
-
-_REQUIRED = ("embed", "lstm_w", "lstm_b", "w_out", "b_out", "w_img", "b_img", "w_query")
 
 
 def _expected_shapes(params: dict[str, np.ndarray]) -> dict[str, tuple[int, ...]]:
@@ -167,25 +141,18 @@ def _expected_shapes(params: dict[str, np.ndarray]) -> dict[str, tuple[int, ...]
     d = np.shape(params["w_img"])[1]
     k = np.shape(params["w_query"])[0]
     return {"embed": (e, v), "lstm_w": (4 * h, e + h), "lstm_b": (4 * h,), "w_out": (v, h),
-            "b_out": (v,), "w_img": (h, d), "b_img": (h,), "w_query": (k, h), "w_key": (k, k),
+            "b_out": (v,), "w_img": (h, d), "b_img": (h,), "w_query": (k, h),
             "w_img_cell": (h, d), "b_img_cell": (h,)}
 
 
 def init_state(image_feature: np.ndarray, model: CaptionModel) -> LstmState:
-    """Image-conditioned initial state: h0 = tanh(W f + b), c0 = 0.
-
-    With the cell-init flag on, c0 gets its own tanh projection instead
-    of zeros.
-    """
+    """Image-conditioned initial state: h0 = tanh(W f + b) and
+    c0 = tanh(W_cell f + b_cell), each through its own projection."""
     feature = np.asarray(image_feature, dtype=FLOAT)
     if feature.shape != (model.image_dim,):
         raise ShapeError(f"decoder: image feature shape {feature.shape} != ({model.image_dim},)")
-    h0 = np.tanh(model.w_img @ feature + model.b_img)
-    if model.has_cell_init:
-        c0 = np.tanh(model.w_img_cell @ feature + model.b_img_cell)
-    else:
-        c0 = np.zeros(model.hidden_size, dtype=FLOAT)
-    return LstmState(h=h0, c=c0)
+    return LstmState(h=np.tanh(model.w_img @ feature + model.b_img),
+                     c=np.tanh(model.w_img_cell @ feature + model.b_img_cell))
 
 
 @dataclass
@@ -353,10 +320,9 @@ def backward_pass(model: CaptionModel, cache: ForwardCache, dlogits: np.ndarray,
     dz0 = dh * (1.0 - h0 ** 2)
     grads["w_img"] += np.outer(dz0, cache.feature)
     grads["b_img"] += dz0
-    if model.has_cell_init:
-        dzc = dc * (1.0 - cache.c0 ** 2)
-        grads["w_img_cell"] += np.outer(dzc, cache.feature)
-        grads["b_img_cell"] += dzc
+    dzc = dc * (1.0 - cache.c0 ** 2)
+    grads["w_img_cell"] += np.outer(dzc, cache.feature)
+    grads["b_img_cell"] += dzc
     return grads
 
 

@@ -91,23 +91,12 @@ def select_top_detections(dets: list[Detection], n_det: int) -> list[Detection]:
     return [dets[i] for i in order[:n_det]]
 
 
-def build_memory(dets: list[Detection], n_det: int, key_dim: int, n_classes: int,
-                 key_projection: np.ndarray | None = None) -> tuple[ObjectMemory, np.ndarray]:
-    """Memory from the top-``n_det`` detections; keys optionally projected.
-
-    Also returns the unprojected features of the written slots, row for
-    row (the gradient of the key projection needs them). Without a
-    projection they are the keys themselves.
-    """
-    top = select_top_detections(dets, n_det)
+def build_memory(dets: list[Detection], n_det: int, key_dim: int, n_classes: int) -> ObjectMemory:
+    """Memory from the top-``n_det`` detections, keyed by their features."""
     mem = ObjectMemory(n_det, key_dim, n_classes)
-    for det in top:
-        if key_projection is not None:
-            det = Detection(key_projection @ det.feature, det.label, det.score)
+    for det in select_top_detections(dets, n_det):
         mem.write(det)
-    if key_projection is None:
-        return mem, mem.keys
-    return mem, np.array([det.feature for det in top], dtype=FLOAT).reshape(len(top), key_dim)
+    return mem
 
 
 def make_query(h_prev: np.ndarray, w_query: np.ndarray) -> np.ndarray:
@@ -141,7 +130,6 @@ def memory_read(q: np.ndarray, mem: ObjectMemory, det_map=None) -> tuple[QueryRe
 class ReadCache:
     """Forward intermediates one read needs for its backward pass."""
 
-    q: np.ndarray
     weights: np.ndarray
     target_prob: float
     target_class: int
@@ -153,25 +141,21 @@ def read_loss_forward(q: np.ndarray, mem: ObjectMemory, target_class: int,
     """Cross-entropy of one read against the annotated class."""
     weights, distribution = _address(q, mem)
     p = distribution[target_class]
-    return float(-np.log(p)), ReadCache(q=q, weights=weights, target_prob=p,
+    return float(-np.log(p)), ReadCache(weights=weights, target_prob=p,
                                         target_class=target_class, step=step)
 
 
-def read_loss_backward(cache: ReadCache, mem: ObjectMemory,
-                       scale: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of the read loss w.r.t. the query and the slot keys.
+def read_loss_backward(cache: ReadCache, mem: ObjectMemory, scale: float = 1.0) -> np.ndarray:
+    """Gradient of the read loss w.r.t. the query.
 
-    ``scale`` multiplies the loss (batch averaging). Returns (dq, dkeys)
-    with dkeys shaped like mem.keys.
+    ``scale`` multiplies the loss (batch averaging).
     """
     # loss = -log(sum of weights on slots labeled target)
     w = cache.weights
     dalpha = np.where(mem.labels == cache.target_class, -1.0 / cache.target_prob, 0.0)
     dsims = w * (dalpha - float(w @ dalpha))
     dsims = dsims * scale
-    dq = mem.keys.T @ dsims
-    dkeys = np.outer(dsims, cache.q)
-    return dq, dkeys
+    return mem.keys.T @ dsims
 
 
 def memory_loss_forward(hiddens: list[np.ndarray], original: list[int], a: list[int],

@@ -14,6 +14,11 @@ from .errors import DomainError, NumericError, ShapeError
 
 FLOAT = np.float64
 
+# Adam moment decay rates and denominator guard (Kingma & Ba defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 def softmax(x: np.ndarray) -> np.ndarray:
     """Stable softmax: invariant to adding a constant to every entry."""
@@ -44,7 +49,7 @@ def cross_entropy(logits: np.ndarray, target: int) -> tuple[float, np.ndarray]:
 
 @dataclass
 class AdamState:
-    """Per-parameter Adam buffers and hyperparameters.
+    """Per-parameter Adam buffers, learning rate and weight decay.
 
     ``weight_decay`` is classic L2: it is added to the gradient before
     the moment updates, not applied decoupled.
@@ -54,16 +59,12 @@ class AdamState:
     v: np.ndarray
     step: int = 0
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.0
 
     @classmethod
-    def for_param(cls, param: np.ndarray, lr: float = 1e-3, beta1: float = 0.9,
-                  beta2: float = 0.999, eps: float = 1e-8, weight_decay: float = 0.0) -> "AdamState":
+    def for_param(cls, param: np.ndarray, lr: float = 1e-3, weight_decay: float = 0.0) -> "AdamState":
         return cls(m=np.zeros_like(param, dtype=FLOAT), v=np.zeros_like(param, dtype=FLOAT),
-                   step=0, lr=lr, beta1=beta1, beta2=beta2, eps=eps, weight_decay=weight_decay)
+                   step=0, lr=lr, weight_decay=weight_decay)
 
 
 def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState) -> tuple[np.ndarray, AdamState]:
@@ -73,13 +74,13 @@ def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState) -> tuple[np
             f"numerics: adam_step shapes disagree: param {param.shape}, grad {grad.shape}, state {state.m.shape}")
     state.step += 1
     g = grad + state.weight_decay * param if state.weight_decay != 0.0 else grad
-    state.m *= state.beta1
-    state.m += (1.0 - state.beta1) * g
-    state.v *= state.beta2
-    state.v += (1.0 - state.beta2) * (g * g)
-    m_hat = state.m / (1.0 - state.beta1 ** state.step)
-    v_hat = state.v / (1.0 - state.beta2 ** state.step)
-    param -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    state.m *= ADAM_BETA1
+    state.m += (1.0 - ADAM_BETA1) * g
+    state.v *= ADAM_BETA2
+    state.v += (1.0 - ADAM_BETA2) * (g * g)
+    m_hat = state.m / (1.0 - ADAM_BETA1 ** state.step)
+    v_hat = state.v / (1.0 - ADAM_BETA2 ** state.step)
+    param -= state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     if not np.all(np.isfinite(param)):
         raise NumericError("numerics: adam_step produced non-finite parameter entries")
     return param, state

@@ -28,6 +28,8 @@ from .vocabulary import PLACEHOLDER, DetectableSet, Vocabulary, mask_weights, re
 
 log = logging.getLogger(__name__)
 
+CLIP_NORM = 5.0  # global L2 bound on each batch's summed gradients
+
 
 @dataclass
 class TrainExample:
@@ -69,19 +71,13 @@ def example_losses(model: CaptionModel, feature, targets: list[int], detections,
 
     loss_mem = 0.0
     dq_by_step: dict[int, np.ndarray] = {}
-    if grads is None:
-        grads = model.zero_grads()
     if any(mask[:n_steps]):
-        mem, raw_feats = build_memory(detections, n_det, model.key_dim, pd.n_classes,
-                                      key_projection=model.w_key)
+        mem = build_memory(detections, n_det, model.key_dim, pd.n_classes)
         loss_mem, read_caches = memory_loss_forward(cache.hiddens, targets[:n_steps], mask[:n_steps],
                                                     pd, mem, model.w_query)
         for rc in read_caches:
-            dq, dkeys = read_loss_backward(rc, mem, scale=scale)
-            dq_by_step[rc.step] = dq
-            if model.has_key_projection:
-                grads["w_key"] += dkeys.T @ raw_feats
-    backward_pass(model, cache, dlogits * scale, dq_by_step, grads)
+            dq_by_step[rc.step] = read_loss_backward(rc, mem, scale=scale)
+    grads = backward_pass(model, cache, dlogits * scale, dq_by_step, grads)
     return loss_seq, loss_mem, grads
 
 
@@ -98,7 +94,7 @@ def joint_loss(model: CaptionModel, feature, targets: list[int], detections, pd:
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
     """Scale all gradients down to a global L2 norm of ``max_norm``."""
     total = float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
-    if max_norm > 0 and total > max_norm:
+    if total > max_norm:
         factor = max_norm / total
         for g in grads.values():
             g *= factor
@@ -107,12 +103,12 @@ def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
 
 def train_step(batch: list[TrainExample], model: CaptionModel, pd: DetectableSet,
                opt_states: dict[str, AdamState], vocab: Vocabulary, *, n_det: int,
-               max_steps: int | None = None, clip_norm: float = 5.0,
-               rewrite: bool = True) -> tuple[float, float, float]:
+               max_steps: int | None = None, rewrite: bool = True) -> tuple[float, float, float]:
     """One joint update over a batch; returns (loss_seq, loss_mem, total).
 
     Losses are batch means; the sequence and memory gradients are summed
-    before the single Adam application, so one step minimizes their sum.
+    and clipped to a global norm of ``CLIP_NORM`` before the single Adam
+    application, so one step minimizes their sum.
     """
     b = len(batch)
     grads = model.zero_grads()
@@ -128,7 +124,7 @@ def train_step(batch: list[TrainExample], model: CaptionModel, pd: DetectableSet
     loss_mem = loss_mem_total / b
     if not np.isfinite(loss_seq + loss_mem):
         raise NumericError(f"pipeline: non-finite training loss ({loss_seq}, {loss_mem})")
-    clip_gradients(grads, clip_norm)
+    clip_gradients(grads, CLIP_NORM)
     for name, p in model.params().items():
         adam_step(p, grads[name], opt_states[name])
     return loss_seq, loss_mem, loss_seq + loss_mem
@@ -176,11 +172,8 @@ def train_model(split: HeldOutSplit, vocab: Vocabulary, det_map: DetectableSet, 
     else:
         selection_words = tuple(sorted(vocab.word_of(i) for i in det_map.pd_ids))
     model = CaptionModel(vocab.size, hidden_size=cfg.hidden_size, embed_size=cfg.embed_size,
-                         image_dim=cfg.image_dim, key_dim=cfg.key_dim,
-                         key_projection=cfg.key_projection, image_to_cell=cfg.image_to_cell,
-                         seed=cfg.seed)
-    opt_states = {name: AdamState.for_param(p, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2,
-                                            eps=cfg.eps, weight_decay=cfg.weight_decay)
+                         image_dim=cfg.image_dim, key_dim=cfg.key_dim, seed=cfg.seed)
+    opt_states = {name: AdamState.for_param(p, lr=cfg.lr, weight_decay=cfg.weight_decay)
                   for name, p in model.params().items()}
     pairs = [TrainExample(rec.feature, vocab.encode(ref, append_eos=True), rec.detections)
              for rec in split.train for ref in rec.references]
@@ -192,7 +185,7 @@ def train_model(split: HeldOutSplit, vocab: Vocabulary, det_map: DetectableSet, 
         for start in range(0, len(order), cfg.batch_size):
             batch = [pairs[i] for i in order[start:start + cfg.batch_size]]
             ls, lm, _ = train_step(batch, model, det_map, opt_states, vocab, n_det=cfg.n_det,
-                                   max_steps=cfg.max_steps, clip_norm=cfg.clip_norm, rewrite=rewrite)
+                                   max_steps=cfg.max_steps, rewrite=rewrite)
             sums += (ls, lm)
             n_batches += 1
         loss_seq, loss_mem = sums / max(n_batches, 1)
@@ -222,8 +215,7 @@ def make_captioner(model: CaptionModel, vocab: Vocabulary, det_map: DetectableSe
     """
     if mode == "dnoc":
         def filler(rec):
-            mem, _ = build_memory(rec.detections, cfg.n_det, model.key_dim, det_map.n_classes,
-                                  key_projection=model.w_key)
+            mem = build_memory(rec.detections, cfg.n_det, model.key_dim, det_map.n_classes)
             if mem.n == 0:
                 return None
 

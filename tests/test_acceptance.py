@@ -101,8 +101,7 @@ def test_criterion_1_gradient_correctness():
     vocab = build_vocabulary(sentences, 1)
     assert vocab.size == 9
     det_map = intersect_detectable(vocab, ["dog", "cake", "zebra"])
-    model = CaptionModel(vocab.size, hidden_size=6, embed_size=5, image_dim=7, key_dim=6,
-                         key_projection=True, seed=11)
+    model = CaptionModel(vocab.size, hidden_size=6, embed_size=5, image_dim=7, key_dim=6, seed=11)
     # O(1) weights keep every gradient entry above the central-difference
     # noise floor; the analytic formulas are scale-independent
     for p in model.params().values():
@@ -129,7 +128,7 @@ def test_criterion_1_gradient_correctness():
     elapsed = time.time() - t0
 
     expected_groups = {"embed", "lstm_w", "lstm_b", "w_out", "b_out", "w_img", "b_img",
-                       "w_query", "w_key"}
+                       "w_query", "w_img_cell", "b_img_cell"}
     assert expected_groups <= set(errors)
     tol = THRESH["gradient_tolerance"]
     assert all(err < tol for err in errors.values()), errors

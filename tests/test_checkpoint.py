@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,7 @@ from novelcap.errors import CheckpointError
 
 
 def test_round_trip_bit_exact(tmp_path):
-    model = CaptionModel(vocab_size=9, hidden_size=6, embed_size=5, image_dim=7,
-                         key_dim=6, key_projection=True, image_to_cell=True, seed=3)
+    model = CaptionModel(vocab_size=9, hidden_size=6, embed_size=5, image_dim=7, key_dim=6, seed=3)
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, model.params(), vocab_ref="data/vocab.txt")
     params, vocab_ref = load_checkpoint(path)
@@ -19,7 +20,6 @@ def test_round_trip_bit_exact(tmp_path):
         assert np.array_equal(params[name], p)
     rebuilt = CaptionModel.from_params(params)
     assert rebuilt.hidden_size == 6 and rebuilt.vocab_size == 9
-    assert rebuilt.has_key_projection and rebuilt.has_cell_init
 
 
 def test_identical_saves_are_byte_identical(tmp_path):
@@ -53,4 +53,24 @@ def test_trailing_bytes_rejected(tmp_path):
     save_checkpoint(path, model.params())
     path.write_bytes(path.read_bytes() + b"x")
     with pytest.raises(CheckpointError, match="trailing"):
+        load_checkpoint(path)
+
+
+def header(vocab_ref=b"v.txt", name=b"w", shape=(2,)):
+    """A version-1 checkpoint header announcing one parameter, with no data."""
+    raw = b"NVCP" + struct.pack("<I", 1)
+    raw += struct.pack("<I", len(vocab_ref)) + vocab_ref + struct.pack("<I", 1)
+    raw += struct.pack("<I", len(name)) + name + struct.pack("<I", len(shape))
+    return raw + b"".join(struct.pack("<I", d) for d in shape)
+
+
+@pytest.mark.parametrize("raw", [
+    header(vocab_ref=b"\xff\xfe") + b"\x00" * 16,
+    header(shape=(0xFFFFFFFF, 0xFFFFFFFF)),
+    header(shape=(0xFFFFFFFF,) * 3),
+], ids=["non-utf8-ref", "int64-wrapping-shape", "huge-shape"])
+def test_corrupt_header_is_checkpoint_error(tmp_path, raw):
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(raw)
+    with pytest.raises(CheckpointError):
         load_checkpoint(path)

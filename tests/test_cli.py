@@ -199,13 +199,29 @@ class TestEvalAndSweep:
         missing = {k: v for k, v in params.items() if k != "embed"}
         extra = dict(params, w_extra=np.zeros(3))
         misshapen = dict(params, lstm_w=params["lstm_w"][:, 1:])
-        for name, bad in (("embed", missing), ("w_extra", extra), ("lstm_w", misshapen)):
+        # checkpoints of the retired architectures: no cell-state projection, or a key projection
+        no_cell_init = {k: v for k, v in params.items() if k not in ("w_img_cell", "b_img_cell")}
+        key_projection = dict(params, w_key=np.eye(params["w_query"].shape[0]))
+        for name, bad in (("embed", missing), ("w_extra", extra), ("lstm_w", misshapen),
+                          ("w_img_cell", no_cell_init), ("w_key", key_projection)):
             path = tmp_path / f"bad_{name}.ckpt"
             save_checkpoint(path, bad, vocab_ref=vocab_ref)
             code = main(["eval", "--config", cfg_path, "--checkpoint", str(path)])
             assert code == 1
             err = capsys.readouterr().err
             assert "CheckpointError" in err and repr(name) in err, err
+
+
+class TestListFlags:
+    @pytest.mark.parametrize("flag, args", [
+        ("--values", ["sweep-ndet", "--values", "1,x"]),
+        ("--objects-per-image", ["gen-data", "--objects-per-image", "1"]),
+        ("--ratios", ["gen-data", "--ratios", "0.8,0.1,x"]),
+    ], ids=["values", "objects-per-image", "ratios"])
+    def test_malformed_list_names_flag(self, tmp_path, capsys, flag, args):
+        assert main(args + ["--config", write_config(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("novelcap: ConfigError: cli: ") and flag in err, err
 
 
 class TestCaption:
@@ -239,9 +255,13 @@ class TestConfigPlumbing:
         with pytest.raises(ConfigError):
             validate_config(load_config(path))
 
-    def test_unknown_key_names_line(self, tmp_path):
+    @pytest.mark.parametrize("line", ["whatever = 3", "key_projection = true", "image_to_cell = true",
+                                      "beta1 = 0.9", "clip_norm = 5", "min_count = 1"],
+                             ids=["whatever", "key_projection", "image_to_cell", "beta1", "clip_norm",
+                                  "min_count"])
+    def test_unknown_key_names_line(self, tmp_path, line):
         path = tmp_path / "bad.cfg"
-        path.write_text("# comment\nwhatever = 3\n")
+        path.write_text(f"# comment\n{line}\n")
         from novelcap.config import load_config as lc
         from novelcap.errors import ParseError
         with pytest.raises(ParseError, match="line 2"):

@@ -14,9 +14,8 @@ def tiny_vocab():
     return build_vocabulary([["a", "dog", "sees", "cake"], ["a", "cake", "sees", "dog"]], 1)
 
 
-def tiny_model(vocab, seed=0, **kwargs):
-    return CaptionModel(vocab.size, hidden_size=6, embed_size=5, image_dim=7, key_dim=6,
-                        seed=seed, **kwargs)
+def tiny_model(vocab, seed=0):
+    return CaptionModel(vocab.size, hidden_size=6, embed_size=5, image_dim=7, key_dim=6, seed=seed)
 
 
 class TestInitState:
@@ -50,9 +49,10 @@ class TestInitState:
 
     def test_cell_init_flag(self):
         v = tiny_vocab()
-        m = tiny_model(v, image_to_cell=True)
+        m = tiny_model(v)
         s = init_state(np.ones(7), m)
         assert not np.array_equal(s.c, np.zeros(6))
+        assert np.array_equal(s.c, np.tanh(m.w_img_cell @ np.ones(7) + m.b_img_cell))
 
 
 def scalar_lstm_oracle(x, h_prev, c_prev, w, b):
@@ -240,11 +240,11 @@ class TestDecodeGreedy:
 class TestModelPlumbing:
     def test_param_roundtrip_through_from_params(self):
         v = tiny_vocab()
-        m = tiny_model(v, seed=8, key_projection=True, image_to_cell=True)
+        m = tiny_model(v, seed=8)
         clone = CaptionModel.from_params({k: p.copy() for k, p in m.params().items()})
+        assert list(clone.params()) == list(m.params())
         for name, p in m.params().items():
             assert np.array_equal(clone.params()[name], p)
-        assert clone.has_key_projection and clone.has_cell_init
 
     def test_forget_gate_bias_initialized_to_one(self):
         v = tiny_vocab()

@@ -178,7 +178,7 @@ class TestReadLoss:
                         (rng.normal(size=3), 2))
         q = rng.normal(size=3)
         _, cache = read_loss_forward(q, mem, target_class=1, step=0)
-        dq, dkeys = read_loss_backward(cache, mem)
+        dq = read_loss_backward(cache, mem)
 
         def loss_of_q(params):
             loss, _ = read_loss_forward(params["q"], mem, 1, 0)
@@ -186,22 +186,14 @@ class TestReadLoss:
 
         assert finite_diff_check(loss_of_q, {"q": q}, {"q": dq}) < 1e-6
 
-        def loss_of_keys(params):
-            loss, _ = read_loss_forward(q, mem, 1, 0)
-            return loss
-
-        assert finite_diff_check(loss_of_keys, {"keys": mem.keys}, {"keys": dkeys}) < 1e-6
-
     def test_gradients_with_two_target_slots(self):
         rng = np.random.default_rng(8)
         mem = memory_of(*[(rng.normal(size=3), label) for label in (1, 0, 1)])
         q = rng.normal(size=3)
         _, cache = read_loss_forward(q, mem, target_class=1, step=0)
-        dq, dkeys = read_loss_backward(cache, mem)
+        dq = read_loss_backward(cache, mem)
         assert finite_diff_check(lambda p: read_loss_forward(p["q"], mem, 1, 0)[0],
                                  {"q": q}, {"q": dq}) < 1e-6
-        assert finite_diff_check(lambda _p: read_loss_forward(q, mem, 1, 0)[0],
-                                 {"keys": mem.keys}, {"keys": dkeys}) < 1e-6
 
 
 class TestMemoryLoss:
@@ -245,16 +237,8 @@ class TestMemoryLoss:
 
 
 class TestBuildMemory:
-    def test_key_projection_applied(self):
-        dets = [det([1.0, 2.0], 0, 0.9)]
-        proj = np.array([[0.0, 1.0], [1.0, 0.0]])
-        mem, raw = build_memory(dets, 4, key_dim=2, n_classes=1, key_projection=proj)
-        assert np.array_equal(mem.keys[0], [2.0, 1.0])
-        assert np.array_equal(raw[0], [1.0, 2.0])
-
     def test_truncates_to_top(self):
         dets = [det([float(i)], 0, 0.1 * i) for i in range(1, 7)]
-        mem, raw = build_memory(dets, 4, key_dim=1, n_classes=1)
+        mem = build_memory(dets, 4, key_dim=1, n_classes=1)
         assert mem.n == 4
-        assert np.array_equal(raw, mem.keys)
         assert sorted(k[0] for k in mem.keys) == [3.0, 4.0, 5.0, 6.0]

@@ -22,9 +22,8 @@ def small_setup(seed=0):
     return world, records, vocab, det_map
 
 
-def fresh_model(vocab, seed=0, **kwargs):
-    return CaptionModel(vocab.size, hidden_size=24, embed_size=16, image_dim=8, key_dim=8,
-                        seed=seed, **kwargs)
+def fresh_model(vocab, seed=0):
+    return CaptionModel(vocab.size, hidden_size=24, embed_size=16, image_dim=8, key_dim=8, seed=seed)
 
 
 def fresh_opt(model, lr=1e-3):
@@ -93,7 +92,7 @@ class TestTrainStep:
 
     def test_gradients_match_batch_mean(self):
         _, records, vocab, det_map = small_setup()
-        model = fresh_model(vocab, key_projection=True, image_to_cell=True)
+        model = fresh_model(vocab)
         batch = record_batch(records[:4], vocab)
         kw = dict(go_id=vocab.go_id, pad_id=vocab.pad_id, n_det=4)
         summed = model.zero_grads()
