@@ -222,6 +222,9 @@ def build_heldout_split(records: list[DatasetRecord], held_out_words,
     all classes, held-out ones included.
     """
     held = tuple(held_out_words)
+    repeat = next((w for i, w in enumerate(held) if w in held[:i]), None)
+    if repeat is not None:  # each held-out word is one entry of the F1 average
+        raise DomainError(f"data: held-out word {repeat!r} is listed twice")
     if abs(sum(ratios) - 1.0) > 1e-9 or any(r < 0 for r in ratios):
         raise DomainError(f"data: split ratios {ratios} must be non-negative and sum to 1")
     for w in held:
@@ -399,6 +402,10 @@ def load_manifest(path) -> dict:
     for key in ("held_out_words", "class_names", "train", "val", "test"):
         if key not in doc:
             raise SchemaError(f"data: manifest is missing field {key!r}")
+    held = doc["held_out_words"]
+    repeat = next((w for i, w in enumerate(held) if w in held[:i]), None)
+    if repeat is not None:
+        raise SchemaError(f"data: manifest held-out word {repeat!r} is listed twice")
     return doc
 
 

@@ -4,8 +4,8 @@ The trainable model is a single-layer LSTM over learned word embeddings,
 an output projection onto the vocabulary, two image projections that
 seed the initial hidden and cell states, and the linear transform that
 turns hidden states into object-memory queries. There is no autodiff
-graph: every layer carries a matching backward function, and
-backpropagation through time walks the cached steps in reverse.
+graph: the teacher-forced forward over a padded, time-major batch has a
+matching backward pass that walks its cached time steps in reverse.
 
 Shape conventions (all float64):
     embed    (embed_size, vocab_size)    column per word id
@@ -41,13 +41,11 @@ def _sigmoid(x):
 
 @dataclass
 class LstmState:
-    """Hidden and cell vectors carried between decoder steps."""
+    """Hidden and cell states carried between decoder steps: vectors, or
+    one row per sequence of a batch."""
 
     h: np.ndarray
     c: np.ndarray
-
-    def copy(self) -> "LstmState":
-        return LstmState(self.h.copy(), self.c.copy())
 
 
 class CaptionModel:
@@ -100,9 +98,6 @@ class CaptionModel:
         """Named parameter arrays (live views, fixed order)."""
         return {name: getattr(self, name) for name in PARAM_NAMES}
 
-    def zero_grads(self) -> dict[str, np.ndarray]:
-        return {name: np.zeros_like(p) for name, p in self.params().items()}
-
     @classmethod
     def from_params(cls, params: dict[str, np.ndarray]) -> "CaptionModel":
         """Rebuild a model from named arrays (e.g. a loaded checkpoint).
@@ -147,183 +142,192 @@ def _expected_shapes(params: dict[str, np.ndarray]) -> dict[str, tuple[int, ...]
 
 def init_state(image_feature: np.ndarray, model: CaptionModel) -> LstmState:
     """Image-conditioned initial state: h0 = tanh(W f + b) and
-    c0 = tanh(W_cell f + b_cell), each through its own projection."""
+    c0 = tanh(W_cell f + b_cell), each through its own projection. A
+    (B, image_dim) batch of features gives one state row per feature."""
     feature = np.asarray(image_feature, dtype=FLOAT)
-    if feature.shape != (model.image_dim,):
-        raise ShapeError(f"decoder: image feature shape {feature.shape} != ({model.image_dim},)")
-    return LstmState(h=np.tanh(model.w_img @ feature + model.b_img),
-                     c=np.tanh(model.w_img_cell @ feature + model.b_img_cell))
+    if feature.ndim not in (1, 2) or feature.shape[-1] != model.image_dim:
+        raise ShapeError(f"decoder: image feature shape {feature.shape} != (..., {model.image_dim})")
+    return LstmState(h=np.tanh(feature @ model.w_img.T + model.b_img),
+                     c=np.tanh(feature @ model.w_img_cell.T + model.b_img_cell))
 
 
-@dataclass
-class StepCache:
-    """Per-step activations kept for backpropagation through time."""
-
-    xh: np.ndarray
-    gate_i: np.ndarray
-    gate_f: np.ndarray
-    gate_o: np.ndarray
-    gate_g: np.ndarray
-    c_prev: np.ndarray
-    c_tanh: np.ndarray
+def _cell(z: np.ndarray, c_prev: np.ndarray, gates: np.ndarray) -> np.ndarray:
+    """Activate the pre-activations ``z`` (..., 4*hidden) into ``gates`` and
+    return the new cell state c = f*c_prev + i*g."""
+    nh = c_prev.shape[-1]
+    gates[..., :3 * nh] = _sigmoid(z[..., :3 * nh])
+    gates[..., 3 * nh:] = np.tanh(z[..., 3 * nh:])
+    return gates[..., nh:2 * nh] * c_prev + gates[..., :nh] * gates[..., 3 * nh:]
 
 
-def lstm_step(x: np.ndarray, state: LstmState, lstm_w: np.ndarray,
-              lstm_b: np.ndarray) -> tuple[LstmState, StepCache]:
+def _check_cell(c: np.ndarray) -> None:
+    if not np.all(np.abs(c) < CELL_SANITY_BOUND):  # NaN fails the comparison too
+        raise NumericError("decoder: LSTM cell state left its sane range")
+
+
+def lstm_step(x: np.ndarray, state: LstmState, lstm_w: np.ndarray, lstm_b: np.ndarray) -> LstmState:
     """One LSTM cell update: c = f*c_prev + i*g, h = o*tanh(c)."""
     nh = state.h.shape[0]
     xh = np.concatenate([x, state.h])
     if lstm_w.shape[1] != xh.shape[0]:
         raise ShapeError(f"decoder: lstm weights {lstm_w.shape} do not accept input of {xh.shape[0]}")
     z = lstm_w @ xh + lstm_b
-    i = _sigmoid(z[:nh])
-    f = _sigmoid(z[nh:2 * nh])
-    o = _sigmoid(z[2 * nh:3 * nh])
-    g = np.tanh(z[3 * nh:])
-    c = f * state.c + i * g
-    if not np.all(np.isfinite(c)) or np.any(np.abs(c) >= CELL_SANITY_BOUND):
-        raise NumericError("decoder: LSTM cell state left its sane range")
-    ct = np.tanh(c)
-    h = o * ct
-    cache = StepCache(xh=xh, gate_i=i, gate_f=f, gate_o=o, gate_g=g, c_prev=state.c, c_tanh=ct)
-    return LstmState(h=h, c=c), cache
-
-
-def lstm_step_backward(lstm_w: np.ndarray, cache: StepCache, dh: np.ndarray, dc: np.ndarray,
-                       embed_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Backward through one cell update.
-
-    Given gradients w.r.t. the step's outputs (dh, dc), returns
-    (dx, dh_prev, dc_prev, d_lstm_w, d_lstm_b).
-    """
-    i, f, o, g = cache.gate_i, cache.gate_f, cache.gate_o, cache.gate_g
-    do = dh * cache.c_tanh
-    dc_total = dc + dh * o * (1.0 - cache.c_tanh ** 2)
-    di = dc_total * g
-    df = dc_total * cache.c_prev
-    dg = dc_total * i
-    dc_prev = dc_total * f
-    dz = np.concatenate([di * i * (1.0 - i),
-                         df * f * (1.0 - f),
-                         do * o * (1.0 - o),
-                         dg * (1.0 - g ** 2)])
-    d_w = np.outer(dz, cache.xh)
-    d_b = dz
-    dxh = lstm_w.T @ dz
-    return dxh[:embed_size], dxh[embed_size:], dc_prev, d_w, d_b
+    gates = np.empty_like(z)
+    c = _cell(z, state.c, gates)
+    _check_cell(c)
+    return LstmState(h=gates[2 * nh:3 * nh] * np.tanh(c), c=c)
 
 
 @dataclass
 class ForwardCache:
-    """Everything one teacher-forced pass records for loss and backward."""
+    """Everything one teacher-forced pass over a batch records for loss and
+    backward. Arrays are time-major: row [t, b] is position t of sequence
+    b, and positions at or past a sequence's length are <PAD> padding."""
 
-    input_ids: list[int]
-    targets: list[int]
-    feature: np.ndarray
-    h_states: list[np.ndarray]  # length T+1; h_states[0] is the image-derived h0
-    c0: np.ndarray
-    steps: list[StepCache]
-    logits: np.ndarray  # (T, vocab_size)
-    truncated: bool = False
+    input_ids: np.ndarray  # (T, B): <GO>, then the targets shifted by one
+    targets: np.ndarray  # (T, B)
+    lengths: np.ndarray  # (B,) real positions per sequence, after truncation
+    features: np.ndarray  # (B, image_dim)
+    x: np.ndarray  # (T, B, embed) input embeddings
+    h: np.ndarray  # (T+1, B, hidden); h[0] is the image-derived h0
+    c: np.ndarray  # (T+1, B, hidden); c[0] is the image-derived c0
+    gates: np.ndarray  # (T, B, 4*hidden) activated, in lstm_w's gate order
+    c_tanh: np.ndarray  # (T, B, hidden)
+    logits: np.ndarray  # (T, B, vocab_size)
 
     @property
-    def hiddens(self) -> list[np.ndarray]:
-        """Pre-step hidden state for each output position (the query inputs)."""
-        return self.h_states[:-1]
+    def steps(self) -> range:
+        """The time steps walked; each updates every sequence of the batch."""
+        return range(len(self.logits))
+
+    @property
+    def hiddens(self) -> np.ndarray:
+        """(T, B, hidden) pre-step hidden state of each position (the query inputs)."""
+        return self.h[:-1]
 
 
-def forward_teacher_forced(targets: list[int], image_feature: np.ndarray, model: CaptionModel,
-                           go_id: int, max_steps: int | None = None) -> ForwardCache:
-    """Run the decoder with ground-truth inputs.
+def forward_teacher_forced(targets: list[list[int]], features: np.ndarray, model: CaptionModel,
+                           go_id: int, pad_id: int, max_steps: int | None = None) -> ForwardCache:
+    """Run the decoder with ground-truth inputs over a batch of sequences.
 
     The input at position t is the target at t-1 (position 0 consumes
-    <GO>); the logits at position t predict targets[t]. Sequences longer
-    than max_steps are truncated with a warning.
+    <GO>); the logits at position t predict the target at t. Sequences
+    longer than max_steps are truncated with a warning; shorter ones are
+    padded with <PAD>, as inputs and as targets, to the longest. The input
+    projection of every position is one product; each time step is one
+    (B, 4*hidden) gate product.
     """
-    if len(targets) == 0:
-        raise DomainError("decoder: cannot teacher-force an empty sequence")
-    truncated = False
-    if max_steps is not None and len(targets) > max_steps:
+    lengths = np.array([len(seq) for seq in targets], dtype=np.intp)
+    if lengths.size == 0 or not lengths.all():
+        raise DomainError("decoder: cannot teacher-force an empty batch or sequence")
+    if max_steps is not None and np.any(lengths > max_steps):
         if max_steps < 1:
             raise DomainError("decoder: cannot teacher-force with max_steps < 1")
-        log.warning("decoder: sequence of %d steps truncated to %d", len(targets), max_steps)
-        targets = targets[:max_steps]
-        truncated = True
-    input_ids = [go_id] + list(targets[:-1])
-    state = init_state(image_feature, model)
-    c0 = state.c
-    h_states = [state.h]
-    steps: list[StepCache] = []
-    logits = np.empty((len(targets), model.vocab_size), dtype=FLOAT)
-    for t, tok in enumerate(input_ids):
-        x = model.embed[:, tok]
-        state, cache = lstm_step(x, state, model.lstm_w, model.lstm_b)
-        steps.append(cache)
-        h_states.append(state.h)
-        logits[t] = model.w_out @ state.h + model.b_out
-    return ForwardCache(input_ids=input_ids, targets=list(targets),
-                        feature=np.asarray(image_feature, dtype=FLOAT), h_states=h_states,
-                        c0=c0, steps=steps, logits=logits, truncated=truncated)
+        for n in lengths[lengths > max_steps]:
+            log.warning("decoder: sequence of %d steps truncated to %d", n, max_steps)
+        lengths = np.minimum(lengths, max_steps)
+    n_steps, batch = int(lengths.max()), len(targets)
+    target_ids = np.full((n_steps, batch), pad_id, dtype=np.intp)
+    input_ids = np.full((n_steps, batch), pad_id, dtype=np.intp)
+    input_ids[0] = go_id
+    for b, (seq, n) in enumerate(zip(targets, lengths)):
+        target_ids[:n, b] = seq[:n]
+        input_ids[1:n, b] = seq[:n - 1]
+
+    state = init_state(features, model)
+    if state.h.shape != (batch, model.hidden_size):
+        raise ShapeError(f"decoder: image features of shape {np.shape(features)} for {batch} sequences")
+    e, nh = model.embed_size, model.hidden_size
+    w_h = model.lstm_w[:, e:].T
+    x = model.embed.T[input_ids]
+    zx = (x.reshape(-1, e) @ model.lstm_w[:, :e].T + model.lstm_b).reshape(n_steps, batch, 4 * nh)
+    h = np.empty((n_steps + 1, batch, nh), dtype=FLOAT)
+    c = np.empty_like(h)
+    c_tanh = np.empty((n_steps, batch, nh), dtype=FLOAT)
+    gates = np.empty_like(zx)
+    h[0], c[0] = state.h, state.c
+    for t in range(n_steps):
+        c[t + 1] = _cell(zx[t] + h[t] @ w_h, c[t], gates[t])
+        np.tanh(c[t + 1], out=c_tanh[t])
+        np.multiply(gates[t, :, 2 * nh:3 * nh], c_tanh[t], out=h[t + 1])
+    _check_cell(c[1:][np.arange(n_steps)[:, None] < lengths])  # padding is never checked
+    logits = (h[1:].reshape(-1, nh) @ model.w_out.T + model.b_out).reshape(n_steps, batch, -1)
+    return ForwardCache(input_ids=input_ids, targets=target_ids, lengths=lengths,
+                        features=np.asarray(features, dtype=FLOAT), x=x, h=h, c=c, gates=gates,
+                        c_tanh=c_tanh, logits=logits)
 
 
-def sequence_loss(logits: np.ndarray, targets: list[int], pad_id: int) -> tuple[float, np.ndarray]:
-    """Sum of per-step cross-entropies, skipping <PAD> positions.
+def sequence_loss(logits: np.ndarray, targets, pad_id: int) -> tuple[float, np.ndarray]:
+    """Sum of the cross-entropies at every position whose target is not <PAD>.
 
-    Returns the scalar loss and dloss/dlogits with zero rows at skipped
-    steps.
+    ``logits`` is (..., vocab_size) over the positions of ``targets``: a
+    sequence (T,) or a time-major batch (T, B). Returns the scalar loss and
+    dloss/dlogits with zero rows at skipped positions.
     """
-    if logits.shape[0] != len(targets):
-        raise ShapeError(f"decoder: {logits.shape[0]} logit rows for {len(targets)} targets")
-    total = 0.0
+    targets = np.asarray(targets, dtype=np.intp)
+    if logits.shape[:-1] != targets.shape:
+        raise ShapeError(f"decoder: logits of shape {logits.shape} for targets of shape {targets.shape}")
+    real = targets != pad_id
     dlogits = np.zeros_like(logits)
-    for t, tok in enumerate(targets):
-        if tok == pad_id:
-            continue
-        loss, grad = cross_entropy(logits[t], tok)
-        total += loss
-        dlogits[t] = grad
-    return total, dlogits
+    loss, dlogits[real] = cross_entropy(logits[real], targets[real])
+    return loss, dlogits
 
 
 def backward_pass(model: CaptionModel, cache: ForwardCache, dlogits: np.ndarray,
-                  dq_by_step: dict[int, np.ndarray] | None = None,
-                  grads: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
-    """Backpropagation through time for one example.
+                  dq: np.ndarray) -> dict[str, np.ndarray]:
+    """Backpropagation through time over a batch.
 
-    ``dq_by_step`` carries memory-loss gradients w.r.t. the query vector
-    at each masked position; they feed the query transform and flow back
-    into the hidden state that produced them. Gradients accumulate into
-    ``grads`` (a fresh dict if not given).
+    ``dlogits`` (T, B, vocab_size) and ``dq`` (T, B, key_dim), the memory
+    loss gradient w.r.t. the query at each position (zero where nothing
+    was read), come scaled as the loss is. The per-step local derivatives
+    are computed for all steps at once, one (B, 4*hidden) product per step
+    carries the gradient back, and each weight gradient is one product
+    over all T*B rows. Padded positions receive exactly zero gradient.
     """
-    if grads is None:
-        grads = model.zero_grads()
-    dq_by_step = dq_by_step or {}
-    t_steps = len(cache.steps)
-    dh = np.zeros(model.hidden_size, dtype=FLOAT)
-    dc = np.zeros(model.hidden_size, dtype=FLOAT)
-    for t in range(t_steps - 1, -1, -1):
-        dlog = dlogits[t]
-        grads["w_out"] += np.outer(dlog, cache.h_states[t + 1])
-        grads["b_out"] += dlog
-        dh += model.w_out.T @ dlog
-        dx, dh_prev, dc_prev, d_w, d_b = lstm_step_backward(
-            model.lstm_w, cache.steps[t], dh, dc, model.embed_size)
-        grads["lstm_w"] += d_w
-        grads["lstm_b"] += d_b
-        dq = dq_by_step.get(t)
-        if dq is not None:
-            grads["w_query"] += np.outer(dq, cache.h_states[t])
-            dh_prev = dh_prev + model.w_query.T @ dq
-        grads["embed"][:, cache.input_ids[t]] += dx
-        dh, dc = dh_prev, dc_prev
-    h0 = cache.h_states[0]
-    dz0 = dh * (1.0 - h0 ** 2)
-    grads["w_img"] += np.outer(dz0, cache.feature)
-    grads["b_img"] += dz0
-    dzc = dc * (1.0 - cache.c0 ** 2)
-    grads["w_img_cell"] += np.outer(dzc, cache.feature)
-    grads["b_img_cell"] += dzc
-    return grads
+    n_steps, batch, nh = cache.c_tanh.shape
+    e = model.embed_size
+
+    def rows(a):
+        return a.reshape(n_steps * batch, -1)
+
+    # gradient reaching each hidden state from outside the recurrence: the
+    # logits read h after step t, the memory query reads h before it
+    dh_in = np.zeros_like(cache.h)
+    dh_in[1:] = dlogits @ model.w_out
+    dh_in[:-1] += dq @ model.w_query
+    i, f, o, g = (cache.gates[..., k * nh:(k + 1) * nh] for k in range(4))
+    # dz = [dc, dc, dh, dc] * local, gate by gate, with dc the total cell gradient
+    local = np.concatenate([g * i * (1.0 - i), cache.c[:-1] * f * (1.0 - f),
+                            cache.c_tanh * o * (1.0 - o), i * (1.0 - g * g)], axis=-1)
+    local = local.reshape(n_steps, batch, 4, nh)
+    o_dtanh = o * (1.0 - cache.c_tanh ** 2)
+    w_h = model.lstm_w[:, e:]
+    dz = np.empty((n_steps, batch, 4, nh), dtype=FLOAT)
+    dh = dh_in[n_steps]
+    dc = np.zeros((batch, nh), dtype=FLOAT)
+    for t in range(n_steps - 1, -1, -1):
+        dc = dc + dh * o_dtanh[t]
+        np.multiply(local[t], dc[:, None, :], out=dz[t])
+        np.multiply(local[t, :, 2], dh, out=dz[t, :, 2])
+        dc = dc * f[t]
+        dh = dz[t].reshape(batch, 4 * nh) @ w_h + dh_in[t]
+    dz = rows(dz)
+    d_embed = np.zeros_like(model.embed)
+    np.add.at(d_embed.T, cache.input_ids.ravel(), dz @ model.lstm_w[:, :e])
+    dz0 = dh * (1.0 - cache.h[0] ** 2)
+    dzc = dc * (1.0 - cache.c[0] ** 2)
+    return {
+        "embed": d_embed,
+        "lstm_w": dz.T @ rows(np.concatenate([cache.x, cache.hiddens], axis=-1)),
+        "lstm_b": dz.sum(axis=0),
+        "w_out": rows(dlogits).T @ rows(cache.h[1:]),
+        "b_out": rows(dlogits).sum(axis=0),
+        "w_img": dz0.T @ cache.features,
+        "b_img": dz0.sum(axis=0),
+        "w_query": rows(dq).T @ rows(cache.hiddens),
+        "w_img_cell": dzc.T @ cache.features,
+        "b_img_cell": dzc.sum(axis=0),
+    }
 
 
 @dataclass
@@ -349,7 +353,7 @@ def decode_greedy(image_feature: np.ndarray, model: CaptionModel, go_id: int, eo
     for _ in range(max_steps):
         hiddens.append(state.h)
         x = model.embed[:, tok]
-        state, _ = lstm_step(x, state, model.lstm_w, model.lstm_b)
+        state = lstm_step(x, state, model.lstm_w, model.lstm_b)
         logits = model.w_out @ state.h + model.b_out
         tok = int(np.argmax(logits))
         if tok == placeholder_id:

@@ -30,21 +30,27 @@ def softmax(x: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def cross_entropy(logits: np.ndarray, target: int) -> tuple[float, np.ndarray]:
+def cross_entropy(logits: np.ndarray, target) -> tuple[float, np.ndarray]:
     """Softmax cross-entropy loss and its gradient w.r.t. the logits.
 
+    ``logits`` is one row (classes,) with an int ``target``, or rows
+    (n, classes) with n int targets, whose losses are summed.
     loss = -log softmax(logits)[target], computed via logsumexp so
     saturated logits do not overflow. gradient = softmax(logits) - onehot.
     """
     logits = np.asarray(logits, dtype=FLOAT)
-    if not 0 <= target < logits.size:
-        raise IndexError(f"numerics: cross_entropy target {target} out of range for {logits.size} classes")
-    m = logits.max()
-    lse = m + np.log(np.exp(logits - m).sum())
-    loss = float(lse - logits[target])
-    grad = softmax(logits)
-    grad[target] -= 1.0
-    return loss, grad
+    rows = logits.reshape(-1, logits.shape[-1])
+    target = np.asarray(target).reshape(-1)
+    if np.any((target < 0) | (target >= rows.shape[1])):
+        raise IndexError(f"numerics: cross_entropy target out of range for {rows.shape[1]} classes")
+    m = rows.max(axis=1, keepdims=True)
+    e = np.exp(rows - m)
+    total = e.sum(axis=1, keepdims=True)
+    picked = np.arange(len(rows)), target
+    loss = float(np.sum(m[:, 0] + np.log(total[:, 0]) - rows[picked]))
+    grad = e / total
+    grad[picked] -= 1.0
+    return loss, grad.reshape(logits.shape)
 
 
 @dataclass

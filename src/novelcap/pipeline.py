@@ -1,8 +1,8 @@
 """End-to-end orchestration: joint training and three-step captioning.
 
-Training: rewrite targets, run the teacher-forced decoder, read the
-per-image detection memory at every masked step, and apply Adam to the
-summed gradients of both losses in one update.
+Training: rewrite targets, run the teacher-forced decoder once over the
+padded batch, read each image's detection memory at its masked steps,
+and apply Adam to the summed gradients of both losses in one update.
 
 Captioning: (i) decode greedily, emitting placeholders; (ii) build the
 key-value memory from the image's top detections; (iii) query the memory
@@ -48,37 +48,44 @@ class Caption:
     placeholder_count_unfilled: int = 0
 
 
-def example_losses(model: CaptionModel, feature, targets: list[int], detections,
-                   pd: DetectableSet, *, go_id: int, pad_id: int, n_det: int,
-                   max_steps: int | None = None, rewrite: bool = True,
-                   grads: dict[str, np.ndarray] | None = None,
-                   scale: float = 1.0) -> tuple[float, float, dict[str, np.ndarray]]:
-    """Both losses and their gradients for a single example.
+def batch_losses(model: CaptionModel, batch: list[TrainExample], pd: DetectableSet, *,
+                 go_id: int, pad_id: int, n_det: int, max_steps: int | None = None,
+                 rewrite: bool = True) -> tuple[float, float, dict[str, np.ndarray]]:
+    """Batch-mean losses and their gradients, from one decoder pass over the batch.
 
-    ``scale`` multiplies the gradients (1/batch for batch means). With
-    ``rewrite`` off (the no-placeholder baseline) the raw targets are
-    used and the memory loss is skipped entirely.
+    With ``rewrite`` off (the no-placeholder baseline) the raw targets are
+    used and the memory loss is skipped entirely. The memory is read per
+    example, from that example's rows of the batch's hidden states.
     """
-    if rewrite:
-        decoder_targets = rewrite_targets(targets, pd)
-        mask = mask_weights(targets, pd)
-    else:
-        decoder_targets = targets
-        mask = [0] * len(targets)
-    cache = forward_teacher_forced(decoder_targets, feature, model, go_id, max_steps)
-    n_steps = len(cache.targets)
+    scale = 1.0 / len(batch)
+    decoder_targets = [rewrite_targets(ex.targets, pd) if rewrite else ex.targets for ex in batch]
+    cache = forward_teacher_forced(decoder_targets, np.array([ex.feature for ex in batch]), model,
+                                   go_id, pad_id, max_steps)
     loss_seq, dlogits = sequence_loss(cache.logits, cache.targets, pad_id)
 
     loss_mem = 0.0
-    dq_by_step: dict[int, np.ndarray] = {}
-    if any(mask[:n_steps]):
-        mem = build_memory(detections, n_det, model.key_dim, pd.n_classes)
-        loss_mem, read_caches = memory_loss_forward(cache.hiddens, targets[:n_steps], mask[:n_steps],
-                                                    pd, mem, model.w_query)
+    dq = np.zeros(cache.hiddens.shape[:2] + (model.key_dim,))
+    for b, (ex, n_steps) in enumerate(zip(batch, cache.lengths)):
+        mask = mask_weights(ex.targets[:n_steps], pd)
+        if not (rewrite and any(mask)):
+            continue
+        mem = build_memory(ex.detections, n_det, model.key_dim, pd.n_classes)
+        loss, read_caches = memory_loss_forward(cache.hiddens[:n_steps, b], ex.targets[:n_steps],
+                                                mask, pd, mem, model.w_query)
+        loss_mem += loss
         for rc in read_caches:
-            dq_by_step[rc.step] = read_loss_backward(rc, mem, scale=scale)
-    grads = backward_pass(model, cache, dlogits * scale, dq_by_step, grads)
-    return loss_seq, loss_mem, grads
+            dq[rc.step, b] = read_loss_backward(rc, mem, scale=scale)
+    grads = backward_pass(model, cache, dlogits * scale, dq)
+    return loss_seq / len(batch), loss_mem / len(batch), grads
+
+
+def example_losses(model: CaptionModel, feature, targets: list[int], detections,
+                   pd: DetectableSet, *, go_id: int, pad_id: int, n_det: int,
+                   max_steps: int | None = None,
+                   rewrite: bool = True) -> tuple[float, float, dict[str, np.ndarray]]:
+    """Both losses and their gradients for a single example: a batch of one."""
+    return batch_losses(model, [TrainExample(feature, targets, detections)], pd, go_id=go_id,
+                        pad_id=pad_id, n_det=n_det, max_steps=max_steps, rewrite=rewrite)
 
 
 def joint_loss(model: CaptionModel, feature, targets: list[int], detections, pd: DetectableSet,
@@ -110,18 +117,8 @@ def train_step(batch: list[TrainExample], model: CaptionModel, pd: DetectableSet
     and clipped to a global norm of ``CLIP_NORM`` before the single Adam
     application, so one step minimizes their sum.
     """
-    b = len(batch)
-    grads = model.zero_grads()
-    loss_seq_total = 0.0
-    loss_mem_total = 0.0
-    for ex in batch:
-        ls, lm, _ = example_losses(model, ex.feature, ex.targets, ex.detections, pd,
-                                   go_id=vocab.go_id, pad_id=vocab.pad_id, n_det=n_det,
-                                   max_steps=max_steps, rewrite=rewrite, grads=grads, scale=1.0 / b)
-        loss_seq_total += ls
-        loss_mem_total += lm
-    loss_seq = loss_seq_total / b
-    loss_mem = loss_mem_total / b
+    loss_seq, loss_mem, grads = batch_losses(model, batch, pd, go_id=vocab.go_id, pad_id=vocab.pad_id,
+                                             n_det=n_det, max_steps=max_steps, rewrite=rewrite)
     if not np.isfinite(loss_seq + loss_mem):
         raise NumericError(f"pipeline: non-finite training loss ({loss_seq}, {loss_mem})")
     clip_gradients(grads, CLIP_NORM)

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,15 @@ class TestGenData:
         assert "bus" not in vocab.index and "bird" not in vocab.index
         out = capsys.readouterr().out
         assert "train=" in out and "dog:" in out
+
+    def test_repeated_held_out_word_fails_before_writing(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path)
+        assert main(gen_args(cfg_path, write_world(tmp_path), held="bus,bus,bird")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("novelcap: ") and "'bus' is listed twice" in err, err
+        cfg = load_config(cfg_path)
+        for path in (cfg.dataset, cfg.vocab, cfg.manifest):
+            assert not os.path.exists(path), path
 
     def test_default_world_has_eight_held_out(self, tmp_path):
         cfg_path = write_config(tmp_path, image_dim=32, key_dim=32)

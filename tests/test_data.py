@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from novelcap.data import (DEFAULT_HELD_OUT, DEFAULT_INVENTORY, DatasetRecord, build_heldout_split,
-                           generate_synthetic, load_dataset, load_world_config, make_world,
-                           record_mentions, save_dataset, save_world_config)
+                           generate_synthetic, load_dataset, load_manifest, load_world_config,
+                           make_world, record_mentions, save_dataset, save_world_config)
 from novelcap.errors import CoverageError, DomainError, ParseError, SchemaError
 from novelcap.memory import Detection
 
@@ -115,6 +115,11 @@ class TestHeldOutSplit:
         with pytest.raises(CoverageError):
             build_heldout_split(records, ("submarine",), seed=1)
 
+    def test_repeated_held_word_is_domain_error(self):
+        _, records = self.records()
+        with pytest.raises(DomainError, match="'bus' is listed twice"):
+            build_heldout_split(records, ("bus", "bird", "bus"), seed=1)
+
     def test_bad_ratios(self):
         _, records = self.records()
         with pytest.raises(DomainError):
@@ -165,6 +170,15 @@ class TestDatasetFiles:
         path.write_text(line1 + "\n" + line2 + "\n")
         with pytest.raises(SchemaError, match="line 2"):
             load_dataset(path)
+
+
+class TestManifest:
+    def test_repeated_held_out_word_is_schema_error(self, tmp_path):
+        path = tmp_path / "split.json"
+        path.write_text('{"held_out_words": ["bus", "bus", "bird"], "class_names": ["bus", "bird"], '
+                        '"train": [], "val": [], "test": []}\n')
+        with pytest.raises(SchemaError, match="'bus' is listed twice"):
+            load_manifest(path)
 
 
 class TestWorldConfig:

@@ -78,7 +78,7 @@ class TestLstmStep:
         state = LstmState(np.zeros(4), np.zeros(4))
         w = np.zeros((16, 3 + 4))
         b = np.zeros(16)
-        out, _ = lstm_step(np.zeros(3), state, w, b)
+        out = lstm_step(np.zeros(3), state, w, b)
         assert np.array_equal(out.h, np.zeros(4))
         assert np.array_equal(out.c, np.zeros(4))
 
@@ -90,7 +90,7 @@ class TestLstmStep:
         b = np.zeros(4 * nh)
         b[nh:2 * nh] = 30.0
         b[:nh] = -30.0
-        out, _ = lstm_step(np.zeros(2), state, w, b)
+        out = lstm_step(np.zeros(2), state, w, b)
         assert np.allclose(out.c, state.c, atol=1e-9)
 
     def test_matches_scalar_oracle(self):
@@ -100,7 +100,7 @@ class TestLstmStep:
         b = rng.uniform(-0.5, 0.5, 4 * nh)
         x = rng.normal(size=nx)
         state = LstmState(rng.normal(size=nh), rng.normal(size=nh))
-        out, _ = lstm_step(x, state, w, b)
+        out = lstm_step(x, state, w, b)
         h_ref, c_ref = scalar_lstm_oracle(x, state.h, state.c, w, b)
         assert np.all(np.abs(out.h - np.array(h_ref)) < 1e-12)
         assert np.all(np.abs(out.c - np.array(c_ref)) < 1e-12)
@@ -117,34 +117,40 @@ class TestLstmStep:
             lstm_step(np.zeros(1), state, w, b)
 
 
+def forward_one(targets, m, v, max_steps=None):
+    """Teacher-force a batch of one sequence."""
+    return forward_teacher_forced([targets], np.zeros((1, 7)), m, v.go_id, v.pad_id, max_steps)
+
+
 class TestForwardTeacherForced:
     def test_single_step_consumes_go(self):
         v = tiny_vocab()
         m = tiny_model(v)
-        cache = forward_teacher_forced([v.index["a"]], np.zeros(7), m, v.go_id)
-        assert cache.logits.shape == (1, v.size)
-        assert cache.input_ids == [v.go_id]
+        cache = forward_one([v.index["a"]], m, v)
+        assert cache.logits.shape == (1, 1, v.size)
+        assert cache.input_ids.tolist() == [[v.go_id]]
 
     def test_logits_shape_contract(self):
         v = tiny_vocab()
         m = tiny_model(v)
         targets = v.encode(["a", "dog", "sees", "cake"], append_eos=True)
-        cache = forward_teacher_forced(targets, np.zeros(7), m, v.go_id)
-        assert cache.logits.shape == (len(targets), v.size)
-        assert len(cache.hiddens) == len(targets)
+        cache = forward_one(targets, m, v)
+        assert cache.logits.shape == (len(targets), 1, v.size)
+        assert cache.hiddens.shape == (len(targets), 1, m.hidden_size)
+        assert len(cache.steps) == len(targets)
 
     def test_teacher_forcing_inputs_are_shifted_targets(self):
         v = tiny_vocab()
         m = tiny_model(v)
         targets = v.encode(["a", "dog", "sees", "cake"])
-        cache = forward_teacher_forced(targets, np.zeros(7), m, v.go_id)
-        assert cache.input_ids == [v.go_id] + targets[:-1]
+        cache = forward_one(targets, m, v)
+        assert cache.input_ids[:, 0].tolist() == [v.go_id] + targets[:-1]
 
     def test_random_init_loss_near_uniform(self):
         v = tiny_vocab()
         m = tiny_model(v, seed=123)
         targets = v.encode(["a", "dog", "sees"])
-        cache = forward_teacher_forced(targets, np.zeros(7), m, v.go_id)
+        cache = forward_one(targets, m, v)
         loss, _ = sequence_loss(cache.logits, cache.targets, v.pad_id)
         expected = 3 * math.log(v.size)
         assert abs(loss - expected) / expected < 0.10
@@ -154,15 +160,34 @@ class TestForwardTeacherForced:
         m = tiny_model(v)
         targets = v.encode(["a", "dog", "sees", "cake"])
         with caplog.at_level(logging.WARNING, logger="novelcap.decoder"):
-            cache = forward_teacher_forced(targets, np.zeros(7), m, v.go_id, max_steps=2)
-        assert cache.truncated
+            cache = forward_one(targets, m, v, max_steps=2)
+        assert cache.lengths.tolist() == [2]
         assert cache.logits.shape[0] == 2
         assert any("truncated" in r.message for r in caplog.records)
 
     def test_empty_sequence_rejected(self):
         v = tiny_vocab()
         with pytest.raises(DomainError):
-            forward_teacher_forced([], np.zeros(7), tiny_model(v), v.go_id)
+            forward_one([], tiny_model(v), v)
+
+    def test_ragged_batch_is_padded_time_major(self):
+        v = tiny_vocab()
+        m = tiny_model(v, seed=3)
+        long = v.encode(["a", "dog", "sees", "cake"], append_eos=True)
+        short = v.encode(["a", "cake"])
+        features = np.random.default_rng(0).normal(size=(2, 7))
+        cache = forward_teacher_forced([long, short], features, m, v.go_id, v.pad_id)
+        assert cache.lengths.tolist() == [5, 2]
+        assert cache.targets[:, 1].tolist() == short + [v.pad_id] * 3
+        assert cache.input_ids[:, 1].tolist() == [v.go_id, short[0]] + [v.pad_id] * 3
+        for b, seq in enumerate((long, short)):
+            alone = forward_teacher_forced([seq], features[b:b + 1], m, v.go_id, v.pad_id)
+            assert np.max(np.abs(cache.logits[:len(seq), b] - alone.logits[:, 0])) < 1e-12
+
+    def test_feature_count_must_match_batch(self):
+        v = tiny_vocab()
+        with pytest.raises(ShapeError):
+            forward_teacher_forced([[0], [1]], np.zeros((3, 7)), tiny_model(v), v.go_id, v.pad_id)
 
 
 class TestSequenceLoss:

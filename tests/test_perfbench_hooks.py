@@ -1,0 +1,47 @@
+"""The benchmark's traced run reads counters off the arguments and return
+values of the functions it wraps (perfbench/tracing.py). A field a hook
+needs that goes missing would otherwise show only in a traced benchmark
+run, as ``"correct": false``."""
+
+import importlib.util
+from pathlib import Path
+
+from novelcap import pipeline
+from novelcap.config import RunConfig
+from novelcap.data import generate_synthetic, make_world
+from novelcap.decoder import CaptionModel
+from novelcap.numerics import AdamState
+from novelcap.vocabulary import build_vocabulary, intersect_detectable
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing_hooks", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_counter_hooks_read_a_train_step_and_a_caption():
+    tracing = load_tracing()
+    world = make_world(names=("dog", "cat", "bus", "tree", "boat", "bird"),
+                       dim=8, seed=0, noise_scale=0.05, latent_rank=4)
+    records = generate_synthetic(world, 30, objects_per_image=(1, 2))
+    vocab = build_vocabulary([ref for rec in records for ref in rec.references], 1)
+    det_map = intersect_detectable(vocab, list(world.names))
+    model = CaptionModel(vocab.size, hidden_size=12, embed_size=8, image_dim=8, key_dim=8, seed=0)
+    opt = {name: AdamState.for_param(p) for name, p in model.params().items()}
+    batch = [pipeline.TrainExample(r.feature, vocab.encode(r.references[0], append_eos=True),
+                                   r.detections) for r in records[:6]]
+    cfg = RunConfig(n_det=4, max_steps=6)
+
+    tracer = tracing.Tracer()
+    with tracing.instrumented(tracer, tracing.TIMING_SPANS + tracing.LAYER_SPANS):
+        pipeline.train_step(batch, model, det_map, opt, vocab, n_det=4, max_steps=6)
+        pipeline.make_captioner(model, vocab, det_map, cfg, "dnoc")(records[0])
+
+    for counter in ("pipeline.pairs_trained", "decoder.teacher_forced_steps", "decoder.backward_steps",
+                    "memory.loss_reads", "decoder.decode_steps"):
+        assert tracer.counts[counter] > 0, counter
+    assert tracer.calls["pipeline.train_step"] == tracer.calls["pipeline.captioner"] == 1

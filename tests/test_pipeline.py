@@ -1,14 +1,20 @@
 import dataclasses
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from novelcap import pipeline
 from novelcap.config import RunConfig
 from novelcap.data import DatasetRecord, generate_synthetic, make_world
-from novelcap.decoder import CaptionModel, DecodeTrace
+from novelcap.decoder import (CELL_SANITY_BOUND, PARAM_NAMES, CaptionModel, DecodeTrace,
+                              forward_teacher_forced)
+from novelcap.errors import NumericError
 from novelcap.memory import Detection
 from novelcap.numerics import AdamState
-from novelcap.pipeline import TrainExample, example_losses, joint_loss, make_captioner, train_step
+from novelcap.pipeline import (TrainExample, batch_losses, example_losses, joint_loss, make_captioner,
+                               train_step)
 from novelcap.vocabulary import PLACEHOLDER, build_vocabulary, intersect_detectable
 
 
@@ -38,6 +44,62 @@ def record_batch(records, vocab):
 def caption(model, vocab, det_map, rec, mode="dnoc", n_det=4, max_steps=15):
     cfg = RunConfig(n_det=n_det, max_steps=max_steps)
     return make_captioner(model, vocab, det_map, cfg, mode)(rec)
+
+
+RAGGED_N_DET = 2
+RAGGED_MAX_STEPS = 4
+
+
+def ragged_world():
+    _, _, vocab, det_map = small_setup()
+    model = fresh_model(vocab)
+    rng = np.random.default_rng(4)
+    for p in model.params().values():  # O(1) weights, so no gradient group is near zero
+        p[...] = rng.uniform(-0.5, 0.5, p.shape)
+    return vocab, det_map, model
+
+
+RAGGED_WORLD = ragged_world()
+
+
+def ragged_example(kind, n_steps, rng):
+    """A ``kind`` of example: "plain" has no detectable word, "no-detections"
+    has no detection, "cut" has its annotated class below the top-n_det
+    cut, and "read" has its annotated class in the memory."""
+    vocab, det_map, model = RAGGED_WORLD
+    words = [i for i in range(vocab.size) if i not in vocab.special_ids]
+    plain = [i for i in words if i not in det_map.pd_ids]
+    targets = [int(i) for i in rng.choice(plain if kind == "plain" else words, n_steps)]
+    word = int(rng.choice(sorted(det_map.pd_ids)))
+    if kind != "plain":  # one annotated class, at a position truncation keeps
+        targets = [word if i in det_map.pd_ids else i for i in targets]
+        targets[int(rng.integers(min(n_steps, RAGGED_MAX_STEPS)))] = word
+    target_class = det_map.class_for_word_id(word)
+    others = [c for c in range(det_map.n_classes) if c != target_class]
+
+    def det(label, score):
+        return Detection(rng.normal(size=model.key_dim), int(label), float(score))
+
+    dets = [det(rng.choice(others), rng.uniform(0.6, 1.0)) for _ in range(int(rng.integers(4)))]
+    if kind == "no-detections":
+        dets = []
+    elif kind == "cut":
+        dets = [det(rng.choice(others), rng.uniform(0.6, 1.0)) for _ in range(RAGGED_N_DET)]
+        dets.append(det(target_class, 0.1))
+    elif kind == "read":
+        dets.insert(int(rng.integers(len(dets) + 1)), det(target_class, 1.0))
+    return TrainExample(rng.normal(size=model.image_dim), targets, dets)
+
+
+@st.composite
+def ragged_batches(draw):
+    """1-9 examples of 1 to max_steps + 3 targets, so some are truncated."""
+    kinds = draw(st.lists(st.sampled_from(("plain", "no-detections", "cut", "read")),
+                          min_size=1, max_size=9))
+    lengths = draw(st.lists(st.integers(1, RAGGED_MAX_STEPS + 3), min_size=len(kinds),
+                            max_size=len(kinds)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return [ragged_example(kind, n, rng) for kind, n in zip(kinds, lengths)]
 
 
 class TestTrainStep:
@@ -90,24 +152,63 @@ class TestTrainStep:
         for name in ("w_query", "lstm_w", "embed", "w_out", "w_img"):
             assert not np.array_equal(model.params()[name], before[name]), name
 
-    def test_gradients_match_batch_mean(self):
+    @settings(max_examples=40, deadline=None)
+    @given(batch=ragged_batches(), rewrite=st.booleans())
+    def test_gradients_match_batch_mean(self, batch, rewrite):
+        # one pass over a ragged batch equals the mean of batches of one
+        vocab, det_map, model = RAGGED_WORLD
+        kw = dict(go_id=vocab.go_id, pad_id=vocab.pad_id, n_det=RAGGED_N_DET,
+                  max_steps=RAGGED_MAX_STEPS, rewrite=rewrite)
+        loss_seq, loss_mem, grads = batch_losses(model, batch, det_map, **kw)
+        singles = [example_losses(model, ex.feature, ex.targets, ex.detections, det_map, **kw)
+                   for ex in batch]
+        assert abs(loss_seq - sum(s[0] for s in singles) / len(batch)) <= 1e-10
+        assert abs(loss_mem - sum(s[1] for s in singles) / len(batch)) <= 1e-10
+        assert tuple(grads) == PARAM_NAMES
+        for name, g in grads.items():
+            mean = sum(s[2][name] for s in singles) / len(batch)
+            assert np.max(np.abs(g - mean)) <= 1e-10, name
+
+    def test_padding_is_inert(self):
         _, records, vocab, det_map = small_setup()
         model = fresh_model(vocab)
-        batch = record_batch(records[:4], vocab)
+        batch = record_batch(records[:8], vocab)
+        assert len({len(ex.targets) for ex in batch}) > 1  # ragged: the short rows are padded
         kw = dict(go_id=vocab.go_id, pad_id=vocab.pad_id, n_det=4)
-        summed = model.zero_grads()
-        per_example = []
-        for ex in batch:
-            example_losses(model, ex.feature, ex.targets, ex.detections, det_map,
-                           grads=summed, scale=1.0 / len(batch), **kw)
-            _, _, grads = example_losses(model, ex.feature, ex.targets, ex.detections, det_map, **kw)
-            per_example.append(grads)
-        # scale=1/B accumulation equals the mean of per-example gradients
-        assert summed.keys() == model.params().keys()
-        for name, g in summed.items():
-            mean = sum(grads[name] for grads in per_example) / len(batch)
-            assert np.max(np.abs(g - mean)) <= 1e-12, name
-            assert np.any(g != 0.0), name
+        before = batch_losses(model, batch, det_map, **kw)
+        assert before[1] > 0.0
+        model.embed[:, vocab.pad_id] = np.random.default_rng(0).uniform(-3.0, 3.0, model.embed_size)
+        after = batch_losses(model, batch, det_map, **kw)
+        assert before[:2] == after[:2]
+        for name in PARAM_NAMES:
+            assert np.array_equal(before[2][name], after[2][name]), name
+
+    def test_padded_cells_are_not_sanity_checked(self):
+        _, records, vocab, det_map = small_setup()
+        model = fresh_model(vocab)
+        word = vocab.encode(["a"])[0]
+        batch = [TrainExample(records[0].feature, [word] * 60, []),
+                 TrainExample(records[1].feature, [word], [])]
+        kw = dict(go_id=vocab.go_id, pad_id=vocab.pad_id, n_det=4)
+        before = batch_losses(model, batch, det_map, **kw)
+        # a saturating <PAD> input drives the 59 padded cells of the short row past the bound
+        model.embed[:, vocab.pad_id] = 1e3 * np.sign(model.embed[:, vocab.pad_id])
+        features = np.array([ex.feature for ex in batch])
+        cache = forward_teacher_forced([ex.targets for ex in batch], features, model, vocab.go_id,
+                                       vocab.pad_id)
+        assert np.abs(cache.c[2:, 1]).max() >= CELL_SANITY_BOUND
+        after = batch_losses(model, batch, det_map, **kw)
+        assert before[:2] == after[:2]
+        for name in PARAM_NAMES:
+            assert np.array_equal(before[2][name], after[2][name]), name
+
+    def test_nan_at_a_real_position_fails_the_cell_check(self):
+        _, records, vocab, det_map = small_setup()
+        model = fresh_model(vocab)
+        model.embed[:, vocab.go_id] = np.nan  # every sequence reads <GO> at its first position
+        with pytest.raises(NumericError, match="cell state"):
+            train_step(record_batch(records[:8], vocab), model, det_map, fresh_opt(model), vocab,
+                       n_det=4)
 
 
 def test_sequence_loss_gradient_on_minimal_model():
