@@ -36,7 +36,8 @@ detections = [Detection(rng.normal(size=6), 0, 0.9),
               Detection(rng.normal(size=6), 2, 0.7)]
 
 kw = dict(go_id=vocab.go_id, pad_id=vocab.pad_id, n_det=4)
-loss_seq, loss_mem, grads = example_losses(model, feature, targets, detections, det_map, **kw)
+loss_seq, loss_mem, grad = example_losses(model, feature, targets, detections, det_map, **kw)
+grads = model.views(grad)  # the gradient vector, named like model.params()
 print(f"sequence loss {loss_seq:.4f}, memory loss {loss_mem:.4f}")
 
 t0 = time.time()

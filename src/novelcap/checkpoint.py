@@ -68,6 +68,8 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], str]:
         params: dict[str, np.ndarray] = {}
         for _ in range(count):
             name = _read_str(f)
+            if name in params:
+                raise CheckpointError(f"checkpoint: parameter {name!r} appears twice")
             (ndim,) = struct.unpack("<I", _read_exact(f, 4))
             shape = tuple(struct.unpack("<I", _read_exact(f, 4))[0] for _ in range(ndim))
             data = np.frombuffer(_read_exact(f, 8 * math.prod(shape)), dtype="<f8")

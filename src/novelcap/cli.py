@@ -152,10 +152,9 @@ def cmd_caption(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _build_config(args)
-    _, vocab, _, split, det_map = _load_common(cfg)
+    _, vocab, manifest, split, det_map = _load_common(cfg)
     model = _load_model(cfg, vocab)
     split_hash = datamod.manifest_hash(cfg.manifest)
-    manifest = datamod.load_manifest(cfg.manifest)
     known = manifest.get("known_words", [])
     captioner = make_captioner(model, vocab, det_map, cfg, mode=args.mode)
     report = evaluate_split(split, captioner, known_words=known, mode=args.mode,

@@ -41,9 +41,11 @@ def _convert(name: str, kind, raw: str):
         raise ConfigError(f"config: {name} expects {kind.__name__}, got {raw!r}") from None
 
 
-def load_config(path) -> RunConfig:
-    """Parse a key-value config file into a RunConfig."""
-    known = {f.name: f.type for f in fields(RunConfig)}
+def read_key_values(path, known, owner: str) -> dict[str, str]:
+    """The raw values of a plain ``key = value`` file, by key; skips blank
+    lines and ``#`` comments and reads ``-`` in a key as ``_``. A line
+    without ``=`` or with a key not in ``known`` is a ParseError naming
+    ``owner`` (the module) and the line number."""
     values = {}
     with open(path, encoding="utf-8") as f:
         for line_no, line in enumerate(f, start=1):
@@ -51,13 +53,20 @@ def load_config(path) -> RunConfig:
             if not stripped or stripped.startswith("#"):
                 continue
             if "=" not in stripped:
-                raise ParseError(f"config: line {line_no}: expected 'key = value'")
+                raise ParseError(f"{owner}: line {line_no}: expected 'key = value'")
             key, _, value = stripped.partition("=")
             key = key.strip().replace("-", "_")
             if key not in known:
-                raise ParseError(f"config: line {line_no}: unknown key {key!r}")
-            values[key] = _convert(key, known[key], value.strip())
-    return RunConfig(**values)
+                raise ParseError(f"{owner}: line {line_no}: unknown key {key!r}")
+            values[key] = value.strip()
+    return values
+
+
+def load_config(path) -> RunConfig:
+    """Parse a key-value config file into a RunConfig."""
+    known = {f.name: f.type for f in fields(RunConfig)}
+    raw = read_key_values(path, known, "config")
+    return RunConfig(**{key: _convert(key, known[key], value) for key, value in raw.items()})
 
 
 def apply_overrides(cfg: RunConfig, overrides: dict) -> RunConfig:

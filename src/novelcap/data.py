@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import read_key_values
 from .errors import CoverageError, DomainError, ParseError, SchemaError
 from .memory import Detection
 from .numerics import FLOAT
@@ -291,7 +292,7 @@ def save_dataset(records: list[DatasetRecord], path) -> None:
 
 def load_dataset(path) -> list[DatasetRecord]:
     records = []
-    dim = None
+    dim = det_dim = None
     with open(path, encoding="utf-8") as f:
         for line_no, line in enumerate(f, start=1):
             if not line.strip():
@@ -311,6 +312,11 @@ def load_dataset(path) -> list[DatasetRecord]:
                                     detections=dets)
             except (KeyError, TypeError, ValueError) as e:
                 raise SchemaError(f"data: line {line_no}: {e}") from e
+            for det in dets:
+                det_dim = det.feature.shape if det_dim is None else det_dim
+                if det.feature.shape != det_dim:
+                    raise SchemaError(f"data: line {line_no}: detection feature shape "
+                                      f"{det.feature.shape} != {det_dim} of the earlier detections")
             records.append(rec)
     return records
 
@@ -338,19 +344,7 @@ def save_world_config(world: SyntheticWorld, path) -> None:
 
 
 def load_world_config(path) -> SyntheticWorld:
-    raw: dict[str, str] = {}
-    with open(path, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ParseError(f"data: line {line_no}: expected 'key = value'")
-            key, _, value = stripped.partition("=")
-            key = key.strip()
-            if key not in _WORLD_KEYS:
-                raise ParseError(f"data: line {line_no}: unknown world key {key!r}")
-            raw[key] = value.strip()
+    raw = read_key_values(path, _WORLD_KEYS, "data")
     try:
         names = tuple(raw["inventory"].split())
         templates = tuple(t.strip() for t in raw["templates"].split("|"))

@@ -7,17 +7,13 @@ turns hidden states into object-memory queries. There is no autodiff
 graph: the teacher-forced forward over a padded, time-major batch has a
 matching backward pass that walks its cached time steps in reverse.
 
-Shape conventions (all float64):
-    embed    (embed_size, vocab_size)    column per word id
-    lstm_w   (4*hidden, embed+hidden)    gate order [input, forget, output, candidate]
-    lstm_b   (4*hidden,)                 forget-gate block initialized to 1.0
-    w_out    (vocab_size, hidden)        b_out (vocab_size,)
-    w_img    (hidden, image_dim)         b_img (hidden,)
-    w_query  (key_dim, hidden)
-    w_img_cell (hidden, image_dim)       b_img_cell (hidden,)
+All parameters are float64 views into one contiguous vector, ``theta``,
+in the order and shapes of ``param_shapes``; gradients and the Adam
+moments use the same layout, so one update steps the whole model.
 """
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,30 +45,36 @@ class LstmState:
 
 
 class CaptionModel:
-    """All trainable parameters, initialized uniform in [-0.08, 0.08].
+    """All trainable parameters, as named views into one float64 vector, ``theta``.
 
-    Biases start at zero except the forget gate (1.0, for stable early
-    training).
+    Matrices are initialized uniform in [-0.08, 0.08], drawn in
+    ``PARAM_NAMES`` order; biases start at zero except the forget gate
+    (1.0, for stable early training).
     """
 
     def __init__(self, vocab_size: int, hidden_size: int = 64, embed_size: int = 64,
                  image_dim: int = 32, key_dim: int = 32, seed: int = 0):
+        self._allocate(param_shapes(vocab_size, hidden_size, embed_size, image_dim, key_dim))
         rng = np.random.default_rng(seed)
-
-        def u(*shape):
-            return rng.uniform(-INIT_SCALE, INIT_SCALE, shape).astype(FLOAT)
-
-        self.embed = u(embed_size, vocab_size)
-        self.lstm_w = u(4 * hidden_size, embed_size + hidden_size)
-        self.lstm_b = np.zeros(4 * hidden_size, dtype=FLOAT)
+        for p in self.params().values():
+            if p.ndim == 2:
+                p[...] = rng.uniform(-INIT_SCALE, INIT_SCALE, p.shape)
         self.lstm_b[hidden_size:2 * hidden_size] = 1.0
-        self.w_out = u(vocab_size, hidden_size)
-        self.b_out = np.zeros(vocab_size, dtype=FLOAT)
-        self.w_img = u(hidden_size, image_dim)
-        self.b_img = np.zeros(hidden_size, dtype=FLOAT)
-        self.w_query = u(key_dim, hidden_size)
-        self.w_img_cell = u(hidden_size, image_dim)
-        self.b_img_cell = np.zeros(hidden_size, dtype=FLOAT)
+
+    def _allocate(self, shapes: dict[str, tuple[int, ...]]) -> None:
+        self.shapes = shapes
+        self.theta = np.zeros(sum(math.prod(s) for s in shapes.values()), dtype=FLOAT)
+        self.__dict__.update(self.views(self.theta))
+
+    def views(self, vec: np.ndarray) -> dict[str, np.ndarray]:
+        """The named parts of ``vec``, a vector laid out like ``theta``
+        (a gradient, an optimizer moment, a snapshot), as live views in
+        ``PARAM_NAMES`` order."""
+        if vec.shape != self.theta.shape:
+            raise ShapeError(f"decoder: vector of shape {vec.shape} is not laid out like theta "
+                             f"{self.theta.shape}")
+        parts = np.split(vec, np.cumsum([math.prod(s) for s in self.shapes.values()])[:-1])
+        return {name: part.reshape(shape) for (name, shape), part in zip(self.shapes.items(), parts)}
 
     @property
     def vocab_size(self) -> int:
@@ -95,46 +97,49 @@ class CaptionModel:
         return self.w_query.shape[0]
 
     def params(self) -> dict[str, np.ndarray]:
-        """Named parameter arrays (live views, fixed order)."""
+        """Named parameter arrays (live views of ``theta``, fixed order)."""
         return {name: getattr(self, name) for name in PARAM_NAMES}
 
     @classmethod
     def from_params(cls, params: dict[str, np.ndarray]) -> "CaptionModel":
-        """Rebuild a model from named arrays (e.g. a loaded checkpoint).
+        """Rebuild a model from named arrays (e.g. a loaded checkpoint),
+        copied into a fresh ``theta``.
 
         Raises CheckpointError naming a parameter that is missing, unknown,
-        or shaped inconsistently with the others.
+        shaped inconsistently with the others, or holding a non-finite entry.
         """
-        expected = _expected_shapes(params)
         for name in params:
-            if name not in expected:
+            if name not in PARAM_NAMES:
                 raise CheckpointError(f"decoder: unknown parameter {name!r}")
         for name in PARAM_NAMES:
             if name not in params:
                 raise CheckpointError(f"decoder: parameter {name!r} is missing")
-        for name, arr in params.items():
-            if np.shape(arr) != expected[name]:
-                raise CheckpointError(f"decoder: parameter {name!r} has shape {np.shape(arr)}, "
-                                      f"expected {expected[name]}")
+        # these four matrices fix the vocabulary, embedding, hidden, image and key sizes
+        for name in ("embed", "w_out", "w_img", "w_query"):
+            if np.ndim(params[name]) != 2:
+                raise CheckpointError(f"decoder: parameter {name!r} has shape {np.shape(params[name])}, "
+                                      f"expected a matrix")
+        (e, v), h = np.shape(params["embed"]), np.shape(params["w_out"])[1]
+        expected = param_shapes(v, h, e, np.shape(params["w_img"])[1], np.shape(params["w_query"])[0])
+        for name, shape in expected.items():
+            if np.shape(params[name]) != shape:
+                raise CheckpointError(f"decoder: parameter {name!r} has shape {np.shape(params[name])}, "
+                                      f"expected {shape}")
         model = cls.__new__(cls)
-        for name in PARAM_NAMES:
-            setattr(model, name, np.asarray(params[name], dtype=FLOAT))
+        model._allocate(expected)
+        for name, p in model.params().items():
+            p[...] = params[name]
+        if not np.isfinite(model.theta).all():
+            bad = next(name for name, p in model.params().items() if not np.isfinite(p).all())
+            raise CheckpointError(f"decoder: parameter {bad!r} has non-finite entries")
         return model
 
 
-def _expected_shapes(params: dict[str, np.ndarray]) -> dict[str, tuple[int, ...]]:
-    """The shape of every known parameter, implied by the four matrices
-    that fix the vocabulary, embedding, hidden, image and key sizes."""
-    for name in ("embed", "w_out", "w_img", "w_query"):
-        if name not in params:
-            raise CheckpointError(f"decoder: parameter {name!r} is missing")
-        if np.ndim(params[name]) != 2:
-            raise CheckpointError(f"decoder: parameter {name!r} has shape {np.shape(params[name])}, "
-                                  f"expected a matrix")
-    e, v = np.shape(params["embed"])
-    h = np.shape(params["w_out"])[1]
-    d = np.shape(params["w_img"])[1]
-    k = np.shape(params["w_query"])[0]
+def param_shapes(vocab_size: int, hidden_size: int, embed_size: int, image_dim: int,
+                 key_dim: int) -> dict[str, tuple[int, ...]]:
+    """The shape of every parameter, in ``PARAM_NAMES`` (and ``theta``) order."""
+    # embed holds a column per word id; lstm_w's gate order is [input, forget, output, candidate]
+    v, h, e, d, k = vocab_size, hidden_size, embed_size, image_dim, key_dim
     return {"embed": (e, v), "lstm_w": (4 * h, e + h), "lstm_b": (4 * h,), "w_out": (v, h),
             "b_out": (v,), "w_img": (h, d), "b_img": (h,), "w_query": (k, h),
             "w_img_cell": (h, d), "b_img_cell": (h,)}
@@ -274,7 +279,7 @@ def sequence_loss(logits: np.ndarray, targets, pad_id: int) -> tuple[float, np.n
 
 
 def backward_pass(model: CaptionModel, cache: ForwardCache, dlogits: np.ndarray,
-                  dq: np.ndarray) -> dict[str, np.ndarray]:
+                  dq: np.ndarray) -> np.ndarray:
     """Backpropagation through time over a batch.
 
     ``dlogits`` (T, B, vocab_size) and ``dq`` (T, B, key_dim), the memory
@@ -283,6 +288,7 @@ def backward_pass(model: CaptionModel, cache: ForwardCache, dlogits: np.ndarray,
     are computed for all steps at once, one (B, 4*hidden) product per step
     carries the gradient back, and each weight gradient is one product
     over all T*B rows. Padded positions receive exactly zero gradient.
+    Returns the gradient as one vector laid out like ``model.theta``.
     """
     n_steps, batch, nh = cache.c_tanh.shape
     e = model.embed_size
@@ -312,22 +318,21 @@ def backward_pass(model: CaptionModel, cache: ForwardCache, dlogits: np.ndarray,
         dc = dc * f[t]
         dh = dz[t].reshape(batch, 4 * nh) @ w_h + dh_in[t]
     dz = rows(dz)
-    d_embed = np.zeros_like(model.embed)
-    np.add.at(d_embed.T, cache.input_ids.ravel(), dz @ model.lstm_w[:, :e])
+    grad = np.zeros_like(model.theta)
+    g = model.views(grad)
+    np.add.at(g["embed"].T, cache.input_ids.ravel(), dz @ model.lstm_w[:, :e])
+    g["lstm_w"][...] = dz.T @ rows(np.concatenate([cache.x, cache.hiddens], axis=-1))
+    g["lstm_b"][...] = dz.sum(axis=0)
+    g["w_out"][...] = rows(dlogits).T @ rows(cache.h[1:])
+    g["b_out"][...] = rows(dlogits).sum(axis=0)
     dz0 = dh * (1.0 - cache.h[0] ** 2)
+    g["w_img"][...] = dz0.T @ cache.features
+    g["b_img"][...] = dz0.sum(axis=0)
+    g["w_query"][...] = rows(dq).T @ rows(cache.hiddens)
     dzc = dc * (1.0 - cache.c[0] ** 2)
-    return {
-        "embed": d_embed,
-        "lstm_w": dz.T @ rows(np.concatenate([cache.x, cache.hiddens], axis=-1)),
-        "lstm_b": dz.sum(axis=0),
-        "w_out": rows(dlogits).T @ rows(cache.h[1:]),
-        "b_out": rows(dlogits).sum(axis=0),
-        "w_img": dz0.T @ cache.features,
-        "b_img": dz0.sum(axis=0),
-        "w_query": rows(dq).T @ rows(cache.hiddens),
-        "w_img_cell": dzc.T @ cache.features,
-        "b_img_cell": dzc.sum(axis=0),
-    }
+    g["w_img_cell"][...] = dzc.T @ cache.features
+    g["b_img_cell"][...] = dzc.sum(axis=0)
+    return grad
 
 
 @dataclass

@@ -50,8 +50,9 @@ class Caption:
 
 def batch_losses(model: CaptionModel, batch: list[TrainExample], pd: DetectableSet, *,
                  go_id: int, pad_id: int, n_det: int, max_steps: int | None = None,
-                 rewrite: bool = True) -> tuple[float, float, dict[str, np.ndarray]]:
-    """Batch-mean losses and their gradients, from one decoder pass over the batch.
+                 rewrite: bool = True) -> tuple[float, float, np.ndarray]:
+    """Batch-mean losses and their gradient, laid out like ``model.theta``,
+    from one decoder pass over the batch.
 
     With ``rewrite`` off (the no-placeholder baseline) the raw targets are
     used and the memory loss is skipped entirely. The memory is read per
@@ -75,15 +76,15 @@ def batch_losses(model: CaptionModel, batch: list[TrainExample], pd: DetectableS
         loss_mem += loss
         for rc in read_caches:
             dq[rc.step, b] = read_loss_backward(rc, mem, scale=scale)
-    grads = backward_pass(model, cache, dlogits * scale, dq)
-    return loss_seq / len(batch), loss_mem / len(batch), grads
+    grad = backward_pass(model, cache, dlogits * scale, dq)
+    return loss_seq / len(batch), loss_mem / len(batch), grad
 
 
 def example_losses(model: CaptionModel, feature, targets: list[int], detections,
                    pd: DetectableSet, *, go_id: int, pad_id: int, n_det: int,
                    max_steps: int | None = None,
-                   rewrite: bool = True) -> tuple[float, float, dict[str, np.ndarray]]:
-    """Both losses and their gradients for a single example: a batch of one."""
+                   rewrite: bool = True) -> tuple[float, float, np.ndarray]:
+    """Both losses and their gradient for a single example: a batch of one."""
     return batch_losses(model, [TrainExample(feature, targets, detections)], pd, go_id=go_id,
                         pad_id=pad_id, n_det=n_det, max_steps=max_steps, rewrite=rewrite)
 
@@ -98,32 +99,30 @@ def joint_loss(model: CaptionModel, feature, targets: list[int], detections, pd:
     return loss_seq + loss_mem
 
 
-def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
-    """Scale all gradients down to a global L2 norm of ``max_norm``."""
-    total = float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
+def clip_gradients(grad: np.ndarray, max_norm: float) -> float:
+    """Scale the gradient vector in place down to an L2 norm of ``max_norm``;
+    returns the norm before clipping."""
+    total = float(np.sqrt((grad * grad).sum()))
     if total > max_norm:
-        factor = max_norm / total
-        for g in grads.values():
-            g *= factor
+        grad *= max_norm / total
     return total
 
 
 def train_step(batch: list[TrainExample], model: CaptionModel, pd: DetectableSet,
-               opt_states: dict[str, AdamState], vocab: Vocabulary, *, n_det: int,
+               opt: AdamState, vocab: Vocabulary, *, n_det: int,
                max_steps: int | None = None, rewrite: bool = True) -> tuple[float, float, float]:
     """One joint update over a batch; returns (loss_seq, loss_mem, total).
 
     Losses are batch means; the sequence and memory gradients are summed
-    and clipped to a global norm of ``CLIP_NORM`` before the single Adam
-    application, so one step minimizes their sum.
+    and clipped to a global norm of ``CLIP_NORM`` before one Adam step on
+    ``model.theta``, so one step minimizes their sum.
     """
-    loss_seq, loss_mem, grads = batch_losses(model, batch, pd, go_id=vocab.go_id, pad_id=vocab.pad_id,
-                                             n_det=n_det, max_steps=max_steps, rewrite=rewrite)
+    loss_seq, loss_mem, grad = batch_losses(model, batch, pd, go_id=vocab.go_id, pad_id=vocab.pad_id,
+                                            n_det=n_det, max_steps=max_steps, rewrite=rewrite)
     if not np.isfinite(loss_seq + loss_mem):
         raise NumericError(f"pipeline: non-finite training loss ({loss_seq}, {loss_mem})")
-    clip_gradients(grads, CLIP_NORM)
-    for name, p in model.params().items():
-        adam_step(p, grads[name], opt_states[name])
+    clip_gradients(grad, CLIP_NORM)
+    adam_step(model.theta, grad, opt)
     return loss_seq, loss_mem, loss_seq + loss_mem
 
 
@@ -170,8 +169,7 @@ def train_model(split: HeldOutSplit, vocab: Vocabulary, det_map: DetectableSet, 
         selection_words = tuple(sorted(vocab.word_of(i) for i in det_map.pd_ids))
     model = CaptionModel(vocab.size, hidden_size=cfg.hidden_size, embed_size=cfg.embed_size,
                          image_dim=cfg.image_dim, key_dim=cfg.key_dim, seed=cfg.seed)
-    opt_states = {name: AdamState.for_param(p, lr=cfg.lr, weight_decay=cfg.weight_decay)
-                  for name, p in model.params().items()}
+    opt = AdamState.for_param(model.theta, lr=cfg.lr, weight_decay=cfg.weight_decay)
     pairs = [TrainExample(rec.feature, vocab.encode(ref, append_eos=True), rec.detections)
              for rec in split.train for ref in rec.references]
     result = TrainResult(model=model)
@@ -181,7 +179,7 @@ def train_model(split: HeldOutSplit, vocab: Vocabulary, det_map: DetectableSet, 
         n_batches = 0
         for start in range(0, len(order), cfg.batch_size):
             batch = [pairs[i] for i in order[start:start + cfg.batch_size]]
-            ls, lm, _ = train_step(batch, model, det_map, opt_states, vocab, n_det=cfg.n_det,
+            ls, lm, _ = train_step(batch, model, det_map, opt, vocab, n_det=cfg.n_det,
                                    max_steps=cfg.max_steps, rewrite=rewrite)
             sums += (ls, lm)
             n_batches += 1
@@ -197,7 +195,7 @@ def train_model(split: HeldOutSplit, vocab: Vocabulary, det_map: DetectableSet, 
         if val_f1 > result.best_val_f1:
             result.best_val_f1 = val_f1
             result.best_epoch = epoch
-            result.best_params = {k: v.copy() for k, v in model.params().items()}
+            result.best_params = model.views(model.theta.copy())
     return result
 
 

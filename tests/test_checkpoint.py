@@ -56,6 +56,18 @@ def test_trailing_bytes_rejected(tmp_path):
         load_checkpoint(path)
 
 
+def test_repeated_parameter_name_is_checkpoint_error(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, {"embed": np.ones((2, 3))}, vocab_ref="v.txt")
+    raw = path.read_bytes()
+    count_at = len(b"NVCP") + 4 + 4 + len(b"v.txt")
+    save_checkpoint(path, {"embed": np.zeros((2, 3))}, vocab_ref="v.txt")
+    entries = raw[count_at + 4:] + path.read_bytes()[count_at + 4:]
+    path.write_bytes(raw[:count_at] + struct.pack("<I", 2) + entries)
+    with pytest.raises(CheckpointError, match="'embed' appears twice"):
+        load_checkpoint(path)
+
+
 def header(vocab_ref=b"v.txt", name=b"w", shape=(2,)):
     """A version-1 checkpoint header announcing one parameter, with no data."""
     raw = b"NVCP" + struct.pack("<I", 1)

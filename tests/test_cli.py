@@ -213,8 +213,10 @@ class TestEvalAndSweep:
         # checkpoints of the retired architectures: no cell-state projection, or a key projection
         no_cell_init = {k: v for k, v in params.items() if k not in ("w_img_cell", "b_img_cell")}
         key_projection = dict(params, w_key=np.eye(params["w_query"].shape[0]))
+        non_finite = dict(params, b_out=np.full_like(params["b_out"], np.nan))
         for name, bad in (("embed", missing), ("w_extra", extra), ("lstm_w", misshapen),
-                          ("w_img_cell", no_cell_init), ("w_key", key_projection)):
+                          ("w_img_cell", no_cell_init), ("w_key", key_projection),
+                          ("b_out", non_finite)):
             path = tmp_path / f"bad_{name}.ckpt"
             save_checkpoint(path, bad, vocab_ref=vocab_ref)
             code = main(["eval", "--config", cfg_path, "--checkpoint", str(path)])

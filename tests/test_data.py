@@ -171,6 +171,16 @@ class TestDatasetFiles:
         with pytest.raises(SchemaError, match="line 2"):
             load_dataset(path)
 
+    def test_inconsistent_detection_feature_length_names_line(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        det2 = '{"feature":[1.0,2.0],"label":0,"score":0.9}'
+        det3 = '{"feature":[1.0,2.0,3.0],"label":1,"score":0.8}'
+        lines = [f'{{"image_id":"{i}","feature":[1.0],"references":[["dog"]],"detections":[{dets}]}}'
+                 for i, dets in enumerate([det2, "", f"{det2},{det3}"])]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError, match=r"line 3: detection feature shape \(3,\)"):
+            load_dataset(path)
+
 
 class TestManifest:
     def test_repeated_held_out_word_is_schema_error(self, tmp_path):

@@ -271,6 +271,47 @@ class TestModelPlumbing:
         for name, p in m.params().items():
             assert np.array_equal(clone.params()[name], p)
 
+    def test_init_matches_per_array_draws(self):
+        # the layout before one parameter vector: each matrix drawn on its own, in this order
+        v = tiny_vocab()
+        rng = np.random.default_rng(5)
+
+        def u(*shape):
+            return rng.uniform(-0.08, 0.08, shape)
+
+        m = tiny_model(v, seed=5)
+        for name, shape in (("embed", (5, v.size)), ("lstm_w", (24, 11)), ("w_out", (v.size, 6)),
+                            ("w_img", (6, 7)), ("w_query", (6, 6)), ("w_img_cell", (6, 7))):
+            assert np.array_equal(getattr(m, name), u(*shape)), name
+        for name in ("b_out", "b_img", "b_img_cell"):
+            assert not getattr(m, name).any(), name
+
+    def test_params_are_live_views_of_theta(self):
+        v = tiny_vocab()
+        m = tiny_model(v, seed=1)
+        params = m.params()
+        assert m.theta.dtype == np.float64 and m.theta.ndim == 1
+        assert sum(p.size for p in params.values()) == m.theta.size
+        for name, p in params.items():
+            assert p is getattr(m, name) and np.shares_memory(p, m.theta), name
+        m.theta[:] = np.arange(m.theta.size)
+        assert np.array_equal(np.concatenate([p.ravel() for p in params.values()]), m.theta)
+        grad = np.zeros_like(m.theta)
+        m.views(grad)["w_query"][...] = 1.0
+        assert grad.sum() == m.w_query.size
+        with pytest.raises(ShapeError):
+            m.views(grad[1:])
+
+    def test_from_params_copies_its_input(self):
+        v = tiny_vocab()
+        source = {k: p.copy() for k, p in tiny_model(v, seed=8).params().items()}
+        clone = CaptionModel.from_params(source)
+        kept = {k: p.copy() for k, p in source.items()}
+        clone.theta += 1.0
+        source["w_out"][...] = 0.0
+        assert np.array_equal(clone.w_out, kept["w_out"] + 1.0)
+        assert not any(np.shares_memory(p, clone.theta) for p in source.values())
+
     def test_forget_gate_bias_initialized_to_one(self):
         v = tiny_vocab()
         m = tiny_model(v)

@@ -18,7 +18,8 @@ def run_demo(name):
                           capture_output=True, text=True, timeout=120)
 
 
-@pytest.mark.parametrize("name", ["01_memory_addressing.py", "02_gradient_check.py"])
+@pytest.mark.parametrize("name", ["01_memory_addressing.py", "02_gradient_check.py",
+                                  "03_train_and_caption.py"])
 def test_demo_runs(name):
     proc = run_demo(name)
     assert proc.returncode == 0, proc.stderr

@@ -31,7 +31,7 @@ def test_counter_hooks_read_a_train_step_and_a_caption():
     vocab = build_vocabulary([ref for rec in records for ref in rec.references], 1)
     det_map = intersect_detectable(vocab, list(world.names))
     model = CaptionModel(vocab.size, hidden_size=12, embed_size=8, image_dim=8, key_dim=8, seed=0)
-    opt = {name: AdamState.for_param(p) for name, p in model.params().items()}
+    opt = AdamState.for_param(model.theta)
     batch = [pipeline.TrainExample(r.feature, vocab.encode(r.references[0], append_eos=True),
                                    r.detections) for r in records[:6]]
     cfg = RunConfig(n_det=4, max_steps=6)

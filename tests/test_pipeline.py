@@ -12,9 +12,9 @@ from novelcap.decoder import (CELL_SANITY_BOUND, PARAM_NAMES, CaptionModel, Deco
                               forward_teacher_forced)
 from novelcap.errors import NumericError
 from novelcap.memory import Detection
-from novelcap.numerics import AdamState
-from novelcap.pipeline import (TrainExample, batch_losses, example_losses, joint_loss, make_captioner,
-                               train_step)
+from novelcap.numerics import AdamState, adam_step
+from novelcap.pipeline import (CLIP_NORM, TrainExample, batch_losses, clip_gradients, example_losses,
+                               joint_loss, make_captioner, train_step)
 from novelcap.vocabulary import PLACEHOLDER, build_vocabulary, intersect_detectable
 
 
@@ -33,7 +33,7 @@ def fresh_model(vocab, seed=0):
 
 
 def fresh_opt(model, lr=1e-3):
-    return {name: AdamState.for_param(p, lr=lr) for name, p in model.params().items()}
+    return AdamState.for_param(model.theta, lr=lr)
 
 
 def record_batch(records, vocab):
@@ -159,15 +159,34 @@ class TestTrainStep:
         vocab, det_map, model = RAGGED_WORLD
         kw = dict(go_id=vocab.go_id, pad_id=vocab.pad_id, n_det=RAGGED_N_DET,
                   max_steps=RAGGED_MAX_STEPS, rewrite=rewrite)
-        loss_seq, loss_mem, grads = batch_losses(model, batch, det_map, **kw)
+        loss_seq, loss_mem, grad = batch_losses(model, batch, det_map, **kw)
         singles = [example_losses(model, ex.feature, ex.targets, ex.detections, det_map, **kw)
                    for ex in batch]
         assert abs(loss_seq - sum(s[0] for s in singles) / len(batch)) <= 1e-10
         assert abs(loss_mem - sum(s[1] for s in singles) / len(batch)) <= 1e-10
+        grads = model.views(grad)
         assert tuple(grads) == PARAM_NAMES
         for name, g in grads.items():
-            mean = sum(s[2][name] for s in singles) / len(batch)
+            mean = sum(model.views(s[2])[name] for s in singles) / len(batch)
             assert np.max(np.abs(g - mean)) <= 1e-10, name
+
+    def test_one_adam_step_on_theta_equals_one_per_view(self):
+        _, _, vocab, _ = small_setup()
+        model = fresh_model(vocab)
+        reference = {name: p.copy() for name, p in model.params().items()}
+        opt = AdamState.for_param(model.theta, lr=1e-2, weight_decay=1e-3)
+        ref_opts = {name: AdamState.for_param(p, lr=1e-2, weight_decay=1e-3)
+                    for name, p in reference.items()}
+        rng = np.random.default_rng(9)
+        for _ in range(4):
+            grad = rng.normal(size=model.theta.shape)
+            assert clip_gradients(grad, CLIP_NORM) > CLIP_NORM
+            assert np.isclose(np.linalg.norm(grad), CLIP_NORM)
+            adam_step(model.theta, grad, opt)
+            for name, g in model.views(grad).items():
+                adam_step(reference[name], g, ref_opts[name])
+            for name, p in model.params().items():
+                assert np.array_equal(p, reference[name]), name
 
     def test_padding_is_inert(self):
         _, records, vocab, det_map = small_setup()
@@ -180,8 +199,7 @@ class TestTrainStep:
         model.embed[:, vocab.pad_id] = np.random.default_rng(0).uniform(-3.0, 3.0, model.embed_size)
         after = batch_losses(model, batch, det_map, **kw)
         assert before[:2] == after[:2]
-        for name in PARAM_NAMES:
-            assert np.array_equal(before[2][name], after[2][name]), name
+        assert np.array_equal(before[2], after[2])
 
     def test_padded_cells_are_not_sanity_checked(self):
         _, records, vocab, det_map = small_setup()
@@ -199,8 +217,7 @@ class TestTrainStep:
         assert np.abs(cache.c[2:, 1]).max() >= CELL_SANITY_BOUND
         after = batch_losses(model, batch, det_map, **kw)
         assert before[:2] == after[:2]
-        for name in PARAM_NAMES:
-            assert np.array_equal(before[2][name], after[2][name]), name
+        assert np.array_equal(before[2], after[2])
 
     def test_nan_at_a_real_position_fails_the_cell_check(self):
         _, records, vocab, det_map = small_setup()
@@ -225,7 +242,8 @@ def test_sequence_loss_gradient_on_minimal_model():
     feature = rng.normal(size=3)
     targets = vocab.encode(["dog", "cat", "dog"])
     kw = dict(go_id=vocab.go_id, pad_id=vocab.pad_id, n_det=4)
-    _, _, grads = example_losses(model, feature, targets, [], det_map, **kw)
+    _, _, grad = example_losses(model, feature, targets, [], det_map, **kw)
+    grads = model.views(grad)
     worst = 0.0
     for name, param in model.params().items():
         err = finite_diff_check(
@@ -241,7 +259,7 @@ def fig3_setup(monkeypatch):
     vocab = build_vocabulary([sentence], 1)
     det_map = intersect_detectable(vocab, ["dog", "cake"])
     model = CaptionModel(vocab.size, hidden_size=2, embed_size=2, image_dim=2, key_dim=2, seed=0)
-    model.w_query = np.eye(2)
+    model.w_query[...] = np.eye(2)
     rec = DatasetRecord("fig3", np.zeros(2), [sentence],
                         [Detection(np.array([3.0, 0.0]), 0, 0.9),    # dog
                          Detection(np.array([0.0, 3.0]), 1, 0.8)])   # cake
