@@ -10,7 +10,7 @@ Run: python demos/03_train_and_caption.py
 
 from novelcap.config import RunConfig
 from novelcap.data import build_heldout_split, generate_synthetic, make_world
-from novelcap.decoder import CaptionModel, decode_greedy
+from novelcap.decoder import CaptionModel, DecodeSnapshot, decode_greedy
 from novelcap.evaluation import evaluate_split
 from novelcap.pipeline import make_captioner, train_model
 from novelcap.vocabulary import build_vocabulary, intersect_detectable
@@ -32,16 +32,20 @@ cfg = RunConfig(hidden_size=32, embed_size=32, image_dim=16, key_dim=16,
 result = train_model(split, vocab, det_map, cfg, mode="dnoc",
                      log_fn=lambda line: print(" ", line))
 model = CaptionModel.from_params(result.best_params)
+# the decoder reads a snapshot of the weights; a captioner takes its own
+# snapshot when it is made and keeps captioning with it
+snapshot = DecodeSnapshot.of(model)
+captioner = make_captioner(model, vocab, det_map, cfg, "dnoc")
 
 print("\ncaptions for held-out-object test images:")
 shown = 0
 for rec in split.test:
     if not any(w in tok for w in held_out for tok in rec.references[0]):
         continue
-    trace = decode_greedy(rec.feature, model, vocab.go_id, vocab.eos_id,
+    trace = decode_greedy(rec.feature, snapshot, vocab.go_id, vocab.eos_id,
                           vocab.placeholder_id, cfg.max_steps)
     raw = " ".join(vocab.word_of(i) for i in trace.ids)
-    caption = make_captioner(model, vocab, det_map, cfg, "dnoc")(rec)
+    caption = captioner(rec)
     print(f"  reference : {' '.join(rec.references[0])}")
     print(f"  decoded   : {raw}")
     print(f"  filled    : {' '.join(caption.tokens)}\n")
@@ -49,6 +53,5 @@ for rec in split.test:
     if shown == 4:
         break
 
-report = evaluate_split(split, make_captioner(model, vocab, det_map, cfg, "dnoc"),
-                        known_words=[w for w in world.names if w not in held_out])
+report = evaluate_split(split, captioner, known_words=[w for w in world.names if w not in held_out])
 print(f"held-out average F1 {report.average_f1:.3f}, known average F1 {report.known_average_f1:.3f}")

@@ -10,7 +10,7 @@ run end-to-end on a synthetic corpus with a deterministic mock detector.
 from .config import RunConfig, load_config
 from .data import (DatasetRecord, HeldOutSplit, SyntheticWorld, build_heldout_split,
                    generate_synthetic, load_dataset, make_world, save_dataset)
-from .decoder import CaptionModel, DecodeTrace, LstmState, decode_greedy, forward_teacher_forced, init_state
+from .decoder import CaptionModel, DecodeSnapshot, DecodeTrace, decode_greedy, forward_teacher_forced, init_state
 from .evaluation import F1Report, ObjectScore, evaluate_split, f1_for_object
 from .memory import Detection, ObjectMemory, QueryResult, make_query, memory_read, select_top_detections
 from .numerics import AdamState, adam_step, cross_entropy, finite_diff_check, softmax

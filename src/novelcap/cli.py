@@ -15,7 +15,7 @@ from . import checkpoint as ckpt
 from . import data as datamod
 from .config import RunConfig, apply_overrides, load_config, validate_config
 from .decoder import CaptionModel
-from .errors import CheckpointError, ConfigError, CoverageError, DomainError, NovelcapError
+from .errors import CheckpointError, ConfigError, CoverageError, DomainError, NovelcapError, SchemaError
 from .evaluation import average_f1_over, evaluate_split, format_report_lines, write_report
 from .pipeline import make_captioner, train_model
 from .vocabulary import Vocabulary, build_vocabulary, intersect_detectable
@@ -63,7 +63,9 @@ def _load_common(cfg):
     return records, vocab, manifest, split, det_map
 
 
-def _load_model(cfg, vocab) -> CaptionModel:
+def _load_model(cfg, vocab, records) -> CaptionModel:
+    """The checkpoint's model, checked against the config's dimensions and
+    the dataset's detection feature length."""
     params, _ = ckpt.load_checkpoint(cfg.checkpoint)
     model = CaptionModel.from_params(params)
     mismatches = [(name, got, want) for name, got, want in (
@@ -76,6 +78,11 @@ def _load_model(cfg, vocab) -> CaptionModel:
     if mismatches:
         detail = ", ".join(f"{n}: checkpoint {g} vs config {w}" for n, g, w in mismatches)
         raise CheckpointError(f"cli: checkpoint incompatible with config dims ({detail})")
+    # load_dataset holds every detection feature to one length
+    key_len = next((len(d.feature) for rec in records for d in rec.detections), model.key_dim)
+    if key_len != model.key_dim:
+        raise SchemaError(f"cli: detection features in {cfg.dataset} have length {key_len}, "
+                          f"not the model's key_dim {model.key_dim}")
     return model
 
 
@@ -140,7 +147,7 @@ def cmd_train(args) -> int:
 def cmd_caption(args) -> int:
     cfg = _build_config(args)
     records, vocab, _, _, det_map = _load_common(cfg)
-    model = _load_model(cfg, vocab)
+    model = _load_model(cfg, vocab, records)
     by_id = {r.image_id: r for r in records}
     if args.image_id not in by_id:
         raise CoverageError(f"cli: image id {args.image_id!r} not found in {cfg.dataset}")
@@ -152,8 +159,8 @@ def cmd_caption(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _build_config(args)
-    _, vocab, manifest, split, det_map = _load_common(cfg)
-    model = _load_model(cfg, vocab)
+    records, vocab, manifest, split, det_map = _load_common(cfg)
+    model = _load_model(cfg, vocab, records)
     split_hash = datamod.manifest_hash(cfg.manifest)
     known = manifest.get("known_words", [])
     captioner = make_captioner(model, vocab, det_map, cfg, mode=args.mode)
@@ -172,8 +179,8 @@ def cmd_sweep_ndet(args) -> int:
     values = _list_flag("--values", args.values, int)
     if any(v < 1 for v in values):
         raise DomainError("cli: sweep values must all be >= 1")
-    _, vocab, _, split, det_map = _load_common(cfg)
-    model = _load_model(cfg, vocab)
+    records, vocab, _, split, det_map = _load_common(cfg)
+    model = _load_model(cfg, vocab, records)
     lines = ["n_det\taverage_f1"]
     for n_det in values:
         sweep_cfg = dataclasses.replace(cfg, n_det=n_det)

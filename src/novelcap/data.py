@@ -409,6 +409,14 @@ def manifest_hash(path) -> str:
 
 
 def split_from_manifest(records: list[DatasetRecord], manifest: dict) -> HeldOutSplit:
+    """The manifest's partition of ``records``. Raises SchemaError naming the
+    first record with a detection label outside the manifest's class list."""
+    n_classes = len(manifest["class_names"])
+    for rec in records:
+        bad = next((d.label for d in rec.detections if d.label >= n_classes), None)
+        if bad is not None:
+            raise SchemaError(f"data: record {rec.image_id!r} has detection label {bad}, outside the "
+                              f"manifest's {n_classes} classes")
     by_id = {r.image_id: r for r in records}
     out = {}
     for part in ("train", "val", "test"):

@@ -30,20 +30,6 @@ PARAM_NAMES = ("embed", "lstm_w", "lstm_b", "w_out", "b_out", "w_img", "b_img", 
                "w_img_cell", "b_img_cell")
 
 
-def _sigmoid(x):
-    # tanh form avoids exp overflow on large negative inputs
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
-
-
-@dataclass
-class LstmState:
-    """Hidden and cell states carried between decoder steps: vectors, or
-    one row per sequence of a batch."""
-
-    h: np.ndarray
-    c: np.ndarray
-
-
 class CaptionModel:
     """All trainable parameters, as named views into one float64 vector, ``theta``.
 
@@ -75,6 +61,13 @@ class CaptionModel:
                              f"{self.theta.shape}")
         parts = np.split(vec, np.cumsum([math.prod(s) for s in self.shapes.values()])[:-1])
         return {name: part.reshape(shape) for (name, shape), part in zip(self.shapes.items(), parts)}
+
+    def copy(self) -> "CaptionModel":
+        """A model with its own copy of ``theta``."""
+        clone = CaptionModel.__new__(CaptionModel)
+        clone._allocate(self.shapes)
+        clone.theta[:] = self.theta
+        return clone
 
     @property
     def vocab_size(self) -> int:
@@ -145,42 +138,41 @@ def param_shapes(vocab_size: int, hidden_size: int, embed_size: int, image_dim: 
             "w_img_cell": (h, d), "b_img_cell": (h,)}
 
 
-def init_state(image_feature: np.ndarray, model: CaptionModel) -> LstmState:
-    """Image-conditioned initial state: h0 = tanh(W f + b) and
+def init_state(image_feature: np.ndarray, model: CaptionModel) -> tuple[np.ndarray, np.ndarray]:
+    """Image-conditioned initial state (h0, c0): h0 = tanh(W f + b) and
     c0 = tanh(W_cell f + b_cell), each through its own projection. A
     (B, image_dim) batch of features gives one state row per feature."""
     feature = np.asarray(image_feature, dtype=FLOAT)
     if feature.ndim not in (1, 2) or feature.shape[-1] != model.image_dim:
         raise ShapeError(f"decoder: image feature shape {feature.shape} != (..., {model.image_dim})")
-    return LstmState(h=np.tanh(feature @ model.w_img.T + model.b_img),
-                     c=np.tanh(feature @ model.w_img_cell.T + model.b_img_cell))
+    return (np.tanh(feature @ model.w_img.T + model.b_img),
+            np.tanh(feature @ model.w_img_cell.T + model.b_img_cell))
+
+
+def _halve_sigmoid_gates(a: np.ndarray) -> np.ndarray:
+    """Halve in place the sigmoid gates (input, forget, output) of weights or
+    pre-activations laid out (..., 4*hidden), and return ``a``. Halving is
+    exact, and sigmoid(x) = (1 + tanh(x/2)) / 2, so ``_cell`` activates all
+    four gates with one tanh."""
+    a[..., :3 * (a.shape[-1] // 4)] *= 0.5
+    return a
 
 
 def _cell(z: np.ndarray, c_prev: np.ndarray, gates: np.ndarray) -> np.ndarray:
-    """Activate the pre-activations ``z`` (..., 4*hidden) into ``gates`` and
-    return the new cell state c = f*c_prev + i*g."""
+    """Activate the pre-activations ``z`` (..., 4*hidden), sigmoid gates
+    halved by ``_halve_sigmoid_gates``, into ``gates`` and return the new
+    cell state c = f*c_prev + i*g."""
     nh = c_prev.shape[-1]
-    gates[..., :3 * nh] = _sigmoid(z[..., :3 * nh])
-    gates[..., 3 * nh:] = np.tanh(z[..., 3 * nh:])
+    np.tanh(z, out=gates)
+    sig = gates[..., :3 * nh]
+    sig += 1.0
+    sig *= 0.5
     return gates[..., nh:2 * nh] * c_prev + gates[..., :nh] * gates[..., 3 * nh:]
 
 
 def _check_cell(c: np.ndarray) -> None:
     if not np.all(np.abs(c) < CELL_SANITY_BOUND):  # NaN fails the comparison too
         raise NumericError("decoder: LSTM cell state left its sane range")
-
-
-def lstm_step(x: np.ndarray, state: LstmState, lstm_w: np.ndarray, lstm_b: np.ndarray) -> LstmState:
-    """One LSTM cell update: c = f*c_prev + i*g, h = o*tanh(c)."""
-    nh = state.h.shape[0]
-    xh = np.concatenate([x, state.h])
-    if lstm_w.shape[1] != xh.shape[0]:
-        raise ShapeError(f"decoder: lstm weights {lstm_w.shape} do not accept input of {xh.shape[0]}")
-    z = lstm_w @ xh + lstm_b
-    gates = np.empty_like(z)
-    c = _cell(z, state.c, gates)
-    _check_cell(c)
-    return LstmState(h=gates[2 * nh:3 * nh] * np.tanh(c), c=c)
 
 
 @dataclass
@@ -239,18 +231,20 @@ def forward_teacher_forced(targets: list[list[int]], features: np.ndarray, model
         target_ids[:n, b] = seq[:n]
         input_ids[1:n, b] = seq[:n - 1]
 
-    state = init_state(features, model)
-    if state.h.shape != (batch, model.hidden_size):
+    h0, c0 = init_state(features, model)
+    if h0.shape != (batch, model.hidden_size):
         raise ShapeError(f"decoder: image features of shape {np.shape(features)} for {batch} sequences")
     e, nh = model.embed_size, model.hidden_size
-    w_h = model.lstm_w[:, e:].T
+    # copied in lstm_w's layout, so every product sums in the same order and the halving is exact
+    w_h = _halve_sigmoid_gates(model.lstm_w[:, e:].copy().T)
     x = model.embed.T[input_ids]
-    zx = (x.reshape(-1, e) @ model.lstm_w[:, :e].T + model.lstm_b).reshape(n_steps, batch, 4 * nh)
+    zx = _halve_sigmoid_gates(x.reshape(-1, e) @ model.lstm_w[:, :e].T + model.lstm_b)
+    zx = zx.reshape(n_steps, batch, 4 * nh)
     h = np.empty((n_steps + 1, batch, nh), dtype=FLOAT)
     c = np.empty_like(h)
     c_tanh = np.empty((n_steps, batch, nh), dtype=FLOAT)
     gates = np.empty_like(zx)
-    h[0], c[0] = state.h, state.c
+    h[0], c[0] = h0, c0
     for t in range(n_steps):
         c[t + 1] = _cell(zx[t] + h[t] @ w_h, c[t], gates[t])
         np.tanh(c[t + 1], out=c_tanh[t])
@@ -335,35 +329,63 @@ def backward_pass(model: CaptionModel, cache: ForwardCache, dlogits: np.ndarray,
     return grad
 
 
+@dataclass(frozen=True)
+class DecodeSnapshot:
+    """What greedy decoding reads, taken from a model once: a copy of its
+    weights, and its gate weights laid out for one-row steps, halved as
+    ``_cell`` takes them."""
+
+    weights: CaptionModel  # the image and query projections are read from this copy
+    gate_table: np.ndarray  # (vocab_size, 4*hidden): each word id's input pre-activations, bias folded in
+    w_h: np.ndarray  # (hidden, 4*hidden) recurrent weights
+    w_out_t: np.ndarray  # (hidden, vocab_size)
+
+    @classmethod
+    def of(cls, model: CaptionModel) -> "DecodeSnapshot":
+        weights, e = model.copy(), model.embed_size
+        table = weights.embed.T @ weights.lstm_w[:, :e].T + weights.lstm_b
+        w_h = np.ascontiguousarray(weights.lstm_w[:, e:].T)
+        return cls(weights, _halve_sigmoid_gates(table), _halve_sigmoid_gates(w_h),
+                   np.ascontiguousarray(weights.w_out.T))
+
+
 @dataclass
 class DecodeTrace:
-    """Greedy decode output: ids, the pre-step hidden per emission, and
-    where placeholders were emitted."""
+    """Greedy decode output: ids, the pre-step hidden state of each emission
+    (one row per id), and where placeholders were emitted."""
 
     ids: list[int]
-    hiddens: list[np.ndarray]
+    hiddens: np.ndarray
     placeholder_positions: list[int]
 
 
-def decode_greedy(image_feature: np.ndarray, model: CaptionModel, go_id: int, eos_id: int,
+def decode_greedy(image_feature: np.ndarray, snapshot: DecodeSnapshot, go_id: int, eos_id: int,
                   placeholder_id: int, max_steps: int) -> DecodeTrace:
     """Argmax decoding; the emitted token (placeholder included) feeds the
     next step. Ties break toward the lowest token id. Stops after <EOS>
-    or max_steps emissions."""
-    state = init_state(image_feature, model)
-    ids: list[int] = []
-    hiddens: list[np.ndarray] = []
-    placeholder_positions: list[int] = []
+    or max_steps emissions. A step is one gate-table row, one recurrent
+    product, one tanh over the gates, the cell update and one output
+    product. The cell states are range-checked once, after the last step.
+    """
+    h, c = init_state(image_feature, snapshot.weights)
+    table, w_h, w_out_t, b_out = snapshot.gate_table, snapshot.w_h, snapshot.w_out_t, snapshot.weights.b_out
+    nh = w_h.shape[0]
+    gates = np.empty(4 * nh, dtype=FLOAT)
+    o = gates[2 * nh:3 * nh]
+    ids, hiddens, cells = [], [], []
     tok = go_id
     for _ in range(max_steps):
-        hiddens.append(state.h)
-        x = model.embed[:, tok]
-        state = lstm_step(x, state, model.lstm_w, model.lstm_b)
-        logits = model.w_out @ state.h + model.b_out
-        tok = int(np.argmax(logits))
-        if tok == placeholder_id:
-            placeholder_positions.append(len(ids))
+        hiddens.append(h)
+        z = np.dot(h, w_h)
+        z += table[tok]
+        c = _cell(z, c, gates)
+        h = np.tanh(c)
+        h *= o
+        tok = int((np.dot(h, w_out_t) + b_out).argmax())
         ids.append(tok)
+        cells.append(c)
         if tok == eos_id:
             break
-    return DecodeTrace(ids=ids, hiddens=hiddens, placeholder_positions=placeholder_positions)
+    _check_cell(np.array(cells))
+    return DecodeTrace(ids=ids, hiddens=np.array(hiddens).reshape(len(ids), nh),
+                       placeholder_positions=[pos for pos, t in enumerate(ids) if t == placeholder_id])

@@ -100,7 +100,9 @@ def average_f1_over(records, captioner, words) -> float:
 def evaluate_split(split, captioner, known_words=(), mode: str = "",
                    split_hash: str = "") -> F1Report:
     """Score the test records: per-object F1 for every held-out word (and
-    the designated known words), averaged separately."""
+    the designated known words), averaged separately. A diverged model's
+    NumericError aborts the whole report: a report that skipped its failed
+    records would read as a weaker model, not a broken one."""
     held = list(split.held_out_words)
     known = [w for w in known_words if w not in split.held_out_words]
     per_object, diag = evaluate_records(split.test, captioner, held + known)

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import HeldOutSplit
-from .decoder import CaptionModel, backward_pass, decode_greedy, forward_teacher_forced, sequence_loss
+from .decoder import (CaptionModel, DecodeSnapshot, backward_pass, decode_greedy, forward_teacher_forced,
+                      sequence_loss)
 from .errors import NumericError
 from .memory import (Detection, build_memory, make_query, memory_loss_forward, memory_read,
                      read_loss_backward, select_top_detections)
@@ -207,15 +208,19 @@ def make_captioner(model: CaptionModel, vocab: Vocabulary, det_map: DetectableSe
     its filler: a memory read ("dnoc"), a seeded uniformly random
     top-detection label ("no-memory"), or nothing ("no-placeholder"). A
     placeholder without a word stays in the output as the literal token.
+
+    The captioner reads the model's weights once, here: it captions with
+    a snapshot of them, and later updates to ``model`` do not reach it.
     """
+    snapshot = DecodeSnapshot.of(model)
     if mode == "dnoc":
         def filler(rec):
-            mem = build_memory(rec.detections, cfg.n_det, model.key_dim, det_map.n_classes)
+            mem = build_memory(rec.detections, cfg.n_det, snapshot.weights.key_dim, det_map.n_classes)
             if mem.n == 0:
                 return None
 
             def fill(h_prev):
-                result, _ = memory_read(make_query(h_prev, model.w_query), mem, det_map)
+                result, _ = memory_read(make_query(h_prev, snapshot.weights.w_query), mem, det_map)
                 return result.argmax_word
             return fill
     elif mode == "no-memory":
@@ -234,7 +239,7 @@ def make_captioner(model: CaptionModel, vocab: Vocabulary, det_map: DetectableSe
     skip = {vocab.go_id, vocab.pad_id, vocab.eos_id}
 
     def captioner(rec):
-        trace = decode_greedy(rec.feature, model, vocab.go_id, vocab.eos_id,
+        trace = decode_greedy(rec.feature, snapshot, vocab.go_id, vocab.eos_id,
                               vocab.placeholder_id, cfg.max_steps)
         fill = filler(rec)
         placeholder_at = set(trace.placeholder_positions)

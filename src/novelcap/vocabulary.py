@@ -78,9 +78,6 @@ class Vocabulary:
             ids.append(self.eos_id)
         return ids
 
-    def decode(self, ids: list[int]) -> list[str]:
-        return [self.words[i] for i in ids]
-
     def save(self, path) -> None:
         """One word per line, line number = id. Round-trips bit-exact."""
         with open(path, "w", encoding="utf-8") as f:
@@ -133,9 +130,6 @@ class DetectableSet:
     def word_for_class(self, class_index: int) -> str:
         return self.class_words[class_index]
 
-    def is_novel(self, class_index: int) -> bool:
-        return self.class_word_ids[class_index] is None
-
     def class_for_word_id(self, word_id: int) -> int | None:
         return self._word_to_class.get(word_id)
 
@@ -180,14 +174,3 @@ def rewrite_targets(sentence: list[int], pd: DetectableSet) -> list[int]:
 def mask_weights(original: list[int], pd: DetectableSet) -> list[int]:
     """Binary per-step weights: 1 exactly where the original word is detectable."""
     return [1 if i in pd.pd_ids else 0 for i in original]
-
-
-def check_sequence(ids: list[int], vocab: Vocabulary) -> None:
-    """Validate the token-sequence invariants; raises DomainError on violation."""
-    for i in ids:
-        if not 0 <= i < vocab.size:
-            raise DomainError(f"vocabulary: token id {i} out of range for vocabulary of {vocab.size}")
-    if vocab.eos_id in ids:
-        tail = ids[ids.index(vocab.eos_id) + 1:]
-        if any(i != vocab.pad_id for i in tail):
-            raise DomainError("vocabulary: tokens other than <PAD> follow <EOS>")

@@ -6,9 +6,11 @@ import pytest
 from novelcap.checkpoint import load_checkpoint, save_checkpoint
 from novelcap.cli import main
 from novelcap.config import load_config
-from novelcap.data import load_dataset, load_manifest, make_world, save_world_config, split_from_manifest
+from novelcap.data import (load_dataset, load_manifest, make_world, save_dataset, save_world_config,
+                           split_from_manifest)
 from novelcap.decoder import CaptionModel
 from novelcap.evaluation import average_f1_over, read_report
+from novelcap.memory import Detection
 from novelcap.pipeline import make_captioner
 from novelcap.vocabulary import Vocabulary, intersect_detectable
 
@@ -223,6 +225,44 @@ class TestEvalAndSweep:
             assert code == 1
             err = capsys.readouterr().err
             assert "CheckpointError" in err and repr(name) in err, err
+
+
+def rewrite_dataset(cfg_path, edit):
+    """Apply ``edit`` to every loaded record and save the dataset back in place."""
+    path = load_config(cfg_path).dataset
+    records = load_dataset(path)
+    for rec in records:
+        edit(rec)
+    save_dataset(records, path)
+
+
+class TestDetectionChecks:
+    @pytest.mark.parametrize("mode", ["dnoc", "no-memory"])
+    def test_label_outside_class_names_names_record(self, trained, capsys, mode):
+        tmp_path, cfg_path = trained
+
+        def relabel(rec):
+            if rec.image_id == "synth-00005":
+                rec.detections[0] = Detection(rec.detections[0].feature, 99, rec.detections[0].score)
+        rewrite_dataset(cfg_path, relabel)
+        assert main(["eval", "--config", cfg_path, "--mode", mode]) == 1
+        err = capsys.readouterr().err
+        assert "SchemaError" in err and "record 'synth-00005' has detection label 99" in err, err
+
+    @pytest.mark.parametrize("command", [["eval", "--mode", "no-memory"],
+                                         ["caption", "--image-id", "synth-00000"],
+                                         ["sweep-ndet", "--values", "1,2"]],
+                             ids=["eval", "caption", "sweep-ndet"])
+    def test_detection_length_must_match_key_dim(self, trained, capsys, command):
+        tmp_path, cfg_path = trained
+
+        def shorten(rec):
+            rec.detections = [Detection(d.feature[:6], d.label, d.score) for d in rec.detections]
+        rewrite_dataset(cfg_path, shorten)
+        assert main(command[:1] + ["--config", cfg_path] + command[1:]) == 1
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert "SchemaError" in captured.err and "key_dim 8" in captured.err, captured.err
 
 
 class TestListFlags:

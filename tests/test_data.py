@@ -3,7 +3,8 @@ import pytest
 
 from novelcap.data import (DEFAULT_HELD_OUT, DEFAULT_INVENTORY, DatasetRecord, build_heldout_split,
                            generate_synthetic, load_dataset, load_manifest, load_world_config,
-                           make_world, record_mentions, save_dataset, save_world_config)
+                           make_world, record_mentions, save_dataset, save_world_config,
+                           split_from_manifest)
 from novelcap.errors import CoverageError, DomainError, ParseError, SchemaError
 from novelcap.memory import Detection
 
@@ -189,6 +190,15 @@ class TestManifest:
                         '"train": [], "val": [], "test": []}\n')
         with pytest.raises(SchemaError, match="'bus' is listed twice"):
             load_manifest(path)
+
+    def test_detection_label_outside_class_names_names_record(self):
+        records = generate_synthetic(small_world(), 4)
+        manifest = {"held_out_words": [], "class_names": list(small_world().names),
+                    "train": [r.image_id for r in records], "val": [], "test": []}
+        assert split_from_manifest(records, manifest).train == records
+        records[2].detections[-1] = Detection(np.zeros(8), 6, 0.5)  # 6 classes: 0..5
+        with pytest.raises(SchemaError, match=f"record '{records[2].image_id}' has detection label 6"):
+            split_from_manifest(records, manifest)
 
 
 class TestWorldConfig:

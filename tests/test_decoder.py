@@ -1,12 +1,14 @@
+import importlib.util
 import logging
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from novelcap.decoder import (CaptionModel, LstmState, decode_greedy,
-                              forward_teacher_forced, init_state, lstm_step, sequence_loss)
-from novelcap.errors import DomainError, ShapeError
+from novelcap.decoder import (CaptionModel, DecodeSnapshot, _cell, _halve_sigmoid_gates, decode_greedy,
+                              forward_teacher_forced, init_state, sequence_loss)
+from novelcap.errors import DomainError, NumericError, ShapeError
 from novelcap.vocabulary import build_vocabulary
 
 
@@ -24,24 +26,24 @@ class TestInitState:
         m = tiny_model(v)
         m.w_img[...] = 0.0
         m.b_img[...] = 0.3
-        s = init_state(np.zeros(7), m)
-        assert np.allclose(s.h, np.tanh(0.3))
-        assert np.array_equal(s.c, np.zeros(6))
+        h, c = init_state(np.zeros(7), m)
+        assert np.allclose(h, np.tanh(0.3))
+        assert np.array_equal(c, np.zeros(6))
 
     def test_all_zero_parameters(self):
         v = tiny_vocab()
         m = tiny_model(v)
         m.w_img[...] = 0.0
         m.b_img[...] = 0.0
-        s = init_state(np.random.default_rng(0).normal(size=7), m)
-        assert np.array_equal(s.h, np.zeros(6))
+        h, _ = init_state(np.random.default_rng(0).normal(size=7), m)
+        assert np.array_equal(h, np.zeros(6))
 
     def test_deterministic(self):
         v = tiny_vocab()
         m = tiny_model(v)
         f = np.random.default_rng(1).normal(size=7)
-        a, b = init_state(f, m), init_state(f, m)
-        assert np.array_equal(a.h, b.h) and np.array_equal(a.c, b.c)
+        (ha, ca), (hb, cb) = init_state(f, m), init_state(f, m)
+        assert np.array_equal(ha, hb) and np.array_equal(ca, cb)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
@@ -50,9 +52,9 @@ class TestInitState:
     def test_cell_init_flag(self):
         v = tiny_vocab()
         m = tiny_model(v)
-        s = init_state(np.ones(7), m)
-        assert not np.array_equal(s.c, np.zeros(6))
-        assert np.array_equal(s.c, np.tanh(m.w_img_cell @ np.ones(7) + m.b_img_cell))
+        _, c = init_state(np.ones(7), m)
+        assert not np.array_equal(c, np.zeros(6))
+        assert np.array_equal(c, np.tanh(m.w_img_cell @ np.ones(7) + m.b_img_cell))
 
 
 def scalar_lstm_oracle(x, h_prev, c_prev, w, b):
@@ -73,25 +75,47 @@ def scalar_lstm_oracle(x, h_prev, c_prev, w, b):
     return h, c
 
 
+def one_step_snapshot(x, h_prev, c_prev, w, b, vocab_size=3, go_id=0):
+    """The snapshot of a model whose first decode step, from a zero one-entry
+    image feature and <GO> = ``go_id``, is the LSTM update of input ``x``
+    from state (``h_prev``, ``c_prev``) under weights ``w`` (gate order i, f,
+    o, g) and ``b``. The logits always pick ``go_id``, so decoding goes on."""
+    m = CaptionModel(vocab_size, hidden_size=len(h_prev), embed_size=len(x), image_dim=1, key_dim=1)
+    m.theta[:] = 0.0
+    m.embed[:, go_id] = x
+    m.lstm_w[...], m.lstm_b[...] = w, b
+    m.b_img[...], m.b_img_cell[...] = np.arctanh(h_prev), np.arctanh(c_prev)
+    m.b_out[go_id] = 1.0
+    return DecodeSnapshot.of(m)
+
+
+def decode_one_step(snapshot):
+    """The hidden state after the first decode step."""
+    trace = decode_greedy(np.zeros(1), snapshot, go_id=0, eos_id=1, placeholder_id=2, max_steps=2)
+    return trace.hiddens[1]
+
+
 class TestLstmStep:
+    """The cell update (``_cell``) and the greedy decode step built on it."""
+
     def test_all_zero(self):
-        state = LstmState(np.zeros(4), np.zeros(4))
-        w = np.zeros((16, 3 + 4))
-        b = np.zeros(16)
-        out = lstm_step(np.zeros(3), state, w, b)
-        assert np.array_equal(out.h, np.zeros(4))
-        assert np.array_equal(out.c, np.zeros(4))
+        gates = np.empty(16)
+        c = _cell(np.zeros(16), np.zeros(4), gates)
+        assert np.array_equal(c, np.zeros(4))
+        assert np.array_equal(gates, [0.5] * 12 + [0.0] * 4)
+        snapshot = one_step_snapshot(np.zeros(3), np.zeros(4), np.zeros(4),
+                                     np.zeros((16, 7)), np.zeros(16))
+        assert np.array_equal(decode_one_step(snapshot), np.zeros(4))
 
     def test_memory_retention_at_forget_saturation(self):
         # huge forget bias, hugely negative input bias: c carries over
         nh = 4
-        state = LstmState(np.zeros(nh), np.array([0.5, -0.25, 1.0, 0.0]))
-        w = np.zeros((4 * nh, 2 + nh))
+        c_prev = np.array([0.5, -0.25, 1.0, 0.0])
         b = np.zeros(4 * nh)
         b[nh:2 * nh] = 30.0
         b[:nh] = -30.0
-        out = lstm_step(np.zeros(2), state, w, b)
-        assert np.allclose(out.c, state.c, atol=1e-9)
+        c = _cell(_halve_sigmoid_gates(b), c_prev, np.empty(4 * nh))
+        assert np.allclose(c, c_prev, atol=1e-9)
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(5)
@@ -99,22 +123,32 @@ class TestLstmStep:
         w = rng.uniform(-0.7, 0.7, (4 * nh, nx + nh))
         b = rng.uniform(-0.5, 0.5, 4 * nh)
         x = rng.normal(size=nx)
-        state = LstmState(rng.normal(size=nh), rng.normal(size=nh))
-        out = lstm_step(x, state, w, b)
-        h_ref, c_ref = scalar_lstm_oracle(x, state.h, state.c, w, b)
-        assert np.all(np.abs(out.h - np.array(h_ref)) < 1e-12)
-        assert np.all(np.abs(out.c - np.array(c_ref)) < 1e-12)
+        h_prev, c_prev = rng.uniform(-0.9, 0.9, nh), rng.uniform(-0.9, 0.9, nh)
+        h_ref, c_ref = scalar_lstm_oracle(x, h_prev, c_prev, w, b)
+        gates = np.empty(4 * nh)
+        c = _cell(_halve_sigmoid_gates(w @ np.concatenate([x, h_prev]) + b), c_prev, gates)
+        assert np.all(np.abs(c - np.array(c_ref)) < 1e-12)
+        assert np.all(np.abs(gates[2 * nh:3 * nh] * np.tanh(c) - np.array(h_ref)) < 1e-12)
+        h = decode_one_step(one_step_snapshot(x, h_prev, c_prev, w, b))
+        assert np.all(np.abs(h - np.array(h_ref)) < 1e-12)
 
     def test_cell_sanity_bound_enforced(self):
-        from novelcap.errors import NumericError
-        state = LstmState(np.zeros(2), np.full(2, 49.9))
-        w = np.zeros((8, 3))
-        b = np.zeros(8)
-        b[2:4] = 30.0  # forget gate saturated open: c carries and exceeds 50
-        b[:2] = 30.0   # input gate open
-        b[6:] = 30.0   # candidate saturated at +1
+        # input and forget gates saturated open, candidate at +1: c gains 1 a step
+        # from c0 = 0 and leaves the sane range at the 50th step
+        v = tiny_vocab()
+        snapshot = DecodeSnapshot.of(saturated_cell_model(v))
+        decode_greedy(np.zeros(7), snapshot, v.go_id, v.eos_id, v.placeholder_id, max_steps=45)
         with pytest.raises(NumericError):
-            lstm_step(np.zeros(1), state, w, b)
+            decode_greedy(np.zeros(7), snapshot, v.go_id, v.eos_id, v.placeholder_id, max_steps=60)
+
+
+def saturated_cell_model(vocab):
+    """A model whose cell state grows by one per decode step and never emits <EOS>."""
+    m = CaptionModel(vocab.size, hidden_size=2, embed_size=1, image_dim=7, key_dim=2, seed=0)
+    m.theta[:] = 0.0
+    m.lstm_b[:2] = m.lstm_b[2:4] = m.lstm_b[6:] = 30.0
+    m.b_out[vocab.index["a"]] = 1.0
+    return m
 
 
 def forward_one(targets, m, v, max_steps=None):
@@ -184,6 +218,31 @@ class TestForwardTeacherForced:
             alone = forward_teacher_forced([seq], features[b:b + 1], m, v.go_id, v.pad_id)
             assert np.max(np.abs(cache.logits[:len(seq), b] - alone.logits[:, 0])) < 1e-12
 
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_states_equal_unscaled_two_call_activation(self, batch):
+        # the sigmoid gates activated as (1 + tanh(z/2)) / 2 and the candidate as tanh(z),
+        # from unhalved weights: halving the weights instead is exact
+        v = tiny_vocab()
+        m = tiny_model(v, seed=6)
+        rng = np.random.default_rng(6)
+        m.theta[:] = rng.uniform(-0.8, 0.8, m.theta.size)
+        seqs = [list(rng.integers(0, v.size, n)) for n in (5, 2, 4)[:batch]]
+        cache = forward_teacher_forced(seqs, rng.normal(size=(batch, 7)), m, v.go_id, v.pad_id)
+        e, nh = m.embed_size, m.hidden_size
+        zx = (cache.x.reshape(-1, e) @ m.lstm_w[:, :e].T + m.lstm_b).reshape(cache.gates.shape)
+        gates, h, c = np.empty_like(cache.gates), np.empty_like(cache.h), np.empty_like(cache.c)
+        h[0] = np.tanh(cache.features @ m.w_img.T + m.b_img)
+        c[0] = np.tanh(cache.features @ m.w_img_cell.T + m.b_img_cell)
+        for t in cache.steps:
+            z = zx[t] + h[t] @ m.lstm_w[:, e:].T
+            gates[t, :, :3 * nh] = 0.5 * (1.0 + np.tanh(0.5 * z[:, :3 * nh]))
+            gates[t, :, 3 * nh:] = np.tanh(z[:, 3 * nh:])
+            c[t + 1] = gates[t, :, nh:2 * nh] * c[t] + gates[t, :, :nh] * gates[t, :, 3 * nh:]
+            h[t + 1] = gates[t, :, 2 * nh:3 * nh] * np.tanh(c[t + 1])
+        assert np.array_equal(cache.gates, gates)
+        assert np.array_equal(cache.c, c)
+        assert np.array_equal(cache.h, h)
+
     def test_feature_count_must_match_batch(self):
         v = tiny_vocab()
         with pytest.raises(ShapeError):
@@ -220,17 +279,20 @@ def rigged_eos_model(vocab):
     return m
 
 
+def decode(feature, model, vocab, max_steps=15):
+    return decode_greedy(feature, DecodeSnapshot.of(model), vocab.go_id, vocab.eos_id,
+                         vocab.placeholder_id, max_steps)
+
+
 class TestDecodeGreedy:
     def test_zero_max_steps(self):
         v = tiny_vocab()
-        trace = decode_greedy(np.zeros(7), tiny_model(v), v.go_id, v.eos_id,
-                              v.placeholder_id, max_steps=0)
-        assert trace.ids == [] and trace.hiddens == [] and trace.placeholder_positions == []
+        trace = decode(np.zeros(7), tiny_model(v), v, max_steps=0)
+        assert trace.ids == [] and trace.hiddens.shape == (0, 6) and trace.placeholder_positions == []
 
     def test_rigged_eos_bias_stops_immediately(self):
         v = tiny_vocab()
-        trace = decode_greedy(np.zeros(7), rigged_eos_model(v), v.go_id, v.eos_id,
-                              v.placeholder_id, max_steps=15)
+        trace = decode(np.zeros(7), rigged_eos_model(v), v)
         assert trace.ids == [v.eos_id]
         assert len(trace.hiddens) == 1
 
@@ -238,7 +300,7 @@ class TestDecodeGreedy:
         v = tiny_vocab()
         m = tiny_model(v, seed=4)
         m.b_out[v.placeholder_id] = 5.0  # placeholder-happy model
-        trace = decode_greedy(np.ones(7), m, v.go_id, v.eos_id, v.placeholder_id, max_steps=6)
+        trace = decode(np.ones(7), m, v, max_steps=6)
         assert trace.placeholder_positions == [i for i, t in enumerate(trace.ids)
                                                if t == v.placeholder_id]
         assert len(trace.hiddens) == len(trace.ids)
@@ -247,19 +309,23 @@ class TestDecodeGreedy:
         v = tiny_vocab()
         m = tiny_model(v, seed=2)
         f = np.random.default_rng(3).normal(size=7)
-        a = decode_greedy(f, m, v.go_id, v.eos_id, v.placeholder_id, 15)
-        b = decode_greedy(f, m, v.go_id, v.eos_id, v.placeholder_id, 15)
-        assert a.ids == b.ids
+        assert decode(f, m, v).ids == decode(f, m, v).ids
 
     def test_argmax_invariant_to_positive_logit_scaling(self):
         v = tiny_vocab()
         m = tiny_model(v, seed=2)
         f = np.random.default_rng(3).normal(size=7)
-        before = decode_greedy(f, m, v.go_id, v.eos_id, v.placeholder_id, 15).ids
+        before = decode(f, m, v).ids
         m.w_out *= 7.0
         m.b_out *= 7.0
-        after = decode_greedy(f, m, v.go_id, v.eos_id, v.placeholder_id, 15).ids
-        assert before == after
+        assert decode(f, m, v).ids == before
+
+    def test_nan_cell_state_raises(self):
+        v = tiny_vocab()
+        m = tiny_model(v, seed=2)
+        m.embed[:, v.go_id] = np.nan  # the first step's cell state turns NaN
+        with pytest.raises(NumericError):
+            decode(np.ones(7), m, v)
 
 
 class TestModelPlumbing:
@@ -318,3 +384,66 @@ class TestModelPlumbing:
         nh = m.hidden_size
         assert np.all(m.lstm_b[nh:2 * nh] == 1.0)
         assert np.all(m.lstm_b[:nh] == 0.0)
+
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+ORACLE_SEEDS = range(101, 111)
+
+
+def load_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads_oracle", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def reference_decode(feature, model, go_id, eos_id, max_steps):
+    """Greedy decoding with one concatenate-and-product LSTM step per
+    emission, the sigmoid gates and the candidate activated by two calls:
+    the reference the gate-table decode is held to. Returns the ids, the
+    pre-step hidden states and each step's logits."""
+    nh = model.hidden_size
+    h = np.tanh(feature @ model.w_img.T + model.b_img)
+    c = np.tanh(feature @ model.w_img_cell.T + model.b_img_cell)
+    ids, hiddens, logits = [], [], []
+    tok = go_id
+    for _ in range(max_steps):
+        hiddens.append(h)
+        z = model.lstm_w @ np.concatenate([model.embed[:, tok], h]) + model.lstm_b
+        sig = 0.5 * (1.0 + np.tanh(0.5 * z[:3 * nh]))
+        c = sig[nh:2 * nh] * c + sig[:nh] * np.tanh(z[3 * nh:])
+        h = sig[2 * nh:] * np.tanh(c)
+        logits.append(model.w_out @ h + model.b_out)
+        tok = int(np.argmax(logits[-1]))
+        ids.append(tok)
+        if tok == eos_id:
+            break
+    return ids, hiddens, logits
+
+
+def test_gate_table_decode_matches_reference_on_caption_workload(tmp_path):
+    """Every record the caption workload captions first at seeds 101-110,
+    decoded by the trained caption-workload model: equal ids and hidden
+    states within 1e-12. A flipped argmax fails the test and is listed with
+    its reference logit margin."""
+    wl = load_workloads()
+    corpus = wl.build_corpus(tmp_path, wl.N_IMAGES, (1, 1), wl.WORLD["distractors"])
+    model = CaptionModel.from_params(wl.train(corpus, wl.Checks()).params)
+    v, max_steps = corpus.vocab, corpus.cfg.max_steps
+    snapshot = DecodeSnapshot.of(model)
+    flips, worst, n_records = [], 0.0, 0
+    for seed in ORACLE_SEEDS:
+        for rec in corpus.draw(seed, 0, wl.CAPTION_RECORDS).test:
+            ids, hiddens, logits = reference_decode(rec.feature, model, v.go_id, v.eos_id, max_steps)
+            trace = decode_greedy(rec.feature, snapshot, v.go_id, v.eos_id, v.placeholder_id, max_steps)
+            n_records += 1
+            if trace.ids != ids:
+                t = next(t for t, (a, b) in enumerate(zip(trace.ids, ids)) if a != b)
+                margin = logits[t][ids[t]] - logits[t][trace.ids[t]]
+                flips.append(f"seed {seed} {rec.image_id} step {t}: {trace.ids[t]} for {ids[t]}, "
+                             f"reference margin {margin:.3g}")
+                continue
+            worst = max(worst, float(np.max(np.abs(trace.hiddens - np.array(hiddens)))))
+    assert n_records == len(ORACLE_SEEDS) * wl.CAPTION_RECORDS
+    assert not flips, f"{len(flips)} argmax flips:\n" + "\n".join(flips)
+    assert worst < 1e-12, worst

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from novelcap import pipeline
 from novelcap.config import RunConfig
-from novelcap.data import DatasetRecord, generate_synthetic, make_world
+from novelcap.data import DatasetRecord, HeldOutSplit, generate_synthetic, make_world
 from novelcap.decoder import (CELL_SANITY_BOUND, PARAM_NAMES, CaptionModel, DecodeTrace,
                               forward_teacher_forced)
+from novelcap.evaluation import evaluate_split
 from novelcap.errors import NumericError
 from novelcap.memory import Detection
 from novelcap.numerics import AdamState, adam_step
@@ -340,6 +341,45 @@ class TestCaptionImage:
         for rec in records[:10]:
             tokens = caption(model, vocab, det_map, rec).tokens
             assert "<GO>" not in tokens and "<PAD>" not in tokens
+
+
+class TestCaptionerSnapshot:
+    def test_captioner_keeps_the_weights_it_was_made_with(self):
+        _, records, vocab, det_map = small_setup()
+        model = fresh_model(vocab, seed=5)
+        cfg = RunConfig(n_det=4, max_steps=15)
+        made_before = make_captioner(model, vocab, det_map, cfg, "dnoc")
+        frozen = CaptionModel.from_params({k: p.copy() for k, p in model.params().items()})
+        opt = fresh_opt(model, lr=0.05)
+        for _ in range(3):
+            train_step(record_batch(records[:8], vocab), model, det_map, opt, vocab, n_det=4)
+        made_after = make_captioner(model, vocab, det_map, cfg, "dnoc")
+        reference = make_captioner(frozen, vocab, det_map, cfg, "dnoc")
+        captions = [made_before(rec) for rec in records[:10]]
+        assert captions == [reference(rec) for rec in records[:10]]
+        assert captions != [made_after(rec) for rec in records[:10]]
+
+
+def diverged_models(vocab):
+    """A model whose decode cell state leaves the sane range, and one that turns NaN."""
+    runaway = CaptionModel(vocab.size, hidden_size=2, embed_size=1, image_dim=8, key_dim=8, seed=0)
+    runaway.theta[:] = 0.0
+    runaway.lstm_b[:4] = runaway.lstm_b[6:] = 30.0  # input, forget open; candidate +1: c gains 1 a step
+    runaway.b_out[vocab.index["a"]] = 1.0  # never <EOS>
+    nan = fresh_model(vocab, seed=5)
+    nan.lstm_w[0, 0] = np.nan
+    return {"past-bound": runaway, "nan": nan}
+
+
+@pytest.mark.parametrize("kind", ["past-bound", "nan"])
+def test_diverged_model_aborts_evaluate_split(kind):
+    # the whole report fails: a diverged model never yields a caption or a score
+    _, records, vocab, det_map = small_setup()
+    captioner = make_captioner(diverged_models(vocab)[kind], vocab, det_map,
+                               RunConfig(n_det=4, max_steps=60), "dnoc")
+    split = HeldOutSplit(train=[], val=[], test=records[:5], held_out_words=("bus",))
+    with pytest.raises(NumericError, match="cell state"):
+        evaluate_split(split, captioner)
 
 
 class TestNoMemoryAblation:
