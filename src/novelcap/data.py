@@ -303,8 +303,10 @@ def load_dataset(path) -> list[DatasetRecord]:
                 raise ParseError(f"data: line {line_no}: malformed record ({e.msg})") from e
             dim = _validate_record_dict(d, line_no, dim)
             try:
+                if any(type(x["label"]) is not int for x in d["detections"]):  # nor is a bool
+                    raise TypeError("a detection label is not a JSON integer")
                 dets = [Detection(feature=np.asarray(x["feature"], dtype=FLOAT),
-                                  label=int(x["label"]), score=float(x["score"]))
+                                  label=x["label"], score=float(x["score"]))
                         for x in d["detections"]]
                 rec = DatasetRecord(image_id=str(d["image_id"]),
                                     feature=np.asarray(d["feature"], dtype=FLOAT),

@@ -49,7 +49,9 @@ class CaptionModel:
 
     def _allocate(self, shapes: dict[str, tuple[int, ...]]) -> None:
         self.shapes = shapes
-        self.theta = np.zeros(sum(math.prod(s) for s in shapes.values()), dtype=FLOAT)
+        ends = np.cumsum([math.prod(s) for s in shapes.values()]).tolist()
+        self._slices = {name: (a, b, s) for (name, s), a, b in zip(shapes.items(), [0] + ends, ends)}
+        self.theta = np.zeros(ends[-1], dtype=FLOAT)
         self.__dict__.update(self.views(self.theta))
 
     def views(self, vec: np.ndarray) -> dict[str, np.ndarray]:
@@ -59,8 +61,7 @@ class CaptionModel:
         if vec.shape != self.theta.shape:
             raise ShapeError(f"decoder: vector of shape {vec.shape} is not laid out like theta "
                              f"{self.theta.shape}")
-        parts = np.split(vec, np.cumsum([math.prod(s) for s in self.shapes.values()])[:-1])
-        return {name: part.reshape(shape) for (name, shape), part in zip(self.shapes.items(), parts)}
+        return {name: vec[start:end].reshape(shape) for name, (start, end, shape) in self._slices.items()}
 
     def copy(self) -> "CaptionModel":
         """A model with its own copy of ``theta``."""
@@ -297,9 +298,8 @@ def backward_pass(model: CaptionModel, cache: ForwardCache, dlogits: np.ndarray,
     dh_in[:-1] += dq @ model.w_query
     i, f, o, g = (cache.gates[..., k * nh:(k + 1) * nh] for k in range(4))
     # dz = [dc, dc, dh, dc] * local, gate by gate, with dc the total cell gradient
-    local = np.concatenate([g * i * (1.0 - i), cache.c[:-1] * f * (1.0 - f),
-                            cache.c_tanh * o * (1.0 - o), i * (1.0 - g * g)], axis=-1)
-    local = local.reshape(n_steps, batch, 4, nh)
+    local = np.stack([g * i * (1.0 - i), cache.c[:-1] * f * (1.0 - f),
+                      cache.c_tanh * o * (1.0 - o), i * (1.0 - g * g)], axis=2)
     o_dtanh = o * (1.0 - cache.c_tanh ** 2)
     w_h = model.lstm_w[:, e:]
     dz = np.empty((n_steps, batch, 4, nh), dtype=FLOAT)
@@ -314,8 +314,10 @@ def backward_pass(model: CaptionModel, cache: ForwardCache, dlogits: np.ndarray,
     dz = rows(dz)
     grad = np.zeros_like(model.theta)
     g = model.views(grad)
-    np.add.at(g["embed"].T, cache.input_ids.ravel(), dz @ model.lstm_w[:, :e])
-    g["lstm_w"][...] = dz.T @ rows(np.concatenate([cache.x, cache.hiddens], axis=-1))
+    one_hot = np.arange(model.vocab_size)[:, None] == cache.input_ids.ravel()
+    g["embed"].T[...] = one_hot @ (dz @ model.lstm_w[:, :e])
+    g["lstm_w"][:, :e] = dz.T @ rows(cache.x)
+    g["lstm_w"][:, e:] = dz.T @ rows(cache.hiddens)
     g["lstm_b"][...] = dz.sum(axis=0)
     g["w_out"][...] = rows(dlogits).T @ rows(cache.h[1:])
     g["b_out"][...] = rows(dlogits).sum(axis=0)

@@ -106,90 +106,73 @@ def make_query(h_prev: np.ndarray, w_query: np.ndarray) -> np.ndarray:
     return w_query @ h_prev
 
 
-def _address(q: np.ndarray, mem: ObjectMemory) -> tuple[np.ndarray, np.ndarray]:
-    """Slot weights softmax(K q) and the class distribution they mix into."""
-    if mem.n == 0:
-        raise EmptyMemoryError("memory: read on an empty memory")
-    weights = softmax(mem.keys @ q)
-    return weights, np.bincount(mem.labels, weights, minlength=mem.n_classes)
-
-
 def memory_read(q: np.ndarray, mem: ObjectMemory, det_map=None) -> tuple[QueryResult, np.ndarray]:
     """Content-based read: similarity, addressing weights, mixed class scores.
 
     Returns the QueryResult and the class distribution it was read from.
     Argmax ties break toward the lowest class index.
     """
-    _, distribution = _address(q, mem)
+    if mem.n == 0:
+        raise EmptyMemoryError("memory: read on an empty memory")
+    distribution = np.bincount(mem.labels, softmax(mem.keys @ q), minlength=mem.n_classes)
     argmax_class = int(np.argmax(distribution))  # np.argmax takes the first (lowest) index on ties
     word = det_map.word_for_class(argmax_class) if det_map is not None else None
     return QueryResult(distribution=distribution, argmax_class=argmax_class, argmax_word=word), distribution
 
 
 @dataclass
-class ReadCache:
-    """Forward intermediates one read needs for its backward pass."""
+class LossReads:
+    """A batch's loss reads, one row per read, as the backward pass needs them."""
 
-    weights: np.ndarray
-    target_prob: float
-    target_class: int
-    step: int
+    steps: np.ndarray  # (M,) time step of each read
+    rows: np.ndarray  # (M,) batch row (example) of each read
+    keys: np.ndarray  # (M, n_det, key_dim) slot keys of the memory read
+    dsims: np.ndarray  # (M, n_det) gradient of each read's loss w.r.t. its slot similarities
 
-
-def read_loss_forward(q: np.ndarray, mem: ObjectMemory, target_class: int,
-                      step: int) -> tuple[float, ReadCache]:
-    """Cross-entropy of one read against the annotated class."""
-    weights, distribution = _address(q, mem)
-    p = distribution[target_class]
-    return float(-np.log(p)), ReadCache(weights=weights, target_prob=p,
-                                        target_class=target_class, step=step)
+    def __len__(self) -> int:
+        return len(self.steps)
 
 
-def read_loss_backward(cache: ReadCache, mem: ObjectMemory, scale: float = 1.0) -> np.ndarray:
-    """Gradient of the read loss w.r.t. the query.
+def memory_loss_forward(hiddens: np.ndarray, original: np.ndarray, mask: np.ndarray, det_map,
+                        memories: list[ObjectMemory], w_query: np.ndarray) -> tuple[float, LossReads]:
+    """Masked memory loss over a time-major batch, every read at once.
 
-    ``scale`` multiplies the loss (batch averaging).
+    ``hiddens`` (T, B, hidden) are the pre-step hidden states, ``original``
+    (T, B) the word ids before rewriting, ``mask`` their T*B weights
+    flattened, and ``memories`` one memory per batch row, of one capacity.
+    Each masked step queries its row's memory with its hidden state; the
+    loss is the cross-entropy of the read against the original word's
+    class. Steps whose word has no class, whose memory is empty, or whose
+    class has no slot (probability exactly zero) are skipped and logged.
     """
-    # loss = -log(sum of weights on slots labeled target)
-    w = cache.weights
-    dalpha = np.where(mem.labels == cache.target_class, -1.0 / cache.target_prob, 0.0)
-    dsims = w * (dalpha - float(w @ dalpha))
-    dsims = dsims * scale
-    return mem.keys.T @ dsims
+    steps, rows = np.divmod(np.flatnonzero(mask), len(memories))
+    words = original[steps, rows]
+    classes = np.array([-1 if c is None else c for c in map(det_map.class_for_word_id, words.tolist())])
+    filled = np.arange(memories[0].capacity) < np.array([mem.n for mem in memories])[rows, None]
+    hits = (np.array([mem._labels for mem in memories])[rows] == classes[:, None]) & filled
+    read = hits.any(axis=1)
+    if not read.all():
+        for t, word, cls, empty in zip(steps[~read], words[~read], classes[~read], ~filled[~read, 0]):
+            if cls < 0:
+                log.warning("memory: masked word id %d at step %d has no detection class; step skipped",
+                            word, t)
+            elif empty:
+                log.warning("memory: no detections available for a masked step; step skipped")
+            else:  # expected when the annotated object fell below the top-n_det cut
+                log.debug("memory: class %d absent from memory slots at step %d; step skipped", cls, t)
+        steps, rows, filled, hits = steps[read], rows[read], filled[read], hits[read]
+    keys = np.array([mem._keys for mem in memories])[rows]
+    queries = hiddens[steps, rows] @ w_query.T
+    sims = np.where(filled, np.matmul(keys, queries[:, :, None])[..., 0], -np.inf)
+    w = softmax(sims)
+    target_prob = (w * hits).sum(axis=1)
+    # loss = -log(target_prob), the summed weight of the slots labeled target
+    dalpha = np.where(hits, -1.0 / target_prob[:, None], 0.0)
+    dsims = w * (dalpha - (w * dalpha).sum(axis=1, keepdims=True))
+    return float((-np.log(target_prob)).sum()), LossReads(steps, rows, keys, dsims)
 
 
-def memory_loss_forward(hiddens: list[np.ndarray], original: list[int], a: list[int],
-                        det_map, mem: ObjectMemory,
-                        w_query: np.ndarray) -> tuple[float, list[ReadCache]]:
-    """Masked memory loss over one sentence.
-
-    For each step with a[t] = 1: query from the pre-step hidden state,
-    read the memory, cross-entropy against the class of the original
-    word. Steps whose word has no detection class, or whose class has no
-    slot in the memory (its probability would be exactly zero), are
-    skipped with a warning.
-    """
-    total = 0.0
-    caches: list[ReadCache] = []
-    for t, weight in enumerate(a):
-        if not weight:
-            continue
-        target_class = det_map.class_for_word_id(original[t])
-        if target_class is None:
-            log.warning("memory: masked word id %d at step %d has no detection class; step skipped",
-                        original[t], t)
-            continue
-        if mem.n == 0:
-            log.warning("memory: no detections available for a masked step; step skipped")
-            continue
-        if target_class not in mem.labels:
-            # expected when the annotated object fell below the top-n_det
-            # cut; its mixed probability would be exactly zero
-            log.debug("memory: class %d absent from memory slots at step %d; step skipped",
-                      target_class, t)
-            continue
-        q = make_query(hiddens[t], w_query)
-        loss, cache = read_loss_forward(q, mem, target_class, step=t)
-        total += loss
-        caches.append(cache)
-    return total, caches
+def read_loss_backward(reads: LossReads, scale: float = 1.0) -> np.ndarray:
+    """Gradient of each read's loss w.r.t. its query, one (M, key_dim) row
+    per read; ``scale`` multiplies the loss (batch averaging)."""
+    return np.matmul((reads.dsims * scale)[:, None, :], reads.keys)[:, 0]

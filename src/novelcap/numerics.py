@@ -6,7 +6,7 @@ arrays; gradients are hand-derived by the callers and verified here
 with ``finite_diff_check``.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,13 +21,13 @@ ADAM_EPS = 1e-8
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
-    """Stable softmax: invariant to adding a constant to every entry."""
+    """Stable softmax over the last axis; an entry of -inf gets weight zero."""
     x = np.asarray(x, dtype=FLOAT)
-    if x.size == 0:
+    if x.shape[-1:] in ((), (0,)):
         raise DomainError("numerics: softmax of an empty vector")
-    shifted = x - x.max()
+    shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def cross_entropy(logits: np.ndarray, target) -> tuple[float, np.ndarray]:
@@ -66,6 +66,10 @@ class AdamState:
     step: int = 0
     lr: float = 1e-3
     weight_decay: float = 0.0
+    work: np.ndarray = field(init=False, repr=False, compare=False)  # a step's full-size temporaries
+
+    def __post_init__(self):
+        self.work = np.empty((3,) + self.m.shape, dtype=FLOAT)
 
     @classmethod
     def for_param(cls, param: np.ndarray, lr: float = 1e-3, weight_decay: float = 0.0) -> "AdamState":
@@ -74,19 +78,22 @@ class AdamState:
 
 
 def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected Adam update, in place on ``param`` and ``state``."""
+    """One bias-corrected Adam update, in place on ``param``, ``state`` and ``state.work``."""
     if param.shape != grad.shape or param.shape != state.m.shape:
         raise ShapeError(
             f"numerics: adam_step shapes disagree: param {param.shape}, grad {grad.shape}, state {state.m.shape}")
     state.step += 1
-    g = grad + state.weight_decay * param if state.weight_decay != 0.0 else grad
+    a, b, g = state.work
+    if state.weight_decay != 0.0:
+        grad = np.add(grad, np.multiply(state.weight_decay, param, out=g), out=g)
     state.m *= ADAM_BETA1
-    state.m += (1.0 - ADAM_BETA1) * g
+    state.m += np.multiply(1.0 - ADAM_BETA1, grad, out=a)
     state.v *= ADAM_BETA2
-    state.v += (1.0 - ADAM_BETA2) * (g * g)
-    m_hat = state.m / (1.0 - ADAM_BETA1 ** state.step)
-    v_hat = state.v / (1.0 - ADAM_BETA2 ** state.step)
-    param -= state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    state.v += np.multiply(1.0 - ADAM_BETA2, np.multiply(grad, grad, out=a), out=a)
+    m_hat = np.divide(state.m, 1.0 - ADAM_BETA1 ** state.step, out=a)
+    v_hat = np.divide(state.v, 1.0 - ADAM_BETA2 ** state.step, out=b)
+    denom = np.add(np.sqrt(v_hat, out=b), ADAM_EPS, out=b)
+    param -= np.divide(np.multiply(state.lr, m_hat, out=a), denom, out=a)
     if not np.all(np.isfinite(param)):
         raise NumericError("numerics: adam_step produced non-finite parameter entries")
     return param, state

@@ -1,8 +1,8 @@
 """End-to-end orchestration: joint training and three-step captioning.
 
 Training: rewrite targets, run the teacher-forced decoder once over the
-padded batch, read each image's detection memory at its masked steps,
-and apply Adam to the summed gradients of both losses in one update.
+padded batch, read the memories of all masked steps in one pass, and
+apply Adam to the summed gradients of both losses in one update.
 
 Captioning: (i) decode greedily, emitting placeholders; (ii) build the
 key-value memory from the image's top detections; (iii) query the memory
@@ -22,8 +22,8 @@ from .data import HeldOutSplit
 from .decoder import (CaptionModel, DecodeSnapshot, backward_pass, decode_greedy, forward_teacher_forced,
                       sequence_loss)
 from .errors import NumericError
-from .memory import (Detection, build_memory, make_query, memory_loss_forward, memory_read,
-                     read_loss_backward, select_top_detections)
+from .memory import (Detection, ObjectMemory, build_memory, make_query, memory_loss_forward,
+                     memory_read, read_loss_backward, select_top_detections)
 from .numerics import AdamState, adam_step
 from .vocabulary import PLACEHOLDER, DetectableSet, Vocabulary, mask_weights, rewrite_targets
 
@@ -39,6 +39,7 @@ class TrainExample:
     feature: np.ndarray
     targets: list[int]
     detections: list[Detection]
+    memories: dict = field(default_factory=dict, repr=False, compare=False)  # see batch_losses
 
 
 @dataclass
@@ -53,11 +54,12 @@ def batch_losses(model: CaptionModel, batch: list[TrainExample], pd: DetectableS
                  go_id: int, pad_id: int, n_det: int, max_steps: int | None = None,
                  rewrite: bool = True) -> tuple[float, float, np.ndarray]:
     """Batch-mean losses and their gradient, laid out like ``model.theta``,
-    from one decoder pass over the batch.
+    from one decoder pass and one memory pass over the batch.
 
     With ``rewrite`` off (the no-placeholder baseline) the raw targets are
-    used and the memory loss is skipped entirely. The memory is read per
-    example, from that example's rows of the batch's hidden states.
+    used and the memory loss is skipped entirely. Otherwise a pair's memory
+    is built once, the first time the pair has a masked step, and kept in
+    its ``memories`` by (n_det, key_dim, n_classes); one read serves them all.
     """
     scale = 1.0 / len(batch)
     decoder_targets = [rewrite_targets(ex.targets, pd) if rewrite else ex.targets for ex in batch]
@@ -67,16 +69,19 @@ def batch_losses(model: CaptionModel, batch: list[TrainExample], pd: DetectableS
 
     loss_mem = 0.0
     dq = np.zeros(cache.hiddens.shape[:2] + (model.key_dim,))
-    for b, (ex, n_steps) in enumerate(zip(batch, cache.lengths)):
-        mask = mask_weights(ex.targets[:n_steps], pd)
-        if not (rewrite and any(mask)):
-            continue
-        mem = build_memory(ex.detections, n_det, model.key_dim, pd.n_classes)
-        loss, read_caches = memory_loss_forward(cache.hiddens[:n_steps, b], ex.targets[:n_steps],
-                                                mask, pd, mem, model.w_query)
-        loss_mem += loss
-        for rc in read_caches:
-            dq[rc.step, b] = read_loss_backward(rc, mem, scale=scale)
+    if rewrite:
+        key = (n_det, model.key_dim, pd.n_classes)
+        original = np.full(cache.targets.shape, pad_id, dtype=np.intp)
+        mask = np.zeros_like(original)
+        for b, (ex, n_steps) in enumerate(zip(batch, cache.lengths)):
+            original[:n_steps, b] = ex.targets[:n_steps]
+            mask[:n_steps, b] = mask_weights(ex.targets[:n_steps], pd)
+            if key not in ex.memories and mask[:, b].any():
+                ex.memories[key] = build_memory(ex.detections, *key)
+        unread = ObjectMemory(*key)  # the memory of a row without masked steps, never read
+        loss_mem, reads = memory_loss_forward(cache.hiddens, original, mask.ravel(), pd,
+                                              [ex.memories.get(key, unread) for ex in batch], model.w_query)
+        dq[reads.steps, reads.rows] = read_loss_backward(reads, scale=scale)
     grad = backward_pass(model, cache, dlogits * scale, dq)
     return loss_seq / len(batch), loss_mem / len(batch), grad
 
@@ -171,8 +176,8 @@ def train_model(split: HeldOutSplit, vocab: Vocabulary, det_map: DetectableSet, 
     model = CaptionModel(vocab.size, hidden_size=cfg.hidden_size, embed_size=cfg.embed_size,
                          image_dim=cfg.image_dim, key_dim=cfg.key_dim, seed=cfg.seed)
     opt = AdamState.for_param(model.theta, lr=cfg.lr, weight_decay=cfg.weight_decay)
-    pairs = [TrainExample(rec.feature, vocab.encode(ref, append_eos=True), rec.detections)
-             for rec in split.train for ref in rec.references]
+    pairs = [TrainExample(rec.feature, vocab.encode(ref, append_eos=True), rec.detections, memories)
+             for rec in split.train for memories in [{}] for ref in rec.references]  # shared per image
     result = TrainResult(model=model)
     for epoch in range(1, cfg.epochs + 1):
         order = np.random.default_rng([cfg.seed, epoch]).permutation(len(pairs))

@@ -182,6 +182,18 @@ class TestDatasetFiles:
         with pytest.raises(SchemaError, match=r"line 3: detection feature shape \(3,\)"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("label", ["2.9", '"3"', "true", "2.0", "null", "[1]"])
+    def test_non_integer_detection_label_names_line(self, tmp_path, label):
+        path = tmp_path / "d.jsonl"
+        good = '{"image_id":"a","feature":[1.0],"references":[["dog"]],"detections":[]}'
+        bad = ('{"image_id":"b","feature":[1.0],"references":[["dog"]],'
+               f'"detections":[{{"feature":[1.0],"label":{label},"score":0.9}}]}}')
+        path.write_text(good + "\n" + bad + "\n")
+        with pytest.raises(SchemaError, match="line 2: a detection label is not a JSON integer"):
+            load_dataset(path)
+        path.write_text(good + "\n" + bad.replace(f'"label":{label}', '"label":2') + "\n")
+        assert load_dataset(path)[1].detections[0].label == 2
+
 
 class TestManifest:
     def test_repeated_held_out_word_is_schema_error(self, tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from novelcap.errors import CapacityError, DomainError, EmptyMemoryError, ShapeError
 from novelcap.memory import (Detection, ObjectMemory, build_memory, make_query,
                              memory_loss_forward, memory_read, read_loss_backward,
-                             read_loss_forward, select_top_detections)
+                             select_top_detections)
 from novelcap.numerics import finite_diff_check
 from novelcap.vocabulary import build_vocabulary, intersect_detectable
 
@@ -21,6 +21,19 @@ def memory_of(*slots, n_classes=3, capacity=4):
     for feature, label in slots:
         mem.write(det(feature, label))
     return mem
+
+
+CLASS_VOCAB = build_vocabulary([["c0", "c1", "c2"]], 1)
+CLASS_MAP = intersect_detectable(CLASS_VOCAB, ["c0", "c1", "c2"])
+
+
+def read_loss(q, mem, target_class):
+    """(loss, reads) of one read of ``mem`` with query ``q``: the batched
+    memory loss over one masked step whose word is ``target_class``'s,
+    through an identity query transform."""
+    word = CLASS_MAP.class_word_ids[target_class]
+    return memory_loss_forward(np.reshape(q, (1, 1, -1)), np.array([[word]]), [1], CLASS_MAP, [mem],
+                               np.eye(len(q)))
 
 
 def brute_force_read(q, keys, labels, n_classes):
@@ -162,12 +175,12 @@ class TestMemoryRead:
 class TestReadLoss:
     def test_saturated_single_slot(self):
         mem = memory_of(([1.0, 0.0], 2))
-        loss, _ = read_loss_forward(np.array([5.0, 0.0]), mem, target_class=2, step=0)
+        loss, _ = read_loss(np.array([5.0, 0.0]), mem, target_class=2)
         assert abs(loss) < 1e-12
 
     def test_two_slot_hand_value(self):
         mem = memory_of(([2.0, 0.0], 0), ([0.0, 2.0], 1))
-        loss, _ = read_loss_forward(np.array([1.0, 0.0]), mem, target_class=1, step=0)
+        loss, _ = read_loss(np.array([1.0, 0.0]), mem, target_class=1)
         expected = -math.log(1.0 / (1.0 + math.exp(2.0)))
         assert abs(loss - expected) < 1e-12
         assert abs(loss - 2.1269) < 1e-3
@@ -177,11 +190,11 @@ class TestReadLoss:
         mem = memory_of((rng.normal(size=3), 0), (rng.normal(size=3), 1),
                         (rng.normal(size=3), 2))
         q = rng.normal(size=3)
-        _, cache = read_loss_forward(q, mem, target_class=1, step=0)
-        dq = read_loss_backward(cache, mem)
+        _, reads = read_loss(q, mem, target_class=1)
+        dq = read_loss_backward(reads)[0]
 
         def loss_of_q(params):
-            loss, _ = read_loss_forward(params["q"], mem, 1, 0)
+            loss, _ = read_loss(params["q"], mem, 1)
             return loss
 
         assert finite_diff_check(loss_of_q, {"q": q}, {"q": dq}) < 1e-6
@@ -190,9 +203,9 @@ class TestReadLoss:
         rng = np.random.default_rng(8)
         mem = memory_of(*[(rng.normal(size=3), label) for label in (1, 0, 1)])
         q = rng.normal(size=3)
-        _, cache = read_loss_forward(q, mem, target_class=1, step=0)
-        dq = read_loss_backward(cache, mem)
-        assert finite_diff_check(lambda p: read_loss_forward(p["q"], mem, 1, 0)[0],
+        _, reads = read_loss(q, mem, target_class=1)
+        dq = read_loss_backward(reads)[0]
+        assert finite_diff_check(lambda p: read_loss(p["q"], mem, 1)[0],
                                  {"q": q}, {"q": dq}) < 1e-6
 
 
@@ -202,37 +215,33 @@ class TestMemoryLoss:
         self.det_map = intersect_detectable(self.vocab, ["dog", "cake"])
         self.w_query = np.eye(2)
         rng = np.random.default_rng(0)
-        self.hiddens = [rng.normal(size=2) for _ in range(4)]
+        self.hiddens = rng.normal(size=(4, 1, 2))  # one sentence of four steps, time-major
         self.mem = memory_of(([1.5, 0.0], 0), ([0.0, 1.5], 1), n_classes=2)
 
+    def loss(self, words, mask, mem=None):
+        ids = np.array(self.vocab.encode(words))[:, None]
+        return memory_loss_forward(self.hiddens, ids, mask, self.det_map, [mem or self.mem], self.w_query)
+
     def test_all_zero_mask_gives_exact_zero(self):
-        ids = self.vocab.encode(["a", "sees", "a", "sees"])
-        loss, caches = memory_loss_forward(self.hiddens, ids, [0, 0, 0, 0], self.det_map,
-                                           self.mem, self.w_query)
-        assert loss == 0.0 and caches == []
+        loss, reads = self.loss(["a", "sees", "a", "sees"], [0, 0, 0, 0])
+        assert loss == 0.0 and len(reads) == 0
 
     def test_masked_steps_counted(self):
-        ids = self.vocab.encode(["a", "dog", "sees", "cake"])
-        loss, caches = memory_loss_forward(self.hiddens, ids, [0, 1, 0, 1], self.det_map,
-                                           self.mem, self.w_query)
-        assert loss > 0.0 and [c.step for c in caches] == [1, 3]
+        loss, reads = self.loss(["a", "dog", "sees", "cake"], [0, 1, 0, 1])
+        assert loss > 0.0 and reads.steps.tolist() == [1, 3]
 
     def test_word_without_class_skipped_with_warning(self, caplog):
-        ids = self.vocab.encode(["a", "dog", "sees", "cake"])
         # mark a non-detectable position: "sees" has no class
         with caplog.at_level("WARNING", logger="novelcap.memory"):
-            loss, caches = memory_loss_forward(self.hiddens, ids, [0, 0, 1, 0], self.det_map,
-                                               self.mem, self.w_query)
-        assert loss == 0.0 and caches == []
+            loss, reads = self.loss(["a", "dog", "sees", "cake"], [0, 0, 1, 0])
+        assert loss == 0.0 and len(reads) == 0
         assert any("no detection class" in r.message for r in caplog.records)
 
     def test_class_missing_from_slots_skipped(self, caplog):
-        ids = self.vocab.encode(["a", "dog", "sees", "cake"])
         cake_only = memory_of(([0.0, 1.5], 1), n_classes=2)
         with caplog.at_level("DEBUG", logger="novelcap.memory"):
-            loss, caches = memory_loss_forward(self.hiddens, ids, [0, 1, 0, 1], self.det_map,
-                                               cake_only, self.w_query)
-        assert [c.step for c in caches] == [3]
+            loss, reads = self.loss(["a", "dog", "sees", "cake"], [0, 1, 0, 1], cake_only)
+        assert reads.steps.tolist() == [3]
         assert any("absent from memory" in r.message for r in caplog.records)
 
 

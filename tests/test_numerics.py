@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from novelcap.errors import DomainError, NumericError, ShapeError
-from novelcap.numerics import AdamState, adam_step, cross_entropy, finite_diff_check, softmax
+from novelcap.numerics import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, adam_step, cross_entropy,
+                               finite_diff_check, softmax)
+from novelcap.pipeline import CLIP_NORM, clip_gradients
 
 
 class TestSoftmax:
@@ -26,6 +28,14 @@ class TestSoftmax:
     def test_empty_is_domain_error(self):
         with pytest.raises(DomainError):
             softmax(np.array([]))
+
+    def test_rows_are_independent_and_minus_inf_gets_zero(self):
+        x = np.array([[2.0, 0.0, -np.inf], [1000.0, 999.0, 998.0]])
+        p = softmax(x)
+        assert p[0, 2] == 0.0
+        for row, expected in zip(p, ([2.0, 0.0], [1000.0, 999.0, 998.0])):
+            assert np.array_equal(row[:len(expected)], softmax(np.array(expected)))
+        assert softmax(np.zeros((0, 3))).shape == (0, 3)
 
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=12),
            st.floats(-100, 100))
@@ -95,6 +105,30 @@ class TestAdam:
         p = np.zeros(3)
         with pytest.raises(ShapeError):
             adam_step(p, np.zeros(4), AdamState.for_param(p))
+
+    @pytest.mark.parametrize("weight_decay", [1e-3, 0.0])
+    def test_in_place_step_equals_allocating_step(self, weight_decay):
+        # the update written with one temporary per operation, as Adam is usually spelled
+        rng = np.random.default_rng(5)
+        theta = rng.uniform(-0.08, 0.08, 43553)
+        ref, m, v = theta.copy(), np.zeros_like(theta), np.zeros_like(theta)
+        state = AdamState.for_param(theta, lr=3e-3, weight_decay=weight_decay)
+        for step in range(1, 5):
+            grad = rng.normal(size=theta.shape)
+            assert clip_gradients(grad, CLIP_NORM) > CLIP_NORM
+            adam_step(theta, grad, state)
+            g = grad + weight_decay * ref if weight_decay != 0.0 else grad
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * (g * g)
+            m_hat = m / (1.0 - ADAM_BETA1 ** step)
+            v_hat = v / (1.0 - ADAM_BETA2 ** step)
+            ref -= 3e-3 * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            assert np.array_equal(theta, ref) and np.array_equal(state.m, m) and np.array_equal(state.v, v)
+        grad[7] = np.nan
+        with pytest.raises(NumericError):
+            adam_step(theta, grad, state)
 
 
 class TestFiniteDiffCheck:
