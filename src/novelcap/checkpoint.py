@@ -71,6 +71,8 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], str]:
             if name in params:
                 raise CheckpointError(f"checkpoint: parameter {name!r} appears twice")
             (ndim,) = struct.unpack("<I", _read_exact(f, 4))
+            if ndim > 2:
+                raise CheckpointError(f"checkpoint: parameter {name!r} has {ndim} dimensions, not 1 or 2")
             shape = tuple(struct.unpack("<I", _read_exact(f, 4))[0] for _ in range(ndim))
             data = np.frombuffer(_read_exact(f, 8 * math.prod(shape)), dtype="<f8")
             params[name] = data.reshape(shape).astype(FLOAT)

@@ -41,24 +41,45 @@ def _convert(name: str, kind, raw: str):
         raise ConfigError(f"config: {name} expects {kind.__name__}, got {raw!r}") from None
 
 
+def not_utf8(path, owner: str) -> ParseError:
+    """The ParseError for a file that is not UTF-8 text, naming ``owner``
+    (the module) and the first line that does not decode."""
+    with open(path, "rb") as f:
+        for line_no, raw in enumerate(f, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return ParseError(f"{owner}: line {line_no}: not UTF-8 text")
+    return ParseError(f"{owner}: {path} is not UTF-8 text")
+
+
+def text_lines(path, owner: str):
+    """(line number, line) of each line of a UTF-8 text file, read lazily;
+    bytes that are not UTF-8 raise ``not_utf8``'s ParseError."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            yield from enumerate(f, start=1)
+        except UnicodeDecodeError:
+            raise not_utf8(path, owner) from None
+
+
 def read_key_values(path, known, owner: str) -> dict[str, str]:
     """The raw values of a plain ``key = value`` file, by key; skips blank
     lines and ``#`` comments and reads ``-`` in a key as ``_``. A line
     without ``=`` or with a key not in ``known`` is a ParseError naming
     ``owner`` (the module) and the line number."""
     values = {}
-    with open(path, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ParseError(f"{owner}: line {line_no}: expected 'key = value'")
-            key, _, value = stripped.partition("=")
-            key = key.strip().replace("-", "_")
-            if key not in known:
-                raise ParseError(f"{owner}: line {line_no}: unknown key {key!r}")
-            values[key] = value.strip()
+    for line_no, line in text_lines(path, owner):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ParseError(f"{owner}: line {line_no}: expected 'key = value'")
+        key, _, value = stripped.partition("=")
+        key = key.strip().replace("-", "_")
+        if key not in known:
+            raise ParseError(f"{owner}: line {line_no}: unknown key {key!r}")
+        values[key] = value.strip()
     return values
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import read_key_values
+from .config import not_utf8, read_key_values, text_lines
 from .errors import CoverageError, DomainError, ParseError, SchemaError
 from .memory import Detection
 from .numerics import FLOAT
@@ -261,11 +261,18 @@ def build_heldout_split(records: list[DatasetRecord], held_out_words,
 
 
 def _validate_record_dict(d: dict, line_no: int, feature_dim: int | None) -> int:
+    if not isinstance(d, dict):
+        raise SchemaError(f"data: line {line_no}: a record is not a JSON object")
     for key in ("image_id", "feature", "references", "detections"):
         if key not in d:
             raise SchemaError(f"data: line {line_no}: missing field {key!r}")
-    if not d["references"] or any(len(ref) == 0 for ref in d["references"]):
+    refs = d["references"]
+    if not isinstance(refs, list) or not all(isinstance(ref, list) for ref in refs):
+        raise SchemaError(f"data: line {line_no}: references must be a list of token lists")
+    if not refs or any(len(ref) == 0 for ref in refs):
         raise SchemaError(f"data: line {line_no}: references must be non-empty")
+    if not isinstance(d["feature"], list):
+        raise SchemaError(f"data: line {line_no}: feature must be a list of numbers")
     if feature_dim is not None and len(d["feature"]) != feature_dim:
         raise SchemaError(
             f"data: line {line_no}: feature length {len(d['feature'])} != {feature_dim}")
@@ -293,33 +300,36 @@ def save_dataset(records: list[DatasetRecord], path) -> None:
 def load_dataset(path) -> list[DatasetRecord]:
     records = []
     dim = det_dim = None
-    with open(path, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                d = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"data: line {line_no}: malformed record ({e.msg})") from e
-            dim = _validate_record_dict(d, line_no, dim)
-            try:
-                if any(type(x["label"]) is not int for x in d["detections"]):  # nor is a bool
-                    raise TypeError("a detection label is not a JSON integer")
-                dets = [Detection(feature=np.asarray(x["feature"], dtype=FLOAT),
-                                  label=x["label"], score=float(x["score"]))
-                        for x in d["detections"]]
-                rec = DatasetRecord(image_id=str(d["image_id"]),
-                                    feature=np.asarray(d["feature"], dtype=FLOAT),
-                                    references=[[str(t) for t in ref] for ref in d["references"]],
-                                    detections=dets)
-            except (KeyError, TypeError, ValueError) as e:
-                raise SchemaError(f"data: line {line_no}: {e}") from e
-            for det in dets:
-                det_dim = det.feature.shape if det_dim is None else det_dim
-                if det.feature.shape != det_dim:
-                    raise SchemaError(f"data: line {line_no}: detection feature shape "
-                                      f"{det.feature.shape} != {det_dim} of the earlier detections")
-            records.append(rec)
+    for line_no, line in text_lines(path, "data"):
+        if not line.strip():
+            continue
+        try:
+            d = json.loads(line)
+        except (ValueError, RecursionError) as e:  # also an integer too long or nesting too deep
+            raise ParseError(f"data: line {line_no}: malformed record ({getattr(e, 'msg', e)})") from e
+        dim = _validate_record_dict(d, line_no, dim)
+        try:
+            if any(type(x["label"]) is not int for x in d["detections"]):  # nor is a bool
+                raise TypeError("a detection label is not a JSON integer")
+            dets = [Detection(feature=np.asarray(x["feature"], dtype=FLOAT),
+                              label=x["label"], score=float(x["score"]))
+                    for x in d["detections"]]
+            feature = np.asarray(d["feature"], dtype=FLOAT)
+            if feature.ndim != 1 or not np.isfinite(feature).all():
+                raise ValueError("the image feature is not a vector of finite numbers")
+            rec = DatasetRecord(image_id=str(d["image_id"]), feature=feature,
+                                references=[[str(t) for t in ref] for ref in d["references"]],
+                                detections=dets)
+        except (KeyError, TypeError, ValueError, OverflowError, DomainError) as e:  # Overflow: a huge number
+            raise SchemaError(f"data: line {line_no}: {e}") from e
+        for det in dets:
+            if det_dim is None and det.feature.ndim != 1:  # the later ones must match it
+                raise SchemaError(f"data: line {line_no}: a detection feature is not a vector of numbers")
+            det_dim = det.feature.shape if det_dim is None else det_dim
+            if det.feature.shape != det_dim:
+                raise SchemaError(f"data: line {line_no}: detection feature shape "
+                                  f"{det.feature.shape} != {det_dim} of the earlier detections")
+        records.append(rec)
     return records
 
 
@@ -395,9 +405,18 @@ def load_manifest(path) -> dict:
             doc = json.load(f)
         except json.JSONDecodeError as e:
             raise ParseError(f"data: manifest line {e.lineno}: {e.msg}") from e
+        except UnicodeDecodeError:
+            raise not_utf8(path, "data: manifest") from None
+        except (ValueError, RecursionError) as e:  # an integer too long or nesting too deep
+            raise ParseError(f"data: manifest: {e}") from e
+    if not isinstance(doc, dict):
+        raise SchemaError("data: manifest is not a JSON object")
     for key in ("held_out_words", "class_names", "train", "val", "test"):
         if key not in doc:
             raise SchemaError(f"data: manifest is missing field {key!r}")
+    for key in ("held_out_words", "class_names", "known_words", "train", "val", "test"):
+        if key in doc and not (isinstance(doc[key], list) and all(isinstance(x, str) for x in doc[key])):
+            raise SchemaError(f"data: manifest field {key!r} is not a list of strings")
     held = doc["held_out_words"]
     repeat = next((w for i, w in enumerate(held) if w in held[:i]), None)
     if repeat is not None:

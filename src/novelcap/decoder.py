@@ -204,18 +204,16 @@ class ForwardCache:
         return self.h[:-1]
 
 
-def forward_teacher_forced(targets: list[list[int]], features: np.ndarray, model: CaptionModel,
-                           go_id: int, pad_id: int, max_steps: int | None = None) -> ForwardCache:
-    """Run the decoder with ground-truth inputs over a batch of sequences.
+def pad_sequences(seqs: list[list[int]], go_id: int, pad_id: int,
+                  max_steps: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Teacher-forcing arrays of sequences: (inputs, targets, lengths).
 
-    The input at position t is the target at t-1 (position 0 consumes
-    <GO>); the logits at position t predict the target at t. Sequences
-    longer than max_steps are truncated with a warning; shorter ones are
-    padded with <PAD>, as inputs and as targets, to the longest. The input
-    projection of every position is one product; each time step is one
-    (B, 4*hidden) gate product.
+    ``targets`` is (L, N), time-major: column n is sequence n, truncated at
+    max_steps (with a warning) and padded with <PAD> to the longest.
+    ``inputs`` is <GO>, then the targets shifted by one, with <PAD> from the
+    sequence's length on. ``lengths`` (N,) counts the real positions.
     """
-    lengths = np.array([len(seq) for seq in targets], dtype=np.intp)
+    lengths = np.array([len(seq) for seq in seqs], dtype=np.intp)
     if lengths.size == 0 or not lengths.all():
         raise DomainError("decoder: cannot teacher-force an empty batch or sequence")
     if max_steps is not None and np.any(lengths > max_steps):
@@ -224,14 +222,27 @@ def forward_teacher_forced(targets: list[list[int]], features: np.ndarray, model
         for n in lengths[lengths > max_steps]:
             log.warning("decoder: sequence of %d steps truncated to %d", n, max_steps)
         lengths = np.minimum(lengths, max_steps)
-    n_steps, batch = int(lengths.max()), len(targets)
-    target_ids = np.full((n_steps, batch), pad_id, dtype=np.intp)
-    input_ids = np.full((n_steps, batch), pad_id, dtype=np.intp)
-    input_ids[0] = go_id
-    for b, (seq, n) in enumerate(zip(targets, lengths)):
-        target_ids[:n, b] = seq[:n]
-        input_ids[1:n, b] = seq[:n - 1]
+    targets = np.full((int(lengths.max()), len(seqs)), pad_id, dtype=np.intp)
+    inputs = np.full_like(targets, pad_id)
+    inputs[0] = go_id
+    for b, (seq, n) in enumerate(zip(seqs, lengths)):
+        targets[:n, b] = seq[:n]
+        inputs[1:n, b] = seq[:n - 1]
+    return inputs, targets, lengths
 
+
+def forward_teacher_forced(input_ids: np.ndarray, targets: np.ndarray, lengths: np.ndarray,
+                           features: np.ndarray, model: CaptionModel) -> ForwardCache:
+    """Run the decoder with ground-truth inputs over a padded, time-major batch.
+
+    ``input_ids`` and ``targets`` are (T, B) as ``pad_sequences`` lays them
+    out, ``lengths`` (B,) their real positions and ``features`` (B,
+    image_dim): the input at position t is the target at t-1, and the
+    logits at position t predict the target at t. The input projection of
+    every position is one product; each time step is one (B, 4*hidden)
+    gate product.
+    """
+    n_steps, batch = targets.shape
     h0, c0 = init_state(features, model)
     if h0.shape != (batch, model.hidden_size):
         raise ShapeError(f"decoder: image features of shape {np.shape(features)} for {batch} sequences")
@@ -252,7 +263,7 @@ def forward_teacher_forced(targets: list[list[int]], features: np.ndarray, model
         np.multiply(gates[t, :, 2 * nh:3 * nh], c_tanh[t], out=h[t + 1])
     _check_cell(c[1:][np.arange(n_steps)[:, None] < lengths])  # padding is never checked
     logits = (h[1:].reshape(-1, nh) @ model.w_out.T + model.b_out).reshape(n_steps, batch, -1)
-    return ForwardCache(input_ids=input_ids, targets=target_ids, lengths=lengths,
+    return ForwardCache(input_ids=input_ids, targets=targets, lengths=lengths,
                         features=np.asarray(features, dtype=FLOAT), x=x, h=h, c=c, gates=gates,
                         c_tanh=c_tanh, logits=logits)
 
@@ -298,21 +309,24 @@ def backward_pass(model: CaptionModel, cache: ForwardCache, dlogits: np.ndarray,
     dh_in[:-1] += dq @ model.w_query
     i, f, o, g = (cache.gates[..., k * nh:(k + 1) * nh] for k in range(4))
     # dz = [dc, dc, dh, dc] * local, gate by gate, with dc the total cell gradient
-    local = np.stack([g * i * (1.0 - i), cache.c[:-1] * f * (1.0 - f),
-                      cache.c_tanh * o * (1.0 - o), i * (1.0 - g * g)], axis=2)
+    local = np.empty((n_steps, batch, 4, nh), dtype=FLOAT)
+    np.multiply(g * i, 1.0 - i, out=local[:, :, 0])
+    np.multiply(cache.c[:-1] * f, 1.0 - f, out=local[:, :, 1])
+    np.multiply(cache.c_tanh * o, 1.0 - o, out=local[:, :, 2])
+    np.multiply(i, 1.0 - g * g, out=local[:, :, 3])
     o_dtanh = o * (1.0 - cache.c_tanh ** 2)
     w_h = model.lstm_w[:, e:]
     dz = np.empty((n_steps, batch, 4, nh), dtype=FLOAT)
     dh = dh_in[n_steps]
     dc = np.zeros((batch, nh), dtype=FLOAT)
     for t in range(n_steps - 1, -1, -1):
-        dc = dc + dh * o_dtanh[t]
+        dc += dh * o_dtanh[t]
         np.multiply(local[t], dc[:, None, :], out=dz[t])
         np.multiply(local[t, :, 2], dh, out=dz[t, :, 2])
-        dc = dc * f[t]
+        dc *= f[t]
         dh = dz[t].reshape(batch, 4 * nh) @ w_h + dh_in[t]
     dz = rows(dz)
-    grad = np.zeros_like(model.theta)
+    grad = np.empty_like(model.theta)  # every view is written below
     g = model.views(grad)
     one_hot = np.arange(model.vocab_size)[:, None] == cache.input_ids.ravel()
     g["embed"].T[...] = one_hot @ (dz @ model.lstm_w[:, :e])

@@ -15,6 +15,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 
+from .config import not_utf8
 from .errors import CoverageError, ParseError, SchemaError
 from .pipeline import Caption
 
@@ -154,11 +155,19 @@ def read_report(path) -> F1Report:
             doc = json.load(f)
         except json.JSONDecodeError as e:
             raise ParseError(f"evaluation: report line {e.lineno}: {e.msg}") from e
+        except UnicodeDecodeError:
+            raise not_utf8(path, "evaluation: report") from None
+        except (ValueError, RecursionError) as e:  # an integer too long or nesting too deep
+            raise ParseError(f"evaluation: report: {e}") from e
+    if not isinstance(doc, dict) or not isinstance(doc.get("per_object", {}), dict):
+        raise SchemaError("evaluation: report file is not a JSON object with a per_object object")
     try:
         per_object = {word: ObjectScore(**stats) for word, stats in doc["per_object"].items()}
         return F1Report(per_object=per_object, average_f1=doc["average_f1"],
                         known_average_f1=doc["known_average_f1"],
                         diagnostic_unigram_precision=doc["diagnostic_unigram_precision"],
                         mode=doc["mode"], split_hash=doc["split_hash"])
-    except (KeyError, TypeError) as e:
+    except KeyError as e:
         raise SchemaError(f"evaluation: report file is missing field {e}") from e
+    except TypeError as e:
+        raise SchemaError(f"evaluation: report file has a malformed per-object entry ({e})") from e

@@ -5,7 +5,9 @@ the class index is the value (the key-value read of Miller et al. 2016).
 A read turns query/key similarity into addressing weights,
 softmax(q . K^T), and sums the weights of the slots that carry each
 class into a class distribution. The read loss is the cross-entropy of
-that distribution against the annotated class.
+that distribution against the annotated class. Captioning reads one
+image's ``ObjectMemory``; training reads ``Slots``, the same top-n_det
+keys and labels of every training image, built once as arrays.
 """
 
 import logging
@@ -99,6 +101,40 @@ def build_memory(dets: list[Detection], n_det: int, key_dim: int, n_classes: int
     return mem
 
 
+@dataclass
+class Slots:
+    """The top-n_det detection slots of many images, as arrays. Row r holds
+    image r's slots in ``select_top_detections`` order: the first
+    ``counts[r]`` are written, the rest are zero and never read."""
+
+    keys: np.ndarray  # (R, n_det, key_dim)
+    labels: np.ndarray  # (R, n_det) class index of each slot
+    counts: np.ndarray  # (R,) written slots per row
+
+    def __getitem__(self, rows) -> "Slots":
+        return Slots(self.keys[rows], self.labels[rows], self.counts[rows])
+
+
+def build_slots(detections: list[list[Detection]], n_det: int, key_dim: int, n_classes: int) -> Slots:
+    """One slot row per image from its top-``n_det`` detections, checked as
+    ``ObjectMemory.write`` checks them."""
+    if n_det < 1:
+        raise DomainError(f"memory: capacity must be >= 1, got {n_det}")
+    slots = Slots(np.zeros((len(detections), n_det, key_dim), dtype=FLOAT),
+                  np.zeros((len(detections), n_det), dtype=np.intp), np.zeros(len(detections), dtype=np.intp))
+    for r, dets in enumerate(detections):
+        top = select_top_detections(dets, n_det)
+        for s, det in enumerate(top):
+            if det.feature.shape != (key_dim,):
+                raise ShapeError(f"memory: key shape {det.feature.shape} != ({key_dim},)")
+            if det.label >= n_classes:
+                raise DomainError(f"memory: label {det.label} out of range for {n_classes} classes")
+            slots.keys[r, s] = det.feature
+            slots.labels[r, s] = det.label
+        slots.counts[r] = len(top)
+    return slots
+
+
 def make_query(h_prev: np.ndarray, w_query: np.ndarray) -> np.ndarray:
     """Project a decoder hidden state into the detection-feature space."""
     if w_query.shape[1] != h_prev.shape[0]:
@@ -134,22 +170,23 @@ class LossReads:
 
 
 def memory_loss_forward(hiddens: np.ndarray, original: np.ndarray, mask: np.ndarray, det_map,
-                        memories: list[ObjectMemory], w_query: np.ndarray) -> tuple[float, LossReads]:
+                        slots: Slots, w_query: np.ndarray) -> tuple[float, LossReads]:
     """Masked memory loss over a time-major batch, every read at once.
 
     ``hiddens`` (T, B, hidden) are the pre-step hidden states, ``original``
     (T, B) the word ids before rewriting, ``mask`` their T*B weights
-    flattened, and ``memories`` one memory per batch row, of one capacity.
-    Each masked step queries its row's memory with its hidden state; the
-    loss is the cross-entropy of the read against the original word's
-    class. Steps whose word has no class, whose memory is empty, or whose
-    class has no slot (probability exactly zero) are skipped and logged.
+    flattened, and ``slots`` one slot row per batch row. Each masked step
+    queries its row's slots with its hidden state; the loss is the
+    cross-entropy of the read against the original word's class
+    (``det_map.word_classes``). Steps whose word has no class, whose row has
+    no slot, or whose class has no slot (probability exactly zero) are
+    skipped and logged.
     """
-    steps, rows = np.divmod(np.flatnonzero(mask), len(memories))
+    steps, rows = np.divmod(np.flatnonzero(mask), original.shape[1])
     words = original[steps, rows]
-    classes = np.array([-1 if c is None else c for c in map(det_map.class_for_word_id, words.tolist())])
-    filled = np.arange(memories[0].capacity) < np.array([mem.n for mem in memories])[rows, None]
-    hits = (np.array([mem._labels for mem in memories])[rows] == classes[:, None]) & filled
+    classes = det_map.word_classes[words]
+    filled = np.arange(slots.labels.shape[1]) < slots.counts[rows, None]
+    hits = (slots.labels[rows] == classes[:, None]) & filled
     read = hits.any(axis=1)
     if not read.all():
         for t, word, cls, empty in zip(steps[~read], words[~read], classes[~read], ~filled[~read, 0]):
@@ -161,7 +198,7 @@ def memory_loss_forward(hiddens: np.ndarray, original: np.ndarray, mask: np.ndar
             else:  # expected when the annotated object fell below the top-n_det cut
                 log.debug("memory: class %d absent from memory slots at step %d; step skipped", cls, t)
         steps, rows, filled, hits = steps[read], rows[read], filled[read], hits[read]
-    keys = np.array([mem._keys for mem in memories])[rows]
+    keys = slots.keys[rows]
     queries = hiddens[steps, rows] @ w_query.T
     sims = np.where(filled, np.matmul(keys, queries[:, :, None])[..., 0], -np.inf)
     w = softmax(sims)

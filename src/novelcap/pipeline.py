@@ -1,8 +1,10 @@
 """End-to-end orchestration: joint training and three-step captioning.
 
-Training: rewrite targets, run the teacher-forced decoder once over the
-padded batch, read the memories of all masked steps in one pass, and
-apply Adam to the summed gradients of both losses in one update.
+Training: the pairs are built once as arrays (targets rewritten,
+truncated and padded, each image's top-n_det slots); a batch gathers its
+columns, runs the teacher-forced decoder once, reads the slots of all
+masked steps in one pass, and applies Adam to the summed gradients of
+both losses in one update.
 
 Captioning: (i) decode greedily, emitting placeholders; (ii) build the
 key-value memory from the image's top detections; (iii) query the memory
@@ -20,9 +22,9 @@ import numpy as np
 
 from .data import HeldOutSplit
 from .decoder import (CaptionModel, DecodeSnapshot, backward_pass, decode_greedy, forward_teacher_forced,
-                      sequence_loss)
+                      pad_sequences, sequence_loss)
 from .errors import NumericError
-from .memory import (Detection, ObjectMemory, build_memory, make_query, memory_loss_forward,
+from .memory import (Detection, Slots, build_memory, build_slots, make_query, memory_loss_forward,
                      memory_read, read_loss_backward, select_top_detections)
 from .numerics import AdamState, adam_step
 from .vocabulary import PLACEHOLDER, DetectableSet, Vocabulary, mask_weights, rewrite_targets
@@ -39,7 +41,6 @@ class TrainExample:
     feature: np.ndarray
     targets: list[int]
     detections: list[Detection]
-    memories: dict = field(default_factory=dict, repr=False, compare=False)  # see batch_losses
 
 
 @dataclass
@@ -50,40 +51,72 @@ class Caption:
     placeholder_count_unfilled: int = 0
 
 
-def batch_losses(model: CaptionModel, batch: list[TrainExample], pd: DetectableSet, *,
-                 go_id: int, pad_id: int, n_det: int, max_steps: int | None = None,
-                 rewrite: bool = True) -> tuple[float, float, np.ndarray]:
-    """Batch-mean losses and their gradient, laid out like ``model.theta``,
-    from one decoder pass and one memory pass over the batch.
+@dataclass
+class TrainingPairs:
+    """Training pairs as arrays, built once; a batch is a gather of columns.
 
-    With ``rewrite`` off (the no-placeholder baseline) the raw targets are
-    used and the memory loss is skipped entirely. Otherwise a pair's memory
-    is built once, the first time the pair has a masked step, and kept in
-    its ``memories`` by (n_det, key_dim, n_classes); one read serves them all.
+    The (L, N) id arrays are time-major like the decoder's: column n is
+    pair n, truncated at ``max_steps`` and padded with <PAD>. Pair n reads
+    slot row ``slot_rows[n]``, shared by every pair of one image.
     """
-    scale = 1.0 / len(batch)
-    decoder_targets = [rewrite_targets(ex.targets, pd) if rewrite else ex.targets for ex in batch]
-    cache = forward_teacher_forced(decoder_targets, np.array([ex.feature for ex in batch]), model,
-                                   go_id, pad_id, max_steps)
-    loss_seq, dlogits = sequence_loss(cache.logits, cache.targets, pad_id)
 
+    inputs: np.ndarray  # (L, N) <GO>, then the decoder targets shifted by one
+    targets: np.ndarray  # (L, N) decoder targets: rewritten, or raw for the baseline
+    original: np.ndarray  # (L, N) word ids before rewriting
+    mask: np.ndarray  # (L, N) 1 where the original word is detectable
+    lengths: np.ndarray  # (N,) real positions per pair
+    features: np.ndarray  # (N, image_dim)
+    slot_rows: np.ndarray  # (N,)
+    slots: Slots | None  # None for the baseline, which has no memory loss
+    det_map: DetectableSet
+    pad_id: int
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    @classmethod
+    def of(cls, examples: list[TrainExample], pd: DetectableSet, *, go_id: int, pad_id: int, n_det: int,
+           key_dim: int, max_steps: int | None = None, rewrite: bool = True) -> "TrainingPairs":
+        """The pairs of ``examples``. With ``rewrite`` off (the no-placeholder
+        baseline) the raw targets are used and no slots are built.
+        Otherwise rewriting and masking are lookups over every word id, and
+        pairs with the same detections list (the references of one image)
+        share one slot row, written only if one of them has a masked step."""
+        inputs, original, lengths = pad_sequences([ex.targets for ex in examples], go_id, pad_id, max_steps)
+        words = list(range(len(pd.word_classes)))
+        mask = np.array(mask_weights(words, pd))[original]
+        images = {id(ex.detections): ex.detections for ex in examples}  # one entry per image
+        row_of = {key: r for r, key in enumerate(images)}
+        slot_rows = np.array([row_of[id(ex.detections)] for ex in examples], dtype=np.intp)
+        slots, targets = None, original
+        if rewrite:
+            rewritten = np.array(rewrite_targets(words, pd))
+            inputs, targets = rewritten[inputs], rewritten[original]
+            read = np.zeros(len(images), dtype=bool)
+            read[slot_rows[mask.any(axis=0)]] = True
+            slots = build_slots([dets if r else [] for dets, r in zip(images.values(), read)], n_det, key_dim,
+                                pd.n_classes)
+        return cls(inputs, targets, original, mask, lengths, np.array([ex.feature for ex in examples]),
+                   slot_rows, slots, pd, pad_id)
+
+
+def batch_losses(model: CaptionModel, pairs: TrainingPairs, rows) -> tuple[float, float, np.ndarray]:
+    """Batch-mean losses of the pairs ``rows`` and their gradient, laid out
+    like ``model.theta``, from one decoder pass and one memory pass."""
+    scale = 1.0 / len(rows)
+    n_steps = int(pairs.lengths[rows].max())
+    cache = forward_teacher_forced(pairs.inputs[:n_steps, rows], pairs.targets[:n_steps, rows],
+                                   pairs.lengths[rows], pairs.features[rows], model)
+    loss_seq, dlogits = sequence_loss(cache.logits, cache.targets, pairs.pad_id)
     loss_mem = 0.0
     dq = np.zeros(cache.hiddens.shape[:2] + (model.key_dim,))
-    if rewrite:
-        key = (n_det, model.key_dim, pd.n_classes)
-        original = np.full(cache.targets.shape, pad_id, dtype=np.intp)
-        mask = np.zeros_like(original)
-        for b, (ex, n_steps) in enumerate(zip(batch, cache.lengths)):
-            original[:n_steps, b] = ex.targets[:n_steps]
-            mask[:n_steps, b] = mask_weights(ex.targets[:n_steps], pd)
-            if key not in ex.memories and mask[:, b].any():
-                ex.memories[key] = build_memory(ex.detections, *key)
-        unread = ObjectMemory(*key)  # the memory of a row without masked steps, never read
-        loss_mem, reads = memory_loss_forward(cache.hiddens, original, mask.ravel(), pd,
-                                              [ex.memories.get(key, unread) for ex in batch], model.w_query)
+    if pairs.slots is not None:
+        loss_mem, reads = memory_loss_forward(cache.hiddens, pairs.original[:n_steps, rows],
+                                              pairs.mask[:n_steps, rows].ravel(), pairs.det_map,
+                                              pairs.slots[pairs.slot_rows[rows]], model.w_query)
         dq[reads.steps, reads.rows] = read_loss_backward(reads, scale=scale)
     grad = backward_pass(model, cache, dlogits * scale, dq)
-    return loss_seq / len(batch), loss_mem / len(batch), grad
+    return loss_seq / len(rows), loss_mem / len(rows), grad
 
 
 def example_losses(model: CaptionModel, feature, targets: list[int], detections,
@@ -91,8 +124,9 @@ def example_losses(model: CaptionModel, feature, targets: list[int], detections,
                    max_steps: int | None = None,
                    rewrite: bool = True) -> tuple[float, float, np.ndarray]:
     """Both losses and their gradient for a single example: a batch of one."""
-    return batch_losses(model, [TrainExample(feature, targets, detections)], pd, go_id=go_id,
-                        pad_id=pad_id, n_det=n_det, max_steps=max_steps, rewrite=rewrite)
+    pairs = TrainingPairs.of([TrainExample(feature, targets, detections)], pd, go_id=go_id, pad_id=pad_id,
+                             n_det=n_det, key_dim=model.key_dim, max_steps=max_steps, rewrite=rewrite)
+    return batch_losses(model, pairs, np.arange(1))
 
 
 def joint_loss(model: CaptionModel, feature, targets: list[int], detections, pd: DetectableSet,
@@ -114,17 +148,14 @@ def clip_gradients(grad: np.ndarray, max_norm: float) -> float:
     return total
 
 
-def train_step(batch: list[TrainExample], model: CaptionModel, pd: DetectableSet,
-               opt: AdamState, vocab: Vocabulary, *, n_det: int,
-               max_steps: int | None = None, rewrite: bool = True) -> tuple[float, float, float]:
-    """One joint update over a batch; returns (loss_seq, loss_mem, total).
+def train_step(rows, pairs: TrainingPairs, model: CaptionModel, opt: AdamState) -> tuple[float, float, float]:
+    """One joint update over the pairs ``rows``; returns (loss_seq, loss_mem, total).
 
     Losses are batch means; the sequence and memory gradients are summed
     and clipped to a global norm of ``CLIP_NORM`` before one Adam step on
     ``model.theta``, so one step minimizes their sum.
     """
-    loss_seq, loss_mem, grad = batch_losses(model, batch, pd, go_id=vocab.go_id, pad_id=vocab.pad_id,
-                                            n_det=n_det, max_steps=max_steps, rewrite=rewrite)
+    loss_seq, loss_mem, grad = batch_losses(model, pairs, rows)
     if not np.isfinite(loss_seq + loss_mem):
         raise NumericError(f"pipeline: non-finite training loss ({loss_seq}, {loss_mem})")
     clip_gradients(grad, CLIP_NORM)
@@ -176,17 +207,17 @@ def train_model(split: HeldOutSplit, vocab: Vocabulary, det_map: DetectableSet, 
     model = CaptionModel(vocab.size, hidden_size=cfg.hidden_size, embed_size=cfg.embed_size,
                          image_dim=cfg.image_dim, key_dim=cfg.key_dim, seed=cfg.seed)
     opt = AdamState.for_param(model.theta, lr=cfg.lr, weight_decay=cfg.weight_decay)
-    pairs = [TrainExample(rec.feature, vocab.encode(ref, append_eos=True), rec.detections, memories)
-             for rec in split.train for memories in [{}] for ref in rec.references]  # shared per image
+    pairs = TrainingPairs.of([TrainExample(rec.feature, vocab.encode(ref, append_eos=True), rec.detections)
+                              for rec in split.train for ref in rec.references], det_map,
+                             go_id=vocab.go_id, pad_id=vocab.pad_id, n_det=cfg.n_det, key_dim=cfg.key_dim,
+                             max_steps=cfg.max_steps, rewrite=rewrite)
     result = TrainResult(model=model)
     for epoch in range(1, cfg.epochs + 1):
         order = np.random.default_rng([cfg.seed, epoch]).permutation(len(pairs))
         sums = np.zeros(2)
         n_batches = 0
         for start in range(0, len(order), cfg.batch_size):
-            batch = [pairs[i] for i in order[start:start + cfg.batch_size]]
-            ls, lm, _ = train_step(batch, model, det_map, opt, vocab, n_det=cfg.n_det,
-                                   max_steps=cfg.max_steps, rewrite=rewrite)
+            ls, lm, _ = train_step(order[start:start + cfg.batch_size], pairs, model, opt)
             sums += (ls, lm)
             n_batches += 1
         loss_seq, loss_mem = sums / max(n_batches, 1)

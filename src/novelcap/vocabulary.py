@@ -9,6 +9,9 @@ marks exactly those positions so the memory loss knows where to fire.
 from collections import Counter
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from .config import text_lines
 from .errors import DomainError
 
 GO = "<GO>"
@@ -86,8 +89,7 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        with open(path, encoding="utf-8") as f:
-            words = tuple(line.rstrip("\n") for line in f)
+        words = tuple(line.rstrip("\n") for _, line in text_lines(path, "vocabulary"))
         return cls(words=words, index={w: i for i, w in enumerate(words)})
 
 
@@ -114,14 +116,15 @@ class DetectableSet:
 
     ``class_words[c]`` is the surface name of detection class c. Classes
     whose name is absent from the vocabulary are novel: they carry no word
-    id and can enter captions only as raw strings.
+    id and can enter captions only as raw strings. ``word_classes[i]`` is
+    the class of word id i, or -1 where it has none.
     """
 
     pd_ids: frozenset[int]
     class_words: tuple[str, ...]
     class_word_ids: tuple[int | None, ...]
     placeholder_id: int
-    _word_to_class: dict[int, int] = field(compare=False)
+    word_classes: np.ndarray = field(compare=False, repr=False)  # (vocabulary size,)
 
     @property
     def n_classes(self) -> int:
@@ -131,7 +134,8 @@ class DetectableSet:
         return self.class_words[class_index]
 
     def class_for_word_id(self, word_id: int) -> int | None:
-        return self._word_to_class.get(word_id)
+        c = int(self.word_classes[word_id]) if 0 <= word_id < len(self.word_classes) else -1
+        return c if c >= 0 else None
 
 
 def intersect_detectable(vocab: Vocabulary, detection_classes: list[str]) -> DetectableSet:
@@ -154,12 +158,16 @@ def intersect_detectable(vocab: Vocabulary, detection_classes: list[str]) -> Det
             wid = None
         word_ids.append(wid)
     pd_ids = frozenset(wid for wid in word_ids if wid is not None)
+    word_classes = np.full(vocab.size, -1, dtype=np.intp)
+    for c, wid in enumerate(word_ids):
+        if wid is not None:
+            word_classes[wid] = c
     return DetectableSet(
         pd_ids=pd_ids,
         class_words=tuple(detection_classes),
         class_word_ids=tuple(word_ids),
         placeholder_id=vocab.placeholder_id,
-        _word_to_class={wid: c for c, wid in enumerate(word_ids) if wid is not None},
+        word_classes=word_classes,
     )
 
 

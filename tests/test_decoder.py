@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from novelcap.decoder import (CaptionModel, DecodeSnapshot, _cell, _halve_sigmoid_gates, decode_greedy,
-                              forward_teacher_forced, init_state, sequence_loss)
+                              forward_teacher_forced, init_state, pad_sequences, sequence_loss)
 from novelcap.errors import DomainError, NumericError, ShapeError
 from novelcap.vocabulary import build_vocabulary
 
@@ -151,9 +151,14 @@ def saturated_cell_model(vocab):
     return m
 
 
+def teacher_force(seqs, features, m, v, max_steps=None):
+    """Pad a list of sequences and teacher-force them as one batch."""
+    return forward_teacher_forced(*pad_sequences(seqs, v.go_id, v.pad_id, max_steps), features, m)
+
+
 def forward_one(targets, m, v, max_steps=None):
     """Teacher-force a batch of one sequence."""
-    return forward_teacher_forced([targets], np.zeros((1, 7)), m, v.go_id, v.pad_id, max_steps)
+    return teacher_force([targets], np.zeros((1, 7)), m, v, max_steps)
 
 
 class TestForwardTeacherForced:
@@ -210,12 +215,12 @@ class TestForwardTeacherForced:
         long = v.encode(["a", "dog", "sees", "cake"], append_eos=True)
         short = v.encode(["a", "cake"])
         features = np.random.default_rng(0).normal(size=(2, 7))
-        cache = forward_teacher_forced([long, short], features, m, v.go_id, v.pad_id)
+        cache = teacher_force([long, short], features, m, v)
         assert cache.lengths.tolist() == [5, 2]
         assert cache.targets[:, 1].tolist() == short + [v.pad_id] * 3
         assert cache.input_ids[:, 1].tolist() == [v.go_id, short[0]] + [v.pad_id] * 3
         for b, seq in enumerate((long, short)):
-            alone = forward_teacher_forced([seq], features[b:b + 1], m, v.go_id, v.pad_id)
+            alone = teacher_force([seq], features[b:b + 1], m, v)
             assert np.max(np.abs(cache.logits[:len(seq), b] - alone.logits[:, 0])) < 1e-12
 
     @pytest.mark.parametrize("batch", [1, 3])
@@ -227,7 +232,7 @@ class TestForwardTeacherForced:
         rng = np.random.default_rng(6)
         m.theta[:] = rng.uniform(-0.8, 0.8, m.theta.size)
         seqs = [list(rng.integers(0, v.size, n)) for n in (5, 2, 4)[:batch]]
-        cache = forward_teacher_forced(seqs, rng.normal(size=(batch, 7)), m, v.go_id, v.pad_id)
+        cache = teacher_force(seqs, rng.normal(size=(batch, 7)), m, v)
         e, nh = m.embed_size, m.hidden_size
         zx = (cache.x.reshape(-1, e) @ m.lstm_w[:, :e].T + m.lstm_b).reshape(cache.gates.shape)
         gates, h, c = np.empty_like(cache.gates), np.empty_like(cache.h), np.empty_like(cache.c)
@@ -246,7 +251,7 @@ class TestForwardTeacherForced:
     def test_feature_count_must_match_batch(self):
         v = tiny_vocab()
         with pytest.raises(ShapeError):
-            forward_teacher_forced([[0], [1]], np.zeros((3, 7)), tiny_model(v), v.go_id, v.pad_id)
+            teacher_force([[0], [1]], np.zeros((3, 7)), tiny_model(v), v)
 
 
 class TestSequenceLoss:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from novelcap.errors import CapacityError, DomainError, EmptyMemoryError, ShapeError
-from novelcap.memory import (Detection, ObjectMemory, build_memory, make_query,
+from novelcap.memory import (Detection, ObjectMemory, Slots, build_memory, build_slots, make_query,
                              memory_loss_forward, memory_read, read_loss_backward,
                              select_top_detections)
 from novelcap.numerics import finite_diff_check
@@ -23,6 +23,15 @@ def memory_of(*slots, n_classes=3, capacity=4):
     return mem
 
 
+def as_slots(*mems):
+    """The slots of memories of one capacity, one slot row per memory."""
+    keys = np.zeros((len(mems), mems[0].capacity, mems[0].key_dim))
+    labels = np.zeros((len(mems), mems[0].capacity), dtype=np.intp)
+    for r, mem in enumerate(mems):
+        keys[r, :mem.n], labels[r, :mem.n] = mem.keys, mem.labels
+    return Slots(keys, labels, np.array([mem.n for mem in mems]))
+
+
 CLASS_VOCAB = build_vocabulary([["c0", "c1", "c2"]], 1)
 CLASS_MAP = intersect_detectable(CLASS_VOCAB, ["c0", "c1", "c2"])
 
@@ -32,7 +41,7 @@ def read_loss(q, mem, target_class):
     memory loss over one masked step whose word is ``target_class``'s,
     through an identity query transform."""
     word = CLASS_MAP.class_word_ids[target_class]
-    return memory_loss_forward(np.reshape(q, (1, 1, -1)), np.array([[word]]), [1], CLASS_MAP, [mem],
+    return memory_loss_forward(np.reshape(q, (1, 1, -1)), np.array([[word]]), [1], CLASS_MAP, as_slots(mem),
                                np.eye(len(q)))
 
 
@@ -220,7 +229,8 @@ class TestMemoryLoss:
 
     def loss(self, words, mask, mem=None):
         ids = np.array(self.vocab.encode(words))[:, None]
-        return memory_loss_forward(self.hiddens, ids, mask, self.det_map, [mem or self.mem], self.w_query)
+        return memory_loss_forward(self.hiddens, ids, mask, self.det_map, as_slots(mem or self.mem),
+                                   self.w_query)
 
     def test_all_zero_mask_gives_exact_zero(self):
         loss, reads = self.loss(["a", "sees", "a", "sees"], [0, 0, 0, 0])
@@ -251,3 +261,26 @@ class TestBuildMemory:
         mem = build_memory(dets, 4, key_dim=1, n_classes=1)
         assert mem.n == 4
         assert sorted(k[0] for k in mem.keys) == [3.0, 4.0, 5.0, 6.0]
+
+
+class TestBuildSlots:
+    def test_rows_equal_the_memories_of_each_image(self):
+        rng = np.random.default_rng(5)
+        images = [[det(rng.normal(size=3), int(rng.integers(3)), float(rng.uniform())) for _ in range(k)]
+                  for k in (6, 2, 0, 4)]
+        slots = build_slots(images, 4, key_dim=3, n_classes=3)
+        assert slots.keys.shape == (4, 4, 3) and slots.labels.shape == (4, 4)
+        mems = [build_memory(dets, 4, key_dim=3, n_classes=3) for dets in images]
+        expected = as_slots(*mems)
+        assert slots.counts.tolist() == [4, 2, 0, 4]
+        assert np.array_equal(slots.keys, expected.keys) and np.array_equal(slots.labels, expected.labels)
+        picked = slots[np.array([3, 0, 3])]
+        assert picked.counts.tolist() == [4, 4, 4] and np.array_equal(picked.keys[1], slots.keys[0])
+
+    def test_writes_are_checked_as_memory_writes_are(self):
+        with pytest.raises(ShapeError, match="key shape"):
+            build_slots([[det([1.0, 2.0], 0)]], 2, key_dim=3, n_classes=1)
+        with pytest.raises(DomainError, match="out of range"):
+            build_slots([[det([1.0], 2)]], 2, key_dim=1, n_classes=2)
+        with pytest.raises(DomainError, match="capacity"):
+            build_slots([[det([1.0], 0)]], 0, key_dim=1, n_classes=1)

@@ -1,0 +1,307 @@
+"""Every file parser either loads its input or raises a NovelcapError that
+names the module (and the line, where there is one): never a raw Python,
+numpy, json or struct exception. The crafted cases pin inputs that once
+escaped as raw exceptions; the fuzz tests throw bounded random input at
+each parser."""
+
+import json
+import string
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from novelcap import checkpoint
+from novelcap.cli import main as cli_main
+from novelcap.config import RunConfig, load_config
+from novelcap.data import _WORLD_KEYS, load_dataset, load_manifest, load_world_config
+from novelcap.decoder import CaptionModel
+from novelcap.errors import CheckpointError, NovelcapError, ParseError, SchemaError
+from novelcap.evaluation import F1Report, ObjectScore, read_report, write_report
+from novelcap.vocabulary import Vocabulary
+
+GOOD_RECORD = {"image_id": "a", "feature": [1.0, 2.0], "references": [["a", "dog"]],
+               "detections": [{"feature": [0.5, 0.5], "label": 0, "score": 0.9}]}
+GOOD_MANIFEST = {"held_out_words": ["bus"], "class_names": ["bus", "dog"], "known_words": ["dog"],
+                 "train": ["a"], "val": [], "test": []}
+FUZZ = settings(max_examples=60, deadline=None)
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("parsers")
+
+
+def write_lines(path, *lines):
+    path.write_text("".join(line + "\n" for line in lines))
+    return path
+
+
+def good_report_doc(tmp_path):
+    path = tmp_path / "report.json"
+    write_report(F1Report(per_object={"bus": ObjectScore(tp=1, precision=1.0)}, average_f1=0.5), path)
+    return json.loads(path.read_text())
+
+
+def loads_or_fails_by_name(parse, path):
+    try:
+        parse(path)
+    except NovelcapError as e:
+        assert str(e).split(":")[0] in {"data", "config", "vocabulary", "evaluation", "checkpoint", "decoder",
+                                        "memory"}, str(e)
+
+
+# --- crafted cases --------------------------------------------------------
+
+
+class TestDataset:
+    @pytest.mark.parametrize("line", ["5", '"text"', "null", "[1, 2]"])
+    def test_a_line_that_is_not_an_object(self, tmp_path, line):
+        path = write_lines(tmp_path / "d.jsonl", json.dumps(GOOD_RECORD), line)
+        with pytest.raises(SchemaError, match="data: line 2: a record is not a JSON object"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("references", [5, "dog", ["a", "dog"], {"a": 1}])
+    def test_references_that_are_not_token_lists(self, tmp_path, references):
+        path = write_lines(tmp_path / "d.jsonl", json.dumps(dict(GOOD_RECORD, references=references)))
+        with pytest.raises(SchemaError, match="data: line 1: references must be a list of token lists"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("feature", [5, "1.0", None, {"x": 1.0}])
+    def test_a_feature_that_is_not_a_list(self, tmp_path, feature):
+        path = write_lines(tmp_path / "d.jsonl", json.dumps(dict(GOOD_RECORD, feature=feature)))
+        with pytest.raises(SchemaError, match="data: line 1: feature must be a list"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("feature, message", [
+        ([[0.0]], "the image feature is not a vector of finite numbers"),
+        ([float("nan")], "the image feature is not a vector of finite numbers"),
+        ([1.0, float("inf")], "the image feature is not a vector of finite numbers"),
+        ([1.0, "x"], "could not convert string to float"),
+        ([10 ** 400], "int too large to convert to float")])
+    def test_an_image_feature_that_is_not_a_finite_vector(self, tmp_path, feature, message):
+        first = dict(GOOD_RECORD, feature=[0.5] * len(feature), detections=[])
+        path = write_lines(tmp_path / "d.jsonl", json.dumps(first), json.dumps(dict(first, feature=feature)))
+        with pytest.raises(SchemaError, match=f"data: line 2: {message}"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("det, message", [
+        ({"feature": [[0.5, 0.5]], "label": 0, "score": 0.9}, "a detection feature is not a vector of numbers"),
+        ({"feature": [0.5, float("nan")], "label": 0, "score": 0.9}, "memory: detection feature contains non-fin"),
+        ({"feature": [0.5, 0.5], "label": 0, "score": 1.5}, "memory: detection score 1.5 outside"),
+        ({"feature": [0.5, 0.5], "label": -1, "score": 0.5}, "memory: detection label -1 is negative")])
+    def test_a_bad_detection_names_its_line(self, tmp_path, det, message):
+        first = dict(GOOD_RECORD, detections=[])
+        path = write_lines(tmp_path / "d.jsonl", json.dumps(first), json.dumps(dict(first, detections=[det])))
+        with pytest.raises(SchemaError, match=f"data: line 2: {message}"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("line", ['{"image_id": ' + "9" * 5000 + "}", "[" * 100_000])
+    def test_an_integer_too_long_or_nesting_too_deep_names_its_line(self, tmp_path, line):
+        path = write_lines(tmp_path / "d.jsonl", json.dumps(GOOD_RECORD), line)
+        with pytest.raises(ParseError, match="data: line 2: malformed record"):
+            load_dataset(path)
+
+
+@pytest.mark.parametrize("parse, owner", [(load_manifest, "data: manifest"), (read_report, "evaluation: report")])
+@pytest.mark.parametrize("doc", ["[" * 100_000, '{"x": ' + "9" * 5000 + "}"])
+def test_a_document_nested_too_deep_or_with_a_huge_integer(tmp_path, parse, owner, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(doc)
+    with pytest.raises(ParseError, match=f"^{owner}: "):
+        parse(path)
+
+
+class TestManifest:
+    @pytest.mark.parametrize("doc", ["[1, 2]", '"split"', "7", "null"])
+    def test_a_document_that_is_not_an_object(self, tmp_path, doc):
+        path = tmp_path / "split.json"
+        path.write_text(doc)
+        with pytest.raises(SchemaError, match="data: manifest is not a JSON object"):
+            load_manifest(path)
+
+    @pytest.mark.parametrize("field, value", [("held_out_words", 5), ("held_out_words", "bus"),
+                                              ("class_names", [1, 2]), ("train", {"a": 1}),
+                                              ("known_words", [["dog"]])])
+    def test_a_field_that_is_not_a_list_of_strings(self, tmp_path, field, value):
+        path = tmp_path / "split.json"
+        path.write_text(json.dumps(dict(GOOD_MANIFEST, **{field: value})))
+        with pytest.raises(SchemaError, match=f"data: manifest field '{field}' is not a list of strings"):
+            load_manifest(path)
+
+
+class TestReport:
+    @pytest.mark.parametrize("per_object", [[1, 2], "bus", 3])
+    def test_per_object_that_is_not_an_object(self, tmp_path, per_object):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(dict(good_report_doc(tmp_path), per_object=per_object)))
+        with pytest.raises(SchemaError, match="evaluation: report file is not a JSON object"):
+            read_report(path)
+
+    def test_a_per_object_entry_that_is_not_an_object(self, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(dict(good_report_doc(tmp_path), per_object={"bus": [1]})))
+        with pytest.raises(SchemaError, match="evaluation: report file has a malformed per-object entry"):
+            read_report(path)
+
+    def test_a_document_that_is_not_an_object(self, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text("[]")
+        with pytest.raises(SchemaError, match="evaluation: report file is not a JSON object"):
+            read_report(path)
+
+
+def test_a_checkpoint_entry_of_more_than_two_dimensions(tmp_path):
+    # 105 dimensions of size 1 hold one float64 and once failed numpy's reshape, not the loader
+    path = tmp_path / "bad.ckpt"
+    checkpoint.save_checkpoint(path, {"w": np.ones(1)})
+    raw = path.read_bytes()
+    at = raw.index(b"w") + 1
+    path.write_bytes(raw[:at] + (105).to_bytes(4, "little") + (1).to_bytes(4, "little") * 105 + raw[at + 8:])
+    with pytest.raises(CheckpointError, match="checkpoint: parameter 'w' has 105 dimensions, not 1 or 2"):
+        checkpoint.load_checkpoint(path)
+
+
+NOT_UTF8 = b"\xff\xfe bad"
+
+
+class TestNotUtf8:
+    @pytest.mark.parametrize("parse, owner, good", [
+        (load_config, "config", "seed = 3\n"),
+        (load_world_config, "data", "seed = 3\n"),
+        (load_dataset, "data", json.dumps(GOOD_RECORD) + "\n"),
+        (Vocabulary.load, "vocabulary", "a\n"),
+        (load_manifest, "data: manifest", "{\n"),
+        (read_report, "evaluation: report", "{\n"),
+    ])
+    def test_names_the_module_and_the_line(self, tmp_path, parse, owner, good):
+        path = tmp_path / "file"
+        path.write_bytes(good.encode() * 3 + NOT_UTF8 + b"\n" + good.encode())
+        with pytest.raises(ParseError, match=f"^{owner}: line 4: not UTF-8 text$"):
+            parse(path)
+
+    def test_a_bad_byte_past_the_first_read_block_names_its_line(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_bytes((json.dumps(GOOD_RECORD) + "\n").encode() * 400 + NOT_UTF8 + b"\n")
+        with pytest.raises(ParseError, match="^data: line 401: not UTF-8 text$"):
+            load_dataset(path)
+
+    def test_the_cli_reports_it_without_a_traceback(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"seed = 3\n" + NOT_UTF8 + b"\n")
+        assert cli_main(["train", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == "novelcap: ParseError: config: line 2: not UTF-8 text\n", err
+
+
+# --- fuzzing ---------------------------------------------------------------
+
+JSON_SCALARS = (st.none() | st.booleans() | st.integers(-10 ** 6, 10 ** 6) | st.text(max_size=6)
+                | st.floats(allow_nan=True, allow_infinity=True))
+JSON_VALUES = st.recursive(JSON_SCALARS, lambda inner: st.lists(inner, max_size=3)
+                           | st.dictionaries(st.text(max_size=4), inner, max_size=3), max_leaves=8)
+
+
+def mutated(doc: dict):
+    """``doc`` with some of its fields dropped or replaced by random JSON."""
+    return st.fixed_dictionaries({}, optional={key: st.just(value) | JSON_VALUES
+                                               for key, value in doc.items()})
+
+
+@st.composite
+def dataset_bytes(draw):
+    def record():
+        rec = dict(draw(mutated(GOOD_RECORD)))
+        if "detections" in rec and draw(st.booleans()):
+            n_dets = draw(st.integers(0, 2))
+            rec["detections"] = [draw(mutated(GOOD_RECORD["detections"][0])) for _ in range(n_dets)]
+        return json.dumps(rec).encode()
+    junk = st.binary(max_size=30) | JSON_VALUES.map(lambda v: json.dumps(v).encode())
+    lines = [draw(st.none() | junk) for _ in range(draw(st.integers(0, 3)))]
+    return b"\n".join(record() if line is None else line for line in lines)
+
+
+def key_value_text(keys, values):
+    line = st.tuples(st.sampled_from(keys) | st.text(string.ascii_lowercase + "_-", max_size=5), values).map(
+        lambda kv: f"{kv[0]} = {kv[1]}")
+    junk = st.text(string.printable, max_size=12)
+    return st.lists(line | junk, max_size=8).map("\n".join)
+
+
+# small numbers only: a world config may ask for arrays of any size
+SMALL_VALUES = (st.integers(-3, 12).map(str) | st.floats(-2, 2).map(repr)
+                | st.lists(st.sampled_from(["dog", "cat", "bus", "tree", "a", "|", "{}", "0.5", "x"]),
+                           max_size=6).map(" ".join))
+
+
+@FUZZ
+@given(raw=dataset_bytes())
+def test_dataset_lines(workdir, raw):
+    path = workdir / "fuzz.jsonl"
+    path.write_bytes(raw)
+    loads_or_fails_by_name(load_dataset, path)
+
+
+@FUZZ
+@given(raw=key_value_text(_WORLD_KEYS, SMALL_VALUES).map(str.encode) | st.binary(max_size=40))
+def test_world_config(workdir, raw):
+    path = workdir / "fuzz-world.cfg"
+    path.write_bytes(raw)
+    with np.errstate(all="ignore"):  # a degenerate latent rank divides by zero before it is refused
+        loads_or_fails_by_name(load_world_config, path)
+
+
+@FUZZ
+@given(raw=key_value_text(tuple(RunConfig.__dataclass_fields__), SMALL_VALUES | st.text(max_size=8))
+       .map(str.encode) | st.binary(max_size=40))
+def test_run_config(workdir, raw):
+    path = workdir / "fuzz-run.cfg"
+    path.write_bytes(raw)
+    loads_or_fails_by_name(load_config, path)
+
+
+@FUZZ
+@given(raw=st.binary(max_size=40) | mutated(GOOD_MANIFEST).map(lambda d: json.dumps(d).encode())
+       | JSON_VALUES.map(lambda v: json.dumps(v).encode()))
+def test_manifest(workdir, raw):
+    path = workdir / "fuzz-split.json"
+    path.write_bytes(raw)
+    loads_or_fails_by_name(load_manifest, path)
+
+
+@FUZZ
+@given(data=st.data())
+def test_report(workdir, data):
+    good = good_report_doc(workdir)
+    entries = st.dictionaries(st.text(max_size=4), mutated(good["per_object"]["bus"]), max_size=2)
+    per_object = data.draw(st.just(good["per_object"]) | JSON_VALUES | entries)
+    doc = dict(data.draw(mutated(good)), per_object=per_object)
+    path = workdir / "fuzz-report.json"
+    path.write_bytes(data.draw(st.binary(max_size=40) | st.just(json.dumps(doc).encode())))
+    loads_or_fails_by_name(read_report, path)
+
+
+@pytest.fixture(scope="module")
+def checkpoint_bytes(workdir):
+    path = workdir / "good.ckpt"
+    model = CaptionModel(7, hidden_size=2, embed_size=2, image_dim=2, key_dim=2)
+    checkpoint.save_checkpoint(path, model.params(), vocab_ref="vocab.txt")
+    return path.read_bytes()
+
+
+def load_model(path):
+    params, _ = checkpoint.load_checkpoint(path)
+    CaptionModel.from_params(params)
+
+
+@FUZZ
+@given(data=st.data())
+def test_checkpoint_bytes(workdir, checkpoint_bytes, data):
+    raw = bytearray(checkpoint_bytes)
+    for _ in range(data.draw(st.integers(0, 4))):
+        raw[data.draw(st.integers(0, len(raw) - 1))] = data.draw(st.integers(0, 255))
+    raw = raw[:data.draw(st.integers(0, len(raw)))] if data.draw(st.booleans()) else raw
+    path = workdir / "fuzz.ckpt"
+    path.write_bytes(bytes(data.draw(st.just(raw) | st.binary(max_size=64))))
+    loads_or_fails_by_name(load_model, path)

@@ -6,6 +6,8 @@ run, as ``"correct": false``."""
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 from novelcap import pipeline
 from novelcap.config import RunConfig
 from novelcap.data import generate_synthetic, make_world
@@ -32,16 +34,20 @@ def test_counter_hooks_read_a_train_step_and_a_caption():
     det_map = intersect_detectable(vocab, list(world.names))
     model = CaptionModel(vocab.size, hidden_size=12, embed_size=8, image_dim=8, key_dim=8, seed=0)
     opt = AdamState.for_param(model.theta)
-    batch = [pipeline.TrainExample(r.feature, vocab.encode(r.references[0], append_eos=True),
-                                   r.detections) for r in records[:6]]
+    examples = [pipeline.TrainExample(r.feature, vocab.encode(ref, append_eos=True), r.detections)
+                for r in records[:6] for ref in r.references]
+    pairs = pipeline.TrainingPairs.of(examples, det_map, go_id=vocab.go_id, pad_id=vocab.pad_id, n_det=4,
+                                      key_dim=8, max_steps=6)
+    rows = np.array([0, 3, 4, 7, 11])  # a batch is a gather of pairs
     cfg = RunConfig(n_det=4, max_steps=6)
 
     tracer = tracing.Tracer()
     with tracing.instrumented(tracer, tracing.TIMING_SPANS + tracing.LAYER_SPANS):
-        pipeline.train_step(batch, model, det_map, opt, vocab, n_det=4, max_steps=6)
+        pipeline.train_step(rows, pairs, model, opt)
         pipeline.make_captioner(model, vocab, det_map, cfg, "dnoc")(records[0])
 
     for counter in ("pipeline.pairs_trained", "decoder.teacher_forced_steps", "decoder.backward_steps",
                     "memory.loss_reads", "decoder.decode_steps"):
         assert tracer.counts[counter] > 0, counter
     assert tracer.calls["pipeline.train_step"] == tracer.calls["pipeline.captioner"] == 1
+    assert tracer.counts["pipeline.pairs_trained"] == len(rows) == 5

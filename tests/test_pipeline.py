@@ -9,13 +9,13 @@ from novelcap import pipeline
 from novelcap.config import RunConfig
 from novelcap.data import DatasetRecord, HeldOutSplit, generate_synthetic, make_world
 from novelcap.decoder import (CELL_SANITY_BOUND, PARAM_NAMES, CaptionModel, DecodeTrace,
-                              forward_teacher_forced)
+                              forward_teacher_forced, pad_sequences)
 from novelcap.evaluation import evaluate_split
 from novelcap.errors import NumericError
 from novelcap.memory import Detection
 from novelcap.numerics import AdamState, adam_step
-from novelcap.pipeline import (CLIP_NORM, TrainExample, batch_losses, clip_gradients, example_losses,
-                               joint_loss, make_captioner, train_step)
+from novelcap.pipeline import (CLIP_NORM, TrainExample, TrainingPairs, batch_losses, clip_gradients,
+                               example_losses, joint_loss, make_captioner, train_step)
 from novelcap.vocabulary import PLACEHOLDER, build_vocabulary, intersect_detectable
 
 
@@ -37,9 +37,16 @@ def fresh_opt(model, lr=1e-3):
     return AdamState.for_param(model.theta, lr=lr)
 
 
-def record_batch(records, vocab):
-    return [TrainExample(r.feature, vocab.encode(r.references[0], append_eos=True), r.detections)
-            for r in records]
+def pairs_of(examples, vocab, det_map, key_dim=8, n_det=4, **kw):
+    return TrainingPairs.of(examples, det_map, go_id=vocab.go_id, pad_id=vocab.pad_id, n_det=n_det,
+                            key_dim=key_dim, **kw)
+
+
+def record_batch(records, vocab, det_map):
+    """(rows, pairs): one batch of every record's first reference."""
+    examples = [TrainExample(r.feature, vocab.encode(r.references[0], append_eos=True), r.detections)
+                for r in records]
+    return np.arange(len(examples)), pairs_of(examples, vocab, det_map)
 
 
 def caption(model, vocab, det_map, rec, mode="dnoc", n_det=4, max_steps=15):
@@ -107,8 +114,7 @@ class TestTrainStep:
     def test_total_is_exact_sum(self):
         _, records, vocab, det_map = small_setup()
         model = fresh_model(vocab)
-        batch = record_batch(records[:8], vocab)
-        ls, lm, total = train_step(batch, model, det_map, fresh_opt(model), vocab, n_det=4)
+        ls, lm, total = train_step(*record_batch(records[:8], vocab, det_map), model, fresh_opt(model))
         assert lm > 0.0
         assert abs(total - (ls + lm)) < 1e-12
 
@@ -117,8 +123,7 @@ class TestTrainStep:
         # detector classes disjoint from the vocabulary: empty intersection
         empty_map = intersect_detectable(vocab, ["xylophone", "quokka"])
         model = fresh_model(vocab)
-        batch = record_batch(records[:8], vocab)
-        ls, lm, total = train_step(batch, model, empty_map, fresh_opt(model), vocab, n_det=4)
+        ls, lm, total = train_step(*record_batch(records[:8], vocab, empty_map), model, fresh_opt(model))
         assert lm == 0.0
         assert total == ls
 
@@ -135,11 +140,10 @@ class TestTrainStep:
                        for ex in examples) / len(examples)
 
         before = corpus_loss()
+        pairs = pairs_of(examples, vocab, det_map)
         rng = np.random.default_rng(7)
         for step in range(200):
-            idx = rng.permutation(len(examples))[:10]
-            batch = [examples[i] for i in idx]
-            train_step(batch, model, det_map, opt, vocab, n_det=4)
+            train_step(rng.permutation(len(examples))[:10], pairs, model, opt)
         after = corpus_loss()
         assert after <= 0.5 * before, (before, after)
 
@@ -147,8 +151,7 @@ class TestTrainStep:
         _, records, vocab, det_map = small_setup()
         model = fresh_model(vocab)
         before = {k: p.copy() for k, p in model.params().items()}
-        batch = record_batch(records[:8], vocab)
-        _, lm, _ = train_step(batch, model, det_map, fresh_opt(model), vocab, n_det=4)
+        _, lm, _ = train_step(*record_batch(records[:8], vocab, det_map), model, fresh_opt(model))
         assert lm > 0.0
         for name in ("w_query", "lstm_w", "embed", "w_out", "w_img"):
             assert not np.array_equal(model.params()[name], before[name]), name
@@ -160,7 +163,9 @@ class TestTrainStep:
         vocab, det_map, model = RAGGED_WORLD
         kw = dict(go_id=vocab.go_id, pad_id=vocab.pad_id, n_det=RAGGED_N_DET,
                   max_steps=RAGGED_MAX_STEPS, rewrite=rewrite)
-        loss_seq, loss_mem, grad = batch_losses(model, batch, det_map, **kw)
+        pairs = pairs_of(batch, vocab, det_map, n_det=RAGGED_N_DET, max_steps=RAGGED_MAX_STEPS,
+                         rewrite=rewrite)
+        loss_seq, loss_mem, grad = batch_losses(model, pairs, np.arange(len(batch)))
         singles = [example_losses(model, ex.feature, ex.targets, ex.detections, det_map, **kw)
                    for ex in batch]
         assert abs(loss_seq - sum(s[0] for s in singles) / len(batch)) <= 1e-10
@@ -192,13 +197,12 @@ class TestTrainStep:
     def test_padding_is_inert(self):
         _, records, vocab, det_map = small_setup()
         model = fresh_model(vocab)
-        batch = record_batch(records[:8], vocab)
-        assert len({len(ex.targets) for ex in batch}) > 1  # ragged: the short rows are padded
-        kw = dict(go_id=vocab.go_id, pad_id=vocab.pad_id, n_det=4)
-        before = batch_losses(model, batch, det_map, **kw)
+        rows, pairs = record_batch(records[:8], vocab, det_map)
+        assert len(set(pairs.lengths.tolist())) > 1  # ragged: the short rows are padded
+        before = batch_losses(model, pairs, rows)
         assert before[1] > 0.0
         model.embed[:, vocab.pad_id] = np.random.default_rng(0).uniform(-3.0, 3.0, model.embed_size)
-        after = batch_losses(model, batch, det_map, **kw)
+        after = batch_losses(model, pairs, rows)
         assert before[:2] == after[:2]
         assert np.array_equal(before[2], after[2])
 
@@ -208,15 +212,15 @@ class TestTrainStep:
         word = vocab.encode(["a"])[0]
         batch = [TrainExample(records[0].feature, [word] * 60, []),
                  TrainExample(records[1].feature, [word], [])]
-        kw = dict(go_id=vocab.go_id, pad_id=vocab.pad_id, n_det=4)
-        before = batch_losses(model, batch, det_map, **kw)
+        rows, pairs = np.arange(2), pairs_of(batch, vocab, det_map)
+        before = batch_losses(model, pairs, rows)
         # a saturating <PAD> input drives the 59 padded cells of the short row past the bound
         model.embed[:, vocab.pad_id] = 1e3 * np.sign(model.embed[:, vocab.pad_id])
         features = np.array([ex.feature for ex in batch])
-        cache = forward_teacher_forced([ex.targets for ex in batch], features, model, vocab.go_id,
-                                       vocab.pad_id)
+        padded = pad_sequences([ex.targets for ex in batch], vocab.go_id, vocab.pad_id)
+        cache = forward_teacher_forced(*padded, features, model)
         assert np.abs(cache.c[2:, 1]).max() >= CELL_SANITY_BOUND
-        after = batch_losses(model, batch, det_map, **kw)
+        after = batch_losses(model, pairs, rows)
         assert before[:2] == after[:2]
         assert np.array_equal(before[2], after[2])
 
@@ -225,8 +229,21 @@ class TestTrainStep:
         model = fresh_model(vocab)
         model.embed[:, vocab.go_id] = np.nan  # every sequence reads <GO> at its first position
         with pytest.raises(NumericError, match="cell state"):
-            train_step(record_batch(records[:8], vocab), model, det_map, fresh_opt(model), vocab,
-                       n_det=4)
+            train_step(*record_batch(records[:8], vocab, det_map), model, fresh_opt(model))
+
+
+def test_truncation_warns_once_per_training_run_not_per_epoch(caplog):
+    # pairs are truncated once, when train_model builds them; the epochs reuse them
+    _, records, vocab, det_map = small_setup()
+    split = HeldOutSplit(train=records[:6], val=[], test=[], held_out_words=("bus",))
+    cfg = RunConfig(hidden_size=8, embed_size=8, image_dim=8, key_dim=8, epochs=2, batch_size=4, max_steps=5)
+    long = [len(ref) + 1 for rec in split.train for ref in rec.references if len(ref) + 1 > cfg.max_steps]
+    with caplog.at_level("WARNING", logger="novelcap.decoder"):
+        result = pipeline.train_model(split, vocab, det_map, cfg)
+    assert len(result.history) == 2
+    warned = [r.getMessage() for r in caplog.records if "truncated" in r.getMessage()]
+    assert len(warned) == len(long) > 0
+    assert warned == [f"decoder: sequence of {n} steps truncated to {cfg.max_steps}" for n in long]
 
 
 def test_sequence_loss_gradient_on_minimal_model():
@@ -352,7 +369,7 @@ class TestCaptionerSnapshot:
         frozen = CaptionModel.from_params({k: p.copy() for k, p in model.params().items()})
         opt = fresh_opt(model, lr=0.05)
         for _ in range(3):
-            train_step(record_batch(records[:8], vocab), model, det_map, opt, vocab, n_det=4)
+            train_step(*record_batch(records[:8], vocab, det_map), model, opt)
         made_after = make_captioner(model, vocab, det_map, cfg, "dnoc")
         reference = make_captioner(frozen, vocab, det_map, cfg, "dnoc")
         captions = [made_before(rec) for rec in records[:10]]

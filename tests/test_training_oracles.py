@@ -1,11 +1,13 @@
-"""Batched training against inline copies of the per-example code it replaced.
+"""Array training against inline copies of the code it replaced.
 
-The memory half of ``batch_losses`` reads every masked step of a batch in
-one pass over slots built once per pair; ``backward_pass`` forms the
-embedding and ``lstm_w`` gradients as plain products. The oracles below
-are the per-example memory loop (``build_memory`` per example, one read
-and one backward per masked step) and the ``np.add.at`` / concatenated
-backward, run on the acceptance world's first training epoch.
+Training builds its pairs once as arrays (``TrainingPairs``): ids
+rewritten, truncated and padded, and each image's top-n_det slots. A batch
+is a gather of columns. The oracles below are the list-based step it
+replaced (per-batch rewriting and padding, a memory built per pair, the
+strided recurrent weights and the stacked local derivatives), the
+per-example memory loop (one read and one backward per masked step) and
+the ``np.add.at`` / concatenated backward, run on the acceptance world's
+first training epoch.
 """
 
 import json
@@ -14,15 +16,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from novelcap import pipeline
-from novelcap.data import build_heldout_split, generate_synthetic, make_world
-from novelcap.decoder import CaptionModel
-from novelcap.memory import Detection, ObjectMemory, build_memory, memory_loss_forward, read_loss_backward
-from novelcap.numerics import FLOAT, AdamState, softmax
-from novelcap.pipeline import TrainExample, train_step
-from novelcap.vocabulary import build_vocabulary, intersect_detectable, mask_weights
+from novelcap import memory, pipeline
+from novelcap.config import RunConfig
+from novelcap.data import HeldOutSplit, build_heldout_split, generate_synthetic, make_world
+from novelcap.decoder import (CaptionModel, ForwardCache, _cell, _check_cell, _halve_sigmoid_gates,
+                              init_state, sequence_loss)
+from novelcap.memory import (Detection, LossReads, ObjectMemory, Slots, build_memory, memory_loss_forward,
+                             read_loss_backward)
+from novelcap.numerics import FLOAT, AdamState, adam_step, softmax
+from novelcap.pipeline import CLIP_NORM, TrainExample, TrainingPairs, batch_losses, clip_gradients, train_step
+from novelcap.vocabulary import build_vocabulary, intersect_detectable, mask_weights, rewrite_targets
 
 SPEC = json.loads((Path(__file__).parent / "acceptance_config.json").read_text())["benchmark"]
+RUN = SPEC["run"]
 
 
 @pytest.fixture(scope="module")
@@ -33,9 +39,173 @@ def acceptance_world():
                                 seed=SPEC["split_seed"])
     vocab = build_vocabulary([ref for r in split.train for ref in r.references], 1)
     det_map = intersect_detectable(vocab, list(world.names))
-    pairs = [TrainExample(r.feature, vocab.encode(ref, append_eos=True), r.detections)
-             for r in split.train for ref in r.references]
-    return vocab, det_map, pairs
+    examples = [TrainExample(r.feature, vocab.encode(ref, append_eos=True), r.detections)
+                for r in split.train for ref in r.references]
+    return split, vocab, det_map, examples
+
+
+def acceptance_model(vocab):
+    model = CaptionModel(vocab.size, hidden_size=RUN["hidden_size"], embed_size=RUN["embed_size"],
+                         image_dim=RUN["image_dim"], key_dim=RUN["key_dim"], seed=RUN["seed"])
+    return model, AdamState.for_param(model.theta, lr=RUN["lr"], weight_decay=RUN["weight_decay"])
+
+
+def first_epoch(examples, vocab, det_map):
+    """The acceptance run's pairs as arrays, and its first epoch's batches of rows."""
+    pairs = TrainingPairs.of(examples, det_map, go_id=vocab.go_id, pad_id=vocab.pad_id, n_det=RUN["n_det"],
+                             key_dim=RUN["key_dim"], max_steps=RUN["max_steps"])
+    order = np.random.default_rng([RUN["seed"], 1]).permutation(len(examples))
+    return pairs, [order[s:s + RUN["batch_size"]] for s in range(0, len(order), RUN["batch_size"])]
+
+
+def as_slots(*mems):
+    """The slots of memories of one capacity, one slot row per memory."""
+    keys = np.zeros((len(mems), mems[0].capacity, mems[0].key_dim))
+    labels = np.zeros((len(mems), mems[0].capacity), dtype=np.intp)
+    for r, mem in enumerate(mems):
+        keys[r, :mem.n], labels[r, :mem.n] = mem.keys, mem.labels
+    return Slots(keys, labels, np.array([mem.n for mem in mems]))
+
+
+# --- the list-based step, as it was before the pairs became arrays ---------
+
+
+def list_forward(targets, features, model, go_id, pad_id, max_steps):
+    """The teacher-forced forward over a list of sequences, padded per batch,
+    with the recurrent weights as a transposed view of a copy of lstm_w's
+    columns."""
+    lengths = np.minimum([len(seq) for seq in targets], max_steps)
+    n_steps, batch = int(lengths.max()), len(targets)
+    target_ids = np.full((n_steps, batch), pad_id, dtype=np.intp)
+    input_ids = np.full((n_steps, batch), pad_id, dtype=np.intp)
+    input_ids[0] = go_id
+    for b, (seq, n) in enumerate(zip(targets, lengths)):
+        target_ids[:n, b] = seq[:n]
+        input_ids[1:n, b] = seq[:n - 1]
+    h0, c0 = init_state(features, model)
+    e, nh = model.embed_size, model.hidden_size
+    w_h = _halve_sigmoid_gates(model.lstm_w[:, e:].copy().T)
+    x = model.embed.T[input_ids]
+    zx = _halve_sigmoid_gates(x.reshape(-1, e) @ model.lstm_w[:, :e].T + model.lstm_b)
+    zx = zx.reshape(n_steps, batch, 4 * nh)
+    h = np.empty((n_steps + 1, batch, nh), dtype=FLOAT)
+    c = np.empty_like(h)
+    c_tanh = np.empty((n_steps, batch, nh), dtype=FLOAT)
+    gates = np.empty_like(zx)
+    h[0], c[0] = h0, c0
+    for t in range(n_steps):
+        c[t + 1] = _cell(zx[t] + h[t] @ w_h, c[t], gates[t])
+        np.tanh(c[t + 1], out=c_tanh[t])
+        np.multiply(gates[t, :, 2 * nh:3 * nh], c_tanh[t], out=h[t + 1])
+    _check_cell(c[1:][np.arange(n_steps)[:, None] < lengths])
+    logits = (h[1:].reshape(-1, nh) @ model.w_out.T + model.b_out).reshape(n_steps, batch, -1)
+    return ForwardCache(input_ids=input_ids, targets=target_ids, lengths=lengths, features=features, x=x,
+                        h=h, c=c, gates=gates, c_tanh=c_tanh, logits=logits)
+
+
+def list_memory_loss(hiddens, original, mask, det_map, memories, w_query):
+    """The batched memory loss over one memory per row, classes looked up word by word."""
+    steps, rows = np.divmod(np.flatnonzero(mask), len(memories))
+    classes = np.array([-1 if c is None else c
+                        for c in map(det_map.class_for_word_id, original[steps, rows].tolist())])
+    filled = np.arange(memories[0].capacity) < np.array([mem.n for mem in memories])[rows, None]
+    hits = (np.array([mem._labels for mem in memories])[rows] == classes[:, None]) & filled
+    read = hits.any(axis=1)
+    steps, rows, filled, hits = steps[read], rows[read], filled[read], hits[read]
+    keys = np.array([mem._keys for mem in memories])[rows]
+    queries = hiddens[steps, rows] @ w_query.T
+    sims = np.where(filled, np.matmul(keys, queries[:, :, None])[..., 0], -np.inf)
+    w = softmax(sims)
+    target_prob = (w * hits).sum(axis=1)
+    dalpha = np.where(hits, -1.0 / target_prob[:, None], 0.0)
+    dsims = w * (dalpha - (w * dalpha).sum(axis=1, keepdims=True))
+    return float((-np.log(target_prob)).sum()), LossReads(steps, rows, keys, dsims)
+
+
+def stacking_backward(model, cache, dlogits, dq):
+    """``backward_pass`` with its local derivatives stacked from temporaries."""
+    n_steps, batch, nh = cache.c_tanh.shape
+    e = model.embed_size
+
+    def rows(a):
+        return a.reshape(n_steps * batch, -1)
+
+    dh_in = np.zeros_like(cache.h)
+    dh_in[1:] = dlogits @ model.w_out
+    dh_in[:-1] += dq @ model.w_query
+    i, f, o, g = (cache.gates[..., k * nh:(k + 1) * nh] for k in range(4))
+    local = np.stack([g * i * (1.0 - i), cache.c[:-1] * f * (1.0 - f),
+                      cache.c_tanh * o * (1.0 - o), i * (1.0 - g * g)], axis=2)
+    o_dtanh = o * (1.0 - cache.c_tanh ** 2)
+    w_h = model.lstm_w[:, e:]
+    dz = np.empty((n_steps, batch, 4, nh), dtype=FLOAT)
+    dh = dh_in[n_steps]
+    dc = np.zeros((batch, nh), dtype=FLOAT)
+    for t in range(n_steps - 1, -1, -1):
+        dc = dc + dh * o_dtanh[t]
+        np.multiply(local[t], dc[:, None, :], out=dz[t])
+        np.multiply(local[t, :, 2], dh, out=dz[t, :, 2])
+        dc = dc * f[t]
+        dh = dz[t].reshape(batch, 4 * nh) @ w_h + dh_in[t]
+    dz = rows(dz)
+    grad = np.zeros_like(model.theta)
+    g = model.views(grad)
+    one_hot = np.arange(model.vocab_size)[:, None] == cache.input_ids.ravel()
+    g["embed"].T[...] = one_hot @ (dz @ model.lstm_w[:, :e])
+    g["lstm_w"][:, :e] = dz.T @ rows(cache.x)
+    g["lstm_w"][:, e:] = dz.T @ rows(cache.hiddens)
+    g["lstm_b"][...] = dz.sum(axis=0)
+    g["w_out"][...] = rows(dlogits).T @ rows(cache.h[1:])
+    g["b_out"][...] = rows(dlogits).sum(axis=0)
+    dz0 = dh * (1.0 - cache.h[0] ** 2)
+    g["w_img"][...] = dz0.T @ cache.features
+    g["b_img"][...] = dz0.sum(axis=0)
+    g["w_query"][...] = rows(dq).T @ rows(cache.hiddens)
+    dzc = dc * (1.0 - cache.c[0] ** 2)
+    g["w_img_cell"][...] = dzc.T @ cache.features
+    g["b_img_cell"][...] = dzc.sum(axis=0)
+    return grad
+
+
+def list_batch_losses(model, batch, det_map, *, go_id, pad_id, n_det, max_steps):
+    """The step's losses and gradient from a list of pairs: each batch
+    rewritten and padded anew, and a memory built for each pair with a
+    masked step."""
+    scale = 1.0 / len(batch)
+    cache = list_forward([rewrite_targets(ex.targets, det_map) for ex in batch],
+                         np.array([ex.feature for ex in batch]), model, go_id, pad_id, max_steps)
+    loss_seq, dlogits = sequence_loss(cache.logits, cache.targets, pad_id)
+    dq = np.zeros(cache.hiddens.shape[:2] + (model.key_dim,))
+    original = np.full(cache.targets.shape, pad_id, dtype=np.intp)
+    mask = np.zeros_like(original)
+    memories, key = [], (n_det, model.key_dim, det_map.n_classes)
+    for b, (ex, n) in enumerate(zip(batch, cache.lengths)):
+        original[:n, b] = ex.targets[:n]
+        mask[:n, b] = mask_weights(ex.targets[:n], det_map)
+        memories.append(build_memory(ex.detections, *key) if mask[:, b].any() else ObjectMemory(*key))
+    loss_mem, reads = list_memory_loss(cache.hiddens, original, mask.ravel(), det_map, memories,
+                                       model.w_query)
+    dq[reads.steps, reads.rows] = read_loss_backward(reads, scale=scale)
+    grad = stacking_backward(model, cache, dlogits * scale, dq)
+    return loss_seq / len(batch), loss_mem / len(batch), grad
+
+
+def test_first_epoch_equals_the_list_based_step_bit_for_bit(acceptance_world):
+    _, vocab, det_map, examples = acceptance_world
+    model, opt = acceptance_model(vocab)
+    pairs, batches = first_epoch(examples, vocab, det_map)
+    kw = dict(go_id=vocab.go_id, pad_id=vocab.pad_id, n_det=RUN["n_det"], max_steps=RUN["max_steps"])
+    for k, rows in enumerate(batches):
+        loss_seq, loss_mem, grad = batch_losses(model, pairs, rows)
+        ref_seq, ref_mem, ref_grad = list_batch_losses(model, [examples[i] for i in rows], det_map, **kw)
+        assert (loss_seq, loss_mem) == (ref_seq, ref_mem), k
+        assert np.array_equal(grad, ref_grad), (k, np.abs(grad - ref_grad).max())
+        clip_gradients(grad, CLIP_NORM)
+        adam_step(model.theta, grad, opt)
+    assert len(batches) == 125
+
+
+# --- the per-example memory loop and the concatenating backward ------------
 
 
 def per_example_memory_loss(hiddens, original, mask, det_map, memories, w_query, scale):
@@ -118,11 +288,9 @@ def padded_originals(batch, lengths, pad_id, det_map):
 
 def test_first_epoch_matches_per_example_memory_loss_and_concatenating_backward(acceptance_world,
                                                                                  monkeypatch):
-    vocab, det_map, pairs = acceptance_world
-    run = SPEC["run"]
-    model = CaptionModel(vocab.size, hidden_size=run["hidden_size"], embed_size=run["embed_size"],
-                         image_dim=run["image_dim"], key_dim=run["key_dim"], seed=run["seed"])
-    opt = AdamState.for_param(model.theta, lr=run["lr"], weight_decay=run["weight_decay"])
+    _, vocab, det_map, examples = acceptance_world
+    model, opt = acceptance_model(vocab)
+    pairs, batches = first_epoch(examples, vocab, det_map)
     seen = {}
 
     def recorded(name, fn):
@@ -134,19 +302,16 @@ def test_first_epoch_matches_per_example_memory_loss_and_concatenating_backward(
 
     for name in ("backward_pass", "memory_loss_forward"):
         monkeypatch.setattr(pipeline, name, recorded(name, getattr(pipeline, name)))
-    order = np.random.default_rng([run["seed"], 1]).permutation(len(pairs))
-    batches = [[pairs[i] for i in order[s:s + run["batch_size"]]]
-               for s in range(0, len(order), run["batch_size"])]
     worst = {"loss": 0.0, "dq": 0.0, "grad": 0.0}
     totals = np.zeros(2, dtype=int)
-    for k, batch in enumerate(batches):
+    for k, rows in enumerate(batches):
+        batch = [examples[i] for i in rows]
         before = model.copy()
-        _, loss_mem, _ = train_step(batch, model, det_map, opt, vocab, n_det=run["n_det"],
-                                    max_steps=run["max_steps"])
+        _, loss_mem, _ = train_step(rows, pairs, model, opt)
         (_, cache, dlogits, dq), grad = seen["backward_pass"]
         mask_arg, (_, reads) = seen["memory_loss_forward"][0][2], seen["memory_loss_forward"][1]
         original, mask = padded_originals(batch, cache.lengths, vocab.pad_id, det_map)
-        memories = [build_memory(ex.detections, run["n_det"], model.key_dim, det_map.n_classes)
+        memories = [build_memory(ex.detections, RUN["n_det"], model.key_dim, det_map.n_classes)
                     for ex in batch]
         loss, dq_ref, masked, n_reads = per_example_memory_loss(
             cache.hiddens, original, mask, det_map, memories, before.w_query, 1.0 / len(batch))
@@ -164,27 +329,46 @@ def test_first_epoch_matches_per_example_memory_loss_and_concatenating_backward(
 
 
 def test_pairs_are_built_once_per_image_and_reused(acceptance_world, monkeypatch):
-    vocab, det_map, pairs = acceptance_world
+    split, vocab, det_map, _ = acceptance_world
+    selected = []
+    select = memory.select_top_detections
+
+    def counted(dets, n_det):
+        selected.append(n_det)
+        return select(dets, n_det)
+
+    monkeypatch.setattr(memory, "select_top_detections", counted)
+    train = split.train[:40]  # no validation records: every selection below is training's
+    cfg = RunConfig(**dict(RUN, epochs=2, hidden_size=16, embed_size=8))
+    result = pipeline.train_model(HeldOutSplit(train, [], [], split.held_out_words), vocab, det_map, cfg)
+    assert len(result.history) == 2
+    assert selected == [cfg.n_det] * len(train)  # once per record: not per pair, not per epoch
+    examples = [TrainExample(r.feature, vocab.encode(ref, append_eos=True), r.detections)
+                for r in train for ref in r.references]
+    kw = dict(go_id=vocab.go_id, pad_id=vocab.pad_id, key_dim=cfg.key_dim, max_steps=cfg.max_steps)
+    pairs = TrainingPairs.of(examples, det_map, n_det=cfg.n_det, **kw)
+    assert np.array_equal(pairs.slot_rows, np.repeat(np.arange(len(train)), 2))  # two references an image
+    assert pairs.slots.counts.tolist() == [min(len(r.detections), cfg.n_det) for r in train]
     model = CaptionModel(vocab.size, hidden_size=16, embed_size=8, image_dim=32, key_dim=32)
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return build_memory(*args)
-
-    monkeypatch.setattr(pipeline, "build_memory", counted)
-    masked = [ex for ex in pairs if det_map.pd_ids & set(ex.targets)][:4]
-    shared = {}  # the first two pairs share one cache, as the pairs of one image do
-    batch = [TrainExample(ex.feature, ex.targets, ex.detections, shared if k < 2 else {})
-             for k, ex in enumerate(masked)]
-    kw = dict(go_id=vocab.go_id, pad_id=vocab.pad_id, n_det=4)
-    first = pipeline.batch_losses(model, batch, det_map, **kw)
-    assert len(calls) == 3  # the first two pairs share one cache
-    again = pipeline.batch_losses(model, batch, det_map, **kw)
-    assert len(calls) == 3
+    del selected[:]
+    first = batch_losses(model, pairs, np.arange(8))
+    again = batch_losses(model, pairs, np.arange(8))
+    assert selected == []
     assert first[:2] == again[:2] and np.array_equal(first[2], again[2])
-    pipeline.batch_losses(model, batch, det_map, **dict(kw, n_det=2))
-    assert len(calls) == 6  # another n_det is another memory
+    TrainingPairs.of(examples, det_map, n_det=2, **kw)
+    assert selected == [2] * len(train)  # another n_det is another build
+
+
+def test_pairs_without_a_masked_step_leave_their_slots_unwritten(acceptance_world):
+    split, vocab, det_map, _ = acceptance_world
+    rec = split.train[0]
+    plain = [w for w in vocab.words if vocab.index[w] not in det_map.pd_ids][:3]
+    examples = [TrainExample(rec.feature, vocab.encode(ref, append_eos=True), rec.detections)
+                for ref in (plain, rec.references[0])]
+    kw = dict(go_id=vocab.go_id, pad_id=vocab.pad_id, n_det=4, key_dim=32)
+    assert TrainingPairs.of(examples, det_map, **kw).slots.counts.tolist() == [4]
+    assert TrainingPairs.of(examples[:1], det_map, **kw).slots.counts.tolist() == [0]
+    assert TrainingPairs.of(examples, det_map, rewrite=False, **kw).slots is None
 
 
 def test_skip_reasons_in_one_batch(caplog):
@@ -206,7 +390,8 @@ def test_skip_reasons_in_one_batch(caplog):
     hiddens = rng.normal(size=(3, len(rows), hidden))
     w_query = rng.normal(size=(key_dim, hidden))
     with caplog.at_level("DEBUG", logger="novelcap.memory"):
-        loss, reads = memory_loss_forward(hiddens, original, mask.ravel(), det_map, memories, w_query)
+        loss, reads = memory_loss_forward(hiddens, original, mask.ravel(), det_map, as_slots(*memories),
+                                          w_query)
     messages = [r.message for r in caplog.records]
     assert sum("no detection class" in m for m in messages) == 1
     assert sum("no detections available" in m for m in messages) == 2
@@ -226,7 +411,7 @@ def test_memory_pass_with_no_masked_step_reads_nothing():
     det_map = intersect_detectable(vocab, ["dog"])
     memories = [ObjectMemory(2, 3, 1), ObjectMemory(2, 3, 1)]
     loss, reads = memory_loss_forward(np.zeros((2, 2, 4)), np.zeros((2, 2), dtype=np.intp), [0] * 4,
-                                      det_map, memories, np.zeros((3, 4)))
+                                      det_map, as_slots(*memories), np.zeros((3, 4)))
     assert loss == 0.0 and len(reads) == 0
     assert read_loss_backward(reads).shape == (0, 3)
 
