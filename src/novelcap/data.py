@@ -128,6 +128,9 @@ def _make_anchors(rng: np.random.Generator, n: int, dim: int, latent_rank: int) 
 def make_world(names: tuple[str, ...] = DEFAULT_INVENTORY, dim: int = 32, seed: int = 7,
                noise_scale: float = 0.03, templates: tuple[str, ...] = DEFAULT_TEMPLATES,
                latent_rank: int = 10, **kwargs) -> SyntheticWorld:
+    for key, value in (("dim", dim), ("latent_rank", latent_rank)):
+        if value < 1:  # refused before any anchor is drawn
+            raise DomainError(f"data: world {key} must be >= 1, got {value}")
     rng = np.random.default_rng(seed)
     anchors = _make_anchors(rng, len(names), dim, latent_rank)
     return SyntheticWorld(names=tuple(names), anchors=anchors, templates=tuple(templates),

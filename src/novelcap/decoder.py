@@ -159,20 +159,28 @@ def _halve_sigmoid_gates(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _cell(z: np.ndarray, c_prev: np.ndarray, gates: np.ndarray) -> np.ndarray:
-    """Activate the pre-activations ``z`` (..., 4*hidden), sigmoid gates
-    halved by ``_halve_sigmoid_gates``, into ``gates`` and return the new
-    cell state c = f*c_prev + i*g."""
-    nh = c_prev.shape[-1]
-    np.tanh(z, out=gates)
-    sig = gates[..., :3 * nh]
-    sig += 1.0
-    sig *= 0.5
-    return gates[..., nh:2 * nh] * c_prev + gates[..., :nh] * gates[..., 3 * nh:]
+def _cell(gates: np.ndarray, ig: np.ndarray):
+    """The LSTM cell update over one gate buffer ``gates`` (..., 4*hidden),
+    with its gate views taken once. The returned ``update(z, c_prev, out)``
+    activates the pre-activations ``z``, sigmoid gates halved by
+    ``_halve_sigmoid_gates``, into ``gates``, forms i*g in ``ig`` (...,
+    hidden) and writes the new cell state c = f*c_prev + i*g into ``out``,
+    which it returns."""
+    nh = gates.shape[-1] // 4
+    sig, i, f, g = gates[..., :3 * nh], gates[..., :nh], gates[..., nh:2 * nh], gates[..., 3 * nh:]
+
+    def update(z: np.ndarray, c_prev: np.ndarray, out: np.ndarray) -> np.ndarray:
+        np.tanh(z, gates)
+        np.add(sig, 1.0, sig)
+        np.multiply(sig, 0.5, sig)
+        np.multiply(i, g, ig)
+        np.multiply(f, c_prev, out)
+        return np.add(out, ig, out)
+    return update
 
 
 def _check_cell(c: np.ndarray) -> None:
-    if not np.all(np.abs(c) < CELL_SANITY_BOUND):  # NaN fails the comparison too
+    if not (np.abs(c) < CELL_SANITY_BOUND).all():  # NaN fails the comparison too
         raise NumericError("decoder: LSTM cell state left its sane range")
 
 
@@ -256,9 +264,10 @@ def forward_teacher_forced(input_ids: np.ndarray, targets: np.ndarray, lengths: 
     c = np.empty_like(h)
     c_tanh = np.empty((n_steps, batch, nh), dtype=FLOAT)
     gates = np.empty_like(zx)
+    ig = np.empty_like(h0)
     h[0], c[0] = h0, c0
     for t in range(n_steps):
-        c[t + 1] = _cell(zx[t] + h[t] @ w_h, c[t], gates[t])
+        _cell(gates[t], ig)(zx[t] + h[t] @ w_h, c[t], c[t + 1])
         np.tanh(c[t + 1], out=c_tanh[t])
         np.multiply(gates[t, :, 2 * nh:3 * nh], c_tanh[t], out=h[t + 1])
     _check_cell(c[1:][np.arange(n_steps)[:, None] < lengths])  # padding is never checked
@@ -368,7 +377,8 @@ class DecodeSnapshot:
 @dataclass
 class DecodeTrace:
     """Greedy decode output: ids, the pre-step hidden state of each emission
-    (one row per id), and where placeholders were emitted."""
+    (one row per id, a view of the decode's state buffer), and where
+    placeholders were emitted."""
 
     ids: list[int]
     hiddens: np.ndarray
@@ -381,27 +391,31 @@ def decode_greedy(image_feature: np.ndarray, snapshot: DecodeSnapshot, go_id: in
     next step. Ties break toward the lowest token id. Stops after <EOS>
     or max_steps emissions. A step is one gate-table row, one recurrent
     product, one tanh over the gates, the cell update and one output
-    product. The cell states are range-checked once, after the last step.
+    product, each written into buffers allocated once per decode, and the
+    gate views are taken once. The cell states are range-checked once,
+    after the last step.
     """
-    h, c = init_state(image_feature, snapshot.weights)
     table, w_h, w_out_t, b_out = snapshot.gate_table, snapshot.w_h, snapshot.w_out_t, snapshot.weights.b_out
     nh = w_h.shape[0]
-    gates = np.empty(4 * nh, dtype=FLOAT)
-    o = gates[2 * nh:3 * nh]
-    ids, hiddens, cells = [], [], []
+    h = np.empty((max_steps + 1, nh), dtype=FLOAT)  # h[t] is the state step t reads
+    c = np.empty((max_steps, nh), dtype=FLOAT)  # c[t] is the state step t writes
+    h[0], c_prev = init_state(image_feature, snapshot.weights)
+    z, gates, logits = np.empty(4 * nh, dtype=FLOAT), np.empty(4 * nh, dtype=FLOAT), np.empty_like(b_out)
+    update, o = _cell(gates, np.empty(nh, dtype=FLOAT)), gates[2 * nh:3 * nh]
+    ids = []
     tok = go_id
-    for _ in range(max_steps):
-        hiddens.append(h)
-        z = np.dot(h, w_h)
+    for h_t, h_next, c_t in zip(h, h[1:], c):
+        np.dot(h_t, w_h, z)
         z += table[tok]
-        c = _cell(z, c, gates)
-        h = np.tanh(c)
-        h *= o
-        tok = int((np.dot(h, w_out_t) + b_out).argmax())
+        c_prev = update(z, c_prev, c_t)
+        np.tanh(c_t, h_next)
+        h_next *= o
+        np.dot(h_next, w_out_t, logits)
+        logits += b_out
+        tok = int(logits.argmax())
         ids.append(tok)
-        cells.append(c)
         if tok == eos_id:
             break
-    _check_cell(np.array(cells))
-    return DecodeTrace(ids=ids, hiddens=np.array(hiddens).reshape(len(ids), nh),
+    _check_cell(c[:len(ids)])
+    return DecodeTrace(ids=ids, hiddens=h[:len(ids)],
                        placeholder_positions=[pos for pos, t in enumerate(ids) if t == placeholder_id])

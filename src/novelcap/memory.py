@@ -5,13 +5,16 @@ the class index is the value (the key-value read of Miller et al. 2016).
 A read turns query/key similarity into addressing weights,
 softmax(q . K^T), and sums the weights of the slots that carry each
 class into a class distribution. The read loss is the cross-entropy of
-that distribution against the annotated class. Captioning reads one
-image's ``ObjectMemory``; training reads ``Slots``, the same top-n_det
-keys and labels of every training image, built once as arrays.
+that distribution against the annotated class. Captioning builds one
+image's ``ObjectMemory`` in one block write and reads it once, with a
+(P, key_dim) block of queries, one per placeholder; training reads
+``Slots``, the same top-n_det keys and labels of every training image,
+built once as arrays.
 """
 
 import logging
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -43,11 +46,13 @@ class Detection:
 
 @dataclass
 class QueryResult:
-    """Outcome of one memory read."""
+    """Outcome of a memory read. A (key_dim,) query gives one distribution,
+    class and word; a (P, key_dim) block gives one row, class and word per
+    query."""
 
-    distribution: np.ndarray
-    argmax_class: int
-    argmax_word: str | None = None
+    distribution: np.ndarray  # (n_classes,), or (P, n_classes)
+    argmax_class: int | np.ndarray  # or (P,)
+    argmax_word: str | list[str] | None = None
 
 
 class ObjectMemory:
@@ -73,32 +78,45 @@ class ObjectMemory:
         """(n,) class index of each written slot."""
         return self._labels[:self.n]
 
-    def write(self, det: Detection) -> "ObjectMemory":
-        """Append one key-value slot; order of insertion is preserved."""
-        if self.n >= self.capacity:
+    def write(self, *dets: Detection) -> "ObjectMemory":
+        """Append one key-value slot per detection, in order, as one block."""
+        if self.n + len(dets) > self.capacity:
             raise CapacityError(f"memory: capacity {self.capacity} exceeded; select top detections first")
-        if det.feature.shape != (self.key_dim,):
-            raise ShapeError(f"memory: key shape {det.feature.shape} != ({self.key_dim},)")
-        if det.label >= self.n_classes:
-            raise DomainError(f"memory: label {det.label} out of range for {self.n_classes} classes")
-        self._keys[self.n] = det.feature
-        self._labels[self.n] = det.label
-        self.n += 1
+        if dets:
+            end = self.n + len(dets)
+            self._keys[self.n:end], self._labels[self.n:end] = slot_block(dets, self.key_dim, self.n_classes)
+            self.n = end
         return self
+
+
+def slot_block(dets, key_dim: int, n_classes: int) -> tuple[np.ndarray, list[int]]:
+    """The keys (n, key_dim) and labels of a non-empty run of detections,
+    checked once for the whole block: a key of another shape is a
+    ShapeError and a label past the classes a DomainError, each naming the
+    first detection at fault."""
+    labels = [det.label for det in dets]
+    if max(labels) >= n_classes:
+        bad = next(label for label in labels if label >= n_classes)
+        raise DomainError(f"memory: label {bad} out of range for {n_classes} classes")
+    try:
+        keys = np.array([det.feature for det in dets], dtype=FLOAT)
+    except ValueError:  # keys of mixed lengths do not stack
+        keys = None
+    if keys is None or keys.shape != (len(dets), key_dim):
+        bad = next(det.feature.shape for det in dets if det.feature.shape != (key_dim,))
+        raise ShapeError(f"memory: key shape {bad} != ({key_dim},)")
+    return keys, labels
 
 
 def select_top_detections(dets: list[Detection], n_det: int) -> list[Detection]:
     """The ``n_det`` highest-confidence detections, stable under score ties."""
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-    return [dets[i] for i in order[:n_det]]
+    return sorted(dets, key=attrgetter("score"), reverse=True)[:n_det]  # reverse keeps ties in order
 
 
 def build_memory(dets: list[Detection], n_det: int, key_dim: int, n_classes: int) -> ObjectMemory:
-    """Memory from the top-``n_det`` detections, keyed by their features."""
-    mem = ObjectMemory(n_det, key_dim, n_classes)
-    for det in select_top_detections(dets, n_det):
-        mem.write(det)
-    return mem
+    """Memory from the top-``n_det`` detections, keyed by their features,
+    written as one block."""
+    return ObjectMemory(n_det, key_dim, n_classes).write(*select_top_detections(dets, n_det))
 
 
 @dataclass
@@ -124,36 +142,44 @@ def build_slots(detections: list[list[Detection]], n_det: int, key_dim: int, n_c
                   np.zeros((len(detections), n_det), dtype=np.intp), np.zeros(len(detections), dtype=np.intp))
     for r, dets in enumerate(detections):
         top = select_top_detections(dets, n_det)
-        for s, det in enumerate(top):
-            if det.feature.shape != (key_dim,):
-                raise ShapeError(f"memory: key shape {det.feature.shape} != ({key_dim},)")
-            if det.label >= n_classes:
-                raise DomainError(f"memory: label {det.label} out of range for {n_classes} classes")
-            slots.keys[r, s] = det.feature
-            slots.labels[r, s] = det.label
+        if top:
+            slots.keys[r, :len(top)], slots.labels[r, :len(top)] = slot_block(top, key_dim, n_classes)
         slots.counts[r] = len(top)
     return slots
 
 
 def make_query(h_prev: np.ndarray, w_query: np.ndarray) -> np.ndarray:
-    """Project a decoder hidden state into the detection-feature space."""
-    if w_query.shape[1] != h_prev.shape[0]:
+    """Project a decoder hidden state (hidden,), or a block of them (P,
+    hidden), into the detection-feature space: one query per state."""
+    if w_query.shape[1] != h_prev.shape[-1]:
         raise ShapeError(f"memory: query transform {w_query.shape} does not accept hidden state {h_prev.shape}")
-    return w_query @ h_prev
+    return h_prev @ w_query.T
 
 
 def memory_read(q: np.ndarray, mem: ObjectMemory, det_map=None) -> tuple[QueryResult, np.ndarray]:
     """Content-based read: similarity, addressing weights, mixed class scores.
 
-    Returns the QueryResult and the class distribution it was read from.
-    Argmax ties break toward the lowest class index.
+    ``q`` is one query (key_dim,) or a block (P, key_dim), read in one
+    pass: one (P, n) similarity product, a softmax per row, and one
+    bincount that sums each row's weights by class in slot order. Returns
+    the QueryResult and the class distribution it was read from. Argmax
+    ties break toward the lowest class index.
     """
     if mem.n == 0:
         raise EmptyMemoryError("memory: read on an empty memory")
-    distribution = np.bincount(mem.labels, softmax(mem.keys @ q), minlength=mem.n_classes)
-    argmax_class = int(np.argmax(distribution))  # np.argmax takes the first (lowest) index on ties
-    word = det_map.word_for_class(argmax_class) if det_map is not None else None
-    return QueryResult(distribution=distribution, argmax_class=argmax_class, argmax_word=word), distribution
+    if q.shape[-1:] != (mem.key_dim,) or q.ndim > 2:
+        raise ShapeError(f"memory: query shape {q.shape} does not match keys of length {mem.key_dim}")
+    block = q.reshape(-1, mem.key_dim)
+    n_rows, n_classes = len(block), mem.n_classes
+    weights = softmax(block @ mem.keys.T)
+    # row r's weights go to bins r*n_classes + label; a lone row's bins are its labels
+    bins = mem.labels if n_rows == 1 else (np.arange(0, n_rows * n_classes, n_classes)[:, None] + mem.labels).ravel()
+    distribution = np.bincount(bins, weights.ravel(), minlength=n_rows * n_classes).reshape(n_rows, n_classes)
+    classes = distribution.argmax(1)  # the first (lowest) index on ties
+    words = None if det_map is None else [det_map.word_for_class(c) for c in classes.tolist()]
+    if q.ndim == 1:
+        return QueryResult(distribution[0], int(classes[0]), None if words is None else words[0]), distribution[0]
+    return QueryResult(distribution, classes, words), distribution
 
 
 @dataclass

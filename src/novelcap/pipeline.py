@@ -6,10 +6,11 @@ columns, runs the teacher-forced decoder once, reads the slots of all
 masked steps in one pass, and applies Adam to the summed gradients of
 both losses in one update.
 
-Captioning: (i) decode greedily, emitting placeholders; (ii) build the
-key-value memory from the image's top detections; (iii) query the memory
-with the hidden state recorded before each placeholder and substitute
-the retrieved word. Filling is a pure post-process: non-placeholder
+Captioning: (i) decode greedily, emitting placeholders; (ii) if the
+sentence has a placeholder, build the key-value memory from the image's
+top detections, once; (iii) query the memory with the block of hidden
+states recorded before the placeholders, in one read, and substitute
+the retrieved words. Filling is a pure post-process: non-placeholder
 positions are untouched. The ablations share steps (i) and (iii) and
 swap only the filler.
 """
@@ -240,34 +241,33 @@ def make_captioner(model: CaptionModel, vocab: Vocabulary, det_map: DetectableSe
                    mode: str = "dnoc"):
     """Record -> Caption callable for one of the three evaluation modes.
 
-    Every mode decodes once, then fills each placeholder with a word from
-    its filler: a memory read ("dnoc"), a seeded uniformly random
-    top-detection label ("no-memory"), or nothing ("no-placeholder"). A
-    placeholder without a word stays in the output as the literal token.
+    Every mode decodes once; a sentence with placeholders is then filled
+    by its mode's filler, which maps the (P, hidden) block of hidden
+    states before the placeholders to P words: one memory read of the
+    block ("dnoc"), a seeded uniformly random top-detection label each
+    ("no-memory"), or nothing ("no-placeholder"). A placeholder without a
+    word stays in the output as the literal token.
 
     The captioner reads the model's weights once, here: it captions with
     a snapshot of them, and later updates to ``model`` do not reach it.
     """
     snapshot = DecodeSnapshot.of(model)
     if mode == "dnoc":
-        def filler(rec):
+        def filler(rec, hiddens):
             mem = build_memory(rec.detections, cfg.n_det, snapshot.weights.key_dim, det_map.n_classes)
             if mem.n == 0:
                 return None
-
-            def fill(h_prev):
-                result, _ = memory_read(make_query(h_prev, snapshot.weights.w_query), mem, det_map)
-                return result.argmax_word
-            return fill
+            result, _ = memory_read(make_query(hiddens, snapshot.weights.w_query), mem, det_map)
+            return result.argmax_word
     elif mode == "no-memory":
-        def filler(rec):
+        def filler(rec, hiddens):
             labels = [d.label for d in select_top_detections(rec.detections, cfg.n_det)]
             if not labels:
                 return None
             rng = np.random.default_rng([cfg.seed, zlib.crc32(rec.image_id.encode())])
-            return lambda h_prev: det_map.word_for_class(labels[int(rng.integers(len(labels)))])
+            return [det_map.word_for_class(labels[int(rng.integers(len(labels)))]) for _ in hiddens]
     elif mode == "no-placeholder":
-        def filler(rec):
+        def filler(rec, hiddens):
             return None
     else:
         raise ValueError(f"pipeline: unknown captioning mode {mode!r}")
@@ -277,17 +277,16 @@ def make_captioner(model: CaptionModel, vocab: Vocabulary, det_map: DetectableSe
     def captioner(rec):
         trace = decode_greedy(rec.feature, snapshot, vocab.go_id, vocab.eos_id,
                               vocab.placeholder_id, cfg.max_steps)
-        fill = filler(rec)
-        placeholder_at = set(trace.placeholder_positions)
-        tokens: list[str] = []
+        positions = trace.placeholder_positions
+        words = filler(rec, trace.hiddens[positions]) if positions else []
         unfilled = 0
+        if words is None:
+            words, unfilled = [PLACEHOLDER] * len(positions), len(positions)
+        fills = dict(zip(positions, words))
+        tokens: list[str] = []
         for pos, tok_id in enumerate(trace.ids):
-            if pos in placeholder_at:
-                if fill is None:
-                    tokens.append(PLACEHOLDER)
-                    unfilled += 1
-                else:
-                    tokens.append(fill(trace.hiddens[pos]))
+            if pos in fills:
+                tokens.append(fills[pos])
             elif tok_id not in skip:
                 tokens.append(vocab.word_of(tok_id))
         return Caption(tokens=tokens, placeholder_count_unfilled=unfilled)

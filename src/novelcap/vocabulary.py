@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import text_lines
-from .errors import DomainError
+from .errors import DomainError, ParseError
 
 GO = "<GO>"
 EOS = "<EOS>"
@@ -89,8 +89,16 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        words = tuple(line.rstrip("\n") for _, line in text_lines(path, "vocabulary"))
-        return cls(words=words, index={w: i for i, w in enumerate(words)})
+        """The vocabulary ``save`` wrote; a word listed twice is a ParseError
+        naming the word and both of its lines."""
+        index: dict[str, int] = {}
+        for line_no, line in text_lines(path, "vocabulary"):
+            word = line.rstrip("\n")
+            if word in index:
+                raise ParseError(f"vocabulary: line {line_no}: word {word!r} is listed twice "
+                                 f"(first on line {index[word] + 1})")
+            index[word] = line_no - 1
+        return cls(words=tuple(index), index=index)
 
 
 def build_vocabulary(training_sentences: list[list[str]], min_count: int = 1) -> Vocabulary:

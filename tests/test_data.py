@@ -238,6 +238,18 @@ class TestWorldConfig:
         with pytest.raises(ParseError):
             load_world_config(path)
 
+    @pytest.mark.parametrize("key", ["latent_rank", "dim"])
+    @pytest.mark.parametrize("value", [0, -2])
+    def test_rank_or_dim_below_one_is_refused_by_name(self, tmp_path, recwarn, key, value):
+        path = tmp_path / "world.cfg"
+        save_world_config(small_world(), path)
+        lines = [f"{key} = {value}" if line.startswith(f"{key} =") else line
+                 for line in path.read_text().splitlines()]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DomainError, match=f"^data: world {key} must be >= 1, got {value}$"):
+            load_world_config(path)
+        assert not recwarn.list  # refused before any anchor is drawn: no divide-by-zero warning
+
 
 class TestInventoryDefaults:
     def test_default_shape(self):

@@ -95,12 +95,17 @@ def decode_one_step(snapshot):
     return trace.hiddens[1]
 
 
+def cell(z, c_prev, gates):
+    """One ``_cell`` update: the new cell state, with ``gates`` activated."""
+    return _cell(gates, np.empty_like(c_prev))(z, c_prev, np.empty_like(c_prev))
+
+
 class TestLstmStep:
     """The cell update (``_cell``) and the greedy decode step built on it."""
 
     def test_all_zero(self):
         gates = np.empty(16)
-        c = _cell(np.zeros(16), np.zeros(4), gates)
+        c = cell(np.zeros(16), np.zeros(4), gates)
         assert np.array_equal(c, np.zeros(4))
         assert np.array_equal(gates, [0.5] * 12 + [0.0] * 4)
         snapshot = one_step_snapshot(np.zeros(3), np.zeros(4), np.zeros(4),
@@ -114,7 +119,7 @@ class TestLstmStep:
         b = np.zeros(4 * nh)
         b[nh:2 * nh] = 30.0
         b[:nh] = -30.0
-        c = _cell(_halve_sigmoid_gates(b), c_prev, np.empty(4 * nh))
+        c = cell(_halve_sigmoid_gates(b), c_prev, np.empty(4 * nh))
         assert np.allclose(c, c_prev, atol=1e-9)
 
     def test_matches_scalar_oracle(self):
@@ -126,7 +131,7 @@ class TestLstmStep:
         h_prev, c_prev = rng.uniform(-0.9, 0.9, nh), rng.uniform(-0.9, 0.9, nh)
         h_ref, c_ref = scalar_lstm_oracle(x, h_prev, c_prev, w, b)
         gates = np.empty(4 * nh)
-        c = _cell(_halve_sigmoid_gates(w @ np.concatenate([x, h_prev]) + b), c_prev, gates)
+        c = cell(_halve_sigmoid_gates(w @ np.concatenate([x, h_prev]) + b), c_prev, gates)
         assert np.all(np.abs(c - np.array(c_ref)) < 1e-12)
         assert np.all(np.abs(gates[2 * nh:3 * nh] * np.tanh(c) - np.array(h_ref)) < 1e-12)
         h = decode_one_step(one_step_snapshot(x, h_prev, c_prev, w, b))

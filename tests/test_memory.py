@@ -104,8 +104,17 @@ class TestMakeQuery:
         assert np.array_equal(make_query(np.zeros(3), np.ones((2, 3))), np.zeros(2))
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            make_query(np.zeros(3), np.ones((2, 4)))
+        for h in (np.zeros(3), np.zeros((2, 3))):  # one hidden state, or a block
+            with pytest.raises(ShapeError):
+                make_query(h, np.ones((2, 4)))
+
+    def test_block_rows_equal_single_queries(self):
+        rng = np.random.default_rng(2)
+        hiddens, w_query = rng.normal(size=(5, 8)), rng.normal(size=(3, 8))
+        block = make_query(hiddens, w_query)
+        assert block.shape == (5, 3)
+        for h, q in zip(hiddens, block):
+            assert np.abs(make_query(h, w_query) - q).max() <= 1e-12
 
 
 class TestMemoryRead:
@@ -133,8 +142,9 @@ class TestMemoryRead:
 
     def test_empty_memory(self):
         mem = ObjectMemory(4, key_dim=2, n_classes=3)
-        with pytest.raises(EmptyMemoryError):
-            memory_read(np.zeros(2), mem)
+        for q in (np.zeros(2), np.zeros((3, 2))):  # one query, or a block
+            with pytest.raises(EmptyMemoryError):
+                memory_read(q, mem)
 
     def test_argmax_word_via_det_map(self):
         vocab = build_vocabulary([["a", "dog"]], 1)
@@ -160,6 +170,36 @@ class TestMemoryRead:
         mem2 = memory_of(*[(keys[i], labels[i]) for i in perm], n_classes=n_classes)
         result2, _ = memory_read(q, mem2)
         assert np.all(np.abs(result.distribution - result2.distribution) < 1e-12)
+
+    def test_block_read_equals_single_reads(self):
+        rng = np.random.default_rng(11)
+        vocab = build_vocabulary([[f"c{k}" for k in range(6)]], 1)
+        det_map = intersect_detectable(vocab, [f"c{k}" for k in range(6)])
+        cases = []
+        for n_slots, n_rows in ((1, 1), (1, 3), (4, 2), (9, 5), (16, 4)):
+            mem = memory_of(*((rng.normal(size=5), int(rng.integers(6))) for _ in range(n_slots)),
+                            n_classes=6, capacity=16)
+            cases.append((mem, rng.normal(size=(n_rows, 5)) * 3))
+        # exact ties: one key under two labels, and queries that weigh every slot the same
+        tied = memory_of(([1.0, 1.0], 4), ([1.0, 1.0], 2), ([0.0, -1.0], 1), ([-1.0, 0.0], 3), n_classes=6)
+        cases.append((tied, np.array([[0.5, 0.5], [0.0, 0.0], [1.0, 1.0], [-2.0, 0.0]])))
+        for mem, block in cases:
+            result, distribution = memory_read(block, mem, det_map)
+            assert distribution.shape == result.distribution.shape == (len(block), 6)
+            for p, q in enumerate(block):
+                single, _ = memory_read(q, mem, det_map)
+                assert np.abs(distribution[p] - single.distribution).max() <= 1e-12
+                assert result.argmax_class[p] == single.argmax_class
+                assert result.argmax_word[p] == single.argmax_word
+        result, _ = memory_read(cases[-1][1], tied)
+        assert result.argmax_class.tolist() == [2, 1, 2, 3]  # ties break toward the lowest class
+        assert result.argmax_word is None
+
+    def test_query_of_the_wrong_length_is_a_shape_error(self):
+        mem = memory_of(([1.0, 0.0], 0))
+        for q in (np.zeros(3), np.zeros((2, 3)), np.zeros((1, 1, 2))):
+            with pytest.raises(ShapeError, match="query shape"):
+                memory_read(q, mem)
 
     def test_single_slot_argmax_invariant_to_query_scale(self):
         # claimed only for n = 1; softmax temperature changes with scale
@@ -261,6 +301,31 @@ class TestBuildMemory:
         mem = build_memory(dets, 4, key_dim=1, n_classes=1)
         assert mem.n == 4
         assert sorted(k[0] for k in mem.keys) == [3.0, 4.0, 5.0, 6.0]
+
+    def test_block_write_equals_slot_by_slot_writes(self):
+        rng = np.random.default_rng(4)
+        # scores drawn from three values, so ties are common and must keep input order
+        dets = [det(rng.normal(size=3), int(rng.integers(5)), float(rng.choice([0.2, 0.5, 0.9])))
+                for _ in range(12)]
+        for n_det in (1, 4, 12, 16):
+            mem = build_memory(dets, n_det, key_dim=3, n_classes=5)
+            order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))[:n_det]
+            one_by_one = ObjectMemory(n_det, 3, 5)
+            for i in order:
+                one_by_one.write(dets[i])
+            assert mem.n == one_by_one.n == len(order)
+            assert np.array_equal(mem.keys, one_by_one.keys) and np.array_equal(mem.labels, one_by_one.labels)
+
+    def test_block_write_names_the_first_bad_detection(self):
+        with pytest.raises(ShapeError, match=r"key shape \(2,\) != \(3,\)"):
+            build_memory([det([1.0, 2.0, 3.0], 0), det([1.0, 2.0], 0)], 4, key_dim=3, n_classes=2)
+        with pytest.raises(ShapeError, match=r"key shape \(1, 3\) != \(3,\)"):
+            build_memory([det([[1.0, 2.0, 3.0]], 0)], 4, key_dim=3, n_classes=2)
+        with pytest.raises(DomainError, match="label 7 out of range for 2 classes"):
+            build_memory([det([1.0], 1), det([1.0], 7), det([1.0], 9)], 4, key_dim=1, n_classes=2)
+        with pytest.raises(CapacityError):
+            ObjectMemory(2, 1, 1).write(det([1.0], 0), det([2.0], 0), det([3.0], 0))
+        assert build_memory([], 4, key_dim=3, n_classes=2).n == 0
 
 
 class TestBuildSlots:

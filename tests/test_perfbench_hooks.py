@@ -44,10 +44,18 @@ def test_counter_hooks_read_a_train_step_and_a_caption():
     tracer = tracing.Tracer()
     with tracing.instrumented(tracer, tracing.TIMING_SPANS + tracing.LAYER_SPANS):
         pipeline.train_step(rows, pairs, model, opt)
-        pipeline.make_captioner(model, vocab, det_map, cfg, "dnoc")(records[0])
+        # rigged to emit placeholders, so the caption builds its memory and reads it
+        model.b_out[vocab.placeholder_id] = 30.0
+        assert records[0].detections
+        caption = pipeline.make_captioner(model, vocab, det_map, cfg, "dnoc")(records[0])
 
     for counter in ("pipeline.pairs_trained", "decoder.teacher_forced_steps", "decoder.backward_steps",
-                    "memory.loss_reads", "decoder.decode_steps"):
+                    "memory.loss_reads", "decoder.decode_steps", "memory.slots_read",
+                    "pipeline.placeholders_emitted"):
         assert tracer.counts[counter] > 0, counter
     assert tracer.calls["pipeline.train_step"] == tracer.calls["pipeline.captioner"] == 1
     assert tracer.counts["pipeline.pairs_trained"] == len(rows) == 5
+    assert tracer.counts["pipeline.placeholders_emitted"] == cfg.max_steps
+    assert caption.placeholder_count_unfilled == 0 and len(caption.tokens) == cfg.max_steps
+    # one memory build and one read of the block of every placeholder's query
+    assert tracer.calls["memory.build_memory"] == tracer.calls["memory.memory_read"] == 1

@@ -283,9 +283,9 @@ def fig3_setup(monkeypatch):
                          Detection(np.array([0.0, 3.0]), 1, 0.8)])   # cake
     ids = [vocab.id_of(w) if w not in ("dog", "cake") else vocab.placeholder_id
            for w in sentence]
-    hiddens = [np.zeros(2) for _ in ids]
-    hiddens[1] = np.array([1.0, 0.0])   # queries that hit the dog key
-    hiddens[6] = np.array([0.0, 1.0])   # and the cake key
+    hiddens = np.zeros((len(ids), 2))
+    hiddens[1] = [1.0, 0.0]   # queries that hit the dog key
+    hiddens[6] = [0.0, 1.0]   # and the cake key
     trace = DecodeTrace(ids=ids, hiddens=hiddens, placeholder_positions=[1, 6])
     monkeypatch.setattr(pipeline, "decode_greedy", lambda *args: trace)
     return vocab, det_map, model, rec, trace
@@ -304,7 +304,8 @@ class TestFillPlaceholders:
         filled = caption(model, vocab, det_map, rec)
         assert filled.tokens == ["a", "dog", "is", "looking", "at", "a", "cake"]
         assert filled.placeholder_count_unfilled == 0
-        assert len(reads) == len(trace.placeholder_positions) == 2
+        assert len(reads) == 1  # one read of the block of both placeholders' queries
+        assert reads[0][0].shape == (len(trace.placeholder_positions), 2) == (2, 2)
 
     def test_empty_memory_keeps_placeholder(self, monkeypatch):
         vocab, det_map, model, rec, _ = fig3_setup(monkeypatch)

@@ -8,9 +8,18 @@ strided recurrent weights and the stacked local derivatives), the
 per-example memory loop (one read and one backward per masked step) and
 the ``np.add.at`` / concatenated backward, run on the acceptance world's
 first training epoch.
+
+Captioning builds a record's memory once, in one block write, and fills
+all of its placeholders with one read. Its oracle is the captioner it
+replaced (a memory written one slot at a time, one query product and one
+read per placeholder, each filler made eagerly), over the benchmark's
+caption and crowded-sweep draws.
 """
 
+import dataclasses
+import importlib.util
 import json
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -19,13 +28,14 @@ import pytest
 from novelcap import memory, pipeline
 from novelcap.config import RunConfig
 from novelcap.data import HeldOutSplit, build_heldout_split, generate_synthetic, make_world
-from novelcap.decoder import (CaptionModel, ForwardCache, _cell, _check_cell, _halve_sigmoid_gates,
-                              init_state, sequence_loss)
+from novelcap.decoder import (CaptionModel, DecodeSnapshot, ForwardCache, _check_cell, _halve_sigmoid_gates,
+                              decode_greedy, init_state, sequence_loss)
 from novelcap.memory import (Detection, LossReads, ObjectMemory, Slots, build_memory, memory_loss_forward,
                              read_loss_backward)
 from novelcap.numerics import FLOAT, AdamState, adam_step, softmax
-from novelcap.pipeline import CLIP_NORM, TrainExample, TrainingPairs, batch_losses, clip_gradients, train_step
-from novelcap.vocabulary import build_vocabulary, intersect_detectable, mask_weights, rewrite_targets
+from novelcap.pipeline import (CLIP_NORM, Caption, TrainExample, TrainingPairs, batch_losses, clip_gradients,
+                               train_step)
+from novelcap.vocabulary import PLACEHOLDER, build_vocabulary, intersect_detectable, mask_weights, rewrite_targets
 
 SPEC = json.loads((Path(__file__).parent / "acceptance_config.json").read_text())["benchmark"]
 RUN = SPEC["run"]
@@ -70,6 +80,17 @@ def as_slots(*mems):
 # --- the list-based step, as it was before the pairs became arrays ---------
 
 
+def allocating_cell(z, c_prev, gates):
+    """The gate activation and cell update into fresh arrays: tanh of the
+    halved pre-activations into ``gates``, then c = f*c_prev + i*g."""
+    nh = c_prev.shape[-1]
+    np.tanh(z, out=gates)
+    sig = gates[..., :3 * nh]
+    sig += 1.0
+    sig *= 0.5
+    return gates[..., nh:2 * nh] * c_prev + gates[..., :nh] * gates[..., 3 * nh:]
+
+
 def list_forward(targets, features, model, go_id, pad_id, max_steps):
     """The teacher-forced forward over a list of sequences, padded per batch,
     with the recurrent weights as a transposed view of a copy of lstm_w's
@@ -94,7 +115,7 @@ def list_forward(targets, features, model, go_id, pad_id, max_steps):
     gates = np.empty_like(zx)
     h[0], c[0] = h0, c0
     for t in range(n_steps):
-        c[t + 1] = _cell(zx[t] + h[t] @ w_h, c[t], gates[t])
+        c[t + 1] = allocating_cell(zx[t] + h[t] @ w_h, c[t], gates[t])
         np.tanh(c[t + 1], out=c_tanh[t])
         np.multiply(gates[t, :, 2 * nh:3 * nh], c_tanh[t], out=h[t + 1])
     _check_cell(c[1:][np.arange(n_steps)[:, None] < lengths])
@@ -415,3 +436,139 @@ def test_memory_pass_with_no_masked_step_reads_nothing():
     assert loss == 0.0 and len(reads) == 0
     assert read_loss_backward(reads).shape == (0, 3)
 
+
+
+# --- the captioner before one build and one read per caption ---------------
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+CAPTION_SEEDS = range(101, 111)
+SWEEP_SEEDS = (101, 102)
+
+
+def load_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads_captions", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def per_placeholder_captioner(model, vocab, det_map, cfg, mode):
+    """The captioner as it was: each record's filler made right after the
+    decode whether or not it has a placeholder (the memory written one slot
+    at a time, the generator seeded), then one query product and one read
+    per placeholder. Returns the caption and one entry per filled
+    placeholder: the class distribution of its memory read, or None for a
+    random label."""
+    snapshot = DecodeSnapshot.of(model)
+    w_query = snapshot.weights.w_query
+
+    def top(dets):
+        order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
+        return [dets[i] for i in order[:cfg.n_det]]
+
+    def filler(rec, reads):
+        if mode == "dnoc":
+            mem = ObjectMemory(cfg.n_det, model.key_dim, det_map.n_classes)
+            for det in top(rec.detections):
+                mem.write(det)
+            if mem.n == 0:
+                return None
+
+            def fill(h_prev):
+                distribution = np.bincount(mem.labels, softmax(mem.keys @ (w_query @ h_prev)),
+                                           minlength=mem.n_classes)
+                reads.append(distribution)
+                return det_map.word_for_class(int(np.argmax(distribution)))
+            return fill
+        labels = [d.label for d in top(rec.detections)]
+        if not labels:
+            return None
+        rng = np.random.default_rng([cfg.seed, zlib.crc32(rec.image_id.encode())])
+
+        def draw(h_prev):
+            reads.append(None)
+            return det_map.word_for_class(labels[int(rng.integers(len(labels)))])
+        return draw
+
+    skip = {vocab.go_id, vocab.pad_id, vocab.eos_id}
+
+    def captioner(rec):
+        trace = decode_greedy(rec.feature, snapshot, vocab.go_id, vocab.eos_id, vocab.placeholder_id,
+                              cfg.max_steps)
+        reads = []
+        fill = filler(rec, reads)
+        tokens, unfilled = [], 0
+        for pos, tok_id in enumerate(trace.ids):
+            if pos in trace.placeholder_positions:
+                if fill is None:
+                    tokens.append(PLACEHOLDER)
+                    unfilled += 1
+                else:
+                    tokens.append(fill(trace.hiddens[pos]))
+            elif tok_id not in skip:
+                tokens.append(vocab.word_of(tok_id))
+        return Caption(tokens, unfilled), reads
+    return captioner
+
+
+def caption_differences(records, model, corpus, cfg, mode, tally):
+    """Each record whose caption differs from the per-placeholder
+    captioner's, with the reference margin (top class minus runner-up) of
+    each of its memory reads. ``tally`` counts captions, placeholders
+    filled, and captions with more than one placeholder filled."""
+    captioner = pipeline.make_captioner(model, corpus.vocab, corpus.det_map, cfg, mode)
+    reference = per_placeholder_captioner(model, corpus.vocab, corpus.det_map, cfg, mode)
+    differences = []
+    for rec in records:
+        got, (want, reads) = captioner(rec), reference(rec)
+        tally["captions"] += 1
+        tally["filled"] += len(reads)
+        tally["block reads"] += len(reads) > 1
+        if (got.tokens, got.placeholder_count_unfilled) != (want.tokens, want.placeholder_count_unfilled):
+            margins = [float(np.diff(np.sort(d)[-2:])[0]) for d in reads if d is not None]
+            differences.append(f"{mode} n_det {cfg.n_det} {rec.image_id}: {got.tokens} "
+                               f"({got.placeholder_count_unfilled} unfilled) for {want.tokens} "
+                               f"({want.placeholder_count_unfilled} unfilled), read margins {margins}")
+    return differences
+
+
+def trained_corpus(wl, workdir, crowded):
+    if crowded:
+        corpus = wl.build_corpus(workdir, wl.CROWDED_IMAGES, (1, 3), 12)
+    else:
+        corpus = wl.build_corpus(workdir, wl.N_IMAGES, (1, 1), wl.WORLD["distractors"])
+    return corpus, CaptionModel.from_params(wl.train(corpus, wl.Checks()).params)
+
+
+def test_captions_equal_the_per_placeholder_captioner_on_the_caption_workload(tmp_path):
+    """Every record the caption workload captions first at seeds 101-110,
+    in dnoc and no-memory mode: equal tokens and unfilled counts. A
+    difference fails the test and is listed with its read margins."""
+    wl = load_workloads()
+    corpus, model = trained_corpus(wl, tmp_path, crowded=False)
+    tally, differences = dict.fromkeys(("captions", "filled", "block reads"), 0), []
+    for seed in CAPTION_SEEDS:
+        records = corpus.draw(seed, 0, wl.CAPTION_RECORDS).test
+        for mode in ("dnoc", "no-memory"):
+            differences += caption_differences(records, model, corpus, corpus.cfg, mode, tally)
+    assert tally["captions"] == 2 * len(CAPTION_SEEDS) * wl.CAPTION_RECORDS
+    assert tally["filled"] >= tally["captions"] / 2, tally  # the trained model emits one in every caption
+    assert not differences, f"{len(differences)} differences:\n" + "\n".join(differences)
+
+
+def test_captions_equal_the_per_placeholder_captioner_on_the_crowded_sweep(tmp_path):
+    """The crowded-sweep records of two seeds at every n_det from 1 to 16,
+    in dnoc and no-memory mode, where captions hold several placeholders:
+    a block read has several rows, and a generator makes several draws."""
+    wl = load_workloads()
+    corpus, model = trained_corpus(wl, tmp_path, crowded=True)
+    tally, differences = dict.fromkeys(("captions", "filled", "block reads"), 0), []
+    for seed in SWEEP_SEEDS:
+        records = corpus.draw(seed, 0, wl.SWEEP_RECORDS).test
+        for n_det in wl.SWEEP_NDET:
+            cfg = dataclasses.replace(corpus.cfg, n_det=n_det)
+            for mode in ("dnoc", "no-memory"):
+                differences += caption_differences(records, model, corpus, cfg, mode, tally)
+    assert tally["captions"] == 2 * len(SWEEP_SEEDS) * wl.SWEEP_RECORDS * len(wl.SWEEP_NDET)
+    assert tally["block reads"] >= tally["captions"] / 2, tally  # two placeholders in every caption
+    assert not differences, f"{len(differences)} differences:\n" + "\n".join(differences)

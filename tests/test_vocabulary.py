@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from novelcap.errors import DomainError
+from novelcap.errors import DomainError, ParseError
 from novelcap.vocabulary import (PLACEHOLDER, SPECIAL_TOKENS, Vocabulary, build_vocabulary,
                                  intersect_detectable, mask_weights, rewrite_targets)
 
@@ -44,6 +44,19 @@ class TestBuildVocabulary:
         assert loaded.words == v.words
         loaded.save(path)
         assert path.read_bytes() == first
+
+    @pytest.mark.parametrize("words, line, word, first", [
+        (["a", "a", *SPECIAL_TOKENS], 2, "a", 1),
+        (["a", "dog", *SPECIAL_TOKENS, "dog"], 8, "dog", 2),
+        (["a", *SPECIAL_TOKENS, SPECIAL_TOKENS[0]], 7, SPECIAL_TOKENS[0], 2),
+    ])
+    def test_load_refuses_a_word_listed_twice(self, tmp_path, words, line, word, first):
+        # a repeated word would shadow its first id and shift the ids the checkpoint was trained with
+        path = tmp_path / "vocab.txt"
+        path.write_text("\n".join(words) + "\n")
+        with pytest.raises(ParseError, match=f"^vocabulary: line {line}: word '{word}' is listed twice "
+                                             f"\\(first on line {first}\\)$"):
+            Vocabulary.load(path)
 
 
 class TestIntersectDetectable:
