@@ -395,6 +395,8 @@ def decode_greedy(image_feature: np.ndarray, snapshot: DecodeSnapshot, go_id: in
     gate views are taken once. The cell states are range-checked once,
     after the last step.
     """
+    if np.ndim(image_feature) != 1:
+        raise ShapeError(f"decoder: greedy decoding takes one image feature, got shape {np.shape(image_feature)}")
     table, w_h, w_out_t, b_out = snapshot.gate_table, snapshot.w_h, snapshot.w_out_t, snapshot.weights.b_out
     nh = w_h.shape[0]
     h = np.empty((max_steps + 1, nh), dtype=FLOAT)  # h[t] is the state step t reads

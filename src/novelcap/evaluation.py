@@ -5,14 +5,9 @@ reference sentences mentions the word, and as a predicted positive when
 the generated caption contains it. Matching is exact lowercase token
 equality with no stemming, so plural forms are distinct words. True
 negatives never enter the score.
-
-The ``diagnostic_unigram_precision`` field is a reference-clipped unigram
-overlap emitted as a rough fluency signal only. It is NOT METEOR and no
-acceptance decision reads it.
 """
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 
 from .config import not_utf8
@@ -37,7 +32,6 @@ class F1Report:
     per_object: dict[str, ObjectScore]
     average_f1: float
     known_average_f1: float = 0.0
-    diagnostic_unigram_precision: float = 0.0
     mode: str = ""
     split_hash: str = ""
 
@@ -65,36 +59,18 @@ def f1_for_object(word: str, generated: dict[str, Caption],
     return score
 
 
-def _clipped_unigram_precision(caption: Caption, refs: list[list[str]]) -> float:
-    if not caption.tokens:
-        return 0.0
-    counts = Counter(caption.tokens)
-    credit = 0
-    for tok, n in counts.items():
-        best = max((ref.count(tok) for ref in refs), default=0)
-        credit += min(n, best)
-    return credit / len(caption.tokens)
-
-
-def evaluate_records(records, captioner, words) -> tuple[dict[str, ObjectScore], float]:
-    """Caption every record and score each word; also returns the
-    NOT-METEOR unigram diagnostic."""
+def evaluate_records(records, captioner, words) -> dict[str, ObjectScore]:
+    """Caption every record and score each word."""
     generated = {rec.image_id: captioner(rec) for rec in records}
     references = {rec.image_id: rec.references for rec in records}
-    per_object = {w: f1_for_object(w, generated, references) for w in words}
-    if records:
-        diag = sum(_clipped_unigram_precision(generated[r.image_id], r.references)
-                   for r in records) / len(records)
-    else:
-        diag = 0.0
-    return per_object, diag
+    return {w: f1_for_object(w, generated, references) for w in words}
 
 
 def average_f1_over(records, captioner, words) -> float:
     """Unweighted mean F1 of ``words`` over ``records`` (0.0 when empty)."""
     if not words or not records:
         return 0.0
-    per_object, _ = evaluate_records(records, captioner, words)
+    per_object = evaluate_records(records, captioner, words)
     return sum(s.f1 for s in per_object.values()) / len(words)
 
 
@@ -106,12 +82,11 @@ def evaluate_split(split, captioner, known_words=(), mode: str = "",
     records would read as a weaker model, not a broken one."""
     held = list(split.held_out_words)
     known = [w for w in known_words if w not in split.held_out_words]
-    per_object, diag = evaluate_records(split.test, captioner, held + known)
+    per_object = evaluate_records(split.test, captioner, held + known)
     average_f1 = sum(per_object[w].f1 for w in held) / len(held) if held else 0.0
     known_average = sum(per_object[w].f1 for w in known) / len(known) if known else 0.0
     return F1Report(per_object=per_object, average_f1=average_f1,
-                    known_average_f1=known_average, diagnostic_unigram_precision=diag,
-                    mode=mode, split_hash=split_hash)
+                    known_average_f1=known_average, mode=mode, split_hash=split_hash)
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +102,6 @@ def format_report_lines(report: F1Report) -> list[str]:
         lines.append(f"{word}\t{s.tp}\t{s.fp}\t{s.fn}\t{s.precision!r}\t{s.recall!r}\t{s.f1!r}")
     lines.append(f"average_f1\t{report.average_f1!r}")
     lines.append(f"known_average_f1\t{report.known_average_f1!r}")
-    lines.append(f"diagnostic_unigram_precision (NOT METEOR)\t{report.diagnostic_unigram_precision!r}")
     return lines
 
 
@@ -137,7 +111,6 @@ def write_report(report: F1Report, path) -> None:
         "split_hash": report.split_hash,
         "average_f1": report.average_f1,
         "known_average_f1": report.known_average_f1,
-        "diagnostic_unigram_precision": report.diagnostic_unigram_precision,
         "per_object": {
             word: {"tp": s.tp, "fp": s.fp, "fn": s.fn, "precision": s.precision,
                    "recall": s.recall, "f1": s.f1}
@@ -164,9 +137,8 @@ def read_report(path) -> F1Report:
     try:
         per_object = {word: ObjectScore(**stats) for word, stats in doc["per_object"].items()}
         return F1Report(per_object=per_object, average_f1=doc["average_f1"],
-                        known_average_f1=doc["known_average_f1"],
-                        diagnostic_unigram_precision=doc["diagnostic_unigram_precision"],
-                        mode=doc["mode"], split_hash=doc["split_hash"])
+                        known_average_f1=doc["known_average_f1"], mode=doc["mode"],
+                        split_hash=doc["split_hash"])
     except KeyError as e:
         raise SchemaError(f"evaluation: report file is missing field {e}") from e
     except TypeError as e:

@@ -8,8 +8,8 @@ class into a class distribution. The read loss is the cross-entropy of
 that distribution against the annotated class. Captioning builds one
 image's ``ObjectMemory`` in one block write and reads it once, with a
 (P, key_dim) block of queries, one per placeholder; training reads
-``Slots``, the same top-n_det keys and labels of every training image,
-built once as arrays.
+``Slots``, the padded buffers of one such memory per training image,
+stacked once.
 """
 
 import logging
@@ -79,33 +79,29 @@ class ObjectMemory:
         return self._labels[:self.n]
 
     def write(self, *dets: Detection) -> "ObjectMemory":
-        """Append one key-value slot per detection, in order, as one block."""
+        """Append one key-value slot per detection, in order, as one block,
+        checked once for the whole block: a key of another shape is a
+        ShapeError and a label past the classes a DomainError, each naming
+        the first detection at fault."""
         if self.n + len(dets) > self.capacity:
             raise CapacityError(f"memory: capacity {self.capacity} exceeded; select top detections first")
-        if dets:
-            end = self.n + len(dets)
-            self._keys[self.n:end], self._labels[self.n:end] = slot_block(dets, self.key_dim, self.n_classes)
-            self.n = end
+        if not dets:
+            return self
+        labels = [det.label for det in dets]
+        if max(labels) >= self.n_classes:
+            bad = next(label for label in labels if label >= self.n_classes)
+            raise DomainError(f"memory: label {bad} out of range for {self.n_classes} classes")
+        try:
+            keys = np.array([det.feature for det in dets], dtype=FLOAT)
+        except ValueError:  # keys of mixed lengths do not stack
+            keys = None
+        if keys is None or keys.shape != (len(dets), self.key_dim):
+            bad = next(det.feature.shape for det in dets if det.feature.shape != (self.key_dim,))
+            raise ShapeError(f"memory: key shape {bad} != ({self.key_dim},)")
+        end = self.n + len(dets)
+        self._keys[self.n:end], self._labels[self.n:end] = keys, labels
+        self.n = end
         return self
-
-
-def slot_block(dets, key_dim: int, n_classes: int) -> tuple[np.ndarray, list[int]]:
-    """The keys (n, key_dim) and labels of a non-empty run of detections,
-    checked once for the whole block: a key of another shape is a
-    ShapeError and a label past the classes a DomainError, each naming the
-    first detection at fault."""
-    labels = [det.label for det in dets]
-    if max(labels) >= n_classes:
-        bad = next(label for label in labels if label >= n_classes)
-        raise DomainError(f"memory: label {bad} out of range for {n_classes} classes")
-    try:
-        keys = np.array([det.feature for det in dets], dtype=FLOAT)
-    except ValueError:  # keys of mixed lengths do not stack
-        keys = None
-    if keys is None or keys.shape != (len(dets), key_dim):
-        bad = next(det.feature.shape for det in dets if det.feature.shape != (key_dim,))
-        raise ShapeError(f"memory: key shape {bad} != ({key_dim},)")
-    return keys, labels
 
 
 def select_top_detections(dets: list[Detection], n_det: int) -> list[Detection]:
@@ -134,18 +130,11 @@ class Slots:
 
 
 def build_slots(detections: list[list[Detection]], n_det: int, key_dim: int, n_classes: int) -> Slots:
-    """One slot row per image from its top-``n_det`` detections, checked as
-    ``ObjectMemory.write`` checks them."""
-    if n_det < 1:
-        raise DomainError(f"memory: capacity must be >= 1, got {n_det}")
-    slots = Slots(np.zeros((len(detections), n_det, key_dim), dtype=FLOAT),
-                  np.zeros((len(detections), n_det), dtype=np.intp), np.zeros(len(detections), dtype=np.intp))
-    for r, dets in enumerate(detections):
-        top = select_top_detections(dets, n_det)
-        if top:
-            slots.keys[r, :len(top)], slots.labels[r, :len(top)] = slot_block(top, key_dim, n_classes)
-        slots.counts[r] = len(top)
-    return slots
+    """One slot row per image (one or more): the padded buffers of its
+    ``build_memory``."""
+    mems = [build_memory(dets, n_det, key_dim, n_classes) for dets in detections]
+    return Slots(np.stack([mem._keys for mem in mems]), np.stack([mem._labels for mem in mems]),
+                 np.array([mem.n for mem in mems], dtype=np.intp))
 
 
 def make_query(h_prev: np.ndarray, w_query: np.ndarray) -> np.ndarray:

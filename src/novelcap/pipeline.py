@@ -24,7 +24,7 @@ import numpy as np
 from .data import HeldOutSplit
 from .decoder import (CaptionModel, DecodeSnapshot, backward_pass, decode_greedy, forward_teacher_forced,
                       pad_sequences, sequence_loss)
-from .errors import NumericError
+from .errors import ConfigError, NumericError
 from .memory import (Detection, Slots, build_memory, build_slots, make_query, memory_loss_forward,
                      memory_read, read_loss_backward, select_top_detections)
 from .numerics import AdamState, adam_step
@@ -82,7 +82,7 @@ class TrainingPairs:
         baseline) the raw targets are used and no slots are built.
         Otherwise rewriting and masking are lookups over every word id, and
         pairs with the same detections list (the references of one image)
-        share one slot row, written only if one of them has a masked step."""
+        share one slot row."""
         inputs, original, lengths = pad_sequences([ex.targets for ex in examples], go_id, pad_id, max_steps)
         words = list(range(len(pd.word_classes)))
         mask = np.array(mask_weights(words, pd))[original]
@@ -93,10 +93,7 @@ class TrainingPairs:
         if rewrite:
             rewritten = np.array(rewrite_targets(words, pd))
             inputs, targets = rewritten[inputs], rewritten[original]
-            read = np.zeros(len(images), dtype=bool)
-            read[slot_rows[mask.any(axis=0)]] = True
-            slots = build_slots([dets if r else [] for dets, r in zip(images.values(), read)], n_det, key_dim,
-                                pd.n_classes)
+            slots = build_slots(list(images.values()), n_det, key_dim, pd.n_classes)
         return cls(inputs, targets, original, mask, lengths, np.array([ex.feature for ex in examples]),
                    slot_rows, slots, pd, pad_id)
 
@@ -200,11 +197,13 @@ def train_model(split: HeldOutSplit, vocab: Vocabulary, det_map: DetectableSet, 
     """
     from .evaluation import average_f1_over  # local import, no module cycle
 
-    rewrite = mode != "no-placeholder"
+    if mode not in ("dnoc", "no-placeholder"):
+        raise ConfigError(f"pipeline: training mode must be dnoc or no-placeholder, got {mode!r}")
+    rewrite = mode == "dnoc"
     if rewrite:
         selection_words = split.held_out_words
     else:
-        selection_words = tuple(sorted(vocab.word_of(i) for i in det_map.pd_ids))
+        selection_words = tuple(sorted(vocab.word_of(i) for i in np.flatnonzero(det_map.word_classes >= 0)))
     model = CaptionModel(vocab.size, hidden_size=cfg.hidden_size, embed_size=cfg.embed_size,
                          image_dim=cfg.image_dim, key_dim=cfg.key_dim, seed=cfg.seed)
     opt = AdamState.for_param(model.theta, lr=cfg.lr, weight_decay=cfg.weight_decay)
@@ -270,7 +269,7 @@ def make_captioner(model: CaptionModel, vocab: Vocabulary, det_map: DetectableSe
         def filler(rec, hiddens):
             return None
     else:
-        raise ValueError(f"pipeline: unknown captioning mode {mode!r}")
+        raise ConfigError(f"pipeline: unknown captioning mode {mode!r}")
 
     skip = {vocab.go_id, vocab.pad_id, vocab.eos_id}
 

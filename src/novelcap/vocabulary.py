@@ -125,12 +125,11 @@ class DetectableSet:
     ``class_words[c]`` is the surface name of detection class c. Classes
     whose name is absent from the vocabulary are novel: they carry no word
     id and can enter captions only as raw strings. ``word_classes[i]`` is
-    the class of word id i, or -1 where it has none.
+    the class of word id i, or -1 where it has none: the detectable words
+    are exactly the ids with a class.
     """
 
-    pd_ids: frozenset[int]
     class_words: tuple[str, ...]
-    class_word_ids: tuple[int | None, ...]
     placeholder_id: int
     word_classes: np.ndarray = field(compare=False, repr=False)  # (vocabulary size,)
 
@@ -140,10 +139,6 @@ class DetectableSet:
 
     def word_for_class(self, class_index: int) -> str:
         return self.class_words[class_index]
-
-    def class_for_word_id(self, word_id: int) -> int | None:
-        c = int(self.word_classes[word_id]) if 0 <= word_id < len(self.word_classes) else -1
-        return c if c >= 0 else None
 
 
 def intersect_detectable(vocab: Vocabulary, detection_classes: list[str]) -> DetectableSet:
@@ -159,21 +154,13 @@ def intersect_detectable(vocab: Vocabulary, detection_classes: list[str]) -> Det
         if name in seen:
             raise DomainError(f"vocabulary: duplicate detection class {name!r}")
         seen.add(name)
-    word_ids = []
-    for name in detection_classes:
-        wid = vocab.index.get(name)
-        if wid is not None and wid in vocab.special_ids:
-            wid = None
-        word_ids.append(wid)
-    pd_ids = frozenset(wid for wid in word_ids if wid is not None)
     word_classes = np.full(vocab.size, -1, dtype=np.intp)
-    for c, wid in enumerate(word_ids):
-        if wid is not None:
+    for c, name in enumerate(detection_classes):
+        wid = vocab.index.get(name)
+        if wid is not None and wid not in vocab.special_ids:
             word_classes[wid] = c
     return DetectableSet(
-        pd_ids=pd_ids,
         class_words=tuple(detection_classes),
-        class_word_ids=tuple(word_ids),
         placeholder_id=vocab.placeholder_id,
         word_classes=word_classes,
     )
@@ -184,9 +171,9 @@ def rewrite_targets(sentence: list[int], pd: DetectableSet) -> list[int]:
 
     Length-preserving and idempotent; special tokens pass through.
     """
-    return [pd.placeholder_id if i in pd.pd_ids else i for i in sentence]
+    return [pd.placeholder_id if pd.word_classes[i] >= 0 else i for i in sentence]
 
 
 def mask_weights(original: list[int], pd: DetectableSet) -> list[int]:
     """Binary per-step weights: 1 exactly where the original word is detectable."""
-    return [1 if i in pd.pd_ids else 0 for i in original]
+    return [1 if pd.word_classes[i] >= 0 else 0 for i in original]

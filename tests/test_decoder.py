@@ -330,6 +330,13 @@ class TestDecodeGreedy:
         m.b_out *= 7.0
         assert decode(f, m, v).ids == before
 
+    @pytest.mark.parametrize("shape", [(1, 7), (3, 7)])
+    def test_a_batch_of_features_is_refused(self, shape):
+        v = tiny_vocab()
+        with pytest.raises(ShapeError, match=rf"^decoder: greedy decoding takes one image feature, "
+                                             rf"got shape \({shape[0]}, 7\)$"):
+            decode(np.ones(shape), tiny_model(v), v)
+
     def test_nan_cell_state_raises(self):
         v = tiny_vocab()
         m = tiny_model(v, seed=2)

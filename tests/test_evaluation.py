@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -85,7 +87,6 @@ class TestEvaluateSplit:
         report = evaluate_split(split, lambda rec: cap(*rec.references[0]), known_words=("dog",))
         assert report.average_f1 == 1.0
         assert report.known_average_f1 == 1.0
-        assert report.diagnostic_unigram_precision == 1.0
 
     def test_empty_captions_score_zero(self):
         held = ("zebra", "pizza")
@@ -113,8 +114,8 @@ class TestReports:
     def make_report(self):
         per = {"zebra": ObjectScore(tp=2, fp=1, fn=1, precision=2 / 3, recall=2 / 3, f1=2 / 3),
                "dog": ObjectScore(tp=1, fp=0, fn=0, precision=1.0, recall=1.0, f1=1.0)}
-        return F1Report(per_object=per, average_f1=2 / 3, known_average_f1=1.0,
-                        diagnostic_unigram_precision=0.5, mode="dnoc", split_hash="cafe")
+        return F1Report(per_object=per, average_f1=2 / 3, known_average_f1=1.0, mode="dnoc",
+                        split_hash="cafe")
 
     def test_round_trip(self, tmp_path):
         report = self.make_report()
@@ -122,6 +123,15 @@ class TestReports:
         write_report(report, path)
         loaded = read_report(path)
         assert loaded == report
+
+    def test_reads_a_report_that_carries_the_retired_unigram_field(self, tmp_path):
+        path = tmp_path / "report.json"
+        write_report(self.make_report(), path)
+        doc = json.loads(path.read_text())
+        assert "diagnostic_unigram_precision" not in doc
+        doc["diagnostic_unigram_precision"] = 0.5  # what reports written before its removal carry
+        path.write_text(json.dumps(doc))
+        assert read_report(path) == self.make_report()
 
     def test_write_is_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -134,4 +144,4 @@ class TestReports:
         assert lines[0] == "mode=dnoc split=cafe"
         body = [l.split("\t")[0] for l in lines[2:4]]
         assert body == ["dog", "zebra"]
-        assert any("NOT METEOR" in l for l in lines)
+        assert lines[4:] == ["average_f1\t0.6666666666666666", "known_average_f1\t1.0"]

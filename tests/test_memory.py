@@ -40,7 +40,7 @@ def read_loss(q, mem, target_class):
     """(loss, reads) of one read of ``mem`` with query ``q``: the batched
     memory loss over one masked step whose word is ``target_class``'s,
     through an identity query transform."""
-    word = CLASS_MAP.class_word_ids[target_class]
+    word = CLASS_VOCAB.index[CLASS_MAP.word_for_class(target_class)]
     return memory_loss_forward(np.reshape(q, (1, 1, -1)), np.array([[word]]), [1], CLASS_MAP, as_slots(mem),
                                np.eye(len(q)))
 
@@ -329,18 +329,20 @@ class TestBuildMemory:
 
 
 class TestBuildSlots:
-    def test_rows_equal_the_memories_of_each_image(self):
-        rng = np.random.default_rng(5)
-        images = [[det(rng.normal(size=3), int(rng.integers(3)), float(rng.uniform())) for _ in range(k)]
-                  for k in (6, 2, 0, 4)]
-        slots = build_slots(images, 4, key_dim=3, n_classes=3)
-        assert slots.keys.shape == (4, 4, 3) and slots.labels.shape == (4, 4)
-        mems = [build_memory(dets, 4, key_dim=3, n_classes=3) for dets in images]
-        expected = as_slots(*mems)
-        assert slots.counts.tolist() == [4, 2, 0, 4]
-        assert np.array_equal(slots.keys, expected.keys) and np.array_equal(slots.labels, expected.labels)
+    def test_rows_are_each_images_top_detections_padded(self):
+        images = [[det([1.0, 0.0], 2, 0.3), det([2.0, 0.0], 0, 0.9), det([3.0, 0.0], 1, 0.5)],
+                  [det([0.0, 4.0], 1, 0.2)],
+                  [],
+                  [det([5.0, 5.0], 0, 0.7), det([6.0, 6.0], 2, 0.7)]]
+        slots = build_slots(images, 2, key_dim=2, n_classes=3)
+        assert slots.counts.tolist() == [2, 1, 0, 2]
+        assert slots.keys.tolist() == [[[2.0, 0.0], [3.0, 0.0]],  # by score; 0.3 falls below the cut
+                                       [[0.0, 4.0], [0.0, 0.0]],
+                                       [[0.0, 0.0], [0.0, 0.0]],
+                                       [[5.0, 5.0], [6.0, 6.0]]]  # a score tie keeps detection order
+        assert slots.labels.tolist() == [[0, 1], [1, 0], [0, 0], [0, 2]]
         picked = slots[np.array([3, 0, 3])]
-        assert picked.counts.tolist() == [4, 4, 4] and np.array_equal(picked.keys[1], slots.keys[0])
+        assert picked.counts.tolist() == [2, 2, 2] and np.array_equal(picked.keys[1], slots.keys[0])
 
     def test_writes_are_checked_as_memory_writes_are(self):
         with pytest.raises(ShapeError, match="key shape"):

@@ -11,7 +11,7 @@ from novelcap.data import DatasetRecord, HeldOutSplit, generate_synthetic, make_
 from novelcap.decoder import (CELL_SANITY_BOUND, PARAM_NAMES, CaptionModel, DecodeTrace,
                               forward_teacher_forced, pad_sequences)
 from novelcap.evaluation import evaluate_split
-from novelcap.errors import NumericError
+from novelcap.errors import ConfigError, NumericError
 from novelcap.memory import Detection
 from novelcap.numerics import AdamState, adam_step
 from novelcap.pipeline import (CLIP_NORM, TrainExample, TrainingPairs, batch_losses, clip_gradients,
@@ -76,13 +76,13 @@ def ragged_example(kind, n_steps, rng):
     cut, and "read" has its annotated class in the memory."""
     vocab, det_map, model = RAGGED_WORLD
     words = [i for i in range(vocab.size) if i not in vocab.special_ids]
-    plain = [i for i in words if i not in det_map.pd_ids]
+    plain = [i for i in words if det_map.word_classes[i] < 0]
     targets = [int(i) for i in rng.choice(plain if kind == "plain" else words, n_steps)]
-    word = int(rng.choice(sorted(det_map.pd_ids)))
+    word = int(rng.choice(np.flatnonzero(det_map.word_classes >= 0)))
     if kind != "plain":  # one annotated class, at a position truncation keeps
-        targets = [word if i in det_map.pd_ids else i for i in targets]
+        targets = [word if det_map.word_classes[i] >= 0 else i for i in targets]
         targets[int(rng.integers(min(n_steps, RAGGED_MAX_STEPS)))] = word
-    target_class = det_map.class_for_word_id(word)
+    target_class = int(det_map.word_classes[word])
     others = [c for c in range(det_map.n_classes) if c != target_class]
 
     def det(label, score):
@@ -120,8 +120,9 @@ class TestTrainStep:
 
     def test_no_detectable_words_means_zero_memory_loss(self):
         _, records, vocab, det_map = small_setup()
-        # detector classes disjoint from the vocabulary: empty intersection
-        empty_map = intersect_detectable(vocab, ["xylophone", "quokka"])
+        # detector classes disjoint from the vocabulary, one per label: empty intersection
+        empty_map = intersect_detectable(vocab, [f"novel{c}" for c in range(det_map.n_classes)])
+        assert (empty_map.word_classes < 0).all()
         model = fresh_model(vocab)
         ls, lm, total = train_step(*record_batch(records[:8], vocab, empty_map), model, fresh_opt(model))
         assert lm == 0.0
@@ -244,6 +245,26 @@ def test_truncation_warns_once_per_training_run_not_per_epoch(caplog):
     warned = [r.getMessage() for r in caplog.records if "truncated" in r.getMessage()]
     assert len(warned) == len(long) > 0
     assert warned == [f"decoder: sequence of {n} steps truncated to {cfg.max_steps}" for n in long]
+
+
+@pytest.mark.parametrize("mode", ["no-memory", "dnco"])
+def test_train_model_refuses_a_mode_it_cannot_train_before_building_pairs(mode, monkeypatch):
+    _, records, vocab, det_map = small_setup()
+    split = HeldOutSplit(train=records[:6], val=records[6:8], test=[], held_out_words=("bus",))
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("pairs built for a refused mode")
+
+    monkeypatch.setattr(TrainingPairs, "of", unreachable)
+    with pytest.raises(ConfigError, match=f"^pipeline: training mode must be dnoc or no-placeholder, "
+                                          f"got '{mode}'$"):
+        pipeline.train_model(split, vocab, det_map, RunConfig(epochs=1), mode=mode)
+
+
+def test_make_captioner_refuses_an_unknown_mode():
+    _, _, vocab, det_map = small_setup()
+    with pytest.raises(ConfigError, match="^pipeline: unknown captioning mode 'dnco'$"):
+        make_captioner(fresh_model(vocab), vocab, det_map, RunConfig(), "dnco")
 
 
 def test_sequence_loss_gradient_on_minimal_model():

@@ -30,6 +30,7 @@ from novelcap.config import RunConfig
 from novelcap.data import HeldOutSplit, build_heldout_split, generate_synthetic, make_world
 from novelcap.decoder import (CaptionModel, DecodeSnapshot, ForwardCache, _check_cell, _halve_sigmoid_gates,
                               decode_greedy, init_state, sequence_loss)
+from novelcap.errors import DomainError
 from novelcap.memory import (Detection, LossReads, ObjectMemory, Slots, build_memory, memory_loss_forward,
                              read_loss_backward)
 from novelcap.numerics import FLOAT, AdamState, adam_step, softmax
@@ -127,8 +128,7 @@ def list_forward(targets, features, model, go_id, pad_id, max_steps):
 def list_memory_loss(hiddens, original, mask, det_map, memories, w_query):
     """The batched memory loss over one memory per row, classes looked up word by word."""
     steps, rows = np.divmod(np.flatnonzero(mask), len(memories))
-    classes = np.array([-1 if c is None else c
-                        for c in map(det_map.class_for_word_id, original[steps, rows].tolist())])
+    classes = np.array([det_map.word_classes[word] for word in original[steps, rows].tolist()], dtype=np.intp)
     filled = np.arange(memories[0].capacity) < np.array([mem.n for mem in memories])[rows, None]
     hits = (np.array([mem._labels for mem in memories])[rows] == classes[:, None]) & filled
     read = hits.any(axis=1)
@@ -237,8 +237,8 @@ def per_example_memory_loss(hiddens, original, mask, det_map, memories, w_query,
         example_loss = 0.0
         for t in np.flatnonzero(mask[:, b]):
             masked += 1
-            target = det_map.class_for_word_id(int(original[t, b]))
-            if target is None or mem.n == 0 or target not in mem.labels:
+            target = int(det_map.word_classes[original[t, b]])
+            if target < 0 or mem.n == 0 or target not in mem.labels:
                 continue
             weights = softmax(mem.keys @ (w_query @ hiddens[t, b]))
             p = np.bincount(mem.labels, weights, minlength=mem.n_classes)[target]
@@ -380,16 +380,21 @@ def test_pairs_are_built_once_per_image_and_reused(acceptance_world, monkeypatch
     assert selected == [2] * len(train)  # another n_det is another build
 
 
-def test_pairs_without_a_masked_step_leave_their_slots_unwritten(acceptance_world):
+def test_every_image_gets_a_slot_row_and_stray_labels_are_refused(acceptance_world):
     split, vocab, det_map, _ = acceptance_world
     rec = split.train[0]
-    plain = [w for w in vocab.words if vocab.index[w] not in det_map.pd_ids][:3]
+    plain = [w for w in vocab.words if det_map.word_classes[vocab.index[w]] < 0][:3]
     examples = [TrainExample(rec.feature, vocab.encode(ref, append_eos=True), rec.detections)
                 for ref in (plain, rec.references[0])]
     kw = dict(go_id=vocab.go_id, pad_id=vocab.pad_id, n_det=4, key_dim=32)
     assert TrainingPairs.of(examples, det_map, **kw).slots.counts.tolist() == [4]
-    assert TrainingPairs.of(examples[:1], det_map, **kw).slots.counts.tolist() == [0]
+    slots = TrainingPairs.of(examples[:1], det_map, **kw).slots  # no masked step, and still its row
+    assert slots.counts.tolist() == [4]
+    assert np.array_equal(slots.keys[0], build_memory(rec.detections, 4, 32, det_map.n_classes).keys)
     assert TrainingPairs.of(examples, det_map, rewrite=False, **kw).slots is None
+    stray = dataclasses.replace(examples[0], detections=[Detection(np.zeros(32), det_map.n_classes, 0.5)])
+    with pytest.raises(DomainError, match=f"label {det_map.n_classes} out of range"):
+        TrainingPairs.of([stray], det_map, **kw)
 
 
 def test_skip_reasons_in_one_batch(caplog):

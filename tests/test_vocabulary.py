@@ -59,33 +59,40 @@ class TestBuildVocabulary:
             Vocabulary.load(path)
 
 
+def detectable_ids(det):
+    """The word ids that carry a detection class."""
+    return {i for i, c in enumerate(det.word_classes.tolist()) if c >= 0}
+
+
 class TestIntersectDetectable:
     def test_partial_overlap(self):
         v = vocab_from(["a", "dog", "cat"])
         det = intersect_detectable(v, ["dog", "zebra"])
-        assert det.pd_ids == {v.index["dog"]}
+        assert detectable_ids(det) == {v.index["dog"]}
         assert det.word_for_class(1) == "zebra"
-        assert det.class_word_ids[1] is None and det.class_word_ids[0] is not None
+        assert det.word_classes.shape == (v.size,)
+        assert det.word_classes[v.index["dog"]] == 0 and 1 not in det.word_classes.tolist()
 
     def test_disjoint(self):
         v = vocab_from(["a", "dog", "cat"])
         det = intersect_detectable(v, ["zebra", "pizza"])
-        assert det.pd_ids == frozenset()
+        assert detectable_ids(det) == set()
 
     def test_full_overlap_excludes_specials(self):
         v = vocab_from(["a", "dog", "cat"])
-        det = intersect_detectable(v, ["a", "dog", "cat"])
-        assert det.pd_ids == {v.index["a"], v.index["dog"], v.index["cat"]}
-        assert not (det.pd_ids & v.special_ids)
+        det = intersect_detectable(v, ["a", "dog", "cat", PLACEHOLDER])
+        assert detectable_ids(det) == {v.index["a"], v.index["dog"], v.index["cat"]}
+        assert not (detectable_ids(det) & v.special_ids)
 
     def test_word_to_class_injective_on_non_novel(self):
         v = vocab_from(["a", "dog", "cat"])
         det = intersect_detectable(v, ["dog", "zebra", "cat"])
-        ids = [det.class_word_ids[c] for c in range(det.n_classes) if det.class_word_ids[c] is not None]
-        assert len(ids) == len(set(ids))
+        classes = [c for c in det.word_classes.tolist() if c >= 0]
+        assert len(classes) == len(set(classes))
         for c in range(det.n_classes):
-            if det.class_word_ids[c] is not None:
-                assert det.class_for_word_id(det.class_word_ids[c]) == c
+            word = det.word_for_class(c)
+            if word in v.index:
+                assert det.word_classes[v.index[word]] == c
 
     def test_multiword_class_rejected(self):
         v = vocab_from(["a", "dog"])
