@@ -6,6 +6,7 @@ epochs) with desk-scale dimensions. A config file is plain ``key = value``
 lines; command-line flags win over file values.
 """
 
+import json
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError, ParseError
@@ -41,26 +42,33 @@ def _convert(name: str, kind, raw: str):
         raise ConfigError(f"config: {name} expects {kind.__name__}, got {raw!r}") from None
 
 
-def not_utf8(path, owner: str) -> ParseError:
-    """The ParseError for a file that is not UTF-8 text, naming ``owner``
-    (the module) and the first line that does not decode."""
+def text_lines(path, owner: str):
+    """(line number, line) of each line of a UTF-8 text file, read lazily.
+    Bytes that are not UTF-8 are a ParseError naming ``owner`` (the module)
+    and the first line that does not decode."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            yield from enumerate(f, start=1)
+            return
+        except UnicodeDecodeError:
+            pass  # the decoder fails a whole read block; the bytes below find its line
     with open(path, "rb") as f:
         for line_no, raw in enumerate(f, start=1):
             try:
                 raw.decode("utf-8")
             except UnicodeDecodeError:
-                return ParseError(f"{owner}: line {line_no}: not UTF-8 text")
-    return ParseError(f"{owner}: {path} is not UTF-8 text")
+                raise ParseError(f"{owner}: line {line_no}: not UTF-8 text") from None
+    raise ParseError(f"{owner}: {path} is not UTF-8 text")
 
 
-def text_lines(path, owner: str):
-    """(line number, line) of each line of a UTF-8 text file, read lazily;
-    bytes that are not UTF-8 raise ``not_utf8``'s ParseError."""
-    with open(path, encoding="utf-8") as f:
-        try:
-            yield from enumerate(f, start=1)
-        except UnicodeDecodeError:
-            raise not_utf8(path, owner) from None
+def read_json(path, owner: str):
+    """The JSON document of a UTF-8 text file, or a ParseError naming ``owner`` and, where it can, the line."""
+    try:
+        return json.loads("".join(line for _, line in text_lines(path, owner)))
+    except json.JSONDecodeError as e:
+        raise ParseError(f"{owner} line {e.lineno}: {e.msg}") from e
+    except (ValueError, RecursionError) as e:  # an integer too long or nesting too deep
+        raise ParseError(f"{owner}: {e}") from e
 
 
 def read_key_values(path, known, owner: str) -> dict[str, str]:

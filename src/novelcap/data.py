@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import not_utf8, read_key_values, text_lines
+from .config import read_json, read_key_values, text_lines
 from .errors import CoverageError, DomainError, ParseError, SchemaError
 from .memory import Detection
 from .numerics import FLOAT
@@ -301,7 +301,7 @@ def save_dataset(records: list[DatasetRecord], path) -> None:
 
 
 def load_dataset(path) -> list[DatasetRecord]:
-    records = []
+    records, first_line, repeats = [], {}, []
     dim = det_dim = None
     for line_no, line in text_lines(path, "data"):
         if not line.strip():
@@ -332,7 +332,12 @@ def load_dataset(path) -> list[DatasetRecord]:
             if det.feature.shape != det_dim:
                 raise SchemaError(f"data: line {line_no}: detection feature shape "
                                   f"{det.feature.shape} != {det_dim} of the earlier detections")
+        if first_line.setdefault(rec.image_id, line_no) != line_no:
+            repeats.append((line_no, rec.image_id))
         records.append(rec)
+    if repeats:  # a fault across records, refused once every line has parsed
+        line_no, image_id = repeats[0]
+        raise SchemaError(f"data: line {line_no}: image_id {image_id!r} repeats line {first_line[image_id]}")
     return records
 
 
@@ -403,15 +408,7 @@ def save_manifest(split: HeldOutSplit, class_names, path) -> None:
 
 
 def load_manifest(path) -> dict:
-    with open(path, encoding="utf-8") as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"data: manifest line {e.lineno}: {e.msg}") from e
-        except UnicodeDecodeError:
-            raise not_utf8(path, "data: manifest") from None
-        except (ValueError, RecursionError) as e:  # an integer too long or nesting too deep
-            raise ParseError(f"data: manifest: {e}") from e
+    doc = read_json(path, "data: manifest")
     if not isinstance(doc, dict):
         raise SchemaError("data: manifest is not a JSON object")
     for key in ("held_out_words", "class_names", "train", "val", "test"):
@@ -420,10 +417,14 @@ def load_manifest(path) -> dict:
     for key in ("held_out_words", "class_names", "known_words", "train", "val", "test"):
         if key in doc and not (isinstance(doc[key], list) and all(isinstance(x, str) for x in doc[key])):
             raise SchemaError(f"data: manifest field {key!r} is not a list of strings")
-    held = doc["held_out_words"]
-    repeat = next((w for i, w in enumerate(held) if w in held[:i]), None)
-    if repeat is not None:
-        raise SchemaError(f"data: manifest held-out word {repeat!r} is listed twice")
+    # a held-out word is one entry of the F1 average; a record id is in one part of the split
+    for kind, items in (("held-out word", doc["held_out_words"]),
+                        ("record id", doc["train"] + doc["val"] + doc["test"])):
+        seen = set()
+        for item in items:
+            if item in seen:
+                raise SchemaError(f"data: manifest {kind} {item!r} is listed twice")
+            seen.add(item)
     return doc
 
 

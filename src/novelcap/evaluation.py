@@ -10,8 +10,8 @@ negatives never enter the score.
 import json
 from dataclasses import dataclass
 
-from .config import not_utf8
-from .errors import CoverageError, ParseError, SchemaError
+from .config import read_json
+from .errors import CoverageError, SchemaError
 from .pipeline import Caption
 
 
@@ -123,15 +123,7 @@ def write_report(report: F1Report, path) -> None:
 
 
 def read_report(path) -> F1Report:
-    with open(path, encoding="utf-8") as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"evaluation: report line {e.lineno}: {e.msg}") from e
-        except UnicodeDecodeError:
-            raise not_utf8(path, "evaluation: report") from None
-        except (ValueError, RecursionError) as e:  # an integer too long or nesting too deep
-            raise ParseError(f"evaluation: report: {e}") from e
+    doc = read_json(path, "evaluation: report")
     if not isinstance(doc, dict) or not isinstance(doc.get("per_object", {}), dict):
         raise SchemaError("evaluation: report file is not a JSON object with a per_object object")
     try:

@@ -2,14 +2,13 @@
 
 Each detection contributes one slot: the appearance feature is the key,
 the class index is the value (the key-value read of Miller et al. 2016).
-A read turns query/key similarity into addressing weights,
-softmax(q . K^T), and sums the weights of the slots that carry each
-class into a class distribution. The read loss is the cross-entropy of
-that distribution against the annotated class. Captioning builds one
-image's ``ObjectMemory`` in one block write and reads it once, with a
-(P, key_dim) block of queries, one per placeholder; training reads
-``Slots``, the padded buffers of one such memory per training image,
-stacked once.
+A read (``read_slots``, the one read) turns query/key similarity into
+addressing weights, softmax(q . K^T), and sums the weights of the slots
+that carry each class into a class distribution. The read loss is the
+cross-entropy of that distribution against the annotated class.
+Captioning reads one image's ``ObjectMemory`` as one unpadded slot row,
+with a (P, key_dim) block of queries, one per placeholder; training reads
+``Slots``, the padded buffers of one such memory per training image.
 """
 
 import logging
@@ -145,25 +144,33 @@ def make_query(h_prev: np.ndarray, w_query: np.ndarray) -> np.ndarray:
     return h_prev @ w_query.T
 
 
-def memory_read(q: np.ndarray, mem: ObjectMemory, det_map=None) -> tuple[QueryResult, np.ndarray]:
-    """Content-based read: similarity, addressing weights, mixed class scores.
+def read_slots(queries: np.ndarray, slots: Slots, n_classes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Content-based read: query row m of ``queries`` (M, key_dim) reads
+    slot row m, or the one row of a one-row ``slots``; a row needs one
+    written slot. The addressing weights softmax(q . K^T) are exactly zero
+    on unwritten slots; one bincount sums them by class in slot order.
+    Returns the (M, n_det) weights and the (M, n_classes) distribution."""
+    n_rows, width = len(queries), slots.keys.shape[1]
+    sims = np.matmul(slots.keys, queries[:, :, None])[..., 0]
+    if min(slots.counts.tolist(), default=width) < width:  # a row with unwritten slots: mask them out
+        sims = np.where(np.arange(width) < slots.counts[:, None], sims, -np.inf)
+    weights = softmax(sims)
+    # row m's weights go to bins m*n_classes + label; a lone row's bins are its labels
+    bins = slots.labels if n_rows == 1 else np.arange(0, n_rows * n_classes, n_classes)[:, None] + slots.labels
+    distribution = np.bincount(bins.ravel(), weights.ravel(), minlength=n_rows * n_classes)
+    return weights, distribution.reshape(n_rows, n_classes)
 
-    ``q`` is one query (key_dim,) or a block (P, key_dim), read in one
-    pass: one (P, n) similarity product, a softmax per row, and one
-    bincount that sums each row's weights by class in slot order. Returns
-    the QueryResult and the class distribution it was read from. Argmax
-    ties break toward the lowest class index.
-    """
+
+def memory_read(q: np.ndarray, mem: ObjectMemory, det_map=None) -> tuple[QueryResult, np.ndarray]:
+    """``read_slots`` of a query (key_dim,) or a block (P, key_dim) against
+    the memory's written slots as one row: the QueryResult, and the class
+    distribution it was read from. Argmax ties break toward the lowest class."""
     if mem.n == 0:
         raise EmptyMemoryError("memory: read on an empty memory")
     if q.shape[-1:] != (mem.key_dim,) or q.ndim > 2:
         raise ShapeError(f"memory: query shape {q.shape} does not match keys of length {mem.key_dim}")
-    block = q.reshape(-1, mem.key_dim)
-    n_rows, n_classes = len(block), mem.n_classes
-    weights = softmax(block @ mem.keys.T)
-    # row r's weights go to bins r*n_classes + label; a lone row's bins are its labels
-    bins = mem.labels if n_rows == 1 else (np.arange(0, n_rows * n_classes, n_classes)[:, None] + mem.labels).ravel()
-    distribution = np.bincount(bins, weights.ravel(), minlength=n_rows * n_classes).reshape(n_rows, n_classes)
+    one_row = Slots(mem._keys[None, :mem.n], mem._labels[None, :mem.n], np.array([mem.n]))
+    _, distribution = read_slots(q.reshape(-1, mem.key_dim), one_row, mem.n_classes)
     classes = distribution.argmax(1)  # the first (lowest) index on ties
     words = None if det_map is None else [det_map.word_for_class(c) for c in classes.tolist()]
     if q.ndim == 1:
@@ -200,8 +207,9 @@ def memory_loss_forward(hiddens: np.ndarray, original: np.ndarray, mask: np.ndar
     steps, rows = np.divmod(np.flatnonzero(mask), original.shape[1])
     words = original[steps, rows]
     classes = det_map.word_classes[words]
-    filled = np.arange(slots.labels.shape[1]) < slots.counts[rows, None]
-    hits = (slots.labels[rows] == classes[:, None]) & filled
+    picked = slots[rows]
+    filled = np.arange(picked.labels.shape[1]) < picked.counts[:, None]
+    hits = (picked.labels == classes[:, None]) & filled
     read = hits.any(axis=1)
     if not read.all():
         for t, word, cls, empty in zip(steps[~read], words[~read], classes[~read], ~filled[~read, 0]):
@@ -212,16 +220,13 @@ def memory_loss_forward(hiddens: np.ndarray, original: np.ndarray, mask: np.ndar
                 log.warning("memory: no detections available for a masked step; step skipped")
             else:  # expected when the annotated object fell below the top-n_det cut
                 log.debug("memory: class %d absent from memory slots at step %d; step skipped", cls, t)
-        steps, rows, filled, hits = steps[read], rows[read], filled[read], hits[read]
-    keys = slots.keys[rows]
-    queries = hiddens[steps, rows] @ w_query.T
-    sims = np.where(filled, np.matmul(keys, queries[:, :, None])[..., 0], -np.inf)
-    w = softmax(sims)
-    target_prob = (w * hits).sum(axis=1)
+        steps, rows, classes, hits, picked = steps[read], rows[read], classes[read], hits[read], picked[read]
+    w, distribution = read_slots(make_query(hiddens[steps, rows], w_query), picked, det_map.n_classes)
+    target_prob = distribution[np.arange(len(rows)), classes]
     # loss = -log(target_prob), the summed weight of the slots labeled target
     dalpha = np.where(hits, -1.0 / target_prob[:, None], 0.0)
     dsims = w * (dalpha - (w * dalpha).sum(axis=1, keepdims=True))
-    return float((-np.log(target_prob)).sum()), LossReads(steps, rows, keys, dsims)
+    return float((-np.log(target_prob)).sum()), LossReads(steps, rows, picked.keys, dsims)
 
 
 def read_loss_backward(reads: LossReads, scale: float = 1.0) -> np.ndarray:

@@ -25,9 +25,9 @@ def softmax(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=FLOAT)
     if x.shape[-1:] in ((), (0,)):
         raise DomainError("numerics: softmax of an empty vector")
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(x - np.maximum.reduce(x, axis=-1, keepdims=True))  # ufunc reductions skip ndarray.max/sum's wrappers
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
 
 
 def cross_entropy(logits: np.ndarray, target) -> tuple[float, np.ndarray]:

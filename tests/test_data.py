@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -194,6 +196,18 @@ class TestDatasetFiles:
         path.write_text(good + "\n" + bad.replace(f'"label":{label}', '"label":2') + "\n")
         assert load_dataset(path)[1].detections[0].label == 2
 
+    def test_repeated_image_id_names_both_lines(self, tmp_path):
+        records = generate_synthetic(small_world(), 5)
+        records[3].image_id = records[1].image_id
+        path = tmp_path / "d.jsonl"
+        save_dataset(records, path)
+        with pytest.raises(SchemaError, match=f"data: line 4: image_id '{records[1].image_id}' repeats line 2"):
+            load_dataset(path)
+        # a line's own fault is found first: ids are compared once every line has parsed
+        path.write_text(path.read_text() + '{"image_id": "x"}\n')
+        with pytest.raises(SchemaError, match="data: line 6: missing field 'feature'"):
+            load_dataset(path)
+
 
 class TestManifest:
     def test_repeated_held_out_word_is_schema_error(self, tmp_path):
@@ -201,6 +215,20 @@ class TestManifest:
         path.write_text('{"held_out_words": ["bus", "bus", "bird"], "class_names": ["bus", "bird"], '
                         '"train": [], "val": [], "test": []}\n')
         with pytest.raises(SchemaError, match="'bus' is listed twice"):
+            load_manifest(path)
+
+    @pytest.mark.parametrize("parts", [{"test": ["c", "a"]},  # a training record scored at test time
+                                       {"val": ["b", "b"]},
+                                       {"train": ["a", "d", "a"]}])
+    def test_record_id_listed_twice_is_schema_error(self, tmp_path, parts):
+        doc = {"held_out_words": ["bus"], "class_names": ["bus", "bird"], "train": ["a", "d"], "val": ["b"],
+               "test": ["c"]}
+        path = tmp_path / "split.json"
+        path.write_text(json.dumps(doc))
+        assert load_manifest(path) == doc
+        path.write_text(json.dumps(dict(doc, **parts)))
+        repeated = "a" if "val" not in parts else "b"
+        with pytest.raises(SchemaError, match=f"data: manifest record id '{repeated}' is listed twice"):
             load_manifest(path)
 
     def test_detection_label_outside_class_names_names_record(self):

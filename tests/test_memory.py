@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from novelcap.errors import CapacityError, DomainError, EmptyMemoryError, ShapeError
 from novelcap.memory import (Detection, ObjectMemory, Slots, build_memory, build_slots, make_query,
-                             memory_loss_forward, memory_read, read_loss_backward,
+                             memory_loss_forward, memory_read, read_loss_backward, read_slots,
                              select_top_detections)
 from novelcap.numerics import finite_diff_check
 from novelcap.vocabulary import build_vocabulary, intersect_detectable
@@ -221,6 +221,43 @@ class TestMemoryRead:
         assert probs[0] < probs[1] < probs[2]
 
 
+class TestReadSlots:
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_each_row_matches_brute_force_and_unwritten_slots_weigh_zero(self, data):
+        n_classes = data.draw(st.integers(2, 4))
+        floats = st.lists(st.floats(-3, 3), min_size=2, max_size=2)
+        mems = [memory_of(*[(data.draw(floats), data.draw(st.integers(0, n_classes - 1)))
+                            for _ in range(data.draw(st.integers(1, 4)))], n_classes=n_classes)
+                for _ in range(data.draw(st.integers(1, 4)))]  # rows of 1 to 4 written slots, padded to 4
+        queries = np.array([data.draw(floats) for _ in mems])
+        weights, distribution = read_slots(queries, as_slots(*mems), n_classes)
+        assert weights.shape == (len(mems), 4) and distribution.shape == (len(mems), n_classes)
+        for q, mem, w, dist in zip(queries, mems, weights, distribution):
+            assert np.all(w[mem.n:] == 0.0) and abs(w.sum() - 1.0) < 1e-9
+            oracle = brute_force_read(q, mem.keys.tolist(), mem.labels.tolist(), n_classes)
+            assert np.all(np.abs(dist - oracle) < 1e-9)
+
+    def test_rows_of_different_counts(self):
+        mems = [memory_of(*[([float(i), 1.0], i % 3) for i in range(n)]) for n in (3, 1, 4, 2)]
+        weights, distribution = read_slots(np.ones((4, 2)), as_slots(*mems), 3)
+        assert (weights > 0).sum(axis=1).tolist() == [3, 1, 4, 2]
+        assert np.all(weights[[0, 1, 1, 1, 3, 3], [3, 1, 2, 3, 2, 3]] == 0.0)
+        assert distribution[1].tolist() == [1.0, 0.0, 0.0]
+
+    def test_one_row_serves_every_query(self):
+        rng = np.random.default_rng(5)
+        mem = memory_of(*((rng.normal(size=3), int(rng.integers(3))) for _ in range(3)), capacity=6)
+        queries = rng.normal(size=(7, 3)) * 2
+        weights, distribution = read_slots(queries, as_slots(mem), 3)
+        assert weights.shape == (7, 6) and np.all(weights[:, 3:] == 0.0)
+        for q, w, dist in zip(queries, weights, distribution):
+            alone_w, alone = read_slots(q[None], as_slots(mem), 3)
+            assert np.array_equal(w, alone_w[0]) and np.array_equal(dist, alone[0])
+            oracle = brute_force_read(q, mem.keys.tolist(), mem.labels.tolist(), 3)
+            assert np.all(np.abs(dist - oracle) < 1e-9)
+
+
 class TestReadLoss:
     def test_saturated_single_slot(self):
         mem = memory_of(([1.0, 0.0], 2))
@@ -271,6 +308,24 @@ class TestMemoryLoss:
         ids = np.array(self.vocab.encode(words))[:, None]
         return memory_loss_forward(self.hiddens, ids, mask, self.det_map, as_slots(mem or self.mem),
                                    self.w_query)
+
+    def test_loss_is_minus_log_of_the_read_target_mass(self):
+        hiddens = np.random.default_rng(1).normal(size=(4, 2, 2))
+        original = np.array([self.vocab.encode(["a", "dog", "sees", "cake"]),
+                             self.vocab.encode(["cake", "a", "dog", "a"])]).T  # (T, B): one sentence per row
+        mask = np.isin(original, self.vocab.encode(["dog", "cake"])).ravel()
+        cake_only = memory_of(([0.0, 1.5], 1), n_classes=2)  # row 1's "dog" has no slot: skipped
+        slots = as_slots(self.mem, cake_only)
+        loss, reads = memory_loss_forward(hiddens, original, mask, self.det_map, slots, self.w_query)
+        assert list(zip(reads.steps.tolist(), reads.rows.tolist())) == [(0, 1), (1, 0), (3, 0)]
+        _, distribution = read_slots(make_query(hiddens[reads.steps, reads.rows], self.w_query),
+                                     slots[reads.rows], 2)
+        targets = self.det_map.word_classes[original[reads.steps, reads.rows]]
+        assert targets.tolist() == [1, 0, 1]
+        assert loss == -np.log(distribution[np.arange(3), targets]).sum()
+        oracle = [brute_force_read(hiddens[t, r], slots.keys[r, :slots.counts[r]], slots.labels[r, :slots.counts[r]],
+                                   2)[c] for t, r, c in zip(reads.steps, reads.rows, targets)]
+        assert abs(loss - sum(-math.log(p) for p in oracle)) < 1e-9
 
     def test_all_zero_mask_gives_exact_zero(self):
         loss, reads = self.loss(["a", "sees", "a", "sees"], [0, 0, 0, 0])
