@@ -9,7 +9,6 @@ import argparse
 import dataclasses
 import os
 import sys
-from collections import Counter
 
 from . import checkpoint as ckpt
 from . import data as datamod
@@ -41,17 +40,9 @@ def _list_flag(flag: str, raw: str, kind, count: int | None = None) -> list:
 def _build_config(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
     overrides = {"seed": args.seed, "n_det": getattr(args, "n_det", None),
-                 "checkpoint": getattr(args, "checkpoint", None)}
+                 "checkpoint": getattr(args, "checkpoint", None), "world": getattr(args, "world_config", None)}
     apply_overrides(cfg, overrides)
     return validate_config(cfg)
-
-
-def _load_world(args, cfg) -> datamod.SyntheticWorld:
-    if getattr(args, "world_config", None):
-        return datamod.load_world_config(args.world_config)
-    if cfg.world:
-        return datamod.load_world_config(cfg.world)
-    return datamod.make_world(seed=cfg.seed)
 
 
 def _load_common(cfg):
@@ -90,7 +81,7 @@ def cmd_gen_data(args) -> int:
     cfg = _build_config(args)
     lo, hi = _list_flag("--objects-per-image", args.objects_per_image, int, count=2)
     ratios = tuple(_list_flag("--ratios", args.ratios, float, count=3))
-    world = _load_world(args, cfg)
+    world = datamod.load_world_config(cfg.world) if cfg.world else datamod.make_world(seed=cfg.seed)
     held_out = tuple(args.held_out.split(",")) if args.held_out else datamod.DEFAULT_HELD_OUT
     for w in held_out:
         if w not in world.names:
@@ -111,18 +102,14 @@ def cmd_gen_data(args) -> int:
     vocab.save(cfg.vocab)
     datamod.save_manifest(split, world.names, cfg.manifest)
 
-    counts = Counter()
-    for rec in records:
-        for name in world.names:
-            if datamod.record_mentions(rec, [name]):
-                counts[name] += 1
+    counts = datamod.mentions(records, world.names).sum(axis=0)
     print(f"dataset={cfg.dataset} records={len(records)} "
           f"train={len(split.train)} val={len(split.val)} test={len(split.test)}")
     print(f"vocab={cfg.vocab} size={vocab.size}")
     print(f"manifest={cfg.manifest} held_out={','.join(held_out)}")
-    for name in world.names:
+    for name, count in zip(world.names, counts):
         marker = " (held out)" if name in held_out else ""
-        print(f"  {name}: {counts[name]} images{marker}")
+        print(f"  {name}: {count} images{marker}")
     return 0
 
 
@@ -211,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", help="generate a synthetic dataset, vocabulary, and split")
     common(p, checkpoint=False)
-    p.add_argument("--world-config", help="world definition file (plain key-value)")
+    p.add_argument("--world-config", help="world definition file (plain key-value); overrides the config's world key")
     p.add_argument("--n-images", type=int, default=1300)
     p.add_argument("--held-out", help="comma-separated held-out object words")
     p.add_argument("--objects-per-image", default="1,2")

@@ -115,10 +115,12 @@ def validate_config(cfg: RunConfig) -> RunConfig:
                  "epochs", "batch_size"):
         if getattr(cfg, name) < 1:
             raise ConfigError(f"config: {name} must be >= 1, got {getattr(cfg, name)}")
-    if cfg.lr <= 0:
-        raise ConfigError(f"config: lr must be > 0, got {cfg.lr}")
-    if cfg.weight_decay < 0:
-        raise ConfigError(f"config: weight_decay must be >= 0, got {cfg.weight_decay}")
+    if cfg.seed < 0:
+        raise ConfigError(f"config: seed must be >= 0, got {cfg.seed}")
+    if not 0 < cfg.lr < float("inf"):
+        raise ConfigError(f"config: lr must be finite and > 0, got {cfg.lr}")
+    if not 0 <= cfg.weight_decay < float("inf"):
+        raise ConfigError(f"config: weight_decay must be finite and >= 0, got {cfg.weight_decay}")
     if cfg.train_mode not in ("dnoc", "no-placeholder"):
         raise ConfigError(f"config: train_mode must be dnoc or no-placeholder, got {cfg.train_mode!r}")
     return cfg

@@ -75,11 +75,11 @@ class SyntheticWorld:
     templates: tuple[str, ...]
     noise_scale: float
     seed: int
-    latent_rank: int = 10
-    distractors: int = 3
-    refs_per_image: int = 2
-    present_score: tuple[float, float] = (0.55, 1.0)
-    distractor_score: tuple[float, float] = (0.5, 0.85)
+    latent_rank: int
+    distractors: int
+    refs_per_image: int
+    present_score: tuple[float, float]
+    distractor_score: tuple[float, float]
 
     def __post_init__(self):
         if len(set(self.names)) != len(self.names):
@@ -127,14 +127,24 @@ def _make_anchors(rng: np.random.Generator, n: int, dim: int, latent_rank: int) 
 
 def make_world(names: tuple[str, ...] = DEFAULT_INVENTORY, dim: int = 32, seed: int = 7,
                noise_scale: float = 0.03, templates: tuple[str, ...] = DEFAULT_TEMPLATES,
-               latent_rank: int = 10, **kwargs) -> SyntheticWorld:
-    for key, value in (("dim", dim), ("latent_rank", latent_rank)):
-        if value < 1:  # refused before any anchor is drawn
-            raise DomainError(f"data: world {key} must be >= 1, got {value}")
+               latent_rank: int = 10, distractors: int = 3, refs_per_image: int = 2,
+               present_score: tuple[float, float] = (0.55, 1.0),
+               distractor_score: tuple[float, float] = (0.5, 0.85)) -> SyntheticWorld:
+    band = "0 <= low <= high <= 1"
+    for key, value, ok, rule in (
+            ("dim", dim, dim >= 1, ">= 1"), ("latent_rank", latent_rank, latent_rank >= 1, ">= 1"),
+            ("seed", seed, seed >= 0, ">= 0"), ("distractors", distractors, distractors >= 0, ">= 0"),
+            ("refs_per_image", refs_per_image, refs_per_image >= 1, ">= 1"),
+            ("noise_scale", noise_scale, 0 <= noise_scale < np.inf, "finite and >= 0"),
+            ("present_score", present_score, 0 <= present_score[0] <= present_score[1] <= 1, band),
+            ("distractor_score", distractor_score, 0 <= distractor_score[0] <= distractor_score[1] <= 1, band)):
+        if not ok:  # refused before any anchor is drawn
+            raise DomainError(f"data: world {key} must be {rule}, got {value}")
     rng = np.random.default_rng(seed)
     anchors = _make_anchors(rng, len(names), dim, latent_rank)
-    return SyntheticWorld(names=tuple(names), anchors=anchors, templates=tuple(templates),
-                          noise_scale=noise_scale, seed=seed, latent_rank=latent_rank, **kwargs)
+    return SyntheticWorld(names=tuple(names), anchors=anchors, templates=tuple(templates), noise_scale=noise_scale,
+                          seed=seed, latent_rank=latent_rank, distractors=distractors, refs_per_image=refs_per_image,
+                          present_score=present_score, distractor_score=distractor_score)
 
 
 def _templates_by_slots(templates) -> dict[int, list[str]]:
@@ -166,12 +176,7 @@ def generate_synthetic(world: SyntheticWorld, n_images: int,
     rng = np.random.default_rng(world.seed)
     for _ in range(100):
         records = _generate_once(world, n_images, lo, hi, pools, rng)
-        counts = np.zeros(n_obj, dtype=int)
-        for rec in records:
-            mentioned = set(tok for ref in rec.references for tok in ref)
-            for i, name in enumerate(world.names):
-                if name in mentioned:
-                    counts[i] += 1
+        counts = mentions(records, world.names).sum(axis=0)
         median = max(float(np.median(counts)), 1.0)
         if counts.max() <= 3.0 * median:
             return records
@@ -209,9 +214,13 @@ def _generate_once(world, n_images, lo, hi, pools, rng) -> list[DatasetRecord]:
     return records
 
 
-def record_mentions(record: DatasetRecord, words) -> bool:
-    words = set(words)
-    return any(tok in words for ref in record.references for tok in ref)
+def mentions(records: list[DatasetRecord], words) -> np.ndarray:
+    """(N, W) bool: whether any reference sentence of record n contains word w."""
+    out = np.zeros((len(records), len(words)), dtype=bool)
+    for n, rec in enumerate(records):
+        tokens = {tok for ref in rec.references for tok in ref}
+        out[n] = [w in tokens for w in words]
+    return out
 
 
 def build_heldout_split(records: list[DatasetRecord], held_out_words,
@@ -231,30 +240,30 @@ def build_heldout_split(records: list[DatasetRecord], held_out_words,
         raise DomainError(f"data: held-out word {repeat!r} is listed twice")
     if abs(sum(ratios) - 1.0) > 1e-9 or any(r < 0 for r in ratios):
         raise DomainError(f"data: split ratios {ratios} must be non-negative and sum to 1")
-    for w in held:
-        if not any(record_mentions(r, [w]) for r in records):
+    hits = mentions(records, held)
+    for w, covered in zip(held, hits.any(axis=0)):
+        if not covered:
             raise CoverageError(f"data: held-out word {w!r} appears in no record")
     rng = np.random.default_rng(seed)
-    pool = [r for r in records if record_mentions(r, held)]
-    safe = [r for r in records if not record_mentions(r, held)]
+    in_pool = hits.any(axis=1)
+    pool, safe = np.flatnonzero(in_pool), np.flatnonzero(~in_pool)
 
-    pool_order = [pool[i] for i in rng.permutation(len(pool))]
-    eval_test = [r for i, r in enumerate(pool_order) if i % 2 == 0]
-    eval_val = [r for i, r in enumerate(pool_order) if i % 2 == 1]
-    for w in held:
-        if not any(record_mentions(r, [w]) for r in eval_test):
-            idx = next(i for i, r in enumerate(eval_val) if record_mentions(r, [w]))
+    pool_order = pool[rng.permutation(len(pool))]
+    eval_test, eval_val = list(pool_order[0::2]), list(pool_order[1::2])
+    for j in range(len(held)):
+        if not hits[eval_test, j].any():
+            idx = next(i for i, r in enumerate(eval_val) if hits[r, j])
             eval_test.append(eval_val.pop(idx))
 
-    safe_order = [safe[i] for i in rng.permutation(len(safe))]
+    safe_order = [records[i] for i in safe[rng.permutation(len(safe))]]
     n = len(safe_order)
     n_train = int(round(ratios[0] * n))
     n_val = int(round(ratios[1] * n))
     n_train = min(n_train, n)
     n_val = min(n_val, n - n_train)
     train = safe_order[:n_train]
-    val = safe_order[n_train:n_train + n_val] + eval_val
-    test = safe_order[n_train + n_val:] + eval_test
+    val = safe_order[n_train:n_train + n_val] + [records[i] for i in eval_val]
+    test = safe_order[n_train + n_val:] + [records[i] for i in eval_test]
     return HeldOutSplit(train=train, val=val, test=test, held_out_words=held)
 
 
@@ -345,45 +354,42 @@ def load_dataset(path) -> list[DatasetRecord]:
 # World config: plain "key = value" text
 # ---------------------------------------------------------------------------
 
-_WORLD_KEYS = ("inventory", "templates", "noise_scale", "seed", "dim", "latent_rank",
-               "distractors", "refs_per_image", "present_score", "distractor_score")
+
+def _band(raw: str) -> tuple[float, float]:
+    low, high = raw.split()
+    return float(low), float(high)
+
+
+# file key: (make_world argument and SyntheticWorld attribute, parser, formatter), in file
+# order; the first four keys are required, the others take make_world's defaults
+_WORLD_TABLE = {
+    "inventory": ("names", str.split, " ".join),
+    "templates": ("templates", lambda raw: [t.strip() for t in raw.split("|")], " | ".join),
+    "noise_scale": ("noise_scale", float, repr),
+    "seed": ("seed", int, str),
+    "dim": ("dim", int, str),
+    "latent_rank": ("latent_rank", int, str),
+    "distractors": ("distractors", int, str),
+    "refs_per_image": ("refs_per_image", int, str),
+    "present_score": ("present_score", _band, lambda band: " ".join(map(repr, band))),
+    "distractor_score": ("distractor_score", _band, lambda band: " ".join(map(repr, band))),
+}
+_WORLD_KEYS = tuple(_WORLD_TABLE)
 
 
 def save_world_config(world: SyntheticWorld, path) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        f.write("inventory = " + " ".join(world.names) + "\n")
-        f.write("templates = " + " | ".join(world.templates) + "\n")
-        f.write(f"noise_scale = {world.noise_scale!r}\n")
-        f.write(f"seed = {world.seed}\n")
-        f.write(f"dim = {world.dim}\n")
-        f.write(f"latent_rank = {world.latent_rank}\n")
-        f.write(f"distractors = {world.distractors}\n")
-        f.write(f"refs_per_image = {world.refs_per_image}\n")
-        f.write(f"present_score = {world.present_score[0]!r} {world.present_score[1]!r}\n")
-        f.write(f"distractor_score = {world.distractor_score[0]!r} {world.distractor_score[1]!r}\n")
+        for key, (attr, _, fmt) in _WORLD_TABLE.items():
+            f.write(f"{key} = {fmt(getattr(world, attr))}\n")
 
 
 def load_world_config(path) -> SyntheticWorld:
     raw = read_key_values(path, _WORLD_KEYS, "data")
+    missing = next((key for key in _WORLD_KEYS[:4] if key not in raw), None)
+    if missing is not None:
+        raise ParseError(f"data: world config is missing required key {missing!r}")
     try:
-        names = tuple(raw["inventory"].split())
-        templates = tuple(t.strip() for t in raw["templates"].split("|"))
-        kwargs = {}
-        if "distractors" in raw:
-            kwargs["distractors"] = int(raw["distractors"])
-        if "refs_per_image" in raw:
-            kwargs["refs_per_image"] = int(raw["refs_per_image"])
-        if "present_score" in raw:
-            a, b = raw["present_score"].split()
-            kwargs["present_score"] = (float(a), float(b))
-        if "distractor_score" in raw:
-            a, b = raw["distractor_score"].split()
-            kwargs["distractor_score"] = (float(a), float(b))
-        return make_world(names=names, dim=int(raw.get("dim", 32)), seed=int(raw["seed"]),
-                          noise_scale=float(raw["noise_scale"]), templates=templates,
-                          latent_rank=int(raw.get("latent_rank", 10)), **kwargs)
-    except KeyError as e:
-        raise ParseError(f"data: world config is missing required key {e.args[0]!r}") from e
+        return make_world(**{_WORLD_TABLE[key][0]: _WORLD_TABLE[key][1](value) for key, value in raw.items()})
     except ValueError as e:
         raise ParseError(f"data: world config: {e}") from e
 

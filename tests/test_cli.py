@@ -1,13 +1,14 @@
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from novelcap.checkpoint import load_checkpoint, save_checkpoint
-from novelcap.cli import main
+from novelcap.cli import _build_config, build_parser, main
 from novelcap.config import load_config
-from novelcap.data import (load_dataset, load_manifest, make_world, save_dataset, save_world_config,
-                           split_from_manifest)
+from novelcap.data import (load_dataset, load_manifest, load_world_config, make_world, save_dataset,
+                           save_world_config, split_from_manifest)
 from novelcap.decoder import CaptionModel
 from novelcap.evaluation import average_f1_over, read_report
 from novelcap.memory import Detection
@@ -18,9 +19,9 @@ SMALL_WORLD = dict(names=("dog", "cat", "bus", "tree", "boat", "bird", "car", "h
                    dim=8, seed=3, noise_scale=0.05, latent_rank=5)
 
 
-def write_world(tmp_path):
-    path = tmp_path / "world.cfg"
-    save_world_config(make_world(**SMALL_WORLD), path)
+def write_world(tmp_path, name="world.cfg", **changes):
+    path = tmp_path / name
+    save_world_config(make_world(**dict(SMALL_WORLD, **changes)), path)
     return str(path)
 
 
@@ -99,6 +100,29 @@ class TestGenData:
         code = main(gen_args(cfg_path, write_world(tmp_path), held="bus,submarine"))
         assert code == 1
         assert "CoverageError" in capsys.readouterr().err
+
+    def test_world_key_of_the_run_config_is_used_and_the_flag_wins(self, tmp_path):
+        in_file = write_world(tmp_path)
+        in_flag = write_world(tmp_path, "flag-world.cfg", names=SMALL_WORLD["names"][::-1])
+        cfg_path = write_config(tmp_path, world=in_file)
+        manifest = load_config(cfg_path).manifest
+        assert main(["gen-data", "--config", cfg_path, "--held-out", "bus", "--n-images", "40"]) == 0
+        assert tuple(load_manifest(manifest)["class_names"]) == SMALL_WORLD["names"]
+        assert main(gen_args(cfg_path, in_flag, held="bus", n_images="40")) == 0
+        assert tuple(load_manifest(manifest)["class_names"]) == SMALL_WORLD["names"][::-1]
+
+    @pytest.mark.parametrize("line, key", [("present_score = 0.9 0.1", "present_score"),
+                                           ("refs_per_image = 0", "refs_per_image"),
+                                           ("noise_scale = nan", "noise_scale")],
+                             ids=["present_score", "refs_per_image", "noise_scale"])
+    def test_world_value_out_of_range_fails_by_key(self, tmp_path, capsys, line, key):
+        world = tmp_path / "world.cfg"
+        world.write_text(open(write_world(tmp_path)).read() + line + "\n")  # the later line wins
+        cfg_path = write_config(tmp_path)
+        assert main(gen_args(cfg_path, str(world))) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"novelcap: DomainError: data: world {key} must be ") and err.count("\n") == 1, err
+        assert not os.path.exists(load_config(cfg_path).dataset)
 
 
 class TestTrain:
@@ -319,3 +343,26 @@ class TestConfigPlumbing:
         from novelcap.errors import ParseError
         with pytest.raises(ParseError, match="line 2"):
             lc(path)
+
+    @pytest.mark.parametrize("command, extra, message", [
+        (["gen-data", "--seed", "-1"], {}, "seed must be >= 0, got -1"),
+        (["train"], {"lr": "nan"}, "lr must be finite and > 0, got nan"),
+        (["train"], {"lr": "inf"}, "lr must be finite and > 0, got inf"),
+        (["train"], {"weight_decay": "nan"}, "weight_decay must be finite and >= 0, got nan"),
+    ], ids=["seed", "lr-nan", "lr-inf", "weight_decay-nan"])
+    def test_bad_run_value_fails_by_key(self, tmp_path, capsys, command, extra, message):
+        assert main(command + ["--config", write_config(tmp_path, **extra)]) == 1
+        assert capsys.readouterr().err == f"novelcap: ConfigError: config: {message}\n"
+
+
+class TestShippedConfigs:
+    """The CLI twin of the acceptance benchmark loads through the CLI's own config path."""
+
+    def test_benchmark_configs_load(self):
+        configs = Path(__file__).resolve().parent.parent / "configs"
+        args = build_parser().parse_args(["gen-data", "--config", str(configs / "benchmark.cfg"),
+                                          "--world-config", str(configs / "benchmark-world.cfg")])
+        cfg = _build_config(args)
+        assert (cfg.n_det, cfg.lr, cfg.epochs, cfg.seed) == (4, 3e-3, 50, 7)
+        world = load_world_config(cfg.world)
+        assert len(world.names) == 20 and world.dim == cfg.image_dim == cfg.key_dim

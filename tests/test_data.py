@@ -1,14 +1,31 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from novelcap.data import (DEFAULT_HELD_OUT, DEFAULT_INVENTORY, DatasetRecord, build_heldout_split,
                            generate_synthetic, load_dataset, load_manifest, load_world_config,
-                           make_world, record_mentions, save_dataset, save_world_config,
+                           make_world, mentions, save_dataset, save_world_config,
                            split_from_manifest)
 from novelcap.errors import CoverageError, DomainError, ParseError, SchemaError
 from novelcap.memory import Detection
+
+
+def record_mentions(record, words) -> bool:
+    """One record at a time, the oracle for the (N, W) ``mentions`` matrix."""
+    words = set(words)
+    return any(tok in words for ref in record.references for tok in ref)
+
+
+def world_file_with(tmp_path, line):
+    """A saved small world whose line for ``line``'s key is replaced by ``line``."""
+    path = tmp_path / "world.cfg"
+    save_world_config(small_world(), path)
+    key = line.split(" =")[0]
+    lines = [line if old.startswith(f"{key} =") else old for old in path.read_text().splitlines()]
+    path.write_text("\n".join(lines) + "\n")
+    return path
 
 
 def small_world(**kwargs):
@@ -47,6 +64,15 @@ class TestGenerate:
         assert all(c >= 5 for c in counts.values())
         values = np.array(sorted(counts.values()))
         assert values.max() <= 3 * max(np.median(values), 1)
+
+    def test_mention_matrix_matches_record_mentions(self):
+        records = generate_synthetic(make_world(seed=4), 300, objects_per_image=(1, 3))
+        words = DEFAULT_INVENTORY + ("a", "picture", "submarine")
+        hits = mentions(records, words)
+        assert hits.shape == (300, len(words)) and hits.dtype == bool
+        assert hits.tolist() == [[record_mentions(r, [w]) for w in words] for r in records]
+        assert hits[:, :len(DEFAULT_INVENTORY)].any() and not hits[:, -1].any()
+        assert mentions(records, ()).shape == (300, 0)
 
     def test_nearest_anchor_recovers_labels_at_zero_noise(self):
         world = small_world(noise_scale=0.0)
@@ -243,16 +269,40 @@ class TestManifest:
 
 class TestWorldConfig:
     def test_round_trip(self, tmp_path):
-        world = small_world(distractors=2, refs_per_image=1)
+        world = small_world(templates=("a {} here", "a {} and a {}"), distractors=2, refs_per_image=1,
+                            present_score=(0.6, 0.9), distractor_score=(0.25, 0.5))
         path = tmp_path / "world.cfg"
         save_world_config(world, path)
         loaded = load_world_config(path)
-        assert loaded.names == world.names
-        assert loaded.templates == world.templates
-        assert loaded.noise_scale == world.noise_scale
-        assert loaded.seed == world.seed
-        assert loaded.distractors == 2 and loaded.refs_per_image == 1
+        attrs = ("names", "templates", "noise_scale", "seed", "dim", "latent_rank", "distractors",
+                 "refs_per_image", "present_score", "distractor_score")
+        default = make_world()
+        for attr in attrs:  # every key, each at a value that is not its default
+            assert getattr(loaded, attr) == getattr(world, attr) != getattr(default, attr), attr
         assert np.array_equal(loaded.anchors, world.anchors)  # same seed, same anchors
+
+    def test_shipped_world_saves_back_to_its_own_bytes(self, tmp_path):
+        shipped = Path(__file__).resolve().parent.parent / "configs" / "benchmark-world.cfg"
+        save_world_config(load_world_config(shipped), tmp_path / "world.cfg")
+        assert (tmp_path / "world.cfg").read_bytes() == shipped.read_bytes()
+
+    @pytest.mark.parametrize("line, message", [
+        ("present_score = 0.9 0.1", "present_score must be 0 <= low <= high <= 1, got (0.9, 0.1)"),
+        ("present_score = 2 3", "present_score must be 0 <= low <= high <= 1, got (2.0, 3.0)"),
+        ("distractor_score = -0.5 0.5", "distractor_score must be 0 <= low <= high <= 1, got (-0.5, 0.5)"),
+        ("refs_per_image = 0", "refs_per_image must be >= 1, got 0"),
+        ("distractors = -2", "distractors must be >= 0, got -2"),
+        ("noise_scale = nan", "noise_scale must be finite and >= 0, got nan"),
+        ("noise_scale = inf", "noise_scale must be finite and >= 0, got inf"),
+        ("noise_scale = -0.1", "noise_scale must be finite and >= 0, got -0.1"),
+        ("seed = -1", "seed must be >= 0, got -1"),
+    ], ids=["present-reversed", "present-above-1", "distractor-below-0", "refs-0", "distractors-negative",
+            "noise-nan", "noise-inf", "noise-negative", "seed-negative"])
+    def test_out_of_range_value_is_refused_by_key(self, tmp_path, recwarn, line, message):
+        with pytest.raises(DomainError) as caught:
+            load_world_config(world_file_with(tmp_path, line))
+        assert str(caught.value) == f"data: world {message}"
+        assert not recwarn.list
 
     def test_unknown_key_names_line(self, tmp_path):
         path = tmp_path / "world.cfg"
@@ -269,13 +319,8 @@ class TestWorldConfig:
     @pytest.mark.parametrize("key", ["latent_rank", "dim"])
     @pytest.mark.parametrize("value", [0, -2])
     def test_rank_or_dim_below_one_is_refused_by_name(self, tmp_path, recwarn, key, value):
-        path = tmp_path / "world.cfg"
-        save_world_config(small_world(), path)
-        lines = [f"{key} = {value}" if line.startswith(f"{key} =") else line
-                 for line in path.read_text().splitlines()]
-        path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DomainError, match=f"^data: world {key} must be >= 1, got {value}$"):
-            load_world_config(path)
+            load_world_config(world_file_with(tmp_path, f"{key} = {value}"))
         assert not recwarn.list  # refused before any anchor is drawn: no divide-by-zero warning
 
 

@@ -248,7 +248,7 @@ def test_dataset_lines(workdir, raw):
 def test_world_config(workdir, raw):
     path = workdir / "fuzz-world.cfg"
     path.write_bytes(raw)
-    with np.errstate(all="ignore"):  # a degenerate latent rank divides by zero before it is refused
+    with np.errstate(all="raise"):  # a floating-point fault while loading fails the case
         loads_or_fails_by_name(load_world_config, path)
 
 
