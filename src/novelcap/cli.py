@@ -12,7 +12,7 @@ import sys
 
 from . import checkpoint as ckpt
 from . import data as datamod
-from .config import RunConfig, apply_overrides, load_config, validate_config
+from .config import RunConfig, load_config, validate_config
 from .decoder import CaptionModel
 from .errors import CheckpointError, ConfigError, CoverageError, DomainError, NovelcapError, SchemaError
 from .evaluation import average_f1_over, evaluate_split, format_report_lines, write_report
@@ -41,8 +41,7 @@ def _build_config(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
     overrides = {"seed": args.seed, "n_det": getattr(args, "n_det", None),
                  "checkpoint": getattr(args, "checkpoint", None), "world": getattr(args, "world_config", None)}
-    apply_overrides(cfg, overrides)
-    return validate_config(cfg)
+    return validate_config(dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None}))
 
 
 def _load_common(cfg):
@@ -102,7 +101,7 @@ def cmd_gen_data(args) -> int:
     vocab.save(cfg.vocab)
     datamod.save_manifest(split, world.names, cfg.manifest)
 
-    counts = datamod.mentions(records, world.names).sum(axis=0)
+    counts = datamod.mentions([rec.references for rec in records], world.names).sum(axis=0)
     print(f"dataset={cfg.dataset} records={len(records)} "
           f"train={len(split.train)} val={len(split.val)} test={len(split.test)}")
     print(f"vocab={cfg.vocab} size={vocab.size}")

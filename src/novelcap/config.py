@@ -98,18 +98,6 @@ def load_config(path) -> RunConfig:
     return RunConfig(**{key: _convert(key, known[key], value) for key, value in raw.items()})
 
 
-def apply_overrides(cfg: RunConfig, overrides: dict) -> RunConfig:
-    """Return a config with non-None override values applied (flags win)."""
-    known = {f.name for f in fields(RunConfig)}
-    for key, value in overrides.items():
-        if value is None:
-            continue
-        if key not in known:
-            raise ConfigError(f"config: unknown option {key!r}")
-        setattr(cfg, key, value)
-    return cfg
-
-
 def validate_config(cfg: RunConfig) -> RunConfig:
     for name in ("hidden_size", "embed_size", "image_dim", "key_dim", "n_det", "max_steps",
                  "epochs", "batch_size"):

@@ -14,6 +14,7 @@ plain key-value text file; the split manifest is a single JSON document.
 
 import hashlib
 import json
+import string
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,9 +138,11 @@ def make_world(names: tuple[str, ...] = DEFAULT_INVENTORY, dim: int = 32, seed: 
             ("refs_per_image", refs_per_image, refs_per_image >= 1, ">= 1"),
             ("noise_scale", noise_scale, 0 <= noise_scale < np.inf, "finite and >= 0"),
             ("present_score", present_score, 0 <= present_score[0] <= present_score[1] <= 1, band),
-            ("distractor_score", distractor_score, 0 <= distractor_score[0] <= distractor_score[1] <= 1, band)):
+            ("distractor_score", distractor_score, 0 <= distractor_score[0] <= distractor_score[1] <= 1, band),
+            ("inventory", names, len(names) >= 1, "non-empty")):
         if not ok:  # refused before any anchor is drawn
             raise DomainError(f"data: world {key} must be {rule}, got {value}")
+    _templates_by_slots(templates)  # a malformed template too is refused before any anchor is drawn
     rng = np.random.default_rng(seed)
     anchors = _make_anchors(rng, len(names), dim, latent_rank)
     return SyntheticWorld(names=tuple(names), anchors=anchors, templates=tuple(templates), noise_scale=noise_scale,
@@ -147,10 +150,22 @@ def make_world(names: tuple[str, ...] = DEFAULT_INVENTORY, dim: int = 32, seed: 
                           present_score=present_score, distractor_score=distractor_score)
 
 
+def _template_slots(template: str) -> int:
+    """The object slots of a sentence template, each a bare ``{}`` (``{{`` and ``}}`` are literal
+    braces). Any other field, or an unbalanced brace, is a DomainError naming the ``templates`` key."""
+    try:
+        fields = [field[1:] for field in string.Formatter().parse(template) if field[1] is not None]
+    except ValueError as e:
+        raise DomainError(f"data: world templates: {template!r}: {e}") from None
+    if any(field != ("", "", None) for field in fields):
+        raise DomainError(f"data: world templates: {template!r} has a field other than a bare {{}}")
+    return len(fields)
+
+
 def _templates_by_slots(templates) -> dict[int, list[str]]:
     pools: dict[int, list[str]] = {}
     for t in templates:
-        pools.setdefault(t.count("{}"), []).append(t)
+        pools.setdefault(_template_slots(t), []).append(t)
     return pools
 
 
@@ -176,7 +191,7 @@ def generate_synthetic(world: SyntheticWorld, n_images: int,
     rng = np.random.default_rng(world.seed)
     for _ in range(100):
         records = _generate_once(world, n_images, lo, hi, pools, rng)
-        counts = mentions(records, world.names).sum(axis=0)
+        counts = mentions([rec.references for rec in records], world.names).sum(axis=0)
         median = max(float(np.median(counts)), 1.0)
         if counts.max() <= 3.0 * median:
             return records
@@ -214,11 +229,12 @@ def _generate_once(world, n_images, lo, hi, pools, rng) -> list[DatasetRecord]:
     return records
 
 
-def mentions(records: list[DatasetRecord], words) -> np.ndarray:
-    """(N, W) bool: whether any reference sentence of record n contains word w."""
-    out = np.zeros((len(records), len(words)), dtype=bool)
-    for n, rec in enumerate(records):
-        tokens = {tok for ref in rec.references for tok in ref}
+def mentions(texts, words) -> np.ndarray:
+    """(N, W) bool: whether any sentence (a token list) of ``texts[n]`` contains word w;
+    the one mention rule, read by the held-out split and by per-object F1."""
+    out = np.zeros((len(texts), len(words)), dtype=bool)
+    for n, sentences in enumerate(texts):
+        tokens = {tok for sentence in sentences for tok in sentence}
         out[n] = [w in tokens for w in words]
     return out
 
@@ -240,7 +256,7 @@ def build_heldout_split(records: list[DatasetRecord], held_out_words,
         raise DomainError(f"data: held-out word {repeat!r} is listed twice")
     if abs(sum(ratios) - 1.0) > 1e-9 or any(r < 0 for r in ratios):
         raise DomainError(f"data: split ratios {ratios} must be non-negative and sum to 1")
-    hits = mentions(records, held)
+    hits = mentions([rec.references for rec in records], held)
     for w, covered in zip(held, hits.any(axis=0)):
         if not covered:
             raise CoverageError(f"data: held-out word {w!r} appears in no record")
@@ -388,10 +404,14 @@ def load_world_config(path) -> SyntheticWorld:
     missing = next((key for key in _WORLD_KEYS[:4] if key not in raw), None)
     if missing is not None:
         raise ParseError(f"data: world config is missing required key {missing!r}")
-    try:
-        return make_world(**{_WORLD_TABLE[key][0]: _WORLD_TABLE[key][1](value) for key, value in raw.items()})
-    except ValueError as e:
-        raise ParseError(f"data: world config: {e}") from e
+    kwargs = {}
+    for key, value in raw.items():
+        attr, parse, _ = _WORLD_TABLE[key]
+        try:
+            kwargs[attr] = parse(value)
+        except ValueError as e:
+            raise ParseError(f"data: world config: {key} = {value!r} does not parse ({e})") from e
+    return make_world(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -423,8 +443,8 @@ def load_manifest(path) -> dict:
     for key in ("held_out_words", "class_names", "known_words", "train", "val", "test"):
         if key in doc and not (isinstance(doc[key], list) and all(isinstance(x, str) for x in doc[key])):
             raise SchemaError(f"data: manifest field {key!r} is not a list of strings")
-    # a held-out word is one entry of the F1 average; a record id is in one part of the split
-    for kind, items in (("held-out word", doc["held_out_words"]),
+    # a held-out or known word is one entry of its F1 average; a record id is in one part of the split
+    for kind, items in (("held-out word", doc["held_out_words"]), ("known word", doc.get("known_words", [])),
                         ("record id", doc["train"] + doc["val"] + doc["test"])):
         seen = set()
         for item in items:

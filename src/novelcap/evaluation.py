@@ -2,17 +2,20 @@
 
 An image counts as an actual positive for an object word when ANY of its
 reference sentences mentions the word, and as a predicted positive when
-the generated caption contains it. Matching is exact lowercase token
-equality with no stemming, so plural forms are distinct words. True
-negatives never enter the score.
+the generated caption contains it: both are ``data.mentions``, the rule
+the held-out split uses. Matching is exact lowercase token equality with
+no stemming, so plural forms are distinct words. True negatives never
+enter the score.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
+
+import numpy as np
 
 from .config import read_json
-from .errors import CoverageError, SchemaError
-from .pipeline import Caption
+from .data import mentions
+from .errors import SchemaError, ShapeError
 
 
 @dataclass
@@ -36,34 +39,25 @@ class F1Report:
     split_hash: str = ""
 
 
-def f1_for_object(word: str, generated: dict[str, Caption],
-                  references: dict[str, list[list[str]]]) -> ObjectScore:
-    """tp/fp/fn counted over images; precision and recall guard empty
-    denominators at zero."""
-    if set(generated) != set(references):
-        raise CoverageError("evaluation: generated captions and references cover different image ids")
-    score = ObjectScore()
-    for image_id, caption in generated.items():
-        actual = any(word in ref for ref in references[image_id])
-        predicted = word in caption.tokens
-        if predicted and actual:
-            score.tp += 1
-        elif predicted and not actual:
-            score.fp += 1
-        elif actual and not predicted:
-            score.fn += 1
-    score.precision = score.tp / (score.tp + score.fp) if score.tp + score.fp else 0.0
-    score.recall = score.tp / (score.tp + score.fn) if score.tp + score.fn else 0.0
-    denom = score.precision + score.recall
-    score.f1 = 2.0 * score.precision * score.recall / denom if denom else 0.0
-    return score
+def f1_for_object(actual: np.ndarray, predicted: np.ndarray) -> ObjectScore:
+    """tp/fp/fn counted over images from two aligned (N,) bool columns;
+    precision and recall guard empty denominators at zero."""
+    if actual.shape != predicted.shape:
+        raise ShapeError(f"evaluation: actual {actual.shape} and predicted {predicted.shape} columns differ")
+    tp = int(np.count_nonzero(actual & predicted))
+    fp = int(np.count_nonzero(predicted & ~actual))
+    fn = int(np.count_nonzero(actual & ~predicted))
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    f1 = 2.0 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return ObjectScore(tp, fp, fn, precision, recall, f1)
 
 
 def evaluate_records(records, captioner, words) -> dict[str, ObjectScore]:
-    """Caption every record and score each word."""
-    generated = {rec.image_id: captioner(rec) for rec in records}
-    references = {rec.image_id: rec.references for rec in records}
-    return {w: f1_for_object(w, generated, references) for w in words}
+    """Caption every record, in order, and score each word."""
+    actual = mentions([rec.references for rec in records], words)
+    predicted = mentions([[captioner(rec).tokens] for rec in records], words)
+    return {w: f1_for_object(actual[:, j], predicted[:, j]) for j, w in enumerate(words)}
 
 
 def average_f1_over(records, captioner, words) -> float:
@@ -96,10 +90,9 @@ def evaluate_split(split, captioner, known_words=(), mode: str = "",
 
 def format_report_lines(report: F1Report) -> list[str]:
     lines = [f"mode={report.mode} split={report.split_hash}"]
-    lines.append("object\ttp\tfp\tfn\tprecision\trecall\tf1")
+    lines.append("\t".join(["object"] + [f.name for f in fields(ObjectScore)]))
     for word in sorted(report.per_object):
-        s = report.per_object[word]
-        lines.append(f"{word}\t{s.tp}\t{s.fp}\t{s.fn}\t{s.precision!r}\t{s.recall!r}\t{s.f1!r}")
+        lines.append("\t".join([word] + [repr(v) for v in astuple(report.per_object[word])]))
     lines.append(f"average_f1\t{report.average_f1!r}")
     lines.append(f"known_average_f1\t{report.known_average_f1!r}")
     return lines
@@ -111,11 +104,7 @@ def write_report(report: F1Report, path) -> None:
         "split_hash": report.split_hash,
         "average_f1": report.average_f1,
         "known_average_f1": report.known_average_f1,
-        "per_object": {
-            word: {"tp": s.tp, "fp": s.fp, "fn": s.fn, "precision": s.precision,
-                   "recall": s.recall, "f1": s.f1}
-            for word, s in sorted(report.per_object.items())
-        },
+        "per_object": {word: asdict(s) for word, s in sorted(report.per_object.items())},
     }
     with open(path, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=1)

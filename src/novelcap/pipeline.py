@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import evaluation
 from .data import HeldOutSplit
 from .decoder import (CaptionModel, DecodeSnapshot, backward_pass, decode_greedy, forward_teacher_forced,
                       pad_sequences, sequence_loss)
@@ -195,8 +196,6 @@ def train_model(split: HeldOutSplit, vocab: Vocabulary, det_map: DetectableSet, 
     vocabulary cannot contain them), so it is selected on the detectable
     known words instead.
     """
-    from .evaluation import average_f1_over  # local import, no module cycle
-
     if mode not in ("dnoc", "no-placeholder"):
         raise ConfigError(f"pipeline: training mode must be dnoc or no-placeholder, got {mode!r}")
     rewrite = mode == "dnoc"
@@ -222,7 +221,7 @@ def train_model(split: HeldOutSplit, vocab: Vocabulary, det_map: DetectableSet, 
             n_batches += 1
         loss_seq, loss_mem = sums / max(n_batches, 1)
         captioner = make_captioner(model, vocab, det_map, cfg, mode)
-        val_f1 = average_f1_over(split.val, captioner, selection_words)
+        val_f1 = evaluation.average_f1_over(split.val, captioner, selection_words)
         stats = EpochStats(epoch=epoch, loss_seq=loss_seq, loss_mem=loss_mem,
                            total=loss_seq + loss_mem, val_f1=val_f1)
         result.history.append(stats)

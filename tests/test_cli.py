@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import os
 from pathlib import Path
 
@@ -111,18 +113,38 @@ class TestGenData:
         assert main(gen_args(cfg_path, in_flag, held="bus", n_images="40")) == 0
         assert tuple(load_manifest(manifest)["class_names"]) == SMALL_WORLD["names"][::-1]
 
-    @pytest.mark.parametrize("line, key", [("present_score = 0.9 0.1", "present_score"),
-                                           ("refs_per_image = 0", "refs_per_image"),
-                                           ("noise_scale = nan", "noise_scale")],
-                             ids=["present_score", "refs_per_image", "noise_scale"])
-    def test_world_value_out_of_range_fails_by_key(self, tmp_path, capsys, line, key):
+    @pytest.mark.parametrize("line, message", [
+        ("present_score = 0.9 0.1", "DomainError: data: world present_score must be "),
+        ("refs_per_image = 0", "DomainError: data: world refs_per_image must be "),
+        ("noise_scale = nan", "DomainError: data: world noise_scale must be "),
+        ("inventory = ", "DomainError: data: world inventory must be non-empty"),
+        ("templates = a {} here | a {} and {x}", "DomainError: data: world templates: 'a {} and {x}' has a field"),
+        ("templates = a {} here | {0} {1}", "DomainError: data: world templates: '{0} {1}' has a field"),
+        ("templates = a {} here | a {} {", "DomainError: data: world templates: 'a {} {': "),
+        ("present_score = 0.5", "ParseError: data: world config: present_score = '0.5' does not parse"),
+        ("dim = x", "ParseError: data: world config: dim = 'x' does not parse"),
+    ], ids=["present_score", "refs_per_image", "noise_scale", "empty-inventory", "named-field", "numbered-fields",
+            "unbalanced-brace", "one-number-band", "word-dim"])
+    def test_world_value_out_of_range_fails_by_key(self, tmp_path, capsys, line, message):
         world = tmp_path / "world.cfg"
         world.write_text(open(write_world(tmp_path)).read() + line + "\n")  # the later line wins
         cfg_path = write_config(tmp_path)
         assert main(gen_args(cfg_path, str(world))) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"novelcap: DomainError: data: world {key} must be ") and err.count("\n") == 1, err
+        assert err.startswith(f"novelcap: {message}") and err.count("\n") == 1, err
         assert not os.path.exists(load_config(cfg_path).dataset)
+
+    def test_repeated_known_word_in_the_manifest_fails_eval(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path)
+        assert main(gen_args(cfg_path, write_world(tmp_path))) == 0
+        manifest = Path(load_config(cfg_path).manifest)
+        doc = json.loads(manifest.read_text())
+        doc["known_words"].append(doc["known_words"][0])
+        manifest.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["eval", "--config", cfg_path]) == 1
+        err = capsys.readouterr().err
+        assert err == f"novelcap: SchemaError: data: manifest known word {doc['known_words'][0]!r} is listed twice\n"
 
 
 class TestTrain:
@@ -322,6 +344,12 @@ class TestConfigPlumbing:
         cfg_path = write_config(tmp_path, seed=3)
         cfg = load_config(cfg_path)
         assert cfg.seed == 3
+        args = build_parser().parse_args(["eval", "--config", cfg_path, "--seed", "9", "--n-det", "2",
+                                          "--checkpoint", "other.ckpt"])
+        flagged = _build_config(args)
+        assert (flagged.seed, flagged.n_det, flagged.checkpoint) == (9, 2, "other.ckpt")
+        assert dataclasses.replace(flagged, seed=3, n_det=4, checkpoint=cfg.checkpoint) == cfg
+        assert _build_config(build_parser().parse_args(["eval", "--config", cfg_path])) == cfg
 
     @pytest.mark.parametrize("line", ["lr = -1", "max_steps = 0"], ids=["lr", "max_steps"])
     def test_invalid_value_rejected(self, tmp_path, line):

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from novelcap import data as datamod
 from novelcap.data import (DEFAULT_HELD_OUT, DEFAULT_INVENTORY, DatasetRecord, build_heldout_split,
                            generate_synthetic, load_dataset, load_manifest, load_world_config,
                            make_world, mentions, save_dataset, save_world_config,
@@ -68,11 +69,14 @@ class TestGenerate:
     def test_mention_matrix_matches_record_mentions(self):
         records = generate_synthetic(make_world(seed=4), 300, objects_per_image=(1, 3))
         words = DEFAULT_INVENTORY + ("a", "picture", "submarine")
-        hits = mentions(records, words)
+        hits = mentions([r.references for r in records], words)
         assert hits.shape == (300, len(words)) and hits.dtype == bool
         assert hits.tolist() == [[record_mentions(r, [w]) for w in words] for r in records]
         assert hits[:, :len(DEFAULT_INVENTORY)].any() and not hits[:, -1].any()
-        assert mentions(records, ()).shape == (300, 0)
+        assert mentions([r.references for r in records], ()).shape == (300, 0)
+        assert mentions([], words).shape == (0, len(words))
+        assert mentions([[], [[]], [["a"], ["bus", "x"]]], ["bus", "a"]).tolist() == [
+            [False, False], [False, False], [True, True]]
 
     def test_nearest_anchor_recovers_labels_at_zero_noise(self):
         world = small_world(noise_scale=0.0)
@@ -243,6 +247,16 @@ class TestManifest:
         with pytest.raises(SchemaError, match="'bus' is listed twice"):
             load_manifest(path)
 
+    def test_repeated_known_word_is_schema_error(self, tmp_path):
+        doc = {"held_out_words": ["bus"], "class_names": ["bus", "bird", "dog"], "known_words": ["bird", "dog"],
+               "train": [], "val": [], "test": []}
+        path = tmp_path / "split.json"
+        path.write_text(json.dumps(doc))
+        assert load_manifest(path) == doc
+        path.write_text(json.dumps(dict(doc, known_words=["bird", "dog", "bird"])))
+        with pytest.raises(SchemaError, match="^data: manifest known word 'bird' is listed twice$"):
+            load_manifest(path)
+
     @pytest.mark.parametrize("parts", [{"test": ["c", "a"]},  # a training record scored at test time
                                        {"val": ["b", "b"]},
                                        {"train": ["a", "d", "a"]}])
@@ -265,6 +279,25 @@ class TestManifest:
         records[2].detections[-1] = Detection(np.zeros(8), 6, 0.5)  # 6 classes: 0..5
         with pytest.raises(SchemaError, match=f"record '{records[2].image_id}' has detection label 6"):
             split_from_manifest(records, manifest)
+
+
+class TestTemplates:
+    @pytest.mark.parametrize("template", ["a {} and {x}", "{0} {1}", "a {0}", "a {:>3}", "a {!r}", "a {} {",
+                                          "a } {}", "a {} and {[0]}"])
+    def test_a_field_that_is_not_a_bare_slot_is_refused_before_any_anchor(self, monkeypatch, template):
+        def no_anchors(*args):
+            raise AssertionError("anchors drawn")
+        monkeypatch.setattr(datamod, "_make_anchors", no_anchors)
+        with pytest.raises(DomainError, match="^data: world templates: "):
+            small_world(templates=("a {} is here", template))
+
+    def test_escaped_braces_are_literal_text_not_slots(self):
+        world = small_world(templates=("a {} and {{}} here",))
+        for rec in generate_synthetic(world, 12, objects_per_image=(1, 1)):
+            name = world.names[rec.detections[0].label]  # the present object's detection comes first
+            assert rec.references[0] == ["a", name, "and", "{}", "here"]
+        with pytest.raises(DomainError, match="no sentence template with 2 object slots"):
+            generate_synthetic(world, 12, objects_per_image=(2, 2))
 
 
 class TestWorldConfig:
@@ -296,8 +329,9 @@ class TestWorldConfig:
         ("noise_scale = inf", "noise_scale must be finite and >= 0, got inf"),
         ("noise_scale = -0.1", "noise_scale must be finite and >= 0, got -0.1"),
         ("seed = -1", "seed must be >= 0, got -1"),
+        ("inventory = ", "inventory must be non-empty, got []"),
     ], ids=["present-reversed", "present-above-1", "distractor-below-0", "refs-0", "distractors-negative",
-            "noise-nan", "noise-inf", "noise-negative", "seed-negative"])
+            "noise-nan", "noise-inf", "noise-negative", "seed-negative", "inventory-empty"])
     def test_out_of_range_value_is_refused_by_key(self, tmp_path, recwarn, line, message):
         with pytest.raises(DomainError) as caught:
             load_world_config(world_file_with(tmp_path, line))
@@ -315,6 +349,15 @@ class TestWorldConfig:
         path.write_text("inventory = dog cat bus tree\n")
         with pytest.raises(ParseError):
             load_world_config(path)
+
+    @pytest.mark.parametrize("line, key", [("present_score = 0.5", "present_score"),
+                                           ("present_score = 0.1 0.2 0.3", "present_score"),
+                                           ("dim = x", "dim"), ("seed = 1.5", "seed"),
+                                           ("noise_scale = ", "noise_scale")],
+                             ids=["band-one-number", "band-three-numbers", "dim-word", "seed-float", "noise-empty"])
+    def test_a_value_that_does_not_parse_is_refused_by_key(self, tmp_path, line, key):
+        with pytest.raises(ParseError, match=f"^data: world config: {key} = .* does not parse"):
+            load_world_config(world_file_with(tmp_path, line))
 
     @pytest.mark.parametrize("key", ["latent_rank", "dim"])
     @pytest.mark.parametrize("value", [0, -2])
