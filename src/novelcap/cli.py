@@ -16,7 +16,7 @@ from .config import RunConfig, load_config, validate_config
 from .decoder import CaptionModel
 from .errors import CheckpointError, ConfigError, CoverageError, DomainError, NovelcapError, SchemaError
 from .evaluation import average_f1_over, evaluate_split, format_report_lines, write_report
-from .pipeline import make_captioner, train_model
+from .pipeline import CAPTION_MODES, make_captioner, train_model
 from .vocabulary import Vocabulary, build_vocabulary, intersect_detectable
 
 
@@ -39,13 +39,22 @@ def _list_flag(flag: str, raw: str, kind, count: int | None = None) -> list:
 
 def _build_config(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
-    overrides = {"seed": args.seed, "n_det": getattr(args, "n_det", None),
-                 "checkpoint": getattr(args, "checkpoint", None), "world": getattr(args, "world_config", None)}
+    # a flag's dest is the config key it overrides; a command has only the flags it reads
+    overrides = {key: getattr(args, key, None) for key in ("seed", "n_det", "checkpoint", "world")}
     return validate_config(dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None}))
 
 
 def _load_common(cfg):
+    """The config's data, with the image and detection feature lengths
+    checked against its image_dim and key_dim."""
     records = datamod.load_dataset(cfg.dataset)
+    # load_dataset holds every image feature to one length, and every detection feature
+    image_len = next((len(rec.feature) for rec in records), None)
+    key_len = next((len(d.feature) for rec in records for d in rec.detections), None)
+    for kind, key, length in (("image", "image_dim", image_len), ("detection", "key_dim", key_len)):
+        if length not in (None, getattr(cfg, key)):
+            raise SchemaError(f"cli: {kind} features in {cfg.dataset} have length {length}, "
+                              f"not the config's {key} {getattr(cfg, key)}")
     vocab = Vocabulary.load(cfg.vocab)
     manifest = datamod.load_manifest(cfg.manifest)
     split = datamod.split_from_manifest(records, manifest)
@@ -53,9 +62,8 @@ def _load_common(cfg):
     return records, vocab, manifest, split, det_map
 
 
-def _load_model(cfg, vocab, records) -> CaptionModel:
-    """The checkpoint's model, checked against the config's dimensions and
-    the dataset's detection feature length."""
+def _load_model(cfg, vocab) -> CaptionModel:
+    """The checkpoint's model, checked against the config's dimensions."""
     params, _ = ckpt.load_checkpoint(cfg.checkpoint)
     model = CaptionModel.from_params(params)
     mismatches = [(name, got, want) for name, got, want in (
@@ -68,16 +76,13 @@ def _load_model(cfg, vocab, records) -> CaptionModel:
     if mismatches:
         detail = ", ".join(f"{n}: checkpoint {g} vs config {w}" for n, g, w in mismatches)
         raise CheckpointError(f"cli: checkpoint incompatible with config dims ({detail})")
-    # load_dataset holds every detection feature to one length
-    key_len = next((len(d.feature) for rec in records for d in rec.detections), model.key_dim)
-    if key_len != model.key_dim:
-        raise SchemaError(f"cli: detection features in {cfg.dataset} have length {key_len}, "
-                          f"not the model's key_dim {model.key_dim}")
     return model
 
 
 def cmd_gen_data(args) -> int:
     cfg = _build_config(args)
+    if args.n_images < 1:
+        raise ConfigError(f"cli: --n-images must be >= 1, got {args.n_images}")
     lo, hi = _list_flag("--objects-per-image", args.objects_per_image, int, count=2)
     ratios = tuple(_list_flag("--ratios", args.ratios, float, count=3))
     world = datamod.load_world_config(cfg.world) if cfg.world else datamod.make_world(seed=cfg.seed)
@@ -88,12 +93,10 @@ def cmd_gen_data(args) -> int:
     records = datamod.generate_synthetic(world, args.n_images, (lo, hi))
     split = datamod.build_heldout_split(records, held_out, ratios, seed=cfg.seed)
 
-    out_dir = args.out
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        cfg.dataset = os.path.join(out_dir, "dataset.jsonl")
-        cfg.vocab = os.path.join(out_dir, "vocab.txt")
-        cfg.manifest = os.path.join(out_dir, "split.json")
+    if args.out:
+        cfg.dataset = os.path.join(args.out, "dataset.jsonl")
+        cfg.vocab = os.path.join(args.out, "vocab.txt")
+        cfg.manifest = os.path.join(args.out, "split.json")
     for path in (cfg.dataset, cfg.vocab, cfg.manifest):
         _ensure_parent(path)
     vocab = build_vocabulary([ref for rec in split.train for ref in rec.references])
@@ -133,7 +136,7 @@ def cmd_train(args) -> int:
 def cmd_caption(args) -> int:
     cfg = _build_config(args)
     records, vocab, _, _, det_map = _load_common(cfg)
-    model = _load_model(cfg, vocab, records)
+    model = _load_model(cfg, vocab)
     by_id = {r.image_id: r for r in records}
     if args.image_id not in by_id:
         raise CoverageError(f"cli: image id {args.image_id!r} not found in {cfg.dataset}")
@@ -146,7 +149,7 @@ def cmd_caption(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _build_config(args)
     records, vocab, manifest, split, det_map = _load_common(cfg)
-    model = _load_model(cfg, vocab, records)
+    model = _load_model(cfg, vocab)
     split_hash = datamod.manifest_hash(cfg.manifest)
     known = manifest.get("known_words", [])
     captioner = make_captioner(model, vocab, det_map, cfg, mode=args.mode)
@@ -166,7 +169,7 @@ def cmd_sweep_ndet(args) -> int:
     if any(v < 1 for v in values):
         raise DomainError("cli: sweep values must all be >= 1")
     records, vocab, _, split, det_map = _load_common(cfg)
-    model = _load_model(cfg, vocab, records)
+    model = _load_model(cfg, vocab)
     lines = ["n_det\taverage_f1"]
     for n_det in values:
         sweep_cfg = dataclasses.replace(cfg, n_det=n_det)
@@ -187,17 +190,16 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="placeholder-based novel object captioning")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, checkpoint=True):
+    def common(p, *flags):
+        """--config, then the command's own of --seed, --n-det, --out and --checkpoint."""
         p.add_argument("--config", help="key-value config file; flags override it")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--n-det", type=int, default=None, dest="n_det")
-        p.add_argument("--out", default=None)
-        if checkpoint:
-            p.add_argument("--checkpoint", default=None)
+        for flag in flags:
+            p.add_argument(flag, type=int if flag in ("--seed", "--n-det") else None)
 
     p = sub.add_parser("gen-data", help="generate a synthetic dataset, vocabulary, and split")
-    common(p, checkpoint=False)
-    p.add_argument("--world-config", help="world definition file (plain key-value); overrides the config's world key")
+    common(p, "--seed", "--out")
+    p.add_argument("--world-config", dest="world",
+                   help="world definition file (plain key-value); overrides the config's world key")
     p.add_argument("--n-images", type=int, default=1300)
     p.add_argument("--held-out", help="comma-separated held-out object words")
     p.add_argument("--objects-per-image", default="1,2")
@@ -205,22 +207,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", help="train and save the best-validation checkpoint")
-    common(p)
+    common(p, "--seed", "--n-det", "--checkpoint")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("caption", help="caption a single dataset record")
-    common(p)
+    common(p, "--seed", "--n-det", "--checkpoint")
     p.add_argument("--image-id", required=True)
-    p.add_argument("--mode", choices=("dnoc", "no-memory", "no-placeholder"), default="dnoc")
+    p.add_argument("--mode", choices=CAPTION_MODES, default="dnoc")
     p.set_defaults(func=cmd_caption)
 
     p = sub.add_parser("eval", help="score the test split and write a report")
-    common(p)
-    p.add_argument("--mode", choices=("dnoc", "no-memory", "no-placeholder"), default="dnoc")
+    common(p, "--seed", "--n-det", "--out", "--checkpoint")
+    p.add_argument("--mode", choices=CAPTION_MODES, default="dnoc")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sweep-ndet", help="evaluate one checkpoint across memory capacities")
-    common(p)
+    common(p, "--out", "--checkpoint")
     p.add_argument("--values", default="1,2,3,4,5,6,7,8,9,10")
     p.set_defaults(func=cmd_sweep_ndet)
     return parser

@@ -11,6 +11,8 @@ from dataclasses import dataclass, fields
 
 from .errors import ConfigError, ParseError
 
+TRAIN_MODES = ("dnoc", "no-placeholder")
+
 
 @dataclass
 class RunConfig:
@@ -109,6 +111,6 @@ def validate_config(cfg: RunConfig) -> RunConfig:
         raise ConfigError(f"config: lr must be finite and > 0, got {cfg.lr}")
     if not 0 <= cfg.weight_decay < float("inf"):
         raise ConfigError(f"config: weight_decay must be finite and >= 0, got {cfg.weight_decay}")
-    if cfg.train_mode not in ("dnoc", "no-placeholder"):
-        raise ConfigError(f"config: train_mode must be dnoc or no-placeholder, got {cfg.train_mode!r}")
+    if cfg.train_mode not in TRAIN_MODES:
+        raise ConfigError(f"config: train_mode must be {' or '.join(TRAIN_MODES)}, got {cfg.train_mode!r}")
     return cfg

@@ -38,8 +38,8 @@ class CaptionModel:
     (1.0, for stable early training).
     """
 
-    def __init__(self, vocab_size: int, hidden_size: int = 64, embed_size: int = 64,
-                 image_dim: int = 32, key_dim: int = 32, seed: int = 0):
+    def __init__(self, vocab_size: int, hidden_size: int, embed_size: int, image_dim: int, key_dim: int,
+                 seed: int = 0):
         self._allocate(param_shapes(vocab_size, hidden_size, embed_size, image_dim, key_dim))
         rng = np.random.default_rng(seed)
         for p in self.params().values():

@@ -45,13 +45,11 @@ class Detection:
 
 @dataclass
 class QueryResult:
-    """Outcome of a memory read. A (key_dim,) query gives one distribution,
-    class and word; a (P, key_dim) block gives one row, class and word per
-    query."""
+    """Outcome of a memory read. A (key_dim,) query gives one distribution
+    and class; a (P, key_dim) block gives one row and class per query."""
 
     distribution: np.ndarray  # (n_classes,), or (P, n_classes)
     argmax_class: int | np.ndarray  # or (P,)
-    argmax_word: str | list[str] | None = None
 
 
 class ObjectMemory:
@@ -161,7 +159,7 @@ def read_slots(queries: np.ndarray, slots: Slots, n_classes: int) -> tuple[np.nd
     return weights, distribution.reshape(n_rows, n_classes)
 
 
-def memory_read(q: np.ndarray, mem: ObjectMemory, det_map=None) -> tuple[QueryResult, np.ndarray]:
+def memory_read(q: np.ndarray, mem: ObjectMemory) -> tuple[QueryResult, np.ndarray]:
     """``read_slots`` of a query (key_dim,) or a block (P, key_dim) against
     the memory's written slots as one row: the QueryResult, and the class
     distribution it was read from. Argmax ties break toward the lowest class."""
@@ -172,10 +170,9 @@ def memory_read(q: np.ndarray, mem: ObjectMemory, det_map=None) -> tuple[QueryRe
     one_row = Slots(mem._keys[None, :mem.n], mem._labels[None, :mem.n], np.array([mem.n]))
     _, distribution = read_slots(q.reshape(-1, mem.key_dim), one_row, mem.n_classes)
     classes = distribution.argmax(1)  # the first (lowest) index on ties
-    words = None if det_map is None else [det_map.word_for_class(c) for c in classes.tolist()]
     if q.ndim == 1:
-        return QueryResult(distribution[0], int(classes[0]), None if words is None else words[0]), distribution[0]
-    return QueryResult(distribution, classes, words), distribution
+        return QueryResult(distribution[0], int(classes[0])), distribution[0]
+    return QueryResult(distribution, classes), distribution
 
 
 @dataclass

@@ -9,10 +9,10 @@ both losses in one update.
 Captioning: (i) decode greedily, emitting placeholders; (ii) if the
 sentence has a placeholder, build the key-value memory from the image's
 top detections, once; (iii) query the memory with the block of hidden
-states recorded before the placeholders, in one read, and substitute
-the retrieved words. Filling is a pure post-process: non-placeholder
-positions are untouched. The ablations share steps (i) and (iii) and
-swap only the filler.
+states recorded before the placeholders, in one read of their classes,
+and substitute each class's word. Filling is a pure post-process:
+non-placeholder positions are untouched. The ablations share steps (i)
+and (iii) and swap only the filler.
 """
 
 import logging
@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import evaluation
+from .config import TRAIN_MODES
 from .data import HeldOutSplit
 from .decoder import (CaptionModel, DecodeSnapshot, backward_pass, decode_greedy, forward_teacher_forced,
                       pad_sequences, sequence_loss)
@@ -34,6 +35,7 @@ from .vocabulary import PLACEHOLDER, DetectableSet, Vocabulary, mask_weights, re
 log = logging.getLogger(__name__)
 
 CLIP_NORM = 5.0  # global L2 bound on each batch's summed gradients
+CAPTION_MODES = ("dnoc", "no-memory", "no-placeholder")
 
 
 @dataclass
@@ -178,7 +180,6 @@ class EpochStats:
 
 @dataclass
 class TrainResult:
-    model: CaptionModel
     history: list[EpochStats] = field(default_factory=list)
     best_epoch: int = 0
     best_val_f1: float = -1.0
@@ -196,8 +197,8 @@ def train_model(split: HeldOutSplit, vocab: Vocabulary, det_map: DetectableSet, 
     vocabulary cannot contain them), so it is selected on the detectable
     known words instead.
     """
-    if mode not in ("dnoc", "no-placeholder"):
-        raise ConfigError(f"pipeline: training mode must be dnoc or no-placeholder, got {mode!r}")
+    if mode not in TRAIN_MODES:
+        raise ConfigError(f"pipeline: training mode must be {' or '.join(TRAIN_MODES)}, got {mode!r}")
     rewrite = mode == "dnoc"
     if rewrite:
         selection_words = split.held_out_words
@@ -210,7 +211,7 @@ def train_model(split: HeldOutSplit, vocab: Vocabulary, det_map: DetectableSet, 
                               for rec in split.train for ref in rec.references], det_map,
                              go_id=vocab.go_id, pad_id=vocab.pad_id, n_det=cfg.n_det, key_dim=cfg.key_dim,
                              max_steps=cfg.max_steps, rewrite=rewrite)
-    result = TrainResult(model=model)
+    result = TrainResult()
     for epoch in range(1, cfg.epochs + 1):
         order = np.random.default_rng([cfg.seed, epoch]).permutation(len(pairs))
         sums = np.zeros(2)
@@ -241,22 +242,24 @@ def make_captioner(model: CaptionModel, vocab: Vocabulary, det_map: DetectableSe
 
     Every mode decodes once; a sentence with placeholders is then filled
     by its mode's filler, which maps the (P, hidden) block of hidden
-    states before the placeholders to P words: one memory read of the
-    block ("dnoc"), a seeded uniformly random top-detection label each
-    ("no-memory"), or nothing ("no-placeholder"). A placeholder without a
-    word stays in the output as the literal token.
+    states before the placeholders to P words: the class words of one
+    memory read of the block ("dnoc"), a seeded uniformly random
+    top-detection label each ("no-memory"), or nothing ("no-placeholder").
+    A placeholder without a word stays in the output as the literal token.
 
     The captioner reads the model's weights once, here: it captions with
     a snapshot of them, and later updates to ``model`` do not reach it.
     """
+    if mode not in CAPTION_MODES:
+        raise ConfigError(f"pipeline: unknown captioning mode {mode!r}")
     snapshot = DecodeSnapshot.of(model)
     if mode == "dnoc":
         def filler(rec, hiddens):
             mem = build_memory(rec.detections, cfg.n_det, snapshot.weights.key_dim, det_map.n_classes)
             if mem.n == 0:
                 return None
-            result, _ = memory_read(make_query(hiddens, snapshot.weights.w_query), mem, det_map)
-            return result.argmax_word
+            result, _ = memory_read(make_query(hiddens, snapshot.weights.w_query), mem)
+            return [det_map.word_for_class(c) for c in result.argmax_class.tolist()]
     elif mode == "no-memory":
         def filler(rec, hiddens):
             labels = [d.label for d in select_top_detections(rec.detections, cfg.n_det)]
@@ -264,11 +267,9 @@ def make_captioner(model: CaptionModel, vocab: Vocabulary, det_map: DetectableSe
                 return None
             rng = np.random.default_rng([cfg.seed, zlib.crc32(rec.image_id.encode())])
             return [det_map.word_for_class(labels[int(rng.integers(len(labels)))]) for _ in hiddens]
-    elif mode == "no-placeholder":
+    else:
         def filler(rec, hiddens):
             return None
-    else:
-        raise ConfigError(f"pipeline: unknown captioning mode {mode!r}")
 
     skip = {vocab.go_id, vocab.pad_id, vocab.eos_id}
 
@@ -277,15 +278,9 @@ def make_captioner(model: CaptionModel, vocab: Vocabulary, det_map: DetectableSe
                               vocab.placeholder_id, cfg.max_steps)
         positions = trace.placeholder_positions
         words = filler(rec, trace.hiddens[positions]) if positions else []
-        unfilled = 0
+        tokens = [vocab.word_of(tok_id) for tok_id in trace.ids if tok_id not in skip]  # a placeholder is <PL>
         if words is None:
-            words, unfilled = [PLACEHOLDER] * len(positions), len(positions)
-        fills = dict(zip(positions, words))
-        tokens: list[str] = []
-        for pos, tok_id in enumerate(trace.ids):
-            if pos in fills:
-                tokens.append(fills[pos])
-            elif tok_id not in skip:
-                tokens.append(vocab.word_of(tok_id))
-        return Caption(tokens=tokens, placeholder_count_unfilled=unfilled)
+            return Caption(tokens=tokens, placeholder_count_unfilled=len(positions))
+        fills = iter(words)
+        return Caption(tokens=[next(fills) if tok == PLACEHOLDER else tok for tok in tokens])
     return captioner

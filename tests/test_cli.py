@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from novelcap import checkpoint as ckpt, data as datamod
 from novelcap.checkpoint import load_checkpoint, save_checkpoint
 from novelcap.cli import _build_config, build_parser, main
 from novelcap.config import load_config
@@ -14,7 +15,7 @@ from novelcap.data import (load_dataset, load_manifest, load_world_config, make_
 from novelcap.decoder import CaptionModel
 from novelcap.evaluation import average_f1_over, read_report
 from novelcap.memory import Detection
-from novelcap.pipeline import make_captioner
+from novelcap.pipeline import TrainingPairs, make_captioner
 from novelcap.vocabulary import Vocabulary, intersect_detectable
 
 SMALL_WORLD = dict(names=("dog", "cat", "bus", "tree", "boat", "bird", "car", "horse"),
@@ -80,6 +81,17 @@ class TestGenData:
         cfg = load_config(cfg_path)
         for path in (cfg.dataset, cfg.vocab, cfg.manifest):
             assert not os.path.exists(path), path
+
+    @pytest.mark.parametrize("n_images", ["0", "-5"])
+    def test_n_images_below_one_fails_by_flag_before_generating(self, tmp_path, capsys, monkeypatch, n_images):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("records generated for a refused --n-images")
+
+        monkeypatch.setattr(datamod, "generate_synthetic", unreachable)
+        cfg_path = write_config(tmp_path)
+        assert main(gen_args(cfg_path, write_world(tmp_path), n_images=n_images)) == 1
+        assert capsys.readouterr().err == f"novelcap: ConfigError: cli: --n-images must be >= 1, got {n_images}\n"
+        assert not os.path.exists(load_config(cfg_path).dataset)
 
     def test_default_world_has_eight_held_out(self, tmp_path):
         cfg_path = write_config(tmp_path, image_dim=32, key_dim=32)
@@ -295,20 +307,32 @@ class TestDetectionChecks:
         err = capsys.readouterr().err
         assert "SchemaError" in err and "record 'synth-00005' has detection label 99" in err, err
 
-    @pytest.mark.parametrize("command", [["eval", "--mode", "no-memory"],
-                                         ["caption", "--image-id", "synth-00000"],
-                                         ["sweep-ndet", "--values", "1,2"]],
-                             ids=["eval", "caption", "sweep-ndet"])
-    def test_detection_length_must_match_key_dim(self, trained, capsys, command):
+    @pytest.mark.parametrize("command, key", [(["eval", "--mode", "no-memory"], "key_dim"),
+                                              (["caption", "--image-id", "synth-00000"], "key_dim"),
+                                              (["sweep-ndet", "--values", "1,2"], "key_dim"),
+                                              (["train"], "key_dim"),
+                                              (["train"], "image_dim")],
+                             ids=["eval", "caption", "sweep-ndet", "train", "train-image_dim"])
+    def test_detection_length_must_match_key_dim(self, trained, capsys, monkeypatch, command, key):
         tmp_path, cfg_path = trained
 
         def shorten(rec):
-            rec.detections = [Detection(d.feature[:6], d.label, d.score) for d in rec.detections]
+            if key == "image_dim":
+                rec.feature = rec.feature[:6]
+            else:
+                rec.detections = [Detection(d.feature[:6], d.label, d.score) for d in rec.detections]
         rewrite_dataset(cfg_path, shorten)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("pairs built or checkpoint read for data of the wrong length")
+
+        monkeypatch.setattr(TrainingPairs, "of", unreachable)
+        monkeypatch.setattr(ckpt, "load_checkpoint", unreachable)
         assert main(command[:1] + ["--config", cfg_path] + command[1:]) == 1
         captured = capsys.readouterr()
         assert not captured.out
-        assert "SchemaError" in captured.err and "key_dim 8" in captured.err, captured.err
+        assert "SchemaError" in captured.err and f"{key} 8" in captured.err, captured.err
+        assert captured.err.count("\n") == 1, captured.err
 
 
 class TestListFlags:

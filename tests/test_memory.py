@@ -146,13 +146,6 @@ class TestMemoryRead:
             with pytest.raises(EmptyMemoryError):
                 memory_read(q, mem)
 
-    def test_argmax_word_via_det_map(self):
-        vocab = build_vocabulary([["a", "dog"]], 1)
-        det_map = intersect_detectable(vocab, ["dog", "zebra"])
-        mem = memory_of(([1.0], 1), n_classes=2)
-        result, _ = memory_read(np.array([1.0]), mem, det_map)
-        assert result.argmax_word == "zebra"
-
     @settings(max_examples=60)
     @given(st.data())
     def test_matches_brute_force_and_permutation_free(self, data):
@@ -173,8 +166,6 @@ class TestMemoryRead:
 
     def test_block_read_equals_single_reads(self):
         rng = np.random.default_rng(11)
-        vocab = build_vocabulary([[f"c{k}" for k in range(6)]], 1)
-        det_map = intersect_detectable(vocab, [f"c{k}" for k in range(6)])
         cases = []
         for n_slots, n_rows in ((1, 1), (1, 3), (4, 2), (9, 5), (16, 4)):
             mem = memory_of(*((rng.normal(size=5), int(rng.integers(6))) for _ in range(n_slots)),
@@ -184,16 +175,14 @@ class TestMemoryRead:
         tied = memory_of(([1.0, 1.0], 4), ([1.0, 1.0], 2), ([0.0, -1.0], 1), ([-1.0, 0.0], 3), n_classes=6)
         cases.append((tied, np.array([[0.5, 0.5], [0.0, 0.0], [1.0, 1.0], [-2.0, 0.0]])))
         for mem, block in cases:
-            result, distribution = memory_read(block, mem, det_map)
+            result, distribution = memory_read(block, mem)
             assert distribution.shape == result.distribution.shape == (len(block), 6)
             for p, q in enumerate(block):
-                single, _ = memory_read(q, mem, det_map)
+                single, _ = memory_read(q, mem)
                 assert np.abs(distribution[p] - single.distribution).max() <= 1e-12
                 assert result.argmax_class[p] == single.argmax_class
-                assert result.argmax_word[p] == single.argmax_word
         result, _ = memory_read(cases[-1][1], tied)
         assert result.argmax_class.tolist() == [2, 1, 2, 3]  # ties break toward the lowest class
-        assert result.argmax_word is None
 
     def test_query_of_the_wrong_length_is_a_shape_error(self):
         mem = memory_of(([1.0, 0.0], 0))

@@ -328,6 +328,29 @@ class TestFillPlaceholders:
         assert len(reads) == 1  # one read of the block of both placeholders' queries
         assert reads[0][0].shape == (len(trace.placeholder_positions), 2) == (2, 2)
 
+    def test_placeholder_gets_the_word_of_the_read_class(self, monkeypatch):
+        # the read returns class 1; its word, outside the vocabulary, is written in the caption
+        vocab = build_vocabulary([["a", "dog"]], 1)
+        det_map = intersect_detectable(vocab, ["dog", "zebra"])
+        model = CaptionModel(vocab.size, hidden_size=1, embed_size=1, image_dim=1, key_dim=1, seed=0)
+        model.w_query[...] = 1.0
+        rec = DatasetRecord("zebra", np.zeros(1), [["a", "dog"]], [Detection(np.array([1.0]), 1, 0.9)])
+        trace = DecodeTrace(ids=[vocab.id_of("a"), vocab.placeholder_id, vocab.eos_id],
+                            hiddens=np.ones((3, 1)), placeholder_positions=[1])
+        monkeypatch.setattr(pipeline, "decode_greedy", lambda *args: trace)
+        reads = []
+        read = pipeline.memory_read
+
+        def kept_read(*args):
+            reads.append(read(*args))
+            return reads[-1]
+        monkeypatch.setattr(pipeline, "memory_read", kept_read)
+        filled = caption(model, vocab, det_map, rec)
+        [(result, _)] = reads
+        assert result.argmax_class.tolist() == [1]
+        assert filled.tokens == ["a", det_map.class_words[1]] == ["a", "zebra"]
+        assert filled.placeholder_count_unfilled == 0
+
     def test_empty_memory_keeps_placeholder(self, monkeypatch):
         vocab, det_map, model, rec, _ = fig3_setup(monkeypatch)
         filled = caption(model, vocab, det_map, dataclasses.replace(rec, detections=[]))

@@ -463,7 +463,7 @@ def per_placeholder_captioner(model, vocab, det_map, cfg, mode):
     at a time, the generator seeded), then one query product and one read
     per placeholder. Returns the caption and one entry per filled
     placeholder: the class distribution of its memory read, or None for a
-    random label."""
+    random label. The no-placeholder fill leaves every placeholder."""
     snapshot = DecodeSnapshot.of(model)
     w_query = snapshot.weights.w_query
 
@@ -472,6 +472,8 @@ def per_placeholder_captioner(model, vocab, det_map, cfg, mode):
         return [dets[i] for i in order[:cfg.n_det]]
 
     def filler(rec, reads):
+        if mode == "no-placeholder":
+            return None
         if mode == "dnoc":
             mem = ObjectMemory(cfg.n_det, model.key_dim, det_map.n_classes)
             for det in top(rec.detections):
@@ -558,6 +560,23 @@ def test_captions_equal_the_per_placeholder_captioner_on_the_caption_workload(tm
             differences += caption_differences(records, model, corpus, corpus.cfg, mode, tally)
     assert tally["captions"] == 2 * len(CAPTION_SEEDS) * wl.CAPTION_RECORDS
     assert tally["filled"] >= tally["captions"] / 2, tally  # the trained model emits one in every caption
+    assert not differences, f"{len(differences)} differences:\n" + "\n".join(differences)
+
+
+def test_unfilled_captions_equal_the_per_placeholder_captioner_on_the_caption_workload(tmp_path):
+    """The caption workload's records at seed 101 in no-placeholder mode:
+    equal tokens and unfilled counts. Every record has detections, so only
+    this mode leaves placeholders unfilled."""
+    wl = load_workloads()
+    corpus, model = trained_corpus(wl, tmp_path, crowded=False)
+    tally = dict.fromkeys(("captions", "filled", "block reads"), 0)
+    records = corpus.draw(CAPTION_SEEDS[0], 0, wl.CAPTION_RECORDS).test
+    assert all(rec.detections for rec in records)
+    differences = caption_differences(records, model, corpus, corpus.cfg, "no-placeholder", tally)
+    assert tally["captions"] == wl.CAPTION_RECORDS and tally["filled"] == 0, tally
+    captioner = pipeline.make_captioner(model, corpus.vocab, corpus.det_map, corpus.cfg, "no-placeholder")
+    unfilled = [captioner(rec).placeholder_count_unfilled for rec in records]
+    assert sum(n > 0 for n in unfilled) >= len(records) / 2  # the trained model emits one in every caption
     assert not differences, f"{len(differences)} differences:\n" + "\n".join(differences)
 
 
