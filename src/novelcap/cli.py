@@ -37,6 +37,28 @@ def _list_flag(flag: str, raw: str, kind, count: int | None = None) -> list:
     return values
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose list flags take a value that starts with ``-``.
+
+    argparse reads ``--ratios -1,1,1`` as two options; ``--ratios=-1,1,1``
+    reaches the check that names the value, so the value is joined to its flag
+    (or to an abbreviation of it, which argparse then resolves).
+    """
+
+    list_flags = ("--held-out", "--objects-per-image", "--ratios", "--values")
+
+    def parse_known_args(self, args=None, namespace=None):
+        joined = []
+        for arg in sys.argv[1:] if args is None else args:
+            flag = joined[-1] if joined else ""
+            if (len(flag) > 2 and any(f.startswith(flag) for f in self.list_flags)
+                    and arg.startswith("-") and not arg.startswith("--")):
+                joined[-1] += "=" + arg
+            else:
+                joined.append(arg)
+        return super().parse_known_args(joined, namespace)
+
+
 def _build_config(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
     # a flag's dest is the config key it overrides; a command has only the flags it reads
@@ -186,8 +208,8 @@ def cmd_sweep_ndet(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="novelcap",
-                                     description="placeholder-based novel object captioning")
+    parser = _Parser(prog="novelcap",
+                     description="placeholder-based novel object captioning")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, *flags):

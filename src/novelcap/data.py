@@ -15,6 +15,7 @@ plain key-value text file; the split manifest is a single JSON document.
 import hashlib
 import json
 import string
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,9 +48,12 @@ DEFAULT_TEMPLATES = (
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class DatasetRecord:
-    """One image worth of data: feature, reference sentences, detections."""
+    """One image worth of data: feature, reference sentences, detections.
+
+    Slotted, and each reference token is interned, so a corpus holds one
+    string object per vocabulary word."""
 
     image_id: str
     feature: np.ndarray
@@ -211,13 +215,15 @@ def _generate_once(world, n_images, lo, hi, pools, rng) -> list[DatasetRecord]:
             template = pools[k][int(rng.integers(len(pools[k])))]
             # canonical mention order (class-index order) keeps the slot ->
             # object correspondence learnable from the summed feature
-            references.append(template.format(*(world.names[j] for j in present)).split())
+            sentence = template.format(*(world.names[j] for j in present))
+            references.append([sys.intern(tok) for tok in sentence.split()])
         detections = []
         for j in present:
             key = world.anchors[j] + rng.normal(0.0, 1.0, world.dim) * world.noise_scale
             score = float(rng.uniform(*world.present_score))
             detections.append(Detection(feature=key, label=int(j), score=score))
-        absent = [j for j in range(n_obj) if j not in set(int(p) for p in present)]
+        present_set = set(present.tolist())
+        absent = [j for j in range(n_obj) if j not in present_set]
         n_distract = min(world.distractors, len(absent))
         if n_distract > 0:
             for j in rng.choice(absent, size=n_distract, replace=False):
@@ -313,10 +319,10 @@ def save_dataset(records: list[DatasetRecord], path) -> None:
         for i, rec in enumerate(records):
             d = {
                 "image_id": rec.image_id,
-                "feature": [float(x) for x in rec.feature],
+                "feature": np.asarray(rec.feature, dtype=FLOAT).tolist(),
                 "references": [list(ref) for ref in rec.references],
                 "detections": [
-                    {"feature": [float(x) for x in det.feature],
+                    {"feature": np.asarray(det.feature, dtype=FLOAT).tolist(),
                      "label": int(det.label), "score": float(det.score)}
                     for det in rec.detections
                 ],
@@ -346,7 +352,7 @@ def load_dataset(path) -> list[DatasetRecord]:
             if feature.ndim != 1 or not np.isfinite(feature).all():
                 raise ValueError("the image feature is not a vector of finite numbers")
             rec = DatasetRecord(image_id=str(d["image_id"]), feature=feature,
-                                references=[[str(t) for t in ref] for ref in d["references"]],
+                                references=[[sys.intern(str(t)) for t in ref] for ref in d["references"]],
                                 detections=dets)
         except (KeyError, TypeError, ValueError, OverflowError, DomainError) as e:  # Overflow: a huge number
             raise SchemaError(f"data: line {line_no}: {e}") from e

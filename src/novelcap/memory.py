@@ -24,7 +24,7 @@ from .numerics import cross_entropy  # noqa: F401 -- not called here; the benchm
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Detection:
     """One detector output: appearance feature, class index, confidence."""
 
@@ -35,7 +35,7 @@ class Detection:
     def __post_init__(self):
         feat = np.asarray(self.feature, dtype=FLOAT)
         object.__setattr__(self, "feature", feat)
-        if not np.all(np.isfinite(feat)):
+        if not np.isfinite(feat).all():
             raise DomainError("memory: detection feature contains non-finite entries")
         if self.label < 0:
             raise DomainError(f"memory: detection label {self.label} is negative")

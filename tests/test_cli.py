@@ -346,6 +346,20 @@ class TestListFlags:
         err = capsys.readouterr().err
         assert err.startswith("novelcap: ConfigError: cli: ") and flag in err, err
 
+    @pytest.mark.parametrize("args, message", [
+        (["gen-data", "--objects-per-image", "-1,2"], "DomainError: data: bad objects_per_image range (-1, 2)"),
+        (["gen-data", "--ratios", "-1,1,1"],
+         "DomainError: data: split ratios (-1.0, 1.0, 1.0) must be non-negative and sum to 1"),
+        (["sweep-ndet", "--values", "-1,2"], "DomainError: cli: sweep values must all be >= 1"),
+        (["sweep-ndet", "--val", "-1,2"], "DomainError: cli: sweep values must all be >= 1"),
+    ], ids=["objects-per-image", "ratios", "values", "abbreviated-values"])
+    def test_value_with_a_leading_dash_reaches_the_check_that_names_it(self, tmp_path, capsys, args, message):
+        extra = ["--world-config", write_world(tmp_path), "--held-out", "bus", "--n-images", "80"]
+        cfg_path = write_config(tmp_path)
+        assert main(args + ["--config", cfg_path] + (extra if args[0] == "gen-data" else [])) == 1
+        assert capsys.readouterr().err == f"novelcap: {message}\n"
+        assert not os.path.exists(load_config(cfg_path).dataset)
+
 
 class TestCaption:
     def test_prints_single_caption(self, trained, capsys):

@@ -1,4 +1,7 @@
+import dataclasses
+import hashlib
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -182,6 +185,14 @@ class TestDatasetFiles:
                 assert np.array_equal(da.feature, db.feature)
                 assert da.label == db.label and da.score == db.score
 
+    def test_file_bytes_are_pinned(self, tmp_path):
+        """The sha256 of a small fixed world's dataset file: a change to the record layout
+        or to how features are written must leave every byte of the file as it was."""
+        path = tmp_path / "d.jsonl"
+        save_dataset(generate_synthetic(small_world(), 12, objects_per_image=(1, 3)), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            "c760ba8d9bea8261764be02df221f95cae0877db21f2898097da599c4f620ed1"
+
     def test_empty_references_schema_error(self, tmp_path):
         rec = DatasetRecord("x", np.zeros(4), [], [Detection(np.zeros(4), 0, 0.5)])
         with pytest.raises(SchemaError):
@@ -237,6 +248,45 @@ class TestDatasetFiles:
         path.write_text(path.read_text() + '{"image_id": "x"}\n')
         with pytest.raises(SchemaError, match="data: line 6: missing field 'feature'"):
             load_dataset(path)
+
+
+class TestCompactRecords:
+    """Records and detections are slotted value types, and every reference token
+    is the interned string, so a corpus holds one string object per word."""
+
+    @staticmethod
+    def assert_tokens_interned(records):
+        tokens = [tok for rec in records for ref in rec.references for tok in ref]
+        assert all(tok is sys.intern(tok) for tok in tokens)
+        assert len({id(tok) for tok in tokens}) == len(set(tokens))
+
+    def test_no_instance_dict(self):
+        rec = generate_synthetic(small_world(), 1)[0]
+        assert not hasattr(rec, "__dict__")
+        assert not hasattr(rec.detections[0], "__dict__")
+
+    def test_generated_and_loaded_tokens_are_interned(self, tmp_path):
+        records = generate_synthetic(small_world(), 20, objects_per_image=(1, 3))
+        self.assert_tokens_interned(records)
+        path = tmp_path / "d.jsonl"
+        save_dataset(records, path)
+        loaded = load_dataset(path)
+        self.assert_tokens_interned(loaded)
+        assert [rec.references for rec in loaded] == [rec.references for rec in records]
+
+    def test_detection_stays_frozen_and_both_types_replace(self):
+        rec = generate_synthetic(small_world(), 1)[0]
+        det = rec.detections[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            det.label = 5
+        moved = dataclasses.replace(det, label=5)
+        assert moved.label == 5 and det.label != 5 and moved.feature is det.feature
+        with pytest.raises(DomainError, match="label -1 is negative"):
+            dataclasses.replace(det, label=-1)
+        renamed = dataclasses.replace(rec, image_id="other")
+        assert renamed.image_id == "other" and renamed.references is rec.references
+        rec.image_id = "changed"  # a record stays mutable
+        assert rec.image_id == "changed"
 
 
 class TestManifest:
