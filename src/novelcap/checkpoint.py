@@ -1,9 +1,10 @@
 """Flat binary checkpoint container.
 
-Layout: magic "NVCP", format version, the vocabulary file reference,
-then each named parameter as (name, shape header, raw little-endian
-float64 data). Writing the same model twice produces identical bytes,
-and a save/load round trip is bit-exact.
+Layout: magic "NVCP", format version, the vocabulary reference (a
+string; ``train`` stores a digest of the vocabulary's words), then each
+named parameter as (name, shape header, raw little-endian float64
+data). Writing the same model twice produces identical bytes, and a
+save/load round trip is bit-exact.
 """
 
 import math
@@ -56,7 +57,7 @@ def save_checkpoint(path, params: dict[str, np.ndarray], vocab_ref: str = "") ->
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], str]:
-    """Returns (named parameter arrays, vocabulary file reference)."""
+    """Returns (named parameter arrays, vocabulary reference)."""
     with open(path, "rb") as f:
         if _read_exact(f, 4) != MAGIC:
             raise CheckpointError(f"checkpoint: {path} is not a checkpoint file")

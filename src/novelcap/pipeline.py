@@ -4,7 +4,8 @@ Training: the pairs are built once as arrays (targets rewritten,
 truncated and padded, each image's top-n_det slots); a batch gathers its
 columns, runs the teacher-forced decoder once, reads the slots of all
 masked steps in one pass, and applies Adam to the summed gradients of
-both losses in one update.
+both losses in one update. The no-placeholder baseline is the same
+training with no detectable word, so its memory pass reads nothing.
 
 Captioning: (i) decode greedily, emitting placeholders; (ii) if the
 sentence has a placeholder, build the key-value memory from the image's
@@ -17,7 +18,7 @@ and (iii) and swap only the filler.
 
 import logging
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -61,17 +62,19 @@ class TrainingPairs:
 
     The (L, N) id arrays are time-major like the decoder's: column n is
     pair n, truncated at ``max_steps`` and padded with <PAD>. Pair n reads
-    slot row ``slot_rows[n]``, shared by every pair of one image.
+    slot row ``slot_rows[n]``, shared by every pair of one image. Under a
+    detectable set with no detectable word the targets are the original
+    ids and the mask is all zero.
     """
 
     inputs: np.ndarray  # (L, N) <GO>, then the decoder targets shifted by one
-    targets: np.ndarray  # (L, N) decoder targets: rewritten, or raw for the baseline
+    targets: np.ndarray  # (L, N) decoder targets: detectable words rewritten
     original: np.ndarray  # (L, N) word ids before rewriting
     mask: np.ndarray  # (L, N) 1 where the original word is detectable
     lengths: np.ndarray  # (N,) real positions per pair
     features: np.ndarray  # (N, image_dim)
     slot_rows: np.ndarray  # (N,)
-    slots: Slots | None  # None for the baseline, which has no memory loss
+    slots: Slots
     det_map: DetectableSet
     pad_id: int
 
@@ -80,25 +83,20 @@ class TrainingPairs:
 
     @classmethod
     def of(cls, examples: list[TrainExample], pd: DetectableSet, *, go_id: int, pad_id: int, n_det: int,
-           key_dim: int, max_steps: int | None = None, rewrite: bool = True) -> "TrainingPairs":
-        """The pairs of ``examples``. With ``rewrite`` off (the no-placeholder
-        baseline) the raw targets are used and no slots are built.
-        Otherwise rewriting and masking are lookups over every word id, and
-        pairs with the same detections list (the references of one image)
-        share one slot row."""
+           key_dim: int, max_steps: int | None = None) -> "TrainingPairs":
+        """The pairs of ``examples``. Rewriting and masking are lookups over
+        every word id, and pairs with the same detections list (the
+        references of one image) share one slot row."""
         inputs, original, lengths = pad_sequences([ex.targets for ex in examples], go_id, pad_id, max_steps)
         words = list(range(len(pd.word_classes)))
+        rewritten = np.array(rewrite_targets(words, pd))
         mask = np.array(mask_weights(words, pd))[original]
         images = {id(ex.detections): ex.detections for ex in examples}  # one entry per image
         row_of = {key: r for r, key in enumerate(images)}
         slot_rows = np.array([row_of[id(ex.detections)] for ex in examples], dtype=np.intp)
-        slots, targets = None, original
-        if rewrite:
-            rewritten = np.array(rewrite_targets(words, pd))
-            inputs, targets = rewritten[inputs], rewritten[original]
-            slots = build_slots(list(images.values()), n_det, key_dim, pd.n_classes)
-        return cls(inputs, targets, original, mask, lengths, np.array([ex.feature for ex in examples]),
-                   slot_rows, slots, pd, pad_id)
+        slots = build_slots(list(images.values()), n_det, key_dim, pd.n_classes)
+        return cls(rewritten[inputs], rewritten[original], original, mask, lengths,
+                   np.array([ex.feature for ex in examples]), slot_rows, slots, pd, pad_id)
 
 
 def batch_losses(model: CaptionModel, pairs: TrainingPairs, rows) -> tuple[float, float, np.ndarray]:
@@ -109,34 +107,29 @@ def batch_losses(model: CaptionModel, pairs: TrainingPairs, rows) -> tuple[float
     cache = forward_teacher_forced(pairs.inputs[:n_steps, rows], pairs.targets[:n_steps, rows],
                                    pairs.lengths[rows], pairs.features[rows], model)
     loss_seq, dlogits = sequence_loss(cache.logits, cache.targets, pairs.pad_id)
-    loss_mem = 0.0
+    loss_mem, reads = memory_loss_forward(cache.hiddens, pairs.original[:n_steps, rows],
+                                          pairs.mask[:n_steps, rows].ravel(), pairs.det_map,
+                                          pairs.slots[pairs.slot_rows[rows]], model.w_query)
     dq = np.zeros(cache.hiddens.shape[:2] + (model.key_dim,))
-    if pairs.slots is not None:
-        loss_mem, reads = memory_loss_forward(cache.hiddens, pairs.original[:n_steps, rows],
-                                              pairs.mask[:n_steps, rows].ravel(), pairs.det_map,
-                                              pairs.slots[pairs.slot_rows[rows]], model.w_query)
-        dq[reads.steps, reads.rows] = read_loss_backward(reads, scale=scale)
+    dq[reads.steps, reads.rows] = read_loss_backward(reads, scale=scale)
     grad = backward_pass(model, cache, dlogits * scale, dq)
     return loss_seq / len(rows), loss_mem / len(rows), grad
 
 
 def example_losses(model: CaptionModel, feature, targets: list[int], detections,
                    pd: DetectableSet, *, go_id: int, pad_id: int, n_det: int,
-                   max_steps: int | None = None,
-                   rewrite: bool = True) -> tuple[float, float, np.ndarray]:
+                   max_steps: int | None = None) -> tuple[float, float, np.ndarray]:
     """Both losses and their gradient for a single example: a batch of one."""
     pairs = TrainingPairs.of([TrainExample(feature, targets, detections)], pd, go_id=go_id, pad_id=pad_id,
-                             n_det=n_det, key_dim=model.key_dim, max_steps=max_steps, rewrite=rewrite)
+                             n_det=n_det, key_dim=model.key_dim, max_steps=max_steps)
     return batch_losses(model, pairs, np.arange(1))
 
 
 def joint_loss(model: CaptionModel, feature, targets: list[int], detections, pd: DetectableSet,
-               *, go_id: int, pad_id: int, n_det: int, max_steps: int | None = None,
-               rewrite: bool = True) -> float:
+               *, go_id: int, pad_id: int, n_det: int, max_steps: int | None = None) -> float:
     """Total loss of one example; the reference for finite-difference checks."""
     loss_seq, loss_mem, _ = example_losses(model, feature, targets, detections, pd, go_id=go_id,
-                                           pad_id=pad_id, n_det=n_det, max_steps=max_steps,
-                                           rewrite=rewrite)
+                                           pad_id=pad_id, n_det=n_det, max_steps=max_steps)
     return loss_seq + loss_mem
 
 
@@ -191,26 +184,26 @@ def train_model(split: HeldOutSplit, vocab: Vocabulary, det_map: DetectableSet, 
     """Train on the split per the run config; track the best-validation model.
 
     ``mode`` is "dnoc" (placeholder rewriting + memory loss) or
-    "no-placeholder" (the plain-decoder baseline). The model snapshot with
+    "no-placeholder" (the plain-decoder baseline: the same training on a
+    copy of ``det_map`` with no detectable word). The model snapshot with
     the best validation F1 is kept in ``best_params``. Selection scores
     the held-out words; for the baseline those are structurally zero (its
-    vocabulary cannot contain them), so it is selected on the detectable
-    known words instead.
+    vocabulary cannot contain them), so it is selected on ``det_map``'s
+    detectable known words instead.
     """
     if mode not in TRAIN_MODES:
         raise ConfigError(f"pipeline: training mode must be {' or '.join(TRAIN_MODES)}, got {mode!r}")
-    rewrite = mode == "dnoc"
-    if rewrite:
-        selection_words = split.held_out_words
-    else:
+    train_map, selection_words = det_map, split.held_out_words
+    if mode == "no-placeholder":
+        train_map = replace(det_map, word_classes=np.full_like(det_map.word_classes, -1))
         selection_words = tuple(sorted(vocab.word_of(i) for i in np.flatnonzero(det_map.word_classes >= 0)))
     model = CaptionModel(vocab.size, hidden_size=cfg.hidden_size, embed_size=cfg.embed_size,
                          image_dim=cfg.image_dim, key_dim=cfg.key_dim, seed=cfg.seed)
     opt = AdamState.for_param(model.theta, lr=cfg.lr, weight_decay=cfg.weight_decay)
     pairs = TrainingPairs.of([TrainExample(rec.feature, vocab.encode(ref, append_eos=True), rec.detections)
-                              for rec in split.train for ref in rec.references], det_map,
+                              for rec in split.train for ref in rec.references], train_map,
                              go_id=vocab.go_id, pad_id=vocab.pad_id, n_det=cfg.n_det, key_dim=cfg.key_dim,
-                             max_steps=cfg.max_steps, rewrite=rewrite)
+                             max_steps=cfg.max_steps)
     result = TrainResult()
     for epoch in range(1, cfg.epochs + 1):
         order = np.random.default_rng([cfg.seed, epoch]).permutation(len(pairs))

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -164,7 +165,7 @@ class TestTrain:
         tmp_path, cfg_path = trained
         cfg = load_config(cfg_path)
         params, vocab_ref = load_checkpoint(cfg.checkpoint)
-        assert vocab_ref == cfg.vocab
+        assert vocab_ref == "sha256:" + hashlib.sha256(Path(cfg.vocab).read_bytes()).hexdigest()
         assert "lstm_w" in params
         log_lines = (tmp_path / "train.log").read_text().splitlines()
         assert len(log_lines) == cfg.epochs + 1
@@ -283,6 +284,41 @@ class TestEvalAndSweep:
             assert code == 1
             err = capsys.readouterr().err
             assert "CheckpointError" in err and repr(name) in err, err
+
+
+class TestCheckpointVocabulary:
+    """A checkpoint reads only the vocabulary it was trained with: a file of
+    the same words at other ids is refused, as is a stored path."""
+
+    @staticmethod
+    def args(command, cfg_path):
+        extra = {"caption": ["--image-id", load_dataset(load_config(cfg_path).dataset)[0].image_id],
+                 "sweep-ndet": ["--values", "1,2"]}
+        return [command, "--config", cfg_path, *extra.get(command, [])]
+
+    @pytest.mark.parametrize("command", ["eval", "caption", "sweep-ndet"])
+    def test_same_words_at_other_ids_are_refused(self, trained, capsys, command):
+        tmp_path, cfg_path = trained
+        words = list(Vocabulary.load(load_config(cfg_path).vocab).words)
+        words[0], words[1] = words[1], words[0]  # same size and words: the dimension check passes
+        traded = tmp_path / "traded-vocab.txt"
+        traded.write_text("".join(w + "\n" for w in words))
+        capsys.readouterr()
+        assert main(self.args(command, write_config(tmp_path, vocab=traded))) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("novelcap: CheckpointError: cli: checkpoint ") and str(traded) in err, err
+
+    @pytest.mark.parametrize("command", ["eval", "caption", "sweep-ndet"])
+    def test_a_checkpoint_that_holds_a_vocabulary_path_is_refused(self, trained, capsys, command):
+        tmp_path, cfg_path = trained
+        cfg = load_config(cfg_path)
+        assert main(self.args(command, cfg_path)) == 0
+        params, _ = load_checkpoint(cfg.checkpoint)
+        save_checkpoint(cfg.checkpoint, params, vocab_ref=cfg.vocab)
+        capsys.readouterr()
+        assert main(self.args(command, cfg_path)) == 1
+        err = capsys.readouterr().err
+        assert "CheckpointError" in err and f"holds {cfg.vocab!r}" in err, err
 
 
 def rewrite_dataset(cfg_path, edit):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from novelcap import pipeline
+from novelcap import evaluation, pipeline
 from novelcap.config import RunConfig
 from novelcap.data import DatasetRecord, HeldOutSplit, generate_synthetic, make_world
 from novelcap.decoder import (CELL_SANITY_BOUND, PARAM_NAMES, CaptionModel, DecodeTrace,
@@ -27,6 +27,11 @@ def small_setup(seed=0):
     vocab = build_vocabulary(sentences, 1)
     det_map = intersect_detectable(vocab, list(world.names))
     return world, records, vocab, det_map
+
+
+def no_detectable_words(det_map):
+    """The detectable set the no-placeholder baseline trains with: no word has a class."""
+    return dataclasses.replace(det_map, word_classes=np.full_like(det_map.word_classes, -1))
 
 
 def fresh_model(vocab, seed=0):
@@ -158,14 +163,14 @@ class TestTrainStep:
             assert not np.array_equal(model.params()[name], before[name]), name
 
     @settings(max_examples=40, deadline=None)
-    @given(batch=ragged_batches(), rewrite=st.booleans())
-    def test_gradients_match_batch_mean(self, batch, rewrite):
+    @given(batch=ragged_batches(), baseline=st.booleans())
+    def test_gradients_match_batch_mean(self, batch, baseline):
         # one pass over a ragged batch equals the mean of batches of one
         vocab, det_map, model = RAGGED_WORLD
-        kw = dict(go_id=vocab.go_id, pad_id=vocab.pad_id, n_det=RAGGED_N_DET,
-                  max_steps=RAGGED_MAX_STEPS, rewrite=rewrite)
-        pairs = pairs_of(batch, vocab, det_map, n_det=RAGGED_N_DET, max_steps=RAGGED_MAX_STEPS,
-                         rewrite=rewrite)
+        if baseline:
+            det_map = no_detectable_words(det_map)
+        kw = dict(go_id=vocab.go_id, pad_id=vocab.pad_id, n_det=RAGGED_N_DET, max_steps=RAGGED_MAX_STEPS)
+        pairs = pairs_of(batch, vocab, det_map, n_det=RAGGED_N_DET, max_steps=RAGGED_MAX_STEPS)
         loss_seq, loss_mem, grad = batch_losses(model, pairs, np.arange(len(batch)))
         singles = [example_losses(model, ex.feature, ex.targets, ex.detections, det_map, **kw)
                    for ex in batch]
@@ -245,6 +250,23 @@ def test_truncation_warns_once_per_training_run_not_per_epoch(caplog):
     warned = [r.getMessage() for r in caplog.records if "truncated" in r.getMessage()]
     assert len(warned) == len(long) > 0
     assert warned == [f"decoder: sequence of {n} steps truncated to {cfg.max_steps}" for n in long]
+
+
+def test_the_baseline_is_dnoc_training_with_no_detectable_word(monkeypatch):
+    # its losses are those of dnoc on a set whose words have no class; it selects on the real detectable words
+    _, records, vocab, det_map = small_setup()
+    split = HeldOutSplit(train=records[:40], val=records[40:], test=[], held_out_words=("bus",))
+    cfg = RunConfig(hidden_size=16, embed_size=8, image_dim=8, key_dim=8, epochs=3, batch_size=8)
+    scored = []
+    average = evaluation.average_f1_over
+    monkeypatch.setattr(evaluation, "average_f1_over",
+                        lambda recs, captioner, words: scored.append(words) or average(recs, captioner, words))
+    baseline = pipeline.train_model(split, vocab, det_map, cfg, mode="no-placeholder")
+    assert scored == [tuple(sorted(w for w in vocab.words if det_map.word_classes[vocab.index[w]] >= 0))] * 3
+    plain = pipeline.train_model(split, vocab, no_detectable_words(det_map), cfg)
+    losses = [(h.loss_seq, h.loss_mem) for h in baseline.history]
+    assert losses == [(h.loss_seq, h.loss_mem) for h in plain.history] == [(ls, 0.0) for ls, _ in losses]
+    assert all(h.loss_mem > 0.0 for h in pipeline.train_model(split, vocab, det_map, cfg).history)
 
 
 @pytest.mark.parametrize("mode", ["no-memory", "dnco"])

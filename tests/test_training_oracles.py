@@ -7,7 +7,9 @@ replaced (per-batch rewriting and padding, a memory built per pair, the
 strided recurrent weights and the stacked local derivatives), the
 per-example memory loop (one read and one backward per masked step) and
 the ``np.add.at`` / concatenated backward, run on the acceptance world's
-first training epoch.
+first training epoch. The no-placeholder baseline trains through the same
+step with no detectable word; its oracle is the list-based step with raw
+targets, no memory pass and a zero query gradient.
 
 Captioning builds a record's memory once, in one block write, and fills
 all of its placeholders with one read. Its oracle is the captioner it
@@ -20,6 +22,7 @@ import dataclasses
 import importlib.util
 import json
 import zlib
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -211,19 +214,40 @@ def list_batch_losses(model, batch, det_map, *, go_id, pad_id, n_det, max_steps)
     return loss_seq / len(batch), loss_mem / len(batch), grad
 
 
+def list_baseline_losses(model, batch, *, go_id, pad_id, max_steps):
+    """The no-placeholder step as its own path: raw targets, no memory pass
+    and a zero dq."""
+    scale = 1.0 / len(batch)
+    cache = list_forward([ex.targets for ex in batch], np.array([ex.feature for ex in batch]), model,
+                         go_id, pad_id, max_steps)
+    loss_seq, dlogits = sequence_loss(cache.logits, cache.targets, pad_id)
+    dq = np.zeros(cache.hiddens.shape[:2] + (model.key_dim,))
+    return loss_seq / len(batch), 0.0, stacking_backward(model, cache, dlogits * scale, dq)
+
+
+def no_detectable_words(det_map):
+    """The detectable set the no-placeholder baseline trains with."""
+    return dataclasses.replace(det_map, word_classes=np.full_like(det_map.word_classes, -1))
+
+
 def test_first_epoch_equals_the_list_based_step_bit_for_bit(acceptance_world):
+    # dnoc against the list-based step; the baseline, dnoc with no detectable word, against its own path
     _, vocab, det_map, examples = acceptance_world
-    model, opt = acceptance_model(vocab)
-    pairs, batches = first_epoch(examples, vocab, det_map)
-    kw = dict(go_id=vocab.go_id, pad_id=vocab.pad_id, n_det=RUN["n_det"], max_steps=RUN["max_steps"])
-    for k, rows in enumerate(batches):
-        loss_seq, loss_mem, grad = batch_losses(model, pairs, rows)
-        ref_seq, ref_mem, ref_grad = list_batch_losses(model, [examples[i] for i in rows], det_map, **kw)
-        assert (loss_seq, loss_mem) == (ref_seq, ref_mem), k
-        assert np.array_equal(grad, ref_grad), (k, np.abs(grad - ref_grad).max())
-        clip_gradients(grad, CLIP_NORM)
-        adam_step(model.theta, grad, opt)
-    assert len(batches) == 125
+    kw = dict(go_id=vocab.go_id, pad_id=vocab.pad_id, max_steps=RUN["max_steps"])
+    for mode, pd, reference in (
+            ("dnoc", det_map, partial(list_batch_losses, det_map=det_map, n_det=RUN["n_det"], **kw)),
+            ("no-placeholder", no_detectable_words(det_map), partial(list_baseline_losses, **kw))):
+        model, opt = acceptance_model(vocab)
+        pairs, batches = first_epoch(examples, vocab, pd)
+        for k, rows in enumerate(batches):
+            loss_seq, loss_mem, grad = batch_losses(model, pairs, rows)
+            ref_seq, ref_mem, ref_grad = reference(model, [examples[i] for i in rows])
+            assert (loss_seq, loss_mem) == (ref_seq, ref_mem), (mode, k)
+            assert np.array_equal(grad, ref_grad), (mode, k, np.abs(grad - ref_grad).max())
+            assert mode == "dnoc" or loss_mem == 0.0
+            clip_gradients(grad, CLIP_NORM)
+            adam_step(model.theta, grad, opt)
+        assert len(batches) == 125
 
 
 # --- the per-example memory loop and the concatenating backward ------------
@@ -391,10 +415,17 @@ def test_every_image_gets_a_slot_row_and_stray_labels_are_refused(acceptance_wor
     slots = TrainingPairs.of(examples[:1], det_map, **kw).slots  # no masked step, and still its row
     assert slots.counts.tolist() == [4]
     assert np.array_equal(slots.keys[0], build_memory(rec.detections, 4, 32, det_map.n_classes).keys)
-    assert TrainingPairs.of(examples, det_map, rewrite=False, **kw).slots is None
+    dnoc = TrainingPairs.of(examples, det_map, **kw)
+    baseline = TrainingPairs.of(examples, no_detectable_words(det_map), **kw)
+    assert not baseline.mask.any()
+    assert np.array_equal(baseline.targets, baseline.original)
+    assert np.array_equal(baseline.slot_rows, dnoc.slot_rows)
+    assert all(np.array_equal(getattr(baseline.slots, f), getattr(dnoc.slots, f))
+               for f in ("keys", "labels", "counts"))
     stray = dataclasses.replace(examples[0], detections=[Detection(np.zeros(32), det_map.n_classes, 0.5)])
-    with pytest.raises(DomainError, match=f"label {det_map.n_classes} out of range"):
-        TrainingPairs.of([stray], det_map, **kw)
+    for pd in (det_map, no_detectable_words(det_map)):
+        with pytest.raises(DomainError, match=f"label {det_map.n_classes} out of range"):
+            TrainingPairs.of([stray], pd, **kw)
 
 
 def test_skip_reasons_in_one_batch(caplog):
