@@ -2,12 +2,13 @@
 
 Commands: gen-data, train, caption, eval, sweep-ndet. Every command is
 deterministic given the config seed; all errors exit nonzero with a
-message naming the failing module.
+message naming the failing module. ``train`` stores ``Vocabulary.digest()``
+in the checkpoint, and the commands that load one refuse any other value;
+``eval`` writes a report that no command reads.
 """
 
 import argparse
 import dataclasses
-import hashlib
 import os
 import sys
 
@@ -85,12 +86,6 @@ def _load_common(cfg):
     return records, vocab, manifest, split, det_map
 
 
-def _vocab_digest(vocab: Vocabulary) -> str:
-    """A checkpoint's vocabulary reference: the sha256 of the words in id
-    order, one a line, as ``Vocabulary.save`` writes them."""
-    return "sha256:" + hashlib.sha256("".join(w + "\n" for w in vocab.words).encode("utf-8")).hexdigest()
-
-
 def _load_model(cfg, vocab) -> CaptionModel:
     """The checkpoint's model, checked against the config's dimensions and
     against the vocabulary it was trained with."""
@@ -106,7 +101,7 @@ def _load_model(cfg, vocab) -> CaptionModel:
     if mismatches:
         detail = ", ".join(f"{n}: checkpoint {g} vs config {w}" for n, g, w in mismatches)
         raise CheckpointError(f"cli: checkpoint incompatible with config dims ({detail})")
-    digest = _vocab_digest(vocab)
+    digest = vocab.digest()
     if vocab_ref != digest:
         raise CheckpointError(f"cli: checkpoint {cfg.checkpoint} was not trained with the vocabulary "
                               f"{cfg.vocab} (it holds {vocab_ref!r}, the file is {digest!r})")
@@ -162,7 +157,7 @@ def cmd_train(args) -> int:
         result = train_model(split, vocab, det_map, cfg, mode=cfg.train_mode, log_fn=log_fn)
         best = f"best_epoch={result.best_epoch} best_val_f1={result.best_val_f1!r}"
         log_fn(best)
-    ckpt.save_checkpoint(cfg.checkpoint, result.best_params, vocab_ref=_vocab_digest(vocab))
+    ckpt.save_checkpoint(cfg.checkpoint, result.best_params, vocab_ref=vocab.digest())
     print(f"checkpoint={cfg.checkpoint}")
     return 0
 

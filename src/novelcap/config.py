@@ -76,9 +76,10 @@ def read_json(path, owner: str):
 def read_key_values(path, known, owner: str) -> dict[str, str]:
     """The raw values of a plain ``key = value`` file, by key; skips blank
     lines and ``#`` comments and reads ``-`` in a key as ``_``. A line
-    without ``=`` or with a key not in ``known`` is a ParseError naming
-    ``owner`` (the module) and the line number."""
-    values = {}
+    without ``=``, with a key not in ``known`` or with a key set on an
+    earlier line is a ParseError naming ``owner`` (the module) and the line
+    number (both lines for a repeat)."""
+    values, lines = {}, {}
     for line_no, line in text_lines(path, owner):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -89,7 +90,9 @@ def read_key_values(path, known, owner: str) -> dict[str, str]:
         key = key.strip().replace("-", "_")
         if key not in known:
             raise ParseError(f"{owner}: line {line_no}: unknown key {key!r}")
-        values[key] = value.strip()
+        if key in lines:
+            raise ParseError(f"{owner}: line {line_no}: key {key!r} is set twice (first on line {lines[key]})")
+        values[key], lines[key] = value.strip(), line_no
     return values
 
 

@@ -467,7 +467,8 @@ def manifest_hash(path) -> str:
 
 def split_from_manifest(records: list[DatasetRecord], manifest: dict) -> HeldOutSplit:
     """The manifest's partition of ``records``. Raises SchemaError naming the
-    first record with a detection label outside the manifest's class list."""
+    first record with a detection label outside the manifest's class list,
+    or the first training record that mentions a held-out word."""
     n_classes = len(manifest["class_names"])
     for rec in records:
         bad = next((d.label for d in rec.detections if d.label >= n_classes), None)
@@ -481,5 +482,9 @@ def split_from_manifest(records: list[DatasetRecord], manifest: dict) -> HeldOut
             out[part] = [by_id[i] for i in manifest[part]]
         except KeyError as e:
             raise CoverageError(f"data: manifest names unknown record id {e.args[0]!r}") from e
-    return HeldOutSplit(train=out["train"], val=out["val"], test=out["test"],
-                        held_out_words=tuple(manifest["held_out_words"]))
+    held = tuple(manifest["held_out_words"])
+    for rec, mentioned in zip(out["train"], mentions([rec.references for rec in out["train"]], held)):
+        if mentioned.any():
+            raise SchemaError(f"data: training record {rec.image_id!r} mentions held-out word "
+                              f"{held[mentioned.argmax()]!r}")
+    return HeldOutSplit(train=out["train"], val=out["val"], test=out["test"], held_out_words=held)

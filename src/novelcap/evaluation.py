@@ -1,11 +1,12 @@
-"""Per-object F1 over generated captions, and report files.
+"""Per-object F1 over generated captions, and the report.
 
 An image counts as an actual positive for an object word when ANY of its
 reference sentences mentions the word, and as a predicted positive when
 the generated caption contains it: both are ``data.mentions``, the rule
 the held-out split uses. Matching is exact lowercase token equality with
 no stemming, so plural forms are distinct words. True negatives never
-enter the score.
+enter the score. A report file is written and never read back:
+``write_report`` is its one encoder.
 """
 
 import json
@@ -13,9 +14,8 @@ from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
-from .config import read_json
 from .data import mentions
-from .errors import SchemaError, ShapeError
+from .errors import ShapeError
 
 
 @dataclass
@@ -109,18 +109,3 @@ def write_report(report: F1Report, path) -> None:
     with open(path, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=1)
         f.write("\n")
-
-
-def read_report(path) -> F1Report:
-    doc = read_json(path, "evaluation: report")
-    if not isinstance(doc, dict) or not isinstance(doc.get("per_object", {}), dict):
-        raise SchemaError("evaluation: report file is not a JSON object with a per_object object")
-    try:
-        per_object = {word: ObjectScore(**stats) for word, stats in doc["per_object"].items()}
-        return F1Report(per_object=per_object, average_f1=doc["average_f1"],
-                        known_average_f1=doc["known_average_f1"], mode=doc["mode"],
-                        split_hash=doc["split_hash"])
-    except KeyError as e:
-        raise SchemaError(f"evaluation: report file is missing field {e}") from e
-    except TypeError as e:
-        raise SchemaError(f"evaluation: report file has a malformed per-object entry ({e})") from e

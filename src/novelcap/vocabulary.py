@@ -4,8 +4,11 @@ Sentences are plain lists of token ids. The placeholder token is an
 ordinary trainable vocabulary entry; ``rewrite_targets`` swaps every
 detectable word in a training sentence for it, and ``mask_weights``
 marks exactly those positions so the memory loss knows where to fire.
+``Vocabulary.text`` is the one encoding of the id order: ``save`` writes it
+and ``digest`` hashes it into the checkpoint's vocabulary reference.
 """
 
+import hashlib
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -29,13 +32,14 @@ class Vocabulary:
 
     Ids are 0..size-1: corpus words first (by descending frequency, ties
     alphabetical), then the specials in a fixed order. Immutable after
-    construction.
+    construction; ``index`` is derived from ``words``.
     """
 
     words: tuple[str, ...]
-    index: dict[str, int] = field(compare=False)
+    index: dict[str, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "index", {w: i for i, w in enumerate(self.words)})
         for tok in SPECIAL_TOKENS:
             if self.words.count(tok) != 1:
                 raise DomainError(f"vocabulary: special token {tok} must appear exactly once")
@@ -81,11 +85,18 @@ class Vocabulary:
             ids.append(self.eos_id)
         return ids
 
+    def text(self) -> str:
+        """The file text: one word per line, line number = id."""
+        return "".join(w + "\n" for w in self.words)
+
+    def digest(self) -> str:
+        """``sha256:`` and the hex sha256 of ``text()``, the bytes ``save`` writes."""
+        return "sha256:" + hashlib.sha256(self.text().encode("utf-8")).hexdigest()
+
     def save(self, path) -> None:
-        """One word per line, line number = id. Round-trips bit-exact."""
+        """Writes ``text()``; round-trips bit-exact through ``load``."""
         with open(path, "w", encoding="utf-8") as f:
-            for w in self.words:
-                f.write(w + "\n")
+            f.write(self.text())
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
@@ -98,7 +109,7 @@ class Vocabulary:
                 raise ParseError(f"vocabulary: line {line_no}: word {word!r} is listed twice "
                                  f"(first on line {index[word] + 1})")
             index[word] = line_no - 1
-        return cls(words=tuple(index), index=index)
+        return cls(words=tuple(index))
 
 
 def build_vocabulary(training_sentences: list[list[str]], min_count: int = 1) -> Vocabulary:
@@ -114,8 +125,7 @@ def build_vocabulary(training_sentences: list[list[str]], min_count: int = 1) ->
         counts.update(sent)
     kept = sorted((w for w, c in counts.items() if c >= min_count and w not in SPECIAL_TOKENS),
                   key=lambda w: (-counts[w], w))
-    words = tuple(kept) + SPECIAL_TOKENS
-    return Vocabulary(words=words, index={w: i for i, w in enumerate(words)})
+    return Vocabulary(words=tuple(kept) + SPECIAL_TOKENS)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from novelcap.config import load_config
 from novelcap.data import (load_dataset, load_manifest, load_world_config, make_world, save_dataset,
                            save_world_config, split_from_manifest)
 from novelcap.decoder import CaptionModel
-from novelcap.evaluation import average_f1_over, read_report
+from novelcap.evaluation import average_f1_over
 from novelcap.memory import Detection
 from novelcap.pipeline import TrainingPairs, make_captioner
 from novelcap.vocabulary import Vocabulary, intersect_detectable
@@ -139,12 +139,26 @@ class TestGenData:
     ], ids=["present_score", "refs_per_image", "noise_scale", "empty-inventory", "named-field", "numbered-fields",
             "unbalanced-brace", "one-number-band", "word-dim"])
     def test_world_value_out_of_range_fails_by_key(self, tmp_path, capsys, line, message):
-        world = tmp_path / "world.cfg"
-        world.write_text(open(write_world(tmp_path)).read() + line + "\n")  # the later line wins
+        key = line.partition("=")[0].strip()
+        world = Path(write_world(tmp_path))
+        lines = [line if old.partition("=")[0].strip() == key else old for old in world.read_text().splitlines()]
+        assert line in lines  # the saved world sets every key once; this case replaces one
+        world.write_text("\n".join(lines) + "\n")
         cfg_path = write_config(tmp_path)
         assert main(gen_args(cfg_path, str(world))) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"novelcap: {message}") and err.count("\n") == 1, err
+        assert not os.path.exists(load_config(cfg_path).dataset)
+
+    def test_repeated_world_key_names_both_lines(self, tmp_path, capsys):
+        world = Path(write_world(tmp_path))
+        lines = world.read_text().splitlines()
+        first = next(n for n, line in enumerate(lines, start=1) if line.startswith("seed "))
+        world.write_text("\n".join(lines + ["seed = 9"]) + "\n")
+        cfg_path = write_config(tmp_path)
+        assert main(gen_args(cfg_path, str(world))) == 1
+        assert capsys.readouterr().err == (f"novelcap: ParseError: data: line {len(lines) + 1}: key 'seed' is set "
+                                           f"twice (first on line {first})\n")
         assert not os.path.exists(load_config(cfg_path).dataset)
 
     def test_repeated_known_word_in_the_manifest_fails_eval(self, tmp_path, capsys):
@@ -161,6 +175,24 @@ class TestGenData:
 
 
 class TestTrain:
+    def test_training_record_that_mentions_a_held_out_word_is_refused(self, tmp_path, capsys):
+        # a manifest of one corpus over another corpus with the same record ids
+        for name, seed in (("a", 3), ("b", 4)):
+            cfg_path = write_config(tmp_path)
+            world = write_world(tmp_path, f"world-{name}.cfg", seed=seed)
+            assert main(gen_args(cfg_path, world) + ["--out", str(tmp_path / name)]) == 0
+        cfg_path = write_config(tmp_path, dataset=tmp_path / "b" / "dataset.jsonl", vocab=tmp_path / "b" / "vocab.txt",
+                                manifest=tmp_path / "a" / "split.json")
+        capsys.readouterr()
+        assert main(["train", "--config", cfg_path]) == 1
+        err = capsys.readouterr().err
+        record, word = err.split("'")[1], err.split("'")[3]
+        assert err == f"novelcap: SchemaError: data: training record {record!r} mentions held-out word {word!r}\n"
+        assert record in load_manifest(tmp_path / "a" / "split.json")["train"] and word in ("bus", "bird")
+        rec = next(r for r in load_dataset(tmp_path / "b" / "dataset.jsonl") if r.image_id == record)
+        assert any(word in ref for ref in rec.references)
+        assert not os.path.exists(load_config(cfg_path).checkpoint)
+
     def test_smoke_writes_checkpoint_and_log(self, trained):
         tmp_path, cfg_path = trained
         cfg = load_config(cfg_path)
@@ -202,9 +234,9 @@ class TestEvalAndSweep:
         assert main(["eval", "--config", cfg_path, "--mode", "dnoc"]) == 0
         out = capsys.readouterr().out
         cfg = load_config(cfg_path)
-        report = read_report(cfg.report)
-        assert report.mode == "dnoc"
-        assert report.split_hash and report.split_hash in out
+        report = json.loads(Path(cfg.report).read_text())
+        assert report["mode"] == "dnoc"
+        assert report["split_hash"] and report["split_hash"] in out
         assert "average_f1" in out
 
     def test_eval_twice_is_byte_identical(self, trained):
@@ -219,15 +251,14 @@ class TestEvalAndSweep:
         tmp_path, cfg_path = trained
         out = str(tmp_path / "nomem.json")
         assert main(["eval", "--config", cfg_path, "--mode", "no-memory", "--out", out]) == 0
-        report = read_report(out)
-        assert report.mode == "no-memory"
+        assert json.loads(Path(out).read_text())["mode"] == "no-memory"
 
     def test_modes_share_identical_split_hash(self, trained):
         tmp_path, cfg_path = trained
         a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
         assert main(["eval", "--config", cfg_path, "--mode", "dnoc", "--out", a]) == 0
         assert main(["eval", "--config", cfg_path, "--mode", "no-memory", "--out", b]) == 0
-        assert read_report(a).split_hash == read_report(b).split_hash
+        assert json.loads(Path(a).read_text())["split_hash"] == json.loads(Path(b).read_text())["split_hash"]
 
     def test_no_placeholder_baseline_scores_zero_held_out(self, tmp_path):
         cfg_path = write_config(tmp_path, train_mode="no-placeholder", epochs=1)
@@ -235,9 +266,9 @@ class TestEvalAndSweep:
         assert main(["train", "--config", cfg_path]) == 0
         out = str(tmp_path / "baseline.json")
         assert main(["eval", "--config", cfg_path, "--mode", "no-placeholder", "--out", out]) == 0
-        report = read_report(out)
-        assert report.average_f1 == 0.0
-        assert all(report.per_object[w].f1 == 0.0 for w in ("bus", "bird"))
+        report = json.loads(Path(out).read_text())
+        assert report["average_f1"] == 0.0
+        assert all(report["per_object"][w]["f1"] == 0.0 for w in ("bus", "bird"))
 
     def test_sweep_single_value_matches_eval(self, trained, capsys):
         tmp_path, cfg_path = trained
@@ -247,8 +278,7 @@ class TestEvalAndSweep:
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "n_det\taverage_f1"
         sweep_f1 = float(out[1].split("\t")[1])
-        report = read_report(load_config(cfg_path).report)
-        assert sweep_f1 == report.average_f1
+        assert sweep_f1 == json.loads(Path(load_config(cfg_path).report).read_text())["average_f1"]
 
     def test_sweep_writes_table_file(self, trained):
         tmp_path, cfg_path = trained
@@ -445,6 +475,13 @@ class TestConfigPlumbing:
         from novelcap.errors import ParseError
         with pytest.raises(ParseError, match="line 2"):
             lc(path)
+
+    def test_repeated_key_names_both_lines(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("n_det = 4\n# the dash spelling is the same key\nn-det = 9\n")
+        from novelcap.errors import ParseError
+        with pytest.raises(ParseError, match=r"^config: line 3: key 'n_det' is set twice \(first on line 1\)$"):
+            load_config(path)
 
     @pytest.mark.parametrize("command, extra, message", [
         (["gen-data", "--seed", "-1"], {}, "seed must be >= 0, got -1"),

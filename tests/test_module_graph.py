@@ -1,4 +1,5 @@
-"""The package's modules import one another without a cycle.
+"""The package's modules import one another without a cycle, and each
+name has one home: the module that defines it, not the package.
 
 Every import of one ``novelcap`` module by another counts, at module
 level or inside a function: a function-level import that only dodges a
@@ -6,7 +7,9 @@ cycle at load time still ties the two modules together.
 """
 
 import ast
+import importlib
 from pathlib import Path
+from types import ModuleType
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "novelcap"
 
@@ -73,3 +76,15 @@ def test_find_cycle_sees_a_cycle_and_only_a_cycle():
     assert find_cycle({"a": {"b", "c"}, "b": {"c"}, "c": set()}) is None  # a diamond is no cycle
     assert find_cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}}) == ["a", "b", "c", "a"]
     assert find_cycle({"x": {"y"}, "y": {"y"}}) == ["y", "y"]
+
+
+def test_the_package_binds_only_its_submodules():
+    package = importlib.import_module("novelcap")
+    for path in PACKAGE.glob("*.py"):
+        if path.stem != "__init__":
+            importlib.import_module(f"novelcap.{path.stem}")
+    public = {name: value for name, value in vars(package).items() if not name.startswith("_")}
+    strays = sorted(name for name, value in public.items()
+                    if not (isinstance(value, ModuleType) and value.__name__ == f"novelcap.{name}"))
+    assert not strays, f"the package re-exports {strays}; import each name from its module"
+    assert "__version__" not in vars(package)  # pyproject.toml holds the version

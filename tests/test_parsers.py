@@ -18,7 +18,6 @@ from novelcap.config import RunConfig, load_config
 from novelcap.data import _WORLD_KEYS, load_dataset, load_manifest, load_world_config
 from novelcap.decoder import CaptionModel
 from novelcap.errors import CheckpointError, NovelcapError, ParseError, SchemaError
-from novelcap.evaluation import F1Report, ObjectScore, read_report, write_report
 from novelcap.vocabulary import Vocabulary
 
 GOOD_RECORD = {"image_id": "a", "feature": [1.0, 2.0], "references": [["a", "dog"]],
@@ -38,18 +37,11 @@ def write_lines(path, *lines):
     return path
 
 
-def good_report_doc(tmp_path):
-    path = tmp_path / "report.json"
-    write_report(F1Report(per_object={"bus": ObjectScore(tp=1, precision=1.0)}, average_f1=0.5), path)
-    return json.loads(path.read_text())
-
-
 def loads_or_fails_by_name(parse, path):
     try:
         parse(path)
     except NovelcapError as e:
-        assert str(e).split(":")[0] in {"data", "config", "vocabulary", "evaluation", "checkpoint", "decoder",
-                                        "memory"}, str(e)
+        assert str(e).split(":")[0] in {"data", "config", "vocabulary", "checkpoint", "decoder", "memory"}, str(e)
 
 
 # --- crafted cases --------------------------------------------------------
@@ -104,13 +96,12 @@ class TestDataset:
             load_dataset(path)
 
 
-@pytest.mark.parametrize("parse, owner", [(load_manifest, "data: manifest"), (read_report, "evaluation: report")])
 @pytest.mark.parametrize("doc", ["[" * 100_000, '{"x": ' + "9" * 5000 + "}"])
-def test_a_document_nested_too_deep_or_with_a_huge_integer(tmp_path, parse, owner, doc):
+def test_a_document_nested_too_deep_or_with_a_huge_integer(tmp_path, doc):
     path = tmp_path / "doc.json"
     path.write_text(doc)
-    with pytest.raises(ParseError, match=f"^{owner}: "):
-        parse(path)
+    with pytest.raises(ParseError, match="^data: manifest: "):
+        load_manifest(path)
 
 
 class TestManifest:
@@ -129,27 +120,6 @@ class TestManifest:
         path.write_text(json.dumps(dict(GOOD_MANIFEST, **{field: value})))
         with pytest.raises(SchemaError, match=f"data: manifest field '{field}' is not a list of strings"):
             load_manifest(path)
-
-
-class TestReport:
-    @pytest.mark.parametrize("per_object", [[1, 2], "bus", 3])
-    def test_per_object_that_is_not_an_object(self, tmp_path, per_object):
-        path = tmp_path / "report.json"
-        path.write_text(json.dumps(dict(good_report_doc(tmp_path), per_object=per_object)))
-        with pytest.raises(SchemaError, match="evaluation: report file is not a JSON object"):
-            read_report(path)
-
-    def test_a_per_object_entry_that_is_not_an_object(self, tmp_path):
-        path = tmp_path / "report.json"
-        path.write_text(json.dumps(dict(good_report_doc(tmp_path), per_object={"bus": [1]})))
-        with pytest.raises(SchemaError, match="evaluation: report file has a malformed per-object entry"):
-            read_report(path)
-
-    def test_a_document_that_is_not_an_object(self, tmp_path):
-        path = tmp_path / "report.json"
-        path.write_text("[]")
-        with pytest.raises(SchemaError, match="evaluation: report file is not a JSON object"):
-            read_report(path)
 
 
 def test_a_checkpoint_entry_of_more_than_two_dimensions(tmp_path):
@@ -173,7 +143,6 @@ class TestNotUtf8:
         (load_dataset, "data", json.dumps(GOOD_RECORD) + "\n"),
         (Vocabulary.load, "vocabulary", "a\n"),
         (load_manifest, "data: manifest", "{\n"),
-        (read_report, "evaluation: report", "{\n"),
     ])
     def test_names_the_module_and_the_line(self, tmp_path, parse, owner, good):
         path = tmp_path / "file"
@@ -268,18 +237,6 @@ def test_manifest(workdir, raw):
     path = workdir / "fuzz-split.json"
     path.write_bytes(raw)
     loads_or_fails_by_name(load_manifest, path)
-
-
-@FUZZ
-@given(data=st.data())
-def test_report(workdir, data):
-    good = good_report_doc(workdir)
-    entries = st.dictionaries(st.text(max_size=4), mutated(good["per_object"]["bus"]), max_size=2)
-    per_object = data.draw(st.just(good["per_object"]) | JSON_VALUES | entries)
-    doc = dict(data.draw(mutated(good)), per_object=per_object)
-    path = workdir / "fuzz-report.json"
-    path.write_bytes(data.draw(st.binary(max_size=40) | st.just(json.dumps(doc).encode())))
-    loads_or_fails_by_name(read_report, path)
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -44,6 +46,17 @@ class TestBuildVocabulary:
         assert loaded.words == v.words
         loaded.save(path)
         assert path.read_bytes() == first
+
+    def test_index_is_built_from_the_words(self):
+        words = ("dog", "a", *SPECIAL_TOKENS, "cat")
+        v = Vocabulary(words=words)
+        assert v.index == {w: i for i, w in enumerate(words)}
+        assert [v.id_of(w) for w in words] == list(range(len(words)))
+
+    def test_digest_is_the_sha256_of_the_saved_file(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        build_vocabulary([["a", "dog"], ["a", "cat", "zébra"]], 1).save(path)
+        assert Vocabulary.load(path).digest() == "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
 
     @pytest.mark.parametrize("words, line, word, first", [
         (["a", "a", *SPECIAL_TOKENS], 2, "a", 1),
