@@ -115,7 +115,7 @@ def cmd_gen_data(args) -> int:
     lo, hi = _list_flag("--objects-per-image", args.objects_per_image, int, count=2)
     ratios = tuple(_list_flag("--ratios", args.ratios, float, count=3))
     world = datamod.load_world_config(cfg.world) if cfg.world else datamod.make_world(seed=cfg.seed)
-    held_out = tuple(args.held_out.split(",")) if args.held_out else datamod.DEFAULT_HELD_OUT
+    held_out = tuple(args.held_out.split(",")) if args.held_out is not None else datamod.DEFAULT_HELD_OUT
     for w in held_out:
         if w not in world.names:
             raise CoverageError(f"cli: held-out word {w!r} is not in the object inventory")

@@ -3,7 +3,8 @@
 Defaults follow the reference operating point where one exists (four
 memory slots, 15 decode steps, Adam at 1e-3 with 5e-5 weight decay, 50
 epochs) with desk-scale dimensions. A config file is plain ``key = value``
-lines; command-line flags win over file values.
+lines, each value converted to its field's type as its line is read;
+command-line flags win over file values.
 """
 
 import json
@@ -37,13 +38,6 @@ class RunConfig:
     train_log: str = "out/train.log"
 
 
-def _convert(name: str, kind, raw: str):
-    try:
-        return kind(raw)
-    except ValueError:
-        raise ConfigError(f"config: {name} expects {kind.__name__}, got {raw!r}") from None
-
-
 def text_lines(path, owner: str):
     """(line number, line) of each line of a UTF-8 text file, read lazily.
     Bytes that are not UTF-8 are a ParseError naming ``owner`` (the module)
@@ -73,12 +67,13 @@ def read_json(path, owner: str):
         raise ParseError(f"{owner}: {e}") from e
 
 
-def read_key_values(path, known, owner: str) -> dict[str, str]:
-    """The raw values of a plain ``key = value`` file, by key; skips blank
-    lines and ``#`` comments and reads ``-`` in a key as ``_``. A line
-    without ``=``, with a key not in ``known`` or with a key set on an
-    earlier line is a ParseError naming ``owner`` (the module) and the line
-    number (both lines for a repeat)."""
+def read_key_values(path, parsers, owner: str) -> dict:
+    """The values of a plain ``key = value`` file by key, each converted by
+    its key's parser in ``parsers`` as its line is read; skips blank lines
+    and ``#`` comments and reads ``-`` in a key as ``_``. A line without
+    ``=``, with a key not in ``parsers``, with a key set on an earlier line
+    or with a value its parser refuses (a ValueError) is a ParseError naming
+    ``owner`` (the module) and the line number (both lines for a repeat)."""
     values, lines = {}, {}
     for line_no, line in text_lines(path, owner):
         stripped = line.strip()
@@ -87,20 +82,21 @@ def read_key_values(path, known, owner: str) -> dict[str, str]:
         if "=" not in stripped:
             raise ParseError(f"{owner}: line {line_no}: expected 'key = value'")
         key, _, value = stripped.partition("=")
-        key = key.strip().replace("-", "_")
-        if key not in known:
+        key, value = key.strip().replace("-", "_"), value.strip()
+        if key not in parsers:
             raise ParseError(f"{owner}: line {line_no}: unknown key {key!r}")
         if key in lines:
             raise ParseError(f"{owner}: line {line_no}: key {key!r} is set twice (first on line {lines[key]})")
-        values[key], lines[key] = value.strip(), line_no
+        try:
+            values[key], lines[key] = parsers[key](value), line_no
+        except ValueError as e:
+            raise ParseError(f"{owner}: line {line_no}: {key} = {value!r} does not parse ({e})") from e
     return values
 
 
 def load_config(path) -> RunConfig:
     """Parse a key-value config file into a RunConfig."""
-    known = {f.name: f.type for f in fields(RunConfig)}
-    raw = read_key_values(path, known, "config")
-    return RunConfig(**{key: _convert(key, known[key], value) for key, value in raw.items()})
+    return RunConfig(**read_key_values(path, {f.name: f.type for f in fields(RunConfig)}, "config"))
 
 
 def validate_config(cfg: RunConfig) -> RunConfig:

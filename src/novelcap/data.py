@@ -9,7 +9,8 @@ latent basis so the feature geometry of held-out objects is reachable
 from the known ones, the way real detector features share one space.
 
 Dataset files are line-delimited JSON records; the world config is a
-plain key-value text file; the split manifest is a single JSON document.
+plain key-value text file, each value parsed at its line and every world
+rule checked by ``make_world``; the split manifest is a single JSON document.
 """
 
 import hashlib
@@ -76,7 +77,7 @@ class SyntheticWorld:
     """Generator configuration: inventory, anchors, templates, noise."""
 
     names: tuple[str, ...]
-    anchors: np.ndarray  # (n_objects, dim), unit rows, pairwise distinct
+    anchors: np.ndarray  # (n_objects, dim), unit rows, pairwise cosine below 0.95 (_make_anchors)
     templates: tuple[str, ...]
     noise_scale: float
     seed: int
@@ -85,14 +86,6 @@ class SyntheticWorld:
     refs_per_image: int
     present_score: tuple[float, float]
     distractor_score: tuple[float, float]
-
-    def __post_init__(self):
-        if len(set(self.names)) != len(self.names):
-            raise DomainError("data: duplicate object names in the inventory")
-        dists = np.linalg.norm(self.anchors[:, None, :] - self.anchors[None, :, :], axis=2)
-        np.fill_diagonal(dists, np.inf)
-        if dists.min() < 1e-9:
-            raise DomainError("data: anchor vectors must be pairwise distinct")
 
     @property
     def dim(self) -> int:
@@ -143,7 +136,8 @@ def make_world(names: tuple[str, ...] = DEFAULT_INVENTORY, dim: int = 32, seed: 
             ("noise_scale", noise_scale, 0 <= noise_scale < np.inf, "finite and >= 0"),
             ("present_score", present_score, 0 <= present_score[0] <= present_score[1] <= 1, band),
             ("distractor_score", distractor_score, 0 <= distractor_score[0] <= distractor_score[1] <= 1, band),
-            ("inventory", names, len(names) >= 1, "non-empty")):
+            ("inventory", names, len(names) >= 1, "non-empty"),
+            ("inventory", names, len(set(names)) == len(names), "free of repeated names")):
         if not ok:  # refused before any anchor is drawn
             raise DomainError(f"data: world {key} must be {rule}, got {value}")
     _templates_by_slots(templates)  # a malformed template too is refused before any anchor is drawn
@@ -343,16 +337,23 @@ def load_dataset(path) -> list[DatasetRecord]:
             raise ParseError(f"data: line {line_no}: malformed record ({getattr(e, 'msg', e)})") from e
         dim = _validate_record_dict(d, line_no, dim)
         try:
-            if any(type(x["label"]) is not int for x in d["detections"]):  # nor is a bool
+            # a JSON value of the wrong type is refused, not converted (a bool is not an int)
+            if type(d["image_id"]) is not str:
+                raise TypeError("the image_id is not a JSON string")
+            if any(type(t) is not str for ref in d["references"] for t in ref):
+                raise TypeError("a reference token is not a JSON string")
+            if any(type(x["label"]) is not int for x in d["detections"]):
                 raise TypeError("a detection label is not a JSON integer")
+            if any(type(x["score"]) not in (int, float) for x in d["detections"]):
+                raise TypeError("a detection score is not a JSON number")
             dets = [Detection(feature=np.asarray(x["feature"], dtype=FLOAT),
                               label=x["label"], score=float(x["score"]))
                     for x in d["detections"]]
             feature = np.asarray(d["feature"], dtype=FLOAT)
             if feature.ndim != 1 or not np.isfinite(feature).all():
                 raise ValueError("the image feature is not a vector of finite numbers")
-            rec = DatasetRecord(image_id=str(d["image_id"]), feature=feature,
-                                references=[[sys.intern(str(t)) for t in ref] for ref in d["references"]],
+            rec = DatasetRecord(image_id=d["image_id"], feature=feature,
+                                references=[[sys.intern(t) for t in ref] for ref in d["references"]],
                                 detections=dets)
         except (KeyError, TypeError, ValueError, OverflowError, DomainError) as e:  # Overflow: a huge number
             raise SchemaError(f"data: line {line_no}: {e}") from e
@@ -382,8 +383,8 @@ def _band(raw: str) -> tuple[float, float]:
     return float(low), float(high)
 
 
-# file key: (make_world argument and SyntheticWorld attribute, parser, formatter), in file
-# order; the first four keys are required, the others take make_world's defaults
+# file key: (make_world argument and SyntheticWorld attribute, parser of the raw value,
+# formatter), in file order; the first four keys are required, the others take make_world's defaults
 _WORLD_TABLE = {
     "inventory": ("names", str.split, " ".join),
     "templates": ("templates", lambda raw: [t.strip() for t in raw.split("|")], " | ".join),
@@ -406,18 +407,11 @@ def save_world_config(world: SyntheticWorld, path) -> None:
 
 
 def load_world_config(path) -> SyntheticWorld:
-    raw = read_key_values(path, _WORLD_KEYS, "data")
-    missing = next((key for key in _WORLD_KEYS[:4] if key not in raw), None)
+    values = read_key_values(path, {key: parse for key, (_, parse, _) in _WORLD_TABLE.items()}, "data")
+    missing = next((key for key in _WORLD_KEYS[:4] if key not in values), None)
     if missing is not None:
         raise ParseError(f"data: world config is missing required key {missing!r}")
-    kwargs = {}
-    for key, value in raw.items():
-        attr, parse, _ = _WORLD_TABLE[key]
-        try:
-            kwargs[attr] = parse(value)
-        except ValueError as e:
-            raise ParseError(f"data: world config: {key} = {value!r} does not parse ({e})") from e
-    return make_world(**kwargs)
+    return make_world(**{_WORLD_TABLE[key][0]: value for key, value in values.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ non-placeholder positions are untouched. The ablations share steps (i)
 and (iii) and swap only the filler.
 """
 
-import logging
 import zlib
 from dataclasses import dataclass, field, replace
 
@@ -32,8 +31,6 @@ from .memory import (Detection, Slots, build_memory, build_slots, make_query, me
                      memory_read, read_loss_backward, select_top_detections)
 from .numerics import AdamState, adam_step
 from .vocabulary import PLACEHOLDER, DetectableSet, Vocabulary, mask_weights, rewrite_targets
-
-log = logging.getLogger(__name__)
 
 CLIP_NORM = 5.0  # global L2 bound on each batch's summed gradients
 CAPTION_MODES = ("dnoc", "no-memory", "no-placeholder")

@@ -116,6 +116,13 @@ class TestGenData:
         assert code == 1
         assert "CoverageError" in capsys.readouterr().err
 
+    def test_empty_held_out_is_a_word_not_the_default(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path)
+        assert main(gen_args(cfg_path, write_world(tmp_path), held="")) == 1
+        err = capsys.readouterr().err
+        assert err == "novelcap: CoverageError: cli: held-out word '' is not in the object inventory\n", err
+        assert not os.path.exists(load_config(cfg_path).dataset)
+
     def test_world_key_of_the_run_config_is_used_and_the_flag_wins(self, tmp_path):
         in_file = write_world(tmp_path)
         in_flag = write_world(tmp_path, "flag-world.cfg", names=SMALL_WORLD["names"][::-1])
@@ -134,8 +141,8 @@ class TestGenData:
         ("templates = a {} here | a {} and {x}", "DomainError: data: world templates: 'a {} and {x}' has a field"),
         ("templates = a {} here | {0} {1}", "DomainError: data: world templates: '{0} {1}' has a field"),
         ("templates = a {} here | a {} {", "DomainError: data: world templates: 'a {} {': "),
-        ("present_score = 0.5", "ParseError: data: world config: present_score = '0.5' does not parse"),
-        ("dim = x", "ParseError: data: world config: dim = 'x' does not parse"),
+        ("present_score = 0.5", "ParseError: data: line 9: present_score = '0.5' does not parse"),
+        ("dim = x", "ParseError: data: line 5: dim = 'x' does not parse"),
     ], ids=["present_score", "refs_per_image", "noise_scale", "empty-inventory", "named-field", "numbered-fields",
             "unbalanced-brace", "one-number-band", "word-dim"])
     def test_world_value_out_of_range_fails_by_key(self, tmp_path, capsys, line, message):
@@ -476,6 +483,23 @@ class TestConfigPlumbing:
         with pytest.raises(ParseError, match="line 2"):
             lc(path)
 
+    @pytest.mark.parametrize("line, reason", [
+        ("n_det = x", "invalid literal for int() with base 10: 'x'"),
+        ("seed = 1.5", "invalid literal for int() with base 10: '1.5'"),
+        ("lr = fast", "could not convert string to float: 'fast'"),
+    ], ids=["n_det", "seed", "lr"])
+    def test_a_value_that_does_not_parse_names_its_line_and_key(self, tmp_path, capsys, line, reason):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"# comment\nepochs = 2\n{line}\n")
+        key, _, value = (part.strip() for part in line.partition("="))
+        message = f"config: line 3: {key} = {value!r} does not parse ({reason})"
+        from novelcap.errors import ParseError
+        with pytest.raises(ParseError) as caught:
+            load_config(path)
+        assert str(caught.value) == message
+        assert main(["train", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"novelcap: ParseError: {message}\n"
+
     def test_repeated_key_names_both_lines(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("n_det = 4\n# the dash spelling is the same key\nn-det = 9\n")
@@ -502,6 +526,12 @@ class TestShippedConfigs:
         args = build_parser().parse_args(["gen-data", "--config", str(configs / "benchmark.cfg"),
                                           "--world-config", str(configs / "benchmark-world.cfg")])
         cfg = _build_config(args)
-        assert (cfg.n_det, cfg.lr, cfg.epochs, cfg.seed) == (4, 3e-3, 50, 7)
+        spec = json.loads((Path(__file__).resolve().parent / "acceptance_config.json").read_text())["benchmark"]
+        for key, value in spec["run"].items():
+            assert getattr(cfg, key) == value, key
         world = load_world_config(cfg.world)
-        assert len(world.names) == 20 and world.dim == cfg.image_dim == cfg.key_dim
+        for key, value in spec["world"].items():
+            assert getattr(world, key) == (tuple(value) if isinstance(value, list) else value), key
+        assert (world.names, world.templates) == (datamod.DEFAULT_INVENTORY, datamod.DEFAULT_TEMPLATES)
+        assert tuple(spec["held_out"]) == datamod.DEFAULT_HELD_OUT  # gen-data's held-out words without --held-out
+        assert world.dim == cfg.image_dim == cfg.key_dim

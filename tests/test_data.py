@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from novelcap import data as datamod
-from novelcap.data import (DEFAULT_HELD_OUT, DEFAULT_INVENTORY, DatasetRecord, build_heldout_split,
+from novelcap.data import (_WORLD_KEYS, DEFAULT_HELD_OUT, DEFAULT_INVENTORY, DatasetRecord, build_heldout_split,
                            generate_synthetic, load_dataset, load_manifest, load_world_config,
                            make_world, mentions, save_dataset, save_world_config,
                            split_from_manifest)
@@ -406,8 +406,19 @@ class TestWorldConfig:
                                            ("noise_scale = ", "noise_scale")],
                              ids=["band-one-number", "band-three-numbers", "dim-word", "seed-float", "noise-empty"])
     def test_a_value_that_does_not_parse_is_refused_by_key(self, tmp_path, line, key):
-        with pytest.raises(ParseError, match=f"^data: world config: {key} = .* does not parse"):
+        line_no = _WORLD_KEYS.index(key) + 1  # the saved world writes its keys in table order
+        with pytest.raises(ParseError, match=f"^data: line {line_no}: {key} = .* does not parse"):
             load_world_config(world_file_with(tmp_path, line))
+
+    def test_a_repeated_inventory_name_is_refused_by_key_before_any_anchor(self, tmp_path, monkeypatch):
+        def no_anchors(*args):
+            raise AssertionError("anchors drawn")
+        path = world_file_with(tmp_path, "inventory = dog dog cat bird")
+        monkeypatch.setattr(datamod, "_make_anchors", no_anchors)
+        with pytest.raises(DomainError) as caught:
+            load_world_config(path)
+        assert str(caught.value) == ("data: world inventory must be free of repeated names, "
+                                     "got ['dog', 'dog', 'cat', 'bird']")
 
     @pytest.mark.parametrize("key", ["latent_rank", "dim"])
     @pytest.mark.parametrize("value", [0, -2])

@@ -89,6 +89,19 @@ class TestDataset:
         with pytest.raises(SchemaError, match=f"data: line 2: {message}"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("changes, message", [
+        ({"image_id": ["x"]}, "the image_id is not a JSON string"),
+        ({"image_id": 5}, "the image_id is not a JSON string"),
+        ({"references": [["a", 5]]}, "a reference token is not a JSON string"),
+        ({"references": [["a"], [None]]}, "a reference token is not a JSON string"),
+        ({"detections": [dict(GOOD_RECORD["detections"][0], score="0.9")]}, "a detection score is not a JSON number"),
+        ({"detections": [dict(GOOD_RECORD["detections"][0], score=True)]}, "a detection score is not a JSON number"),
+    ], ids=["id-list", "id-number", "token-number", "token-null", "score-string", "score-bool"])
+    def test_a_value_of_the_wrong_json_type_is_refused_not_converted(self, tmp_path, changes, message):
+        path = write_lines(tmp_path / "d.jsonl", json.dumps(GOOD_RECORD), json.dumps(dict(GOOD_RECORD, **changes)))
+        with pytest.raises(SchemaError, match=f"^data: line 2: {message}$"):
+            load_dataset(path)
+
     @pytest.mark.parametrize("line", ['{"image_id": ' + "9" * 5000 + "}", "[" * 100_000])
     def test_an_integer_too_long_or_nesting_too_deep_names_its_line(self, tmp_path, line):
         path = write_lines(tmp_path / "d.jsonl", json.dumps(GOOD_RECORD), line)
