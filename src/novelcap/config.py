@@ -62,7 +62,7 @@ def read_json(path, owner: str):
     try:
         return json.loads("".join(line for _, line in text_lines(path, owner)))
     except json.JSONDecodeError as e:
-        raise ParseError(f"{owner} line {e.lineno}: {e.msg}") from e
+        raise ParseError(f"{owner}: line {e.lineno}: {e.msg}") from e
     except (ValueError, RecursionError) as e:  # an integer too long or nesting too deep
         raise ParseError(f"{owner}: {e}") from e
 

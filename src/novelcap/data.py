@@ -128,6 +128,7 @@ def make_world(names: tuple[str, ...] = DEFAULT_INVENTORY, dim: int = 32, seed: 
                latent_rank: int = 10, distractors: int = 3, refs_per_image: int = 2,
                present_score: tuple[float, float] = (0.55, 1.0),
                distractor_score: tuple[float, float] = (0.5, 0.85)) -> SyntheticWorld:
+    pools = _templates_by_slots(templates)  # a malformed template is refused here
     band = "0 <= low <= high <= 1"
     for key, value, ok, rule in (
             ("dim", dim, dim >= 1, ">= 1"), ("latent_rank", latent_rank, latent_rank >= 1, ">= 1"),
@@ -137,10 +138,10 @@ def make_world(names: tuple[str, ...] = DEFAULT_INVENTORY, dim: int = 32, seed: 
             ("present_score", present_score, 0 <= present_score[0] <= present_score[1] <= 1, band),
             ("distractor_score", distractor_score, 0 <= distractor_score[0] <= distractor_score[1] <= 1, band),
             ("inventory", names, len(names) >= 1, "non-empty"),
-            ("inventory", names, len(set(names)) == len(names), "free of repeated names")):
+            ("inventory", names, len(set(names)) == len(names), "free of repeated names"),
+            ("templates", pools.get(0), 0 not in pools, "free of sentences with no {} slot")):
         if not ok:  # refused before any anchor is drawn
             raise DomainError(f"data: world {key} must be {rule}, got {value}")
-    _templates_by_slots(templates)  # a malformed template too is refused before any anchor is drawn
     rng = np.random.default_rng(seed)
     anchors = _make_anchors(rng, len(names), dim, latent_rank)
     return SyntheticWorld(names=tuple(names), anchors=anchors, templates=tuple(templates), noise_scale=noise_scale,

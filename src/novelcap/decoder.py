@@ -159,6 +159,16 @@ def _halve_sigmoid_gates(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _gate_weights(model: CaptionModel) -> tuple[np.ndarray, np.ndarray]:
+    """The gate weights both passes read, halved as ``_cell`` takes them:
+    the (vocab_size, 4*hidden) input table, each word id's input
+    pre-activations with the bias folded in, and the C-order (hidden,
+    4*hidden) recurrent block."""
+    e = model.embed_size
+    table = model.embed.T @ model.lstm_w[:, :e].T + model.lstm_b
+    return _halve_sigmoid_gates(table), _halve_sigmoid_gates(np.ascontiguousarray(model.lstm_w[:, e:].T))
+
+
 def _cell(gates: np.ndarray, ig: np.ndarray):
     """The LSTM cell update over one gate buffer ``gates`` (..., 4*hidden),
     with its gate views taken once. The returned ``update(z, c_prev, out)``
@@ -246,20 +256,18 @@ def forward_teacher_forced(input_ids: np.ndarray, targets: np.ndarray, lengths: 
     ``input_ids`` and ``targets`` are (T, B) as ``pad_sequences`` lays them
     out, ``lengths`` (B,) their real positions and ``features`` (B,
     image_dim): the input at position t is the target at t-1, and the
-    logits at position t predict the target at t. The input projection of
-    every position is one product; each time step is one (B, 4*hidden)
-    gate product.
+    logits at position t predict the target at t. The input pre-activations
+    of every position are rows of the gate table that greedy decoding reads;
+    each time step is one (B, 4*hidden) gate product.
     """
     n_steps, batch = targets.shape
     h0, c0 = init_state(features, model)
     if h0.shape != (batch, model.hidden_size):
         raise ShapeError(f"decoder: image features of shape {np.shape(features)} for {batch} sequences")
-    e, nh = model.embed_size, model.hidden_size
-    # copied in lstm_w's layout, so every product sums in the same order and the halving is exact
-    w_h = _halve_sigmoid_gates(model.lstm_w[:, e:].copy().T)
+    nh = model.hidden_size
+    table, w_h = _gate_weights(model)
     x = model.embed.T[input_ids]
-    zx = _halve_sigmoid_gates(x.reshape(-1, e) @ model.lstm_w[:, :e].T + model.lstm_b)
-    zx = zx.reshape(n_steps, batch, 4 * nh)
+    zx = table[input_ids]
     h = np.empty((n_steps + 1, batch, nh), dtype=FLOAT)
     c = np.empty_like(h)
     c_tanh = np.empty((n_steps, batch, nh), dtype=FLOAT)
@@ -316,13 +324,19 @@ def backward_pass(model: CaptionModel, cache: ForwardCache, dlogits: np.ndarray,
     dh_in = np.zeros_like(cache.h)
     dh_in[1:] = dlogits @ model.w_out
     dh_in[:-1] += dq @ model.w_query
-    i, f, o, g = (cache.gates[..., k * nh:(k + 1) * nh] for k in range(4))
-    # dz = [dc, dc, dh, dc] * local, gate by gate, with dc the total cell gradient
-    local = np.empty((n_steps, batch, 4, nh), dtype=FLOAT)
-    np.multiply(g * i, 1.0 - i, out=local[:, :, 0])
-    np.multiply(cache.c[:-1] * f, 1.0 - f, out=local[:, :, 1])
-    np.multiply(cache.c_tanh * o, 1.0 - o, out=local[:, :, 2])
-    np.multiply(i, 1.0 - g * g, out=local[:, :, 3])
+    gates = cache.gates.reshape(n_steps, batch, 4, nh)
+    i, f, o, g = (gates[:, :, k] for k in range(4))
+    # dz = [dc, dc, dh, dc] * local, gate by gate, with dc the total cell gradient and
+    # local = [g*i * (1-i), c_prev*f * (1-f), c_tanh*o * (1-o), (1-g*g) * i]: two products
+    # over all four gates, the second by 1 - gates with i in the candidate's place
+    local = np.empty_like(gates)
+    for k, factor in enumerate((g, cache.c[:-1], cache.c_tanh, g)):
+        local[:, :, k] = factor
+    local *= gates
+    np.subtract(1.0, local[:, :, 3], out=local[:, :, 3])
+    one_minus = np.subtract(1.0, gates)
+    one_minus[:, :, 3] = i
+    local *= one_minus
     o_dtanh = o * (1.0 - cache.c_tanh ** 2)
     w_h = model.lstm_w[:, e:]
     dz = np.empty((n_steps, batch, 4, nh), dtype=FLOAT)
@@ -357,8 +371,8 @@ def backward_pass(model: CaptionModel, cache: ForwardCache, dlogits: np.ndarray,
 @dataclass(frozen=True)
 class DecodeSnapshot:
     """What greedy decoding reads, taken from a model once: a copy of its
-    weights, and its gate weights laid out for one-row steps, halved as
-    ``_cell`` takes them."""
+    weights, and its gate weights as ``_gate_weights`` lays them out for
+    the teacher-forced pass too."""
 
     weights: CaptionModel  # the image and query projections are read from this copy
     gate_table: np.ndarray  # (vocab_size, 4*hidden): each word id's input pre-activations, bias folded in
@@ -367,11 +381,8 @@ class DecodeSnapshot:
 
     @classmethod
     def of(cls, model: CaptionModel) -> "DecodeSnapshot":
-        weights, e = model.copy(), model.embed_size
-        table = weights.embed.T @ weights.lstm_w[:, :e].T + weights.lstm_b
-        w_h = np.ascontiguousarray(weights.lstm_w[:, e:].T)
-        return cls(weights, _halve_sigmoid_gates(table), _halve_sigmoid_gates(w_h),
-                   np.ascontiguousarray(weights.w_out.T))
+        weights = model.copy()
+        return cls(weights, *_gate_weights(weights), np.ascontiguousarray(weights.w_out.T))
 
 
 @dataclass

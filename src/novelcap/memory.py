@@ -199,9 +199,13 @@ def memory_loss_forward(hiddens: np.ndarray, original: np.ndarray, mask: np.ndar
     cross-entropy of the read against the original word's class
     (``det_map.word_classes``). Steps whose word has no class, whose row has
     no slot, or whose class has no slot (probability exactly zero) are
-    skipped and logged.
+    skipped and logged. A batch with no masked step reads nothing.
     """
-    steps, rows = np.divmod(np.flatnonzero(mask), original.shape[1])
+    masked = np.flatnonzero(mask)
+    if not masked.size:
+        return 0.0, LossReads(masked, masked, np.empty((0,) + slots.keys.shape[1:]),
+                              np.empty((0, slots.keys.shape[1])))
+    steps, rows = np.divmod(masked, original.shape[1])
     words = original[steps, rows]
     classes = det_map.word_classes[words]
     picked = slots[rows]

@@ -6,6 +6,7 @@ arrays; gradients are hand-derived by the callers and verified here
 with ``finite_diff_check``.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,7 +79,14 @@ class AdamState:
 
 
 def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected Adam update, in place on ``param``, ``state`` and ``state.work``."""
+    """One bias-corrected Adam update, in place on ``param``, ``state`` and ``state.work``.
+
+    Both bias corrections are folded into the step size lr*sqrt(1-b2^t)/(1-b1^t)
+    and the guard eps*sqrt(1-b2^t) (Kingma & Ba 2015, section 2), so no pass
+    forms m_hat or v_hat. Squares cannot cancel, so a non-finite entry makes
+    param . param non-finite and is refused at the step that made it (as is
+    an entry past 1e154, whose square overflows).
+    """
     if param.shape != grad.shape or param.shape != state.m.shape:
         raise ShapeError(
             f"numerics: adam_step shapes disagree: param {param.shape}, grad {grad.shape}, state {state.m.shape}")
@@ -90,11 +98,11 @@ def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState) -> tuple[np
     state.m += np.multiply(1.0 - ADAM_BETA1, grad, out=a)
     state.v *= ADAM_BETA2
     state.v += np.multiply(1.0 - ADAM_BETA2, np.multiply(grad, grad, out=a), out=a)
-    m_hat = np.divide(state.m, 1.0 - ADAM_BETA1 ** state.step, out=a)
-    v_hat = np.divide(state.v, 1.0 - ADAM_BETA2 ** state.step, out=b)
-    denom = np.add(np.sqrt(v_hat, out=b), ADAM_EPS, out=b)
-    param -= np.divide(np.multiply(state.lr, m_hat, out=a), denom, out=a)
-    if not np.all(np.isfinite(param)):
+    root = math.sqrt(1.0 - ADAM_BETA2 ** state.step)
+    denom = np.add(np.sqrt(state.v, out=b), ADAM_EPS * root, out=b)
+    param -= np.divide(np.multiply(state.lr * root / (1.0 - ADAM_BETA1 ** state.step), state.m, out=a),
+                       denom, out=a)
+    if not math.isfinite(np.vdot(param, param)):
         raise NumericError("numerics: adam_step produced non-finite parameter entries")
     return param, state
 

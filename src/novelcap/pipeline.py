@@ -16,6 +16,7 @@ non-placeholder positions are untouched. The ablations share steps (i)
 and (iii) and swap only the filler.
 """
 
+import math
 import zlib
 from dataclasses import dataclass, field, replace
 
@@ -132,8 +133,8 @@ def joint_loss(model: CaptionModel, feature, targets: list[int], detections, pd:
 
 def clip_gradients(grad: np.ndarray, max_norm: float) -> float:
     """Scale the gradient vector in place down to an L2 norm of ``max_norm``;
-    returns the norm before clipping."""
-    total = float(np.sqrt((grad * grad).sum()))
+    returns the norm before clipping, taken by one product, grad . grad."""
+    total = math.sqrt(np.vdot(grad, grad))
     if total > max_norm:
         grad *= max_norm / total
     return total

@@ -341,6 +341,16 @@ class TestTemplates:
         with pytest.raises(DomainError, match="^data: world templates: "):
             small_world(templates=("a {} is here", template))
 
+    @pytest.mark.parametrize("template", ["hello there", "a {{}} here"])
+    def test_a_template_with_no_slot_is_refused_before_any_anchor(self, monkeypatch, template):
+        # generation draws a record's template from the pool of its object count, 1 or more
+        def no_anchors(*args):
+            raise AssertionError("anchors drawn")
+        monkeypatch.setattr(datamod, "_make_anchors", no_anchors)
+        with pytest.raises(DomainError) as err:
+            small_world(templates=("a {} is here", template))
+        assert str(err.value) == f"data: world templates must be free of sentences with no {{}} slot, got {[template]}"
+
     def test_escaped_braces_are_literal_text_not_slots(self):
         world = small_world(templates=("a {} and {{}} here",))
         for rec in generate_synthetic(world, 12, objects_per_image=(1, 1)):

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from novelcap import decoder
 from novelcap.decoder import (CaptionModel, DecodeSnapshot, _cell, _halve_sigmoid_gates, decode_greedy,
                               forward_teacher_forced, init_state, pad_sequences, sequence_loss)
 from novelcap.errors import DomainError, NumericError, ShapeError
@@ -231,7 +232,8 @@ class TestForwardTeacherForced:
     @pytest.mark.parametrize("batch", [1, 3])
     def test_states_equal_unscaled_two_call_activation(self, batch):
         # the sigmoid gates activated as (1 + tanh(z/2)) / 2 and the candidate as tanh(z),
-        # from unhalved weights: halving the weights instead is exact
+        # from unhalved weights: halving the weights instead is exact. The recurrent
+        # product reads the C-order block, as the forward and the greedy decode do.
         v = tiny_vocab()
         m = tiny_model(v, seed=6)
         rng = np.random.default_rng(6)
@@ -240,11 +242,12 @@ class TestForwardTeacherForced:
         cache = teacher_force(seqs, rng.normal(size=(batch, 7)), m, v)
         e, nh = m.embed_size, m.hidden_size
         zx = (cache.x.reshape(-1, e) @ m.lstm_w[:, :e].T + m.lstm_b).reshape(cache.gates.shape)
+        w_h = np.ascontiguousarray(m.lstm_w[:, e:].T)
         gates, h, c = np.empty_like(cache.gates), np.empty_like(cache.h), np.empty_like(cache.c)
         h[0] = np.tanh(cache.features @ m.w_img.T + m.b_img)
         c[0] = np.tanh(cache.features @ m.w_img_cell.T + m.b_img_cell)
         for t in cache.steps:
-            z = zx[t] + h[t] @ m.lstm_w[:, e:].T
+            z = zx[t] + h[t] @ w_h
             gates[t, :, :3 * nh] = 0.5 * (1.0 + np.tanh(0.5 * z[:, :3 * nh]))
             gates[t, :, 3 * nh:] = np.tanh(z[:, 3 * nh:])
             c[t + 1] = gates[t, :, nh:2 * nh] * c[t] + gates[t, :, :nh] * gates[t, :, 3 * nh:]
@@ -252,6 +255,27 @@ class TestForwardTeacherForced:
         assert np.array_equal(cache.gates, gates)
         assert np.array_equal(cache.c, c)
         assert np.array_equal(cache.h, h)
+
+    def test_input_preactivations_are_rows_of_the_decode_gate_table(self, monkeypatch):
+        # with the recurrent block zeroed, each step's pre-activations are its inputs' alone
+        v = tiny_vocab()
+        m = tiny_model(v, seed=4)
+        m.lstm_w[:, m.embed_size:] = 0.0
+        seen = []
+
+        def recording_cell(gates, ig):
+            update = _cell(gates, ig)
+
+            def call(z, c_prev, out):
+                seen.append(z.copy())
+                return update(z, c_prev, out)
+            return call
+
+        monkeypatch.setattr(decoder, "_cell", recording_cell)
+        rng = np.random.default_rng(4)
+        seqs = [list(rng.integers(0, v.size, n)) for n in (5, 2, 4)]
+        cache = teacher_force(seqs, rng.normal(size=(3, 7)), m, v)
+        assert np.array_equal(np.array(seen), DecodeSnapshot.of(m).gate_table[cache.input_ids])
 
     def test_feature_count_must_match_batch(self):
         v = tiny_vocab()

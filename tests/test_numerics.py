@@ -108,10 +108,12 @@ class TestAdam:
 
     @pytest.mark.parametrize("weight_decay", [1e-3, 0.0])
     def test_in_place_step_equals_allocating_step(self, weight_decay):
-        # the update written with one temporary per operation, as Adam is usually spelled
+        # the folded update written with one temporary per operation; the textbook
+        # m_hat / v_hat spelling of Adam, run alongside, agrees to the last bits
         rng = np.random.default_rng(5)
         theta = rng.uniform(-0.08, 0.08, 43553)
         ref, m, v = theta.copy(), np.zeros_like(theta), np.zeros_like(theta)
+        textbook, tm, tv = theta.copy(), np.zeros_like(theta), np.zeros_like(theta)
         state = AdamState.for_param(theta, lr=3e-3, weight_decay=weight_decay)
         for step in range(1, 5):
             grad = rng.normal(size=theta.shape)
@@ -122,13 +124,33 @@ class TestAdam:
             m += (1.0 - ADAM_BETA1) * g
             v *= ADAM_BETA2
             v += (1.0 - ADAM_BETA2) * (g * g)
-            m_hat = m / (1.0 - ADAM_BETA1 ** step)
-            v_hat = v / (1.0 - ADAM_BETA2 ** step)
-            ref -= 3e-3 * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            root = math.sqrt(1.0 - ADAM_BETA2 ** step)
+            ref -= 3e-3 * root / (1.0 - ADAM_BETA1 ** step) * m / (np.sqrt(v) + ADAM_EPS * root)
             assert np.array_equal(theta, ref) and np.array_equal(state.m, m) and np.array_equal(state.v, v)
+            g = grad + weight_decay * textbook if weight_decay != 0.0 else grad
+            tm = ADAM_BETA1 * tm + (1.0 - ADAM_BETA1) * g
+            tv = ADAM_BETA2 * tv + (1.0 - ADAM_BETA2) * (g * g)
+            m_hat = tm / (1.0 - ADAM_BETA1 ** step)
+            v_hat = tv / (1.0 - ADAM_BETA2 ** step)
+            textbook -= 3e-3 * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        assert np.abs(theta - textbook).max() <= 1e-15
         grad[7] = np.nan
         with pytest.raises(NumericError):
             adam_step(theta, grad, state)
+
+    @pytest.mark.parametrize("weight_decay", [1e-3, 0.0])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_entry_the_gradient_leaves_is_refused_at_that_step(self, bad, weight_decay):
+        # a row no batch reads gets a zero loss gradient, so the loss never sees it
+        theta = np.random.default_rng(3).uniform(-0.08, 0.08, 1000)
+        state = AdamState.for_param(theta, lr=3e-3, weight_decay=weight_decay)
+        grad = np.random.default_rng(4).normal(size=theta.shape)
+        grad[500:600] = 0.0
+        adam_step(theta, grad, state)
+        theta[550] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError):  # weight decay: inf / inf
+            adam_step(theta, grad, state)
+        assert state.step == 2
 
 
 class TestFiniteDiffCheck:

@@ -118,6 +118,13 @@ def test_a_document_nested_too_deep_or_with_a_huge_integer(tmp_path, doc):
 
 
 class TestManifest:
+    def test_a_syntax_error_names_its_line_as_every_reader_does(self, tmp_path):
+        path = tmp_path / "split.json"
+        path.write_text('{\n"a": \n')
+        with pytest.raises(ParseError) as err:
+            load_manifest(path)
+        assert str(err.value) == "data: manifest: line 3: Expecting value"
+
     @pytest.mark.parametrize("doc", ["[1, 2]", '"split"', "7", "null"])
     def test_a_document_that_is_not_an_object(self, tmp_path, doc):
         path = tmp_path / "split.json"

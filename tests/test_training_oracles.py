@@ -463,7 +463,11 @@ def test_skip_reasons_in_one_batch(caplog):
     assert np.abs(dq - ref_dq).max() <= 1e-12
 
 
-def test_memory_pass_with_no_masked_step_reads_nothing():
+def test_memory_pass_with_no_masked_step_reads_nothing(monkeypatch):
+    def no_read(*args):
+        raise AssertionError("read_slots called for a batch with no masked step")
+
+    monkeypatch.setattr(memory, "read_slots", no_read)
     vocab = build_vocabulary([["a", "dog"]], 1)
     det_map = intersect_detectable(vocab, ["dog"])
     memories = [ObjectMemory(2, 3, 1), ObjectMemory(2, 3, 1)]
