@@ -9,7 +9,7 @@ Run: python demos/01_memory_addressing.py
 
 import numpy as np
 
-from novelcap.memory import Detection, ObjectMemory, memory_read, select_top_detections
+from novelcap.memory import Detection, Detections, ObjectMemory, memory_read, select_top_detections
 
 rng = np.random.default_rng(0)
 
@@ -22,8 +22,9 @@ detections = [
 names = ["dog", "cake", "chair"]
 
 print("top-2 selection keeps the highest-confidence detections:")
-for det in select_top_detections(detections, 2):
-    print(f"  label={names[det.label]} score={det.score}")
+top = select_top_detections(Detections.of(detections), 2)  # an image's detections as one table
+for label, score in zip(top.labels.tolist(), top.scores.tolist()):
+    print(f"  label={names[label]} score={score}")
 
 mem = ObjectMemory(capacity=4, key_dim=3, n_classes=3)
 for det in detections:

@@ -74,7 +74,7 @@ def _load_common(cfg):
     records = datamod.load_dataset(cfg.dataset)
     # load_dataset holds every image feature to one length, and every detection feature
     image_len = next((len(rec.feature) for rec in records), None)
-    key_len = next((len(d.feature) for rec in records for d in rec.detections), None)
+    key_len = next((rec.detections.features.shape[1] for rec in records if rec.detections), None)
     for kind, key, length in (("image", "image_dim", image_len), ("detection", "key_dim", key_len)):
         if length not in (None, getattr(cfg, key)):
             raise SchemaError(f"cli: {kind} features in {cfg.dataset} have length {length}, "

@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import read_json, read_key_values, text_lines
 from .errors import CoverageError, DomainError, ParseError, SchemaError
-from .memory import Detection
+from .memory import Detections
 from .numerics import FLOAT
 
 DEFAULT_INVENTORY = (
@@ -51,7 +51,8 @@ DEFAULT_TEMPLATES = (
 
 @dataclass(slots=True)
 class DatasetRecord:
-    """One image worth of data: feature, reference sentences, detections.
+    """One image worth of data: feature, reference sentences, and its
+    detections as one table.
 
     Slotted, and each reference token is interned, so a corpus holds one
     string object per vocabulary word."""
@@ -59,7 +60,7 @@ class DatasetRecord:
     image_id: str
     feature: np.ndarray
     references: list[list[str]]
-    detections: list[Detection]
+    detections: Detections
 
 
 @dataclass
@@ -212,21 +213,22 @@ def _generate_once(world, n_images, lo, hi, pools, rng) -> list[DatasetRecord]:
             # object correspondence learnable from the summed feature
             sentence = template.format(*(world.names[j] for j in present))
             references.append([sys.intern(tok) for tok in sentence.split()])
-        detections = []
-        for j in present:
-            key = world.anchors[j] + rng.normal(0.0, 1.0, world.dim) * world.noise_scale
-            score = float(rng.uniform(*world.present_score))
-            detections.append(Detection(feature=key, label=int(j), score=score))
         present_set = set(present.tolist())
         absent = [j for j in range(n_obj) if j not in present_set]
         n_distract = min(world.distractors, len(absent))
+        # one row per detection, present objects first, drawn in row order
+        features = np.empty((k + n_distract, world.dim), dtype=FLOAT)
+        labels = np.empty(k + n_distract, dtype=np.intp)
+        scores = np.empty(k + n_distract, dtype=FLOAT)
+        for r, j in enumerate(present):
+            features[r] = world.anchors[j] + rng.normal(0.0, 1.0, world.dim) * world.noise_scale
+            labels[r], scores[r] = j, rng.uniform(*world.present_score)
         if n_distract > 0:
-            for j in rng.choice(absent, size=n_distract, replace=False):
-                key = world.anchors[j] + rng.normal(0.0, 1.0, world.dim) * world.noise_scale
-                score = float(rng.uniform(*world.distractor_score))
-                detections.append(Detection(feature=key, label=int(j), score=score))
+            for r, j in enumerate(rng.choice(absent, size=n_distract, replace=False), start=k):
+                features[r] = world.anchors[j] + rng.normal(0.0, 1.0, world.dim) * world.noise_scale
+                labels[r], scores[r] = j, rng.uniform(*world.distractor_score)
         records.append(DatasetRecord(image_id=f"synth-{i:05d}", feature=feature.astype(FLOAT),
-                                     references=references, detections=detections))
+                                     references=references, detections=Detections(features, labels, scores)))
     return records
 
 
@@ -316,14 +318,32 @@ def save_dataset(records: list[DatasetRecord], path) -> None:
                 "image_id": rec.image_id,
                 "feature": np.asarray(rec.feature, dtype=FLOAT).tolist(),
                 "references": [list(ref) for ref in rec.references],
-                "detections": [
-                    {"feature": np.asarray(det.feature, dtype=FLOAT).tolist(),
-                     "label": int(det.label), "score": float(det.score)}
-                    for det in rec.detections
-                ],
+                "detections": rec.detections.tolist(),
             }
             dim = _validate_record_dict(d, i + 1, dim)
             f.write(json.dumps(d, separators=(",", ":")) + "\n")
+
+
+def _detection_table(rows: list, det_dim: tuple | None) -> Detections:
+    """A record's detections (dicts whose labels and scores have their JSON
+    types) as one table, the features stacked by one ``np.array``. Features
+    that are not vectors of the earlier detections' shape are found one at
+    a time: the first at fault is a ValueError naming its shape."""
+    if not rows:
+        return Detections.of([])
+    try:
+        features = np.array([x["feature"] for x in rows], dtype=FLOAT)
+    except ValueError:  # features of different lengths do not stack
+        features = None
+    if features is None or features.ndim != 2 or det_dim not in (None, features.shape[1:]):
+        for x in rows:
+            shape = np.asarray(x["feature"], dtype=FLOAT).shape
+            if det_dim is None and len(shape) != 1:  # the later ones must match it
+                raise ValueError("a detection feature is not a vector of numbers")
+            det_dim = shape if det_dim is None else det_dim
+            if shape != det_dim:
+                raise ValueError(f"detection feature shape {shape} != {det_dim} of the earlier detections")
+    return Detections(features, [x["label"] for x in rows], [x["score"] for x in rows])
 
 
 def load_dataset(path) -> list[DatasetRecord]:
@@ -343,28 +363,24 @@ def load_dataset(path) -> list[DatasetRecord]:
                 raise TypeError("the image_id is not a JSON string")
             if any(type(t) is not str for ref in d["references"] for t in ref):
                 raise TypeError("a reference token is not a JSON string")
+            if type(d["detections"]) is not list or any(type(x) is not dict for x in d["detections"]):
+                raise TypeError("the detections are not a JSON list of objects")
             if any(type(x["label"]) is not int for x in d["detections"]):
                 raise TypeError("a detection label is not a JSON integer")
             if any(type(x["score"]) not in (int, float) for x in d["detections"]):
                 raise TypeError("a detection score is not a JSON number")
-            dets = [Detection(feature=np.asarray(x["feature"], dtype=FLOAT),
-                              label=x["label"], score=float(x["score"]))
-                    for x in d["detections"]]
+            dets = _detection_table(d["detections"], det_dim)
             feature = np.asarray(d["feature"], dtype=FLOAT)
             if feature.ndim != 1 or not np.isfinite(feature).all():
                 raise ValueError("the image feature is not a vector of finite numbers")
             rec = DatasetRecord(image_id=d["image_id"], feature=feature,
                                 references=[[sys.intern(t) for t in ref] for ref in d["references"]],
                                 detections=dets)
-        except (KeyError, TypeError, ValueError, OverflowError, DomainError) as e:  # Overflow: a huge number
+        except KeyError as e:  # the record's fields are there: a detection's is not
+            raise SchemaError(f"data: line {line_no}: a detection is missing field {e}") from e
+        except (TypeError, ValueError, OverflowError, DomainError) as e:  # Overflow: a huge number
             raise SchemaError(f"data: line {line_no}: {e}") from e
-        for det in dets:
-            if det_dim is None and det.feature.ndim != 1:  # the later ones must match it
-                raise SchemaError(f"data: line {line_no}: a detection feature is not a vector of numbers")
-            det_dim = det.feature.shape if det_dim is None else det_dim
-            if det.feature.shape != det_dim:
-                raise SchemaError(f"data: line {line_no}: detection feature shape "
-                                  f"{det.feature.shape} != {det_dim} of the earlier detections")
+        det_dim = dets.features.shape[1:] if dets else det_dim
         if first_line.setdefault(rec.image_id, line_no) != line_no:
             repeats.append((line_no, rec.image_id))
         records.append(rec)
@@ -466,8 +482,9 @@ def split_from_manifest(records: list[DatasetRecord], manifest: dict) -> HeldOut
     or the first training record that mentions a held-out word."""
     n_classes = len(manifest["class_names"])
     for rec in records:
-        bad = next((d.label for d in rec.detections if d.label >= n_classes), None)
-        if bad is not None:
+        outside = rec.detections.labels >= n_classes
+        if outside.any():
+            bad = rec.detections.labels[outside][0]
             raise SchemaError(f"data: record {rec.image_id!r} has detection label {bad}, outside the "
                               f"manifest's {n_classes} classes")
     by_id = {r.image_id: r for r in records}

@@ -1,19 +1,21 @@
 """Per-image key-value object memory.
 
-Each detection contributes one slot: the appearance feature is the key,
-the class index is the value (the key-value read of Miller et al. 2016).
-A read (``read_slots``, the one read) turns query/key similarity into
+An image's detections are one table, ``Detections``: row i holds
+detection i's appearance feature (the key), class index (the value) and
+confidence (the key-value read of Miller et al. 2016). A read
+(``read_slots``, the one read) turns query/key similarity into
 addressing weights, softmax(q . K^T), and sums the weights of the slots
 that carry each class into a class distribution. The read loss is the
 cross-entropy of that distribution against the annotated class.
 Captioning reads one image's ``ObjectMemory`` as one unpadded slot row,
 with a (P, key_dim) block of queries, one per placeholder; training reads
 ``Slots``, the padded buffers of one such memory per training image.
+``Detection`` and ``ObjectMemory.write`` are the by-hand interface: one
+detection, one slot.
 """
 
 import logging
 from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
 
@@ -22,6 +24,17 @@ from .numerics import FLOAT, softmax
 from .numerics import cross_entropy  # noqa: F401 -- not called here; the benchmark's traced run wraps it
 
 log = logging.getLogger(__name__)
+
+
+def _check_detection(finite: bool, label: int, score: float) -> None:
+    """The refusals of one detection, in order: a non-finite feature, a
+    negative label, a score outside [0, 1]."""
+    if not finite:
+        raise DomainError("memory: detection feature contains non-finite entries")
+    if label < 0:
+        raise DomainError(f"memory: detection label {label} is negative")
+    if not 0.0 <= score <= 1.0:
+        raise DomainError(f"memory: detection score {score} outside [0, 1]")
 
 
 @dataclass(frozen=True, slots=True)
@@ -35,12 +48,61 @@ class Detection:
     def __post_init__(self):
         feat = np.asarray(self.feature, dtype=FLOAT)
         object.__setattr__(self, "feature", feat)
-        if not np.isfinite(feat).all():
-            raise DomainError("memory: detection feature contains non-finite entries")
-        if self.label < 0:
-            raise DomainError(f"memory: detection label {self.label} is negative")
-        if not 0.0 <= self.score <= 1.0:
-            raise DomainError(f"memory: detection score {self.score} outside [0, 1]")
+        _check_detection(np.isfinite(feat).all(), self.label, self.score)
+
+
+class Detections:
+    """One image's detections as a table, one row per detection: features
+    (n, key_dim), labels (n,) and scores (n,). Checked once, as a whole,
+    with ``Detection``'s refusals naming the first row at fault; ``len``
+    and truth count the rows."""
+
+    __slots__ = ("features", "labels", "scores")
+
+    def __init__(self, features, labels, scores):
+        features = np.asarray(features, dtype=FLOAT)
+        labels = np.asarray(labels, dtype=np.intp)
+        scores = np.asarray(scores, dtype=FLOAT)
+        n = len(labels)
+        if features.ndim != 2 or labels.ndim != 1 or len(features) != n or scores.shape != (n,):
+            raise ShapeError(f"memory: detection table of features {features.shape}, labels {labels.shape} "
+                             f"and scores {scores.shape} is not one row per detection")
+        finite = np.isfinite(features).all(axis=1)
+        ok = finite & (labels >= 0) & (scores >= 0.0) & (scores <= 1.0)  # a NaN score is not ok
+        if not ok.all():
+            row = int(ok.argmin())
+            _check_detection(finite[row], labels[row].item(), scores[row].item())
+        self.features, self.labels, self.scores = features, labels, scores
+
+    @classmethod
+    def of(cls, dets) -> "Detections":
+        """The table of ``Detection`` objects, one row each, in order; the
+        features must share one shape. An empty list is the (0, 0) table."""
+        dets = list(dets)
+        if not dets:
+            return cls(np.empty((0, 0)), (), ())
+        first = dets[0].feature.shape
+        bad = next((d.feature.shape for d in dets if d.feature.shape != first), None)
+        if bad is not None:
+            raise ShapeError(f"memory: detection feature shape {bad} != {first} of the earlier detections")
+        return cls([d.feature for d in dets], [d.label for d in dets], [d.score for d in dets])
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def take(self, rows) -> "Detections":
+        """The rows ``rows`` (an index array), in that order; the rows of a
+        checked table need no check."""
+        out = object.__new__(Detections)
+        out.features = self.features.take(rows, axis=0)
+        out.labels = self.labels.take(rows)
+        out.scores = self.scores.take(rows)
+        return out
+
+    def tolist(self) -> list[dict]:
+        """One dict of plain values per row, keyed like ``Detection``'s fields."""
+        return [{"feature": f, "label": label, "score": s}
+                for f, label, s in zip(self.features.tolist(), self.labels.tolist(), self.scores.tolist())]
 
 
 @dataclass
@@ -76,40 +138,44 @@ class ObjectMemory:
         return self._labels[:self.n]
 
     def write(self, *dets: Detection) -> "ObjectMemory":
-        """Append one key-value slot per detection, in order, as one block,
-        checked once for the whole block: a key of another shape is a
-        ShapeError and a label past the classes a DomainError, each naming
-        the first detection at fault."""
-        if self.n + len(dets) > self.capacity:
+        """Append one key-value slot per ``Detection``, in order: the rows of
+        their table, as one block."""
+        return self.write_rows(Detections.of(dets))
+
+    def write_rows(self, rows: Detections) -> "ObjectMemory":
+        """Append one key-value slot per row, in order, as one block, checked
+        once for the whole block: a label past the classes is a DomainError
+        naming the first, and keys of another length a ShapeError."""
+        end = self.n + len(rows)
+        if end > self.capacity:
             raise CapacityError(f"memory: capacity {self.capacity} exceeded; select top detections first")
-        if not dets:
-            return self
-        labels = [det.label for det in dets]
-        if max(labels) >= self.n_classes:
-            bad = next(label for label in labels if label >= self.n_classes)
-            raise DomainError(f"memory: label {bad} out of range for {self.n_classes} classes")
-        try:
-            keys = np.array([det.feature for det in dets], dtype=FLOAT)
-        except ValueError:  # keys of mixed lengths do not stack
-            keys = None
-        if keys is None or keys.shape != (len(dets), self.key_dim):
-            bad = next(det.feature.shape for det in dets if det.feature.shape != (self.key_dim,))
-            raise ShapeError(f"memory: key shape {bad} != ({self.key_dim},)")
-        end = self.n + len(dets)
-        self._keys[self.n:end], self._labels[self.n:end] = keys, labels
-        self.n = end
+        if end > self.n:
+            _refuse_slots(rows.labels.tolist(), rows.features.shape[1:], self.key_dim, self.n_classes)
+            self._keys[self.n:end], self._labels[self.n:end] = rows.features, rows.labels
+            self.n = end
         return self
 
 
-def select_top_detections(dets: list[Detection], n_det: int) -> list[Detection]:
-    """The ``n_det`` highest-confidence detections, stable under score ties."""
-    return sorted(dets, key=attrgetter("score"), reverse=True)[:n_det]  # reverse keeps ties in order
+def _refuse_slots(labels: list[int], width: tuple, key_dim: int, n_classes: int) -> None:
+    """Refuse a block of slots: the first of ``labels`` (in slot order) past
+    the classes, a DomainError, then a key ``width`` other than (key_dim,),
+    a ShapeError."""
+    bad = next((label for label in labels if label >= n_classes), None)
+    if bad is not None:
+        raise DomainError(f"memory: label {bad} out of range for {n_classes} classes")
+    if width != (key_dim,):
+        raise ShapeError(f"memory: key shape {width} != ({key_dim},)")
 
 
-def build_memory(dets: list[Detection], n_det: int, key_dim: int, n_classes: int) -> ObjectMemory:
+def select_top_detections(dets: Detections, n_det: int) -> Detections:
+    """The ``n_det`` highest-confidence rows, stable under score ties."""
+    return dets.take((-dets.scores).argsort(kind="stable")[:n_det])
+
+
+def build_memory(dets: Detections, n_det: int, key_dim: int, n_classes: int) -> ObjectMemory:
     """Memory from the top-``n_det`` detections, keyed by their features,
     written as one block."""
-    return ObjectMemory(n_det, key_dim, n_classes).write(*select_top_detections(dets, n_det))
+    return ObjectMemory(n_det, key_dim, n_classes).write_rows(select_top_detections(dets, n_det))
 
 
 @dataclass
@@ -126,12 +192,28 @@ class Slots:
         return Slots(self.keys[rows], self.labels[rows], self.counts[rows])
 
 
-def build_slots(detections: list[list[Detection]], n_det: int, key_dim: int, n_classes: int) -> Slots:
+def build_slots(detections: list[Detections], n_det: int, key_dim: int, n_classes: int) -> Slots:
     """One slot row per image (one or more): the padded buffers of its
-    ``build_memory``."""
-    mems = [build_memory(dets, n_det, key_dim, n_classes) for dets in detections]
-    return Slots(np.stack([mem._keys for mem in mems]), np.stack([mem._labels for mem in mems]),
-                 np.array([mem.n for mem in mems], dtype=np.intp))
+    ``build_memory``, from one sort of every image's rows by (image,
+    -score) and one gather. The sort is stable, so score ties keep table
+    order, as ``select_top_detections`` does."""
+    if n_det < 1:
+        raise DomainError(f"memory: capacity must be >= 1, got {n_det}")
+    sizes = np.array([len(dets) for dets in detections], dtype=np.intp)
+    image = np.repeat(np.arange(len(detections)), sizes)
+    order = np.lexsort((-np.concatenate([dets.scores for dets in detections]), image))
+    rank = np.arange(len(order)) - np.repeat(np.cumsum(sizes) - sizes, sizes)  # place in its image's order
+    top = rank < n_det
+    kept, rows, ranks = order[top], image[top], rank[top]
+    labels = np.concatenate([dets.labels for dets in detections])[kept]
+    keys = np.zeros((len(detections), n_det, key_dim), dtype=FLOAT)
+    slot_labels = np.zeros((len(detections), n_det), dtype=np.intp)
+    if kept.size:
+        tables = [dets.features for dets in detections if dets]
+        width = next((t.shape[1:] for t in tables if t.shape[1:] != (key_dim,)), (key_dim,))
+        _refuse_slots(labels.tolist(), width, key_dim, n_classes)
+        keys[rows, ranks], slot_labels[rows, ranks] = np.concatenate(tables)[kept], labels
+    return Slots(keys, slot_labels, np.minimum(sizes, n_det))
 
 
 def make_query(h_prev: np.ndarray, w_query: np.ndarray) -> np.ndarray:

@@ -28,7 +28,7 @@ from .data import HeldOutSplit
 from .decoder import (CaptionModel, DecodeSnapshot, backward_pass, decode_greedy, forward_teacher_forced,
                       pad_sequences, sequence_loss)
 from .errors import ConfigError, NumericError
-from .memory import (Detection, Slots, build_memory, build_slots, make_query, memory_loss_forward,
+from .memory import (Detections, Slots, build_memory, build_slots, make_query, memory_loss_forward,
                      memory_read, read_loss_backward, select_top_detections)
 from .numerics import AdamState, adam_step
 from .vocabulary import PLACEHOLDER, DetectableSet, Vocabulary, mask_weights, rewrite_targets
@@ -43,7 +43,7 @@ class TrainExample:
 
     feature: np.ndarray
     targets: list[int]
-    detections: list[Detection]
+    detections: Detections
 
 
 @dataclass
@@ -83,7 +83,7 @@ class TrainingPairs:
     def of(cls, examples: list[TrainExample], pd: DetectableSet, *, go_id: int, pad_id: int, n_det: int,
            key_dim: int, max_steps: int | None = None) -> "TrainingPairs":
         """The pairs of ``examples``. Rewriting and masking are lookups over
-        every word id, and pairs with the same detections list (the
+        every word id, and pairs with the same detections table (the
         references of one image) share one slot row."""
         inputs, original, lengths = pad_sequences([ex.targets for ex in examples], go_id, pad_id, max_steps)
         words = list(range(len(pd.word_classes)))
@@ -117,7 +117,10 @@ def batch_losses(model: CaptionModel, pairs: TrainingPairs, rows) -> tuple[float
 def example_losses(model: CaptionModel, feature, targets: list[int], detections,
                    pd: DetectableSet, *, go_id: int, pad_id: int, n_det: int,
                    max_steps: int | None = None) -> tuple[float, float, np.ndarray]:
-    """Both losses and their gradient for a single example: a batch of one."""
+    """Both losses and their gradient for a single example: a batch of one.
+    ``detections`` is a table, or a list of ``Detection`` made by hand."""
+    if not isinstance(detections, Detections):
+        detections = Detections.of(detections)
     pairs = TrainingPairs.of([TrainExample(feature, targets, detections)], pd, go_id=go_id, pad_id=pad_id,
                              n_det=n_det, key_dim=model.key_dim, max_steps=max_steps)
     return batch_losses(model, pairs, np.arange(1))
@@ -253,7 +256,7 @@ def make_captioner(model: CaptionModel, vocab: Vocabulary, det_map: DetectableSe
             return [det_map.word_for_class(c) for c in result.argmax_class.tolist()]
     elif mode == "no-memory":
         def filler(rec, hiddens):
-            labels = [d.label for d in select_top_detections(rec.detections, cfg.n_det)]
+            labels = select_top_detections(rec.detections, cfg.n_det).labels.tolist()
             if not labels:
                 return None
             rng = np.random.default_rng([cfg.seed, zlib.crc32(rec.image_id.encode())])

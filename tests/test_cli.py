@@ -15,7 +15,7 @@ from novelcap.data import (load_dataset, load_manifest, load_world_config, make_
                            save_world_config, split_from_manifest)
 from novelcap.decoder import CaptionModel
 from novelcap.evaluation import average_f1_over
-from novelcap.memory import Detection
+from novelcap.memory import Detections
 from novelcap.pipeline import TrainingPairs, make_captioner
 from novelcap.vocabulary import Vocabulary, intersect_detectable
 
@@ -374,7 +374,7 @@ class TestDetectionChecks:
 
         def relabel(rec):
             if rec.image_id == "synth-00005":
-                rec.detections[0] = Detection(rec.detections[0].feature, 99, rec.detections[0].score)
+                rec.detections.labels[0] = 99
         rewrite_dataset(cfg_path, relabel)
         assert main(["eval", "--config", cfg_path, "--mode", mode]) == 1
         err = capsys.readouterr().err
@@ -393,7 +393,8 @@ class TestDetectionChecks:
             if key == "image_dim":
                 rec.feature = rec.feature[:6]
             else:
-                rec.detections = [Detection(d.feature[:6], d.label, d.score) for d in rec.detections]
+                rec.detections = Detections(rec.detections.features[:, :6], rec.detections.labels,
+                                            rec.detections.scores)
         rewrite_dataset(cfg_path, shorten)
 
         def unreachable(*args, **kwargs):

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from novelcap.data import (_WORLD_KEYS, DEFAULT_HELD_OUT, DEFAULT_INVENTORY, Dat
                            make_world, mentions, save_dataset, save_world_config,
                            split_from_manifest)
 from novelcap.errors import CoverageError, DomainError, ParseError, SchemaError
-from novelcap.memory import Detection
+from novelcap.memory import Detection, Detections
 
 
 def record_mentions(record, words) -> bool:
@@ -48,8 +49,7 @@ class TestGenerate:
             assert len(mentioned) == 1
             idx = world.names.index(next(iter(mentioned)))
             assert np.allclose(rec.feature, world.anchors[idx])
-            present = [d for d in rec.detections if d.label == idx]
-            assert np.allclose(present[0].feature, world.anchors[idx])
+            assert np.allclose(rec.detections.features[rec.detections.labels == idx][0], world.anchors[idx])
 
     def test_same_seed_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -85,9 +85,8 @@ class TestGenerate:
         world = small_world(noise_scale=0.0)
         records = generate_synthetic(world, 20, objects_per_image=(1, 2))
         for rec in records:
-            for d in rec.detections:
-                sims = world.anchors @ d.feature
-                assert int(np.argmax(sims)) == d.label
+            sims = rec.detections.features @ world.anchors.T
+            assert sims.argmax(axis=1).tolist() == rec.detections.labels.tolist()
 
     def test_scores_drawn_from_band_per_kind(self):
         world = small_world()
@@ -95,9 +94,9 @@ class TestGenerate:
         for rec in records:
             present = {world.names.index(t) for ref in rec.references for t in ref
                        if t in world.names}
-            for d in rec.detections:
-                lo, hi = world.present_score if d.label in present else world.distractor_score
-                assert lo <= d.score <= hi
+            for label, score in zip(rec.detections.labels.tolist(), rec.detections.scores.tolist()):
+                lo, hi = world.present_score if label in present else world.distractor_score
+                assert lo <= score <= hi
 
     def test_objects_per_image_exceeding_inventory(self):
         with pytest.raises(DomainError):
@@ -181,9 +180,8 @@ class TestDatasetFiles:
             assert np.array_equal(a.feature, b.feature)  # lossless float64
             assert a.references == b.references
             assert len(a.detections) == len(b.detections)
-            for da, db in zip(a.detections, b.detections):
-                assert np.array_equal(da.feature, db.feature)
-                assert da.label == db.label and da.score == db.score
+            for column in ("features", "labels", "scores"):
+                assert np.array_equal(getattr(a.detections, column), getattr(b.detections, column))
 
     def test_file_bytes_are_pinned(self, tmp_path):
         """The sha256 of a small fixed world's dataset file: a change to the record layout
@@ -194,9 +192,22 @@ class TestDatasetFiles:
             "c760ba8d9bea8261764be02df221f95cae0877db21f2898097da599c4f620ed1"
 
     def test_empty_references_schema_error(self, tmp_path):
-        rec = DatasetRecord("x", np.zeros(4), [], [Detection(np.zeros(4), 0, 0.5)])
+        rec = DatasetRecord("x", np.zeros(4), [], Detections([np.zeros(4)], [0], [0.5]))
         with pytest.raises(SchemaError):
             save_dataset([rec], tmp_path / "bad.jsonl")
+
+    def test_a_record_with_no_detections_round_trips_as_an_empty_table(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        lines = ['{"image_id":"a","feature":[1.0],"references":[["dog"]],"detections":[]}',
+                 '{"image_id":"b","feature":[2.0],"references":[["cat"]],'
+                 '"detections":[{"feature":[1.0,2.0],"label":1,"score":0.5}]}']
+        path.write_text("\n".join(lines) + "\n")
+        bare, seen = load_dataset(path)
+        assert isinstance(bare.detections, Detections) and len(bare.detections) == 0 and not bare.detections
+        assert seen.detections and seen.detections.features.shape == (1, 2)
+        again = tmp_path / "again.jsonl"
+        save_dataset([bare, seen], again)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_truncated_file_names_line(self, tmp_path):
         records = generate_synthetic(small_world(), 3)
@@ -235,7 +246,7 @@ class TestDatasetFiles:
         with pytest.raises(SchemaError, match="line 2: a detection label is not a JSON integer"):
             load_dataset(path)
         path.write_text(good + "\n" + bad.replace(f'"label":{label}', '"label":2') + "\n")
-        assert load_dataset(path)[1].detections[0].label == 2
+        assert load_dataset(path)[1].detections.labels.tolist() == [2]
 
     def test_repeated_image_id_names_both_lines(self, tmp_path):
         records = generate_synthetic(small_world(), 5)
@@ -251,8 +262,27 @@ class TestDatasetFiles:
 
 
 class TestCompactRecords:
-    """Records and detections are slotted value types, and every reference token
-    is the interned string, so a corpus holds one string object per word."""
+    """Records, detection tables and detections are slotted value types, a
+    record's detections are one table, and every reference token is the
+    interned string, so a corpus holds one string object per word."""
+
+    def test_a_loaded_crowded_corpus_holds_little_beyond_its_features(self, tmp_path):
+        """2,000 records of 1-3 objects and 12 distractors (27,982 detections):
+        a record's detections are three arrays, not one object and one array
+        per detection, so the loaded corpus holds at most 1.5x the bytes of
+        its float64 features (about 1.3x; one object per detection is 1.9x)."""
+        world = make_world(seed=7, dim=32, latent_rank=6, noise_scale=0.05, distractors=12)
+        path = tmp_path / "crowded.jsonl"
+        save_dataset(generate_synthetic(world, 2000, objects_per_image=(1, 3)), path)
+        tracemalloc.start()
+        try:
+            records = load_dataset(path)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert sum(len(rec.detections) for rec in records) == 27_982
+        features = sum(rec.feature.nbytes + rec.detections.features.nbytes for rec in records)
+        assert held <= 1.5 * features, held / features
 
     @staticmethod
     def assert_tokens_interned(records):
@@ -263,7 +293,8 @@ class TestCompactRecords:
     def test_no_instance_dict(self):
         rec = generate_synthetic(small_world(), 1)[0]
         assert not hasattr(rec, "__dict__")
-        assert not hasattr(rec.detections[0], "__dict__")
+        assert not hasattr(rec.detections, "__dict__")
+        assert not hasattr(Detection(np.zeros(2), 0, 0.5), "__dict__")
 
     def test_generated_and_loaded_tokens_are_interned(self, tmp_path):
         records = generate_synthetic(small_world(), 20, objects_per_image=(1, 3))
@@ -276,7 +307,7 @@ class TestCompactRecords:
 
     def test_detection_stays_frozen_and_both_types_replace(self):
         rec = generate_synthetic(small_world(), 1)[0]
-        det = rec.detections[0]
+        det = Detection(np.zeros(2), 0, 0.5)
         with pytest.raises(dataclasses.FrozenInstanceError):
             det.label = 5
         moved = dataclasses.replace(det, label=5)
@@ -326,7 +357,7 @@ class TestManifest:
         manifest = {"held_out_words": [], "class_names": list(small_world().names),
                     "train": [r.image_id for r in records], "val": [], "test": []}
         assert split_from_manifest(records, manifest).train == records
-        records[2].detections[-1] = Detection(np.zeros(8), 6, 0.5)  # 6 classes: 0..5
+        records[2].detections.labels[-1] = 6  # 6 classes: 0..5
         with pytest.raises(SchemaError, match=f"record '{records[2].image_id}' has detection label 6"):
             split_from_manifest(records, manifest)
 
@@ -354,7 +385,7 @@ class TestTemplates:
     def test_escaped_braces_are_literal_text_not_slots(self):
         world = small_world(templates=("a {} and {{}} here",))
         for rec in generate_synthetic(world, 12, objects_per_image=(1, 1)):
-            name = world.names[rec.detections[0].label]  # the present object's detection comes first
+            name = world.names[rec.detections.labels[0]]  # the present object's detection comes first
             assert rec.references[0] == ["a", name, "and", "{}", "here"]
         with pytest.raises(DomainError, match="no sentence template with 2 object slots"):
             generate_synthetic(world, 12, objects_per_image=(2, 2))

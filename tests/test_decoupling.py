@@ -17,6 +17,7 @@ import pytest
 from novelcap.config import RunConfig
 from novelcap.data import generate_synthetic, make_world
 from novelcap.decoder import CaptionModel
+from novelcap.memory import Detections
 from novelcap.numerics import AdamState
 from novelcap.pipeline import TrainExample, TrainingPairs, make_captioner, train_step
 from novelcap.vocabulary import PLACEHOLDER, build_vocabulary, intersect_detectable
@@ -79,7 +80,7 @@ def test_the_sentence_does_not_depend_on_the_order_of_the_detections(placeholder
     rng = np.random.default_rng(5)
     orders = [rng.permutation(len(r.detections)) for r in records]
     assert sum((order != np.arange(len(order))).any() for order in orders) > len(records) // 2
-    permuted = [dataclasses.replace(r, detections=[r.detections[i] for i in order])
+    permuted = [dataclasses.replace(r, detections=r.detections.take(order))
                 for r, order in zip(records, orders)]
     sentences = captions(placeholder_model, "no-placeholder")
     assert captions(placeholder_model, "no-placeholder", permuted) == sentences
@@ -89,7 +90,7 @@ def test_the_sentence_does_not_depend_on_the_order_of_the_detections(placeholder
 
 @pytest.mark.parametrize("mode", FILLING_MODES)
 def test_without_detections_the_caption_is_the_sentence(placeholder_model, mode):
-    bare = [dataclasses.replace(r, detections=[]) for r in placeholder_model[0]]
+    bare = [dataclasses.replace(r, detections=Detections.of([])) for r in placeholder_model[0]]
     sentences = captions(placeholder_model, "no-placeholder")
     assert captions(placeholder_model, mode, bare) == captions(placeholder_model, "no-placeholder", bare) == sentences
 

@@ -7,6 +7,7 @@ from novelcap.data import DatasetRecord, HeldOutSplit, generate_synthetic, make_
 from novelcap.errors import ShapeError
 from novelcap.evaluation import (F1Report, ObjectScore, average_f1_over, evaluate_records, evaluate_split,
                                  f1_for_object, format_report_lines, write_report)
+from novelcap.memory import Detections
 from novelcap.pipeline import Caption
 from novelcap.vocabulary import PLACEHOLDER
 
@@ -124,7 +125,7 @@ def records_for(words_per_image):
     out = []
     for i, words in enumerate(words_per_image):
         out.append(DatasetRecord(image_id=f"r{i}", feature=np.zeros(2),
-                                 references=[["a"] + list(words)], detections=[]))
+                                 references=[["a"] + list(words)], detections=Detections.of([])))
     return out
 
 

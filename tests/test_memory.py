@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from novelcap.errors import CapacityError, DomainError, EmptyMemoryError, ShapeError
-from novelcap.memory import (Detection, ObjectMemory, Slots, build_memory, build_slots, make_query,
+from novelcap.memory import (Detection, Detections, ObjectMemory, Slots, build_memory, build_slots, make_query,
                              memory_loss_forward, memory_read, read_loss_backward, read_slots,
                              select_top_detections)
 from novelcap.numerics import finite_diff_check
@@ -14,6 +14,10 @@ from novelcap.vocabulary import build_vocabulary, intersect_detectable
 
 def det(feature, label, score=0.9):
     return Detection(np.asarray(feature, dtype=float), label, score)
+
+
+def table(*dets):
+    return Detections.of(dets)
 
 
 def memory_of(*slots, n_classes=3, capacity=4):
@@ -76,23 +80,65 @@ class TestWriteAndSelect:
             mem.write(det([9.0], 0))
 
     def test_select_top_by_score(self):
-        dets = [det([0.0], 0, 0.9), det([1.0], 0, 0.2), det([2.0], 0, 0.8)]
-        top = select_top_detections(dets, 2)
-        assert [d.feature[0] for d in top] == [0.0, 2.0]
+        top = select_top_detections(table(det([0.0], 0, 0.9), det([1.0], 0, 0.2), det([2.0], 0, 0.8)), 2)
+        assert top.features[:, 0].tolist() == [0.0, 2.0]
 
     def test_select_top_empty(self):
-        assert select_top_detections([], 3) == []
+        assert len(select_top_detections(table(), 3)) == 0
 
     def test_select_top_stable_on_ties(self):
-        dets = [det([float(i)], 0, 0.5) for i in range(4)]
-        top = select_top_detections(dets, 3)
-        assert [d.feature[0] for d in top] == [0.0, 1.0, 2.0]
+        top = select_top_detections(table(*[det([float(i)], 0, 0.5) for i in range(4)]), 3)
+        assert top.features[:, 0].tolist() == [0.0, 1.0, 2.0]
 
     def test_detection_validation(self):
         with pytest.raises(DomainError):
             det([1.0], 0, 1.5)
         with pytest.raises(DomainError):
             det([np.inf], 0, 0.5)
+
+
+class TestDetections:
+    def test_a_table_holds_its_rows_as_three_arrays(self):
+        dets = table(det([1.0, 2.0], 3, 0.5), det([3.0, 4.0], 0, 1))
+        assert dets.features.tolist() == [[1.0, 2.0], [3.0, 4.0]] and dets.features.dtype == np.float64
+        assert dets.labels.tolist() == [3, 0] and dets.labels.dtype == np.intp
+        assert dets.scores.tolist() == [0.5, 1.0] and dets.scores.dtype == np.float64
+        assert len(dets) == 2 and bool(dets) and not hasattr(dets, "__dict__")
+        assert dets.tolist() == [{"feature": [1.0, 2.0], "label": 3, "score": 0.5},
+                                 {"feature": [3.0, 4.0], "label": 0, "score": 1.0}]
+        assert dets.take(np.array([1])).labels.tolist() == [0] and dets.take([]).tolist() == []
+
+    def test_no_detection_is_an_empty_falsy_table(self):
+        empty = table()
+        assert len(empty) == 0 and not empty and empty.tolist() == []
+        assert empty.features.shape == (0, 0) and empty.labels.shape == empty.scores.shape == (0,)
+
+    @pytest.mark.parametrize("fault, message", [
+        ({"feature": [np.nan, 0.0], "score": 2.0}, "detection feature contains non-finite entries"),
+        ({"label": -2, "score": 2.0}, "detection label -2 is negative"),
+        ({"score": 1.5}, r"detection score 1.5 outside \[0, 1\]"),
+        ({"score": np.nan}, r"detection score nan outside \[0, 1\]")])
+    @pytest.mark.parametrize("row", [0, 2])
+    def test_a_table_refuses_what_a_detection_refuses_naming_the_first_bad_row(self, fault, message, row):
+        rows = [dict(feature=[1.0, 2.0], label=0, score=0.5) for _ in range(4)]
+        rows[row].update(fault)
+        rows[3].update(label=-9)  # a later fault: only the first row at fault is named
+        with pytest.raises(DomainError, match=f"^memory: {message}$"):
+            Detections([r["feature"] for r in rows], [r["label"] for r in rows], [r["score"] for r in rows])
+        with pytest.raises(DomainError, match=f"^memory: {message}$"):
+            Detection(**rows[row])
+
+    def test_a_table_is_one_row_per_detection(self):
+        for features, labels, scores in (([1.0, 2.0], [0, 1], [0.5, 0.5]),  # not (n, key_dim)
+                                         ([[1.0], [2.0]], [0], [0.5]),
+                                         ([[1.0], [2.0]], [0, 1], [0.5]),
+                                         ([[1.0]], [[0]], [0.5])):
+            with pytest.raises(ShapeError, match="^memory: detection table of features"):
+                Detections(features, labels, scores)
+        with pytest.raises(ShapeError, match=r"^memory: detection feature shape \(2,\) != \(3,\) of the earlier"):
+            table(det([1.0, 2.0, 3.0], 0), det([1.0, 2.0], 0))
+        with pytest.raises(ShapeError, match="^memory: detection table of features"):
+            table(det([[1.0, 2.0, 3.0]], 0))
 
 
 class TestMakeQuery:
@@ -341,18 +387,18 @@ class TestMemoryLoss:
 
 class TestBuildMemory:
     def test_truncates_to_top(self):
-        dets = [det([float(i)], 0, 0.1 * i) for i in range(1, 7)]
+        dets = table(*[det([float(i)], 0, 0.1 * i) for i in range(1, 7)])
         mem = build_memory(dets, 4, key_dim=1, n_classes=1)
         assert mem.n == 4
         assert sorted(k[0] for k in mem.keys) == [3.0, 4.0, 5.0, 6.0]
 
-    def test_block_write_equals_slot_by_slot_writes(self):
+    def test_gathered_memory_equals_slot_by_slot_writes(self):
         rng = np.random.default_rng(4)
         # scores drawn from three values, so ties are common and must keep input order
         dets = [det(rng.normal(size=3), int(rng.integers(5)), float(rng.choice([0.2, 0.5, 0.9])))
                 for _ in range(12)]
         for n_det in (1, 4, 12, 16):
-            mem = build_memory(dets, n_det, key_dim=3, n_classes=5)
+            mem = build_memory(table(*dets), n_det, key_dim=3, n_classes=5)
             order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))[:n_det]
             one_by_one = ObjectMemory(n_det, 3, 5)
             for i in order:
@@ -362,22 +408,32 @@ class TestBuildMemory:
 
     def test_block_write_names_the_first_bad_detection(self):
         with pytest.raises(ShapeError, match=r"key shape \(2,\) != \(3,\)"):
-            build_memory([det([1.0, 2.0, 3.0], 0), det([1.0, 2.0], 0)], 4, key_dim=3, n_classes=2)
-        with pytest.raises(ShapeError, match=r"key shape \(1, 3\) != \(3,\)"):
-            build_memory([det([[1.0, 2.0, 3.0]], 0)], 4, key_dim=3, n_classes=2)
+            ObjectMemory(4, 3, 2).write(det([1.0, 2.0], 0), det([3.0, 4.0], 0))
+        with pytest.raises(ShapeError, match=r"detection feature shape \(2,\) != \(3,\) of the earlier"):
+            ObjectMemory(4, 3, 2).write(det([1.0, 2.0, 3.0], 0), det([1.0, 2.0], 0))
+        with pytest.raises(ShapeError, match=r"detection table of features \(1, 1, 3\)"):
+            ObjectMemory(4, 3, 2).write(det([[1.0, 2.0, 3.0]], 0))
         with pytest.raises(DomainError, match="label 7 out of range for 2 classes"):
-            build_memory([det([1.0], 1), det([1.0], 7), det([1.0], 9)], 4, key_dim=1, n_classes=2)
+            ObjectMemory(4, 1, 2).write(det([1.0], 1), det([1.0], 7), det([1.0], 9))
         with pytest.raises(CapacityError):
             ObjectMemory(2, 1, 1).write(det([1.0], 0), det([2.0], 0), det([3.0], 0))
-        assert build_memory([], 4, key_dim=3, n_classes=2).n == 0
+
+    def test_a_table_is_checked_as_a_block_write_is(self):
+        with pytest.raises(ShapeError, match=r"key shape \(2,\) != \(3,\)"):
+            build_memory(table(det([1.0, 2.0], 0)), 4, key_dim=3, n_classes=2)
+        # the first label out of range among the top rows, in their order
+        with pytest.raises(DomainError, match="label 7 out of range for 2 classes"):
+            build_memory(table(det([1.0], 1, 0.9), det([1.0], 9, 0.5), det([1.0], 7, 0.8)), 4, key_dim=1, n_classes=2)
+        assert build_memory(table(det([1.0], 1, 0.9), det([1.0], 9, 0.5)), 1, key_dim=1, n_classes=2).n == 1
+        assert build_memory(table(), 4, key_dim=3, n_classes=2).n == 0
 
 
 class TestBuildSlots:
     def test_rows_are_each_images_top_detections_padded(self):
-        images = [[det([1.0, 0.0], 2, 0.3), det([2.0, 0.0], 0, 0.9), det([3.0, 0.0], 1, 0.5)],
-                  [det([0.0, 4.0], 1, 0.2)],
-                  [],
-                  [det([5.0, 5.0], 0, 0.7), det([6.0, 6.0], 2, 0.7)]]
+        images = [table(det([1.0, 0.0], 2, 0.3), det([2.0, 0.0], 0, 0.9), det([3.0, 0.0], 1, 0.5)),
+                  table(det([0.0, 4.0], 1, 0.2)),
+                  table(),
+                  table(det([5.0, 5.0], 0, 0.7), det([6.0, 6.0], 2, 0.7))]
         slots = build_slots(images, 2, key_dim=2, n_classes=3)
         assert slots.counts.tolist() == [2, 1, 0, 2]
         assert slots.keys.tolist() == [[[2.0, 0.0], [3.0, 0.0]],  # by score; 0.3 falls below the cut
@@ -387,11 +443,24 @@ class TestBuildSlots:
         assert slots.labels.tolist() == [[0, 1], [1, 0], [0, 0], [0, 2]]
         picked = slots[np.array([3, 0, 3])]
         assert picked.counts.tolist() == [2, 2, 2] and np.array_equal(picked.keys[1], slots.keys[0])
+        empty = build_slots([table(), table()], 3, key_dim=2, n_classes=1)
+        assert empty.counts.tolist() == [0, 0] and empty.keys.shape == (2, 3, 2) and not empty.keys.any()
+
+    def test_each_row_is_its_images_build_memory(self):
+        rng = np.random.default_rng(8)
+        images = [table(*[det(rng.normal(size=3), int(rng.integers(4)), float(rng.choice([0.3, 0.6])))
+                          for _ in range(int(rng.integers(7)))]) for _ in range(20)]
+        for n_det in (1, 3, 8):
+            slots = build_slots(images, n_det, key_dim=3, n_classes=4)
+            for r, dets in enumerate(images):
+                mem = build_memory(dets, n_det, key_dim=3, n_classes=4)
+                assert np.array_equal(slots.keys[r], mem._keys) and np.array_equal(slots.labels[r], mem._labels)
+                assert slots.counts[r] == mem.n
 
     def test_writes_are_checked_as_memory_writes_are(self):
-        with pytest.raises(ShapeError, match="key shape"):
-            build_slots([[det([1.0, 2.0], 0)]], 2, key_dim=3, n_classes=1)
-        with pytest.raises(DomainError, match="out of range"):
-            build_slots([[det([1.0], 2)]], 2, key_dim=1, n_classes=2)
+        with pytest.raises(ShapeError, match=r"key shape \(2,\) != \(3,\)"):
+            build_slots([table(det([1.0, 2.0, 3.0], 0)), table(det([1.0, 2.0], 0))], 2, key_dim=3, n_classes=1)
+        with pytest.raises(DomainError, match="label 2 out of range"):
+            build_slots([table(det([1.0], 0)), table(det([1.0], 2))], 2, key_dim=1, n_classes=2)
         with pytest.raises(DomainError, match="capacity"):
-            build_slots([[det([1.0], 0)]], 0, key_dim=1, n_classes=1)
+            build_slots([table(det([1.0], 0))], 0, key_dim=1, n_classes=1)

@@ -82,10 +82,14 @@ class TestDataset:
         ({"feature": [[0.5, 0.5]], "label": 0, "score": 0.9}, "a detection feature is not a vector of numbers"),
         ({"feature": [0.5, float("nan")], "label": 0, "score": 0.9}, "memory: detection feature contains non-fin"),
         ({"feature": [0.5, 0.5], "label": 0, "score": 1.5}, "memory: detection score 1.5 outside"),
-        ({"feature": [0.5, 0.5], "label": -1, "score": 0.5}, "memory: detection label -1 is negative")])
+        ({"feature": [0.5, 0.5], "label": -1, "score": 0.5}, "memory: detection label -1 is negative"),
+        ([{"feature": [0.5, 0.5], "label": 0, "score": 0.9}, {"feature": [0.5], "label": 1, "score": 0.9}],
+         r"detection feature shape \(1,\) != \(2,\) of the earlier detections"),
+        ({"label": 0, "score": 0.9}, "a detection is missing field 'feature'")])
     def test_a_bad_detection_names_its_line(self, tmp_path, det, message):
         first = dict(GOOD_RECORD, detections=[])
-        path = write_lines(tmp_path / "d.jsonl", json.dumps(first), json.dumps(dict(first, detections=[det])))
+        dets = det if isinstance(det, list) else [det]
+        path = write_lines(tmp_path / "d.jsonl", json.dumps(first), json.dumps(dict(first, detections=dets)))
         with pytest.raises(SchemaError, match=f"data: line 2: {message}"):
             load_dataset(path)
 
@@ -96,7 +100,11 @@ class TestDataset:
         ({"references": [["a"], [None]]}, "a reference token is not a JSON string"),
         ({"detections": [dict(GOOD_RECORD["detections"][0], score="0.9")]}, "a detection score is not a JSON number"),
         ({"detections": [dict(GOOD_RECORD["detections"][0], score=True)]}, "a detection score is not a JSON number"),
-    ], ids=["id-list", "id-number", "token-number", "token-null", "score-string", "score-bool"])
+        ({"detections": {}}, "the detections are not a JSON list of objects"),
+        ({"detections": ""}, "the detections are not a JSON list of objects"),
+        ({"detections": [[0.5, 0.5]]}, "the detections are not a JSON list of objects"),
+    ], ids=["id-list", "id-number", "token-number", "token-null", "score-string", "score-bool", "detections-empty-object",
+            "detections-empty-string", "detection-list"])
     def test_a_value_of_the_wrong_json_type_is_refused_not_converted(self, tmp_path, changes, message):
         path = write_lines(tmp_path / "d.jsonl", json.dumps(GOOD_RECORD), json.dumps(dict(GOOD_RECORD, **changes)))
         with pytest.raises(SchemaError, match=f"^data: line 2: {message}$"):

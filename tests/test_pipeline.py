@@ -12,7 +12,7 @@ from novelcap.decoder import (CELL_SANITY_BOUND, PARAM_NAMES, CaptionModel, Deco
                               forward_teacher_forced, pad_sequences)
 from novelcap.evaluation import evaluate_split
 from novelcap.errors import ConfigError, NumericError
-from novelcap.memory import Detection
+from novelcap.memory import Detection, Detections
 from novelcap.numerics import AdamState, adam_step
 from novelcap.pipeline import (CLIP_NORM, TrainExample, TrainingPairs, batch_losses, clip_gradients,
                                example_losses, joint_loss, make_captioner, train_step)
@@ -101,7 +101,7 @@ def ragged_example(kind, n_steps, rng):
         dets.append(det(target_class, 0.1))
     elif kind == "read":
         dets.insert(int(rng.integers(len(dets) + 1)), det(target_class, 1.0))
-    return TrainExample(rng.normal(size=model.image_dim), targets, dets)
+    return TrainExample(rng.normal(size=model.image_dim), targets, Detections.of(dets))
 
 
 @st.composite
@@ -216,8 +216,8 @@ class TestTrainStep:
         _, records, vocab, det_map = small_setup()
         model = fresh_model(vocab)
         word = vocab.encode(["a"])[0]
-        batch = [TrainExample(records[0].feature, [word] * 60, []),
-                 TrainExample(records[1].feature, [word], [])]
+        batch = [TrainExample(records[0].feature, [word] * 60, Detections.of([])),
+                 TrainExample(records[1].feature, [word], Detections.of([]))]
         rows, pairs = np.arange(2), pairs_of(batch, vocab, det_map)
         before = batch_losses(model, pairs, rows)
         # a saturating <PAD> input drives the 59 padded cells of the short row past the bound
@@ -322,8 +322,8 @@ def fig3_setup(monkeypatch):
     model = CaptionModel(vocab.size, hidden_size=2, embed_size=2, image_dim=2, key_dim=2, seed=0)
     model.w_query[...] = np.eye(2)
     rec = DatasetRecord("fig3", np.zeros(2), [sentence],
-                        [Detection(np.array([3.0, 0.0]), 0, 0.9),    # dog
-                         Detection(np.array([0.0, 3.0]), 1, 0.8)])   # cake
+                        Detections.of([Detection(np.array([3.0, 0.0]), 0, 0.9),    # dog
+                                       Detection(np.array([0.0, 3.0]), 1, 0.8)]))   # cake
     ids = [vocab.id_of(w) if w not in ("dog", "cake") else vocab.placeholder_id
            for w in sentence]
     hiddens = np.zeros((len(ids), 2))
@@ -356,7 +356,7 @@ class TestFillPlaceholders:
         det_map = intersect_detectable(vocab, ["dog", "zebra"])
         model = CaptionModel(vocab.size, hidden_size=1, embed_size=1, image_dim=1, key_dim=1, seed=0)
         model.w_query[...] = 1.0
-        rec = DatasetRecord("zebra", np.zeros(1), [["a", "dog"]], [Detection(np.array([1.0]), 1, 0.9)])
+        rec = DatasetRecord("zebra", np.zeros(1), [["a", "dog"]], Detections([[1.0]], [1], [0.9]))
         trace = DecodeTrace(ids=[vocab.id_of("a"), vocab.placeholder_id, vocab.eos_id],
                             hiddens=np.ones((3, 1)), placeholder_positions=[1])
         monkeypatch.setattr(pipeline, "decode_greedy", lambda *args: trace)
@@ -375,7 +375,7 @@ class TestFillPlaceholders:
 
     def test_empty_memory_keeps_placeholder(self, monkeypatch):
         vocab, det_map, model, rec, _ = fig3_setup(monkeypatch)
-        filled = caption(model, vocab, det_map, dataclasses.replace(rec, detections=[]))
+        filled = caption(model, vocab, det_map, dataclasses.replace(rec, detections=Detections.of([])))
         assert filled.tokens.count(PLACEHOLDER) == 2
         assert filled.placeholder_count_unfilled == 2
 
@@ -400,14 +400,14 @@ class TestCaptionImage:
         model = eos_rigged_model(vocab)
         rec = records[0]
         with_dets = caption(model, vocab, det_map, rec)
-        without = caption(model, vocab, det_map, dataclasses.replace(rec, detections=[]))
+        without = caption(model, vocab, det_map, dataclasses.replace(rec, detections=Detections.of([])))
         assert with_dets.tokens == without.tokens
 
     def test_no_detections_keeps_placeholder_literal(self):
         _, records, vocab, det_map = small_setup()
         model = eos_rigged_model(vocab)
         model.b_out[vocab.placeholder_id] = 60.0  # placeholder then eos never wins
-        filled = caption(model, vocab, det_map, dataclasses.replace(records[0], detections=[]),
+        filled = caption(model, vocab, det_map, dataclasses.replace(records[0], detections=Detections.of([])),
                          max_steps=3)
         assert PLACEHOLDER in filled.tokens
         assert filled.placeholder_count_unfilled >= 1
@@ -469,7 +469,7 @@ def test_diverged_model_aborts_evaluate_split(kind):
 class TestNoMemoryAblation:
     def test_single_detection_matches_full_pipeline(self, monkeypatch):
         vocab, det_map, model, rec, _ = fig3_setup(monkeypatch)
-        rec = dataclasses.replace(rec, detections=rec.detections[:1])
+        rec = dataclasses.replace(rec, detections=rec.detections.take([0]))
         full = caption(model, vocab, det_map, rec, max_steps=8)
         random_fill = caption(model, vocab, det_map, rec, mode="no-memory", max_steps=8)
         assert full.tokens == random_fill.tokens

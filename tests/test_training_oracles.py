@@ -16,6 +16,11 @@ all of its placeholders with one read. Its oracle is the captioner it
 replaced (a memory written one slot at a time, one query product and one
 read per placeholder, each filler made eagerly), over the benchmark's
 caption and crowded-sweep draws.
+
+A record's detections are one table, and a split's slots come from one
+sort and one gather. Their oracle is the slot build that read one
+``Detection`` per row: one ``ObjectMemory`` per image, written with its
+top detections in score order, then stacked.
 """
 
 import dataclasses
@@ -34,7 +39,8 @@ from novelcap.data import HeldOutSplit, build_heldout_split, generate_synthetic,
 from novelcap.decoder import (CaptionModel, DecodeSnapshot, ForwardCache, _check_cell, _halve_sigmoid_gates,
                               decode_greedy, init_state, sequence_loss)
 from novelcap.errors import DomainError
-from novelcap.memory import (Detection, LossReads, ObjectMemory, Slots, build_memory, memory_loss_forward,
+from novelcap.memory import (Detection, Detections, LossReads, ObjectMemory, Slots, build_memory, build_slots,
+                             memory_loss_forward,
                              read_loss_backward)
 from novelcap.numerics import FLOAT, AdamState, adam_step, softmax
 from novelcap.pipeline import (CLIP_NORM, Caption, TrainExample, TrainingPairs, batch_losses, clip_gradients,
@@ -70,6 +76,28 @@ def first_epoch(examples, vocab, det_map):
                              key_dim=RUN["key_dim"], max_steps=RUN["max_steps"])
     order = np.random.default_rng([RUN["seed"], 1]).permutation(len(examples))
     return pairs, [order[s:s + RUN["batch_size"]] for s in range(0, len(order), RUN["batch_size"])]
+
+
+def as_objects(dets: Detections) -> list[Detection]:
+    """A table's rows as one ``Detection`` each, the form records held before."""
+    return [Detection(f, label, score) for f, label, score in
+            zip(dets.features, dets.labels.tolist(), dets.scores.tolist())]
+
+
+def per_memory_slots(detections, n_det, key_dim, n_classes) -> Slots:
+    """``build_slots`` as it was: per image, its ``Detection`` objects sorted
+    by score (``sorted`` is stable, so ties keep their order), the top
+    ``n_det`` written to one ``ObjectMemory``, and the buffers stacked."""
+    mems = [ObjectMemory(n_det, key_dim, n_classes).write(
+        *sorted(as_objects(dets), key=lambda det: det.score, reverse=True)[:n_det]) for dets in detections]
+    return Slots(np.stack([mem._keys for mem in mems]), np.stack([mem._labels for mem in mems]),
+                 np.array([mem.n for mem in mems], dtype=np.intp))
+
+
+def assert_slots_equal(got: Slots, want: Slots, what):
+    for field in ("keys", "labels", "counts"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b), (what, field)
 
 
 def as_slots(*mems):
@@ -375,19 +403,19 @@ def test_first_epoch_matches_per_example_memory_loss_and_concatenating_backward(
 
 def test_pairs_are_built_once_per_image_and_reused(acceptance_world, monkeypatch):
     split, vocab, det_map, _ = acceptance_world
-    selected = []
-    select = memory.select_top_detections
+    built = []
+    build = pipeline.build_slots
 
-    def counted(dets, n_det):
-        selected.append(n_det)
-        return select(dets, n_det)
+    def counted(detections, n_det, *args):
+        built.append((len(detections), n_det))
+        return build(detections, n_det, *args)
 
-    monkeypatch.setattr(memory, "select_top_detections", counted)
-    train = split.train[:40]  # no validation records: every selection below is training's
+    monkeypatch.setattr(pipeline, "build_slots", counted)
+    train = split.train[:40]  # no validation records: every slot build below is training's
     cfg = RunConfig(**dict(RUN, epochs=2, hidden_size=16, embed_size=8))
     result = pipeline.train_model(HeldOutSplit(train, [], [], split.held_out_words), vocab, det_map, cfg)
     assert len(result.history) == 2
-    assert selected == [cfg.n_det] * len(train)  # once per record: not per pair, not per epoch
+    assert built == [(len(train), cfg.n_det)]  # once, one row per record: not per pair, not per epoch
     examples = [TrainExample(r.feature, vocab.encode(ref, append_eos=True), r.detections)
                 for r in train for ref in r.references]
     kw = dict(go_id=vocab.go_id, pad_id=vocab.pad_id, key_dim=cfg.key_dim, max_steps=cfg.max_steps)
@@ -395,13 +423,13 @@ def test_pairs_are_built_once_per_image_and_reused(acceptance_world, monkeypatch
     assert np.array_equal(pairs.slot_rows, np.repeat(np.arange(len(train)), 2))  # two references an image
     assert pairs.slots.counts.tolist() == [min(len(r.detections), cfg.n_det) for r in train]
     model = CaptionModel(vocab.size, hidden_size=16, embed_size=8, image_dim=32, key_dim=32)
-    del selected[:]
+    del built[:]
     first = batch_losses(model, pairs, np.arange(8))
     again = batch_losses(model, pairs, np.arange(8))
-    assert selected == []
+    assert built == []
     assert first[:2] == again[:2] and np.array_equal(first[2], again[2])
     TrainingPairs.of(examples, det_map, n_det=2, **kw)
-    assert selected == [2] * len(train)  # another n_det is another build
+    assert built == [(len(train), 2)]  # another n_det is another build
 
 
 def test_every_image_gets_a_slot_row_and_stray_labels_are_refused(acceptance_world):
@@ -422,7 +450,7 @@ def test_every_image_gets_a_slot_row_and_stray_labels_are_refused(acceptance_wor
     assert np.array_equal(baseline.slot_rows, dnoc.slot_rows)
     assert all(np.array_equal(getattr(baseline.slots, f), getattr(dnoc.slots, f))
                for f in ("keys", "labels", "counts"))
-    stray = dataclasses.replace(examples[0], detections=[Detection(np.zeros(32), det_map.n_classes, 0.5)])
+    stray = dataclasses.replace(examples[0], detections=Detections([np.zeros(32)], [det_map.n_classes], [0.5]))
     for pd in (det_map, no_detectable_words(det_map)):
         with pytest.raises(DomainError, match=f"label {det_map.n_classes} out of range"):
             TrainingPairs.of([stray], pd, **kw)
@@ -435,10 +463,10 @@ def test_skip_reasons_in_one_batch(caplog):
     key_dim, hidden = 3, 4
 
     def dets(*labels):
-        return [Detection(rng.normal(size=key_dim), label, score) for label, score in labels]
+        return Detections.of([Detection(rng.normal(size=key_dim), label, score) for label, score in labels])
 
     rows = [(["a", "sees", "dog"], dets((0, 0.9))),  # "sees" marked: no detection class
-            (["dog", "by", "cake"], []),  # empty memory
+            (["dog", "by", "cake"], dets()),  # empty memory
             (["tree", "sees", "cake"], dets((1, 0.9), (0, 0.8), (2, 0.1))),  # tree below the cut
             (["cake", "dog", "a"], dets((0, 0.7), (1, 0.6), (0, 0.5)))]  # two reads
     original = np.array([vocab.encode(words) for words, _ in rows]).T
@@ -478,6 +506,32 @@ def test_memory_pass_with_no_masked_step_reads_nothing(monkeypatch):
 
 
 
+# --- the slot build before detections were a table --------------------------
+
+CROWDED = dict(seed=7, dim=32, latent_rank=6, noise_scale=0.05, distractors=12)
+
+
+def test_slots_equal_the_per_memory_build_on_the_crowded_world():
+    """Slots of 300 crowded records (1-3 objects, 12 distractors: 13-15
+    detections each) at every n_det from 1 to 16, bit for bit."""
+    records = generate_synthetic(make_world(**CROWDED), 300, objects_per_image=(1, 3))
+    tables = [rec.detections for rec in records]
+    assert {len(dets) for dets in tables} == {13, 14, 15}
+    for n_det in range(1, 17):
+        assert_slots_equal(build_slots(tables, n_det, 32, 20), per_memory_slots(tables, n_det, 32, 20), n_det)
+
+
+def test_tied_scores_keep_table_order_as_the_per_memory_build_does():
+    rng = np.random.default_rng(11)
+    tables = [Detections(rng.normal(size=(n, 3)), rng.integers(0, 5, n), rng.choice([0.25, 0.5, 1.0], n))
+              for n in (0, 1, 6, 9, 2, 0, 12)]
+    tables.append(Detections(np.arange(15.0).reshape(5, 3), [4, 3, 2, 1, 0], [0.5] * 5))  # every score tied
+    assert sum(len(np.unique(dets.scores)) < len(dets) for dets in tables) >= 4
+    for n_det in range(1, 14):
+        assert_slots_equal(build_slots(tables, n_det, 3, 5), per_memory_slots(tables, n_det, 3, 5), n_det)
+    assert build_slots(tables, 3, 3, 5).labels[-1].tolist() == [4, 3, 2]
+
+
 # --- the captioner before one build and one read per caption ---------------
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
@@ -511,7 +565,7 @@ def per_placeholder_captioner(model, vocab, det_map, cfg, mode):
             return None
         if mode == "dnoc":
             mem = ObjectMemory(cfg.n_det, model.key_dim, det_map.n_classes)
-            for det in top(rec.detections):
+            for det in top(as_objects(rec.detections)):
                 mem.write(det)
             if mem.n == 0:
                 return None
@@ -522,7 +576,7 @@ def per_placeholder_captioner(model, vocab, det_map, cfg, mode):
                 reads.append(distribution)
                 return det_map.word_for_class(int(np.argmax(distribution)))
             return fill
-        labels = [d.label for d in top(rec.detections)]
+        labels = [d.label for d in top(as_objects(rec.detections))]
         if not labels:
             return None
         rng = np.random.default_rng([cfg.seed, zlib.crc32(rec.image_id.encode())])
