@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from novelcap.decoder import CaptionModel
-from novelcap.memory import Detection
+from novelcap.memory import Detections
 from novelcap.numerics import finite_diff_check
 from novelcap.pipeline import example_losses, joint_loss
 from novelcap.vocabulary import build_vocabulary, intersect_detectable
@@ -31,9 +31,8 @@ for p in model.params().values():
 
 feature = rng.normal(size=7)
 targets = vocab.encode(["a", "dog", "sees", "cake"])
-detections = [Detection(rng.normal(size=6), 0, 0.9),
-              Detection(rng.normal(size=6), 1, 0.8),
-              Detection(rng.normal(size=6), 2, 0.7)]
+# three detections, features drawn row by row
+detections = Detections([rng.normal(size=6) for _ in range(3)], [0, 1, 2], [0.9, 0.8, 0.7])
 
 kw = dict(go_id=vocab.go_id, pad_id=vocab.pad_id, n_det=4)
 loss_seq, loss_mem, grad = example_losses(model, feature, targets, detections, det_map, **kw)

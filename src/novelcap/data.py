@@ -330,7 +330,7 @@ def _detection_table(rows: list, det_dim: tuple | None) -> Detections:
     that are not vectors of the earlier detections' shape are found one at
     a time: the first at fault is a ValueError naming its shape."""
     if not rows:
-        return Detections.of([])
+        return Detections(np.empty((0, 0)), (), ())
     try:
         features = np.array([x["feature"] for x in rows], dtype=FLOAT)
     except ValueError:  # features of different lengths do not stack
@@ -343,7 +343,8 @@ def _detection_table(rows: list, det_dim: tuple | None) -> Detections:
             det_dim = shape if det_dim is None else det_dim
             if shape != det_dim:
                 raise ValueError(f"detection feature shape {shape} != {det_dim} of the earlier detections")
-    return Detections(features, [x["label"] for x in rows], [x["score"] for x in rows])
+    labels = np.array([x["label"] for x in rows], dtype=np.intp)  # a label past intp is an OverflowError
+    return Detections(features, labels, [x["score"] for x in rows])
 
 
 def load_dataset(path) -> list[DatasetRecord]:

@@ -10,8 +10,8 @@ cross-entropy of that distribution against the annotated class.
 Captioning reads one image's ``ObjectMemory`` as one unpadded slot row,
 with a (P, key_dim) block of queries, one per placeholder; training reads
 ``Slots``, the padded buffers of one such memory per training image.
-``Detection`` and ``ObjectMemory.write`` are the by-hand interface: one
-detection, one slot.
+A table is the one way detections enter a memory, read from a file or
+built by hand, and a ``QueryResult`` is the one thing a read returns.
 """
 
 import logging
@@ -26,66 +26,35 @@ from .numerics import cross_entropy  # noqa: F401 -- not called here; the benchm
 log = logging.getLogger(__name__)
 
 
-def _check_detection(finite: bool, label: int, score: float) -> None:
-    """The refusals of one detection, in order: a non-finite feature, a
-    negative label, a score outside [0, 1]."""
-    if not finite:
-        raise DomainError("memory: detection feature contains non-finite entries")
-    if label < 0:
-        raise DomainError(f"memory: detection label {label} is negative")
-    if not 0.0 <= score <= 1.0:
-        raise DomainError(f"memory: detection score {score} outside [0, 1]")
-
-
-@dataclass(frozen=True, slots=True)
-class Detection:
-    """One detector output: appearance feature, class index, confidence."""
-
-    feature: np.ndarray
-    label: int
-    score: float
-
-    def __post_init__(self):
-        feat = np.asarray(self.feature, dtype=FLOAT)
-        object.__setattr__(self, "feature", feat)
-        _check_detection(np.isfinite(feat).all(), self.label, self.score)
-
-
 class Detections:
     """One image's detections as a table, one row per detection: features
-    (n, key_dim), labels (n,) and scores (n,). Checked once, as a whole,
-    with ``Detection``'s refusals naming the first row at fault; ``len``
-    and truth count the rows."""
+    (n, key_dim), labels (n,) of an integer dtype, and scores (n,). Checked
+    once, as a whole: a non-finite feature, a negative label and a score
+    outside [0, 1] are refused, in that order, naming the first row at
+    fault; ``len`` and truth count the rows."""
 
     __slots__ = ("features", "labels", "scores")
 
     def __init__(self, features, labels, scores):
         features = np.asarray(features, dtype=FLOAT)
-        labels = np.asarray(labels, dtype=np.intp)
+        labels = np.asarray(labels)
         scores = np.asarray(scores, dtype=FLOAT)
-        n = len(labels)
-        if features.ndim != 2 or labels.ndim != 1 or len(features) != n or scores.shape != (n,):
+        if labels.size and labels.dtype.kind not in "iu":  # a cast would make 2.7 class 2 and True class 1
+            raise DomainError(f"memory: detection labels of dtype {labels.dtype} are not integers")
+        labels = labels.astype(np.intp, copy=False)
+        if features.ndim != 2 or labels.ndim != 1 or len(features) != len(labels) or scores.shape != labels.shape:
             raise ShapeError(f"memory: detection table of features {features.shape}, labels {labels.shape} "
                              f"and scores {scores.shape} is not one row per detection")
         finite = np.isfinite(features).all(axis=1)
         ok = finite & (labels >= 0) & (scores >= 0.0) & (scores <= 1.0)  # a NaN score is not ok
         if not ok.all():
             row = int(ok.argmin())
-            _check_detection(finite[row], labels[row].item(), scores[row].item())
+            if not finite[row]:
+                raise DomainError("memory: detection feature contains non-finite entries")
+            if labels[row] < 0:
+                raise DomainError(f"memory: detection label {labels[row].item()} is negative")
+            raise DomainError(f"memory: detection score {scores[row].item()} outside [0, 1]")
         self.features, self.labels, self.scores = features, labels, scores
-
-    @classmethod
-    def of(cls, dets) -> "Detections":
-        """The table of ``Detection`` objects, one row each, in order; the
-        features must share one shape. An empty list is the (0, 0) table."""
-        dets = list(dets)
-        if not dets:
-            return cls(np.empty((0, 0)), (), ())
-        first = dets[0].feature.shape
-        bad = next((d.feature.shape for d in dets if d.feature.shape != first), None)
-        if bad is not None:
-            raise ShapeError(f"memory: detection feature shape {bad} != {first} of the earlier detections")
-        return cls([d.feature for d in dets], [d.label for d in dets], [d.score for d in dets])
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -100,7 +69,8 @@ class Detections:
         return out
 
     def tolist(self) -> list[dict]:
-        """One dict of plain values per row, keyed like ``Detection``'s fields."""
+        """One dict of plain values per row, keyed like a dataset file's
+        detection objects: feature, label and score."""
         return [{"feature": f, "label": label, "score": s}
                 for f, label, s in zip(self.features.tolist(), self.labels.tolist(), self.scores.tolist())]
 
@@ -137,12 +107,7 @@ class ObjectMemory:
         """(n,) class index of each written slot."""
         return self._labels[:self.n]
 
-    def write(self, *dets: Detection) -> "ObjectMemory":
-        """Append one key-value slot per ``Detection``, in order: the rows of
-        their table, as one block."""
-        return self.write_rows(Detections.of(dets))
-
-    def write_rows(self, rows: Detections) -> "ObjectMemory":
+    def write(self, rows: Detections) -> "ObjectMemory":
         """Append one key-value slot per row, in order, as one block, checked
         once for the whole block: a label past the classes is a DomainError
         naming the first, and keys of another length a ShapeError."""
@@ -169,13 +134,15 @@ def _refuse_slots(labels: list[int], width: tuple, key_dim: int, n_classes: int)
 
 def select_top_detections(dets: Detections, n_det: int) -> Detections:
     """The ``n_det`` highest-confidence rows, stable under score ties."""
+    if n_det < 1:
+        raise DomainError(f"memory: capacity must be >= 1, got {n_det}")
     return dets.take((-dets.scores).argsort(kind="stable")[:n_det])
 
 
 def build_memory(dets: Detections, n_det: int, key_dim: int, n_classes: int) -> ObjectMemory:
     """Memory from the top-``n_det`` detections, keyed by their features,
     written as one block."""
-    return ObjectMemory(n_det, key_dim, n_classes).write_rows(select_top_detections(dets, n_det))
+    return ObjectMemory(n_det, key_dim, n_classes).write(select_top_detections(dets, n_det))
 
 
 @dataclass
@@ -241,10 +208,10 @@ def read_slots(queries: np.ndarray, slots: Slots, n_classes: int) -> tuple[np.nd
     return weights, distribution.reshape(n_rows, n_classes)
 
 
-def memory_read(q: np.ndarray, mem: ObjectMemory) -> tuple[QueryResult, np.ndarray]:
+def memory_read(q: np.ndarray, mem: ObjectMemory) -> QueryResult:
     """``read_slots`` of a query (key_dim,) or a block (P, key_dim) against
-    the memory's written slots as one row: the QueryResult, and the class
-    distribution it was read from. Argmax ties break toward the lowest class."""
+    the memory's written slots as one row. Argmax ties break toward the
+    lowest class."""
     if mem.n == 0:
         raise EmptyMemoryError("memory: read on an empty memory")
     if q.shape[-1:] != (mem.key_dim,) or q.ndim > 2:
@@ -253,8 +220,8 @@ def memory_read(q: np.ndarray, mem: ObjectMemory) -> tuple[QueryResult, np.ndarr
     _, distribution = read_slots(q.reshape(-1, mem.key_dim), one_row, mem.n_classes)
     classes = distribution.argmax(1)  # the first (lowest) index on ties
     if q.ndim == 1:
-        return QueryResult(distribution[0], int(classes[0])), distribution[0]
-    return QueryResult(distribution, classes), distribution
+        return QueryResult(distribution[0], int(classes[0]))
+    return QueryResult(distribution, classes)
 
 
 @dataclass

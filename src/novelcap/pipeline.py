@@ -114,19 +114,16 @@ def batch_losses(model: CaptionModel, pairs: TrainingPairs, rows) -> tuple[float
     return loss_seq / len(rows), loss_mem / len(rows), grad
 
 
-def example_losses(model: CaptionModel, feature, targets: list[int], detections,
+def example_losses(model: CaptionModel, feature, targets: list[int], detections: Detections,
                    pd: DetectableSet, *, go_id: int, pad_id: int, n_det: int,
                    max_steps: int | None = None) -> tuple[float, float, np.ndarray]:
-    """Both losses and their gradient for a single example: a batch of one.
-    ``detections`` is a table, or a list of ``Detection`` made by hand."""
-    if not isinstance(detections, Detections):
-        detections = Detections.of(detections)
+    """Both losses and their gradient for a single example: a batch of one."""
     pairs = TrainingPairs.of([TrainExample(feature, targets, detections)], pd, go_id=go_id, pad_id=pad_id,
                              n_det=n_det, key_dim=model.key_dim, max_steps=max_steps)
     return batch_losses(model, pairs, np.arange(1))
 
 
-def joint_loss(model: CaptionModel, feature, targets: list[int], detections, pd: DetectableSet,
+def joint_loss(model: CaptionModel, feature, targets: list[int], detections: Detections, pd: DetectableSet,
                *, go_id: int, pad_id: int, n_det: int, max_steps: int | None = None) -> float:
     """Total loss of one example; the reference for finite-difference checks."""
     loss_seq, loss_mem, _ = example_losses(model, feature, targets, detections, pd, go_id=go_id,
@@ -252,8 +249,8 @@ def make_captioner(model: CaptionModel, vocab: Vocabulary, det_map: DetectableSe
             mem = build_memory(rec.detections, cfg.n_det, snapshot.weights.key_dim, det_map.n_classes)
             if mem.n == 0:
                 return None
-            result, _ = memory_read(make_query(hiddens, snapshot.weights.w_query), mem)
-            return [det_map.word_for_class(c) for c in result.argmax_class.tolist()]
+            classes = memory_read(make_query(hiddens, snapshot.weights.w_query), mem).argmax_class
+            return [det_map.word_for_class(c) for c in classes.tolist()]
     elif mode == "no-memory":
         def filler(rec, hiddens):
             labels = select_top_detections(rec.detections, cfg.n_det).labels.tolist()

@@ -22,7 +22,7 @@ from novelcap.config import RunConfig
 from novelcap.data import build_heldout_split, generate_synthetic, make_world, save_world_config
 from novelcap.decoder import CaptionModel
 from novelcap.evaluation import average_f1_over, evaluate_split
-from novelcap.memory import Detection, ObjectMemory, memory_read
+from novelcap.memory import Detections, ObjectMemory, memory_read
 from novelcap.numerics import finite_diff_check
 from novelcap.pipeline import example_losses, joint_loss, make_captioner, train_model
 from novelcap.vocabulary import build_vocabulary, intersect_detectable, mask_weights, rewrite_targets
@@ -111,8 +111,7 @@ def test_criterion_1_gradient_correctness():
     feature = rng.normal(size=7)
     targets = vocab.encode(["a", "dog", "sees", "cake"])
     assert len(targets) == 4
-    dets = [Detection(rng.normal(size=6), 0, 0.9), Detection(rng.normal(size=6), 1, 0.8),
-            Detection(rng.normal(size=6), 2, 0.7)]
+    dets = Detections([rng.normal(size=6) for _ in range(3)], [0, 1, 2], [0.9, 0.8, 0.7])
     kw = dict(go_id=vocab.go_id, pad_id=vocab.pad_id, n_det=4)
 
     t0 = time.time()
@@ -231,10 +230,10 @@ def test_criterion_6_read_oracle_equivalence():
                     keys = [key_pool[(offset + i) % len(key_pool)] for i in range(n)]
                     mem = ObjectMemory(4, key_dim=2, n_classes=n_classes)
                     for key, label in zip(keys, labels):
-                        mem.write(Detection(np.array([float(k) for k in key]), label, 0.9))
+                        mem.write(Detections([[float(k) for k in key]], [label], [0.9]))
                     for q in queries:
                         q_arr = np.array([float(c) for c in q])
-                        result, _ = memory_read(q_arr, mem)
+                        result = memory_read(q_arr, mem)
                         oracle = brute_force_distribution(q, keys, labels, n_classes)
                         assert np.max(np.abs(result.distribution - np.array(oracle))) <= tol
                         assert result.argmax_class == int(np.argmax(oracle))

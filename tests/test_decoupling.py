@@ -90,7 +90,7 @@ def test_the_sentence_does_not_depend_on_the_order_of_the_detections(placeholder
 
 @pytest.mark.parametrize("mode", FILLING_MODES)
 def test_without_detections_the_caption_is_the_sentence(placeholder_model, mode):
-    bare = [dataclasses.replace(r, detections=Detections.of([])) for r in placeholder_model[0]]
+    bare = [dataclasses.replace(r, detections=Detections(np.empty((0, 0)), (), ())) for r in placeholder_model[0]]
     sentences = captions(placeholder_model, "no-placeholder")
     assert captions(placeholder_model, mode, bare) == captions(placeholder_model, "no-placeholder", bare) == sentences
 

@@ -125,7 +125,7 @@ def records_for(words_per_image):
     out = []
     for i, words in enumerate(words_per_image):
         out.append(DatasetRecord(image_id=f"r{i}", feature=np.zeros(2),
-                                 references=[["a"] + list(words)], detections=Detections.of([])))
+                                 references=[["a"] + list(words)], detections=Detections(np.empty((0, 0)), (), ())))
     return out
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from novelcap.errors import CapacityError, DomainError, EmptyMemoryError, ShapeError
-from novelcap.memory import (Detection, Detections, ObjectMemory, Slots, build_memory, build_slots, make_query,
+from novelcap.memory import (Detections, ObjectMemory, Slots, build_memory, build_slots, make_query,
                              memory_loss_forward, memory_read, read_loss_backward, read_slots,
                              select_top_detections)
 from novelcap.numerics import finite_diff_check
@@ -13,17 +13,22 @@ from novelcap.vocabulary import build_vocabulary, intersect_detectable
 
 
 def det(feature, label, score=0.9):
-    return Detection(np.asarray(feature, dtype=float), label, score)
+    """One detection row: feature, label, score."""
+    return feature, label, score
 
 
-def table(*dets):
-    return Detections.of(dets)
+def table(*rows):
+    """The table of detection rows, in order; no row is the (0, 0) table."""
+    if not rows:
+        return Detections(np.empty((0, 0)), (), ())
+    features, labels, scores = zip(*rows)
+    return Detections(features, labels, scores)
 
 
 def memory_of(*slots, n_classes=3, capacity=4):
     mem = ObjectMemory(capacity, key_dim=len(slots[0][0]), n_classes=n_classes)
     for feature, label in slots:
-        mem.write(det(feature, label))
+        mem.write(table(det(feature, label)))
     return mem
 
 
@@ -77,7 +82,7 @@ class TestWriteAndSelect:
     def test_fifth_write_exceeds_capacity(self):
         mem = memory_of(*[([float(i)], 0) for i in range(4)], n_classes=1)
         with pytest.raises(CapacityError):
-            mem.write(det([9.0], 0))
+            mem.write(table(det([9.0], 0)))
 
     def test_select_top_by_score(self):
         top = select_top_detections(table(det([0.0], 0, 0.9), det([1.0], 0, 0.2), det([2.0], 0, 0.8)), 2)
@@ -90,11 +95,18 @@ class TestWriteAndSelect:
         top = select_top_detections(table(*[det([float(i)], 0, 0.5) for i in range(4)]), 3)
         assert top.features[:, 0].tolist() == [0.0, 1.0, 2.0]
 
+    @pytest.mark.parametrize("n_det", [0, -1])
+    def test_select_top_refuses_a_capacity_below_one(self, n_det):
+        # as build_memory and build_slots do; a slice [:-1] would keep all rows but the last, [:0] none
+        dets = table(det([0.0], 0, 0.9), det([1.0], 1, 0.2))
+        with pytest.raises(DomainError, match=f"^memory: capacity must be >= 1, got {n_det}$"):
+            select_top_detections(dets, n_det)
+
     def test_detection_validation(self):
         with pytest.raises(DomainError):
-            det([1.0], 0, 1.5)
+            table(det([1.0], 0, 1.5))
         with pytest.raises(DomainError):
-            det([np.inf], 0, 0.5)
+            table(det([np.inf], 0, 0.5))
 
 
 class TestDetections:
@@ -125,18 +137,28 @@ class TestDetections:
         rows[3].update(label=-9)  # a later fault: only the first row at fault is named
         with pytest.raises(DomainError, match=f"^memory: {message}$"):
             Detections([r["feature"] for r in rows], [r["label"] for r in rows], [r["score"] for r in rows])
-        with pytest.raises(DomainError, match=f"^memory: {message}$"):
-            Detection(**rows[row])
+
+    @pytest.mark.parametrize("labels, dtype", [([2.7], "float64"), ([2.0], "float64"), ([True], "bool"),
+                                               (["3"], "<U1"), ([1, None], "object"),
+                                               (np.array([1.0], dtype=np.float32), "float32")])
+    def test_a_label_that_is_not_an_integer_is_refused_naming_its_dtype(self, labels, dtype):
+        with pytest.raises(DomainError, match=f"^memory: detection labels of dtype {dtype} are not integers$"):
+            Detections(np.zeros((len(labels), 2)), labels, [0.5] * len(labels))
+
+    def test_labels_of_any_integer_dtype_are_stored_as_intp(self):
+        for labels in ([2], np.array([2], dtype=np.uint8), np.array([2], dtype=np.int32)):
+            dets = Detections([[0.0, 0.0]], labels, [0.5])
+            assert dets.labels.dtype == np.intp and dets.labels.tolist() == [2]
+        assert Detections(np.empty((0, 2)), np.array([], dtype=float), []).labels.dtype == np.intp
 
     def test_a_table_is_one_row_per_detection(self):
         for features, labels, scores in (([1.0, 2.0], [0, 1], [0.5, 0.5]),  # not (n, key_dim)
                                          ([[1.0], [2.0]], [0], [0.5]),
                                          ([[1.0], [2.0]], [0, 1], [0.5]),
-                                         ([[1.0]], [[0]], [0.5])):
+                                         ([[1.0]], [[0]], [0.5]),
+                                         ([[1.0]], 0, [0.5])):
             with pytest.raises(ShapeError, match="^memory: detection table of features"):
                 Detections(features, labels, scores)
-        with pytest.raises(ShapeError, match=r"^memory: detection feature shape \(2,\) != \(3,\) of the earlier"):
-            table(det([1.0, 2.0, 3.0], 0), det([1.0, 2.0], 0))
         with pytest.raises(ShapeError, match="^memory: detection table of features"):
             table(det([[1.0, 2.0, 3.0]], 0))
 
@@ -166,14 +188,14 @@ class TestMakeQuery:
 class TestMemoryRead:
     def test_single_slot_is_one_hot(self):
         mem = memory_of(([0.3, -4.0], 2))
-        result, _ = memory_read(np.array([17.0, 0.01]), mem)
+        result = memory_read(np.array([17.0, 0.01]), mem)
         assert np.allclose(result.distribution, [0.0, 0.0, 1.0])
         assert result.argmax_class == 2
 
     def test_two_slot_hand_softmax(self):
         # q.k1 = 2, q.k2 = 0 -> weights e^2/(e^2+1), 1/(e^2+1)
         mem = memory_of(([2.0, 0.0], 0), ([0.0, 2.0], 1))
-        result, _ = memory_read(np.array([1.0, 0.0]), mem)
+        result = memory_read(np.array([1.0, 0.0]), mem)
         w0 = math.exp(2.0) / (math.exp(2.0) + 1.0)
         assert abs(result.distribution[0] - w0) < 1e-4
         assert abs(result.distribution[0] - 0.8808) < 1e-4
@@ -182,7 +204,7 @@ class TestMemoryRead:
 
     def test_identical_keys_tie_breaks_low(self):
         mem = memory_of(([1.0, 1.0], 1), ([1.0, 1.0], 0))
-        result, _ = memory_read(np.array([0.5, 0.5]), mem)
+        result = memory_read(np.array([0.5, 0.5]), mem)
         assert np.allclose(result.distribution[:2], [0.5, 0.5])
         assert result.argmax_class == 0
 
@@ -201,13 +223,13 @@ class TestMemoryRead:
         labels = [data.draw(st.integers(0, n_classes - 1)) for _ in range(n)]
         q = np.array(data.draw(st.lists(st.floats(-3, 3), min_size=2, max_size=2)))
         mem = memory_of(*zip(keys, labels), n_classes=n_classes)
-        result, _ = memory_read(q, mem)
+        result = memory_read(q, mem)
         oracle = brute_force_read(q, keys, labels, n_classes)
         assert np.all(np.abs(result.distribution - oracle) < 1e-9)
         assert abs(result.distribution.sum() - 1.0) < 1e-9
         perm = np.random.default_rng(0).permutation(n)
         mem2 = memory_of(*[(keys[i], labels[i]) for i in perm], n_classes=n_classes)
-        result2, _ = memory_read(q, mem2)
+        result2 = memory_read(q, mem2)
         assert np.all(np.abs(result.distribution - result2.distribution) < 1e-12)
 
     def test_block_read_equals_single_reads(self):
@@ -221,13 +243,13 @@ class TestMemoryRead:
         tied = memory_of(([1.0, 1.0], 4), ([1.0, 1.0], 2), ([0.0, -1.0], 1), ([-1.0, 0.0], 3), n_classes=6)
         cases.append((tied, np.array([[0.5, 0.5], [0.0, 0.0], [1.0, 1.0], [-2.0, 0.0]])))
         for mem, block in cases:
-            result, distribution = memory_read(block, mem)
-            assert distribution.shape == result.distribution.shape == (len(block), 6)
+            result = memory_read(block, mem)
+            assert result.distribution.shape == (len(block), 6)
             for p, q in enumerate(block):
-                single, _ = memory_read(q, mem)
-                assert np.abs(distribution[p] - single.distribution).max() <= 1e-12
+                single = memory_read(q, mem)
+                assert np.abs(result.distribution[p] - single.distribution).max() <= 1e-12
                 assert result.argmax_class[p] == single.argmax_class
-        result, _ = memory_read(cases[-1][1], tied)
+        result = memory_read(cases[-1][1], tied)
         assert result.argmax_class.tolist() == [2, 1, 2, 3]  # ties break toward the lowest class
 
     def test_query_of_the_wrong_length_is_a_shape_error(self):
@@ -241,7 +263,7 @@ class TestMemoryRead:
         # for larger memories
         mem = memory_of(([0.4, -1.2], 1))
         for scale in (0.1, 1.0, 25.0):
-            result, _ = memory_read(scale * np.array([2.0, 0.5]), mem)
+            result = memory_read(scale * np.array([2.0, 0.5]), mem)
             assert result.argmax_class == 1
 
     def test_duplicate_slot_shifts_probability_monotonically(self):
@@ -251,7 +273,7 @@ class TestMemoryRead:
         probs = []
         for copies in (1, 2, 3):
             mem = memory_of(*others, *([(key, label)] * copies), n_classes=3, capacity=8)
-            result, _ = memory_read(q, mem)
+            result = memory_read(q, mem)
             probs.append(result.distribution[label])
         assert probs[0] < probs[1] < probs[2]
 
@@ -399,24 +421,22 @@ class TestBuildMemory:
                 for _ in range(12)]
         for n_det in (1, 4, 12, 16):
             mem = build_memory(table(*dets), n_det, key_dim=3, n_classes=5)
-            order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))[:n_det]
+            order = sorted(range(len(dets)), key=lambda i: (-dets[i][2], i))[:n_det]
             one_by_one = ObjectMemory(n_det, 3, 5)
             for i in order:
-                one_by_one.write(dets[i])
+                one_by_one.write(table(dets[i]))
             assert mem.n == one_by_one.n == len(order)
             assert np.array_equal(mem.keys, one_by_one.keys) and np.array_equal(mem.labels, one_by_one.labels)
 
     def test_block_write_names_the_first_bad_detection(self):
         with pytest.raises(ShapeError, match=r"key shape \(2,\) != \(3,\)"):
-            ObjectMemory(4, 3, 2).write(det([1.0, 2.0], 0), det([3.0, 4.0], 0))
-        with pytest.raises(ShapeError, match=r"detection feature shape \(2,\) != \(3,\) of the earlier"):
-            ObjectMemory(4, 3, 2).write(det([1.0, 2.0, 3.0], 0), det([1.0, 2.0], 0))
+            ObjectMemory(4, 3, 2).write(table(det([1.0, 2.0], 0), det([3.0, 4.0], 0)))
         with pytest.raises(ShapeError, match=r"detection table of features \(1, 1, 3\)"):
-            ObjectMemory(4, 3, 2).write(det([[1.0, 2.0, 3.0]], 0))
+            ObjectMemory(4, 3, 2).write(table(det([[1.0, 2.0, 3.0]], 0)))
         with pytest.raises(DomainError, match="label 7 out of range for 2 classes"):
-            ObjectMemory(4, 1, 2).write(det([1.0], 1), det([1.0], 7), det([1.0], 9))
+            ObjectMemory(4, 1, 2).write(table(det([1.0], 1), det([1.0], 7), det([1.0], 9)))
         with pytest.raises(CapacityError):
-            ObjectMemory(2, 1, 1).write(det([1.0], 0), det([2.0], 0), det([3.0], 0))
+            ObjectMemory(2, 1, 1).write(table(det([1.0], 0), det([2.0], 0), det([3.0], 0)))
 
     def test_a_table_is_checked_as_a_block_write_is(self):
         with pytest.raises(ShapeError, match=r"key shape \(2,\) != \(3,\)"):

@@ -83,6 +83,8 @@ class TestDataset:
         ({"feature": [0.5, float("nan")], "label": 0, "score": 0.9}, "memory: detection feature contains non-fin"),
         ({"feature": [0.5, 0.5], "label": 0, "score": 1.5}, "memory: detection score 1.5 outside"),
         ({"feature": [0.5, 0.5], "label": -1, "score": 0.5}, "memory: detection label -1 is negative"),
+        ({"feature": [0.5, 0.5], "label": 2 ** 63, "score": 0.5}, "Python int too large to convert"),
+        ({"feature": [0.5, 0.5], "label": 2 ** 64, "score": 0.5}, "Python int too large to convert"),
         ([{"feature": [0.5, 0.5], "label": 0, "score": 0.9}, {"feature": [0.5], "label": 1, "score": 0.9}],
          r"detection feature shape \(1,\) != \(2,\) of the earlier detections"),
         ({"label": 0, "score": 0.9}, "a detection is missing field 'feature'")])

@@ -59,3 +59,25 @@ def test_counter_hooks_read_a_train_step_and_a_caption():
     assert caption.placeholder_count_unfilled == 0 and len(caption.tokens) == cfg.max_steps
     # one memory build and one read of the block of every placeholder's query
     assert tracer.calls["memory.build_memory"] == tracer.calls["memory.memory_read"] == 1
+
+
+def test_each_memory_build_counts_one_memory_write():
+    """The benchmark times a caption's slot fill as the ``memory.write`` span:
+    a dnoc caption that builds its memory must also reach that span."""
+    tracing = load_tracing()
+    world = make_world(names=("dog", "cat", "bus", "tree"), dim=6, seed=1, noise_scale=0.05, latent_rank=3)
+    records = generate_synthetic(world, 8, objects_per_image=(1, 2))
+    vocab = build_vocabulary([ref for rec in records for ref in rec.references], 1)
+    det_map = intersect_detectable(vocab, list(world.names))
+    model = CaptionModel(vocab.size, hidden_size=8, embed_size=6, image_dim=6, key_dim=6, seed=1)
+    model.b_out[vocab.placeholder_id] = 30.0  # every step a placeholder, so every caption fills
+    captioner = pipeline.make_captioner(model, vocab, det_map, RunConfig(n_det=2, max_steps=3), "dnoc")
+
+    tracer = tracing.Tracer()
+    with tracing.instrumented(tracer, tracing.TIMING_SPANS + tracing.LAYER_SPANS):
+        captions = [captioner(rec) for rec in records]
+
+    assert all(rec.detections for rec in records)
+    assert all(c.placeholder_count_unfilled == 0 and len(c.tokens) == 3 for c in captions)
+    assert tracer.calls["memory.build_memory"] == len(records)
+    assert tracer.calls["memory.write"] == tracer.calls["memory.build_memory"]

@@ -11,8 +11,8 @@ from novelcap.data import DatasetRecord, HeldOutSplit, generate_synthetic, make_
 from novelcap.decoder import (CELL_SANITY_BOUND, PARAM_NAMES, CaptionModel, DecodeTrace,
                               forward_teacher_forced, pad_sequences)
 from novelcap.evaluation import evaluate_split
-from novelcap.errors import ConfigError, NumericError
-from novelcap.memory import Detection, Detections
+from novelcap.errors import ConfigError, DomainError, NumericError
+from novelcap.memory import Detections
 from novelcap.numerics import AdamState, adam_step
 from novelcap.pipeline import (CLIP_NORM, TrainExample, TrainingPairs, batch_losses, clip_gradients,
                                example_losses, joint_loss, make_captioner, train_step)
@@ -59,6 +59,11 @@ def caption(model, vocab, det_map, rec, mode="dnoc", n_det=4, max_steps=15):
     return make_captioner(model, vocab, det_map, cfg, mode)(rec)
 
 
+def no_detections() -> Detections:
+    """The table of an image with no detection."""
+    return Detections(np.empty((0, 0)), (), ())
+
+
 RAGGED_N_DET = 2
 RAGGED_MAX_STEPS = 4
 
@@ -91,7 +96,7 @@ def ragged_example(kind, n_steps, rng):
     others = [c for c in range(det_map.n_classes) if c != target_class]
 
     def det(label, score):
-        return Detection(rng.normal(size=model.key_dim), int(label), float(score))
+        return rng.normal(size=model.key_dim), int(label), float(score)
 
     dets = [det(rng.choice(others), rng.uniform(0.6, 1.0)) for _ in range(int(rng.integers(4)))]
     if kind == "no-detections":
@@ -101,7 +106,8 @@ def ragged_example(kind, n_steps, rng):
         dets.append(det(target_class, 0.1))
     elif kind == "read":
         dets.insert(int(rng.integers(len(dets) + 1)), det(target_class, 1.0))
-    return TrainExample(rng.normal(size=model.image_dim), targets, Detections.of(dets))
+    table = Detections(*zip(*dets)) if dets else no_detections()
+    return TrainExample(rng.normal(size=model.image_dim), targets, table)
 
 
 @st.composite
@@ -216,8 +222,8 @@ class TestTrainStep:
         _, records, vocab, det_map = small_setup()
         model = fresh_model(vocab)
         word = vocab.encode(["a"])[0]
-        batch = [TrainExample(records[0].feature, [word] * 60, Detections.of([])),
-                 TrainExample(records[1].feature, [word], Detections.of([]))]
+        batch = [TrainExample(records[0].feature, [word] * 60, no_detections()),
+                 TrainExample(records[1].feature, [word], no_detections())]
         rows, pairs = np.arange(2), pairs_of(batch, vocab, det_map)
         before = batch_losses(model, pairs, rows)
         # a saturating <PAD> input drives the 59 padded cells of the short row past the bound
@@ -303,12 +309,12 @@ def test_sequence_loss_gradient_on_minimal_model():
     feature = rng.normal(size=3)
     targets = vocab.encode(["dog", "cat", "dog"])
     kw = dict(go_id=vocab.go_id, pad_id=vocab.pad_id, n_det=4)
-    _, _, grad = example_losses(model, feature, targets, [], det_map, **kw)
+    _, _, grad = example_losses(model, feature, targets, no_detections(), det_map, **kw)
     grads = model.views(grad)
     worst = 0.0
     for name, param in model.params().items():
         err = finite_diff_check(
-            lambda _p: joint_loss(model, feature, targets, [], det_map, **kw),
+            lambda _p: joint_loss(model, feature, targets, no_detections(), det_map, **kw),
             {name: param}, {name: grads[name]}, h=1e-5)
         worst = max(worst, err)
     assert worst < 1e-4
@@ -322,8 +328,9 @@ def fig3_setup(monkeypatch):
     model = CaptionModel(vocab.size, hidden_size=2, embed_size=2, image_dim=2, key_dim=2, seed=0)
     model.w_query[...] = np.eye(2)
     rec = DatasetRecord("fig3", np.zeros(2), [sentence],
-                        Detections.of([Detection(np.array([3.0, 0.0]), 0, 0.9),    # dog
-                                       Detection(np.array([0.0, 3.0]), 1, 0.8)]))   # cake
+                        Detections([[3.0, 0.0],    # dog
+                                    [0.0, 3.0]],   # cake
+                                   [0, 1], [0.9, 0.8]))
     ids = [vocab.id_of(w) if w not in ("dog", "cake") else vocab.placeholder_id
            for w in sentence]
     hiddens = np.zeros((len(ids), 2))
@@ -368,16 +375,23 @@ class TestFillPlaceholders:
             return reads[-1]
         monkeypatch.setattr(pipeline, "memory_read", kept_read)
         filled = caption(model, vocab, det_map, rec)
-        [(result, _)] = reads
+        [result] = reads
         assert result.argmax_class.tolist() == [1]
         assert filled.tokens == ["a", det_map.class_words[1]] == ["a", "zebra"]
         assert filled.placeholder_count_unfilled == 0
 
     def test_empty_memory_keeps_placeholder(self, monkeypatch):
         vocab, det_map, model, rec, _ = fig3_setup(monkeypatch)
-        filled = caption(model, vocab, det_map, dataclasses.replace(rec, detections=Detections.of([])))
+        filled = caption(model, vocab, det_map, dataclasses.replace(rec, detections=no_detections()))
         assert filled.tokens.count(PLACEHOLDER) == 2
         assert filled.placeholder_count_unfilled == 2
+
+    @pytest.mark.parametrize("mode", ["dnoc", "no-memory"])
+    @pytest.mark.parametrize("n_det", [0, -1])
+    def test_both_fills_refuse_a_capacity_below_one(self, monkeypatch, mode, n_det):
+        vocab, det_map, model, rec, _ = fig3_setup(monkeypatch)
+        with pytest.raises(DomainError, match=f"^memory: capacity must be >= 1, got {n_det}$"):
+            caption(model, vocab, det_map, rec, mode=mode, n_det=n_det)
 
     def test_filling_is_pure_post_process(self, monkeypatch):
         vocab, det_map, model, rec, trace = fig3_setup(monkeypatch)
@@ -400,14 +414,14 @@ class TestCaptionImage:
         model = eos_rigged_model(vocab)
         rec = records[0]
         with_dets = caption(model, vocab, det_map, rec)
-        without = caption(model, vocab, det_map, dataclasses.replace(rec, detections=Detections.of([])))
+        without = caption(model, vocab, det_map, dataclasses.replace(rec, detections=no_detections()))
         assert with_dets.tokens == without.tokens
 
     def test_no_detections_keeps_placeholder_literal(self):
         _, records, vocab, det_map = small_setup()
         model = eos_rigged_model(vocab)
         model.b_out[vocab.placeholder_id] = 60.0  # placeholder then eos never wins
-        filled = caption(model, vocab, det_map, dataclasses.replace(records[0], detections=Detections.of([])),
+        filled = caption(model, vocab, det_map, dataclasses.replace(records[0], detections=no_detections()),
                          max_steps=3)
         assert PLACEHOLDER in filled.tokens
         assert filled.placeholder_count_unfilled >= 1

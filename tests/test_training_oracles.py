@@ -18,9 +18,9 @@ read per placeholder, each filler made eagerly), over the benchmark's
 caption and crowded-sweep draws.
 
 A record's detections are one table, and a split's slots come from one
-sort and one gather. Their oracle is the slot build that read one
-``Detection`` per row: one ``ObjectMemory`` per image, written with its
-top detections in score order, then stacked.
+sort and one gather. Their oracle is the slot build that took one row at
+a time: one ``ObjectMemory`` per image, written with its top detections in
+score order, then stacked.
 """
 
 import dataclasses
@@ -39,7 +39,7 @@ from novelcap.data import HeldOutSplit, build_heldout_split, generate_synthetic,
 from novelcap.decoder import (CaptionModel, DecodeSnapshot, ForwardCache, _check_cell, _halve_sigmoid_gates,
                               decode_greedy, init_state, sequence_loss)
 from novelcap.errors import DomainError
-from novelcap.memory import (Detection, Detections, LossReads, ObjectMemory, Slots, build_memory, build_slots,
+from novelcap.memory import (Detections, LossReads, ObjectMemory, Slots, build_memory, build_slots,
                              memory_loss_forward,
                              read_loss_backward)
 from novelcap.numerics import FLOAT, AdamState, adam_step, softmax
@@ -78,18 +78,20 @@ def first_epoch(examples, vocab, det_map):
     return pairs, [order[s:s + RUN["batch_size"]] for s in range(0, len(order), RUN["batch_size"])]
 
 
-def as_objects(dets: Detections) -> list[Detection]:
-    """A table's rows as one ``Detection`` each, the form records held before."""
-    return [Detection(f, label, score) for f, label, score in
-            zip(dets.features, dets.labels.tolist(), dets.scores.tolist())]
+def top_rows(dets: Detections, n_det: int) -> list[Detections]:
+    """A table's top ``n_det`` rows by a Python sort of the scores
+    (``sorted`` is stable, so ties keep their order), one one-row table each."""
+    order = sorted(range(len(dets)), key=lambda i: -dets.scores[i])[:n_det]
+    return [Detections(dets.features[i:i + 1], dets.labels[i:i + 1], dets.scores[i:i + 1]) for i in order]
 
 
 def per_memory_slots(detections, n_det, key_dim, n_classes) -> Slots:
-    """``build_slots`` as it was: per image, its ``Detection`` objects sorted
-    by score (``sorted`` is stable, so ties keep their order), the top
-    ``n_det`` written to one ``ObjectMemory``, and the buffers stacked."""
-    mems = [ObjectMemory(n_det, key_dim, n_classes).write(
-        *sorted(as_objects(dets), key=lambda det: det.score, reverse=True)[:n_det]) for dets in detections]
+    """``build_slots`` as it was: per image, its top ``n_det`` rows by score
+    written to one ``ObjectMemory`` one at a time, and the buffers stacked."""
+    mems = [ObjectMemory(n_det, key_dim, n_classes) for _ in detections]
+    for mem, dets in zip(mems, detections):
+        for row in top_rows(dets, n_det):
+            mem.write(row)
     return Slots(np.stack([mem._keys for mem in mems]), np.stack([mem._labels for mem in mems]),
                  np.array([mem.n for mem in mems], dtype=np.intp))
 
@@ -463,7 +465,8 @@ def test_skip_reasons_in_one_batch(caplog):
     key_dim, hidden = 3, 4
 
     def dets(*labels):
-        return Detections.of([Detection(rng.normal(size=key_dim), label, score) for label, score in labels])
+        rows = [(rng.normal(size=key_dim), label, score) for label, score in labels]
+        return Detections(*zip(*rows)) if rows else Detections(np.empty((0, 0)), (), ())
 
     rows = [(["a", "sees", "dog"], dets((0, 0.9))),  # "sees" marked: no detection class
             (["dog", "by", "cake"], dets()),  # empty memory
@@ -556,17 +559,13 @@ def per_placeholder_captioner(model, vocab, det_map, cfg, mode):
     snapshot = DecodeSnapshot.of(model)
     w_query = snapshot.weights.w_query
 
-    def top(dets):
-        order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-        return [dets[i] for i in order[:cfg.n_det]]
-
     def filler(rec, reads):
         if mode == "no-placeholder":
             return None
         if mode == "dnoc":
             mem = ObjectMemory(cfg.n_det, model.key_dim, det_map.n_classes)
-            for det in top(as_objects(rec.detections)):
-                mem.write(det)
+            for row in top_rows(rec.detections, cfg.n_det):
+                mem.write(row)
             if mem.n == 0:
                 return None
 
@@ -576,7 +575,7 @@ def per_placeholder_captioner(model, vocab, det_map, cfg, mode):
                 reads.append(distribution)
                 return det_map.word_for_class(int(np.argmax(distribution)))
             return fill
-        labels = [d.label for d in top(as_objects(rec.detections))]
+        labels = [row.labels.item() for row in top_rows(rec.detections, cfg.n_det)]
         if not labels:
             return None
         rng = np.random.default_rng([cfg.seed, zlib.crc32(rec.image_id.encode())])
