@@ -20,7 +20,7 @@ from novelcap.vocabulary import build_vocabulary, intersect_detectable
 rng = np.random.default_rng(3)
 
 sentences = [["a", "dog", "sees", "cake"], ["a", "cake", "sees", "dog"]]
-vocab = build_vocabulary(sentences, min_count=1)
+vocab = build_vocabulary(sentences)
 det_map = intersect_detectable(vocab, ["dog", "cake", "zebra"])
 
 model = CaptionModel(vocab.size, hidden_size=6, embed_size=5, image_dim=7, key_dim=6, seed=11)

@@ -21,7 +21,7 @@ world = make_world(names=("dog", "cat", "bus", "tree", "boat", "bird", "car", "z
                    distractor_score=(0.5, 0.7))
 records = generate_synthetic(world, 600, objects_per_image=(1, 1))
 split = build_heldout_split(records, held_out, seed=5)
-vocab = build_vocabulary([ref for rec in split.train for ref in rec.references], min_count=1)
+vocab = build_vocabulary([ref for rec in split.train for ref in rec.references])
 det_map = intersect_detectable(vocab, list(world.names))
 print(f"{len(split.train)} train / {len(split.val)} val / {len(split.test)} test records")
 print(f"vocabulary: {vocab.size} entries; held out: {', '.join(held_out)}")

@@ -15,6 +15,7 @@ rule checked by ``make_world``; the split manifest is a single JSON document.
 
 import hashlib
 import json
+import re
 import string
 import sys
 from dataclasses import dataclass
@@ -25,6 +26,7 @@ from .config import read_json, read_key_values, text_lines
 from .errors import CoverageError, DomainError, ParseError, SchemaError
 from .memory import Detections
 from .numerics import FLOAT
+from .vocabulary import SPECIAL_TOKENS
 
 DEFAULT_INVENTORY = (
     "apple", "bear", "bird", "boat", "bottle", "bus", "car", "cat", "chair", "couch",
@@ -314,11 +316,13 @@ def save_dataset(records: list[DatasetRecord], path) -> None:
     dim = None
     with open(path, "w", encoding="utf-8") as f:
         for i, rec in enumerate(records):
+            dets = rec.detections
             d = {
                 "image_id": rec.image_id,
                 "feature": np.asarray(rec.feature, dtype=FLOAT).tolist(),
                 "references": [list(ref) for ref in rec.references],
-                "detections": rec.detections.tolist(),
+                "detections": [{"feature": f, "label": label, "score": s} for f, label, s in
+                               zip(dets.features.tolist(), dets.labels.tolist(), dets.scores.tolist())],
             }
             dim = _validate_record_dict(d, i + 1, dim)
             f.write(json.dumps(d, separators=(",", ":")) + "\n")
@@ -347,6 +351,9 @@ def _detection_table(rows: list, det_dim: tuple | None) -> Detections:
     return Detections(features, labels, [x["score"] for x in rows])
 
 
+_WHITESPACE = re.compile(r"\s")  # what str.split splits on
+
+
 def load_dataset(path) -> list[DatasetRecord]:
     records, first_line, repeats = [], {}, []
     dim = det_dim = None
@@ -362,8 +369,13 @@ def load_dataset(path) -> list[DatasetRecord]:
             # a JSON value of the wrong type is refused, not converted (a bool is not an int)
             if type(d["image_id"]) is not str:
                 raise TypeError("the image_id is not a JSON string")
-            if any(type(t) is not str for ref in d["references"] for t in ref):
-                raise TypeError("a reference token is not a JSON string")
+            for t in (t for ref in d["references"] for t in ref):  # a vocabulary file holds one word a line
+                if type(t) is not str:
+                    raise TypeError("a reference token is not a JSON string")
+                if t in SPECIAL_TOKENS:
+                    raise ValueError(f"reference token {t!r} is a special token")
+                if _WHITESPACE.search(t):
+                    raise ValueError(f"reference token {t!r} holds whitespace")
             if type(d["detections"]) is not list or any(type(x) is not dict for x in d["detections"]):
                 raise TypeError("the detections are not a JSON list of objects")
             if any(type(x["label"]) is not int for x in d["detections"]):

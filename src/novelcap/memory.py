@@ -9,9 +9,11 @@ that carry each class into a class distribution. The read loss is the
 cross-entropy of that distribution against the annotated class.
 Captioning reads one image's ``ObjectMemory`` as one unpadded slot row,
 with a (P, key_dim) block of queries, one per placeholder; training reads
-``Slots``, the padded buffers of one such memory per training image.
-A table is the one way detections enter a memory, read from a file or
-built by hand, and a ``QueryResult`` is the one thing a read returns.
+``Slots``, the padded buffers of one such memory per training image. Both
+are built the same way: ``select_top_detections``, the one top-n cut,
+then ``_write_slots``, the one slot writer and its checks. A table is the
+one way detections enter a memory, read from a file or built by hand,
+and a ``QueryResult`` is the one thing a read returns.
 """
 
 import logging
@@ -31,7 +33,8 @@ class Detections:
     (n, key_dim), labels (n,) of an integer dtype, and scores (n,). Checked
     once, as a whole: a non-finite feature, a negative label and a score
     outside [0, 1] are refused, in that order, naming the first row at
-    fault; ``len`` and truth count the rows."""
+    fault (an unsigned label past intp is refused before its cast); ``len``
+    and truth count the rows."""
 
     __slots__ = ("features", "labels", "scores")
 
@@ -41,6 +44,10 @@ class Detections:
         scores = np.asarray(scores, dtype=FLOAT)
         if labels.size and labels.dtype.kind not in "iu":  # a cast would make 2.7 class 2 and True class 1
             raise DomainError(f"memory: detection labels of dtype {labels.dtype} are not integers")
+        if labels.dtype.kind == "u":  # a cast to intp would make a label past its largest value negative
+            past = labels[labels > np.uint64(np.iinfo(np.intp).max)]
+            if past.size:
+                raise DomainError(f"memory: detection label {past[0].item()} is past the largest class index")
         labels = labels.astype(np.intp, copy=False)
         if features.ndim != 2 or labels.ndim != 1 or len(features) != len(labels) or scores.shape != labels.shape:
             raise ShapeError(f"memory: detection table of features {features.shape}, labels {labels.shape} "
@@ -67,12 +74,6 @@ class Detections:
         out.labels = self.labels.take(rows)
         out.scores = self.scores.take(rows)
         return out
-
-    def tolist(self) -> list[dict]:
-        """One dict of plain values per row, keyed like a dataset file's
-        detection objects: feature, label and score."""
-        return [{"feature": f, "label": label, "score": s}
-                for f, label, s in zip(self.features.tolist(), self.labels.tolist(), self.scores.tolist())]
 
 
 @dataclass
@@ -108,28 +109,28 @@ class ObjectMemory:
         return self._labels[:self.n]
 
     def write(self, rows: Detections) -> "ObjectMemory":
-        """Append one key-value slot per row, in order, as one block, checked
-        once for the whole block: a label past the classes is a DomainError
-        naming the first, and keys of another length a ShapeError."""
-        end = self.n + len(rows)
-        if end > self.capacity:
-            raise CapacityError(f"memory: capacity {self.capacity} exceeded; select top detections first")
-        if end > self.n:
-            _refuse_slots(rows.labels.tolist(), rows.features.shape[1:], self.key_dim, self.n_classes)
-            self._keys[self.n:end], self._labels[self.n:end] = rows.features, rows.labels
-            self.n = end
+        """Append one key-value slot per row, in order, as one block."""
+        self.n += _write_slots(self._keys, self._labels, self.n, rows, self.key_dim, self.n_classes)
         return self
 
 
-def _refuse_slots(labels: list[int], width: tuple, key_dim: int, n_classes: int) -> None:
-    """Refuse a block of slots: the first of ``labels`` (in slot order) past
-    the classes, a DomainError, then a key ``width`` other than (key_dim,),
-    a ShapeError."""
-    bad = next((label for label in labels if label >= n_classes), None)
-    if bad is not None:
-        raise DomainError(f"memory: label {bad} out of range for {n_classes} classes")
-    if width != (key_dim,):
-        raise ShapeError(f"memory: key shape {width} != ({key_dim},)")
+def _write_slots(keys, labels, start: int, rows: Detections, key_dim: int, n_classes: int) -> int:
+    """Copy a table's rows into the slot buffers ``keys`` (capacity,
+    key_dim) and ``labels`` (capacity,) from slot ``start`` on, checked
+    once as a block: rows past the capacity are a CapacityError, the first
+    label past the classes a DomainError, then keys of another length a
+    ShapeError. Returns how many slots it wrote."""
+    n = len(rows)
+    if start + n > len(labels):
+        raise CapacityError(f"memory: capacity {len(labels)} exceeded; select top detections first")
+    if n:
+        bad = next((label for label in rows.labels.tolist() if label >= n_classes), None)
+        if bad is not None:
+            raise DomainError(f"memory: label {bad} out of range for {n_classes} classes")
+        if rows.features.shape[1:] != (key_dim,):
+            raise ShapeError(f"memory: key shape {rows.features.shape[1:]} != ({key_dim},)")
+        keys[start:start + n], labels[start:start + n] = rows.features, rows.labels
+    return n
 
 
 def select_top_detections(dets: Detections, n_det: int) -> Detections:
@@ -160,27 +161,16 @@ class Slots:
 
 
 def build_slots(detections: list[Detections], n_det: int, key_dim: int, n_classes: int) -> Slots:
-    """One slot row per image (one or more): the padded buffers of its
-    ``build_memory``, from one sort of every image's rows by (image,
-    -score) and one gather. The sort is stable, so score ties keep table
-    order, as ``select_top_detections`` does."""
+    """One slot row per image: the padded buffers of its ``build_memory``,
+    its ``select_top_detections`` written by the same ``_write_slots``,
+    image by image, so the first image at fault is the one refused."""
     if n_det < 1:
         raise DomainError(f"memory: capacity must be >= 1, got {n_det}")
-    sizes = np.array([len(dets) for dets in detections], dtype=np.intp)
-    image = np.repeat(np.arange(len(detections)), sizes)
-    order = np.lexsort((-np.concatenate([dets.scores for dets in detections]), image))
-    rank = np.arange(len(order)) - np.repeat(np.cumsum(sizes) - sizes, sizes)  # place in its image's order
-    top = rank < n_det
-    kept, rows, ranks = order[top], image[top], rank[top]
-    labels = np.concatenate([dets.labels for dets in detections])[kept]
     keys = np.zeros((len(detections), n_det, key_dim), dtype=FLOAT)
-    slot_labels = np.zeros((len(detections), n_det), dtype=np.intp)
-    if kept.size:
-        tables = [dets.features for dets in detections if dets]
-        width = next((t.shape[1:] for t in tables if t.shape[1:] != (key_dim,)), (key_dim,))
-        _refuse_slots(labels.tolist(), width, key_dim, n_classes)
-        keys[rows, ranks], slot_labels[rows, ranks] = np.concatenate(tables)[kept], labels
-    return Slots(keys, slot_labels, np.minimum(sizes, n_det))
+    labels = np.zeros((len(detections), n_det), dtype=np.intp)
+    counts = [_write_slots(keys[r], labels[r], 0, select_top_detections(dets, n_det), key_dim, n_classes)
+              for r, dets in enumerate(detections)]
+    return Slots(keys, labels, np.array(counts, dtype=np.intp))
 
 
 def make_query(h_prev: np.ndarray, w_query: np.ndarray) -> np.ndarray:
@@ -202,8 +192,7 @@ def read_slots(queries: np.ndarray, slots: Slots, n_classes: int) -> tuple[np.nd
     if min(slots.counts.tolist(), default=width) < width:  # a row with unwritten slots: mask them out
         sims = np.where(np.arange(width) < slots.counts[:, None], sims, -np.inf)
     weights = softmax(sims)
-    # row m's weights go to bins m*n_classes + label; a lone row's bins are its labels
-    bins = slots.labels if n_rows == 1 else np.arange(0, n_rows * n_classes, n_classes)[:, None] + slots.labels
+    bins = np.arange(0, n_rows * n_classes, n_classes)[:, None] + slots.labels  # row m's: m*n_classes + label
     distribution = np.bincount(bins.ravel(), weights.ravel(), minlength=n_rows * n_classes)
     return weights, distribution.reshape(n_rows, n_classes)
 

@@ -112,19 +112,16 @@ class Vocabulary:
         return cls(words=tuple(index))
 
 
-def build_vocabulary(training_sentences: list[list[str]], min_count: int = 1) -> Vocabulary:
-    """Vocabulary from tokenized, lowercased sentences.
-
-    Words below ``min_count`` are dropped (they will encode to <UNKNOWN>).
-    Two builds from the same corpus assign identical ids.
-    """
+def build_vocabulary(training_sentences: list[list[str]]) -> Vocabulary:
+    """Vocabulary from tokenized, lowercased sentences: every corpus word,
+    most frequent first, ties in string order, then the special tokens.
+    Two builds from the same corpus assign identical ids."""
     if not training_sentences:
         raise DomainError("vocabulary: cannot build from an empty corpus")
     counts = Counter()
     for sent in training_sentences:
         counts.update(sent)
-    kept = sorted((w for w, c in counts.items() if c >= min_count and w not in SPECIAL_TOKENS),
-                  key=lambda w: (-counts[w], w))
+    kept = sorted((w for w in counts if w not in SPECIAL_TOKENS), key=lambda w: (-counts[w], w))
     return Vocabulary(words=tuple(kept) + SPECIAL_TOKENS)
 
 

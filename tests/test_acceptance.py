@@ -53,7 +53,7 @@ class Benchmark:
         self.split = build_heldout_split(records, tuple(spec["held_out"]),
                                          tuple(spec["ratios"]), seed=spec["split_seed"])
         assert len(self.split.train) == spec["expected_train_records"]
-        self.vocab = build_vocabulary([ref for r in self.split.train for ref in r.references], 1)
+        self.vocab = build_vocabulary([ref for r in self.split.train for ref in r.references])
         self.det_map = intersect_detectable(self.vocab, list(self.world.names))
         self.known = [n for n in self.world.names if n not in self.split.held_out_words]
         self.cfg = RunConfig(**spec["run"])
@@ -98,7 +98,7 @@ def bench():
 def test_criterion_1_gradient_correctness():
     rng = np.random.default_rng(3)
     sentences = [["a", "dog", "sees", "cake"], ["a", "cake", "sees", "dog"]]
-    vocab = build_vocabulary(sentences, 1)
+    vocab = build_vocabulary(sentences)
     assert vocab.size == 9
     det_map = intersect_detectable(vocab, ["dog", "cake", "zebra"])
     model = CaptionModel(vocab.size, hidden_size=6, embed_size=5, image_dim=7, key_dim=6, seed=11)
@@ -248,7 +248,7 @@ def test_criterion_6_read_oracle_equivalence():
 
 def test_criterion_7_rewrite_mask_properties():
     words = [f"w{i:02d}" for i in range(30)]
-    vocab = build_vocabulary([words], 1)
+    vocab = build_vocabulary([words])
     rng = np.random.default_rng(123)
     trials = THRESH["property_trials"]
     for _ in range(trials):

@@ -14,7 +14,7 @@ from novelcap.vocabulary import build_vocabulary
 
 
 def tiny_vocab():
-    return build_vocabulary([["a", "dog", "sees", "cake"], ["a", "cake", "sees", "dog"]], 1)
+    return build_vocabulary([["a", "dog", "sees", "cake"], ["a", "cake", "sees", "dog"]])
 
 
 def tiny_model(vocab, seed=0):

@@ -33,7 +33,7 @@ def placeholder_model():
     world = make_world(names=("dog", "cat", "bus", "tree", "boat", "bird"), dim=8, seed=0, noise_scale=0.05,
                        latent_rank=4)
     records = generate_synthetic(world, 60, objects_per_image=(1, 3))
-    vocab = build_vocabulary([ref for rec in records for ref in rec.references], 1)
+    vocab = build_vocabulary([ref for rec in records for ref in rec.references])
     det_map = intersect_detectable(vocab, list(world.names))
     model = CaptionModel(vocab.size, hidden_size=24, embed_size=16, image_dim=8, key_dim=8, seed=0)
     opt = AdamState.for_param(model.theta, lr=1e-2)

@@ -41,7 +41,7 @@ def as_slots(*mems):
     return Slots(keys, labels, np.array([mem.n for mem in mems]))
 
 
-CLASS_VOCAB = build_vocabulary([["c0", "c1", "c2"]], 1)
+CLASS_VOCAB = build_vocabulary([["c0", "c1", "c2"]])
 CLASS_MAP = intersect_detectable(CLASS_VOCAB, ["c0", "c1", "c2"])
 
 
@@ -116,13 +116,12 @@ class TestDetections:
         assert dets.labels.tolist() == [3, 0] and dets.labels.dtype == np.intp
         assert dets.scores.tolist() == [0.5, 1.0] and dets.scores.dtype == np.float64
         assert len(dets) == 2 and bool(dets) and not hasattr(dets, "__dict__")
-        assert dets.tolist() == [{"feature": [1.0, 2.0], "label": 3, "score": 0.5},
-                                 {"feature": [3.0, 4.0], "label": 0, "score": 1.0}]
-        assert dets.take(np.array([1])).labels.tolist() == [0] and dets.take([]).tolist() == []
+        none = dets.take([])
+        assert dets.take(np.array([1])).labels.tolist() == [0] and not none and none.features.shape == (0, 2)
 
     def test_no_detection_is_an_empty_falsy_table(self):
         empty = table()
-        assert len(empty) == 0 and not empty and empty.tolist() == []
+        assert len(empty) == 0 and not empty
         assert empty.features.shape == (0, 0) and empty.labels.shape == empty.scores.shape == (0,)
 
     @pytest.mark.parametrize("fault, message", [
@@ -150,6 +149,13 @@ class TestDetections:
             dets = Detections([[0.0, 0.0]], labels, [0.5])
             assert dets.labels.dtype == np.intp and dets.labels.tolist() == [2]
         assert Detections(np.empty((0, 2)), np.array([], dtype=float), []).labels.dtype == np.intp
+
+    @pytest.mark.parametrize("label", [2 ** 63, 2 ** 64 - 1])
+    def test_an_unsigned_label_past_intp_is_refused_as_given(self, label):
+        # a cast to intp would wrap it to a negative class the caller never gave
+        labels = np.array([1, label, 2 ** 63], dtype=np.uint64)
+        with pytest.raises(DomainError, match=f"^memory: detection label {label} is past the largest class index$"):
+            Detections(np.zeros((3, 2)), labels, [0.5] * 3)
 
     def test_a_table_is_one_row_per_detection(self):
         for features, labels, scores in (([1.0, 2.0], [0, 1], [0.5, 0.5]),  # not (n, key_dim)
@@ -354,7 +360,7 @@ class TestReadLoss:
 
 class TestMemoryLoss:
     def setup_method(self):
-        self.vocab = build_vocabulary([["a", "dog", "sees", "cake"]], 1)
+        self.vocab = build_vocabulary([["a", "dog", "sees", "cake"]])
         self.det_map = intersect_detectable(self.vocab, ["dog", "cake"])
         self.w_query = np.eye(2)
         rng = np.random.default_rng(0)
@@ -484,3 +490,8 @@ class TestBuildSlots:
             build_slots([table(det([1.0], 0)), table(det([1.0], 2))], 2, key_dim=1, n_classes=2)
         with pytest.raises(DomainError, match="capacity"):
             build_slots([table(det([1.0], 0))], 0, key_dim=1, n_classes=1)
+
+    def test_images_are_checked_in_order(self):
+        # the first image's key width is refused before the second image's label
+        with pytest.raises(ShapeError, match=r"^memory: key shape \(2,\) != \(1,\)$"):
+            build_slots([table(det([1.0, 2.0], 0)), table(det([1.0], 5))], 2, key_dim=1, n_classes=2)

@@ -5,6 +5,7 @@ escaped as raw exceptions; the fuzz tests throw bounded random input at
 each parser."""
 
 import json
+import re
 import string
 
 import numpy as np
@@ -111,6 +112,26 @@ class TestDataset:
         path = write_lines(tmp_path / "d.jsonl", json.dumps(GOOD_RECORD), json.dumps(dict(GOOD_RECORD, **changes)))
         with pytest.raises(SchemaError, match=f"^data: line 2: {message}$"):
             load_dataset(path)
+
+    @pytest.mark.parametrize("token, message", [
+        ("<PAD>", "is a special token"),  # never trained: the loss skips every pad target
+        ("<EOS>", "is a special token"),  # trains a stop mid-sentence
+        ("<GO>", "is a special token"),
+        ("<UNKNOWN>", "is a special token"),
+        ("<PL>", "is a special token"),
+        ("big\ndog", "holds whitespace"),  # saves as two vocabulary lines
+        ("big dog", "holds whitespace"),
+        ("dog\t", "holds whitespace"),
+        (" ", "holds whitespace"),
+        ("no\xa0break", "holds whitespace")])  # str.split splits on it too
+    def test_a_reference_token_that_is_reserved_or_holds_whitespace(self, tmp_path, token, message):
+        bad = dict(GOOD_RECORD, references=[["a", "dog"], ["a", token, "dog", "<PAD>"]])  # the first is named
+        path = write_lines(tmp_path / "d.jsonl", json.dumps(GOOD_RECORD), json.dumps(bad))
+        with pytest.raises(SchemaError, match=f"^data: line 2: reference token {re.escape(repr(token))} {message}$"):
+            load_dataset(path)
+        cased = dict(GOOD_RECORD, references=[["a", "<pad>", "dog"]])  # a word, not the special token
+        (loaded,) = load_dataset(write_lines(tmp_path / "ok.jsonl", json.dumps(cased)))
+        assert loaded.references == cased["references"]
 
     @pytest.mark.parametrize("line", ['{"image_id": ' + "9" * 5000 + "}", "[" * 100_000])
     def test_an_integer_too_long_or_nesting_too_deep_names_its_line(self, tmp_path, line):

@@ -30,7 +30,7 @@ def test_counter_hooks_read_a_train_step_and_a_caption():
     world = make_world(names=("dog", "cat", "bus", "tree", "boat", "bird"),
                        dim=8, seed=0, noise_scale=0.05, latent_rank=4)
     records = generate_synthetic(world, 30, objects_per_image=(1, 2))
-    vocab = build_vocabulary([ref for rec in records for ref in rec.references], 1)
+    vocab = build_vocabulary([ref for rec in records for ref in rec.references])
     det_map = intersect_detectable(vocab, list(world.names))
     model = CaptionModel(vocab.size, hidden_size=12, embed_size=8, image_dim=8, key_dim=8, seed=0)
     opt = AdamState.for_param(model.theta)
@@ -67,7 +67,7 @@ def test_each_memory_build_counts_one_memory_write():
     tracing = load_tracing()
     world = make_world(names=("dog", "cat", "bus", "tree"), dim=6, seed=1, noise_scale=0.05, latent_rank=3)
     records = generate_synthetic(world, 8, objects_per_image=(1, 2))
-    vocab = build_vocabulary([ref for rec in records for ref in rec.references], 1)
+    vocab = build_vocabulary([ref for rec in records for ref in rec.references])
     det_map = intersect_detectable(vocab, list(world.names))
     model = CaptionModel(vocab.size, hidden_size=8, embed_size=6, image_dim=6, key_dim=6, seed=1)
     model.b_out[vocab.placeholder_id] = 30.0  # every step a placeholder, so every caption fills

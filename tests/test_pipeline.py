@@ -24,7 +24,7 @@ def small_setup(seed=0):
                        dim=8, seed=seed, noise_scale=0.05, latent_rank=4)
     records = generate_synthetic(world, 50, objects_per_image=(1, 2))
     sentences = [ref for rec in records for ref in rec.references]
-    vocab = build_vocabulary(sentences, 1)
+    vocab = build_vocabulary(sentences)
     det_map = intersect_detectable(vocab, list(world.names))
     return world, records, vocab, det_map
 
@@ -299,7 +299,7 @@ def test_sequence_loss_gradient_on_minimal_model():
     # 2-word vocabulary (7 with specials), hidden size 4, 3 steps
     from novelcap.numerics import finite_diff_check
 
-    vocab = build_vocabulary([["dog", "cat"]], 1)
+    vocab = build_vocabulary([["dog", "cat"]])
     assert vocab.size == 7
     det_map = intersect_detectable(vocab, ["notaword"])
     rng = np.random.default_rng(2)
@@ -323,7 +323,7 @@ def test_sequence_loss_gradient_on_minimal_model():
 def fig3_setup(monkeypatch):
     """A two-placeholder decode whose queries hit the dog and the cake slot."""
     sentence = ["a", "dog", "is", "looking", "at", "a", "cake"]
-    vocab = build_vocabulary([sentence], 1)
+    vocab = build_vocabulary([sentence])
     det_map = intersect_detectable(vocab, ["dog", "cake"])
     model = CaptionModel(vocab.size, hidden_size=2, embed_size=2, image_dim=2, key_dim=2, seed=0)
     model.w_query[...] = np.eye(2)
@@ -359,7 +359,7 @@ class TestFillPlaceholders:
 
     def test_placeholder_gets_the_word_of_the_read_class(self, monkeypatch):
         # the read returns class 1; its word, outside the vocabulary, is written in the caption
-        vocab = build_vocabulary([["a", "dog"]], 1)
+        vocab = build_vocabulary([["a", "dog"]])
         det_map = intersect_detectable(vocab, ["dog", "zebra"])
         model = CaptionModel(vocab.size, hidden_size=1, embed_size=1, image_dim=1, key_dim=1, seed=0)
         model.w_query[...] = 1.0

@@ -57,7 +57,7 @@ def acceptance_world():
     records = generate_synthetic(world, SPEC["n_images"], tuple(SPEC["objects_per_image"]))
     split = build_heldout_split(records, tuple(SPEC["held_out"]), tuple(SPEC["ratios"]),
                                 seed=SPEC["split_seed"])
-    vocab = build_vocabulary([ref for r in split.train for ref in r.references], 1)
+    vocab = build_vocabulary([ref for r in split.train for ref in r.references])
     det_map = intersect_detectable(vocab, list(world.names))
     examples = [TrainExample(r.feature, vocab.encode(ref, append_eos=True), r.detections)
                 for r in split.train for ref in r.references]
@@ -459,7 +459,7 @@ def test_every_image_gets_a_slot_row_and_stray_labels_are_refused(acceptance_wor
 
 
 def test_skip_reasons_in_one_batch(caplog):
-    vocab = build_vocabulary([["a", "dog", "sees", "cake", "by", "tree"]], 1)
+    vocab = build_vocabulary([["a", "dog", "sees", "cake", "by", "tree"]])
     det_map = intersect_detectable(vocab, ["dog", "cake", "tree"])
     rng = np.random.default_rng(3)
     key_dim, hidden = 3, 4
@@ -499,7 +499,7 @@ def test_memory_pass_with_no_masked_step_reads_nothing(monkeypatch):
         raise AssertionError("read_slots called for a batch with no masked step")
 
     monkeypatch.setattr(memory, "read_slots", no_read)
-    vocab = build_vocabulary([["a", "dog"]], 1)
+    vocab = build_vocabulary([["a", "dog"]])
     det_map = intersect_detectable(vocab, ["dog"])
     memories = [ObjectMemory(2, 3, 1), ObjectMemory(2, 3, 1)]
     loss, reads = memory_loss_forward(np.zeros((2, 2, 4)), np.zeros((2, 2), dtype=np.intp), [0] * 4,

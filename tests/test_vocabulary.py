@@ -9,36 +9,31 @@ from novelcap.vocabulary import (PLACEHOLDER, SPECIAL_TOKENS, Vocabulary, build_
 
 
 def vocab_from(words):
-    return build_vocabulary([list(words)], min_count=1)
+    return build_vocabulary([list(words)])
 
 
 class TestBuildVocabulary:
     def test_tiny_corpus(self):
-        v = build_vocabulary([["a", "dog"], ["a", "cat"]], min_count=1)
+        v = build_vocabulary([["a", "dog"], ["a", "cat"]])
         assert v.size == 8
         assert set(v.words) == {"a", "dog", "cat", *SPECIAL_TOKENS}
         # every special appears exactly once and ids are dense and invertible
         for i, w in enumerate(v.words):
             assert v.index[w] == i
-
-    def test_min_count_threshold(self):
-        v = build_vocabulary([["a", "dog"], ["a", "cat"]], min_count=2)
-        assert "dog" not in v.index and "cat" not in v.index
-        assert v.id_of("dog") == v.unknown_id
-        assert v.encode(["a", "dog"]) == [v.index["a"], v.unknown_id]
+        assert v.encode(["a", "zebra"]) == [v.index["a"], v.unknown_id]  # a word outside the corpus
 
     def test_deterministic_ids(self):
         corpus = [["the", "zebra", "runs"], ["a", "zebra", "sleeps"], ["the", "end"]]
-        a = build_vocabulary(corpus, 1)
-        b = build_vocabulary(corpus, 1)
+        a = build_vocabulary(corpus)
+        b = build_vocabulary(corpus)
         assert a.words == b.words
 
     def test_empty_corpus(self):
         with pytest.raises(DomainError):
-            build_vocabulary([], 1)
+            build_vocabulary([])
 
     def test_save_load_round_trip_bit_exact(self, tmp_path):
-        v = build_vocabulary([["a", "dog"], ["a", "cat"]], 1)
+        v = build_vocabulary([["a", "dog"], ["a", "cat"]])
         path = tmp_path / "vocab.txt"
         v.save(path)
         first = path.read_bytes()
@@ -55,7 +50,7 @@ class TestBuildVocabulary:
 
     def test_digest_is_the_sha256_of_the_saved_file(self, tmp_path):
         path = tmp_path / "vocab.txt"
-        build_vocabulary([["a", "dog"], ["a", "cat", "zébra"]], 1).save(path)
+        build_vocabulary([["a", "dog"], ["a", "cat", "zébra"]]).save(path)
         assert Vocabulary.load(path).digest() == "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
 
     @pytest.mark.parametrize("words, line, word, first", [
