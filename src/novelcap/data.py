@@ -15,7 +15,6 @@ rule checked by ``make_world``; the split manifest is a single JSON document.
 
 import hashlib
 import json
-import re
 import string
 import sys
 from dataclasses import dataclass
@@ -26,7 +25,7 @@ from .config import read_json, read_key_values, text_lines
 from .errors import CoverageError, DomainError, ParseError, SchemaError
 from .memory import Detections
 from .numerics import FLOAT
-from .vocabulary import SPECIAL_TOKENS
+from .vocabulary import word_fault
 
 DEFAULT_INVENTORY = (
     "apple", "bear", "bird", "boat", "bottle", "bus", "car", "cat", "chair", "couch",
@@ -133,6 +132,8 @@ def make_world(names: tuple[str, ...] = DEFAULT_INVENTORY, dim: int = 32, seed: 
                distractor_score: tuple[float, float] = (0.5, 0.85)) -> SyntheticWorld:
     pools = _templates_by_slots(templates)  # a malformed template is refused here
     band = "0 <= low <= high <= 1"
+    bad_names = [name for name in names if word_fault(name)]
+    bad_templates = [t for t in templates if any(word_fault(tok) for tok in t.split())]  # split: no empty token
     for key, value, ok, rule in (
             ("dim", dim, dim >= 1, ">= 1"), ("latent_rank", latent_rank, latent_rank >= 1, ">= 1"),
             ("seed", seed, seed >= 0, ">= 0"), ("distractors", distractors, distractors >= 0, ">= 0"),
@@ -142,7 +143,9 @@ def make_world(names: tuple[str, ...] = DEFAULT_INVENTORY, dim: int = 32, seed: 
             ("distractor_score", distractor_score, 0 <= distractor_score[0] <= distractor_score[1] <= 1, band),
             ("inventory", names, len(names) >= 1, "non-empty"),
             ("inventory", names, len(set(names)) == len(names), "free of repeated names"),
-            ("templates", pools.get(0), 0 not in pools, "free of sentences with no {} slot")):
+            ("inventory", bad_names, not bad_names, "words: non-empty strings, no whitespace, no special token"),
+            ("templates", pools.get(0), 0 not in pools, "free of sentences with no {} slot"),
+            ("templates", bad_templates, not bad_templates, "free of special tokens")):
         if not ok:  # refused before any anchor is drawn
             raise DomainError(f"data: world {key} must be {rule}, got {value}")
     rng = np.random.default_rng(seed)
@@ -351,9 +354,6 @@ def _detection_table(rows: list, det_dim: tuple | None) -> Detections:
     return Detections(features, labels, [x["score"] for x in rows])
 
 
-_WHITESPACE = re.compile(r"\s")  # what str.split splits on
-
-
 def load_dataset(path) -> list[DatasetRecord]:
     records, first_line, repeats = [], {}, []
     dim = det_dim = None
@@ -372,10 +372,9 @@ def load_dataset(path) -> list[DatasetRecord]:
             for t in (t for ref in d["references"] for t in ref):  # a vocabulary file holds one word a line
                 if type(t) is not str:
                     raise TypeError("a reference token is not a JSON string")
-                if t in SPECIAL_TOKENS:
-                    raise ValueError(f"reference token {t!r} is a special token")
-                if _WHITESPACE.search(t):
-                    raise ValueError(f"reference token {t!r} holds whitespace")
+                fault = word_fault(t)
+                if fault:
+                    raise ValueError(f"reference token {t!r} {fault}")
             if type(d["detections"]) is not list or any(type(x) is not dict for x in d["detections"]):
                 raise TypeError("the detections are not a JSON list of objects")
             if any(type(x["label"]) is not int for x in d["detections"]):

@@ -78,11 +78,10 @@ class Detections:
 
 @dataclass
 class QueryResult:
-    """Outcome of a memory read. A (key_dim,) query gives one distribution
-    and class; a (P, key_dim) block gives one row and class per query."""
+    """Outcome of a memory read: one row and class per query of the block."""
 
-    distribution: np.ndarray  # (n_classes,), or (P, n_classes)
-    argmax_class: int | np.ndarray  # or (P,)
+    distribution: np.ndarray  # (P, n_classes)
+    argmax_class: np.ndarray  # (P,)
 
 
 class ObjectMemory:
@@ -124,13 +123,18 @@ def _write_slots(keys, labels, start: int, rows: Detections, key_dim: int, n_cla
     if start + n > len(labels):
         raise CapacityError(f"memory: capacity {len(labels)} exceeded; select top detections first")
     if n:
-        bad = next((label for label in rows.labels.tolist() if label >= n_classes), None)
-        if bad is not None:
-            raise DomainError(f"memory: label {bad} out of range for {n_classes} classes")
+        check_labels(rows.labels.tolist(), n_classes)
         if rows.features.shape[1:] != (key_dim,):
             raise ShapeError(f"memory: key shape {rows.features.shape[1:]} != ({key_dim},)")
         keys[start:start + n], labels[start:start + n] = rows.features, rows.labels
     return n
+
+
+def check_labels(labels: list[int], n_classes: int) -> None:
+    """Refuse the first label past ``n_classes`` classes, naming it."""
+    bad = next((label for label in labels if label >= n_classes), None)
+    if bad is not None:
+        raise DomainError(f"memory: label {bad} out of range for {n_classes} classes")
 
 
 def select_top_detections(dets: Detections, n_det: int) -> Detections:
@@ -174,8 +178,8 @@ def build_slots(detections: list[Detections], n_det: int, key_dim: int, n_classe
 
 
 def make_query(h_prev: np.ndarray, w_query: np.ndarray) -> np.ndarray:
-    """Project a decoder hidden state (hidden,), or a block of them (P,
-    hidden), into the detection-feature space: one query per state."""
+    """Project a block of decoder hidden states (P, hidden) into the
+    detection-feature space: the (P, key_dim) block ``memory_read`` takes."""
     if w_query.shape[1] != h_prev.shape[-1]:
         raise ShapeError(f"memory: query transform {w_query.shape} does not accept hidden state {h_prev.shape}")
     return h_prev @ w_query.T
@@ -198,19 +202,16 @@ def read_slots(queries: np.ndarray, slots: Slots, n_classes: int) -> tuple[np.nd
 
 
 def memory_read(q: np.ndarray, mem: ObjectMemory) -> QueryResult:
-    """``read_slots`` of a query (key_dim,) or a block (P, key_dim) against
-    the memory's written slots as one row. Argmax ties break toward the
-    lowest class."""
+    """``read_slots`` of a block of queries (P, key_dim) against the
+    memory's written slots as one row. Argmax ties break toward the lowest
+    class."""
     if mem.n == 0:
         raise EmptyMemoryError("memory: read on an empty memory")
-    if q.shape[-1:] != (mem.key_dim,) or q.ndim > 2:
-        raise ShapeError(f"memory: query shape {q.shape} does not match keys of length {mem.key_dim}")
+    if q.ndim != 2 or q.shape[1] != mem.key_dim:
+        raise ShapeError(f"memory: query shape {q.shape} is not a (P, {mem.key_dim}) block")
     one_row = Slots(mem._keys[None, :mem.n], mem._labels[None, :mem.n], np.array([mem.n]))
-    _, distribution = read_slots(q.reshape(-1, mem.key_dim), one_row, mem.n_classes)
-    classes = distribution.argmax(1)  # the first (lowest) index on ties
-    if q.ndim == 1:
-        return QueryResult(distribution[0], int(classes[0]))
-    return QueryResult(distribution, classes)
+    _, distribution = read_slots(q, one_row, mem.n_classes)
+    return QueryResult(distribution, distribution.argmax(1))  # the first (lowest) index on ties
 
 
 @dataclass

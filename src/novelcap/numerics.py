@@ -31,27 +31,27 @@ def softmax(x: np.ndarray) -> np.ndarray:
     return e
 
 
-def cross_entropy(logits: np.ndarray, target) -> tuple[float, np.ndarray]:
-    """Softmax cross-entropy loss and its gradient w.r.t. the logits.
+def cross_entropy(logits: np.ndarray, targets) -> tuple[float, np.ndarray]:
+    """Summed softmax cross-entropy of rows (n, classes) against n int
+    ``targets``, and its gradient w.r.t. the logits.
 
-    ``logits`` is one row (classes,) with an int ``target``, or rows
-    (n, classes) with n int targets, whose losses are summed.
-    loss = -log softmax(logits)[target], computed via logsumexp so
+    loss = -log softmax(logits)[target] per row, computed via logsumexp so
     saturated logits do not overflow. gradient = softmax(logits) - onehot.
     """
     logits = np.asarray(logits, dtype=FLOAT)
-    rows = logits.reshape(-1, logits.shape[-1])
-    target = np.asarray(target).reshape(-1)
-    if np.any((target < 0) | (target >= rows.shape[1])):
-        raise IndexError(f"numerics: cross_entropy target out of range for {rows.shape[1]} classes")
-    m = rows.max(axis=1, keepdims=True)
-    e = np.exp(rows - m)
+    targets = np.asarray(targets)
+    if logits.ndim != 2 or targets.shape != logits.shape[:1]:
+        raise ShapeError(f"numerics: cross_entropy logits {logits.shape} are not one row per target {targets.shape}")
+    if np.any((targets < 0) | (targets >= logits.shape[1])):
+        raise IndexError(f"numerics: cross_entropy target out of range for {logits.shape[1]} classes")
+    m = logits.max(axis=1, keepdims=True)
+    e = np.exp(logits - m)
     total = e.sum(axis=1, keepdims=True)
-    picked = np.arange(len(rows)), target
-    loss = float(np.sum(m[:, 0] + np.log(total[:, 0]) - rows[picked]))
+    picked = np.arange(len(logits)), targets
+    loss = float(np.sum(m[:, 0] + np.log(total[:, 0]) - logits[picked]))
     grad = e / total
     grad[picked] -= 1.0
-    return loss, grad.reshape(logits.shape)
+    return loss, grad
 
 
 @dataclass

@@ -27,9 +27,9 @@ from .config import TRAIN_MODES
 from .data import HeldOutSplit
 from .decoder import (CaptionModel, DecodeSnapshot, backward_pass, decode_greedy, forward_teacher_forced,
                       pad_sequences, sequence_loss)
-from .errors import ConfigError, NumericError
-from .memory import (Detections, Slots, build_memory, build_slots, make_query, memory_loss_forward,
-                     memory_read, read_loss_backward, select_top_detections)
+from .errors import ConfigError, DomainError, NumericError
+from .memory import (Detections, Slots, build_memory, build_slots, check_labels, make_query,
+                     memory_loss_forward, memory_read, read_loss_backward, select_top_detections)
 from .numerics import AdamState, adam_step
 from .vocabulary import PLACEHOLDER, DetectableSet, Vocabulary, mask_weights, rewrite_targets
 
@@ -84,9 +84,14 @@ class TrainingPairs:
            key_dim: int, max_steps: int | None = None) -> "TrainingPairs":
         """The pairs of ``examples``. Rewriting and masking are lookups over
         every word id, and pairs with the same detections table (the
-        references of one image) share one slot row."""
+        references of one image) share one slot row. A target id outside the
+        vocabulary is refused by value."""
+        n_words = len(pd.word_classes)
+        bad = next((t for ex in examples for t in ex.targets if not 0 <= t < n_words), None)
+        if bad is not None:  # a negative id would index from the end and train another word
+            raise DomainError(f"pipeline: target id {bad} is outside the {n_words}-word vocabulary")
         inputs, original, lengths = pad_sequences([ex.targets for ex in examples], go_id, pad_id, max_steps)
-        words = list(range(len(pd.word_classes)))
+        words = list(range(n_words))
         rewritten = np.array(rewrite_targets(words, pd))
         mask = np.array(mask_weights(words, pd))[original]
         images = {id(ex.detections): ex.detections for ex in examples}  # one entry per image
@@ -233,10 +238,10 @@ def make_captioner(model: CaptionModel, vocab: Vocabulary, det_map: DetectableSe
 
     Every mode decodes once; a sentence with placeholders is then filled
     by its mode's filler, which maps the (P, hidden) block of hidden
-    states before the placeholders to P words: the class words of one
-    memory read of the block ("dnoc"), a seeded uniformly random
-    top-detection label each ("no-memory"), or nothing ("no-placeholder").
-    A placeholder without a word stays in the output as the literal token.
+    states before the placeholders to P classes: one memory read of the
+    block ("dnoc"), a seeded uniformly random top-detection label each
+    ("no-memory"), or nothing ("no-placeholder"). Each class is written as
+    its word; a placeholder without one stays as the literal token.
 
     The captioner reads the model's weights once, here: it captions with
     a snapshot of them, and later updates to ``model`` do not reach it.
@@ -249,15 +254,15 @@ def make_captioner(model: CaptionModel, vocab: Vocabulary, det_map: DetectableSe
             mem = build_memory(rec.detections, cfg.n_det, snapshot.weights.key_dim, det_map.n_classes)
             if mem.n == 0:
                 return None
-            classes = memory_read(make_query(hiddens, snapshot.weights.w_query), mem).argmax_class
-            return [det_map.word_for_class(c) for c in classes.tolist()]
+            return memory_read(make_query(hiddens, snapshot.weights.w_query), mem).argmax_class.tolist()
     elif mode == "no-memory":
         def filler(rec, hiddens):
             labels = select_top_detections(rec.detections, cfg.n_det).labels.tolist()
             if not labels:
                 return None
+            check_labels(labels, det_map.n_classes)  # as the dnoc fill's memory write would
             rng = np.random.default_rng([cfg.seed, zlib.crc32(rec.image_id.encode())])
-            return [det_map.word_for_class(labels[int(rng.integers(len(labels)))]) for _ in hiddens]
+            return [labels[int(rng.integers(len(labels)))] for _ in hiddens]
     else:
         def filler(rec, hiddens):
             return None
@@ -268,10 +273,10 @@ def make_captioner(model: CaptionModel, vocab: Vocabulary, det_map: DetectableSe
         trace = decode_greedy(rec.feature, snapshot, vocab.go_id, vocab.eos_id,
                               vocab.placeholder_id, cfg.max_steps)
         positions = trace.placeholder_positions
-        words = filler(rec, trace.hiddens[positions]) if positions else []
+        classes = filler(rec, trace.hiddens[positions]) if positions else []
         tokens = [vocab.word_of(tok_id) for tok_id in trace.ids if tok_id not in skip]  # a placeholder is <PL>
-        if words is None:
+        if classes is None:
             return Caption(tokens=tokens, placeholder_count_unfilled=len(positions))
-        fills = iter(words)
+        fills = (det_map.class_words[c] for c in classes)
         return Caption(tokens=[next(fills) if tok == PLACEHOLDER else tok for tok in tokens])
     return captioner

@@ -9,6 +9,7 @@ and ``digest`` hashes it into the checkpoint's vocabulary reference.
 """
 
 import hashlib
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -24,6 +25,22 @@ UNKNOWN = "<UNKNOWN>"
 PLACEHOLDER = "<PL>"
 
 SPECIAL_TOKENS = (GO, EOS, PAD, UNKNOWN, PLACEHOLDER)
+_WHITESPACE = re.compile(r"\s")  # what str.split splits on
+
+
+def word_fault(word: str) -> str | None:
+    """Why ``word`` is not one vocabulary word (a non-empty string, no
+    whitespace, not a special token), or None: the one word rule of reference
+    tokens, world inventory names and templates, and detection class names."""
+    if type(word) is not str:
+        return "is not a string"
+    if not word:
+        return "is empty"
+    if word in SPECIAL_TOKENS:
+        return "is a special token"
+    if _WHITESPACE.search(word):
+        return "holds whitespace"
+    return None
 
 
 @dataclass(frozen=True)
@@ -67,10 +84,6 @@ class Vocabulary:
     @property
     def placeholder_id(self) -> int:
         return self.index[PLACEHOLDER]
-
-    @property
-    def special_ids(self) -> frozenset[int]:
-        return frozenset(self.index[tok] for tok in SPECIAL_TOKENS)
 
     def id_of(self, word: str) -> int:
         """Id for a surface word; unknown words map to <UNKNOWN>."""
@@ -144,27 +157,26 @@ class DetectableSet:
     def n_classes(self) -> int:
         return len(self.class_words)
 
-    def word_for_class(self, class_index: int) -> str:
-        return self.class_words[class_index]
-
 
 def intersect_detectable(vocab: Vocabulary, detection_classes: list[str]) -> DetectableSet:
     """Intersect the vocabulary with the detector's class-name list.
 
-    Class names must be single lowercase tokens. An empty intersection is
-    legal; out-of-vocabulary classes are marked novel.
+    Class names must be words (``word_fault``); a name that is not, or
+    that repeats, is refused by name. An empty intersection is legal;
+    out-of-vocabulary classes are marked novel.
     """
     seen = set()
     for name in detection_classes:
-        if " " in name or not name:
-            raise DomainError(f"vocabulary: detection class {name!r} is not a single token")
+        fault = word_fault(name)
+        if fault:
+            raise DomainError(f"vocabulary: detection class {name!r} {fault}")
         if name in seen:
             raise DomainError(f"vocabulary: duplicate detection class {name!r}")
         seen.add(name)
     word_classes = np.full(vocab.size, -1, dtype=np.intp)
     for c, name in enumerate(detection_classes):
         wid = vocab.index.get(name)
-        if wid is not None and wid not in vocab.special_ids:
+        if wid is not None:
             word_classes[wid] = c
     return DetectableSet(
         class_words=tuple(detection_classes),

@@ -374,6 +374,16 @@ class TestTemplates:
             small_world(templates=("a {} is here", template))
         assert str(err.value) == f"data: world templates must be free of sentences with no {{}} slot, got {[template]}"
 
+    @pytest.mark.parametrize("template", ["a {} is in the <PL>", "<EOS> {}", "a {} and <UNKNOWN> {}"])
+    def test_a_template_holding_a_special_token_is_refused_before_any_anchor(self, monkeypatch, template):
+        # generation would write the token into references, which load_dataset then refuses
+        def no_anchors(*args):
+            raise AssertionError("anchors drawn")
+        monkeypatch.setattr(datamod, "_make_anchors", no_anchors)
+        with pytest.raises(DomainError) as err:
+            small_world(templates=("a {} is here", template, "a {} and a {}"))
+        assert str(err.value) == f"data: world templates must be free of special tokens, got {[template]}"
+
     def test_escaped_braces_are_literal_text_not_slots(self):
         world = small_world(templates=("a {} and {{}} here",))
         for rec in generate_synthetic(world, 12, objects_per_image=(1, 1)):
@@ -452,6 +462,16 @@ class TestWorldConfig:
             load_world_config(path)
         assert str(caught.value) == ("data: world inventory must be free of repeated names, "
                                      "got ['dog', 'dog', 'cat', 'bird']")
+
+    @pytest.mark.parametrize("name", ["<PL>", "<GO>", "ice cream", "big\tdog", "", 5])
+    def test_an_inventory_name_that_is_not_a_word_is_refused_by_key_before_any_anchor(self, monkeypatch, name):
+        def no_anchors(*args):
+            raise AssertionError("anchors drawn")
+        monkeypatch.setattr(datamod, "_make_anchors", no_anchors)
+        with pytest.raises(DomainError) as caught:
+            small_world(names=("dog", "cat", name, "bus", "tree"))
+        assert str(caught.value) == ("data: world inventory must be words: non-empty strings, no whitespace, "
+                                     f"no special token, got {[name]}")
 
     @pytest.mark.parametrize("key", ["latent_rank", "dim"])
     @pytest.mark.parametrize("value", [0, -2])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -49,7 +50,7 @@ def read_loss(q, mem, target_class):
     """(loss, reads) of one read of ``mem`` with query ``q``: the batched
     memory loss over one masked step whose word is ``target_class``'s,
     through an identity query transform."""
-    word = CLASS_VOCAB.index[CLASS_MAP.word_for_class(target_class)]
+    word = CLASS_VOCAB.index[CLASS_MAP.class_words[target_class]]
     return memory_loss_forward(np.reshape(q, (1, 1, -1)), np.array([[word]]), [1], CLASS_MAP, as_slots(mem),
                                np.eye(len(q)))
 
@@ -194,29 +195,29 @@ class TestMakeQuery:
 class TestMemoryRead:
     def test_single_slot_is_one_hot(self):
         mem = memory_of(([0.3, -4.0], 2))
-        result = memory_read(np.array([17.0, 0.01]), mem)
-        assert np.allclose(result.distribution, [0.0, 0.0, 1.0])
-        assert result.argmax_class == 2
+        result = memory_read(np.array([[17.0, 0.01]]), mem)
+        assert np.allclose(result.distribution[0], [0.0, 0.0, 1.0])
+        assert result.argmax_class[0] == 2
 
     def test_two_slot_hand_softmax(self):
         # q.k1 = 2, q.k2 = 0 -> weights e^2/(e^2+1), 1/(e^2+1)
         mem = memory_of(([2.0, 0.0], 0), ([0.0, 2.0], 1))
-        result = memory_read(np.array([1.0, 0.0]), mem)
+        result = memory_read(np.array([[1.0, 0.0]]), mem)
         w0 = math.exp(2.0) / (math.exp(2.0) + 1.0)
-        assert abs(result.distribution[0] - w0) < 1e-4
-        assert abs(result.distribution[0] - 0.8808) < 1e-4
-        assert abs(result.distribution[1] - 0.1192) < 1e-4
-        assert result.argmax_class == 0
+        assert abs(result.distribution[0][0] - w0) < 1e-4
+        assert abs(result.distribution[0][0] - 0.8808) < 1e-4
+        assert abs(result.distribution[0][1] - 0.1192) < 1e-4
+        assert result.argmax_class[0] == 0
 
     def test_identical_keys_tie_breaks_low(self):
         mem = memory_of(([1.0, 1.0], 1), ([1.0, 1.0], 0))
-        result = memory_read(np.array([0.5, 0.5]), mem)
-        assert np.allclose(result.distribution[:2], [0.5, 0.5])
-        assert result.argmax_class == 0
+        result = memory_read(np.array([[0.5, 0.5]]), mem)
+        assert np.allclose(result.distribution[0][:2], [0.5, 0.5])
+        assert result.argmax_class[0] == 0
 
     def test_empty_memory(self):
         mem = ObjectMemory(4, key_dim=2, n_classes=3)
-        for q in (np.zeros(2), np.zeros((3, 2))):  # one query, or a block
+        for q in (np.zeros((1, 2)), np.zeros((3, 2))):  # one query, or a block
             with pytest.raises(EmptyMemoryError):
                 memory_read(q, mem)
 
@@ -229,14 +230,14 @@ class TestMemoryRead:
         labels = [data.draw(st.integers(0, n_classes - 1)) for _ in range(n)]
         q = np.array(data.draw(st.lists(st.floats(-3, 3), min_size=2, max_size=2)))
         mem = memory_of(*zip(keys, labels), n_classes=n_classes)
-        result = memory_read(q, mem)
+        result = memory_read(q[None], mem)
         oracle = brute_force_read(q, keys, labels, n_classes)
-        assert np.all(np.abs(result.distribution - oracle) < 1e-9)
-        assert abs(result.distribution.sum() - 1.0) < 1e-9
+        assert np.all(np.abs(result.distribution[0] - oracle) < 1e-9)
+        assert abs(result.distribution[0].sum() - 1.0) < 1e-9
         perm = np.random.default_rng(0).permutation(n)
         mem2 = memory_of(*[(keys[i], labels[i]) for i in perm], n_classes=n_classes)
-        result2 = memory_read(q, mem2)
-        assert np.all(np.abs(result.distribution - result2.distribution) < 1e-12)
+        result2 = memory_read(q[None], mem2)
+        assert np.all(np.abs(result.distribution[0] - result2.distribution[0]) < 1e-12)
 
     def test_block_read_equals_single_reads(self):
         rng = np.random.default_rng(11)
@@ -252,16 +253,16 @@ class TestMemoryRead:
             result = memory_read(block, mem)
             assert result.distribution.shape == (len(block), 6)
             for p, q in enumerate(block):
-                single = memory_read(q, mem)
-                assert np.abs(result.distribution[p] - single.distribution).max() <= 1e-12
-                assert result.argmax_class[p] == single.argmax_class
+                single = memory_read(q[None], mem)
+                assert np.abs(result.distribution[p] - single.distribution[0]).max() <= 1e-12
+                assert result.argmax_class[p] == single.argmax_class[0]
         result = memory_read(cases[-1][1], tied)
         assert result.argmax_class.tolist() == [2, 1, 2, 3]  # ties break toward the lowest class
 
     def test_query_of_the_wrong_length_is_a_shape_error(self):
         mem = memory_of(([1.0, 0.0], 0))
-        for q in (np.zeros(3), np.zeros((2, 3)), np.zeros((1, 1, 2))):
-            with pytest.raises(ShapeError, match="query shape"):
+        for q in (np.zeros(3), np.zeros((2, 3)), np.zeros((1, 1, 2)), np.zeros(2)):  # a query is a (P, 2) block
+            with pytest.raises(ShapeError, match=f"^memory: query shape {re.escape(str(q.shape))} "):
                 memory_read(q, mem)
 
     def test_single_slot_argmax_invariant_to_query_scale(self):
@@ -269,18 +270,18 @@ class TestMemoryRead:
         # for larger memories
         mem = memory_of(([0.4, -1.2], 1))
         for scale in (0.1, 1.0, 25.0):
-            result = memory_read(scale * np.array([2.0, 0.5]), mem)
-            assert result.argmax_class == 1
+            result = memory_read(scale * np.array([[2.0, 0.5]]), mem)
+            assert result.argmax_class[0] == 1
 
     def test_duplicate_slot_shifts_probability_monotonically(self):
         key, label = [1.0, -0.5], 1
         others = [([0.2, 0.8], 0), ([0.4, 0.1], 2)]
-        q = np.array([0.7, 0.3])
+        q = np.array([[0.7, 0.3]])
         probs = []
         for copies in (1, 2, 3):
             mem = memory_of(*others, *([(key, label)] * copies), n_classes=3, capacity=8)
             result = memory_read(q, mem)
-            probs.append(result.distribution[label])
+            probs.append(result.distribution[0][label])
         assert probs[0] < probs[1] < probs[2]
 
 

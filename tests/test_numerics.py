@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -49,27 +50,34 @@ class TestSoftmax:
 
 class TestCrossEntropy:
     def test_uniform_four_classes(self):
-        loss, _ = cross_entropy(np.zeros(4), 2)
+        loss, _ = cross_entropy(np.zeros((1, 4)), [2])
         assert abs(loss - math.log(4)) < 1e-12
 
     def test_saturated_correct(self):
-        loss, _ = cross_entropy(np.array([30.0, -30.0]), 0)
+        loss, _ = cross_entropy(np.array([[30.0, -30.0]]), [0])
         assert loss < 1e-9
 
     def test_two_class_hand_value(self):
-        loss, _ = cross_entropy(np.array([2.0, 0.0]), 1)
+        loss, _ = cross_entropy(np.array([[2.0, 0.0]]), [1])
         assert abs(loss - (-math.log(0.11920292202211755))) < 1e-12
         assert abs(loss - 2.1269) < 1e-3
 
     def test_target_out_of_range(self):
         with pytest.raises(IndexError):
-            cross_entropy(np.zeros(3), 3)
+            cross_entropy(np.zeros((1, 3)), [3])
 
     @given(st.lists(st.floats(-30, 30), min_size=2, max_size=8), st.data())
     def test_gradient_sums_to_zero(self, values, data):
         target = data.draw(st.integers(0, len(values) - 1))
-        _, grad = cross_entropy(np.array(values), target)
+        _, grad = cross_entropy(np.array([values]), [target])
         assert abs(grad.sum()) < 1e-9
+
+    @pytest.mark.parametrize("logits_shape, targets", [((4,), 2), ((4,), [2]), ((2, 4), [1]),
+                                                       ((1, 2, 4), [[1, 0]])])
+    def test_logits_that_are_not_one_row_per_target_are_a_shape_error(self, logits_shape, targets):
+        shapes = f"logits {logits_shape} are not one row per target {np.shape(targets)}"
+        with pytest.raises(ShapeError, match=f"^numerics: cross_entropy {re.escape(shapes)}$"):
+            cross_entropy(np.zeros(logits_shape), targets)
 
 
 class TestAdam:

@@ -123,7 +123,8 @@ class TestDataset:
         ("big dog", "holds whitespace"),
         ("dog\t", "holds whitespace"),
         (" ", "holds whitespace"),
-        ("no\xa0break", "holds whitespace")])  # str.split splits on it too
+        ("no\xa0break", "holds whitespace"),  # str.split splits on it too
+        ("", "is empty")])  # a vocabulary line of its own that no sentence can hold
     def test_a_reference_token_that_is_reserved_or_holds_whitespace(self, tmp_path, token, message):
         bad = dict(GOOD_RECORD, references=[["a", "dog"], ["a", token, "dog", "<PAD>"]])  # the first is named
         path = write_lines(tmp_path / "d.jsonl", json.dumps(GOOD_RECORD), json.dumps(bad))

@@ -16,7 +16,7 @@ from novelcap.memory import Detections
 from novelcap.numerics import AdamState, adam_step
 from novelcap.pipeline import (CLIP_NORM, TrainExample, TrainingPairs, batch_losses, clip_gradients,
                                example_losses, joint_loss, make_captioner, train_step)
-from novelcap.vocabulary import PLACEHOLDER, build_vocabulary, intersect_detectable
+from novelcap.vocabulary import PLACEHOLDER, SPECIAL_TOKENS, build_vocabulary, intersect_detectable
 
 
 def small_setup(seed=0):
@@ -85,7 +85,7 @@ def ragged_example(kind, n_steps, rng):
     has no detection, "cut" has its annotated class below the top-n_det
     cut, and "read" has its annotated class in the memory."""
     vocab, det_map, model = RAGGED_WORLD
-    words = [i for i in range(vocab.size) if i not in vocab.special_ids]
+    words = [i for i in range(vocab.size) if vocab.words[i] not in SPECIAL_TOKENS]
     plain = [i for i in words if det_map.word_classes[i] < 0]
     targets = [int(i) for i in rng.choice(plain if kind == "plain" else words, n_steps)]
     word = int(rng.choice(np.flatnonzero(det_map.word_classes >= 0)))
@@ -289,6 +289,18 @@ def test_train_model_refuses_a_mode_it_cannot_train_before_building_pairs(mode, 
         pipeline.train_model(split, vocab, det_map, RunConfig(epochs=1), mode=mode)
 
 
+@pytest.mark.parametrize("target", [99, -3, 9])
+def test_a_target_id_outside_the_vocabulary_is_refused_by_value(target):
+    # 99 indexed past the rewrite table; -3 indexed from its end and trained word id 6
+    vocab = build_vocabulary([["a", "dog", "is", "here"]])
+    det_map = intersect_detectable(vocab, ["dog", "cake"])
+    model = CaptionModel(vocab.size, hidden_size=4, embed_size=4, image_dim=2, key_dim=2, seed=0)
+    dets = Detections([[1.0, 0.0], [0.0, 1.0]], [0, 1], [0.9, 0.8])
+    with pytest.raises(DomainError, match=f"^pipeline: target id {target} is outside the 9-word vocabulary$"):
+        example_losses(model, np.zeros(2), [vocab.id_of("a"), target, vocab.eos_id], dets, det_map,
+                       go_id=vocab.go_id, pad_id=vocab.pad_id, n_det=2)
+
+
 def test_make_captioner_refuses_an_unknown_mode():
     _, _, vocab, det_map = small_setup()
     with pytest.raises(ConfigError, match="^pipeline: unknown captioning mode 'dnco'$"):
@@ -392,6 +404,13 @@ class TestFillPlaceholders:
         vocab, det_map, model, rec, _ = fig3_setup(monkeypatch)
         with pytest.raises(DomainError, match=f"^memory: capacity must be >= 1, got {n_det}$"):
             caption(model, vocab, det_map, rec, mode=mode, n_det=n_det)
+
+    @pytest.mark.parametrize("mode", ["dnoc", "no-memory"])
+    def test_both_fills_refuse_a_top_label_past_the_classes_alike(self, monkeypatch, mode):
+        vocab, det_map, model, rec, _ = fig3_setup(monkeypatch)
+        rec = dataclasses.replace(rec, detections=Detections([[3.0, 0.0], [0.0, 3.0]], [5, 1], [0.9, 0.8]))
+        with pytest.raises(DomainError, match="^memory: label 5 out of range for 2 classes$"):
+            caption(model, vocab, det_map, rec, mode=mode)
 
     def test_filling_is_pure_post_process(self, monkeypatch):
         vocab, det_map, model, rec, trace = fig3_setup(monkeypatch)

@@ -573,7 +573,7 @@ def per_placeholder_captioner(model, vocab, det_map, cfg, mode):
                 distribution = np.bincount(mem.labels, softmax(mem.keys @ (w_query @ h_prev)),
                                            minlength=mem.n_classes)
                 reads.append(distribution)
-                return det_map.word_for_class(int(np.argmax(distribution)))
+                return det_map.class_words[int(np.argmax(distribution))]
             return fill
         labels = [row.labels.item() for row in top_rows(rec.detections, cfg.n_det)]
         if not labels:
@@ -582,7 +582,7 @@ def per_placeholder_captioner(model, vocab, det_map, cfg, mode):
 
         def draw(h_prev):
             reads.append(None)
-            return det_map.word_for_class(labels[int(rng.integers(len(labels)))])
+            return det_map.class_words[labels[int(rng.integers(len(labels)))]]
         return draw
 
     skip = {vocab.go_id, vocab.pad_id, vocab.eos_id}

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -77,7 +78,7 @@ class TestIntersectDetectable:
         v = vocab_from(["a", "dog", "cat"])
         det = intersect_detectable(v, ["dog", "zebra"])
         assert detectable_ids(det) == {v.index["dog"]}
-        assert det.word_for_class(1) == "zebra"
+        assert det.class_words[1] == "zebra"
         assert det.word_classes.shape == (v.size,)
         assert det.word_classes[v.index["dog"]] == 0 and 1 not in det.word_classes.tolist()
 
@@ -88,9 +89,9 @@ class TestIntersectDetectable:
 
     def test_full_overlap_excludes_specials(self):
         v = vocab_from(["a", "dog", "cat"])
-        det = intersect_detectable(v, ["a", "dog", "cat", PLACEHOLDER])
+        det = intersect_detectable(v, ["a", "dog", "cat"])  # a special class name is refused below
         assert detectable_ids(det) == {v.index["a"], v.index["dog"], v.index["cat"]}
-        assert not (detectable_ids(det) & v.special_ids)
+        assert not (detectable_ids(det) & {v.index[tok] for tok in SPECIAL_TOKENS})
 
     def test_word_to_class_injective_on_non_novel(self):
         v = vocab_from(["a", "dog", "cat"])
@@ -98,7 +99,7 @@ class TestIntersectDetectable:
         classes = [c for c in det.word_classes.tolist() if c >= 0]
         assert len(classes) == len(set(classes))
         for c in range(det.n_classes):
-            word = det.word_for_class(c)
+            word = det.class_words[c]
             if word in v.index:
                 assert det.word_classes[v.index[word]] == c
 
@@ -106,6 +107,19 @@ class TestIntersectDetectable:
         v = vocab_from(["a", "dog"])
         with pytest.raises(DomainError):
             intersect_detectable(v, ["hot dog"])
+
+    @pytest.mark.parametrize("name, fault", [
+        (PLACEHOLDER, "is a special token"),  # a filled caption would hold a literal <PL>
+        ("<PAD>", "is a special token"),
+        ("a\tb", "holds whitespace"),
+        ("hot dog", "holds whitespace"),
+        ("no\xa0break", "holds whitespace"),
+        ("", "is empty"),
+        (5, "is not a string")])
+    def test_a_class_name_that_is_not_a_word_is_refused_by_name(self, name, fault):
+        v = vocab_from(["a", "dog"])
+        with pytest.raises(DomainError, match=f"^vocabulary: detection class {re.escape(repr(name))} {fault}$"):
+            intersect_detectable(v, ["dog", name])
 
 
 FIG_SENTENCE = ["a", "dog", "is", "looking", "at", "a", "cake"]
