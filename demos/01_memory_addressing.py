@@ -33,13 +33,13 @@ print(f"\nmemory holds {mem.n} slots")
 print("\nreads with increasingly dog-like queries:")
 for alpha in (0.0, 0.5, 1.0, 2.0):
     q = np.array([alpha, 1.0 - min(alpha, 1.0), 0.0])
-    result = memory_read(q[None], mem)  # a block of one query
-    dist = ", ".join(f"{names[c]}={p:.3f}" for c, p in enumerate(result.distribution[0]))
-    print(f"  q={q} -> argmax={names[result.argmax_class[0]]:5s}  ({dist})")
+    [row] = memory_read(q[None], mem)  # a block of one query, one class distribution
+    dist = ", ".join(f"{names[c]}={p:.3f}" for c, p in enumerate(row))
+    print(f"  q={q} -> argmax={names[row.argmax()]:5s}  ({dist})")
 
 print("\nslot order never matters (content-based addressing):")
 shuffled = ObjectMemory(capacity=4, key_dim=3, n_classes=3).write(detections.take([2, 1, 0]))
 q = rng.normal(size=(1, 3))
 a = memory_read(q, mem)
 b = memory_read(q, shuffled)
-print(f"  max |difference| = {np.max(np.abs(a.distribution - b.distribution)):.2e}")
+print(f"  max |difference| = {np.max(np.abs(a - b)):.2e}")

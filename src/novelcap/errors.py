@@ -22,10 +22,6 @@ class CapacityError(NovelcapError):
     """Memory slot capacity exceeded."""
 
 
-class EmptyMemoryError(NovelcapError):
-    """Read attempted on a memory with no slots."""
-
-
 class NumericError(NovelcapError):
     """Non-finite value where a finite one is required."""
 

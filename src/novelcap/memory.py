@@ -13,7 +13,7 @@ with a (P, key_dim) block of queries, one per placeholder; training reads
 are built the same way: ``select_top_detections``, the one top-n cut,
 then ``_write_slots``, the one slot writer and its checks. A table is the
 one way detections enter a memory, read from a file or built by hand,
-and a ``QueryResult`` is the one thing a read returns.
+and a read returns its (P, n_classes) class distribution.
 """
 
 import logging
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, EmptyMemoryError, ShapeError
+from .errors import CapacityError, DomainError, ShapeError
 from .numerics import FLOAT, softmax
 from .numerics import cross_entropy  # noqa: F401 -- not called here; the benchmark's traced run wraps it
 
@@ -74,14 +74,6 @@ class Detections:
         out.labels = self.labels.take(rows)
         out.scores = self.scores.take(rows)
         return out
-
-
-@dataclass
-class QueryResult:
-    """Outcome of a memory read: one row and class per query of the block."""
-
-    distribution: np.ndarray  # (P, n_classes)
-    argmax_class: np.ndarray  # (P,)
 
 
 class ObjectMemory:
@@ -201,17 +193,16 @@ def read_slots(queries: np.ndarray, slots: Slots, n_classes: int) -> tuple[np.nd
     return weights, distribution.reshape(n_rows, n_classes)
 
 
-def memory_read(q: np.ndarray, mem: ObjectMemory) -> QueryResult:
-    """``read_slots`` of a block of queries (P, key_dim) against the
-    memory's written slots as one row. Argmax ties break toward the lowest
-    class."""
+def memory_read(q: np.ndarray, mem: ObjectMemory) -> np.ndarray:
+    """The (P, n_classes) class distribution of ``read_slots`` for a block
+    of queries (P, key_dim) against the memory's written slots as one row;
+    an empty memory is refused."""
     if mem.n == 0:
-        raise EmptyMemoryError("memory: read on an empty memory")
+        raise DomainError("memory: read on an empty memory")
     if q.ndim != 2 or q.shape[1] != mem.key_dim:
         raise ShapeError(f"memory: query shape {q.shape} is not a (P, {mem.key_dim}) block")
     one_row = Slots(mem._keys[None, :mem.n], mem._labels[None, :mem.n], np.array([mem.n]))
-    _, distribution = read_slots(q, one_row, mem.n_classes)
-    return QueryResult(distribution, distribution.argmax(1))  # the first (lowest) index on ties
+    return read_slots(q, one_row, mem.n_classes)[1]
 
 
 @dataclass

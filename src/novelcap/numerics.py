@@ -43,7 +43,7 @@ def cross_entropy(logits: np.ndarray, targets) -> tuple[float, np.ndarray]:
     if logits.ndim != 2 or targets.shape != logits.shape[:1]:
         raise ShapeError(f"numerics: cross_entropy logits {logits.shape} are not one row per target {targets.shape}")
     if np.any((targets < 0) | (targets >= logits.shape[1])):
-        raise IndexError(f"numerics: cross_entropy target out of range for {logits.shape[1]} classes")
+        raise DomainError(f"numerics: cross_entropy target out of range for {logits.shape[1]} classes")
     m = logits.max(axis=1, keepdims=True)
     e = np.exp(logits - m)
     total = e.sum(axis=1, keepdims=True)

@@ -254,7 +254,8 @@ def make_captioner(model: CaptionModel, vocab: Vocabulary, det_map: DetectableSe
             mem = build_memory(rec.detections, cfg.n_det, snapshot.weights.key_dim, det_map.n_classes)
             if mem.n == 0:
                 return None
-            return memory_read(make_query(hiddens, snapshot.weights.w_query), mem).argmax_class.tolist()
+            distribution = memory_read(make_query(hiddens, snapshot.weights.w_query), mem)
+            return distribution.argmax(1).tolist()  # argmax takes the first, so a tie goes to the lowest class
     elif mode == "no-memory":
         def filler(rec, hiddens):
             labels = select_top_detections(rec.detections, cfg.n_det).labels.tolist()

@@ -113,15 +113,23 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        """The vocabulary ``save`` wrote; a word listed twice is a ParseError
-        naming the word and both of its lines."""
+        """The vocabulary ``save`` wrote. A ParseError names the first line
+        at fault, one that is neither a special token nor a word
+        (``word_fault``) or a word listed twice (with its first line), and
+        then a missing special token by the token."""
         index: dict[str, int] = {}
         for line_no, line in text_lines(path, "vocabulary"):
             word = line.rstrip("\n")
+            fault = None if word in SPECIAL_TOKENS else word_fault(word)
+            if fault:
+                raise ParseError(f"vocabulary: line {line_no}: word {word!r} {fault}")
             if word in index:
                 raise ParseError(f"vocabulary: line {line_no}: word {word!r} is listed twice "
                                  f"(first on line {index[word] + 1})")
             index[word] = line_no - 1
+        missing = next((tok for tok in SPECIAL_TOKENS if tok not in index), None)
+        if missing:
+            raise ParseError(f"vocabulary: special token {missing} is missing")
         return cls(words=tuple(index))
 
 

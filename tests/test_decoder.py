@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 
 from novelcap import decoder
+from novelcap.data import generate_synthetic, make_world
 from novelcap.decoder import (CaptionModel, DecodeSnapshot, _cell, _halve_sigmoid_gates, decode_greedy,
                               forward_teacher_forced, init_state, pad_sequences, sequence_loss)
 from novelcap.errors import DomainError, NumericError, ShapeError
-from novelcap.vocabulary import build_vocabulary
+from novelcap.numerics import AdamState
+from novelcap.pipeline import TrainExample, TrainingPairs, train_step
+from novelcap.vocabulary import build_vocabulary, intersect_detectable
 
 
 def tiny_vocab():
@@ -488,3 +491,38 @@ def test_gate_table_decode_matches_reference_on_caption_workload(tmp_path):
     assert n_records == len(ORACLE_SEEDS) * wl.CAPTION_RECORDS
     assert not flips, f"{len(flips)} argmax flips:\n" + "\n".join(flips)
     assert worst < 1e-12, worst
+
+
+def test_teacher_forcing_the_greedy_ids_walks_the_decode_bit_for_bit():
+    """Teacher-forcing a greedy decode's own ids (<GO>, then every id but
+    the last) as a batch of one walks the decode's hidden states bit for
+    bit: both passes add a gate-table row to a (1, hidden) or (hidden,)
+    recurrent product and step the same cell. The model is trained briefly
+    on a small world, so its decodes are sentences with placeholders. Each
+    record whose states differ is listed with the first position that
+    differs."""
+    world = make_world(names=("dog", "cat", "bus", "tree"), dim=8, seed=3, noise_scale=0.05, latent_rank=4)
+    records = generate_synthetic(world, 60, objects_per_image=(1, 2))
+    v = build_vocabulary([ref for rec in records for ref in rec.references])
+    pairs = TrainingPairs.of([TrainExample(rec.feature, v.encode(ref, append_eos=True), rec.detections)
+                              for rec in records for ref in rec.references],
+                             intersect_detectable(v, list(world.names)), go_id=v.go_id, pad_id=v.pad_id,
+                             n_det=4, key_dim=8)
+    model = CaptionModel(v.size, hidden_size=24, embed_size=8, image_dim=8, key_dim=8, seed=0)
+    opt = AdamState.for_param(model.theta, lr=0.02)
+    for _ in range(30):
+        for start in range(0, len(pairs), 16):
+            train_step(np.arange(start, min(start + 16, len(pairs))), pairs, model, opt)
+    snapshot = DecodeSnapshot.of(model)
+    differ, n_placeholders = [], 0
+    for rec in records:
+        trace = decode_greedy(rec.feature, snapshot, v.go_id, v.eos_id, v.placeholder_id, max_steps=12)
+        inputs = np.array([[v.go_id, *trace.ids[:-1]]]).T
+        cache = forward_teacher_forced(inputs, np.array([trace.ids]).T, np.array([len(trace.ids)]),
+                                       rec.feature[None], model)
+        unequal = np.flatnonzero((cache.hiddens[:, 0] != trace.hiddens).any(axis=1))
+        if unequal.size:
+            differ.append(f"{rec.image_id} position {unequal[0]} of {len(trace.ids)}")
+        n_placeholders += len(trace.placeholder_positions)
+    assert not differ, f"{len(differ)} of {len(records)} records differ:\n" + "\n".join(differ)
+    assert n_placeholders >= len(records)  # the decodes are captions, not one repeated token

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from novelcap.errors import CapacityError, DomainError, EmptyMemoryError, ShapeError
+from novelcap.errors import CapacityError, DomainError, ShapeError
 from novelcap.memory import (Detections, ObjectMemory, Slots, build_memory, build_slots, make_query,
                              memory_loss_forward, memory_read, read_loss_backward, read_slots,
                              select_top_detections)
@@ -195,30 +195,30 @@ class TestMakeQuery:
 class TestMemoryRead:
     def test_single_slot_is_one_hot(self):
         mem = memory_of(([0.3, -4.0], 2))
-        result = memory_read(np.array([[17.0, 0.01]]), mem)
-        assert np.allclose(result.distribution[0], [0.0, 0.0, 1.0])
-        assert result.argmax_class[0] == 2
+        dist = memory_read(np.array([[17.0, 0.01]]), mem)
+        assert np.allclose(dist[0], [0.0, 0.0, 1.0])
+        assert dist[0].argmax() == 2
 
     def test_two_slot_hand_softmax(self):
         # q.k1 = 2, q.k2 = 0 -> weights e^2/(e^2+1), 1/(e^2+1)
         mem = memory_of(([2.0, 0.0], 0), ([0.0, 2.0], 1))
-        result = memory_read(np.array([[1.0, 0.0]]), mem)
+        dist = memory_read(np.array([[1.0, 0.0]]), mem)
         w0 = math.exp(2.0) / (math.exp(2.0) + 1.0)
-        assert abs(result.distribution[0][0] - w0) < 1e-4
-        assert abs(result.distribution[0][0] - 0.8808) < 1e-4
-        assert abs(result.distribution[0][1] - 0.1192) < 1e-4
-        assert result.argmax_class[0] == 0
+        assert abs(dist[0][0] - w0) < 1e-4
+        assert abs(dist[0][0] - 0.8808) < 1e-4
+        assert abs(dist[0][1] - 0.1192) < 1e-4
+        assert dist[0].argmax() == 0
 
     def test_identical_keys_tie_breaks_low(self):
         mem = memory_of(([1.0, 1.0], 1), ([1.0, 1.0], 0))
-        result = memory_read(np.array([[0.5, 0.5]]), mem)
-        assert np.allclose(result.distribution[0][:2], [0.5, 0.5])
-        assert result.argmax_class[0] == 0
+        dist = memory_read(np.array([[0.5, 0.5]]), mem)
+        assert np.allclose(dist[0][:2], [0.5, 0.5])
+        assert dist[0].argmax() == 0
 
     def test_empty_memory(self):
         mem = ObjectMemory(4, key_dim=2, n_classes=3)
         for q in (np.zeros((1, 2)), np.zeros((3, 2))):  # one query, or a block
-            with pytest.raises(EmptyMemoryError):
+            with pytest.raises(DomainError, match="^memory: read on an empty memory$"):
                 memory_read(q, mem)
 
     @settings(max_examples=60)
@@ -230,14 +230,14 @@ class TestMemoryRead:
         labels = [data.draw(st.integers(0, n_classes - 1)) for _ in range(n)]
         q = np.array(data.draw(st.lists(st.floats(-3, 3), min_size=2, max_size=2)))
         mem = memory_of(*zip(keys, labels), n_classes=n_classes)
-        result = memory_read(q[None], mem)
+        dist = memory_read(q[None], mem)
         oracle = brute_force_read(q, keys, labels, n_classes)
-        assert np.all(np.abs(result.distribution[0] - oracle) < 1e-9)
-        assert abs(result.distribution[0].sum() - 1.0) < 1e-9
+        assert np.all(np.abs(dist[0] - oracle) < 1e-9)
+        assert abs(dist[0].sum() - 1.0) < 1e-9
         perm = np.random.default_rng(0).permutation(n)
         mem2 = memory_of(*[(keys[i], labels[i]) for i in perm], n_classes=n_classes)
-        result2 = memory_read(q[None], mem2)
-        assert np.all(np.abs(result.distribution[0] - result2.distribution[0]) < 1e-12)
+        dist2 = memory_read(q[None], mem2)
+        assert np.all(np.abs(dist[0] - dist2[0]) < 1e-12)
 
     def test_block_read_equals_single_reads(self):
         rng = np.random.default_rng(11)
@@ -250,14 +250,14 @@ class TestMemoryRead:
         tied = memory_of(([1.0, 1.0], 4), ([1.0, 1.0], 2), ([0.0, -1.0], 1), ([-1.0, 0.0], 3), n_classes=6)
         cases.append((tied, np.array([[0.5, 0.5], [0.0, 0.0], [1.0, 1.0], [-2.0, 0.0]])))
         for mem, block in cases:
-            result = memory_read(block, mem)
-            assert result.distribution.shape == (len(block), 6)
+            dist = memory_read(block, mem)
+            assert dist.shape == (len(block), 6)
             for p, q in enumerate(block):
                 single = memory_read(q[None], mem)
-                assert np.abs(result.distribution[p] - single.distribution[0]).max() <= 1e-12
-                assert result.argmax_class[p] == single.argmax_class[0]
-        result = memory_read(cases[-1][1], tied)
-        assert result.argmax_class.tolist() == [2, 1, 2, 3]  # ties break toward the lowest class
+                assert np.abs(dist[p] - single[0]).max() <= 1e-12
+                assert dist[p].argmax() == single[0].argmax()
+        dist = memory_read(cases[-1][1], tied)
+        assert dist.argmax(1).tolist() == [2, 1, 2, 3]  # ties break toward the lowest class
 
     def test_query_of_the_wrong_length_is_a_shape_error(self):
         mem = memory_of(([1.0, 0.0], 0))
@@ -270,8 +270,8 @@ class TestMemoryRead:
         # for larger memories
         mem = memory_of(([0.4, -1.2], 1))
         for scale in (0.1, 1.0, 25.0):
-            result = memory_read(scale * np.array([[2.0, 0.5]]), mem)
-            assert result.argmax_class[0] == 1
+            dist = memory_read(scale * np.array([[2.0, 0.5]]), mem)
+            assert dist[0].argmax() == 1
 
     def test_duplicate_slot_shifts_probability_monotonically(self):
         key, label = [1.0, -0.5], 1
@@ -280,8 +280,8 @@ class TestMemoryRead:
         probs = []
         for copies in (1, 2, 3):
             mem = memory_of(*others, *([(key, label)] * copies), n_classes=3, capacity=8)
-            result = memory_read(q, mem)
-            probs.append(result.distribution[0][label])
+            dist = memory_read(q, mem)
+            probs.append(dist[0][label])
         assert probs[0] < probs[1] < probs[2]
 
 

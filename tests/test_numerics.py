@@ -63,8 +63,9 @@ class TestCrossEntropy:
         assert abs(loss - 2.1269) < 1e-3
 
     def test_target_out_of_range(self):
-        with pytest.raises(IndexError):
-            cross_entropy(np.zeros((1, 3)), [3])
+        for target in (3, -1):
+            with pytest.raises(DomainError, match="^numerics: cross_entropy target out of range for 3 classes$"):
+                cross_entropy(np.zeros((1, 3)), [target])
 
     @given(st.lists(st.floats(-30, 30), min_size=2, max_size=8), st.data())
     def test_gradient_sums_to_zero(self, values, data):

@@ -19,7 +19,7 @@ from novelcap.config import RunConfig, load_config
 from novelcap.data import _WORLD_KEYS, load_dataset, load_manifest, load_world_config
 from novelcap.decoder import CaptionModel
 from novelcap.errors import CheckpointError, NovelcapError, ParseError, SchemaError
-from novelcap.vocabulary import Vocabulary
+from novelcap.vocabulary import SPECIAL_TOKENS, Vocabulary, word_fault
 
 GOOD_RECORD = {"image_id": "a", "feature": [1.0, 2.0], "references": [["a", "dog"]],
                "detections": [{"feature": [0.5, 0.5], "label": 0, "score": 0.9}]}
@@ -39,8 +39,9 @@ def write_lines(path, *lines):
 
 
 def loads_or_fails_by_name(parse, path):
+    """What ``parse`` loads from ``path``, or None if it fails by name."""
     try:
-        parse(path)
+        return parse(path)
     except NovelcapError as e:
         assert str(e).split(":")[0] in {"data", "config", "vocabulary", "checkpoint", "decoder", "memory"}, str(e)
 
@@ -289,6 +290,28 @@ def test_manifest(workdir, raw):
     path = workdir / "fuzz-split.json"
     path.write_bytes(raw)
     loads_or_fails_by_name(load_manifest, path)
+
+
+@st.composite
+def vocabulary_bytes(draw):
+    """Words and junk lines among the five special tokens, in any order,
+    sometimes with one line dropped and sometimes with no last newline."""
+    words = draw(st.lists(st.sampled_from(["a", "dog", "<pl>", "", " ", "b c", "x\ty", "<PL>"])
+                          | st.text(max_size=6), max_size=6))
+    lines = draw(st.permutations(words + list(SPECIAL_TOKENS)))
+    if draw(st.booleans()):
+        del lines[draw(st.integers(0, len(lines) - 1))]
+    return ("\n".join(lines) + draw(st.sampled_from(["\n", ""]))).encode()
+
+
+@FUZZ
+@given(raw=vocabulary_bytes() | st.binary(max_size=40))
+def test_vocabulary(workdir, raw):
+    path = workdir / "fuzz-vocab.txt"
+    path.write_bytes(raw)
+    vocab = loads_or_fails_by_name(Vocabulary.load, path)
+    if vocab is not None:  # every line it loads is a special token or a word
+        assert all(word in SPECIAL_TOKENS or word_fault(word) is None for word in vocab.words), vocab.words
 
 
 @pytest.fixture(scope="module")

@@ -353,6 +353,18 @@ def fig3_setup(monkeypatch):
     return vocab, det_map, model, rec, trace
 
 
+def kept_reads(monkeypatch):
+    """The distribution of each dnoc memory read from here on, in order."""
+    reads = []
+    read = pipeline.memory_read
+
+    def kept_read(*args):
+        reads.append(read(*args))
+        return reads[-1]
+    monkeypatch.setattr(pipeline, "memory_read", kept_read)
+    return reads
+
+
 class TestFillPlaceholders:
     def test_two_placeholder_sentence_filled(self, monkeypatch):
         vocab, det_map, model, rec, trace = fig3_setup(monkeypatch)
@@ -379,17 +391,22 @@ class TestFillPlaceholders:
         trace = DecodeTrace(ids=[vocab.id_of("a"), vocab.placeholder_id, vocab.eos_id],
                             hiddens=np.ones((3, 1)), placeholder_positions=[1])
         monkeypatch.setattr(pipeline, "decode_greedy", lambda *args: trace)
-        reads = []
-        read = pipeline.memory_read
-
-        def kept_read(*args):
-            reads.append(read(*args))
-            return reads[-1]
-        monkeypatch.setattr(pipeline, "memory_read", kept_read)
+        reads = kept_reads(monkeypatch)
         filled = caption(model, vocab, det_map, rec)
-        [result] = reads
-        assert result.argmax_class.tolist() == [1]
+        [dist] = reads
+        assert dist.argmax(1).tolist() == [1]
         assert filled.tokens == ["a", det_map.class_words[1]] == ["a", "zebra"]
+        assert filled.placeholder_count_unfilled == 0
+
+    def test_a_tied_read_writes_the_lower_class_word(self, monkeypatch):
+        # two slots with one key: the cake slot (class 1) first and more confident, the dog slot (class 0)
+        vocab, det_map, model, rec, _ = fig3_setup(monkeypatch)
+        rec = dataclasses.replace(rec, detections=Detections([[1.0, 1.0], [1.0, 1.0]], [1, 0], [0.9, 0.8]))
+        reads = kept_reads(monkeypatch)
+        filled = caption(model, vocab, det_map, rec)
+        [dist] = reads
+        assert dist.tolist() == [[0.5, 0.5], [0.5, 0.5]]  # both placeholders read an exact tie
+        assert filled.tokens == ["a", "dog", "is", "looking", "at", "a", "dog"]
         assert filled.placeholder_count_unfilled == 0
 
     def test_empty_memory_keeps_placeholder(self, monkeypatch):

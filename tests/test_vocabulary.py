@@ -67,6 +67,29 @@ class TestBuildVocabulary:
                                              f"\\(first on line {first}\\)$"):
             Vocabulary.load(path)
 
+    @pytest.mark.parametrize("words, line, word, fault", [
+        (["a", "", "b c", *SPECIAL_TOKENS], 2, "", "is empty"),  # once loaded as 8 words
+        (["a", "b c", *SPECIAL_TOKENS], 2, "b c", "holds whitespace"),
+        ([*SPECIAL_TOKENS, "dog", "no\xa0break"], 7, "no\xa0break", "holds whitespace"),
+        (["a", "b c", "a", *SPECIAL_TOKENS], 2, "b c", "holds whitespace"),  # the first line at fault
+    ])
+    def test_load_refuses_a_line_that_is_not_a_word(self, tmp_path, words, line, word, fault):
+        path = tmp_path / "vocab.txt"
+        path.write_text("\n".join(words) + "\n")
+        with pytest.raises(ParseError, match=f"^vocabulary: line {line}: word {re.escape(repr(word))} {fault}$"):
+            Vocabulary.load(path)
+
+    @pytest.mark.parametrize("words, token", [
+        (["a", *SPECIAL_TOKENS[:-1]], SPECIAL_TOKENS[-1]),
+        (["a", "dog", *SPECIAL_TOKENS[1:]], SPECIAL_TOKENS[0]),
+        ([], SPECIAL_TOKENS[0]),
+    ])
+    def test_load_refuses_a_missing_special_token_by_the_token(self, tmp_path, words, token):
+        path = tmp_path / "vocab.txt"
+        path.write_text("".join(w + "\n" for w in words))
+        with pytest.raises(ParseError, match=f"^vocabulary: special token {re.escape(token)} is missing$"):
+            Vocabulary.load(path)
+
 
 def detectable_ids(det):
     """The word ids that carry a detection class."""
