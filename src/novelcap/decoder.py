@@ -196,15 +196,15 @@ def _check_cell(c: np.ndarray) -> None:
 
 @dataclass
 class ForwardCache:
-    """Everything one teacher-forced pass over a batch records for loss and
-    backward. Arrays are time-major: row [t, b] is position t of sequence
-    b, and positions at or past a sequence's length are <PAD> padding."""
+    """What one teacher-forced pass over a batch computed, with the ids and
+    features the backward reads. Arrays are time-major: row [t, b] is
+    position t of sequence b, and positions at or past a sequence's length
+    are <PAD> padding. No loss or gradient reads ``lengths``; it stays to
+    count the real rows a pass stepped."""
 
     input_ids: np.ndarray  # (T, B): <GO>, then the targets shifted by one
-    targets: np.ndarray  # (T, B)
     lengths: np.ndarray  # (B,) real positions per sequence, after truncation
     features: np.ndarray  # (B, image_dim)
-    x: np.ndarray  # (T, B, embed) input embeddings
     h: np.ndarray  # (T+1, B, hidden); h[0] is the image-derived h0
     c: np.ndarray  # (T+1, B, hidden); c[0] is the image-derived c0
     gates: np.ndarray  # (T, B, 4*hidden) activated, in lstm_w's gate order
@@ -249,24 +249,23 @@ def pad_sequences(seqs: list[list[int]], go_id: int, pad_id: int,
     return inputs, targets, lengths
 
 
-def forward_teacher_forced(input_ids: np.ndarray, targets: np.ndarray, lengths: np.ndarray,
-                           features: np.ndarray, model: CaptionModel) -> ForwardCache:
+def forward_teacher_forced(input_ids: np.ndarray, lengths: np.ndarray, features: np.ndarray,
+                           model: CaptionModel) -> ForwardCache:
     """Run the decoder with ground-truth inputs over a padded, time-major batch.
 
-    ``input_ids`` and ``targets`` are (T, B) as ``pad_sequences`` lays them
-    out, ``lengths`` (B,) their real positions and ``features`` (B,
-    image_dim): the input at position t is the target at t-1, and the
-    logits at position t predict the target at t. The input pre-activations
-    of every position are rows of the gate table that greedy decoding reads;
+    ``input_ids`` is (T, B) as ``pad_sequences`` lays it out, ``lengths``
+    (B,) the real positions and ``features`` (B, image_dim): the input at
+    position t is the target at t-1, so the logits at position t predict
+    the target at t, which the caller scores. The input pre-activations of
+    every position are rows of the gate table that greedy decoding reads;
     each time step is one (B, 4*hidden) gate product.
     """
-    n_steps, batch = targets.shape
+    n_steps, batch = input_ids.shape
     h0, c0 = init_state(features, model)
     if h0.shape != (batch, model.hidden_size):
         raise ShapeError(f"decoder: image features of shape {np.shape(features)} for {batch} sequences")
     nh = model.hidden_size
     table, w_h = _gate_weights(model)
-    x = model.embed.T[input_ids]
     zx = table[input_ids]
     h = np.empty((n_steps + 1, batch, nh), dtype=FLOAT)
     c = np.empty_like(h)
@@ -280,9 +279,8 @@ def forward_teacher_forced(input_ids: np.ndarray, targets: np.ndarray, lengths: 
         np.multiply(gates[t, :, 2 * nh:3 * nh], c_tanh[t], out=h[t + 1])
     _check_cell(c[1:][np.arange(n_steps)[:, None] < lengths])  # padding is never checked
     logits = (h[1:].reshape(-1, nh) @ model.w_out.T + model.b_out).reshape(n_steps, batch, -1)
-    return ForwardCache(input_ids=input_ids, targets=targets, lengths=lengths,
-                        features=np.asarray(features, dtype=FLOAT), x=x, h=h, c=c, gates=gates,
-                        c_tanh=c_tanh, logits=logits)
+    return ForwardCache(input_ids=input_ids, lengths=lengths, features=np.asarray(features, dtype=FLOAT),
+                        h=h, c=c, gates=gates, c_tanh=c_tanh, logits=logits)
 
 
 def sequence_loss(logits: np.ndarray, targets, pad_id: int) -> tuple[float, np.ndarray]:
@@ -353,7 +351,7 @@ def backward_pass(model: CaptionModel, cache: ForwardCache, dlogits: np.ndarray,
     g = model.views(grad)
     one_hot = np.arange(model.vocab_size)[:, None] == cache.input_ids.ravel()
     g["embed"].T[...] = one_hot @ (dz @ model.lstm_w[:, :e])
-    g["lstm_w"][:, :e] = dz.T @ rows(cache.x)
+    g["lstm_w"][:, :e] = dz.T @ model.embed.T[cache.input_ids.ravel()]
     g["lstm_w"][:, e:] = dz.T @ rows(cache.hiddens)
     g["lstm_b"][...] = dz.sum(axis=0)
     g["w_out"][...] = rows(dlogits).T @ rows(cache.h[1:])

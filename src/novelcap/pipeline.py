@@ -107,9 +107,8 @@ def batch_losses(model: CaptionModel, pairs: TrainingPairs, rows) -> tuple[float
     like ``model.theta``, from one decoder pass and one memory pass."""
     scale = 1.0 / len(rows)
     n_steps = int(pairs.lengths[rows].max())
-    cache = forward_teacher_forced(pairs.inputs[:n_steps, rows], pairs.targets[:n_steps, rows],
-                                   pairs.lengths[rows], pairs.features[rows], model)
-    loss_seq, dlogits = sequence_loss(cache.logits, cache.targets, pairs.pad_id)
+    cache = forward_teacher_forced(pairs.inputs[:n_steps, rows], pairs.lengths[rows], pairs.features[rows], model)
+    loss_seq, dlogits = sequence_loss(cache.logits, pairs.targets[:n_steps, rows], pairs.pad_id)
     loss_mem, reads = memory_loss_forward(cache.hiddens, pairs.original[:n_steps, rows],
                                           pairs.mask[:n_steps, rows].ravel(), pairs.det_map,
                                           pairs.slots[pairs.slot_rows[rows]], model.w_query)

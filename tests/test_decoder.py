@@ -162,7 +162,8 @@ def saturated_cell_model(vocab):
 
 def teacher_force(seqs, features, m, v, max_steps=None):
     """Pad a list of sequences and teacher-force them as one batch."""
-    return forward_teacher_forced(*pad_sequences(seqs, v.go_id, v.pad_id, max_steps), features, m)
+    inputs, _, lengths = pad_sequences(seqs, v.go_id, v.pad_id, max_steps)
+    return forward_teacher_forced(inputs, lengths, features, m)
 
 
 def forward_one(targets, m, v, max_steps=None):
@@ -199,7 +200,8 @@ class TestForwardTeacherForced:
         m = tiny_model(v, seed=123)
         targets = v.encode(["a", "dog", "sees"])
         cache = forward_one(targets, m, v)
-        loss, _ = sequence_loss(cache.logits, cache.targets, v.pad_id)
+        _, padded, _ = pad_sequences([targets], v.go_id, v.pad_id)
+        loss, _ = sequence_loss(cache.logits, padded, v.pad_id)
         expected = 3 * math.log(v.size)
         assert abs(loss - expected) / expected < 0.10
 
@@ -224,9 +226,10 @@ class TestForwardTeacherForced:
         long = v.encode(["a", "dog", "sees", "cake"], append_eos=True)
         short = v.encode(["a", "cake"])
         features = np.random.default_rng(0).normal(size=(2, 7))
-        cache = teacher_force([long, short], features, m, v)
+        inputs, targets, lengths = pad_sequences([long, short], v.go_id, v.pad_id)
+        cache = forward_teacher_forced(inputs, lengths, features, m)
         assert cache.lengths.tolist() == [5, 2]
-        assert cache.targets[:, 1].tolist() == short + [v.pad_id] * 3
+        assert targets[:, 1].tolist() == short + [v.pad_id] * 3
         assert cache.input_ids[:, 1].tolist() == [v.go_id, short[0]] + [v.pad_id] * 3
         for b, seq in enumerate((long, short)):
             alone = teacher_force([seq], features[b:b + 1], m, v)
@@ -244,7 +247,7 @@ class TestForwardTeacherForced:
         seqs = [list(rng.integers(0, v.size, n)) for n in (5, 2, 4)[:batch]]
         cache = teacher_force(seqs, rng.normal(size=(batch, 7)), m, v)
         e, nh = m.embed_size, m.hidden_size
-        zx = (cache.x.reshape(-1, e) @ m.lstm_w[:, :e].T + m.lstm_b).reshape(cache.gates.shape)
+        zx = (m.embed.T[cache.input_ids].reshape(-1, e) @ m.lstm_w[:, :e].T + m.lstm_b).reshape(cache.gates.shape)
         w_h = np.ascontiguousarray(m.lstm_w[:, e:].T)
         gates, h, c = np.empty_like(cache.gates), np.empty_like(cache.h), np.empty_like(cache.c)
         h[0] = np.tanh(cache.features @ m.w_img.T + m.b_img)
@@ -518,8 +521,7 @@ def test_teacher_forcing_the_greedy_ids_walks_the_decode_bit_for_bit():
     for rec in records:
         trace = decode_greedy(rec.feature, snapshot, v.go_id, v.eos_id, v.placeholder_id, max_steps=12)
         inputs = np.array([[v.go_id, *trace.ids[:-1]]]).T
-        cache = forward_teacher_forced(inputs, np.array([trace.ids]).T, np.array([len(trace.ids)]),
-                                       rec.feature[None], model)
+        cache = forward_teacher_forced(inputs, np.array([len(trace.ids)]), rec.feature[None], model)
         unequal = np.flatnonzero((cache.hiddens[:, 0] != trace.hiddens).any(axis=1))
         if unequal.size:
             differ.append(f"{rec.image_id} position {unequal[0]} of {len(trace.ids)}")

@@ -229,8 +229,8 @@ class TestTrainStep:
         # a saturating <PAD> input drives the 59 padded cells of the short row past the bound
         model.embed[:, vocab.pad_id] = 1e3 * np.sign(model.embed[:, vocab.pad_id])
         features = np.array([ex.feature for ex in batch])
-        padded = pad_sequences([ex.targets for ex in batch], vocab.go_id, vocab.pad_id)
-        cache = forward_teacher_forced(*padded, features, model)
+        inputs, _, lengths = pad_sequences([ex.targets for ex in batch], vocab.go_id, vocab.pad_id)
+        cache = forward_teacher_forced(inputs, lengths, features, model)
         assert np.abs(cache.c[2:, 1]).max() >= CELL_SANITY_BOUND
         after = batch_losses(model, pairs, rows)
         assert before[:2] == after[:2]

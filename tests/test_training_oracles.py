@@ -128,7 +128,7 @@ def allocating_cell(z, c_prev, gates):
 def list_forward(targets, features, model, go_id, pad_id, max_steps):
     """The teacher-forced forward over a list of sequences, padded per batch,
     with the recurrent weights as a transposed view of a copy of lstm_w's
-    columns."""
+    columns: the pass and its padded targets."""
     lengths = np.minimum([len(seq) for seq in targets], max_steps)
     n_steps, batch = int(lengths.max()), len(targets)
     target_ids = np.full((n_steps, batch), pad_id, dtype=np.intp)
@@ -154,8 +154,8 @@ def list_forward(targets, features, model, go_id, pad_id, max_steps):
         np.multiply(gates[t, :, 2 * nh:3 * nh], c_tanh[t], out=h[t + 1])
     _check_cell(c[1:][np.arange(n_steps)[:, None] < lengths])
     logits = (h[1:].reshape(-1, nh) @ model.w_out.T + model.b_out).reshape(n_steps, batch, -1)
-    return ForwardCache(input_ids=input_ids, targets=target_ids, lengths=lengths, features=features, x=x,
-                        h=h, c=c, gates=gates, c_tanh=c_tanh, logits=logits)
+    return ForwardCache(input_ids=input_ids, lengths=lengths, features=features, h=h, c=c, gates=gates,
+                        c_tanh=c_tanh, logits=logits), target_ids
 
 
 def list_memory_loss(hiddens, original, mask, det_map, memories, w_query):
@@ -206,7 +206,7 @@ def stacking_backward(model, cache, dlogits, dq):
     g = model.views(grad)
     one_hot = np.arange(model.vocab_size)[:, None] == cache.input_ids.ravel()
     g["embed"].T[...] = one_hot @ (dz @ model.lstm_w[:, :e])
-    g["lstm_w"][:, :e] = dz.T @ rows(cache.x)
+    g["lstm_w"][:, :e] = dz.T @ rows(model.embed.T[cache.input_ids])
     g["lstm_w"][:, e:] = dz.T @ rows(cache.hiddens)
     g["lstm_b"][...] = dz.sum(axis=0)
     g["w_out"][...] = rows(dlogits).T @ rows(cache.h[1:])
@@ -226,11 +226,11 @@ def list_batch_losses(model, batch, det_map, *, go_id, pad_id, n_det, max_steps)
     rewritten and padded anew, and a memory built for each pair with a
     masked step."""
     scale = 1.0 / len(batch)
-    cache = list_forward([rewrite_targets(ex.targets, det_map) for ex in batch],
-                         np.array([ex.feature for ex in batch]), model, go_id, pad_id, max_steps)
-    loss_seq, dlogits = sequence_loss(cache.logits, cache.targets, pad_id)
+    cache, targets = list_forward([rewrite_targets(ex.targets, det_map) for ex in batch],
+                                  np.array([ex.feature for ex in batch]), model, go_id, pad_id, max_steps)
+    loss_seq, dlogits = sequence_loss(cache.logits, targets, pad_id)
     dq = np.zeros(cache.hiddens.shape[:2] + (model.key_dim,))
-    original = np.full(cache.targets.shape, pad_id, dtype=np.intp)
+    original = np.full(targets.shape, pad_id, dtype=np.intp)
     mask = np.zeros_like(original)
     memories, key = [], (n_det, model.key_dim, det_map.n_classes)
     for b, (ex, n) in enumerate(zip(batch, cache.lengths)):
@@ -248,9 +248,9 @@ def list_baseline_losses(model, batch, *, go_id, pad_id, max_steps):
     """The no-placeholder step as its own path: raw targets, no memory pass
     and a zero dq."""
     scale = 1.0 / len(batch)
-    cache = list_forward([ex.targets for ex in batch], np.array([ex.feature for ex in batch]), model,
-                         go_id, pad_id, max_steps)
-    loss_seq, dlogits = sequence_loss(cache.logits, cache.targets, pad_id)
+    cache, targets = list_forward([ex.targets for ex in batch], np.array([ex.feature for ex in batch]), model,
+                                  go_id, pad_id, max_steps)
+    loss_seq, dlogits = sequence_loss(cache.logits, targets, pad_id)
     dq = np.zeros(cache.hiddens.shape[:2] + (model.key_dim,))
     return loss_seq / len(batch), 0.0, stacking_backward(model, cache, dlogits * scale, dq)
 
@@ -337,7 +337,7 @@ def concatenating_backward(model, cache, dlogits, dq):
     grad = np.zeros_like(model.theta)
     g = model.views(grad)
     np.add.at(g["embed"].T, cache.input_ids.ravel(), dz @ model.lstm_w[:, :e])
-    g["lstm_w"][...] = dz.T @ rows(np.concatenate([cache.x, cache.hiddens], axis=-1))
+    g["lstm_w"][...] = dz.T @ rows(np.concatenate([model.embed.T[cache.input_ids], cache.hiddens], axis=-1))
     g["lstm_b"][...] = dz.sum(axis=0)
     g["w_out"][...] = rows(dlogits).T @ rows(cache.h[1:])
     g["b_out"][...] = rows(dlogits).sum(axis=0)
