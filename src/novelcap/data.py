@@ -8,11 +8,18 @@ detections of absent classes. Anchors are drawn from a shared low-rank
 latent basis so the feature geometry of held-out objects is reachable
 from the known ones, the way real detector features share one space.
 
-Dataset files are line-delimited JSON records; the world config is a
-plain key-value text file, each value parsed at its line and every world
-rule checked by ``make_world``; the split manifest is a single JSON document.
+Dataset files are line-delimited JSON records. Each float64 array is the
+base64 text of its little-endian bytes, so it round-trips bit for bit with
+no decimal formatting or parsing, and a record's detections are one table
+(row-major features, JSON integer labels, scores), as in memory. One
+record rule holds on both sides: ``save_dataset`` refuses, before it
+opens the file, every record ``load_dataset`` would refuse, each by its
+line. The world config is a plain key-value text file, each value parsed
+at its line and every world rule checked by ``make_world``; the split
+manifest is a single JSON document.
 """
 
+import base64
 import hashlib
 import json
 import string
@@ -22,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import read_json, read_key_values, text_lines
-from .errors import CoverageError, DomainError, ParseError, SchemaError
+from .errors import CoverageError, DomainError, ParseError, SchemaError, ShapeError
 from .memory import Detections
 from .numerics import FLOAT
 from .vocabulary import word_fault
@@ -292,71 +299,151 @@ def build_heldout_split(records: list[DatasetRecord], held_out_words,
 
 
 # ---------------------------------------------------------------------------
-# Dataset files: one JSON object per line
+# Dataset files: one JSON object per line, float64 arrays as base64 bytes
 # ---------------------------------------------------------------------------
 
+_FIELDS = ("image_id", "feature", "references", "detections")
+_TABLE_FIELDS = ("features", "labels", "scores")
 
-def _validate_record_dict(d: dict, line_no: int, feature_dim: int | None) -> int:
-    if not isinstance(d, dict):
-        raise SchemaError(f"data: line {line_no}: a record is not a JSON object")
-    for key in ("image_id", "feature", "references", "detections"):
-        if key not in d:
-            raise SchemaError(f"data: line {line_no}: missing field {key!r}")
+
+def _b64(a: np.ndarray) -> str:
+    """The base64 text of ``a``'s little-endian float64 bytes, in C order."""
+    return base64.b64encode(a.astype("<f8", copy=False).tobytes()).decode("ascii")
+
+
+def _floats(text, field: str, rows: int | None = None) -> np.ndarray:
+    """The float64 array that ``text``, the base64 text of its little-endian
+    bytes, holds: a vector, or ``rows`` rows in C order (no rows hold no
+    bytes). An owned copy, so the decoded bytes are freed. Text that is not
+    base64 and bytes that are not whole float64s, or not whole rows, are
+    refused naming ``field``."""
+    if type(text) is not str:
+        raise TypeError(f"{field} is not base64 text")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as e:  # binascii.Error, or a character outside ASCII
+        raise ValueError(f"{field} is not base64 text ({e})") from None
+    if len(raw) % 8:
+        raise ValueError(f"{field} holds {len(raw)} bytes, not whole float64s")
+    a = np.frombuffer(raw, "<f8")
+    if rows is not None:
+        width, rest = divmod(a.size, rows) if rows else (0, a.size)
+        if rest:
+            raise ValueError(f"{field} holds {a.size} float64s, not one row per label of {rows}")
+        a = a.reshape(rows, width)
+    return a.astype(FLOAT)
+
+
+def _record(d) -> DatasetRecord:
+    """The record a decoded JSON line holds, its detections one checked
+    table. A value of the wrong JSON type is refused, not converted (a bool
+    is not an int); the record rule checks the rest."""
+    if type(d) is not dict:
+        raise TypeError("a record is not a JSON object")
+    missing = next((key for key in _FIELDS if key not in d), None)
+    if missing is not None:
+        raise ValueError(f"missing field {missing!r}")
+    feature = _floats(d["feature"], "feature")
+    table = d["detections"]
+    if type(table) is not dict:
+        raise TypeError("the detections are not a JSON object")
+    missing = next((key for key in _TABLE_FIELDS if key not in table), None)
+    if missing is not None:
+        raise ValueError(f"the detections are missing field {missing!r}")
+    labels = table["labels"]
+    if type(labels) is not list:
+        raise TypeError("the detection labels are not a JSON list")
+    if any(type(x) is not int for x in labels):
+        raise TypeError("a detection label is not a JSON integer")
+    n = len(labels)
+    features = _floats(table["features"], "detections.features", rows=n)
+    scores = _floats(table["scores"], "detections.scores")
+    if len(scores) != n:
+        raise ValueError(f"detections.scores holds {len(scores)} float64s, not one per label of {n}")
     refs = d["references"]
+    if isinstance(refs, list) and all(isinstance(ref, list) for ref in refs):  # else the record rule refuses them
+        refs = [[sys.intern(t) if type(t) is str else t for t in ref] for ref in refs]
+    return DatasetRecord(image_id=d["image_id"], feature=feature, references=refs,
+                         detections=Detections(features, np.array(labels, dtype=np.intp), scores))
+
+
+def _record_fault(rec: DatasetRecord, dim: int | None, det_dim: tuple | None, words: set) -> str | None:
+    """Why ``rec`` breaks the record rule, given the image feature length,
+    detection feature shape and reference words of the earlier records, or
+    None. A new token that passes the word rule joins ``words``."""
+    if type(rec.image_id) is not str:
+        return "the image_id is not a JSON string"
+    refs = rec.references
     if not isinstance(refs, list) or not all(isinstance(ref, list) for ref in refs):
-        raise SchemaError(f"data: line {line_no}: references must be a list of token lists")
-    if not refs or any(len(ref) == 0 for ref in refs):
-        raise SchemaError(f"data: line {line_no}: references must be non-empty")
-    if not isinstance(d["feature"], list):
-        raise SchemaError(f"data: line {line_no}: feature must be a list of numbers")
-    if feature_dim is not None and len(d["feature"]) != feature_dim:
-        raise SchemaError(
-            f"data: line {line_no}: feature length {len(d['feature'])} != {feature_dim}")
-    return len(d["feature"])
+        return "references must be a list of token lists"
+    if not refs or not all(refs):
+        return "references must be non-empty"
+    for t in (t for ref in refs for t in ref):  # a vocabulary file holds one word a line
+        if type(t) is not str:
+            return "a reference token is not a JSON string"
+        if t not in words:
+            fault = word_fault(t)
+            if fault:
+                return f"reference token {t!r} {fault}"
+            words.add(t)
+    if rec.feature.ndim != 1 or not np.isfinite(rec.feature).all():
+        return "the image feature is not a vector of finite numbers"
+    if dim not in (None, len(rec.feature)):
+        return f"feature length {len(rec.feature)} != {dim}"
+    shape = rec.detections.features.shape[1:] if rec.detections else det_dim
+    if det_dim not in (None, shape):
+        return f"detection feature shape {shape} != {det_dim} of the earlier detections"
+    return None
+
+
+def _checked(numbered):
+    """Each record of ``numbered``, (line number, record) pairs, once it
+    passes the one record rule (``_record_fault``). A repeated image_id is
+    refused once every record has passed, so a line's own fault is found
+    first. Every fault is a SchemaError naming its line."""
+    dim = det_dim = None
+    first_line, repeats, words = {}, [], set()
+    for line_no, rec in numbered:
+        fault = _record_fault(rec, dim, det_dim, words)
+        if fault:
+            raise SchemaError(f"data: line {line_no}: {fault}")
+        dim = len(rec.feature)
+        det_dim = rec.detections.features.shape[1:] if rec.detections else det_dim
+        if first_line.setdefault(rec.image_id, line_no) != line_no:
+            repeats.append((line_no, rec.image_id))
+        yield rec
+    if repeats:
+        line_no, image_id = repeats[0]
+        raise SchemaError(f"data: line {line_no}: image_id {image_id!r} repeats line {first_line[image_id]}")
+
+
+def _as_saved(records):
+    """(line number, record) of each record as it is saved: its feature a
+    float64 array and its table checked anew, as a loaded table is (a
+    caller may have changed a table's arrays in place)."""
+    for line_no, rec in enumerate(records, start=1):
+        dets = rec.detections
+        try:
+            yield line_no, DatasetRecord(rec.image_id, np.asarray(rec.feature, dtype=FLOAT), rec.references,
+                                         Detections(dets.features, dets.labels, dets.scores))
+        except (TypeError, ValueError, DomainError, ShapeError) as e:
+            raise SchemaError(f"data: line {line_no}: {e}") from e
 
 
 def save_dataset(records: list[DatasetRecord], path) -> None:
-    dim = None
+    """Write one JSON line per record. Every record passes the record rule
+    before the file is opened, so a refused save leaves the file as it was."""
+    checked = list(_checked(_as_saved(records)))
     with open(path, "w", encoding="utf-8") as f:
-        for i, rec in enumerate(records):
+        for rec in checked:
             dets = rec.detections
-            d = {
-                "image_id": rec.image_id,
-                "feature": np.asarray(rec.feature, dtype=FLOAT).tolist(),
-                "references": [list(ref) for ref in rec.references],
-                "detections": [{"feature": f, "label": label, "score": s} for f, label, s in
-                               zip(dets.features.tolist(), dets.labels.tolist(), dets.scores.tolist())],
-            }
-            dim = _validate_record_dict(d, i + 1, dim)
-            f.write(json.dumps(d, separators=(",", ":")) + "\n")
+            f.write(json.dumps({"image_id": rec.image_id, "feature": _b64(rec.feature), "references": rec.references,
+                                "detections": {"features": _b64(dets.features), "labels": dets.labels.tolist(),
+                                               "scores": _b64(dets.scores)}}, separators=(",", ":")) + "\n")
 
 
-def _detection_table(rows: list, det_dim: tuple | None) -> Detections:
-    """A record's detections (dicts whose labels and scores have their JSON
-    types) as one table, the features stacked by one ``np.array``. Features
-    that are not vectors of the earlier detections' shape are found one at
-    a time: the first at fault is a ValueError naming its shape."""
-    if not rows:
-        return Detections(np.empty((0, 0)), (), ())
-    try:
-        features = np.array([x["feature"] for x in rows], dtype=FLOAT)
-    except ValueError:  # features of different lengths do not stack
-        features = None
-    if features is None or features.ndim != 2 or det_dim not in (None, features.shape[1:]):
-        for x in rows:
-            shape = np.asarray(x["feature"], dtype=FLOAT).shape
-            if det_dim is None and len(shape) != 1:  # the later ones must match it
-                raise ValueError("a detection feature is not a vector of numbers")
-            det_dim = shape if det_dim is None else det_dim
-            if shape != det_dim:
-                raise ValueError(f"detection feature shape {shape} != {det_dim} of the earlier detections")
-    labels = np.array([x["label"] for x in rows], dtype=np.intp)  # a label past intp is an OverflowError
-    return Detections(features, labels, [x["score"] for x in rows])
-
-
-def load_dataset(path) -> list[DatasetRecord]:
-    records, first_line, repeats = [], {}, []
-    dim = det_dim = None
+def _decoded(path):
+    """(line number, record) of each non-blank line of a dataset file."""
     for line_no, line in text_lines(path, "data"):
         if not line.strip():
             continue
@@ -364,42 +451,17 @@ def load_dataset(path) -> list[DatasetRecord]:
             d = json.loads(line)
         except (ValueError, RecursionError) as e:  # also an integer too long or nesting too deep
             raise ParseError(f"data: line {line_no}: malformed record ({getattr(e, 'msg', e)})") from e
-        dim = _validate_record_dict(d, line_no, dim)
         try:
-            # a JSON value of the wrong type is refused, not converted (a bool is not an int)
-            if type(d["image_id"]) is not str:
-                raise TypeError("the image_id is not a JSON string")
-            for t in (t for ref in d["references"] for t in ref):  # a vocabulary file holds one word a line
-                if type(t) is not str:
-                    raise TypeError("a reference token is not a JSON string")
-                fault = word_fault(t)
-                if fault:
-                    raise ValueError(f"reference token {t!r} {fault}")
-            if type(d["detections"]) is not list or any(type(x) is not dict for x in d["detections"]):
-                raise TypeError("the detections are not a JSON list of objects")
-            if any(type(x["label"]) is not int for x in d["detections"]):
-                raise TypeError("a detection label is not a JSON integer")
-            if any(type(x["score"]) not in (int, float) for x in d["detections"]):
-                raise TypeError("a detection score is not a JSON number")
-            dets = _detection_table(d["detections"], det_dim)
-            feature = np.asarray(d["feature"], dtype=FLOAT)
-            if feature.ndim != 1 or not np.isfinite(feature).all():
-                raise ValueError("the image feature is not a vector of finite numbers")
-            rec = DatasetRecord(image_id=d["image_id"], feature=feature,
-                                references=[[sys.intern(t) for t in ref] for ref in d["references"]],
-                                detections=dets)
-        except KeyError as e:  # the record's fields are there: a detection's is not
-            raise SchemaError(f"data: line {line_no}: a detection is missing field {e}") from e
-        except (TypeError, ValueError, OverflowError, DomainError) as e:  # Overflow: a huge number
+            rec = _record(d)
+        except (TypeError, ValueError, OverflowError, DomainError) as e:  # Overflow: a label past intp
             raise SchemaError(f"data: line {line_no}: {e}") from e
-        det_dim = dets.features.shape[1:] if dets else det_dim
-        if first_line.setdefault(rec.image_id, line_no) != line_no:
-            repeats.append((line_no, rec.image_id))
-        records.append(rec)
-    if repeats:  # a fault across records, refused once every line has parsed
-        line_no, image_id = repeats[0]
-        raise SchemaError(f"data: line {line_no}: image_id {image_id!r} repeats line {first_line[image_id]}")
-    return records
+        yield line_no, rec
+
+
+def load_dataset(path) -> list[DatasetRecord]:
+    """The records of a dataset file, each line decoded and held to the
+    record rule that ``save_dataset`` applies."""
+    return list(_checked(_decoded(path)))
 
 
 # ---------------------------------------------------------------------------

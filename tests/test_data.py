@@ -1,6 +1,8 @@
+import base64
 import dataclasses
 import hashlib
 import json
+import struct
 import sys
 import tracemalloc
 from pathlib import Path
@@ -31,6 +33,19 @@ def world_file_with(tmp_path, line):
     lines = [line if old.startswith(f"{key} =") else old for old in path.read_text().splitlines()]
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def b64(*values) -> str:
+    """The base64 text of ``values`` as little-endian float64 bytes, as a dataset line holds an array."""
+    return base64.b64encode(np.array(values, dtype="<f8").tobytes()).decode()
+
+
+def line(image_id, feature, features=(), labels=(), scores=(), tokens=("dog",)) -> str:
+    """One dataset line as save_dataset writes it: ``feature``, the detection ``features`` (row-major) and
+    ``scores`` as base64 of little-endian float64 bytes, the ``labels`` as given."""
+    return json.dumps({"image_id": image_id, "feature": b64(*feature), "references": [list(tokens)],
+                       "detections": {"features": b64(*features), "labels": list(labels), "scores": b64(*scores)}},
+                      separators=(",", ":"))
 
 
 def small_world(**kwargs):
@@ -177,11 +192,35 @@ class TestDatasetFiles:
         assert len(loaded) == len(records)
         for a, b in zip(records, loaded):
             assert a.image_id == b.image_id
-            assert np.array_equal(a.feature, b.feature)  # lossless float64
+            assert a.feature.tobytes() == b.feature.tobytes()  # every float64 bit for bit
             assert a.references == b.references
             assert len(a.detections) == len(b.detections)
             for column in ("features", "labels", "scores"):
-                assert np.array_equal(getattr(a.detections, column), getattr(b.detections, column))
+                x, y = getattr(a.detections, column), getattr(b.detections, column)
+                assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+    def test_every_float64_bit_pattern_round_trips(self, tmp_path):
+        """Negative zero, subnormals, the extremes and the last bit of a mantissa survive a save and a load."""
+        values = np.array([-0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1 / 3,
+                           np.nextafter(1.0, 2.0), -np.pi])
+        rec = DatasetRecord("x", values, [["dog"]], Detections(values.reshape(2, 4), [0, 3], [0.0, 1.0]))
+        path = tmp_path / "d.jsonl"
+        save_dataset([rec], path)
+        (loaded,) = load_dataset(path)
+        assert loaded.feature.tobytes() == values.tobytes()
+        assert loaded.detections.features.tobytes() == values.tobytes()
+        assert loaded.detections.scores.tolist() == [0.0, 1.0]
+
+    def test_a_line_holds_each_array_as_base64_of_its_little_endian_bytes(self, tmp_path):
+        rec = DatasetRecord("x", np.array([1.0, -2.5]), [["a", "dog"]],
+                            Detections([[0.5, 0.25, 2.0], [1.0, 0.0, -1.0]], [3, 0], [0.9, 0.5]))
+        path = tmp_path / "d.jsonl"
+        save_dataset([rec], path)
+        assert path.read_text() == line("x", [1.0, -2.5], [0.5, 0.25, 2.0, 1.0, 0.0, -1.0], [3, 0], [0.9, 0.5],
+                                        tokens=["a", "dog"]) + "\n"
+        table = json.loads(path.read_text())["detections"]  # little-endian and row-major, whatever the machine
+        assert base64.b64decode(table["features"]) == struct.pack("<6d", 0.5, 0.25, 2.0, 1.0, 0.0, -1.0)
+        assert base64.b64decode(table["scores"]) == struct.pack("<2d", 0.9, 0.5)
 
     def test_file_bytes_are_pinned(self, tmp_path):
         """The sha256 of a small fixed world's dataset file: a change to the record layout
@@ -189,7 +228,7 @@ class TestDatasetFiles:
         path = tmp_path / "d.jsonl"
         save_dataset(generate_synthetic(small_world(), 12, objects_per_image=(1, 3)), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == \
-            "c760ba8d9bea8261764be02df221f95cae0877db21f2898097da599c4f620ed1"
+            "ca999c954c0b4e20f633818db10847654fd2b662dae1736fdf61e91dcc052ecb"
 
     def test_empty_references_schema_error(self, tmp_path):
         rec = DatasetRecord("x", np.zeros(4), [], Detections([np.zeros(4)], [0], [0.5]))
@@ -198,9 +237,8 @@ class TestDatasetFiles:
 
     def test_a_record_with_no_detections_round_trips_as_an_empty_table(self, tmp_path):
         path = tmp_path / "d.jsonl"
-        lines = ['{"image_id":"a","feature":[1.0],"references":[["dog"]],"detections":[]}',
-                 '{"image_id":"b","feature":[2.0],"references":[["cat"]],'
-                 '"detections":[{"feature":[1.0,2.0],"label":1,"score":0.5}]}']
+        lines = [line("a", [1.0]), line("b", [2.0], [1.0, 2.0], [1], [0.5], tokens=["cat"])]
+        assert '"detections":{"features":"","labels":[],"scores":""}' in lines[0]
         path.write_text("\n".join(lines) + "\n")
         bare, seen = load_dataset(path)
         assert isinstance(bare.detections, Detections) and len(bare.detections) == 0 and not bare.detections
@@ -220,45 +258,81 @@ class TestDatasetFiles:
 
     def test_inconsistent_feature_length(self, tmp_path):
         path = tmp_path / "d.jsonl"
-        line1 = '{"image_id":"a","feature":[1.0,2.0],"references":[["dog"]],"detections":[]}'
-        line2 = '{"image_id":"b","feature":[1.0],"references":[["cat"]],"detections":[]}'
-        path.write_text(line1 + "\n" + line2 + "\n")
-        with pytest.raises(SchemaError, match="line 2"):
+        path.write_text(line("a", [1.0, 2.0]) + "\n" + line("b", [1.0], tokens=["cat"]) + "\n")
+        with pytest.raises(SchemaError, match="^data: line 2: feature length 1 != 2$"):
             load_dataset(path)
 
     def test_inconsistent_detection_feature_length_names_line(self, tmp_path):
         path = tmp_path / "d.jsonl"
-        det2 = '{"feature":[1.0,2.0],"label":0,"score":0.9}'
-        det3 = '{"feature":[1.0,2.0,3.0],"label":1,"score":0.8}'
-        lines = [f'{{"image_id":"{i}","feature":[1.0],"references":[["dog"]],"detections":[{dets}]}}'
-                 for i, dets in enumerate([det2, "", f"{det2},{det3}"])]
+        lines = [line("0", [1.0], [1.0, 2.0], [0], [0.9]), line("1", [1.0]),  # an empty table has no width
+                 line("2", [1.0], [1.0, 2.0, 3.0], [1], [0.8])]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(SchemaError, match=r"line 3: detection feature shape \(3,\)"):
             load_dataset(path)
 
-    @pytest.mark.parametrize("label", ["2.9", '"3"', "true", "2.0", "null", "[1]"])
+    @pytest.mark.parametrize("label", [2.9, "3", True, 2.0, None, [1]])
     def test_non_integer_detection_label_names_line(self, tmp_path, label):
         path = tmp_path / "d.jsonl"
-        good = '{"image_id":"a","feature":[1.0],"references":[["dog"]],"detections":[]}'
-        bad = ('{"image_id":"b","feature":[1.0],"references":[["dog"]],'
-               f'"detections":[{{"feature":[1.0],"label":{label},"score":0.9}}]}}')
-        path.write_text(good + "\n" + bad + "\n")
+        good = line("a", [1.0])
+        path.write_text(good + "\n" + line("b", [1.0], [1.0], [label], [0.9]) + "\n")
         with pytest.raises(SchemaError, match="line 2: a detection label is not a JSON integer"):
             load_dataset(path)
-        path.write_text(good + "\n" + bad.replace(f'"label":{label}', '"label":2') + "\n")
+        path.write_text(good + "\n" + line("b", [1.0], [1.0], [2], [0.9]) + "\n")
         assert load_dataset(path)[1].detections.labels.tolist() == [2]
 
     def test_repeated_image_id_names_both_lines(self, tmp_path):
         records = generate_synthetic(small_world(), 5)
-        records[3].image_id = records[1].image_id
         path = tmp_path / "d.jsonl"
-        save_dataset(records, path)
+        save_dataset(records, path)  # save refuses a repeated id: give line 4 line 2's id by hand
+        path.write_text(path.read_text().replace(f'"{records[3].image_id}"', f'"{records[1].image_id}"'))
         with pytest.raises(SchemaError, match=f"data: line 4: image_id '{records[1].image_id}' repeats line 2"):
             load_dataset(path)
         # a line's own fault is found first: ids are compared once every line has parsed
         path.write_text(path.read_text() + '{"image_id": "x"}\n')
         with pytest.raises(SchemaError, match="data: line 6: missing field 'feature'"):
             load_dataset(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda recs: setattr(recs[3], "detections", Detections(np.zeros((1, 9)), [0], [0.5])),
+         r"^data: line 4: detection feature shape \(9,\) != \(8,\) of the earlier detections$"),
+        (lambda recs: recs[2].feature.__setitem__(1, np.inf),
+         "^data: line 3: the image feature is not a vector of finite numbers$"),
+        (lambda recs: recs[1].references[0].insert(1, "<PL>"),
+         "^data: line 2: reference token '<PL>' is a special token$"),
+        (lambda recs: setattr(recs[4], "image_id", recs[0].image_id),
+         "^data: line 5: image_id 'synth-00000' repeats line 1$"),
+        (lambda recs: setattr(recs[3], "feature", recs[3].feature[:5]), "^data: line 4: feature length 5 != 8$"),
+        (lambda recs: recs[0].detections.scores.__setitem__(0, 1.5),
+         r"^data: line 1: memory: detection score 1.5 outside \[0, 1\]$"),
+    ], ids=["detection-width", "non-finite-feature", "special-token", "repeated-id", "feature-length", "score"])
+    def test_a_refused_save_names_the_line_and_leaves_the_file_as_it_was(self, tmp_path, edit, message):
+        """Save holds a record to the rule load holds it to, before it opens the file."""
+        path = tmp_path / "d.jsonl"
+        records = generate_synthetic(small_world(), 6)
+        save_dataset(records, path)
+        before = path.read_bytes()
+        edit(records)
+        with pytest.raises(SchemaError, match=message):
+            save_dataset(records, path)
+        assert path.read_bytes() == before
+
+    def test_a_line_of_the_number_list_layout_is_refused_by_line_and_field(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        old = ('{"image_id":"synth-00001","feature":[0.1,0.2],"references":[["a","dog"]],'
+               '"detections":[{"feature":[0.5,0.5],"label":0,"score":0.9}]}')
+        path.write_text(line("synth-00000", [0.1, 0.2], [0.5, 0.5], [0], [0.9]) + "\n" + old + "\n")
+        with pytest.raises(SchemaError) as err:
+            load_dataset(path)
+        assert str(err.value) == "data: line 2: feature is not base64 text"
+
+    def test_loaded_arrays_are_owned_writable_and_free_the_decoded_bytes(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        save_dataset(generate_synthetic(small_world(), 4), path)
+        for rec in load_dataset(path):
+            for a in (rec.feature, rec.detections.features, rec.detections.scores):
+                assert a.dtype == np.float64 and a.flags.writeable and a.flags.c_contiguous
+                assert a.flags.owndata and a.base is None  # not a view of the line's decoded bytes
+            rec.detections.features[0, 0] += 1.0
 
 
 class TestCompactRecords:

@@ -4,6 +4,7 @@ numpy, json or struct exception. The crafted cases pin inputs that once
 escaped as raw exceptions; the fuzz tests throw bounded random input at
 each parser."""
 
+import base64
 import json
 import re
 import string
@@ -21,8 +22,21 @@ from novelcap.decoder import CaptionModel
 from novelcap.errors import CheckpointError, NovelcapError, ParseError, SchemaError
 from novelcap.vocabulary import SPECIAL_TOKENS, Vocabulary, word_fault
 
-GOOD_RECORD = {"image_id": "a", "feature": [1.0, 2.0], "references": [["a", "dog"]],
-               "detections": [{"feature": [0.5, 0.5], "label": 0, "score": 0.9}]}
+
+
+def b64(*values) -> str:
+    """The base64 text of ``values`` as little-endian float64 bytes, as a dataset line holds an array."""
+    return base64.b64encode(np.array(values, dtype="<f8").tobytes()).decode()
+
+
+def bits(*patterns) -> str:
+    """The base64 text of float64 values given by their bit patterns."""
+    return base64.b64encode(np.array(patterns, dtype="<u8").tobytes()).decode()
+
+
+NO_DETECTIONS = {"features": "", "labels": [], "scores": ""}
+GOOD_RECORD = {"image_id": "a", "feature": b64(1.0, 2.0), "references": [["a", "dog"]],
+               "detections": {"features": b64(0.5, 0.5), "labels": [0], "scores": b64(0.9)}}
 GOOD_MANIFEST = {"held_out_words": ["bus"], "class_names": ["bus", "dog"], "known_words": ["dog"],
                  "train": ["a"], "val": [], "test": []}
 FUZZ = settings(max_examples=60, deadline=None)
@@ -62,38 +76,67 @@ class TestDataset:
         with pytest.raises(SchemaError, match="data: line 1: references must be a list of token lists"):
             load_dataset(path)
 
-    @pytest.mark.parametrize("feature", [5, "1.0", None, {"x": 1.0}])
-    def test_a_feature_that_is_not_a_list(self, tmp_path, feature):
-        path = write_lines(tmp_path / "d.jsonl", json.dumps(dict(GOOD_RECORD, feature=feature)))
-        with pytest.raises(SchemaError, match="data: line 1: feature must be a list"):
-            load_dataset(path)
-
     @pytest.mark.parametrize("feature, message", [
-        ([[0.0]], "the image feature is not a vector of finite numbers"),
-        ([float("nan")], "the image feature is not a vector of finite numbers"),
-        ([1.0, float("inf")], "the image feature is not a vector of finite numbers"),
-        ([1.0, "x"], "could not convert string to float"),
-        ([10 ** 400], "int too large to convert to float")])
-    def test_an_image_feature_that_is_not_a_finite_vector(self, tmp_path, feature, message):
-        first = dict(GOOD_RECORD, feature=[0.5] * len(feature), detections=[])
-        path = write_lines(tmp_path / "d.jsonl", json.dumps(first), json.dumps(dict(first, feature=feature)))
-        with pytest.raises(SchemaError, match=f"data: line 2: {message}"):
+        (5, "feature is not base64 text"),
+        (None, "feature is not base64 text"),
+        ({"x": 1.0}, "feature is not base64 text"),
+        ([1.0, 2.0], "feature is not base64 text"),  # the number-list layout
+        ("1.0", r"feature is not base64 text \(Only base64 data is allowed\)"),
+        ("AAAA AAA", r"feature is not base64 text \(Only base64 data is allowed\)"),
+        ("\u00e9", r"feature is not base64 text \(string argument should contain only ASCII characters\)"),
+        (b64(1.0)[:-1], r"feature is not base64 text \(Incorrect padding\)"),
+        (base64.b64encode(bytes(5)).decode(), "feature holds 5 bytes, not whole float64s"),
+        (base64.b64encode(bytes(19)).decode(), "feature holds 19 bytes, not whole float64s")],
+        ids=["number", "null", "object", "number-list", "dot", "space", "non-ascii", "padding", "5-bytes",
+             "19-bytes"])
+    def test_a_feature_that_is_not_base64_of_float64s(self, tmp_path, feature, message):
+        path = write_lines(tmp_path / "d.jsonl", json.dumps(dict(GOOD_RECORD, feature=feature)))
+        with pytest.raises(SchemaError, match=f"^data: line 1: {message}$"):
             load_dataset(path)
 
-    @pytest.mark.parametrize("det, message", [
-        ({"feature": [[0.5, 0.5]], "label": 0, "score": 0.9}, "a detection feature is not a vector of numbers"),
-        ({"feature": [0.5, float("nan")], "label": 0, "score": 0.9}, "memory: detection feature contains non-fin"),
-        ({"feature": [0.5, 0.5], "label": 0, "score": 1.5}, "memory: detection score 1.5 outside"),
-        ({"feature": [0.5, 0.5], "label": -1, "score": 0.5}, "memory: detection label -1 is negative"),
-        ({"feature": [0.5, 0.5], "label": 2 ** 63, "score": 0.5}, "Python int too large to convert"),
-        ({"feature": [0.5, 0.5], "label": 2 ** 64, "score": 0.5}, "Python int too large to convert"),
-        ([{"feature": [0.5, 0.5], "label": 0, "score": 0.9}, {"feature": [0.5], "label": 1, "score": 0.9}],
-         r"detection feature shape \(1,\) != \(2,\) of the earlier detections"),
-        ({"label": 0, "score": 0.9}, "a detection is missing field 'feature'")])
-    def test_a_bad_detection_names_its_line(self, tmp_path, det, message):
-        first = dict(GOOD_RECORD, detections=[])
-        dets = det if isinstance(det, list) else [det]
-        path = write_lines(tmp_path / "d.jsonl", json.dumps(first), json.dumps(dict(first, detections=dets)))
+    @pytest.mark.parametrize("feature", [b64(float("nan")), b64(1.0, float("inf")), b64(-float("inf"), 0.0),
+                                         bits(0x7FF0000000000001), bits(0xFFF8000000000000, 0)],
+                             ids=["nan", "inf", "minus-inf", "signalling-nan-bits", "negative-nan-bits"])
+    def test_an_image_feature_that_is_not_finite(self, tmp_path, feature):
+        width = len(base64.b64decode(feature)) // 8
+        first = dict(GOOD_RECORD, feature=b64(*[0.5] * width), detections=NO_DETECTIONS)
+        bad = dict(first, image_id="b", feature=feature)
+        path = write_lines(tmp_path / "d.jsonl", json.dumps(first), json.dumps(bad))
+        with pytest.raises(SchemaError, match="^data: line 2: the image feature is not a vector of finite numbers$"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("table, message", [
+        ({"features": b64(0.5, 0.5, 0.5), "labels": [0, 1], "scores": b64(0.9, 0.9)},
+         "detections.features holds 3 float64s, not one row per label of 2"),
+        ({"features": b64(0.5, 0.5), "labels": [], "scores": ""},
+         "detections.features holds 2 float64s, not one row per label of 0"),
+        ({"features": b64(0.5, float("nan")), "labels": [0], "scores": b64(0.9)},
+         "memory: detection feature contains non-fin"),
+        ({"features": b64(0.5, float("-inf")), "labels": [0], "scores": b64(0.9)},
+         "memory: detection feature contains non-fin"),
+        ({"features": b64(0.5, 0.5), "labels": [0], "scores": b64(1.5)}, "memory: detection score 1.5 outside"),
+        ({"features": b64(0.5, 0.5), "labels": [0], "scores": b64(float("nan"))},
+         r"memory: detection score nan outside \[0, 1\]"),
+        ({"features": b64(0.5, 0.5), "labels": [-1], "scores": b64(0.5)}, "memory: detection label -1 is negative"),
+        ({"features": b64(0.5, 0.5), "labels": [2 ** 63], "scores": b64(0.5)}, "Python int too large to convert"),
+        ({"features": b64(0.5, 0.5), "labels": [2 ** 64], "scores": b64(0.5)}, "Python int too large to convert"),
+        ({"features": b64(0.5, 0.5, 0.5, 0.5), "labels": [0, 1], "scores": b64(0.9)},
+         "detections.scores holds 1 float64s, not one per label of 2"),
+        ({"features": b64(0.5, 0.5), "labels": [0], "scores": b64(0.9, 0.9)},
+         "detections.scores holds 2 float64s, not one per label of 1"),
+        ({"features": base64.b64encode(bytes(15)).decode(), "labels": [0], "scores": b64(0.9)},
+         "detections.features holds 15 bytes, not whole float64s"),
+        ({"features": b64(0.5, 0.5), "labels": [0], "scores": "0.9"},
+         r"detections.scores is not base64 text \(Only base64 data is allowed\)"),
+        ({"features": b64(0.5, 0.5, 0.5), "labels": [0], "scores": b64(0.9)},
+         r"detection feature shape \(3,\) != \(2,\) of the earlier detections"),
+        ({"labels": [0], "scores": b64(0.9)}, "the detections are missing field 'features'")],
+        ids=["not-whole-rows", "rows-for-no-labels", "nan-feature", "inf-feature", "score-above-1", "nan-score",
+             "label-negative", "label-2**63", "label-2**64", "too-few-scores", "too-many-scores", "feature-bytes",
+             "score-dot", "wider-than-the-earlier", "missing-features"])
+    def test_a_bad_detection_table_names_its_line(self, tmp_path, table, message):
+        bad = dict(GOOD_RECORD, image_id="b", detections=table)
+        path = write_lines(tmp_path / "d.jsonl", json.dumps(GOOD_RECORD), json.dumps(bad))
         with pytest.raises(SchemaError, match=f"data: line 2: {message}"):
             load_dataset(path)
 
@@ -102,13 +145,21 @@ class TestDataset:
         ({"image_id": 5}, "the image_id is not a JSON string"),
         ({"references": [["a", 5]]}, "a reference token is not a JSON string"),
         ({"references": [["a"], [None]]}, "a reference token is not a JSON string"),
-        ({"detections": [dict(GOOD_RECORD["detections"][0], score="0.9")]}, "a detection score is not a JSON number"),
-        ({"detections": [dict(GOOD_RECORD["detections"][0], score=True)]}, "a detection score is not a JSON number"),
-        ({"detections": {}}, "the detections are not a JSON list of objects"),
-        ({"detections": ""}, "the detections are not a JSON list of objects"),
-        ({"detections": [[0.5, 0.5]]}, "the detections are not a JSON list of objects"),
-    ], ids=["id-list", "id-number", "token-number", "token-null", "score-string", "score-bool", "detections-empty-object",
-            "detections-empty-string", "detection-list"])
+        ({"detections": dict(GOOD_RECORD["detections"], scores=[0.9])}, "detections.scores is not base64 text"),
+        ({"detections": dict(GOOD_RECORD["detections"], scores=True)}, "detections.scores is not base64 text"),
+        ({"detections": dict(GOOD_RECORD["detections"], features=[[0.5, 0.5]])},
+         "detections.features is not base64 text"),
+        ({"detections": dict(GOOD_RECORD["detections"], labels=0)}, "the detection labels are not a JSON list"),
+        ({"detections": dict(GOOD_RECORD["detections"], labels=[0.0])}, "a detection label is not a JSON integer"),
+        ({"detections": dict(GOOD_RECORD["detections"], labels=[True])}, "a detection label is not a JSON integer"),
+        ({"detections": []}, "the detections are not a JSON object"),
+        ({"detections": ""}, "the detections are not a JSON object"),
+        ({"detections": [[0.5, 0.5]]}, "the detections are not a JSON object"),
+        ({"detections": [{"feature": [0.5, 0.5], "label": 0, "score": 0.9}]},  # the number-list layout
+         "the detections are not a JSON object"),
+    ], ids=["id-list", "id-number", "token-number", "token-null", "scores-list", "scores-bool", "features-list",
+            "labels-number", "label-float", "label-bool", "detections-empty-list", "detections-empty-string",
+            "detection-list", "detection-objects"])
     def test_a_value_of_the_wrong_json_type_is_refused_not_converted(self, tmp_path, changes, message):
         path = write_lines(tmp_path / "d.jsonl", json.dumps(GOOD_RECORD), json.dumps(dict(GOOD_RECORD, **changes)))
         with pytest.raises(SchemaError, match=f"^data: line 2: {message}$"):
@@ -221,6 +272,10 @@ class TestNotUtf8:
 
 JSON_SCALARS = (st.none() | st.booleans() | st.integers(-10 ** 6, 10 ** 6) | st.text(max_size=6)
                 | st.floats(allow_nan=True, allow_infinity=True))
+# base64 of any bytes, sometimes of whole float64s (NaN and Inf included), sometimes cut short
+BASE64_TEXT = (st.binary(max_size=40) | st.lists(st.floats(), max_size=5).map(lambda xs: np.array(xs, "<f8").tobytes())
+               ).map(lambda raw: base64.b64encode(raw).decode()).flatmap(
+                   lambda text: st.just(text) | st.integers(0, len(text)).map(lambda k: text[:k]))
 JSON_VALUES = st.recursive(JSON_SCALARS, lambda inner: st.lists(inner, max_size=3)
                            | st.dictionaries(st.text(max_size=4), inner, max_size=3), max_leaves=8)
 
@@ -237,7 +292,12 @@ def dataset_bytes(draw):
         rec = dict(draw(mutated(GOOD_RECORD)))
         if "detections" in rec and draw(st.booleans()):
             n_dets = draw(st.integers(0, 2))
-            rec["detections"] = [draw(mutated(GOOD_RECORD["detections"][0])) for _ in range(n_dets)]
+            table = {"features": b64(*[0.5] * 2 * n_dets), "labels": list(range(n_dets)),
+                     "scores": b64(*[0.9] * n_dets)}
+            rec["detections"] = dict(draw(mutated(table)))
+        for owner, key in ((rec, "feature"), (rec.get("detections"), "features"), (rec.get("detections"), "scores")):
+            if isinstance(owner, dict) and key in owner and draw(st.booleans()):
+                owner[key] = draw(BASE64_TEXT)
         return json.dumps(rec).encode()
     junk = st.binary(max_size=30) | JSON_VALUES.map(lambda v: json.dumps(v).encode())
     lines = [draw(st.none() | junk) for _ in range(draw(st.integers(0, 3)))]
