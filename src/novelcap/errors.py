@@ -18,10 +18,6 @@ class DomainError(NovelcapError):
     """Input outside the operation's domain (empty corpus, bad range, ...)."""
 
 
-class CapacityError(NovelcapError):
-    """Memory slot capacity exceeded."""
-
-
 class NumericError(NovelcapError):
     """Non-finite value where a finite one is required."""
 

@@ -7,13 +7,14 @@ confidence (the key-value read of Miller et al. 2016). A read
 addressing weights, softmax(q . K^T), and sums the weights of the slots
 that carry each class into a class distribution. The read loss is the
 cross-entropy of that distribution against the annotated class.
-Captioning reads one image's ``ObjectMemory`` as one unpadded slot row,
-with a (P, key_dim) block of queries, one per placeholder; training reads
-``Slots``, the padded buffers of one such memory per training image. Both
-are built the same way: ``select_top_detections``, the one top-n cut,
-then ``_write_slots``, the one slot writer and its checks. A table is the
-one way detections enter a memory, read from a file or built by hand,
-and a read returns its (P, n_classes) class distribution.
+Captioning reads one image's ``ObjectMemory``, written once with exactly
+its top rows, as one slot row with a (P, key_dim) block of queries, one
+per placeholder; training reads ``Slots``, one such memory per training
+image, zero-padded to the longest. Both are built the same way:
+``select_top_detections``, the one top-n cut, then ``_write_slots``, the
+one slot writer and its checks. A table is the one way detections enter
+a memory, read from a file or built by hand, and a read returns its
+(P, n_classes) class distribution.
 """
 
 import logging
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, ShapeError
+from .errors import DomainError, ShapeError
 from .numerics import FLOAT, softmax
 from .numerics import cross_entropy  # noqa: F401 -- not called here; the benchmark's traced run wraps it
 
@@ -77,48 +78,39 @@ class Detections:
 
 
 class ObjectMemory:
-    """Append-only slot store with capacity ``n_det``, built fresh per image."""
+    """One image's key-value memory: the keys (n, key_dim) and class labels
+    (n,) of the rows of the one table written to it, in table order; both
+    are None until it is written."""
 
-    def __init__(self, capacity: int, key_dim: int, n_classes: int):
-        if capacity < 1:
-            raise DomainError(f"memory: capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
+    def __init__(self, key_dim: int, n_classes: int):
         self.key_dim = key_dim
         self.n_classes = n_classes
         self.n = 0
-        self._keys = np.zeros((capacity, key_dim), dtype=FLOAT)
-        self._labels = np.zeros(capacity, dtype=np.intp)
-
-    @property
-    def keys(self) -> np.ndarray:
-        """(n, key_dim) view of the written keys, in insertion order."""
-        return self._keys[:self.n]
-
-    @property
-    def labels(self) -> np.ndarray:
-        """(n,) class index of each written slot."""
-        return self._labels[:self.n]
+        self.keys, self.labels = None, None
 
     def write(self, rows: Detections) -> "ObjectMemory":
-        """Append one key-value slot per row, in order, as one block."""
-        self.n += _write_slots(self._keys, self._labels, self.n, rows, self.key_dim, self.n_classes)
+        """Copy the table's rows into arrays of exactly its length. A memory
+        is written once: a second write is refused, as is a write that fails
+        its checks, and either leaves the memory as it was."""
+        if self.keys is not None:
+            raise DomainError("memory: a memory is written once")
+        keys, labels = np.empty((len(rows), self.key_dim), dtype=FLOAT), np.empty(len(rows), dtype=np.intp)
+        self.n = _write_slots(keys, labels, rows, self.key_dim, self.n_classes)
+        self.keys, self.labels = keys, labels
         return self
 
 
-def _write_slots(keys, labels, start: int, rows: Detections, key_dim: int, n_classes: int) -> int:
-    """Copy a table's rows into the slot buffers ``keys`` (capacity,
-    key_dim) and ``labels`` (capacity,) from slot ``start`` on, checked
-    once as a block: rows past the capacity are a CapacityError, the first
-    label past the classes a DomainError, then keys of another length a
-    ShapeError. Returns how many slots it wrote."""
+def _write_slots(keys, labels, rows: Detections, key_dim: int, n_classes: int) -> int:
+    """Copy a table's rows into the first slots of ``keys`` (width, key_dim)
+    and ``labels`` (width,), checked once as a block: the first label past
+    the classes is a DomainError, then keys of another length a ShapeError.
+    Returns how many slots it wrote."""
     n = len(rows)
-    if start + n > len(labels):
-        raise CapacityError(f"memory: capacity {len(labels)} exceeded; select top detections first")
     if n:
         check_labels(rows.labels.tolist(), n_classes)
         if rows.features.shape[1:] != (key_dim,):
             raise ShapeError(f"memory: key shape {rows.features.shape[1:]} != ({key_dim},)")
-        keys[start:start + n], labels[start:start + n] = rows.features, rows.labels
+        keys[:n], labels[:n] = rows.features, rows.labels
     return n
 
 
@@ -137,19 +129,19 @@ def select_top_detections(dets: Detections, n_det: int) -> Detections:
 
 
 def build_memory(dets: Detections, n_det: int, key_dim: int, n_classes: int) -> ObjectMemory:
-    """Memory from the top-``n_det`` detections, keyed by their features,
-    written as one block."""
-    return ObjectMemory(n_det, key_dim, n_classes).write(select_top_detections(dets, n_det))
+    """Memory of the top-``n_det`` detections, keyed by their features."""
+    return ObjectMemory(key_dim, n_classes).write(select_top_detections(dets, n_det))
 
 
 @dataclass
 class Slots:
     """The top-n_det detection slots of many images, as arrays. Row r holds
     image r's slots in ``select_top_detections`` order: the first
-    ``counts[r]`` are written, the rest are zero and never read."""
+    ``counts[r]`` are written, the rest are zero and never read.
+    ``build_slots`` makes them as wide as the longest row, and at least 1."""
 
-    keys: np.ndarray  # (R, n_det, key_dim)
-    labels: np.ndarray  # (R, n_det) class index of each slot
+    keys: np.ndarray  # (R, width, key_dim)
+    labels: np.ndarray  # (R, width) class index of each slot
     counts: np.ndarray  # (R,) written slots per row
 
     def __getitem__(self, rows) -> "Slots":
@@ -157,15 +149,15 @@ class Slots:
 
 
 def build_slots(detections: list[Detections], n_det: int, key_dim: int, n_classes: int) -> Slots:
-    """One slot row per image: the padded buffers of its ``build_memory``,
-    its ``select_top_detections`` written by the same ``_write_slots``,
-    image by image, so the first image at fault is the one refused."""
-    if n_det < 1:
-        raise DomainError(f"memory: capacity must be >= 1, got {n_det}")
-    keys = np.zeros((len(detections), n_det, key_dim), dtype=FLOAT)
-    labels = np.zeros((len(detections), n_det), dtype=np.intp)
-    counts = [_write_slots(keys[r], labels[r], 0, select_top_detections(dets, n_det), key_dim, n_classes)
-              for r, dets in enumerate(detections)]
+    """One slot row per image, its ``select_top_detections`` written by
+    ``_write_slots`` as its ``build_memory`` would be, image by image, so
+    the first image at fault is the one refused. An ``n_det`` past every
+    table takes every row; a width of 1 keeps slot 0 for a row of none."""
+    tops = [select_top_detections(dets, n_det) for dets in detections]
+    width = max(1, max(map(len, tops), default=0))
+    keys = np.zeros((len(tops), width, key_dim), dtype=FLOAT)
+    labels = np.zeros((len(tops), width), dtype=np.intp)
+    counts = [_write_slots(keys[r], labels[r], top, key_dim, n_classes) for r, top in enumerate(tops)]
     return Slots(keys, labels, np.array(counts, dtype=np.intp))
 
 
@@ -182,7 +174,7 @@ def read_slots(queries: np.ndarray, slots: Slots, n_classes: int) -> tuple[np.nd
     slot row m, or the one row of a one-row ``slots``; a row needs one
     written slot. The addressing weights softmax(q . K^T) are exactly zero
     on unwritten slots; one bincount sums them by class in slot order.
-    Returns the (M, n_det) weights and the (M, n_classes) distribution."""
+    Returns the (M, width) weights and the (M, n_classes) distribution."""
     n_rows, width = len(queries), slots.keys.shape[1]
     sims = np.matmul(slots.keys, queries[:, :, None])[..., 0]
     if min(slots.counts.tolist(), default=width) < width:  # a row with unwritten slots: mask them out
@@ -201,7 +193,7 @@ def memory_read(q: np.ndarray, mem: ObjectMemory) -> np.ndarray:
         raise DomainError("memory: read on an empty memory")
     if q.ndim != 2 or q.shape[1] != mem.key_dim:
         raise ShapeError(f"memory: query shape {q.shape} is not a (P, {mem.key_dim}) block")
-    one_row = Slots(mem._keys[None, :mem.n], mem._labels[None, :mem.n], np.array([mem.n]))
+    one_row = Slots(mem.keys[None], mem.labels[None], np.array([mem.n]))
     return read_slots(q, one_row, mem.n_classes)[1]
 
 
@@ -211,8 +203,8 @@ class LossReads:
 
     steps: np.ndarray  # (M,) time step of each read
     rows: np.ndarray  # (M,) batch row (example) of each read
-    keys: np.ndarray  # (M, n_det, key_dim) slot keys of the memory read
-    dsims: np.ndarray  # (M, n_det) gradient of each read's loss w.r.t. its slot similarities
+    keys: np.ndarray  # (M, width, key_dim) slot keys of the memory read
+    dsims: np.ndarray  # (M, width) gradient of each read's loss w.r.t. its slot similarities
 
     def __len__(self) -> int:
         return len(self.steps)

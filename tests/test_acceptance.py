@@ -228,9 +228,8 @@ def test_criterion_6_read_oracle_equivalence():
             for labels in itertools.product(range(n_classes), repeat=n):
                 for offset in (0, 2):
                     keys = [key_pool[(offset + i) % len(key_pool)] for i in range(n)]
-                    mem = ObjectMemory(4, key_dim=2, n_classes=n_classes)
-                    for key, label in zip(keys, labels):
-                        mem.write(Detections([[float(k) for k in key]], [label], [0.9]))
+                    mem = ObjectMemory(key_dim=2, n_classes=n_classes).write(
+                        Detections([[float(k) for k in key] for key in keys], labels, [0.9] * n))
                     for q in queries:
                         q_arr = np.array([[float(c) for c in q]])
                         dist = memory_read(q_arr, mem)

@@ -435,6 +435,30 @@ class TestListFlags:
         assert not os.path.exists(load_config(cfg_path).dataset)
 
 
+class TestNDetPastEveryTable:
+    def test_train_eval_and_sweep_past_every_table_equal_those_at_the_longest_table(self, tmp_path, capsys):
+        # n_det sizes no buffer: past every table it takes every row, as the longest table's length does
+        cfg_path = write_config(tmp_path)
+        assert main(gen_args(cfg_path, write_world(tmp_path))) == 0
+        cfg = load_config(cfg_path)
+        longest = max(len(rec.detections) for rec in load_dataset(cfg.dataset))
+        assert longest > cfg.n_det
+        runs = []
+        for n_det in (longest, 10 ** 12):
+            ckpt_path, report = str(tmp_path / f"{n_det}.ckpt"), str(tmp_path / f"{n_det}.json")
+            flags = ["--config", cfg_path, "--n-det", str(n_det), "--checkpoint", ckpt_path]
+            assert main(["train", *flags]) == 0
+            assert main(["eval", *flags, "--out", report]) == 0
+            capsys.readouterr()
+            assert main(["sweep-ndet", "--config", cfg_path, "--checkpoint", ckpt_path,
+                         "--values", f"{longest},{10 ** 12}"]) == 0
+            sweep = [line.split("\t") for line in capsys.readouterr().out.splitlines()[1:]]
+            assert [n for n, _ in sweep] == [str(longest), str(10 ** 12)] and sweep[0][1] == sweep[1][1]
+            runs.append((Path(ckpt_path).read_bytes(), Path(cfg.train_log).read_bytes(),
+                         Path(report).read_bytes(), sweep[0][1]))
+        assert runs[0] == runs[1]
+
+
 class TestCaption:
     def test_prints_single_caption(self, trained, capsys):
         tmp_path, cfg_path = trained

@@ -1,7 +1,5 @@
-import importlib.util
 import logging
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +12,8 @@ from novelcap.errors import DomainError, NumericError, ShapeError
 from novelcap.numerics import AdamState
 from novelcap.pipeline import TrainExample, TrainingPairs, train_step
 from novelcap.vocabulary import build_vocabulary, intersect_detectable
+
+from support import load_workloads
 
 
 def tiny_vocab():
@@ -433,15 +433,7 @@ class TestModelPlumbing:
         assert np.all(m.lstm_b[:nh] == 0.0)
 
 
-WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 ORACLE_SEEDS = range(101, 111)
-
-
-def load_workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads_oracle", WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def reference_decode(feature, model, go_id, eos_id, max_steps):

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from novelcap.errors import CapacityError, DomainError, ShapeError
-from novelcap.memory import (Detections, ObjectMemory, Slots, build_memory, build_slots, make_query,
+from novelcap.errors import DomainError, ShapeError
+from novelcap.memory import (Detections, ObjectMemory, build_memory, build_slots, make_query,
                              memory_loss_forward, memory_read, read_loss_backward, read_slots,
                              select_top_detections)
 from novelcap.numerics import finite_diff_check
 from novelcap.vocabulary import build_vocabulary, intersect_detectable
+
+from support import as_slots
 
 
 def det(feature, label, score=0.9):
@@ -26,20 +28,10 @@ def table(*rows):
     return Detections(features, labels, scores)
 
 
-def memory_of(*slots, n_classes=3, capacity=4):
-    mem = ObjectMemory(capacity, key_dim=len(slots[0][0]), n_classes=n_classes)
-    for feature, label in slots:
-        mem.write(table(det(feature, label)))
-    return mem
-
-
-def as_slots(*mems):
-    """The slots of memories of one capacity, one slot row per memory."""
-    keys = np.zeros((len(mems), mems[0].capacity, mems[0].key_dim))
-    labels = np.zeros((len(mems), mems[0].capacity), dtype=np.intp)
-    for r, mem in enumerate(mems):
-        keys[r, :mem.n], labels[r, :mem.n] = mem.keys, mem.labels
-    return Slots(keys, labels, np.array([mem.n for mem in mems]))
+def memory_of(*slots, n_classes=3):
+    """The memory of one table write of the (feature, label) ``slots``."""
+    return ObjectMemory(key_dim=len(slots[0][0]), n_classes=n_classes).write(
+        table(*(det(feature, label) for feature, label in slots)))
 
 
 CLASS_VOCAB = build_vocabulary([["c0", "c1", "c2"]])
@@ -80,10 +72,28 @@ class TestWriteAndSelect:
         assert [k[0] for k in mem.keys] == [0.0, 1.0, 2.0, 3.0]
         assert mem.labels.tolist() == [0, 1, 2, 0]
 
-    def test_fifth_write_exceeds_capacity(self):
-        mem = memory_of(*[([float(i)], 0) for i in range(4)], n_classes=1)
-        with pytest.raises(CapacityError):
+    @pytest.mark.parametrize("first", [table(det([1.0], 0), det([2.0], 0)), table()])
+    def test_a_second_write_is_refused_and_leaves_the_memory_as_it_was(self, first):
+        mem = ObjectMemory(key_dim=1, n_classes=1).write(first)
+        keys, labels, n = mem.keys, mem.labels, mem.n
+        with pytest.raises(DomainError, match="^memory: a memory is written once$"):
             mem.write(table(det([9.0], 0)))
+        assert mem.n == n == len(first) and mem.keys is keys and mem.labels is labels
+
+    def test_a_write_refused_by_its_checks_leaves_the_memory_unwritten(self):
+        mem = ObjectMemory(key_dim=1, n_classes=2)
+        with pytest.raises(DomainError, match="label 7 out of range"):
+            mem.write(table(det([1.0], 1), det([2.0], 7)))
+        assert mem.n == 0
+        with pytest.raises(DomainError, match="^memory: read on an empty memory$"):
+            memory_read(np.zeros((1, 1)), mem)
+        mem.write(table(det([3.0], 1)))
+        assert mem.n == 1 and mem.keys.tolist() == [[3.0]] and mem.labels.tolist() == [1]
+
+    def test_a_memory_holds_exactly_the_rows_written(self):
+        mem = ObjectMemory(key_dim=2, n_classes=3).write(table(det([1.0, 2.0], 2), det([3.0, 4.0], 0)))
+        assert mem.keys.shape == (2, 2) and mem.labels.shape == (2,) and mem.labels.dtype == np.intp
+        assert build_memory(table(), 10 ** 12, key_dim=2, n_classes=3).keys.shape == (0, 2)
 
     def test_select_top_by_score(self):
         top = select_top_detections(table(det([0.0], 0, 0.9), det([1.0], 0, 0.2), det([2.0], 0, 0.8)), 2)
@@ -216,7 +226,7 @@ class TestMemoryRead:
         assert dist[0].argmax() == 0
 
     def test_empty_memory(self):
-        mem = ObjectMemory(4, key_dim=2, n_classes=3)
+        mem = ObjectMemory(key_dim=2, n_classes=3)
         for q in (np.zeros((1, 2)), np.zeros((3, 2))):  # one query, or a block
             with pytest.raises(DomainError, match="^memory: read on an empty memory$"):
                 memory_read(q, mem)
@@ -243,8 +253,7 @@ class TestMemoryRead:
         rng = np.random.default_rng(11)
         cases = []
         for n_slots, n_rows in ((1, 1), (1, 3), (4, 2), (9, 5), (16, 4)):
-            mem = memory_of(*((rng.normal(size=5), int(rng.integers(6))) for _ in range(n_slots)),
-                            n_classes=6, capacity=16)
+            mem = memory_of(*((rng.normal(size=5), int(rng.integers(6))) for _ in range(n_slots)), n_classes=6)
             cases.append((mem, rng.normal(size=(n_rows, 5)) * 3))
         # exact ties: one key under two labels, and queries that weigh every slot the same
         tied = memory_of(([1.0, 1.0], 4), ([1.0, 1.0], 2), ([0.0, -1.0], 1), ([-1.0, 0.0], 3), n_classes=6)
@@ -279,7 +288,7 @@ class TestMemoryRead:
         q = np.array([[0.7, 0.3]])
         probs = []
         for copies in (1, 2, 3):
-            mem = memory_of(*others, *([(key, label)] * copies), n_classes=3, capacity=8)
+            mem = memory_of(*others, *([(key, label)] * copies), n_classes=3)
             dist = memory_read(q, mem)
             probs.append(dist[0][label])
         assert probs[0] < probs[1] < probs[2]
@@ -295,7 +304,7 @@ class TestReadSlots:
                             for _ in range(data.draw(st.integers(1, 4)))], n_classes=n_classes)
                 for _ in range(data.draw(st.integers(1, 4)))]  # rows of 1 to 4 written slots, padded to 4
         queries = np.array([data.draw(floats) for _ in mems])
-        weights, distribution = read_slots(queries, as_slots(*mems), n_classes)
+        weights, distribution = read_slots(queries, as_slots(*mems, width=4), n_classes)
         assert weights.shape == (len(mems), 4) and distribution.shape == (len(mems), n_classes)
         for q, mem, w, dist in zip(queries, mems, weights, distribution):
             assert np.all(w[mem.n:] == 0.0) and abs(w.sum() - 1.0) < 1e-9
@@ -311,12 +320,12 @@ class TestReadSlots:
 
     def test_one_row_serves_every_query(self):
         rng = np.random.default_rng(5)
-        mem = memory_of(*((rng.normal(size=3), int(rng.integers(3))) for _ in range(3)), capacity=6)
+        mem = memory_of(*((rng.normal(size=3), int(rng.integers(3))) for _ in range(3)))
         queries = rng.normal(size=(7, 3)) * 2
-        weights, distribution = read_slots(queries, as_slots(mem), 3)
+        weights, distribution = read_slots(queries, as_slots(mem, width=6), 3)
         assert weights.shape == (7, 6) and np.all(weights[:, 3:] == 0.0)
         for q, w, dist in zip(queries, weights, distribution):
-            alone_w, alone = read_slots(q[None], as_slots(mem), 3)
+            alone_w, alone = read_slots(q[None], as_slots(mem, width=6), 3)
             assert np.array_equal(w, alone_w[0]) and np.array_equal(dist, alone[0])
             oracle = brute_force_read(q, mem.keys.tolist(), mem.labels.tolist(), 3)
             assert np.all(np.abs(dist - oracle) < 1e-9)
@@ -421,7 +430,7 @@ class TestBuildMemory:
         assert mem.n == 4
         assert sorted(k[0] for k in mem.keys) == [3.0, 4.0, 5.0, 6.0]
 
-    def test_gathered_memory_equals_slot_by_slot_writes(self):
+    def test_gathered_memory_equals_a_write_of_the_python_sorted_rows(self):
         rng = np.random.default_rng(4)
         # scores drawn from three values, so ties are common and must keep input order
         dets = [det(rng.normal(size=3), int(rng.integers(5)), float(rng.choice([0.2, 0.5, 0.9])))
@@ -429,21 +438,17 @@ class TestBuildMemory:
         for n_det in (1, 4, 12, 16):
             mem = build_memory(table(*dets), n_det, key_dim=3, n_classes=5)
             order = sorted(range(len(dets)), key=lambda i: (-dets[i][2], i))[:n_det]
-            one_by_one = ObjectMemory(n_det, 3, 5)
-            for i in order:
-                one_by_one.write(table(dets[i]))
-            assert mem.n == one_by_one.n == len(order)
-            assert np.array_equal(mem.keys, one_by_one.keys) and np.array_equal(mem.labels, one_by_one.labels)
+            sorted_rows = ObjectMemory(3, 5).write(table(*(dets[i] for i in order)))
+            assert mem.n == sorted_rows.n == len(order)
+            assert np.array_equal(mem.keys, sorted_rows.keys) and np.array_equal(mem.labels, sorted_rows.labels)
 
     def test_block_write_names_the_first_bad_detection(self):
         with pytest.raises(ShapeError, match=r"key shape \(2,\) != \(3,\)"):
-            ObjectMemory(4, 3, 2).write(table(det([1.0, 2.0], 0), det([3.0, 4.0], 0)))
+            ObjectMemory(3, 2).write(table(det([1.0, 2.0], 0), det([3.0, 4.0], 0)))
         with pytest.raises(ShapeError, match=r"detection table of features \(1, 1, 3\)"):
-            ObjectMemory(4, 3, 2).write(table(det([[1.0, 2.0, 3.0]], 0)))
+            ObjectMemory(3, 2).write(table(det([[1.0, 2.0, 3.0]], 0)))
         with pytest.raises(DomainError, match="label 7 out of range for 2 classes"):
-            ObjectMemory(4, 1, 2).write(table(det([1.0], 1), det([1.0], 7), det([1.0], 9)))
-        with pytest.raises(CapacityError):
-            ObjectMemory(2, 1, 1).write(table(det([1.0], 0), det([2.0], 0), det([3.0], 0)))
+            ObjectMemory(1, 2).write(table(det([1.0], 1), det([1.0], 7), det([1.0], 9)))
 
     def test_a_table_is_checked_as_a_block_write_is(self):
         with pytest.raises(ShapeError, match=r"key shape \(2,\) != \(3,\)"):
@@ -470,8 +475,8 @@ class TestBuildSlots:
         assert slots.labels.tolist() == [[0, 1], [1, 0], [0, 0], [0, 2]]
         picked = slots[np.array([3, 0, 3])]
         assert picked.counts.tolist() == [2, 2, 2] and np.array_equal(picked.keys[1], slots.keys[0])
-        empty = build_slots([table(), table()], 3, key_dim=2, n_classes=1)
-        assert empty.counts.tolist() == [0, 0] and empty.keys.shape == (2, 3, 2) and not empty.keys.any()
+        empty = build_slots([table(), table()], 3, key_dim=2, n_classes=1)  # one zero slot a row, for slot 0
+        assert empty.counts.tolist() == [0, 0] and empty.keys.shape == (2, 1, 2) and not empty.keys.any()
 
     def test_each_row_is_its_images_build_memory(self):
         rng = np.random.default_rng(8)
@@ -480,9 +485,35 @@ class TestBuildSlots:
         for n_det in (1, 3, 8):
             slots = build_slots(images, n_det, key_dim=3, n_classes=4)
             for r, dets in enumerate(images):
-                mem = build_memory(dets, n_det, key_dim=3, n_classes=4)
-                assert np.array_equal(slots.keys[r], mem._keys) and np.array_equal(slots.labels[r], mem._labels)
-                assert slots.counts[r] == mem.n
+                mem = as_slots(build_memory(dets, n_det, key_dim=3, n_classes=4), width=slots.keys.shape[1])
+                assert np.array_equal(slots.keys[r], mem.keys[0]) and np.array_equal(slots.labels[r], mem.labels[0])
+                assert slots.counts[r] == mem.counts[0]
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_each_row_is_its_images_build_memory_at_any_n_det(self, data):
+        # tables empty, with tied scores, and shorter than n_det
+        row = st.tuples(st.lists(st.floats(-3, 3), min_size=2, max_size=2), st.integers(0, 3),
+                        st.sampled_from([0.25, 0.5, 1.0]))
+        images = [table(*rows) for rows in data.draw(st.lists(st.lists(row, max_size=12), min_size=1, max_size=6))]
+        n_det = data.draw(st.integers(1, 20))
+        slots = build_slots(images, n_det, key_dim=2, n_classes=4)
+        assert slots.keys.shape[1] == slots.labels.shape[1] == max(1, min(n_det, max(map(len, images))))
+        for r, dets in enumerate(images):
+            mem = build_memory(dets, n_det, key_dim=2, n_classes=4)
+            n = slots.counts[r]
+            assert n == mem.n == min(n_det, len(dets))
+            assert np.array_equal(slots.keys[r, :n], mem.keys) and np.array_equal(slots.labels[r, :n], mem.labels)
+            assert not slots.keys[r, n:].any() and not slots.labels[r, n:].any()
+
+    def test_an_n_det_past_every_table_takes_every_row(self):
+        rng = np.random.default_rng(3)
+        images = [table(*[det(rng.normal(size=2), int(rng.integers(3)), 0.5) for _ in range(n)]) for n in (2, 0, 5)]
+        whole = build_slots(images, 5, key_dim=2, n_classes=3)
+        for n_det in (6, 10 ** 12):
+            slots = build_slots(images, n_det, key_dim=2, n_classes=3)
+            assert all(np.array_equal(getattr(slots, f), getattr(whole, f)) for f in ("keys", "labels", "counts"))
+            assert build_memory(images[2], n_det, key_dim=2, n_classes=3).keys.shape == (5, 2)
 
     def test_writes_are_checked_as_memory_writes_are(self):
         with pytest.raises(ShapeError, match=r"key shape \(2,\) != \(3,\)"):

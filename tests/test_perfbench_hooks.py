@@ -3,9 +3,6 @@ values of the functions it wraps (perfbench/tracing.py). A field a hook
 needs that goes missing would otherwise show only in a traced benchmark
 run, as ``"correct": false``."""
 
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 
 from novelcap import pipeline
@@ -15,14 +12,7 @@ from novelcap.decoder import CaptionModel
 from novelcap.numerics import AdamState
 from novelcap.vocabulary import build_vocabulary, intersect_detectable
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
-
-
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing_hooks", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from support import load_tracing
 
 
 def test_counter_hooks_read_a_train_step_and_a_caption():

@@ -2,20 +2,9 @@
 (perfbench/tracing.py). Each wrapped name must stay bound in the namespace
 it is looked up in, or only a benchmark run would notice the break."""
 
-import importlib.util
-from pathlib import Path
-
 import pytest
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
-
-
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
+from support import load_tracing
 
 tracing = load_tracing()
 SPANS = [pytest.param(owner, attr, id=f"{owner.__name__}.{attr}")

@@ -13,18 +13,17 @@ targets, no memory pass and a zero query gradient.
 
 Captioning builds a record's memory once, in one block write, and fills
 all of its placeholders with one read. Its oracle is the captioner it
-replaced (a memory written one slot at a time, one query product and one
-read per placeholder, each filler made eagerly), over the benchmark's
-caption and crowded-sweep draws.
+replaced (a memory of Python-sorted rows, one query product and one read
+per placeholder, each filler made eagerly), over the benchmark's caption
+and crowded-sweep draws.
 
 A record's detections are one table, and a split's slots come from one
-sort and one gather. Their oracle is the slot build that took one row at
-a time: one ``ObjectMemory`` per image, written with its top detections in
-score order, then stacked.
+sort and one gather. Their oracle is the slot build by a Python sort: one
+``ObjectMemory`` per image, written with its top detections in score
+order, then padded and stacked.
 """
 
 import dataclasses
-import importlib.util
 import json
 import zlib
 from functools import partial
@@ -46,6 +45,8 @@ from novelcap.numerics import FLOAT, AdamState, adam_step, softmax
 from novelcap.pipeline import (CLIP_NORM, Caption, TrainExample, TrainingPairs, batch_losses, clip_gradients,
                                train_step)
 from novelcap.vocabulary import PLACEHOLDER, build_vocabulary, intersect_detectable, mask_weights, rewrite_targets
+
+from support import as_slots, load_workloads
 
 SPEC = json.loads((Path(__file__).parent / "acceptance_config.json").read_text())["benchmark"]
 RUN = SPEC["run"]
@@ -78,37 +79,29 @@ def first_epoch(examples, vocab, det_map):
     return pairs, [order[s:s + RUN["batch_size"]] for s in range(0, len(order), RUN["batch_size"])]
 
 
-def top_rows(dets: Detections, n_det: int) -> list[Detections]:
+def top_rows(dets: Detections, n_det: int) -> Detections:
     """A table's top ``n_det`` rows by a Python sort of the scores
-    (``sorted`` is stable, so ties keep their order), one one-row table each."""
+    (``sorted`` is stable, so ties keep their order), as one table."""
     order = sorted(range(len(dets)), key=lambda i: -dets.scores[i])[:n_det]
-    return [Detections(dets.features[i:i + 1], dets.labels[i:i + 1], dets.scores[i:i + 1]) for i in order]
+    return Detections(dets.features[order], dets.labels[order], dets.scores[order])
+
+
+def slot_width(detections, n_det) -> int:
+    """The width of a split's slots: its longest top-``n_det`` cut, and at least 1."""
+    return max(1, min(n_det, max((len(dets) for dets in detections), default=0)))
 
 
 def per_memory_slots(detections, n_det, key_dim, n_classes) -> Slots:
-    """``build_slots`` as it was: per image, its top ``n_det`` rows by score
-    written to one ``ObjectMemory`` one at a time, and the buffers stacked."""
-    mems = [ObjectMemory(n_det, key_dim, n_classes) for _ in detections]
-    for mem, dets in zip(mems, detections):
-        for row in top_rows(dets, n_det):
-            mem.write(row)
-    return Slots(np.stack([mem._keys for mem in mems]), np.stack([mem._labels for mem in mems]),
-                 np.array([mem.n for mem in mems], dtype=np.intp))
+    """``build_slots`` by a Python sort: per image, its top ``n_det`` rows by
+    score written to one ``ObjectMemory``, and the memories padded and stacked."""
+    mems = [ObjectMemory(key_dim, n_classes).write(top_rows(dets, n_det)) for dets in detections]
+    return as_slots(*mems, width=slot_width(detections, n_det))
 
 
 def assert_slots_equal(got: Slots, want: Slots, what):
     for field in ("keys", "labels", "counts"):
         a, b = getattr(got, field), getattr(want, field)
         assert a.dtype == b.dtype and np.array_equal(a, b), (what, field)
-
-
-def as_slots(*mems):
-    """The slots of memories of one capacity, one slot row per memory."""
-    keys = np.zeros((len(mems), mems[0].capacity, mems[0].key_dim))
-    labels = np.zeros((len(mems), mems[0].capacity), dtype=np.intp)
-    for r, mem in enumerate(mems):
-        keys[r, :mem.n], labels[r, :mem.n] = mem.keys, mem.labels
-    return Slots(keys, labels, np.array([mem.n for mem in mems]))
 
 
 # --- the list-based step, as it was before the pairs became arrays ---------
@@ -158,15 +151,17 @@ def list_forward(targets, features, model, go_id, pad_id, max_steps):
                         c_tanh=c_tanh, logits=logits), target_ids
 
 
-def list_memory_loss(hiddens, original, mask, det_map, memories, w_query):
-    """The batched memory loss over one memory per row, classes looked up word by word."""
+def list_memory_loss(hiddens, original, mask, det_map, memories, w_query, width):
+    """The batched memory loss over one memory per row, each padded to
+    ``width`` slots, classes looked up word by word."""
     steps, rows = np.divmod(np.flatnonzero(mask), len(memories))
     classes = np.array([det_map.word_classes[word] for word in original[steps, rows].tolist()], dtype=np.intp)
-    filled = np.arange(memories[0].capacity) < np.array([mem.n for mem in memories])[rows, None]
-    hits = (np.array([mem._labels for mem in memories])[rows] == classes[:, None]) & filled
+    padded = as_slots(*memories, width=width)
+    filled = np.arange(width) < padded.counts[rows, None]
+    hits = (padded.labels[rows] == classes[:, None]) & filled
     read = hits.any(axis=1)
     steps, rows, filled, hits = steps[read], rows[read], filled[read], hits[read]
-    keys = np.array([mem._keys for mem in memories])[rows]
+    keys = padded.keys[rows]
     queries = hiddens[steps, rows] @ w_query.T
     sims = np.where(filled, np.matmul(keys, queries[:, :, None])[..., 0], -np.inf)
     w = softmax(sims)
@@ -221,10 +216,10 @@ def stacking_backward(model, cache, dlogits, dq):
     return grad
 
 
-def list_batch_losses(model, batch, det_map, *, go_id, pad_id, n_det, max_steps):
+def list_batch_losses(model, batch, det_map, *, go_id, pad_id, n_det, width, max_steps):
     """The step's losses and gradient from a list of pairs: each batch
     rewritten and padded anew, and a memory built for each pair with a
-    masked step."""
+    masked step, padded to the ``width`` of the run's slots."""
     scale = 1.0 / len(batch)
     cache, targets = list_forward([rewrite_targets(ex.targets, det_map) for ex in batch],
                                   np.array([ex.feature for ex in batch]), model, go_id, pad_id, max_steps)
@@ -232,13 +227,14 @@ def list_batch_losses(model, batch, det_map, *, go_id, pad_id, n_det, max_steps)
     dq = np.zeros(cache.hiddens.shape[:2] + (model.key_dim,))
     original = np.full(targets.shape, pad_id, dtype=np.intp)
     mask = np.zeros_like(original)
-    memories, key = [], (n_det, model.key_dim, det_map.n_classes)
+    memories = []
     for b, (ex, n) in enumerate(zip(batch, cache.lengths)):
         original[:n, b] = ex.targets[:n]
         mask[:n, b] = mask_weights(ex.targets[:n], det_map)
-        memories.append(build_memory(ex.detections, *key) if mask[:, b].any() else ObjectMemory(*key))
+        memories.append(build_memory(ex.detections, n_det, model.key_dim, det_map.n_classes) if mask[:, b].any()
+                        else ObjectMemory(model.key_dim, det_map.n_classes))
     loss_mem, reads = list_memory_loss(cache.hiddens, original, mask.ravel(), det_map, memories,
-                                       model.w_query)
+                                       model.w_query, width)
     dq[reads.steps, reads.rows] = read_loss_backward(reads, scale=scale)
     grad = stacking_backward(model, cache, dlogits * scale, dq)
     return loss_seq / len(batch), loss_mem / len(batch), grad
@@ -264,8 +260,9 @@ def test_first_epoch_equals_the_list_based_step_bit_for_bit(acceptance_world):
     # dnoc against the list-based step; the baseline, dnoc with no detectable word, against its own path
     _, vocab, det_map, examples = acceptance_world
     kw = dict(go_id=vocab.go_id, pad_id=vocab.pad_id, max_steps=RUN["max_steps"])
+    width = slot_width([ex.detections for ex in examples], RUN["n_det"])
     for mode, pd, reference in (
-            ("dnoc", det_map, partial(list_batch_losses, det_map=det_map, n_det=RUN["n_det"], **kw)),
+            ("dnoc", det_map, partial(list_batch_losses, det_map=det_map, n_det=RUN["n_det"], width=width, **kw)),
             ("no-placeholder", no_detectable_words(det_map), partial(list_baseline_losses, **kw))):
         model, opt = acceptance_model(vocab)
         pairs, batches = first_epoch(examples, vocab, pd)
@@ -501,9 +498,9 @@ def test_memory_pass_with_no_masked_step_reads_nothing(monkeypatch):
     monkeypatch.setattr(memory, "read_slots", no_read)
     vocab = build_vocabulary([["a", "dog"]])
     det_map = intersect_detectable(vocab, ["dog"])
-    memories = [ObjectMemory(2, 3, 1), ObjectMemory(2, 3, 1)]
+    memories = [ObjectMemory(3, 1), ObjectMemory(3, 1)]
     loss, reads = memory_loss_forward(np.zeros((2, 2, 4)), np.zeros((2, 2), dtype=np.intp), [0] * 4,
-                                      det_map, as_slots(*memories), np.zeros((3, 4)))
+                                      det_map, as_slots(*memories, width=2), np.zeros((3, 4)))
     assert loss == 0.0 and len(reads) == 0
     assert read_loss_backward(reads).shape == (0, 3)
 
@@ -537,23 +534,15 @@ def test_tied_scores_keep_table_order_as_the_per_memory_build_does():
 
 # --- the captioner before one build and one read per caption ---------------
 
-WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 CAPTION_SEEDS = range(101, 111)
 SWEEP_SEEDS = (101, 102)
 
 
-def load_workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads_captions", WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def per_placeholder_captioner(model, vocab, det_map, cfg, mode):
     """The captioner as it was: each record's filler made right after the
-    decode whether or not it has a placeholder (the memory written one slot
-    at a time, the generator seeded), then one query product and one read
-    per placeholder. Returns the caption and one entry per filled
+    decode whether or not it has a placeholder (the memory written with the
+    Python-sorted rows, the generator seeded), then one query product and
+    one read per placeholder. Returns the caption and one entry per filled
     placeholder: the class distribution of its memory read, or None for a
     random label. The no-placeholder fill leaves every placeholder."""
     snapshot = DecodeSnapshot.of(model)
@@ -563,9 +552,7 @@ def per_placeholder_captioner(model, vocab, det_map, cfg, mode):
         if mode == "no-placeholder":
             return None
         if mode == "dnoc":
-            mem = ObjectMemory(cfg.n_det, model.key_dim, det_map.n_classes)
-            for row in top_rows(rec.detections, cfg.n_det):
-                mem.write(row)
+            mem = ObjectMemory(model.key_dim, det_map.n_classes).write(top_rows(rec.detections, cfg.n_det))
             if mem.n == 0:
                 return None
 
@@ -575,7 +562,7 @@ def per_placeholder_captioner(model, vocab, det_map, cfg, mode):
                 reads.append(distribution)
                 return det_map.class_words[int(np.argmax(distribution))]
             return fill
-        labels = [row.labels.item() for row in top_rows(rec.detections, cfg.n_det)]
+        labels = top_rows(rec.detections, cfg.n_det).labels.tolist()
         if not labels:
             return None
         rng = np.random.default_rng([cfg.seed, zlib.crc32(rec.image_id.encode())])
