@@ -27,7 +27,7 @@ top = select_top_detections(detections, 2)
 for label, score in zip(top.labels.tolist(), top.scores.tolist()):
     print(f"  label={names[label]} score={score}")
 
-mem = ObjectMemory(key_dim=3, n_classes=3).write(detections)  # one slot per row, written once
+mem = ObjectMemory(key_dim=3, n_classes=3).write([detections])  # one image: one row, a slot per detection
 print(f"\nmemory holds {mem.n} slots")
 
 print("\nreads with increasingly dog-like queries:")
@@ -38,7 +38,7 @@ for alpha in (0.0, 0.5, 1.0, 2.0):
     print(f"  q={q} -> argmax={names[row.argmax()]:5s}  ({dist})")
 
 print("\nslot order never matters (content-based addressing):")
-shuffled = ObjectMemory(key_dim=3, n_classes=3).write(detections.take([2, 1, 0]))
+shuffled = ObjectMemory(key_dim=3, n_classes=3).write([detections.take([2, 1, 0])])
 q = rng.normal(size=(1, 3))
 a = memory_read(q, mem)
 b = memory_read(q, shuffled)

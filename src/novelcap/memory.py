@@ -2,19 +2,19 @@
 
 An image's detections are one table, ``Detections``: row i holds
 detection i's appearance feature (the key), class index (the value) and
-confidence (the key-value read of Miller et al. 2016). A read
-(``read_slots``, the one read) turns query/key similarity into
-addressing weights, softmax(q . K^T), and sums the weights of the slots
-that carry each class into a class distribution. The read loss is the
-cross-entropy of that distribution against the annotated class.
-Captioning reads one image's ``ObjectMemory``, written once with exactly
-its top rows, as one slot row with a (P, key_dim) block of queries, one
-per placeholder; training reads ``Slots``, one such memory per training
-image, zero-padded to the longest. Both are built the same way:
-``select_top_detections``, the one top-n cut, then ``_write_slots``, the
-one slot writer and its checks. A table is the one way detections enter
-a memory, read from a file or built by hand, and a read returns its
-(P, n_classes) class distribution.
+confidence (the key-value read of Miller et al. 2016). ``ObjectMemory``
+holds one row of slots per image, and ``build_memory`` is its one
+builder: ``select_top_detections``, the one top-n cut, per table, then
+one ``write`` of the tables, the one writer and its checks. Training
+builds one memory of every training image; a caption builds one of its
+image. A read (``read_slots``, the one read) turns query/key similarity
+into addressing weights, softmax(q . K^T), and sums the weights of the
+slots that carry each class into a class distribution. The read loss is
+the cross-entropy of that distribution against the annotated class. A
+caption reads its memory with a (P, key_dim) block of queries, one per
+placeholder, and gets its (P, n_classes) class distribution. A table is
+the one way detections enter a memory, read from a file or built by
+hand.
 """
 
 import logging
@@ -78,40 +78,45 @@ class Detections:
 
 
 class ObjectMemory:
-    """One image's key-value memory: the keys (n, key_dim) and class labels
-    (n,) of the rows of the one table written to it, in table order; both
-    are None until it is written."""
+    """Key-value memories, one row per image (Miller et al. 2016): row r
+    holds the rows of table r of its one write, in table order, zero-padded
+    to the longest table and at least 1 wide. ``keys`` (R, width, key_dim),
+    ``labels`` (R, width) and ``counts`` (R,), the written slots per row,
+    are None until it is written; ``n`` is the number of written slots."""
 
     def __init__(self, key_dim: int, n_classes: int):
         self.key_dim = key_dim
         self.n_classes = n_classes
         self.n = 0
-        self.keys, self.labels = None, None
+        self.keys, self.labels, self.counts = None, None, None
 
-    def write(self, rows: Detections) -> "ObjectMemory":
-        """Copy the table's rows into arrays of exactly its length. A memory
-        is written once: a second write is refused, as is a write that fails
-        its checks, and either leaves the memory as it was."""
+    def write(self, tables: list[Detections]) -> "ObjectMemory":
+        """Copy table r's rows into row r. Each table is checked as a block,
+        in order, so the first table at fault is the one refused: the first
+        label past the classes is a DomainError, then keys of another length
+        a ShapeError. A memory is written once: a second write is refused, as
+        is a write that fails its checks, and either leaves the memory as it
+        was."""
         if self.keys is not None:
             raise DomainError("memory: a memory is written once")
-        keys, labels = np.empty((len(rows), self.key_dim), dtype=FLOAT), np.empty(len(rows), dtype=np.intp)
-        self.n = _write_slots(keys, labels, rows, self.key_dim, self.n_classes)
-        self.keys, self.labels = keys, labels
+        counts = [len(rows) for rows in tables]
+        keys = np.zeros((len(tables), max([1, *counts]), self.key_dim), dtype=FLOAT)
+        labels = np.zeros(keys.shape[:2], dtype=np.intp)
+        for r, (rows, n) in enumerate(zip(tables, counts)):
+            if n:
+                check_labels(rows.labels.tolist(), self.n_classes)
+                if rows.features.shape[1:] != (self.key_dim,):
+                    raise ShapeError(f"memory: key shape {rows.features.shape[1:]} != ({self.key_dim},)")
+                keys[r, :n], labels[r, :n] = rows.features, rows.labels
+        self.keys, self.labels, self.counts, self.n = keys, labels, np.array(counts, dtype=np.intp), sum(counts)
         return self
 
-
-def _write_slots(keys, labels, rows: Detections, key_dim: int, n_classes: int) -> int:
-    """Copy a table's rows into the first slots of ``keys`` (width, key_dim)
-    and ``labels`` (width,), checked once as a block: the first label past
-    the classes is a DomainError, then keys of another length a ShapeError.
-    Returns how many slots it wrote."""
-    n = len(rows)
-    if n:
-        check_labels(rows.labels.tolist(), n_classes)
-        if rows.features.shape[1:] != (key_dim,):
-            raise ShapeError(f"memory: key shape {rows.features.shape[1:]} != ({key_dim},)")
-        keys[:n], labels[:n] = rows.features, rows.labels
-    return n
+    def __getitem__(self, rows) -> "ObjectMemory":
+        """The memory of the rows ``rows`` (an index or a mask array)."""
+        out = ObjectMemory(self.key_dim, self.n_classes)
+        out.keys, out.labels, out.counts = self.keys[rows], self.labels[rows], self.counts[rows]
+        out.n = int(out.counts.sum())
+        return out
 
 
 def check_labels(labels: list[int], n_classes: int) -> None:
@@ -128,37 +133,11 @@ def select_top_detections(dets: Detections, n_det: int) -> Detections:
     return dets.take((-dets.scores).argsort(kind="stable")[:n_det])
 
 
-def build_memory(dets: Detections, n_det: int, key_dim: int, n_classes: int) -> ObjectMemory:
-    """Memory of the top-``n_det`` detections, keyed by their features."""
-    return ObjectMemory(key_dim, n_classes).write(select_top_detections(dets, n_det))
-
-
-@dataclass
-class Slots:
-    """The top-n_det detection slots of many images, as arrays. Row r holds
-    image r's slots in ``select_top_detections`` order: the first
-    ``counts[r]`` are written, the rest are zero and never read.
-    ``build_slots`` makes them as wide as the longest row, and at least 1."""
-
-    keys: np.ndarray  # (R, width, key_dim)
-    labels: np.ndarray  # (R, width) class index of each slot
-    counts: np.ndarray  # (R,) written slots per row
-
-    def __getitem__(self, rows) -> "Slots":
-        return Slots(self.keys[rows], self.labels[rows], self.counts[rows])
-
-
-def build_slots(detections: list[Detections], n_det: int, key_dim: int, n_classes: int) -> Slots:
-    """One slot row per image, its ``select_top_detections`` written by
-    ``_write_slots`` as its ``build_memory`` would be, image by image, so
-    the first image at fault is the one refused. An ``n_det`` past every
-    table takes every row; a width of 1 keeps slot 0 for a row of none."""
-    tops = [select_top_detections(dets, n_det) for dets in detections]
-    width = max(1, max(map(len, tops), default=0))
-    keys = np.zeros((len(tops), width, key_dim), dtype=FLOAT)
-    labels = np.zeros((len(tops), width), dtype=np.intp)
-    counts = [_write_slots(keys[r], labels[r], top, key_dim, n_classes) for r, top in enumerate(tops)]
-    return Slots(keys, labels, np.array(counts, dtype=np.intp))
+def build_memory(tables: list[Detections], n_det: int, key_dim: int, n_classes: int) -> ObjectMemory:
+    """The memory of each table's top-``n_det`` detections, keyed by their
+    features, one row per table: one ``select_top_detections`` each, then
+    one write. An ``n_det`` past every table takes every row."""
+    return ObjectMemory(key_dim, n_classes).write([select_top_detections(dets, n_det) for dets in tables])
 
 
 def make_query(h_prev: np.ndarray, w_query: np.ndarray) -> np.ndarray:
@@ -169,32 +148,31 @@ def make_query(h_prev: np.ndarray, w_query: np.ndarray) -> np.ndarray:
     return h_prev @ w_query.T
 
 
-def read_slots(queries: np.ndarray, slots: Slots, n_classes: int) -> tuple[np.ndarray, np.ndarray]:
+def read_slots(queries: np.ndarray, mem: ObjectMemory) -> tuple[np.ndarray, np.ndarray]:
     """Content-based read: query row m of ``queries`` (M, key_dim) reads
-    slot row m, or the one row of a one-row ``slots``; a row needs one
+    memory row m, or the one row of a one-row memory; a row needs one
     written slot. The addressing weights softmax(q . K^T) are exactly zero
     on unwritten slots; one bincount sums them by class in slot order.
     Returns the (M, width) weights and the (M, n_classes) distribution."""
-    n_rows, width = len(queries), slots.keys.shape[1]
-    sims = np.matmul(slots.keys, queries[:, :, None])[..., 0]
-    if min(slots.counts.tolist(), default=width) < width:  # a row with unwritten slots: mask them out
-        sims = np.where(np.arange(width) < slots.counts[:, None], sims, -np.inf)
+    n_rows, width, n_classes = len(queries), mem.keys.shape[1], mem.n_classes
+    sims = np.matmul(mem.keys, queries[:, :, None])[..., 0]
+    if min(mem.counts.tolist(), default=width) < width:  # a row with unwritten slots: mask them out
+        sims = np.where(np.arange(width) < mem.counts[:, None], sims, -np.inf)
     weights = softmax(sims)
-    bins = np.arange(0, n_rows * n_classes, n_classes)[:, None] + slots.labels  # row m's: m*n_classes + label
+    bins = np.arange(0, n_rows * n_classes, n_classes)[:, None] + mem.labels  # row m's: m*n_classes + label
     distribution = np.bincount(bins.ravel(), weights.ravel(), minlength=n_rows * n_classes)
     return weights, distribution.reshape(n_rows, n_classes)
 
 
 def memory_read(q: np.ndarray, mem: ObjectMemory) -> np.ndarray:
     """The (P, n_classes) class distribution of ``read_slots`` for a block
-    of queries (P, key_dim) against the memory's written slots as one row;
-    an empty memory is refused."""
+    of queries (P, key_dim) against one image's memory; an empty memory is
+    refused."""
     if mem.n == 0:
         raise DomainError("memory: read on an empty memory")
     if q.ndim != 2 or q.shape[1] != mem.key_dim:
         raise ShapeError(f"memory: query shape {q.shape} is not a (P, {mem.key_dim}) block")
-    one_row = Slots(mem.keys[None], mem.labels[None], np.array([mem.n]))
-    return read_slots(q, one_row, mem.n_classes)[1]
+    return read_slots(q, mem)[1]
 
 
 @dataclass
@@ -211,12 +189,12 @@ class LossReads:
 
 
 def memory_loss_forward(hiddens: np.ndarray, original: np.ndarray, mask: np.ndarray, det_map,
-                        slots: Slots, w_query: np.ndarray) -> tuple[float, LossReads]:
+                        mem: ObjectMemory, w_query: np.ndarray) -> tuple[float, LossReads]:
     """Masked memory loss over a time-major batch, every read at once.
 
     ``hiddens`` (T, B, hidden) are the pre-step hidden states, ``original``
     (T, B) the word ids before rewriting, ``mask`` their T*B weights
-    flattened, and ``slots`` one slot row per batch row. Each masked step
+    flattened, and ``mem`` one memory row per batch row. Each masked step
     queries its row's slots with its hidden state; the loss is the
     cross-entropy of the read against the original word's class
     (``det_map.word_classes``). Steps whose word has no class, whose row has
@@ -225,12 +203,12 @@ def memory_loss_forward(hiddens: np.ndarray, original: np.ndarray, mask: np.ndar
     """
     masked = np.flatnonzero(mask)
     if not masked.size:
-        return 0.0, LossReads(masked, masked, np.empty((0,) + slots.keys.shape[1:]),
-                              np.empty((0, slots.keys.shape[1])))
+        return 0.0, LossReads(masked, masked, np.empty((0,) + mem.keys.shape[1:]),
+                              np.empty((0, mem.keys.shape[1])))
     steps, rows = np.divmod(masked, original.shape[1])
     words = original[steps, rows]
     classes = det_map.word_classes[words]
-    picked = slots[rows]
+    picked = mem[rows]
     filled = np.arange(picked.labels.shape[1]) < picked.counts[:, None]
     hits = (picked.labels == classes[:, None]) & filled
     read = hits.any(axis=1)
@@ -244,7 +222,7 @@ def memory_loss_forward(hiddens: np.ndarray, original: np.ndarray, mask: np.ndar
             else:  # expected when the annotated object fell below the top-n_det cut
                 log.debug("memory: class %d absent from memory slots at step %d; step skipped", cls, t)
         steps, rows, classes, hits, picked = steps[read], rows[read], classes[read], hits[read], picked[read]
-    w, distribution = read_slots(make_query(hiddens[steps, rows], w_query), picked, det_map.n_classes)
+    w, distribution = read_slots(make_query(hiddens[steps, rows], w_query), picked)
     target_prob = distribution[np.arange(len(rows)), classes]
     # loss = -log(target_prob), the summed weight of the slots labeled target
     dalpha = np.where(hits, -1.0 / target_prob[:, None], 0.0)

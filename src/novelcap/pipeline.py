@@ -1,11 +1,13 @@
 """End-to-end orchestration: joint training and three-step captioning.
 
 Training: the pairs are built once as arrays (targets rewritten,
-truncated and padded, each image's top-n_det slots); a batch gathers its
-columns, runs the teacher-forced decoder once, reads the slots of all
-masked steps in one pass, and applies Adam to the summed gradients of
-both losses in one update. The no-placeholder baseline is the same
-training with no detectable word, so its memory pass reads nothing.
+truncated and padded) with one memory of every image's top-n_det
+detections, from the ``build_memory`` a caption's fill calls; a batch
+gathers its columns, runs the teacher-forced decoder once, reads the
+memory rows of all masked steps in one pass, and applies Adam to the
+summed gradients of both losses in one update. The no-placeholder
+baseline is the same training with no detectable word, so its memory
+pass reads nothing.
 
 Captioning: (i) decode greedily, emitting placeholders; (ii) if the
 sentence has a placeholder, build the key-value memory from the image's
@@ -28,8 +30,8 @@ from .data import HeldOutSplit
 from .decoder import (CaptionModel, DecodeSnapshot, backward_pass, decode_greedy, forward_teacher_forced,
                       pad_sequences, sequence_loss)
 from .errors import ConfigError, DomainError, NumericError
-from .memory import (Detections, Slots, build_memory, build_slots, check_labels, make_query,
-                     memory_loss_forward, memory_read, read_loss_backward, select_top_detections)
+from .memory import (Detections, ObjectMemory, build_memory, check_labels, make_query, memory_loss_forward,
+                     memory_read, read_loss_backward, select_top_detections)
 from .numerics import AdamState, adam_step
 from .vocabulary import PLACEHOLDER, DetectableSet, Vocabulary, mask_weights, rewrite_targets
 
@@ -60,7 +62,7 @@ class TrainingPairs:
 
     The (L, N) id arrays are time-major like the decoder's: column n is
     pair n, truncated at ``max_steps`` and padded with <PAD>. Pair n reads
-    slot row ``slot_rows[n]``, shared by every pair of one image. Under a
+    memory row ``slot_rows[n]``, shared by every pair of one image. Under a
     detectable set with no detectable word the targets are the original
     ids and the mask is all zero.
     """
@@ -72,7 +74,7 @@ class TrainingPairs:
     lengths: np.ndarray  # (N,) real positions per pair
     features: np.ndarray  # (N, image_dim)
     slot_rows: np.ndarray  # (N,)
-    slots: Slots
+    slots: ObjectMemory  # one row per image
     det_map: DetectableSet
     pad_id: int
 
@@ -84,7 +86,7 @@ class TrainingPairs:
            key_dim: int, max_steps: int | None = None) -> "TrainingPairs":
         """The pairs of ``examples``. Rewriting and masking are lookups over
         every word id, and pairs with the same detections table (the
-        references of one image) share one slot row. A target id outside the
+        references of one image) share one memory row. A target id outside the
         vocabulary is refused by value."""
         n_words = len(pd.word_classes)
         bad = next((t for ex in examples for t in ex.targets if not 0 <= t < n_words), None)
@@ -97,7 +99,7 @@ class TrainingPairs:
         images = {id(ex.detections): ex.detections for ex in examples}  # one entry per image
         row_of = {key: r for r, key in enumerate(images)}
         slot_rows = np.array([row_of[id(ex.detections)] for ex in examples], dtype=np.intp)
-        slots = build_slots(list(images.values()), n_det, key_dim, pd.n_classes)
+        slots = build_memory(list(images.values()), n_det, key_dim, pd.n_classes)
         return cls(rewritten[inputs], rewritten[original], original, mask, lengths,
                    np.array([ex.feature for ex in examples]), slot_rows, slots, pd, pad_id)
 
@@ -250,7 +252,7 @@ def make_captioner(model: CaptionModel, vocab: Vocabulary, det_map: DetectableSe
     snapshot = DecodeSnapshot.of(model)
     if mode == "dnoc":
         def filler(rec, hiddens):
-            mem = build_memory(rec.detections, cfg.n_det, snapshot.weights.key_dim, det_map.n_classes)
+            mem = build_memory([rec.detections], cfg.n_det, snapshot.weights.key_dim, det_map.n_classes)
             if mem.n == 0:
                 return None
             distribution = memory_read(make_query(hiddens, snapshot.weights.w_query), mem)

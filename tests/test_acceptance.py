@@ -229,7 +229,7 @@ def test_criterion_6_read_oracle_equivalence():
                 for offset in (0, 2):
                     keys = [key_pool[(offset + i) % len(key_pool)] for i in range(n)]
                     mem = ObjectMemory(key_dim=2, n_classes=n_classes).write(
-                        Detections([[float(k) for k in key] for key in keys], labels, [0.9] * n))
+                        [Detections([[float(k) for k in key] for key in keys], labels, [0.9] * n)])
                     for q in queries:
                         q_arr = np.array([[float(c) for c in q]])
                         dist = memory_read(q_arr, mem)

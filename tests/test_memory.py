@@ -6,13 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from novelcap.errors import DomainError, ShapeError
-from novelcap.memory import (Detections, ObjectMemory, build_memory, build_slots, make_query,
-                             memory_loss_forward, memory_read, read_loss_backward, read_slots,
-                             select_top_detections)
+from novelcap.memory import (Detections, ObjectMemory, build_memory, make_query, memory_loss_forward,
+                             memory_read, read_loss_backward, read_slots, select_top_detections)
 from novelcap.numerics import finite_diff_check
 from novelcap.vocabulary import build_vocabulary, intersect_detectable
-
-from support import as_slots
 
 
 def det(feature, label, score=0.9):
@@ -28,10 +25,23 @@ def table(*rows):
     return Detections(features, labels, scores)
 
 
+def slot_table(*slots):
+    """The table of the (feature, label) ``slots``, in order."""
+    return table(*(det(feature, label) for feature, label in slots))
+
+
 def memory_of(*slots, n_classes=3):
-    """The memory of one table write of the (feature, label) ``slots``."""
-    return ObjectMemory(key_dim=len(slots[0][0]), n_classes=n_classes).write(
-        table(*(det(feature, label) for feature, label in slots)))
+    """The one-row memory of one table write of the (feature, label) ``slots``."""
+    return ObjectMemory(key_dim=len(slots[0][0]), n_classes=n_classes).write([slot_table(*slots)])
+
+
+def rows_of(*rows, n_classes=3, width=1):
+    """The memory of one write of a table per row of (feature, label) slots,
+    at least ``width`` slots wide: a filler row of ``width`` slots is written
+    last and dropped by a gather."""
+    key_dim = len(rows[0][0][0])
+    filler = slot_table(*[([0.0] * key_dim, 0)] * width)
+    return ObjectMemory(key_dim, n_classes).write([slot_table(*slots) for slots in rows] + [filler])[:len(rows)]
 
 
 CLASS_VOCAB = build_vocabulary([["c0", "c1", "c2"]])
@@ -43,7 +53,7 @@ def read_loss(q, mem, target_class):
     memory loss over one masked step whose word is ``target_class``'s,
     through an identity query transform."""
     word = CLASS_VOCAB.index[CLASS_MAP.class_words[target_class]]
-    return memory_loss_forward(np.reshape(q, (1, 1, -1)), np.array([[word]]), [1], CLASS_MAP, as_slots(mem),
+    return memory_loss_forward(np.reshape(q, (1, 1, -1)), np.array([[word]]), [1], CLASS_MAP, mem,
                                np.eye(len(q)))
 
 
@@ -63,37 +73,39 @@ class TestWriteAndSelect:
     def test_single_write(self):
         mem = memory_of(([1.0, 2.0], 1))
         assert mem.n == 1
-        assert np.array_equal(mem.keys[0], [1.0, 2.0])
-        assert mem.labels.tolist() == [1]
+        assert np.array_equal(mem.keys[0][0], [1.0, 2.0])
+        assert mem.labels[0].tolist() == [1]
 
     def test_insertion_order_preserved(self):
         slots = [([float(i), 0.0], i % 3) for i in range(4)]
         mem = memory_of(*slots)
-        assert [k[0] for k in mem.keys] == [0.0, 1.0, 2.0, 3.0]
-        assert mem.labels.tolist() == [0, 1, 2, 0]
+        assert [k[0] for k in mem.keys[0]] == [0.0, 1.0, 2.0, 3.0]
+        assert mem.labels[0].tolist() == [0, 1, 2, 0]
 
     @pytest.mark.parametrize("first", [table(det([1.0], 0), det([2.0], 0)), table()])
     def test_a_second_write_is_refused_and_leaves_the_memory_as_it_was(self, first):
-        mem = ObjectMemory(key_dim=1, n_classes=1).write(first)
+        mem = ObjectMemory(key_dim=1, n_classes=1).write([first])
         keys, labels, n = mem.keys, mem.labels, mem.n
         with pytest.raises(DomainError, match="^memory: a memory is written once$"):
-            mem.write(table(det([9.0], 0)))
+            mem.write([table(det([9.0], 0))])
         assert mem.n == n == len(first) and mem.keys is keys and mem.labels is labels
 
     def test_a_write_refused_by_its_checks_leaves_the_memory_unwritten(self):
         mem = ObjectMemory(key_dim=1, n_classes=2)
         with pytest.raises(DomainError, match="label 7 out of range"):
-            mem.write(table(det([1.0], 1), det([2.0], 7)))
+            mem.write([table(det([1.0], 1), det([2.0], 7))])
         assert mem.n == 0
         with pytest.raises(DomainError, match="^memory: read on an empty memory$"):
             memory_read(np.zeros((1, 1)), mem)
-        mem.write(table(det([3.0], 1)))
-        assert mem.n == 1 and mem.keys.tolist() == [[3.0]] and mem.labels.tolist() == [1]
+        mem.write([table(det([3.0], 1))])
+        assert mem.n == 1 and mem.keys[0].tolist() == [[3.0]] and mem.labels[0].tolist() == [1]
 
     def test_a_memory_holds_exactly_the_rows_written(self):
-        mem = ObjectMemory(key_dim=2, n_classes=3).write(table(det([1.0, 2.0], 2), det([3.0, 4.0], 0)))
-        assert mem.keys.shape == (2, 2) and mem.labels.shape == (2,) and mem.labels.dtype == np.intp
-        assert build_memory(table(), 10 ** 12, key_dim=2, n_classes=3).keys.shape == (0, 2)
+        mem = ObjectMemory(key_dim=2, n_classes=3).write([table(det([1.0, 2.0], 2), det([3.0, 4.0], 0))])
+        assert mem.keys[0].shape == (2, 2) and mem.labels[0].shape == (2,) and mem.labels.dtype == np.intp
+        # an empty table holds its one zero slot, for slot 0, and no more
+        empty = build_memory([table()], 10 ** 12, key_dim=2, n_classes=3)
+        assert empty.keys.shape == (1, 1, 2) and empty.counts.tolist() == [0] and not empty.keys.any()
 
     def test_select_top_by_score(self):
         top = select_top_detections(table(det([0.0], 0, 0.9), det([1.0], 0, 0.2), det([2.0], 0, 0.8)), 2)
@@ -108,7 +120,7 @@ class TestWriteAndSelect:
 
     @pytest.mark.parametrize("n_det", [0, -1])
     def test_select_top_refuses_a_capacity_below_one(self, n_det):
-        # as build_memory and build_slots do; a slice [:-1] would keep all rows but the last, [:0] none
+        # as build_memory does; a slice [:-1] would keep all rows but the last, [:0] none
         dets = table(det([0.0], 0, 0.9), det([1.0], 1, 0.2))
         with pytest.raises(DomainError, match=f"^memory: capacity must be >= 1, got {n_det}$"):
             select_top_detections(dets, n_det)
@@ -300,34 +312,37 @@ class TestReadSlots:
     def test_each_row_matches_brute_force_and_unwritten_slots_weigh_zero(self, data):
         n_classes = data.draw(st.integers(2, 4))
         floats = st.lists(st.floats(-3, 3), min_size=2, max_size=2)
-        mems = [memory_of(*[(data.draw(floats), data.draw(st.integers(0, n_classes - 1)))
-                            for _ in range(data.draw(st.integers(1, 4)))], n_classes=n_classes)
+        rows = [[(data.draw(floats), data.draw(st.integers(0, n_classes - 1)))
+                 for _ in range(data.draw(st.integers(1, 4)))]
                 for _ in range(data.draw(st.integers(1, 4)))]  # rows of 1 to 4 written slots, padded to 4
+        mems = [memory_of(*slots, n_classes=n_classes) for slots in rows]
         queries = np.array([data.draw(floats) for _ in mems])
-        weights, distribution = read_slots(queries, as_slots(*mems, width=4), n_classes)
+        weights, distribution = read_slots(queries, rows_of(*rows, n_classes=n_classes, width=4))
         assert weights.shape == (len(mems), 4) and distribution.shape == (len(mems), n_classes)
         for q, mem, w, dist in zip(queries, mems, weights, distribution):
             assert np.all(w[mem.n:] == 0.0) and abs(w.sum() - 1.0) < 1e-9
-            oracle = brute_force_read(q, mem.keys.tolist(), mem.labels.tolist(), n_classes)
+            oracle = brute_force_read(q, mem.keys[0].tolist(), mem.labels[0].tolist(), n_classes)
             assert np.all(np.abs(dist - oracle) < 1e-9)
 
     def test_rows_of_different_counts(self):
-        mems = [memory_of(*[([float(i), 1.0], i % 3) for i in range(n)]) for n in (3, 1, 4, 2)]
-        weights, distribution = read_slots(np.ones((4, 2)), as_slots(*mems), 3)
+        mems = ObjectMemory(2, 3).write([slot_table(*[([float(i), 1.0], i % 3) for i in range(n)])
+                                         for n in (3, 1, 4, 2)])
+        weights, distribution = read_slots(np.ones((4, 2)), mems)
         assert (weights > 0).sum(axis=1).tolist() == [3, 1, 4, 2]
         assert np.all(weights[[0, 1, 1, 1, 3, 3], [3, 1, 2, 3, 2, 3]] == 0.0)
         assert distribution[1].tolist() == [1.0, 0.0, 0.0]
 
     def test_one_row_serves_every_query(self):
         rng = np.random.default_rng(5)
-        mem = memory_of(*((rng.normal(size=3), int(rng.integers(3))) for _ in range(3)))
+        slots = [(rng.normal(size=3), int(rng.integers(3))) for _ in range(3)]
+        mem = memory_of(*slots)
         queries = rng.normal(size=(7, 3)) * 2
-        weights, distribution = read_slots(queries, as_slots(mem, width=6), 3)
+        weights, distribution = read_slots(queries, rows_of(slots, width=6))
         assert weights.shape == (7, 6) and np.all(weights[:, 3:] == 0.0)
         for q, w, dist in zip(queries, weights, distribution):
-            alone_w, alone = read_slots(q[None], as_slots(mem, width=6), 3)
+            alone_w, alone = read_slots(q[None], rows_of(slots, width=6))
             assert np.array_equal(w, alone_w[0]) and np.array_equal(dist, alone[0])
-            oracle = brute_force_read(q, mem.keys.tolist(), mem.labels.tolist(), 3)
+            oracle = brute_force_read(q, mem.keys[0].tolist(), mem.labels[0].tolist(), 3)
             assert np.all(np.abs(dist - oracle) < 1e-9)
 
 
@@ -375,24 +390,24 @@ class TestMemoryLoss:
         self.w_query = np.eye(2)
         rng = np.random.default_rng(0)
         self.hiddens = rng.normal(size=(4, 1, 2))  # one sentence of four steps, time-major
-        self.mem = memory_of(([1.5, 0.0], 0), ([0.0, 1.5], 1), n_classes=2)
+        self.slots = [([1.5, 0.0], 0), ([0.0, 1.5], 1)]
+        self.mem = memory_of(*self.slots, n_classes=2)
 
     def loss(self, words, mask, mem=None):
         ids = np.array(self.vocab.encode(words))[:, None]
-        return memory_loss_forward(self.hiddens, ids, mask, self.det_map, as_slots(mem or self.mem),
-                                   self.w_query)
+        return memory_loss_forward(self.hiddens, ids, mask, self.det_map, mem or self.mem, self.w_query)
 
     def test_loss_is_minus_log_of_the_read_target_mass(self):
         hiddens = np.random.default_rng(1).normal(size=(4, 2, 2))
         original = np.array([self.vocab.encode(["a", "dog", "sees", "cake"]),
                              self.vocab.encode(["cake", "a", "dog", "a"])]).T  # (T, B): one sentence per row
         mask = np.isin(original, self.vocab.encode(["dog", "cake"])).ravel()
-        cake_only = memory_of(([0.0, 1.5], 1), n_classes=2)  # row 1's "dog" has no slot: skipped
-        slots = as_slots(self.mem, cake_only)
+        cake_only = [([0.0, 1.5], 1)]  # row 1's "dog" has no slot: skipped
+        slots = rows_of(self.slots, cake_only, n_classes=2)
         loss, reads = memory_loss_forward(hiddens, original, mask, self.det_map, slots, self.w_query)
         assert list(zip(reads.steps.tolist(), reads.rows.tolist())) == [(0, 1), (1, 0), (3, 0)]
         _, distribution = read_slots(make_query(hiddens[reads.steps, reads.rows], self.w_query),
-                                     slots[reads.rows], 2)
+                                     slots[reads.rows])
         targets = self.det_map.word_classes[original[reads.steps, reads.rows]]
         assert targets.tolist() == [1, 0, 1]
         assert loss == -np.log(distribution[np.arange(3), targets]).sum()
@@ -426,9 +441,9 @@ class TestMemoryLoss:
 class TestBuildMemory:
     def test_truncates_to_top(self):
         dets = table(*[det([float(i)], 0, 0.1 * i) for i in range(1, 7)])
-        mem = build_memory(dets, 4, key_dim=1, n_classes=1)
+        mem = build_memory([dets], 4, key_dim=1, n_classes=1)
         assert mem.n == 4
-        assert sorted(k[0] for k in mem.keys) == [3.0, 4.0, 5.0, 6.0]
+        assert sorted(k[0] for k in mem.keys[0]) == [3.0, 4.0, 5.0, 6.0]
 
     def test_gathered_memory_equals_a_write_of_the_python_sorted_rows(self):
         rng = np.random.default_rng(4)
@@ -436,37 +451,38 @@ class TestBuildMemory:
         dets = [det(rng.normal(size=3), int(rng.integers(5)), float(rng.choice([0.2, 0.5, 0.9])))
                 for _ in range(12)]
         for n_det in (1, 4, 12, 16):
-            mem = build_memory(table(*dets), n_det, key_dim=3, n_classes=5)
+            mem = build_memory([table(*dets)], n_det, key_dim=3, n_classes=5)
             order = sorted(range(len(dets)), key=lambda i: (-dets[i][2], i))[:n_det]
-            sorted_rows = ObjectMemory(3, 5).write(table(*(dets[i] for i in order)))
+            sorted_rows = ObjectMemory(3, 5).write([table(*(dets[i] for i in order))])
             assert mem.n == sorted_rows.n == len(order)
             assert np.array_equal(mem.keys, sorted_rows.keys) and np.array_equal(mem.labels, sorted_rows.labels)
 
     def test_block_write_names_the_first_bad_detection(self):
         with pytest.raises(ShapeError, match=r"key shape \(2,\) != \(3,\)"):
-            ObjectMemory(3, 2).write(table(det([1.0, 2.0], 0), det([3.0, 4.0], 0)))
+            ObjectMemory(3, 2).write([table(det([1.0, 2.0], 0), det([3.0, 4.0], 0))])
         with pytest.raises(ShapeError, match=r"detection table of features \(1, 1, 3\)"):
-            ObjectMemory(3, 2).write(table(det([[1.0, 2.0, 3.0]], 0)))
+            ObjectMemory(3, 2).write([table(det([[1.0, 2.0, 3.0]], 0))])
         with pytest.raises(DomainError, match="label 7 out of range for 2 classes"):
-            ObjectMemory(1, 2).write(table(det([1.0], 1), det([1.0], 7), det([1.0], 9)))
+            ObjectMemory(1, 2).write([table(det([1.0], 1), det([1.0], 7), det([1.0], 9))])
 
     def test_a_table_is_checked_as_a_block_write_is(self):
         with pytest.raises(ShapeError, match=r"key shape \(2,\) != \(3,\)"):
-            build_memory(table(det([1.0, 2.0], 0)), 4, key_dim=3, n_classes=2)
+            build_memory([table(det([1.0, 2.0], 0))], 4, key_dim=3, n_classes=2)
         # the first label out of range among the top rows, in their order
         with pytest.raises(DomainError, match="label 7 out of range for 2 classes"):
-            build_memory(table(det([1.0], 1, 0.9), det([1.0], 9, 0.5), det([1.0], 7, 0.8)), 4, key_dim=1, n_classes=2)
-        assert build_memory(table(det([1.0], 1, 0.9), det([1.0], 9, 0.5)), 1, key_dim=1, n_classes=2).n == 1
-        assert build_memory(table(), 4, key_dim=3, n_classes=2).n == 0
+            build_memory([table(det([1.0], 1, 0.9), det([1.0], 9, 0.5), det([1.0], 7, 0.8))], 4, key_dim=1,
+                         n_classes=2)
+        assert build_memory([table(det([1.0], 1, 0.9), det([1.0], 9, 0.5))], 1, key_dim=1, n_classes=2).n == 1
+        assert build_memory([table()], 4, key_dim=3, n_classes=2).n == 0
 
 
-class TestBuildSlots:
+class TestBuildMemoryRows:
     def test_rows_are_each_images_top_detections_padded(self):
         images = [table(det([1.0, 0.0], 2, 0.3), det([2.0, 0.0], 0, 0.9), det([3.0, 0.0], 1, 0.5)),
                   table(det([0.0, 4.0], 1, 0.2)),
                   table(),
                   table(det([5.0, 5.0], 0, 0.7), det([6.0, 6.0], 2, 0.7))]
-        slots = build_slots(images, 2, key_dim=2, n_classes=3)
+        slots = build_memory(images, 2, key_dim=2, n_classes=3)
         assert slots.counts.tolist() == [2, 1, 0, 2]
         assert slots.keys.tolist() == [[[2.0, 0.0], [3.0, 0.0]],  # by score; 0.3 falls below the cut
                                        [[0.0, 4.0], [0.0, 0.0]],
@@ -475,7 +491,7 @@ class TestBuildSlots:
         assert slots.labels.tolist() == [[0, 1], [1, 0], [0, 0], [0, 2]]
         picked = slots[np.array([3, 0, 3])]
         assert picked.counts.tolist() == [2, 2, 2] and np.array_equal(picked.keys[1], slots.keys[0])
-        empty = build_slots([table(), table()], 3, key_dim=2, n_classes=1)  # one zero slot a row, for slot 0
+        empty = build_memory([table(), table()], 3, key_dim=2, n_classes=1)  # one zero slot a row, for slot 0
         assert empty.counts.tolist() == [0, 0] and empty.keys.shape == (2, 1, 2) and not empty.keys.any()
 
     def test_each_row_is_its_images_build_memory(self):
@@ -483,9 +499,10 @@ class TestBuildSlots:
         images = [table(*[det(rng.normal(size=3), int(rng.integers(4)), float(rng.choice([0.3, 0.6])))
                           for _ in range(int(rng.integers(7)))]) for _ in range(20)]
         for n_det in (1, 3, 8):
-            slots = build_slots(images, n_det, key_dim=3, n_classes=4)
+            slots = build_memory(images, n_det, key_dim=3, n_classes=4)
             for r, dets in enumerate(images):
-                mem = as_slots(build_memory(dets, n_det, key_dim=3, n_classes=4), width=slots.keys.shape[1])
+                # row 0 of a build that pads it to the same width
+                mem = build_memory([dets] + images, n_det, key_dim=3, n_classes=4)[np.array([0])]
                 assert np.array_equal(slots.keys[r], mem.keys[0]) and np.array_equal(slots.labels[r], mem.labels[0])
                 assert slots.counts[r] == mem.counts[0]
 
@@ -493,37 +510,56 @@ class TestBuildSlots:
     @given(st.data())
     def test_each_row_is_its_images_build_memory_at_any_n_det(self, data):
         # tables empty, with tied scores, and shorter than n_det
-        row = st.tuples(st.lists(st.floats(-3, 3), min_size=2, max_size=2), st.integers(0, 3),
-                        st.sampled_from([0.25, 0.5, 1.0]))
+        floats = st.lists(st.floats(-3, 3), min_size=2, max_size=2)
+        row = st.tuples(floats, st.integers(0, 3), st.sampled_from([0.25, 0.5, 1.0]))
         images = [table(*rows) for rows in data.draw(st.lists(st.lists(row, max_size=12), min_size=1, max_size=6))]
         n_det = data.draw(st.integers(1, 20))
-        slots = build_slots(images, n_det, key_dim=2, n_classes=4)
+        slots = build_memory(images, n_det, key_dim=2, n_classes=4)
         assert slots.keys.shape[1] == slots.labels.shape[1] == max(1, min(n_det, max(map(len, images))))
+        assert slots.n == slots.counts.sum()
         for r, dets in enumerate(images):
-            mem = build_memory(dets, n_det, key_dim=2, n_classes=4)
+            mem = build_memory([dets], n_det, key_dim=2, n_classes=4)
             n = slots.counts[r]
             assert n == mem.n == min(n_det, len(dets))
-            assert np.array_equal(slots.keys[r, :n], mem.keys) and np.array_equal(slots.labels[r, :n], mem.labels)
+            assert np.array_equal(slots.keys[r, :n], mem.keys[0, :n])
+            assert np.array_equal(slots.labels[r, :n], mem.labels[0, :n])
             assert not slots.keys[r, n:].any() and not slots.labels[r, n:].any()
+        # the two gathers a batch's memory pass makes: pairs' rows by index, then its reads by mask
+        index = np.array(data.draw(st.lists(st.integers(0, len(images) - 1), max_size=8)), dtype=np.intp)
+        mask = np.array(data.draw(st.lists(st.booleans(), min_size=len(images), max_size=len(images))), dtype=bool)
+        for rows in (index, mask):
+            picked, sources = slots[rows], np.arange(len(images))[rows]
+            assert picked.n == picked.counts.sum() and (picked.key_dim, picked.n_classes) == (2, 4)
+            assert np.array_equal(picked.counts, slots.counts[sources])
+            read = picked.counts > 0
+            queries = np.array([data.draw(floats) for _ in range(int(read.sum()))]).reshape(-1, 2)
+            weights, distribution = read_slots(queries, picked[read])
+            for q, w, dist, r in zip(queries, weights, distribution, sources[read]):
+                # a read of the gathered row is a read of the row it came from
+                alone = build_memory([images[r]], n_det, key_dim=2, n_classes=4)
+                alone_w, alone_dist = read_slots(q[None], alone)
+                n = slots.counts[r]
+                assert np.abs(w[:n] - alone_w[0, :n]).max() <= 1e-12 and not w[n:].any()
+                assert np.abs(dist - alone_dist[0]).max() <= 1e-12
 
     def test_an_n_det_past_every_table_takes_every_row(self):
         rng = np.random.default_rng(3)
         images = [table(*[det(rng.normal(size=2), int(rng.integers(3)), 0.5) for _ in range(n)]) for n in (2, 0, 5)]
-        whole = build_slots(images, 5, key_dim=2, n_classes=3)
+        whole = build_memory(images, 5, key_dim=2, n_classes=3)
         for n_det in (6, 10 ** 12):
-            slots = build_slots(images, n_det, key_dim=2, n_classes=3)
+            slots = build_memory(images, n_det, key_dim=2, n_classes=3)
             assert all(np.array_equal(getattr(slots, f), getattr(whole, f)) for f in ("keys", "labels", "counts"))
-            assert build_memory(images[2], n_det, key_dim=2, n_classes=3).keys.shape == (5, 2)
+            assert build_memory([images[2]], n_det, key_dim=2, n_classes=3).keys[0].shape == (5, 2)
 
     def test_writes_are_checked_as_memory_writes_are(self):
         with pytest.raises(ShapeError, match=r"key shape \(2,\) != \(3,\)"):
-            build_slots([table(det([1.0, 2.0, 3.0], 0)), table(det([1.0, 2.0], 0))], 2, key_dim=3, n_classes=1)
+            build_memory([table(det([1.0, 2.0, 3.0], 0)), table(det([1.0, 2.0], 0))], 2, key_dim=3, n_classes=1)
         with pytest.raises(DomainError, match="label 2 out of range"):
-            build_slots([table(det([1.0], 0)), table(det([1.0], 2))], 2, key_dim=1, n_classes=2)
+            build_memory([table(det([1.0], 0)), table(det([1.0], 2))], 2, key_dim=1, n_classes=2)
         with pytest.raises(DomainError, match="capacity"):
-            build_slots([table(det([1.0], 0))], 0, key_dim=1, n_classes=1)
+            build_memory([table(det([1.0], 0))], 0, key_dim=1, n_classes=1)
 
     def test_images_are_checked_in_order(self):
         # the first image's key width is refused before the second image's label
         with pytest.raises(ShapeError, match=r"^memory: key shape \(2,\) != \(1,\)$"):
-            build_slots([table(det([1.0, 2.0], 0)), table(det([1.0], 5))], 2, key_dim=1, n_classes=2)
+            build_memory([table(det([1.0, 2.0], 0)), table(det([1.0], 5))], 2, key_dim=1, n_classes=2)

@@ -17,10 +17,10 @@ replaced (a memory of Python-sorted rows, one query product and one read
 per placeholder, each filler made eagerly), over the benchmark's caption
 and crowded-sweep draws.
 
-A record's detections are one table, and a split's slots come from one
-sort and one gather. Their oracle is the slot build by a Python sort: one
-``ObjectMemory`` per image, written with its top detections in score
-order, then padded and stacked.
+A record's detections are one table, and a row of a memory comes from one
+sort and one gather of its table. Their oracle is the memory build by a
+Python sort: each image's top detections in score order, written to one
+``ObjectMemory``.
 """
 
 import dataclasses
@@ -38,15 +38,13 @@ from novelcap.data import HeldOutSplit, build_heldout_split, generate_synthetic,
 from novelcap.decoder import (CaptionModel, DecodeSnapshot, ForwardCache, _check_cell, _halve_sigmoid_gates,
                               decode_greedy, init_state, sequence_loss)
 from novelcap.errors import DomainError
-from novelcap.memory import (Detections, LossReads, ObjectMemory, Slots, build_memory, build_slots,
-                             memory_loss_forward,
-                             read_loss_backward)
+from novelcap.memory import Detections, LossReads, ObjectMemory, build_memory, memory_loss_forward, read_loss_backward
 from novelcap.numerics import FLOAT, AdamState, adam_step, softmax
 from novelcap.pipeline import (CLIP_NORM, Caption, TrainExample, TrainingPairs, batch_losses, clip_gradients,
                                train_step)
 from novelcap.vocabulary import PLACEHOLDER, build_vocabulary, intersect_detectable, mask_weights, rewrite_targets
 
-from support import as_slots, load_workloads
+from support import load_workloads
 
 SPEC = json.loads((Path(__file__).parent / "acceptance_config.json").read_text())["benchmark"]
 RUN = SPEC["run"]
@@ -87,18 +85,17 @@ def top_rows(dets: Detections, n_det: int) -> Detections:
 
 
 def slot_width(detections, n_det) -> int:
-    """The width of a split's slots: its longest top-``n_det`` cut, and at least 1."""
+    """The width of a split's memory: its longest top-``n_det`` cut, and at least 1."""
     return max(1, min(n_det, max((len(dets) for dets in detections), default=0)))
 
 
-def per_memory_slots(detections, n_det, key_dim, n_classes) -> Slots:
-    """``build_slots`` by a Python sort: per image, its top ``n_det`` rows by
-    score written to one ``ObjectMemory``, and the memories padded and stacked."""
-    mems = [ObjectMemory(key_dim, n_classes).write(top_rows(dets, n_det)) for dets in detections]
-    return as_slots(*mems, width=slot_width(detections, n_det))
+def per_memory_slots(detections, n_det, key_dim, n_classes) -> ObjectMemory:
+    """``build_memory`` by a Python sort: per image, its top ``n_det`` rows
+    by score, written to one ``ObjectMemory``."""
+    return ObjectMemory(key_dim, n_classes).write([top_rows(dets, n_det) for dets in detections])
 
 
-def assert_slots_equal(got: Slots, want: Slots, what):
+def assert_slots_equal(got: ObjectMemory, want: ObjectMemory, what):
     for field in ("keys", "labels", "counts"):
         a, b = getattr(got, field), getattr(want, field)
         assert a.dtype == b.dtype and np.array_equal(a, b), (what, field)
@@ -156,12 +153,16 @@ def list_memory_loss(hiddens, original, mask, det_map, memories, w_query, width)
     ``width`` slots, classes looked up word by word."""
     steps, rows = np.divmod(np.flatnonzero(mask), len(memories))
     classes = np.array([det_map.word_classes[word] for word in original[steps, rows].tolist()], dtype=np.intp)
-    padded = as_slots(*memories, width=width)
-    filled = np.arange(width) < padded.counts[rows, None]
-    hits = (padded.labels[rows] == classes[:, None]) & filled
+    padded_keys = np.zeros((len(memories), width, w_query.shape[0]))
+    padded_labels = np.zeros((len(memories), width), dtype=np.intp)
+    for r, mem in enumerate(memories):
+        if mem.n:
+            padded_keys[r, :mem.n], padded_labels[r, :mem.n] = mem.keys[0], mem.labels[0]
+    filled = np.arange(width) < np.array([mem.n for mem in memories])[rows, None]
+    hits = (padded_labels[rows] == classes[:, None]) & filled
     read = hits.any(axis=1)
     steps, rows, filled, hits = steps[read], rows[read], filled[read], hits[read]
-    keys = padded.keys[rows]
+    keys = padded_keys[rows]
     queries = hiddens[steps, rows] @ w_query.T
     sims = np.where(filled, np.matmul(keys, queries[:, :, None])[..., 0], -np.inf)
     w = softmax(sims)
@@ -231,7 +232,7 @@ def list_batch_losses(model, batch, det_map, *, go_id, pad_id, n_det, width, max
     for b, (ex, n) in enumerate(zip(batch, cache.lengths)):
         original[:n, b] = ex.targets[:n]
         mask[:n, b] = mask_weights(ex.targets[:n], det_map)
-        memories.append(build_memory(ex.detections, n_det, model.key_dim, det_map.n_classes) if mask[:, b].any()
+        memories.append(build_memory([ex.detections], n_det, model.key_dim, det_map.n_classes) if mask[:, b].any()
                         else ObjectMemory(model.key_dim, det_map.n_classes))
     loss_mem, reads = list_memory_loss(cache.hiddens, original, mask.ravel(), det_map, memories,
                                        model.w_query, width)
@@ -289,14 +290,15 @@ def per_example_memory_loss(hiddens, original, mask, det_map, memories, w_query,
         for t in np.flatnonzero(mask[:, b]):
             masked += 1
             target = int(det_map.word_classes[original[t, b]])
-            if target < 0 or mem.n == 0 or target not in mem.labels:
+            if target < 0 or mem.n == 0 or target not in mem.labels[0]:
                 continue
-            weights = softmax(mem.keys @ (w_query @ hiddens[t, b]))
-            p = np.bincount(mem.labels, weights, minlength=mem.n_classes)[target]
+            keys, labels = mem.keys[0], mem.labels[0]
+            weights = softmax(keys @ (w_query @ hiddens[t, b]))
+            p = np.bincount(labels, weights, minlength=mem.n_classes)[target]
             example_loss += float(-np.log(p))
-            dalpha = np.where(mem.labels == target, -1.0 / p, 0.0)
+            dalpha = np.where(labels == target, -1.0 / p, 0.0)
             dsims = weights * (dalpha - float(weights @ dalpha))
-            dq[t, b] = mem.keys.T @ (dsims * scale)
+            dq[t, b] = keys.T @ (dsims * scale)
             reads += 1
         loss += example_loss
     return loss, dq, masked, reads
@@ -383,7 +385,7 @@ def test_first_epoch_matches_per_example_memory_loss_and_concatenating_backward(
         (_, cache, dlogits, dq), grad = seen["backward_pass"]
         mask_arg, (_, reads) = seen["memory_loss_forward"][0][2], seen["memory_loss_forward"][1]
         original, mask = padded_originals(batch, cache.lengths, vocab.pad_id, det_map)
-        memories = [build_memory(ex.detections, RUN["n_det"], model.key_dim, det_map.n_classes)
+        memories = [build_memory([ex.detections], RUN["n_det"], model.key_dim, det_map.n_classes)
                     for ex in batch]
         loss, dq_ref, masked, n_reads = per_example_memory_loss(
             cache.hiddens, original, mask, det_map, memories, before.w_query, 1.0 / len(batch))
@@ -403,14 +405,14 @@ def test_first_epoch_matches_per_example_memory_loss_and_concatenating_backward(
 def test_pairs_are_built_once_per_image_and_reused(acceptance_world, monkeypatch):
     split, vocab, det_map, _ = acceptance_world
     built = []
-    build = pipeline.build_slots
+    build = pipeline.build_memory
 
     def counted(detections, n_det, *args):
         built.append((len(detections), n_det))
         return build(detections, n_det, *args)
 
-    monkeypatch.setattr(pipeline, "build_slots", counted)
-    train = split.train[:40]  # no validation records: every slot build below is training's
+    monkeypatch.setattr(pipeline, "build_memory", counted)
+    train = split.train[:40]  # no validation records: every memory build below is training's
     cfg = RunConfig(**dict(RUN, epochs=2, hidden_size=16, embed_size=8))
     result = pipeline.train_model(HeldOutSplit(train, [], [], split.held_out_words), vocab, det_map, cfg)
     assert len(result.history) == 2
@@ -441,7 +443,7 @@ def test_every_image_gets_a_slot_row_and_stray_labels_are_refused(acceptance_wor
     assert TrainingPairs.of(examples, det_map, **kw).slots.counts.tolist() == [4]
     slots = TrainingPairs.of(examples[:1], det_map, **kw).slots  # no masked step, and still its row
     assert slots.counts.tolist() == [4]
-    assert np.array_equal(slots.keys[0], build_memory(rec.detections, 4, 32, det_map.n_classes).keys)
+    assert np.array_equal(slots.keys[0], build_memory([rec.detections], 4, 32, det_map.n_classes).keys[0])
     dnoc = TrainingPairs.of(examples, det_map, **kw)
     baseline = TrainingPairs.of(examples, no_detectable_words(det_map), **kw)
     assert not baseline.mask.any()
@@ -471,11 +473,12 @@ def test_skip_reasons_in_one_batch(caplog):
             (["cake", "dog", "a"], dets((0, 0.7), (1, 0.6), (0, 0.5)))]  # two reads
     original = np.array([vocab.encode(words) for words, _ in rows]).T
     mask = np.array([[0, 1, 1], [1, 0, 1], [1, 0, 1], [1, 1, 0]]).T
-    memories = [build_memory(d, 2, key_dim, det_map.n_classes) for _, d in rows]
+    memories = [build_memory([d], 2, key_dim, det_map.n_classes) for _, d in rows]
     hiddens = rng.normal(size=(3, len(rows), hidden))
     w_query = rng.normal(size=(key_dim, hidden))
     with caplog.at_level("DEBUG", logger="novelcap.memory"):
-        loss, reads = memory_loss_forward(hiddens, original, mask.ravel(), det_map, as_slots(*memories),
+        loss, reads = memory_loss_forward(hiddens, original, mask.ravel(), det_map,
+                                          build_memory([d for _, d in rows], 2, key_dim, det_map.n_classes),
                                           w_query)
     messages = [r.message for r in caplog.records]
     assert sum("no detection class" in m for m in messages) == 1
@@ -498,27 +501,27 @@ def test_memory_pass_with_no_masked_step_reads_nothing(monkeypatch):
     monkeypatch.setattr(memory, "read_slots", no_read)
     vocab = build_vocabulary([["a", "dog"]])
     det_map = intersect_detectable(vocab, ["dog"])
-    memories = [ObjectMemory(3, 1), ObjectMemory(3, 1)]
+    empty = Detections(np.empty((0, 3)), [], [])
     loss, reads = memory_loss_forward(np.zeros((2, 2, 4)), np.zeros((2, 2), dtype=np.intp), [0] * 4,
-                                      det_map, as_slots(*memories, width=2), np.zeros((3, 4)))
+                                      det_map, ObjectMemory(3, 1).write([empty, empty]), np.zeros((3, 4)))
     assert loss == 0.0 and len(reads) == 0
     assert read_loss_backward(reads).shape == (0, 3)
 
 
 
-# --- the slot build before detections were a table --------------------------
+# --- the memory build before detections were a table ------------------------
 
 CROWDED = dict(seed=7, dim=32, latent_rank=6, noise_scale=0.05, distractors=12)
 
 
 def test_slots_equal_the_per_memory_build_on_the_crowded_world():
-    """Slots of 300 crowded records (1-3 objects, 12 distractors: 13-15
+    """The memory of 300 crowded records (1-3 objects, 12 distractors: 13-15
     detections each) at every n_det from 1 to 16, bit for bit."""
     records = generate_synthetic(make_world(**CROWDED), 300, objects_per_image=(1, 3))
     tables = [rec.detections for rec in records]
     assert {len(dets) for dets in tables} == {13, 14, 15}
     for n_det in range(1, 17):
-        assert_slots_equal(build_slots(tables, n_det, 32, 20), per_memory_slots(tables, n_det, 32, 20), n_det)
+        assert_slots_equal(build_memory(tables, n_det, 32, 20), per_memory_slots(tables, n_det, 32, 20), n_det)
 
 
 def test_tied_scores_keep_table_order_as_the_per_memory_build_does():
@@ -528,8 +531,8 @@ def test_tied_scores_keep_table_order_as_the_per_memory_build_does():
     tables.append(Detections(np.arange(15.0).reshape(5, 3), [4, 3, 2, 1, 0], [0.5] * 5))  # every score tied
     assert sum(len(np.unique(dets.scores)) < len(dets) for dets in tables) >= 4
     for n_det in range(1, 14):
-        assert_slots_equal(build_slots(tables, n_det, 3, 5), per_memory_slots(tables, n_det, 3, 5), n_det)
-    assert build_slots(tables, 3, 3, 5).labels[-1].tolist() == [4, 3, 2]
+        assert_slots_equal(build_memory(tables, n_det, 3, 5), per_memory_slots(tables, n_det, 3, 5), n_det)
+    assert build_memory(tables, 3, 3, 5).labels[-1].tolist() == [4, 3, 2]
 
 
 # --- the captioner before one build and one read per caption ---------------
@@ -552,12 +555,12 @@ def per_placeholder_captioner(model, vocab, det_map, cfg, mode):
         if mode == "no-placeholder":
             return None
         if mode == "dnoc":
-            mem = ObjectMemory(model.key_dim, det_map.n_classes).write(top_rows(rec.detections, cfg.n_det))
+            mem = ObjectMemory(model.key_dim, det_map.n_classes).write([top_rows(rec.detections, cfg.n_det)])
             if mem.n == 0:
                 return None
 
             def fill(h_prev):
-                distribution = np.bincount(mem.labels, softmax(mem.keys @ (w_query @ h_prev)),
+                distribution = np.bincount(mem.labels[0], softmax(mem.keys[0] @ (w_query @ h_prev)),
                                            minlength=mem.n_classes)
                 reads.append(distribution)
                 return det_map.class_words[int(np.argmax(distribution))]
