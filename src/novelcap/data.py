@@ -269,7 +269,7 @@ def build_heldout_split(records: list[DatasetRecord], held_out_words,
     repeat = next((w for i, w in enumerate(held) if w in held[:i]), None)
     if repeat is not None:  # each held-out word is one entry of the F1 average
         raise DomainError(f"data: held-out word {repeat!r} is listed twice")
-    if abs(sum(ratios) - 1.0) > 1e-9 or any(r < 0 for r in ratios):
+    if not (abs(sum(ratios) - 1.0) <= 1e-9 and all(r >= 0 for r in ratios)):  # NaN fails both comparisons
         raise DomainError(f"data: split ratios {ratios} must be non-negative and sum to 1")
     hits = mentions([rec.references for rec in records], held)
     for w, covered in zip(held, hits.any(axis=0)):

@@ -424,9 +424,16 @@ class TestListFlags:
         (["gen-data", "--objects-per-image", "-1,2"], "DomainError: data: bad objects_per_image range (-1, 2)"),
         (["gen-data", "--ratios", "-1,1,1"],
          "DomainError: data: split ratios (-1.0, 1.0, 1.0) must be non-negative and sum to 1"),
+        (["gen-data", "--ratios", "nan,0.5,0.5"],
+         "DomainError: data: split ratios (nan, 0.5, 0.5) must be non-negative and sum to 1"),
+        (["gen-data", "--ratios", "0.5,nan,0.5"],
+         "DomainError: data: split ratios (0.5, nan, 0.5) must be non-negative and sum to 1"),
+        (["gen-data", "--ratios", "0.5,0.5,nan"],
+         "DomainError: data: split ratios (0.5, 0.5, nan) must be non-negative and sum to 1"),
         (["sweep-ndet", "--values", "-1,2"], "DomainError: cli: sweep values must all be >= 1"),
         (["sweep-ndet", "--val", "-1,2"], "DomainError: cli: sweep values must all be >= 1"),
-    ], ids=["objects-per-image", "ratios", "values", "abbreviated-values"])
+    ], ids=["objects-per-image", "ratios", "ratios-nan-first", "ratios-nan-second", "ratios-nan-third", "values",
+            "abbreviated-values"])
     def test_value_with_a_leading_dash_reaches_the_check_that_names_it(self, tmp_path, capsys, args, message):
         extra = ["--world-config", write_world(tmp_path), "--held-out", "bus", "--n-images", "80"]
         cfg_path = write_config(tmp_path)

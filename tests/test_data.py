@@ -170,10 +170,12 @@ class TestHeldOutSplit:
         with pytest.raises(DomainError, match="'bus' is listed twice"):
             build_heldout_split(records, ("bus", "bird", "bus"), seed=1)
 
-    def test_bad_ratios(self):
+    @pytest.mark.parametrize("ratios", [(0.5, 0.2, 0.2), (np.nan, 0.5, 0.5), (0.5, np.nan, 0.5),
+                                        (0.5, 0.5, np.nan)])
+    def test_bad_ratios(self, ratios):
         _, records = self.records()
-        with pytest.raises(DomainError):
-            build_heldout_split(records, (), ratios=(0.5, 0.2, 0.2), seed=1)
+        with pytest.raises(DomainError, match=r"^data: split ratios \(.*\) must be non-negative and sum to 1$"):
+            build_heldout_split(records, (), ratios=ratios, seed=1)
 
     def test_deterministic(self):
         _, records = self.records()
