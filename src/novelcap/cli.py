@@ -149,14 +149,17 @@ def cmd_train(args) -> int:
     _, vocab, _, split, det_map = _load_common(cfg)
     _ensure_parent(cfg.checkpoint)
     _ensure_parent(cfg.train_log)
-    with open(cfg.train_log, "w", encoding="utf-8") as logf:
-        def log_fn(line):
-            print(line)
-            logf.write(line + "\n")
+    lines = []
 
-        result = train_model(split, vocab, det_map, cfg, mode=cfg.train_mode, log_fn=log_fn)
-        best = f"best_epoch={result.best_epoch} best_val_f1={result.best_val_f1!r}"
-        log_fn(best)
+    def log_fn(line):
+        print(line)
+        lines.append(line + "\n")
+
+    result = train_model(split, vocab, det_map, cfg, mode=cfg.train_mode, log_fn=log_fn)
+    log_fn(f"best_epoch={result.best_epoch} best_val_f1={result.best_val_f1!r}")
+    # only a finished run writes its outputs, so a failed one leaves the last run's whole
+    with open(cfg.train_log, "w", encoding="utf-8") as logf:
+        logf.writelines(lines)
     ckpt.save_checkpoint(cfg.checkpoint, result.best_params, vocab_ref=vocab.digest())
     print(f"checkpoint={cfg.checkpoint}")
     return 0

@@ -7,13 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from novelcap import checkpoint as ckpt, data as datamod
+from novelcap import checkpoint as ckpt, data as datamod, evaluation
 from novelcap.checkpoint import load_checkpoint, save_checkpoint
 from novelcap.cli import _build_config, build_parser, main
 from novelcap.config import load_config
 from novelcap.data import (load_dataset, load_manifest, load_world_config, make_world, save_dataset,
                            save_world_config, split_from_manifest)
 from novelcap.decoder import CaptionModel
+from novelcap.errors import NumericError
 from novelcap.evaluation import average_f1_over
 from novelcap.memory import Detections
 from novelcap.pipeline import TrainingPairs, make_captioner
@@ -210,6 +211,22 @@ class TestTrain:
         assert len(log_lines) == cfg.epochs + 1
         assert log_lines[0].startswith("epoch=1 loss_smp=")
         assert log_lines[-1].startswith("best_epoch=")
+
+    def test_a_failed_run_leaves_the_last_log_and_checkpoint_whole(self, trained, capsys, monkeypatch):
+        tmp_path, cfg_path = trained
+        cfg = load_config(cfg_path)
+        outputs = (Path(cfg.train_log), Path(cfg.checkpoint))
+        before = [path.read_bytes() for path in outputs]
+        assert all(before)
+
+        def failing_validation(*args):
+            raise NumericError("evaluation: validation failed")
+
+        monkeypatch.setattr(evaluation, "average_f1_over", failing_validation)  # epoch 1's validation
+        capsys.readouterr()
+        assert main(["train", "--config", cfg_path]) == 1
+        assert capsys.readouterr().err == "novelcap: NumericError: evaluation: validation failed\n"
+        assert [path.read_bytes() for path in outputs] == before
 
     def test_loss_drops_within_run(self, tmp_path):
         cfg_path = write_config(tmp_path, epochs=4)
