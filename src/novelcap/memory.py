@@ -166,10 +166,12 @@ def read_slots(queries: np.ndarray, mem: ObjectMemory) -> tuple[np.ndarray, np.n
 
 def memory_read(q: np.ndarray, mem: ObjectMemory) -> np.ndarray:
     """The (P, n_classes) class distribution of ``read_slots`` for a block
-    of queries (P, key_dim) against one image's memory; an empty memory is
-    refused."""
+    of queries (P, key_dim) against one image's memory, a memory of one
+    row; an empty memory and a memory of other rows are refused."""
     if mem.n == 0:
         raise DomainError("memory: read on an empty memory")
+    if len(mem.keys) != 1:  # read_slots would pair query row m with memory row m
+        raise ShapeError(f"memory: a read takes one image's memory, not {len(mem.keys)} rows")
     if q.ndim != 2 or q.shape[1] != mem.key_dim:
         raise ShapeError(f"memory: query shape {q.shape} is not a (P, {mem.key_dim}) block")
     return read_slots(q, mem)[1]

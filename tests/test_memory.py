@@ -280,6 +280,13 @@ class TestMemoryRead:
         dist = memory_read(cases[-1][1], tied)
         assert dist.argmax(1).tolist() == [2, 1, 2, 3]  # ties break toward the lowest class
 
+    def test_a_memory_of_more_than_one_row_is_refused(self):
+        # an empty row would read as NaN, and a block of another height would not broadcast
+        for rows in ([[([1.0, 0.0], 0)], []], [[([1.0, 0.0], 0)]] * 3):
+            mem = ObjectMemory(2, 3).write([slot_table(*slots) for slots in rows])
+            with pytest.raises(ShapeError, match=f"^memory: a read takes one image's memory, not {len(rows)} rows$"):
+                memory_read(np.zeros((2, 2)), mem)
+
     def test_query_of_the_wrong_length_is_a_shape_error(self):
         mem = memory_of(([1.0, 0.0], 0))
         for q in (np.zeros(3), np.zeros((2, 3)), np.zeros((1, 1, 2)), np.zeros(2)):  # a query is a (P, 2) block
