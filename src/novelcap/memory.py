@@ -99,7 +99,7 @@ class ObjectMemory:
         was."""
         if self.keys is not None:
             raise DomainError("memory: a memory is written once")
-        counts = [len(rows) for rows in tables]
+        counts = list(map(len, tables))
         keys = np.zeros((len(tables), max([1, *counts]), self.key_dim), dtype=FLOAT)
         labels = np.zeros(keys.shape[:2], dtype=np.intp)
         for r, (rows, n) in enumerate(zip(tables, counts)):
@@ -156,7 +156,7 @@ def read_slots(queries: np.ndarray, mem: ObjectMemory) -> tuple[np.ndarray, np.n
     Returns the (M, width) weights and the (M, n_classes) distribution."""
     n_rows, width, n_classes = len(queries), mem.keys.shape[1], mem.n_classes
     sims = np.matmul(mem.keys, queries[:, :, None])[..., 0]
-    if min(mem.counts.tolist(), default=width) < width:  # a row with unwritten slots: mask them out
+    if mem.n < mem.counts.size * width:  # some row has unwritten slots (n is counts.sum()): mask them out
         sims = np.where(np.arange(width) < mem.counts[:, None], sims, -np.inf)
     weights = softmax(sims)
     bins = np.arange(0, n_rows * n_classes, n_classes)[:, None] + mem.labels  # row m's: m*n_classes + label
