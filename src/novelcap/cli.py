@@ -2,13 +2,15 @@
 
 Commands: gen-data, train, caption, eval, sweep-ndet. Every command is
 deterministic given the config seed; all errors exit nonzero with a
-message naming the failing module. ``train`` stores ``Vocabulary.digest()``
-in the checkpoint, and the commands that load one refuse any other value;
-``eval`` writes a report that no command reads.
+message naming the failing module. ``train`` stores the digest of the
+training records' vocabulary in the checkpoint, and the commands that load
+one refuse any other; ``eval`` writes a report that no command reads.
 """
 
 import argparse
+import contextlib
 import dataclasses
+import errno
 import os
 import sys
 
@@ -19,12 +21,36 @@ from .decoder import CaptionModel
 from .errors import CheckpointError, ConfigError, CoverageError, DomainError, NovelcapError, SchemaError
 from .evaluation import average_f1_over, evaluate_split, format_report_lines, write_report
 from .pipeline import CAPTION_MODES, make_captioner, train_model
-from .vocabulary import Vocabulary, build_vocabulary, intersect_detectable
+from .vocabulary import build_vocabulary, intersect_detectable
 
 
 def _ensure_parent(path):
     parent = os.path.dirname(os.path.abspath(path))
     os.makedirs(parent, exist_ok=True)
+
+
+@contextlib.contextmanager
+def _committed(*paths):
+    """A temporary file beside each of ``paths``, made before the block runs
+    and renamed onto its path with ``os.replace`` once the block returns; a
+    path that cannot be written fails before the block, and on any failure
+    the temporary files go and ``paths`` stay as they were."""
+    temps = []
+    try:
+        for path in paths:
+            _ensure_parent(path)
+            if os.path.isdir(path):  # os.replace would refuse it only at the end
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+            temp = f"{path}.{os.getpid()}.tmp"
+            open(temp, "x").close()  # a file already at that name is not this run's to remove
+            temps.append(temp)
+        yield temps
+        for temp, path in zip(temps, paths):
+            os.replace(temp, path)
+    finally:
+        for temp in temps:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(temp)
 
 
 def _list_flag(flag: str, raw: str, kind, count: int | None = None) -> list:
@@ -68,9 +94,13 @@ def _build_config(args) -> RunConfig:
     return validate_config(dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None}))
 
 
+def _training_vocabulary(split):  # a run's one vocabulary: the words of its training captions
+    return build_vocabulary([ref for rec in split.train for ref in rec.references])
+
+
 def _load_common(cfg):
     """The config's data, with the image and detection feature lengths
-    checked against its image_dim and key_dim."""
+    checked against its image_dim and key_dim, and its training vocabulary."""
     records = datamod.load_dataset(cfg.dataset)
     # load_dataset holds every image feature to one length, and every detection feature
     image_len = next((len(rec.feature) for rec in records), None)
@@ -79,18 +109,22 @@ def _load_common(cfg):
         if length not in (None, getattr(cfg, key)):
             raise SchemaError(f"cli: {kind} features in {cfg.dataset} have length {length}, "
                               f"not the config's {key} {getattr(cfg, key)}")
-    vocab = Vocabulary.load(cfg.vocab)
     manifest = datamod.load_manifest(cfg.manifest)
     split = datamod.split_from_manifest(records, manifest)
+    vocab = _training_vocabulary(split)
     det_map = intersect_detectable(vocab, manifest["class_names"])
     return records, vocab, manifest, split, det_map
 
 
 def _load_model(cfg, vocab) -> CaptionModel:
-    """The checkpoint's model, checked against the config's dimensions and
-    against the vocabulary it was trained with."""
+    """The checkpoint's model, checked against the vocabulary of the
+    manifest's training records and against the config's dimensions."""
     params, vocab_ref = ckpt.load_checkpoint(cfg.checkpoint)
     model = CaptionModel.from_params(params)
+    digest = vocab.digest()
+    if vocab_ref != digest:
+        raise CheckpointError(f"cli: checkpoint {cfg.checkpoint} was not trained with the vocabulary of the "
+                              f"training records of {cfg.manifest} (it holds {vocab_ref!r}, they give {digest!r})")
     mismatches = [(name, got, want) for name, got, want in (
         ("hidden_size", model.hidden_size, cfg.hidden_size),
         ("embed_size", model.embed_size, cfg.embed_size),
@@ -101,10 +135,6 @@ def _load_model(cfg, vocab) -> CaptionModel:
     if mismatches:
         detail = ", ".join(f"{n}: checkpoint {g} vs config {w}" for n, g, w in mismatches)
         raise CheckpointError(f"cli: checkpoint incompatible with config dims ({detail})")
-    digest = vocab.digest()
-    if vocab_ref != digest:
-        raise CheckpointError(f"cli: checkpoint {cfg.checkpoint} was not trained with the vocabulary "
-                              f"{cfg.vocab} (it holds {vocab_ref!r}, the file is {digest!r})")
     return model
 
 
@@ -124,19 +154,17 @@ def cmd_gen_data(args) -> int:
 
     if args.out:
         cfg.dataset = os.path.join(args.out, "dataset.jsonl")
-        cfg.vocab = os.path.join(args.out, "vocab.txt")
         cfg.manifest = os.path.join(args.out, "split.json")
-    for path in (cfg.dataset, cfg.vocab, cfg.manifest):
+    for path in (cfg.dataset, cfg.manifest):
         _ensure_parent(path)
-    vocab = build_vocabulary([ref for rec in split.train for ref in rec.references])
+    vocab = _training_vocabulary(split)
     datamod.save_dataset(records, cfg.dataset)
-    vocab.save(cfg.vocab)
     datamod.save_manifest(split, world.names, cfg.manifest)
 
     counts = datamod.mentions([rec.references for rec in records], world.names).sum(axis=0)
     print(f"dataset={cfg.dataset} records={len(records)} "
           f"train={len(split.train)} val={len(split.val)} test={len(split.test)}")
-    print(f"vocab={cfg.vocab} size={vocab.size}")
+    print(f"vocab_size={vocab.size}")
     print(f"manifest={cfg.manifest} held_out={','.join(held_out)}")
     for name, count in zip(world.names, counts):
         marker = " (held out)" if name in held_out else ""
@@ -147,20 +175,19 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     cfg = _build_config(args)
     _, vocab, _, split, det_map = _load_common(cfg)
-    _ensure_parent(cfg.checkpoint)
-    _ensure_parent(cfg.train_log)
     lines = []
 
     def log_fn(line):
         print(line)
         lines.append(line + "\n")
 
-    result = train_model(split, vocab, det_map, cfg, mode=cfg.train_mode, log_fn=log_fn)
-    log_fn(f"best_epoch={result.best_epoch} best_val_f1={result.best_val_f1!r}")
     # only a finished run writes its outputs, so a failed one leaves the last run's whole
-    with open(cfg.train_log, "w", encoding="utf-8") as logf:
-        logf.writelines(lines)
-    ckpt.save_checkpoint(cfg.checkpoint, result.best_params, vocab_ref=vocab.digest())
+    with _committed(cfg.train_log, cfg.checkpoint) as (log_temp, checkpoint_temp):
+        result = train_model(split, vocab, det_map, cfg, mode=cfg.train_mode, log_fn=log_fn)
+        log_fn(f"best_epoch={result.best_epoch} best_val_f1={result.best_val_f1!r}")
+        with open(log_temp, "w", encoding="utf-8") as logf:
+            logf.writelines(lines)
+        ckpt.save_checkpoint(checkpoint_temp, result.best_params, vocab_ref=vocab.digest())
     print(f"checkpoint={cfg.checkpoint}")
     return 0
 
@@ -183,9 +210,8 @@ def cmd_eval(args) -> int:
     records, vocab, manifest, split, det_map = _load_common(cfg)
     model = _load_model(cfg, vocab)
     split_hash = datamod.manifest_hash(cfg.manifest)
-    known = manifest.get("known_words", [])
     captioner = make_captioner(model, vocab, det_map, cfg, mode=args.mode)
-    report = evaluate_split(split, captioner, known_words=known, mode=args.mode,
+    report = evaluate_split(split, captioner, known_words=manifest["known_words"], mode=args.mode,
                             split_hash=split_hash)
     for line in format_report_lines(report):
         print(line)
@@ -228,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
         for flag in flags:
             p.add_argument(flag, type=int if flag in ("--seed", "--n-det") else None)
 
-    p = sub.add_parser("gen-data", help="generate a synthetic dataset, vocabulary, and split")
+    p = sub.add_parser("gen-data", help="generate a synthetic dataset and its split")
     common(p, "--seed", "--out")
     p.add_argument("--world-config", dest="world",
                    help="world definition file (plain key-value); overrides the config's world key")

@@ -528,14 +528,13 @@ def load_manifest(path) -> dict:
     doc = read_json(path, "data: manifest")
     if not isinstance(doc, dict):
         raise SchemaError("data: manifest is not a JSON object")
-    for key in ("held_out_words", "class_names", "train", "val", "test"):
+    for key in ("held_out_words", "class_names", "known_words", "train", "val", "test"):
         if key not in doc:
             raise SchemaError(f"data: manifest is missing field {key!r}")
-    for key in ("held_out_words", "class_names", "known_words", "train", "val", "test"):
-        if key in doc and not (isinstance(doc[key], list) and all(isinstance(x, str) for x in doc[key])):
+        if not (isinstance(doc[key], list) and all(isinstance(x, str) for x in doc[key])):
             raise SchemaError(f"data: manifest field {key!r} is not a list of strings")
     # a held-out or known word is one entry of its F1 average; a record id is in one part of the split
-    for kind, items in (("held-out word", doc["held_out_words"]), ("known word", doc.get("known_words", [])),
+    for kind, items in (("held-out word", doc["held_out_words"]), ("known word", doc["known_words"]),
                         ("record id", doc["train"] + doc["val"] + doc["test"])):
         seen = set()
         for item in items:

@@ -4,8 +4,8 @@ Sentences are plain lists of token ids. The placeholder token is an
 ordinary trainable vocabulary entry; ``rewrite_targets`` swaps every
 detectable word in a training sentence for it, and ``mask_weights``
 marks exactly those positions so the memory loss knows where to fire.
-``Vocabulary.text`` is the one encoding of the id order: ``save`` writes it
-and ``digest`` hashes it into the checkpoint's vocabulary reference.
+A run's vocabulary is built from its training captions; ``Vocabulary.text``
+encodes the id order and ``digest`` hashes it for the checkpoint.
 """
 
 import hashlib
@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import text_lines
-from .errors import DomainError, ParseError
+from .errors import DomainError
 
 GO = "<GO>"
 EOS = "<EOS>"
@@ -99,44 +98,18 @@ class Vocabulary:
         return ids
 
     def text(self) -> str:
-        """The file text: one word per line, line number = id."""
+        """One word per line, line number = id."""
         return "".join(w + "\n" for w in self.words)
 
     def digest(self) -> str:
-        """``sha256:`` and the hex sha256 of ``text()``, the bytes ``save`` writes."""
+        """``sha256:`` and the hex sha256 of ``text()``."""
         return "sha256:" + hashlib.sha256(self.text().encode("utf-8")).hexdigest()
-
-    def save(self, path) -> None:
-        """Writes ``text()``; round-trips bit-exact through ``load``."""
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(self.text())
-
-    @classmethod
-    def load(cls, path) -> "Vocabulary":
-        """The vocabulary ``save`` wrote. A ParseError names the first line
-        at fault, one that is neither a special token nor a word
-        (``word_fault``) or a word listed twice (with its first line), and
-        then a missing special token by the token."""
-        index: dict[str, int] = {}
-        for line_no, line in text_lines(path, "vocabulary"):
-            word = line.rstrip("\n")
-            fault = None if word in SPECIAL_TOKENS else word_fault(word)
-            if fault:
-                raise ParseError(f"vocabulary: line {line_no}: word {word!r} {fault}")
-            if word in index:
-                raise ParseError(f"vocabulary: line {line_no}: word {word!r} is listed twice "
-                                 f"(first on line {index[word] + 1})")
-            index[word] = line_no - 1
-        missing = next((tok for tok in SPECIAL_TOKENS if tok not in index), None)
-        if missing:
-            raise ParseError(f"vocabulary: special token {missing} is missing")
-        return cls(words=tuple(index))
 
 
 def build_vocabulary(training_sentences: list[list[str]]) -> Vocabulary:
     """Vocabulary from tokenized, lowercased sentences: every corpus word,
     most frequent first, ties in string order, then the special tokens.
-    Two builds from the same corpus assign identical ids."""
+    Two builds from the same sentences, in any order, assign identical ids."""
     if not training_sentences:
         raise DomainError("vocabulary: cannot build from an empty corpus")
     counts = Counter()

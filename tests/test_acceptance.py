@@ -294,8 +294,8 @@ def test_criterion_9_determinism(tmp_path):
     cfg_path.write_text("".join(f"{k} = {v}\n" for k, v in {
         "hidden_size": 24, "embed_size": 16, "image_dim": 8, "key_dim": 8,
         "epochs": 3, "batch_size": 8, "seed": 3, "max_steps": 12,
-        "dataset": tmp_path / "dataset.jsonl", "vocab": tmp_path / "vocab.txt",
-        "manifest": tmp_path / "split.json", "checkpoint": tmp_path / "model.ckpt",
+        "dataset": tmp_path / "dataset.jsonl", "manifest": tmp_path / "split.json",
+        "checkpoint": tmp_path / "model.ckpt",
         "report": tmp_path / "report.json", "train_log": tmp_path / "train.log",
     }.items()))
     assert cli_main(["gen-data", "--config", str(cfg_path), "--world-config", str(world_path),

@@ -11,9 +11,9 @@ from novelcap.errors import CheckpointError
 def test_round_trip_bit_exact(tmp_path):
     model = CaptionModel(vocab_size=9, hidden_size=6, embed_size=5, image_dim=7, key_dim=6, seed=3)
     path = tmp_path / "m.ckpt"
-    save_checkpoint(path, model.params(), vocab_ref="data/vocab.txt")
+    save_checkpoint(path, model.params(), vocab_ref="sha256:00")
     params, vocab_ref = load_checkpoint(path)
-    assert vocab_ref == "data/vocab.txt"
+    assert vocab_ref == "sha256:00"
     assert set(params) == set(model.params())
     for name, p in model.params().items():
         assert params[name].dtype == np.float64

@@ -18,7 +18,7 @@ from novelcap.errors import NumericError
 from novelcap.evaluation import average_f1_over
 from novelcap.memory import Detections
 from novelcap.pipeline import TrainingPairs, make_captioner
-from novelcap.vocabulary import Vocabulary, intersect_detectable
+from novelcap.vocabulary import build_vocabulary, intersect_detectable
 
 SMALL_WORLD = dict(names=("dog", "cat", "bus", "tree", "boat", "bird", "car", "horse"),
                    dim=8, seed=3, noise_scale=0.05, latent_rank=5)
@@ -35,7 +35,6 @@ def write_config(tmp_path, **extra):
         "hidden_size": 24, "embed_size": 16, "image_dim": 8, "key_dim": 8,
         "epochs": 2, "batch_size": 8, "seed": 3, "n_det": 4, "max_steps": 12,
         "dataset": str(tmp_path / "dataset.jsonl"),
-        "vocab": str(tmp_path / "vocab.txt"),
         "manifest": str(tmp_path / "split.json"),
         "checkpoint": str(tmp_path / "model.ckpt"),
         "report": str(tmp_path / "report.json"),
@@ -50,6 +49,15 @@ def write_config(tmp_path, **extra):
 def gen_args(cfg, world, held="bus,bird", n_images="80"):
     return ["gen-data", "--config", cfg, "--world-config", world,
             "--held-out", held, "--n-images", n_images]
+
+
+def split_of(cfg):
+    return split_from_manifest(load_dataset(cfg.dataset), load_manifest(cfg.manifest))
+
+
+def training_vocabulary(cfg):
+    """The vocabulary of the training records of the config's manifest, built as the CLI builds it."""
+    return build_vocabulary([ref for rec in split_of(cfg).train for ref in rec.references])
 
 
 @pytest.fixture()
@@ -70,10 +78,15 @@ class TestGenData:
         manifest = load_manifest(cfg.manifest)
         assert manifest["held_out_words"] == ["bus", "bird"]
         assert len(load_dataset(cfg.dataset)) == 80
-        vocab = Vocabulary.load(cfg.vocab)
+        vocab = training_vocabulary(cfg)
         assert "bus" not in vocab.index and "bird" not in vocab.index
         out = capsys.readouterr().out
-        assert "train=" in out and "dog:" in out
+        assert "train=" in out and "dog:" in out and f"\nvocab_size={vocab.size}\n" in out
+
+    def test_out_writes_exactly_the_dataset_and_the_manifest(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(gen_args(write_config(tmp_path), write_world(tmp_path)) + ["--out", str(out)]) == 0
+        assert sorted(os.listdir(out)) == ["dataset.jsonl", "split.json"]
 
     def test_repeated_held_out_word_fails_before_writing(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path)
@@ -81,7 +94,7 @@ class TestGenData:
         err = capsys.readouterr().err
         assert err.startswith("novelcap: ") and "'bus' is listed twice" in err, err
         cfg = load_config(cfg_path)
-        for path in (cfg.dataset, cfg.vocab, cfg.manifest):
+        for path in (cfg.dataset, cfg.manifest):
             assert not os.path.exists(path), path
 
     @pytest.mark.parametrize("n_images", ["0", "-5"])
@@ -106,7 +119,7 @@ class TestGenData:
         world = write_world(tmp_path)
         cfg = load_config(cfg_path)
         assert main(gen_args(cfg_path, world)) == 0
-        first = {p: open(p, "rb").read() for p in (cfg.dataset, cfg.vocab, cfg.manifest)}
+        first = {p: open(p, "rb").read() for p in (cfg.dataset, cfg.manifest)}
         assert main(gen_args(cfg_path, world)) == 0
         for p, raw in first.items():
             assert open(p, "rb").read() == raw
@@ -189,7 +202,7 @@ class TestTrain:
             cfg_path = write_config(tmp_path)
             world = write_world(tmp_path, f"world-{name}.cfg", seed=seed)
             assert main(gen_args(cfg_path, world) + ["--out", str(tmp_path / name)]) == 0
-        cfg_path = write_config(tmp_path, dataset=tmp_path / "b" / "dataset.jsonl", vocab=tmp_path / "b" / "vocab.txt",
+        cfg_path = write_config(tmp_path, dataset=tmp_path / "b" / "dataset.jsonl",
                                 manifest=tmp_path / "a" / "split.json")
         capsys.readouterr()
         assert main(["train", "--config", cfg_path]) == 1
@@ -205,7 +218,8 @@ class TestTrain:
         tmp_path, cfg_path = trained
         cfg = load_config(cfg_path)
         params, vocab_ref = load_checkpoint(cfg.checkpoint)
-        assert vocab_ref == "sha256:" + hashlib.sha256(Path(cfg.vocab).read_bytes()).hexdigest()
+        vocab = training_vocabulary(cfg)
+        assert vocab_ref == vocab.digest() == "sha256:" + hashlib.sha256(vocab.text().encode()).hexdigest()
         assert "lstm_w" in params
         log_lines = (tmp_path / "train.log").read_text().splitlines()
         assert len(log_lines) == cfg.epochs + 1
@@ -218,6 +232,7 @@ class TestTrain:
         outputs = (Path(cfg.train_log), Path(cfg.checkpoint))
         before = [path.read_bytes() for path in outputs]
         assert all(before)
+        files = sorted(os.listdir(tmp_path))
 
         def failing_validation(*args):
             raise NumericError("evaluation: validation failed")
@@ -227,6 +242,21 @@ class TestTrain:
         assert main(["train", "--config", cfg_path]) == 1
         assert capsys.readouterr().err == "novelcap: NumericError: evaluation: validation failed\n"
         assert [path.read_bytes() for path in outputs] == before
+        assert sorted(os.listdir(tmp_path)) == files  # no temporary file is left
+
+    @pytest.mark.parametrize("output", ["train_log", "checkpoint"])
+    def test_an_output_path_that_names_a_directory_fails_before_epoch_1(self, tmp_path, capsys, output):
+        cfg_path = write_config(tmp_path)
+        assert main(gen_args(cfg_path, write_world(tmp_path))) == 0
+        target = tmp_path / "taken"
+        target.mkdir()
+        files = sorted(os.listdir(tmp_path))
+        capsys.readouterr()
+        assert main(["train", "--config", write_config(tmp_path, **{output: target})]) == 1
+        captured = capsys.readouterr()
+        assert "epoch=" not in captured.out, captured.out
+        assert captured.err == f"novelcap: io: [Errno 21] Is a directory: '{target}'\n"
+        assert sorted(os.listdir(tmp_path)) == files and not os.listdir(target)
 
     def test_loss_drops_within_run(self, tmp_path):
         cfg_path = write_config(tmp_path, epochs=4)
@@ -243,10 +273,9 @@ class TestTrain:
         logged = float(best_line.split("best_val_f1=")[1])
         params, _ = load_checkpoint(cfg.checkpoint)
         model = CaptionModel.from_params(params)
-        vocab = Vocabulary.load(cfg.vocab)
-        manifest = load_manifest(cfg.manifest)
-        split = split_from_manifest(load_dataset(cfg.dataset), manifest)
-        det_map = intersect_detectable(vocab, manifest["class_names"])
+        vocab = training_vocabulary(cfg)
+        det_map = intersect_detectable(vocab, load_manifest(cfg.manifest)["class_names"])
+        split = split_of(cfg)
         captioner = make_captioner(model, vocab, det_map, cfg, mode="dnoc")
         val_f1 = average_f1_over(split.val, captioner, split.held_out_words)
         assert val_f1 == logged
@@ -341,8 +370,9 @@ class TestEvalAndSweep:
 
 
 class TestCheckpointVocabulary:
-    """A checkpoint reads only the vocabulary it was trained with: a file of
-    the same words at other ids is refused, as is a stored path."""
+    """A checkpoint reads only the vocabulary of the training records it was
+    trained on: a manifest whose training records give other words, or the
+    same words at other ids, is refused by the manifest, as is a stored path."""
 
     @staticmethod
     def args(command, cfg_path):
@@ -350,17 +380,37 @@ class TestCheckpointVocabulary:
                  "sweep-ndet": ["--values", "1,2"]}
         return [command, "--config", cfg_path, *extra.get(command, [])]
 
+    @pytest.mark.parametrize("same_words", [True, False], ids=["same-words", "other-words"])
     @pytest.mark.parametrize("command", ["eval", "caption", "sweep-ndet"])
-    def test_same_words_at_other_ids_are_refused(self, trained, capsys, command):
+    def test_a_manifest_whose_training_records_give_another_vocabulary_is_refused(self, trained, capsys, command,
+                                                                                  same_words):
         tmp_path, cfg_path = trained
-        words = list(Vocabulary.load(load_config(cfg_path).vocab).words)
-        words[0], words[1] = words[1], words[0]  # same size and words: the dimension check passes
-        traded = tmp_path / "traded-vocab.txt"
-        traded.write_text("".join(w + "\n" for w in words))
+        cfg = load_config(cfg_path)
+        trained_on = training_vocabulary(cfg)
+        doc = json.loads(Path(cfg.manifest).read_text())
+        train = split_of(cfg).train
+
+        def words_without(moved):
+            return build_vocabulary([ref for r in train if r.image_id not in moved for ref in r.references]).words
+
+        if same_words:  # one record fewer that keeps every word, at other ids
+            moved = next(ids for ids in ({r.image_id} for r in train)
+                         if sorted(words_without(ids)) == sorted(trained_on.words)
+                         and words_without(ids) != trained_on.words)
+        else:  # the first record alone holds fewer words
+            moved = {r.image_id for r in train[1:]}
+        assert (len(words_without(moved)) == trained_on.size) == same_words
+        doc["train"] = [i for i in doc["train"] if i not in moved]  # to val, out of the training records
+        doc["val"] += sorted(moved)
+        other = tmp_path / "other-split.json"
+        other.write_text(json.dumps(doc))
+        other_cfg = write_config(tmp_path, manifest=other)
+        gives = training_vocabulary(load_config(other_cfg)).digest()
         capsys.readouterr()
-        assert main(self.args(command, write_config(tmp_path, vocab=traded))) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("novelcap: CheckpointError: cli: checkpoint ") and str(traded) in err, err
+        assert main(self.args(command, other_cfg)) == 1
+        assert capsys.readouterr().err == (
+            f"novelcap: CheckpointError: cli: checkpoint {cfg.checkpoint} was not trained with the vocabulary of "
+            f"the training records of {other} (it holds {trained_on.digest()!r}, they give {gives!r})\n")
 
     @pytest.mark.parametrize("command", ["eval", "caption", "sweep-ndet"])
     def test_a_checkpoint_that_holds_a_vocabulary_path_is_refused(self, trained, capsys, command):
@@ -368,11 +418,11 @@ class TestCheckpointVocabulary:
         cfg = load_config(cfg_path)
         assert main(self.args(command, cfg_path)) == 0
         params, _ = load_checkpoint(cfg.checkpoint)
-        save_checkpoint(cfg.checkpoint, params, vocab_ref=cfg.vocab)
+        save_checkpoint(cfg.checkpoint, params, vocab_ref="data/words")  # a path, as train wrote before the digest
         capsys.readouterr()
         assert main(self.args(command, cfg_path)) == 1
         err = capsys.readouterr().err
-        assert "CheckpointError" in err and f"holds {cfg.vocab!r}" in err, err
+        assert "CheckpointError" in err and "holds 'data/words'" in err, err
 
 
 def rewrite_dataset(cfg_path, edit):
@@ -481,6 +531,26 @@ class TestNDetPastEveryTable:
             runs.append((Path(ckpt_path).read_bytes(), Path(cfg.train_log).read_bytes(),
                          Path(report).read_bytes(), sweep[0][1]))
         assert runs[0] == runs[1]
+
+
+class TestMaxStepsPastTheBudget:
+    @pytest.mark.parametrize("command", [["train"], ["eval"], ["caption", "--image-id", "synth-00000"],
+                                         ["sweep-ndet", "--values", "1,2"]],
+                             ids=["train", "eval", "caption", "sweep-ndet"])
+    def test_is_refused_by_key_before_any_epoch_or_caption(self, trained, capsys, monkeypatch, command):
+        tmp_path, _ = trained
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("data read for a refused max_steps")
+
+        monkeypatch.setattr(datamod, "load_dataset", unreachable)
+        cfg_path = write_config(tmp_path, max_steps=10 ** 12)
+        capsys.readouterr()
+        assert main(command[:1] + ["--config", cfg_path] + command[1:]) == 1
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err == ("novelcap: ConfigError: config: max_steps 1000000000000 and hidden_size 24 size a "
+                                "greedy decode's buffers at 384000000000192 bytes, past the 1073741824-byte budget\n")
 
 
 class TestCaption:

@@ -387,7 +387,7 @@ class TestManifest:
     def test_repeated_held_out_word_is_schema_error(self, tmp_path):
         path = tmp_path / "split.json"
         path.write_text('{"held_out_words": ["bus", "bus", "bird"], "class_names": ["bus", "bird"], '
-                        '"train": [], "val": [], "test": []}\n')
+                        '"known_words": [], "train": [], "val": [], "test": []}\n')
         with pytest.raises(SchemaError, match="'bus' is listed twice"):
             load_manifest(path)
 
@@ -405,8 +405,8 @@ class TestManifest:
                                        {"val": ["b", "b"]},
                                        {"train": ["a", "d", "a"]}])
     def test_record_id_listed_twice_is_schema_error(self, tmp_path, parts):
-        doc = {"held_out_words": ["bus"], "class_names": ["bus", "bird"], "train": ["a", "d"], "val": ["b"],
-               "test": ["c"]}
+        doc = {"held_out_words": ["bus"], "class_names": ["bus", "bird"], "known_words": ["bird"],
+               "train": ["a", "d"], "val": ["b"], "test": ["c"]}
         path = tmp_path / "split.json"
         path.write_text(json.dumps(doc))
         assert load_manifest(path) == doc

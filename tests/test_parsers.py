@@ -20,7 +20,6 @@ from novelcap.config import RunConfig, load_config
 from novelcap.data import _WORLD_KEYS, load_dataset, load_manifest, load_world_config
 from novelcap.decoder import CaptionModel
 from novelcap.errors import CheckpointError, NovelcapError, ParseError, SchemaError
-from novelcap.vocabulary import SPECIAL_TOKENS, Vocabulary, word_fault
 
 
 
@@ -202,6 +201,13 @@ def test_a_document_nested_too_deep_or_with_a_huge_integer(tmp_path, doc):
 
 
 class TestManifest:
+    @pytest.mark.parametrize("field", list(GOOD_MANIFEST))
+    def test_a_missing_field_is_refused_by_name(self, tmp_path, field):
+        path = tmp_path / "split.json"
+        path.write_text(json.dumps({k: v for k, v in GOOD_MANIFEST.items() if k != field}))
+        with pytest.raises(SchemaError, match=f"^data: manifest is missing field '{field}'$"):
+            load_manifest(path)
+
     def test_a_syntax_error_names_its_line_as_every_reader_does(self, tmp_path):
         path = tmp_path / "split.json"
         path.write_text('{\n"a": \n')
@@ -245,7 +251,6 @@ class TestNotUtf8:
         (load_config, "config", "seed = 3\n"),
         (load_world_config, "data", "seed = 3\n"),
         (load_dataset, "data", json.dumps(GOOD_RECORD) + "\n"),
-        (Vocabulary.load, "vocabulary", "a\n"),
         (load_manifest, "data: manifest", "{\n"),
     ])
     def test_names_the_module_and_the_line(self, tmp_path, parse, owner, good):
@@ -352,33 +357,11 @@ def test_manifest(workdir, raw):
     loads_or_fails_by_name(load_manifest, path)
 
 
-@st.composite
-def vocabulary_bytes(draw):
-    """Words and junk lines among the five special tokens, in any order,
-    sometimes with one line dropped and sometimes with no last newline."""
-    words = draw(st.lists(st.sampled_from(["a", "dog", "<pl>", "", " ", "b c", "x\ty", "<PL>"])
-                          | st.text(max_size=6), max_size=6))
-    lines = draw(st.permutations(words + list(SPECIAL_TOKENS)))
-    if draw(st.booleans()):
-        del lines[draw(st.integers(0, len(lines) - 1))]
-    return ("\n".join(lines) + draw(st.sampled_from(["\n", ""]))).encode()
-
-
-@FUZZ
-@given(raw=vocabulary_bytes() | st.binary(max_size=40))
-def test_vocabulary(workdir, raw):
-    path = workdir / "fuzz-vocab.txt"
-    path.write_bytes(raw)
-    vocab = loads_or_fails_by_name(Vocabulary.load, path)
-    if vocab is not None:  # every line it loads is a special token or a word
-        assert all(word in SPECIAL_TOKENS or word_fault(word) is None for word in vocab.words), vocab.words
-
-
 @pytest.fixture(scope="module")
 def checkpoint_bytes(workdir):
     path = workdir / "good.ckpt"
     model = CaptionModel(7, hidden_size=2, embed_size=2, image_dim=2, key_dim=2)
-    checkpoint.save_checkpoint(path, model.params(), vocab_ref="vocab.txt")
+    checkpoint.save_checkpoint(path, model.params(), vocab_ref="sha256:00")
     return path.read_bytes()
 
 
