@@ -24,21 +24,21 @@ from .pipeline import CAPTION_MODES, make_captioner, train_model
 from .vocabulary import build_vocabulary, intersect_detectable
 
 
-def _ensure_parent(path):
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
-
-
 @contextlib.contextmanager
 def _committed(*paths):
     """A temporary file beside each of ``paths``, made before the block runs
-    and renamed onto its path with ``os.replace`` once the block returns; a
-    path that cannot be written fails before the block, and on any failure
-    the temporary files go and ``paths`` stay as they were."""
+    and renamed onto its path with ``os.replace`` once the block returns.
+    Every file a command writes goes through here: an output path that
+    cannot be written, or two that name one file, fail before the block,
+    and on any failure the temporary files go and ``paths`` stay as they were."""
+    real = [os.path.realpath(path) for path in paths]
+    for i, path in enumerate(paths):
+        if real[i] in real[:i]:
+            raise ConfigError(f"cli: outputs {paths[real.index(real[i])]} and {path} name one file")
     temps = []
     try:
         for path in paths:
-            _ensure_parent(path)
+            os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
             if os.path.isdir(path):  # os.replace would refuse it only at the end
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
             temp = f"{path}.{os.getpid()}.tmp"
@@ -149,18 +149,15 @@ def cmd_gen_data(args) -> int:
     for w in held_out:
         if w not in world.names:
             raise CoverageError(f"cli: held-out word {w!r} is not in the object inventory")
-    records = datamod.generate_synthetic(world, args.n_images, (lo, hi))
-    split = datamod.build_heldout_split(records, held_out, ratios, seed=cfg.seed)
-
     if args.out:
         cfg.dataset = os.path.join(args.out, "dataset.jsonl")
         cfg.manifest = os.path.join(args.out, "split.json")
-    for path in (cfg.dataset, cfg.manifest):
-        _ensure_parent(path)
-    vocab = _training_vocabulary(split)
-    datamod.save_dataset(records, cfg.dataset)
-    datamod.save_manifest(split, world.names, cfg.manifest)
-
+    with _committed(cfg.dataset, cfg.manifest) as (dataset_temp, manifest_temp):
+        records = datamod.generate_synthetic(world, args.n_images, (lo, hi))
+        split = datamod.build_heldout_split(records, held_out, ratios, seed=cfg.seed)
+        vocab = _training_vocabulary(split)
+        datamod.save_dataset(records, dataset_temp)
+        datamod.save_manifest(split, world.names, manifest_temp)
     counts = datamod.mentions([rec.references for rec in records], world.names).sum(axis=0)
     print(f"dataset={cfg.dataset} records={len(records)} "
           f"train={len(split.train)} val={len(split.val)} test={len(split.test)}")
@@ -175,18 +172,15 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     cfg = _build_config(args)
     _, vocab, _, split, det_map = _load_common(cfg)
-    lines = []
+    # only a finished run renames its outputs into place, so a failed one leaves the last run's whole
+    with _committed(cfg.train_log, cfg.checkpoint) as (log_temp, checkpoint_temp), \
+            open(log_temp, "w", encoding="utf-8") as logf:
+        def log_fn(line):
+            print(line)
+            logf.write(line + "\n")
 
-    def log_fn(line):
-        print(line)
-        lines.append(line + "\n")
-
-    # only a finished run writes its outputs, so a failed one leaves the last run's whole
-    with _committed(cfg.train_log, cfg.checkpoint) as (log_temp, checkpoint_temp):
         result = train_model(split, vocab, det_map, cfg, mode=cfg.train_mode, log_fn=log_fn)
         log_fn(f"best_epoch={result.best_epoch} best_val_f1={result.best_val_f1!r}")
-        with open(log_temp, "w", encoding="utf-8") as logf:
-            logf.writelines(lines)
         ckpt.save_checkpoint(checkpoint_temp, result.best_params, vocab_ref=vocab.digest())
     print(f"checkpoint={cfg.checkpoint}")
     return 0
@@ -210,14 +204,13 @@ def cmd_eval(args) -> int:
     records, vocab, manifest, split, det_map = _load_common(cfg)
     model = _load_model(cfg, vocab)
     split_hash = datamod.manifest_hash(cfg.manifest)
-    captioner = make_captioner(model, vocab, det_map, cfg, mode=args.mode)
-    report = evaluate_split(split, captioner, known_words=manifest["known_words"], mode=args.mode,
-                            split_hash=split_hash)
+    with _committed(args.out or cfg.report) as (report_temp,):
+        captioner = make_captioner(model, vocab, det_map, cfg, mode=args.mode)
+        report = evaluate_split(split, captioner, known_words=manifest["known_words"], mode=args.mode,
+                                split_hash=split_hash)
+        write_report(report, report_temp)
     for line in format_report_lines(report):
         print(line)
-    out = args.out or cfg.report
-    _ensure_parent(out)
-    write_report(report, out)
     return 0
 
 
@@ -228,18 +221,18 @@ def cmd_sweep_ndet(args) -> int:
         raise DomainError("cli: sweep values must all be >= 1")
     records, vocab, _, split, det_map = _load_common(cfg)
     model = _load_model(cfg, vocab)
-    lines = ["n_det\taverage_f1"]
-    for n_det in values:
-        sweep_cfg = dataclasses.replace(cfg, n_det=n_det)
-        captioner = make_captioner(model, vocab, det_map, sweep_cfg, mode="dnoc")
-        f1 = average_f1_over(split.test, captioner, split.held_out_words)
-        lines.append(f"{n_det}\t{f1!r}")
+    with _committed(*filter(None, [args.out])) as temps:  # the table's file, if --out names one
+        lines = ["n_det\taverage_f1"]
+        for n_det in values:
+            sweep_cfg = dataclasses.replace(cfg, n_det=n_det)
+            captioner = make_captioner(model, vocab, det_map, sweep_cfg, mode="dnoc")
+            f1 = average_f1_over(split.test, captioner, split.held_out_words)
+            lines.append(f"{n_det}\t{f1!r}")
+        for temp in temps:
+            with open(temp, "w", encoding="utf-8") as f:
+                f.write("\n".join(lines) + "\n")
     for line in lines:
         print(line)
-    if args.out:
-        _ensure_parent(args.out)
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write("\n".join(lines) + "\n")
     return 0
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 from .errors import ConfigError, ParseError
 
 TRAIN_MODES = ("dnoc", "no-placeholder")
-DECODE_BUFFER_BUDGET = 2 ** 30  # bytes of the float64 state buffers one greedy decode allocates
+BUFFER_BUDGET = 2 ** 30  # bytes of float64 a run's sizes may allocate at once: decode state, theta, world anchors
 
 
 @dataclass
@@ -105,9 +105,9 @@ def validate_config(cfg: RunConfig) -> RunConfig:
         if getattr(cfg, name) < 1:
             raise ConfigError(f"config: {name} must be >= 1, got {getattr(cfg, name)}")
     decode_bytes = (2 * cfg.max_steps + 1) * cfg.hidden_size * 8  # decode_greedy's h and c
-    if decode_bytes > DECODE_BUFFER_BUDGET:
+    if decode_bytes > BUFFER_BUDGET:
         raise ConfigError(f"config: max_steps {cfg.max_steps} and hidden_size {cfg.hidden_size} size a greedy "
-                          f"decode's buffers at {decode_bytes} bytes, past the {DECODE_BUFFER_BUDGET}-byte budget")
+                          f"decode's buffers at {decode_bytes} bytes, past the {BUFFER_BUDGET}-byte budget")
     if cfg.seed < 0:
         raise ConfigError(f"config: seed must be >= 0, got {cfg.seed}")
     if not 0 < cfg.lr < float("inf"):

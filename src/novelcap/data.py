@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import read_json, read_key_values, text_lines
+from .config import BUFFER_BUDGET, read_json, read_key_values, text_lines
 from .errors import CoverageError, DomainError, ParseError, SchemaError, ShapeError
 from .memory import Detections
 from .numerics import FLOAT
@@ -155,6 +155,10 @@ def make_world(names: tuple[str, ...] = DEFAULT_INVENTORY, dim: int = 32, seed: 
             ("templates", bad_templates, not bad_templates, "free of special tokens")):
         if not ok:  # refused before any anchor is drawn
             raise DomainError(f"data: world {key} must be {rule}, got {value}")
+    anchor_bytes = (min(latent_rank, dim) + len(names)) * dim * 8  # _make_anchors' basis and anchors
+    if anchor_bytes > BUFFER_BUDGET:
+        raise DomainError(f"data: world dim {dim}, latent_rank {latent_rank} and {len(names)} names size the basis "
+                          f"and anchors at {anchor_bytes} bytes, past the {BUFFER_BUDGET}-byte budget")
     rng = np.random.default_rng(seed)
     anchors = _make_anchors(rng, len(names), dim, latent_rank)
     return SyntheticWorld(names=tuple(names), anchors=anchors, templates=tuple(templates), noise_scale=noise_scale,

@@ -1,19 +1,20 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from novelcap import checkpoint as ckpt, data as datamod, evaluation
+from novelcap import checkpoint as ckpt, cli, data as datamod, evaluation
 from novelcap.checkpoint import load_checkpoint, save_checkpoint
 from novelcap.cli import _build_config, build_parser, main
 from novelcap.config import load_config
 from novelcap.data import (load_dataset, load_manifest, load_world_config, make_world, save_dataset,
                            save_world_config, split_from_manifest)
-from novelcap.decoder import CaptionModel
+from novelcap.decoder import CaptionModel, param_shapes
 from novelcap.errors import NumericError
 from novelcap.evaluation import average_f1_over
 from novelcap.memory import Detections
@@ -60,6 +61,11 @@ def training_vocabulary(cfg):
     return build_vocabulary([ref for rec in split_of(cfg).train for ref in rec.references])
 
 
+def files_under(root):
+    """The bytes of every file under ``root``, by relative path."""
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in Path(root).rglob("*") if p.is_file()}
+
+
 @pytest.fixture()
 def trained(tmp_path):
     """gen-data + train once, shared by the eval-style tests."""
@@ -87,6 +93,28 @@ class TestGenData:
         out = tmp_path / "out"
         assert main(gen_args(write_config(tmp_path), write_world(tmp_path)) + ["--out", str(out)]) == 0
         assert sorted(os.listdir(out)) == ["dataset.jsonl", "split.json"]
+
+    def test_a_failed_manifest_write_leaves_the_last_dataset_and_manifest_whole(self, tmp_path, capsys,
+                                                                              monkeypatch):
+        cfg_path = write_config(tmp_path)
+        assert main(gen_args(cfg_path, write_world(tmp_path))) == 0
+        other_world = write_world(tmp_path, "other-world.cfg", seed=4)  # a run that writes other records
+        before = files_under(tmp_path)
+
+        def failing_save(*args):
+            raise OSError("manifest write failed")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(datamod, "save_manifest", failing_save)
+            capsys.readouterr()
+            assert main(gen_args(cfg_path, other_world)) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "novelcap: io: manifest write failed\n")
+        assert files_under(tmp_path) == before  # no temporary file is left either
+        assert main(gen_args(cfg_path, other_world)) == 0  # unpatched, the same run rewrites both files
+        cfg = load_config(cfg_path)
+        assert all(files_under(tmp_path)[name] != before[name] for name in (Path(cfg.dataset).name,
+                                                                             Path(cfg.manifest).name))
 
     def test_repeated_held_out_word_fails_before_writing(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path)
@@ -157,8 +185,10 @@ class TestGenData:
         ("templates = a {} here | a {} {", "DomainError: data: world templates: 'a {} {': "),
         ("present_score = 0.5", "ParseError: data: line 9: present_score = '0.5' does not parse"),
         ("dim = x", "ParseError: data: line 5: dim = 'x' does not parse"),
+        ("dim = 1000000000000", "DomainError: data: world dim 1000000000000, latent_rank 5 and 8 names size the "
+                                "basis and anchors at 104000000000000 bytes, past the 1073741824-byte budget\n"),
     ], ids=["present_score", "refs_per_image", "noise_scale", "empty-inventory", "named-field", "numbered-fields",
-            "unbalanced-brace", "one-number-band", "word-dim"])
+            "unbalanced-brace", "one-number-band", "word-dim", "dim-past-the-budget"])
     def test_world_value_out_of_range_fails_by_key(self, tmp_path, capsys, line, message):
         key = line.partition("=")[0].strip()
         world = Path(write_world(tmp_path))
@@ -244,20 +274,6 @@ class TestTrain:
         assert [path.read_bytes() for path in outputs] == before
         assert sorted(os.listdir(tmp_path)) == files  # no temporary file is left
 
-    @pytest.mark.parametrize("output", ["train_log", "checkpoint"])
-    def test_an_output_path_that_names_a_directory_fails_before_epoch_1(self, tmp_path, capsys, output):
-        cfg_path = write_config(tmp_path)
-        assert main(gen_args(cfg_path, write_world(tmp_path))) == 0
-        target = tmp_path / "taken"
-        target.mkdir()
-        files = sorted(os.listdir(tmp_path))
-        capsys.readouterr()
-        assert main(["train", "--config", write_config(tmp_path, **{output: target})]) == 1
-        captured = capsys.readouterr()
-        assert "epoch=" not in captured.out, captured.out
-        assert captured.err == f"novelcap: io: [Errno 21] Is a directory: '{target}'\n"
-        assert sorted(os.listdir(tmp_path)) == files and not os.listdir(target)
-
     def test_loss_drops_within_run(self, tmp_path):
         cfg_path = write_config(tmp_path, epochs=4)
         assert main(gen_args(cfg_path, write_world(tmp_path))) == 0
@@ -279,6 +295,65 @@ class TestTrain:
         captioner = make_captioner(model, vocab, det_map, cfg, mode="dnoc")
         val_f1 = average_f1_over(split.val, captioner, split.held_out_words)
         assert val_f1 == logged
+
+
+class TestCommittedOutputs:
+    """Every file a command writes goes to a temporary name first, so an
+    output that cannot be written fails before the command's work and
+    leaves every earlier file as it was."""
+
+    @pytest.mark.parametrize("command, output", [
+        ("gen-data", "dataset"), ("gen-data", "manifest"), ("train", "train_log"), ("train", "checkpoint"),
+        ("eval", "report"), ("sweep-ndet", "--out"),
+    ], ids=["gen-data-dataset", "gen-data-manifest", "train-train_log", "train-checkpoint", "eval-report",
+            "sweep-ndet-out"])
+    def test_an_output_path_that_names_a_directory_fails_before_any_work(self, trained, capsys, monkeypatch,
+                                                                         command, output):
+        tmp_path, _ = trained
+        assert main(["eval", "--config", str(tmp_path / "run.cfg")]) == 0  # a report among the earlier files
+        target = tmp_path / "taken"
+        target.mkdir()
+        cfg_path = write_config(tmp_path, **({} if output == "--out" else {output: target}))
+        args = {"gen-data": gen_args(cfg_path, str(tmp_path / "world.cfg")),
+                "train": ["train", "--config", cfg_path], "eval": ["eval", "--config", cfg_path],
+                "sweep-ndet": ["sweep-ndet", "--config", cfg_path, "--values", "1,2", "--out", str(target)]}[command]
+        before = files_under(tmp_path)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("work done for an output that cannot be written")
+
+        for owner, name in ((datamod, "generate_synthetic"), (cli, "train_model"), (cli, "make_captioner")):
+            monkeypatch.setattr(owner, name, unreachable)
+        capsys.readouterr()
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"novelcap: io: [Errno 21] Is a directory: '{target}'\n")
+        assert files_under(tmp_path) == before and not os.listdir(target)  # and no temporary file
+
+    @pytest.mark.parametrize("command", ["gen-data", "train"])
+    def test_two_outputs_that_name_one_file_are_refused_by_name(self, trained, capsys, monkeypatch, command):
+        tmp_path, _ = trained
+        if command == "gen-data":  # another spelling of the dataset's path
+            first, second = tmp_path / "dataset.jsonl", f"{tmp_path}/./dataset.jsonl"
+            cfg_path = write_config(tmp_path, manifest=second)
+            args = gen_args(cfg_path, str(tmp_path / "world.cfg"))
+        else:  # a link to the checkpoint
+            first, second = tmp_path / "log-link", tmp_path / "model.ckpt"
+            first.symlink_to(second)
+            cfg_path = write_config(tmp_path, train_log=first)
+            args = ["train", "--config", cfg_path]
+        before = files_under(tmp_path)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a temporary file made for two outputs that name one file")
+
+        monkeypatch.setattr(cli, "open", unreachable, raising=False)  # shadows the builtin in cli alone
+        capsys.readouterr()
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"novelcap: ConfigError: cli: outputs {first} and {second} "
+                                                    f"name one file\n")
+        assert files_under(tmp_path) == before
 
 
 class TestEvalAndSweep:
@@ -551,6 +626,28 @@ class TestMaxStepsPastTheBudget:
         assert not captured.out
         assert captured.err == ("novelcap: ConfigError: config: max_steps 1000000000000 and hidden_size 24 size a "
                                 "greedy decode's buffers at 384000000000192 bytes, past the 1073741824-byte budget\n")
+
+
+class TestEmbedSizePastTheBudget:
+    def test_train_refuses_it_by_its_sizes_before_any_epoch(self, trained, capsys, monkeypatch):
+        tmp_path, _ = trained
+        before = files_under(tmp_path)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("training pairs built for a refused embed_size")
+
+        monkeypatch.setattr(TrainingPairs, "of", unreachable)
+        cfg_path = write_config(tmp_path, embed_size=10 ** 12)
+        vocab_size = training_vocabulary(load_config(cfg_path)).size
+        theta_bytes = sum(math.prod(s) for s in param_shapes(vocab_size, 24, 10 ** 12, 8, 8).values()) * 8
+        capsys.readouterr()
+        assert main(["train", "--config", cfg_path]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", (
+            f"novelcap: ConfigError: decoder: vocab_size {vocab_size}, hidden_size 24, embed_size 1000000000000, "
+            f"image_dim 8 and key_dim 8 size theta at {theta_bytes} bytes, past the 1073741824-byte budget\n"))
+        before["run.cfg"] = Path(cfg_path).read_bytes()
+        assert files_under(tmp_path) == before  # the last run's log and checkpoint, and no temporary file
 
 
 class TestCaption:

@@ -13,10 +13,19 @@ TOOL = ROOT / "tools" / "cli_bits.py"
 
 @pytest.fixture(scope="module")
 def cli_bits():
-    spec = importlib.util.spec_from_file_location("cli_bits_under_test", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(TOOL.parent))  # the tool imports git_trees from beside it, as a script does
+        spec = importlib.util.spec_from_file_location("cli_bits_under_test", TOOL)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
     return module
+
+
+def test_a_revision_that_is_not_a_commit_fails_with_the_tools_own_prefix(cli_bits, capsys):
+    with pytest.raises(SystemExit) as caught:
+        cli_bits.resolve("no-such-revision", cli_bits.fail)
+    assert caught.value.code == 2
+    assert capsys.readouterr().err.startswith("cli_bits: 'no-such-revision' is not a commit: ")
 
 
 def outputs(root, files):

@@ -551,6 +551,26 @@ class TestWorldConfig:
             load_world_config(world_file_with(tmp_path, f"{key} = {value}"))
         assert not recwarn.list  # refused before any anchor is drawn: no divide-by-zero warning
 
+    @pytest.mark.parametrize("latent_rank", [10, 10 ** 12])
+    def test_a_dim_past_the_budget_is_refused_by_name_before_any_anchor(self, monkeypatch, latent_rank):
+        def no_anchors(*args):
+            raise AssertionError("anchors drawn")
+        monkeypatch.setattr(datamod, "_make_anchors", no_anchors)
+        rank = min(latent_rank, 10 ** 12)  # the basis has min(latent_rank, dim) columns
+        with pytest.raises(DomainError) as caught:
+            small_world(dim=10 ** 12, latent_rank=latent_rank)
+        assert str(caught.value) == (f"data: world dim 1000000000000, latent_rank {latent_rank} and 6 names size the "
+                                     f"basis and anchors at {(rank + 6) * 10 ** 12 * 8} bytes, past the "
+                                     f"1073741824-byte budget")
+
+    def test_the_budget_holds_the_basis_and_anchors_at_its_edge(self, monkeypatch):
+        # four names and a rank-4 basis take 64 bytes a dimension, so 2**24 dimensions fill 2**30 bytes
+        monkeypatch.setattr(datamod, "_make_anchors", lambda rng, n, dim, rank: np.zeros((n, 1)))
+        four = ("dog", "cat", "bus", "tree")
+        assert small_world(names=four, dim=2 ** 24, latent_rank=4).names == four
+        with pytest.raises(DomainError, match=f"at {64 * (2 ** 24 + 1)} bytes, past the 1073741824-byte budget$"):
+            small_world(names=four, dim=2 ** 24 + 1, latent_rank=4)
+
 
 class TestInventoryDefaults:
     def test_default_shape(self):

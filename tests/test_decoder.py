@@ -8,7 +8,7 @@ from novelcap import decoder
 from novelcap.data import generate_synthetic, make_world
 from novelcap.decoder import (CaptionModel, DecodeSnapshot, _cell, _halve_sigmoid_gates, decode_greedy,
                               forward_teacher_forced, init_state, pad_sequences, sequence_loss)
-from novelcap.errors import DomainError, NumericError, ShapeError
+from novelcap.errors import ConfigError, DomainError, NumericError, ShapeError
 from novelcap.numerics import AdamState
 from novelcap.pipeline import TrainExample, TrainingPairs, train_step
 from novelcap.vocabulary import build_vocabulary, intersect_detectable
@@ -424,6 +424,17 @@ class TestModelPlumbing:
         source["w_out"][...] = 0.0
         assert np.array_equal(clone.w_out, kept["w_out"] + 1.0)
         assert not any(np.shares_memory(p, clone.theta) for p in source.values())
+
+    @pytest.mark.parametrize("size", ["hidden_size", "embed_size"])
+    def test_a_theta_past_the_budget_is_refused_by_its_sizes_before_it_is_allocated(self, size):
+        sizes = {"vocab_size": 40, "hidden_size": 64, "embed_size": 64, "image_dim": 32, "key_dim": 32,
+                 size: 10 ** 12}  # the size under test overrides its entry
+        theta_bytes = sum(math.prod(shape) for shape in decoder.param_shapes(**sizes).values()) * 8
+        with pytest.raises(ConfigError) as caught:
+            CaptionModel(**sizes)
+        assert str(caught.value) == (
+            f"decoder: vocab_size 40, hidden_size {sizes['hidden_size']}, embed_size {sizes['embed_size']}, "
+            f"image_dim 32 and key_dim 32 size theta at {theta_bytes} bytes, past the 1073741824-byte budget")
 
     def test_forget_gate_bias_initialized_to_one(self):
         v = tiny_vocab()

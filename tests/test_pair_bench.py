@@ -19,10 +19,19 @@ N = len(SECONDS["base"])
 
 @pytest.fixture(scope="module")
 def pair_bench():
-    spec = importlib.util.spec_from_file_location("pair_bench_under_test", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(TOOL.parent))  # the tool imports git_trees from beside it, as a script does
+        spec = importlib.util.spec_from_file_location("pair_bench_under_test", TOOL)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
     return module
+
+
+def test_a_revision_that_is_not_a_commit_fails_with_the_tools_own_prefix(pair_bench, capsys):
+    with pytest.raises(SystemExit) as caught:
+        pair_bench.resolve("no-such-revision", pair_bench.fail)
+    assert caught.value.code == 2
+    assert capsys.readouterr().err.startswith("pair_bench: 'no-such-revision' is not a commit: ")
 
 
 def rounds_of(pair_bench, calls):

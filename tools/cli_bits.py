@@ -6,7 +6,7 @@ that holds this script:
     python3 tools/cli_bits.py BASE HEAD [--epochs N]
 
 Each revision is extracted with ``git archive`` into a temporary
-directory, as ``tools/pair_bench.py`` does. Each tree then runs its own CLI
+directory by ``tools/git_trees.py``, as ``tools/pair_bench.py`` does. Each tree then runs its own CLI
 in a fresh working directory that holds a copy of its ``configs/``, with
 one BLAS thread, and with ``epochs`` in ``benchmark.cfg`` set to N when
 ``--epochs`` is given. The commands are the ``novelcap`` lines in the
@@ -20,51 +20,29 @@ stderr and exit code are compared, one line per output. The exit code is
 """
 
 import argparse
-import io
 import os
 import re
 import shlex
 import shutil
 import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
 
-REPO = Path(__file__).resolve().parent.parent
+from git_trees import THREAD_VARS, extract, resolve
+
 CONFIG = "configs/benchmark.cfg"
 MODES = ("dnoc", "no-memory", "no-placeholder")
 SWEEP_VALUES = ",".join(str(n) for n in range(1, 17))
 # Records of the 1,050-image benchmark dataset: the first, one in every
 # few hundred, and the last.
 IMAGE_IDS = ("synth-00000", "synth-00001", "synth-00250", "synth-00500", "synth-00750", "synth-01049")
-# The same variables and count as perfbench/run.py: one BLAS thread.
-THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
 COMMAND_TIMEOUT_S = 3600
 
 
 def fail(message):
     print(f"cli_bits: {message}", file=sys.stderr)
     raise SystemExit(2)
-
-
-def resolve(rev):
-    """The commit sha of ``rev``."""
-    out = subprocess.run(["git", "-C", str(REPO), "rev-parse", "--verify", f"{rev}^{{commit}}"],
-                         capture_output=True, text=True, timeout=60)
-    if out.returncode:
-        fail(f"{rev!r} is not a commit: {out.stderr.strip()}")
-    return out.stdout.strip()
-
-
-def extract(sha, dest):
-    """Write the tree of commit ``sha`` into the directory ``dest``."""
-    out = subprocess.run(["git", "-C", str(REPO), "archive", "--format=tar", sha], capture_output=True,
-                         timeout=300)
-    if out.returncode:
-        fail(f"git archive {sha} failed: {out.stderr.decode(errors='replace').strip()}")
-    with tarfile.open(fileobj=io.BytesIO(out.stdout)) as tar:
-        tar.extractall(dest, filter="data")
 
 
 def header_commands(config_text):
@@ -159,12 +137,12 @@ def parse_args(argv):
 
 def main(argv=None):
     args = parse_args(argv)
-    shas = {"base": resolve(args.base), "head": resolve(args.head)}
+    shas = {"base": resolve(args.base, fail), "head": resolve(args.head, fail)}
     with tempfile.TemporaryDirectory() as tmp:
         failed = {}
         for label, sha in shas.items():
             tree, out = Path(tmp) / "trees" / label, Path(tmp) / "outputs" / label
-            extract(sha, tree)
+            extract(sha, tree, fail)
             print(f"cli_bits: running {label} ({sha[:12]})", file=sys.stderr)
             failed[label] = run_tree(tree, out, args.epochs)
         verdicts = compare_dirs(Path(tmp) / "outputs" / "base", Path(tmp) / "outputs" / "head")

@@ -37,23 +37,19 @@ compared here; it stays with perfbench's process pairs.
 import argparse
 import gc
 import importlib.util
-import io
 import json
 import os
 import platform
 import statistics
-import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
 from time import perf_counter
 
-REPO = Path(__file__).resolve().parent.parent
+from git_trees import THREAD_VARS, extract, resolve
+
 SCHEMA = "pair_bench/1"
 QUALITY = ("heldout_f1", "known_f1", "train_loss")
-# The same variables and count as perfbench/run.py: one BLAS thread.
-THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
 BLAS_THREADS = 1
 MIN_PAIRS = 10
 # Single units of one tree spread up to 2x on a shared 2-vCPU machine. An
@@ -69,25 +65,6 @@ ORDERS = (("base", "head", "base_again"), ("head", "base_again", "base"), ("base
 def fail(message):
     print(f"pair_bench: {message}", file=sys.stderr)
     raise SystemExit(2)
-
-
-def resolve(rev):
-    """The commit sha of ``rev``."""
-    out = subprocess.run(["git", "-C", str(REPO), "rev-parse", "--verify", f"{rev}^{{commit}}"],
-                         capture_output=True, text=True, timeout=60)
-    if out.returncode:
-        fail(f"{rev!r} is not a commit: {out.stderr.strip()}")
-    return out.stdout.strip()
-
-
-def extract(sha, dest):
-    """Write the tree of commit ``sha`` into the directory ``dest``."""
-    out = subprocess.run(["git", "-C", str(REPO), "archive", "--format=tar", sha], capture_output=True,
-                         timeout=300)
-    if out.returncode:
-        fail(f"git archive {sha} failed: {out.stderr.decode(errors='replace').strip()}")
-    with tarfile.open(fileobj=io.BytesIO(out.stdout)) as tar:
-        tar.extractall(dest, filter="data")
 
 
 def drop_novelcap():
@@ -234,13 +211,13 @@ def main(argv=None):
         fail("numpy was imported before the BLAS threads were pinned")
     for var in THREAD_VARS:  # before numpy is first imported, or OpenBLAS ignores them
         os.environ[var] = str(min(BLAS_THREADS, os.cpu_count() or 1))
-    base = {"rev": args.base, "sha": resolve(args.base)}
-    head = {"rev": args.head, "sha": resolve(args.head)}
+    base = {"rev": args.base, "sha": resolve(args.base, fail)}
+    head = {"rev": args.head, "sha": resolve(args.head, fail)}
     results = {}
     with tempfile.TemporaryDirectory() as tmp:
         trees = {label: Path(tmp) / label for label in ("head", "base", "base_again")}
         for label, tree in trees.items():
-            extract((head if label == "head" else base)["sha"], tree)
+            extract((head if label == "head" else base)["sha"], tree, fail)
         for name in args.workloads:
             results[name] = r = bench_workload(trees, name, args.seed, args.pairs)
             print(f"{name}: head/base median {r['head']['median']:.3f} [{r['head']['q1']:.3f}, "
