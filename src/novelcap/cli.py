@@ -25,22 +25,27 @@ from .vocabulary import build_vocabulary, intersect_detectable
 
 
 @contextlib.contextmanager
-def _committed(*paths):
+def _committed(*paths, inputs=()):
     """A temporary file beside each of ``paths``, made before the block runs
     and renamed onto its path with ``os.replace`` once the block returns.
     Every file a command writes goes through here: an output path that
-    cannot be written, or two that name one file, fail before the block,
-    and on any failure the temporary files go and ``paths`` stay as they were."""
+    names a directory, one of the command's ``inputs`` (empty entries are
+    skipped) or another output fails before any directory or temporary
+    file is made, and on any failure the temporary files go and ``paths``
+    stay as they were."""
     real = [os.path.realpath(path) for path in paths]
+    read = {os.path.realpath(path): path for path in inputs if path}
     for i, path in enumerate(paths):
         if real[i] in real[:i]:
             raise ConfigError(f"cli: outputs {paths[real.index(real[i])]} and {path} name one file")
+        if real[i] in read:
+            raise ConfigError(f"cli: output {path} and input {read[real[i]]} name one file")
+        if os.path.isdir(path):  # os.replace would refuse it only at the end
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     temps = []
     try:
         for path in paths:
             os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-            if os.path.isdir(path):  # os.replace would refuse it only at the end
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
             temp = f"{path}.{os.getpid()}.tmp"
             open(temp, "x").close()  # a file already at that name is not this run's to remove
             temps.append(temp)
@@ -152,7 +157,7 @@ def cmd_gen_data(args) -> int:
     if args.out:
         cfg.dataset = os.path.join(args.out, "dataset.jsonl")
         cfg.manifest = os.path.join(args.out, "split.json")
-    with _committed(cfg.dataset, cfg.manifest) as (dataset_temp, manifest_temp):
+    with _committed(cfg.dataset, cfg.manifest, inputs=(args.config, cfg.world)) as (dataset_temp, manifest_temp):
         records = datamod.generate_synthetic(world, args.n_images, (lo, hi))
         split = datamod.build_heldout_split(records, held_out, ratios, seed=cfg.seed)
         vocab = _training_vocabulary(split)
@@ -173,7 +178,8 @@ def cmd_train(args) -> int:
     cfg = _build_config(args)
     _, vocab, _, split, det_map = _load_common(cfg)
     # only a finished run renames its outputs into place, so a failed one leaves the last run's whole
-    with _committed(cfg.train_log, cfg.checkpoint) as (log_temp, checkpoint_temp), \
+    read = (args.config, cfg.dataset, cfg.manifest)
+    with _committed(cfg.train_log, cfg.checkpoint, inputs=read) as (log_temp, checkpoint_temp), \
             open(log_temp, "w", encoding="utf-8") as logf:
         def log_fn(line):
             print(line)
@@ -204,7 +210,8 @@ def cmd_eval(args) -> int:
     records, vocab, manifest, split, det_map = _load_common(cfg)
     model = _load_model(cfg, vocab)
     split_hash = datamod.manifest_hash(cfg.manifest)
-    with _committed(args.out or cfg.report) as (report_temp,):
+    read = (args.config, cfg.dataset, cfg.manifest, cfg.checkpoint)
+    with _committed(args.out or cfg.report, inputs=read) as (report_temp,):
         captioner = make_captioner(model, vocab, det_map, cfg, mode=args.mode)
         report = evaluate_split(split, captioner, known_words=manifest["known_words"], mode=args.mode,
                                 split_hash=split_hash)
@@ -221,7 +228,8 @@ def cmd_sweep_ndet(args) -> int:
         raise DomainError("cli: sweep values must all be >= 1")
     records, vocab, _, split, det_map = _load_common(cfg)
     model = _load_model(cfg, vocab)
-    with _committed(*filter(None, [args.out])) as temps:  # the table's file, if --out names one
+    read = (args.config, cfg.dataset, cfg.manifest, cfg.checkpoint)
+    with _committed(*filter(None, [args.out]), inputs=read) as temps:  # the table's file, if --out names one
         lines = ["n_det\taverage_f1"]
         for n_det in values:
             sweep_cfg = dataclasses.replace(cfg, n_det=n_det)

@@ -26,36 +26,51 @@ log = logging.getLogger(__name__)
 
 INIT_SCALE = 0.08
 CELL_SANITY_BOUND = 50.0
+
+
+def param_shapes(vocab_size: int, hidden_size: int, embed_size: int, image_dim: int,
+                 key_dim: int) -> dict[str, tuple[int, ...]]:
+    """The shape of every parameter, in ``PARAM_NAMES`` (and ``theta``) order."""
+    # embed holds a column per word id; lstm_w's gate order is [input, forget, output, candidate]
+    v, h, e, d, k = vocab_size, hidden_size, embed_size, image_dim, key_dim
+    return {"embed": (e, v), "lstm_w": (4 * h, e + h), "lstm_b": (4 * h,), "w_out": (v, h),
+            "b_out": (v,), "w_img": (h, d), "b_img": (h,), "w_query": (k, h),
+            "w_img_cell": (h, d), "b_img_cell": (h,)}
+
+
 # every trainable array, in initialization and checkpoint order
-PARAM_NAMES = ("embed", "lstm_w", "lstm_b", "w_out", "b_out", "w_img", "b_img", "w_query",
-               "w_img_cell", "b_img_cell")
+PARAM_NAMES = tuple(param_shapes(1, 1, 1, 1, 1))
 
 
 class CaptionModel:
     """All trainable parameters, as named views into one float64 vector, ``theta``.
 
-    Matrices are initialized uniform in [-0.08, 0.08], drawn in
-    ``PARAM_NAMES`` order; biases start at zero except the forget gate
-    (1.0, for stable early training).
+    ``sizes`` is (vocab_size, hidden_size, embed_size, image_dim, key_dim),
+    each also an attribute of its name. Matrices are initialized uniform in
+    [-0.08, 0.08], drawn in ``PARAM_NAMES`` order; biases start at zero
+    except the forget gate (1.0, for stable early training).
     """
 
     def __init__(self, vocab_size: int, hidden_size: int, embed_size: int, image_dim: int, key_dim: int,
                  seed: int = 0):
-        shapes = param_shapes(vocab_size, hidden_size, embed_size, image_dim, key_dim)
-        theta_bytes = sum(math.prod(s) for s in shapes.values()) * 8
+        sizes = (vocab_size, hidden_size, embed_size, image_dim, key_dim)
+        theta_bytes = sum(math.prod(s) for s in param_shapes(*sizes).values()) * 8
         if theta_bytes > BUFFER_BUDGET:  # refused before theta is allocated
             raise ConfigError(f"decoder: vocab_size {vocab_size}, hidden_size {hidden_size}, embed_size {embed_size}, "
                               f"image_dim {image_dim} and key_dim {key_dim} size theta at {theta_bytes} bytes, "
                               f"past the {BUFFER_BUDGET}-byte budget")
-        self._allocate(shapes)
+        self._allocate(sizes)
         rng = np.random.default_rng(seed)
         for p in self.params().values():
             if p.ndim == 2:
                 p[...] = rng.uniform(-INIT_SCALE, INIT_SCALE, p.shape)
         self.lstm_b[hidden_size:2 * hidden_size] = 1.0
 
-    def _allocate(self, shapes: dict[str, tuple[int, ...]]) -> None:
-        self.shapes = shapes
+    def _allocate(self, sizes: tuple[int, int, int, int, int]) -> None:
+        """A zero ``theta`` laid out by ``param_shapes(*sizes)``, with its named views."""
+        self.sizes = sizes
+        self.vocab_size, self.hidden_size, self.embed_size, self.image_dim, self.key_dim = sizes
+        shapes = param_shapes(*sizes)
         ends = np.cumsum([math.prod(s) for s in shapes.values()]).tolist()
         self._slices = {name: (a, b, s) for (name, s), a, b in zip(shapes.items(), [0] + ends, ends)}
         self.theta = np.zeros(ends[-1], dtype=FLOAT)
@@ -73,29 +88,9 @@ class CaptionModel:
     def copy(self) -> "CaptionModel":
         """A model with its own copy of ``theta``."""
         clone = CaptionModel.__new__(CaptionModel)
-        clone._allocate(self.shapes)
+        clone._allocate(self.sizes)
         clone.theta[:] = self.theta
         return clone
-
-    @property
-    def vocab_size(self) -> int:
-        return self.embed.shape[1]
-
-    @property
-    def embed_size(self) -> int:
-        return self.embed.shape[0]
-
-    @property
-    def hidden_size(self) -> int:
-        return self.w_out.shape[1]
-
-    @property
-    def image_dim(self) -> int:
-        return self.w_img.shape[1]
-
-    @property
-    def key_dim(self) -> int:
-        return self.w_query.shape[0]
 
     def params(self) -> dict[str, np.ndarray]:
         """Named parameter arrays (live views of ``theta``, fixed order)."""
@@ -121,29 +116,19 @@ class CaptionModel:
                 raise CheckpointError(f"decoder: parameter {name!r} has shape {np.shape(params[name])}, "
                                       f"expected a matrix")
         (e, v), h = np.shape(params["embed"]), np.shape(params["w_out"])[1]
-        expected = param_shapes(v, h, e, np.shape(params["w_img"])[1], np.shape(params["w_query"])[0])
-        for name, shape in expected.items():
+        sizes = (v, h, e, np.shape(params["w_img"])[1], np.shape(params["w_query"])[0])
+        for name, shape in param_shapes(*sizes).items():
             if np.shape(params[name]) != shape:
                 raise CheckpointError(f"decoder: parameter {name!r} has shape {np.shape(params[name])}, "
                                       f"expected {shape}")
         model = cls.__new__(cls)
-        model._allocate(expected)
+        model._allocate(sizes)
         for name, p in model.params().items():
             p[...] = params[name]
         if not np.isfinite(model.theta).all():
             bad = next(name for name, p in model.params().items() if not np.isfinite(p).all())
             raise CheckpointError(f"decoder: parameter {bad!r} has non-finite entries")
         return model
-
-
-def param_shapes(vocab_size: int, hidden_size: int, embed_size: int, image_dim: int,
-                 key_dim: int) -> dict[str, tuple[int, ...]]:
-    """The shape of every parameter, in ``PARAM_NAMES`` (and ``theta``) order."""
-    # embed holds a column per word id; lstm_w's gate order is [input, forget, output, candidate]
-    v, h, e, d, k = vocab_size, hidden_size, embed_size, image_dim, key_dim
-    return {"embed": (e, v), "lstm_w": (4 * h, e + h), "lstm_b": (4 * h,), "w_out": (v, h),
-            "b_out": (v,), "w_img": (h, d), "b_img": (h,), "w_query": (k, h),
-            "w_img_cell": (h, d), "b_img_cell": (h,)}
 
 
 def init_state(image_feature: np.ndarray, model: CaptionModel) -> tuple[np.ndarray, np.ndarray]:
@@ -177,23 +162,27 @@ def _gate_weights(model: CaptionModel) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cell(gates: np.ndarray, ig: np.ndarray):
-    """The LSTM cell update over one gate buffer ``gates`` (..., 4*hidden),
-    with its gate views taken once. The returned ``update(z, c_prev, out)``
-    activates the pre-activations ``z``, sigmoid gates halved by
-    ``_halve_sigmoid_gates``, into ``gates``, forms i*g in ``ig`` (...,
-    hidden) and writes the new cell state c = f*c_prev + i*g into ``out``,
-    which it returns."""
+    """The LSTM step that teacher forcing and greedy decoding both take, over
+    one gate buffer ``gates`` (..., 4*hidden) whose views are taken once. The
+    returned ``step(z, c_prev, c, c_tanh, h)`` activates the pre-activations
+    ``z``, sigmoid gates halved by ``_halve_sigmoid_gates``, into ``gates``,
+    forms i*g in ``ig`` (..., hidden), and writes c = f*c_prev + i*g into
+    ``c``, tanh(c) into ``c_tanh`` and h = o*tanh(c) into ``h`` (which may be
+    ``c_tanh``); it returns ``c``."""
     nh = gates.shape[-1] // 4
-    sig, i, f, g = gates[..., :3 * nh], gates[..., :nh], gates[..., nh:2 * nh], gates[..., 3 * nh:]
+    sig, (i, f, o, g) = gates[..., :3 * nh], (gates[..., k * nh:(k + 1) * nh] for k in range(4))
 
-    def update(z: np.ndarray, c_prev: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def step(z: np.ndarray, c_prev: np.ndarray, c: np.ndarray, c_tanh: np.ndarray, h: np.ndarray) -> np.ndarray:
         np.tanh(z, gates)
         np.add(sig, 1.0, sig)
         np.multiply(sig, 0.5, sig)
         np.multiply(i, g, ig)
-        np.multiply(f, c_prev, out)
-        return np.add(out, ig, out)
-    return update
+        np.multiply(f, c_prev, c)
+        np.add(c, ig, c)
+        np.tanh(c, c_tanh)
+        np.multiply(o, c_tanh, h)
+        return c
+    return step
 
 
 def _check_cell(c: np.ndarray) -> None:
@@ -281,9 +270,7 @@ def forward_teacher_forced(input_ids: np.ndarray, lengths: np.ndarray, features:
     ig = np.empty_like(h0)
     h[0], c[0] = h0, c0
     for t in range(n_steps):
-        _cell(gates[t], ig)(zx[t] + h[t] @ w_h, c[t], c[t + 1])
-        np.tanh(c[t + 1], out=c_tanh[t])
-        np.multiply(gates[t, :, 2 * nh:3 * nh], c_tanh[t], out=h[t + 1])
+        _cell(gates[t], ig)(zx[t] + h[t] @ w_h, c[t], c[t + 1], c_tanh[t], h[t + 1])
     _check_cell(c[1:][np.arange(n_steps)[:, None] < lengths])  # padding is never checked
     logits = (h[1:].reshape(-1, nh) @ model.w_out.T + model.b_out).reshape(n_steps, batch, -1)
     return ForwardCache(input_ids=input_ids, lengths=lengths, features=np.asarray(features, dtype=FLOAT),
@@ -406,7 +393,7 @@ def decode_greedy(image_feature: np.ndarray, snapshot: DecodeSnapshot, go_id: in
     """Argmax decoding; the emitted token (placeholder included) feeds the
     next step. Ties break toward the lowest token id. Stops after <EOS>
     or max_steps emissions. A step is one gate-table row, one recurrent
-    product, one tanh over the gates, the cell update and one output
+    product, the LSTM step that teacher forcing takes too and one output
     product, each written into buffers allocated once per decode, and the
     gate views are taken once. The cell states are range-checked once,
     after the last step.
@@ -419,15 +406,13 @@ def decode_greedy(image_feature: np.ndarray, snapshot: DecodeSnapshot, go_id: in
     c = np.empty((max_steps, nh), dtype=FLOAT)  # c[t] is the state step t writes
     h[0], c_prev = init_state(image_feature, snapshot.weights)
     z, gates, logits = np.empty(4 * nh, dtype=FLOAT), np.empty(4 * nh, dtype=FLOAT), np.empty_like(b_out)
-    update, o = _cell(gates, np.empty(nh, dtype=FLOAT)), gates[2 * nh:3 * nh]
+    step = _cell(gates, np.empty(nh, dtype=FLOAT))
     ids = []
     tok = go_id
     for h_t, h_next, c_t in zip(h, h[1:], c):
         np.dot(h_t, w_h, z)
         z += table[tok]
-        c_prev = update(z, c_prev, c_t)
-        np.tanh(c_t, h_next)
-        h_next *= o
+        c_prev = step(z, c_prev, c_t, h_next, h_next)  # h_next holds tanh(c), then o*tanh(c)
         np.dot(h_next, w_out_t, logits)
         logits += b_out
         tok = int(logits.argmax())

@@ -355,6 +355,44 @@ class TestCommittedOutputs:
                                                     f"name one file\n")
         assert files_under(tmp_path) == before
 
+    @pytest.mark.parametrize("command", ["eval", "train", "gen-data"])
+    def test_an_output_that_names_an_input_is_refused_by_name(self, trained, capsys, monkeypatch, command):
+        tmp_path, _ = trained
+        if command == "eval":  # --out as another spelling of the manifest eval reads
+            output, read = f"{tmp_path}/./split.json", tmp_path / "split.json"
+            args = ["eval", "--config", write_config(tmp_path), "--out", output]
+        elif command == "train":  # the checkpoint at the dataset train reads
+            output = read = tmp_path / "dataset.jsonl"
+            args = ["train", "--config", write_config(tmp_path, checkpoint=output)]
+        else:  # the dataset at the world config gen-data reads
+            output = read = tmp_path / "world.cfg"
+            args = gen_args(write_config(tmp_path, dataset=output), str(read))
+        before = files_under(tmp_path)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("work done or a temporary file made for an output that names an input")
+
+        for owner, name in ((datamod, "generate_synthetic"), (cli, "train_model"), (cli, "make_captioner"),
+                            (cli, "open")):
+            monkeypatch.setattr(owner, name, unreachable, raising=False)  # open shadows the builtin in cli alone
+        capsys.readouterr()
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"novelcap: ConfigError: cli: output {output} and input {read} "
+                                                    f"name one file\n")
+        assert files_under(tmp_path) == before
+
+    def test_every_output_is_checked_before_any_directory_is_made(self, trained, capsys):
+        tmp_path, _ = trained
+        taken = tmp_path / "taken"
+        taken.mkdir()
+        cfg_path = write_config(tmp_path, train_log=tmp_path / "fresh" / "train.log")
+        before = files_under(tmp_path)
+        capsys.readouterr()
+        assert main(["train", "--config", cfg_path, "--checkpoint", str(taken)]) == 1
+        assert capsys.readouterr().err == f"novelcap: io: [Errno 21] Is a directory: '{taken}'\n"
+        assert not (tmp_path / "fresh").exists() and files_under(tmp_path) == before
+
 
 class TestEvalAndSweep:
     def test_eval_dnoc_report_round_trip(self, trained, capsys):

@@ -100,17 +100,19 @@ def decode_one_step(snapshot):
 
 
 def cell(z, c_prev, gates):
-    """One ``_cell`` update: the new cell state, with ``gates`` activated."""
-    return _cell(gates, np.empty_like(c_prev))(z, c_prev, np.empty_like(c_prev))
+    """One ``_cell`` step: the new cell and hidden states, with ``gates`` activated."""
+    c, h = np.empty_like(c_prev), np.empty_like(c_prev)
+    _cell(gates, np.empty_like(c_prev))(z, c_prev, c, np.empty_like(c_prev), h)
+    return c, h
 
 
 class TestLstmStep:
-    """The cell update (``_cell``) and the greedy decode step built on it."""
+    """The LSTM step (``_cell``) and the greedy decode step built on it."""
 
     def test_all_zero(self):
         gates = np.empty(16)
-        c = cell(np.zeros(16), np.zeros(4), gates)
-        assert np.array_equal(c, np.zeros(4))
+        c, h = cell(np.zeros(16), np.zeros(4), gates)
+        assert np.array_equal(c, np.zeros(4)) and np.array_equal(h, np.zeros(4))
         assert np.array_equal(gates, [0.5] * 12 + [0.0] * 4)
         snapshot = one_step_snapshot(np.zeros(3), np.zeros(4), np.zeros(4),
                                      np.zeros((16, 7)), np.zeros(16))
@@ -123,7 +125,7 @@ class TestLstmStep:
         b = np.zeros(4 * nh)
         b[nh:2 * nh] = 30.0
         b[:nh] = -30.0
-        c = cell(_halve_sigmoid_gates(b), c_prev, np.empty(4 * nh))
+        c, _ = cell(_halve_sigmoid_gates(b), c_prev, np.empty(4 * nh))
         assert np.allclose(c, c_prev, atol=1e-9)
 
     def test_matches_scalar_oracle(self):
@@ -134,10 +136,9 @@ class TestLstmStep:
         x = rng.normal(size=nx)
         h_prev, c_prev = rng.uniform(-0.9, 0.9, nh), rng.uniform(-0.9, 0.9, nh)
         h_ref, c_ref = scalar_lstm_oracle(x, h_prev, c_prev, w, b)
-        gates = np.empty(4 * nh)
-        c = cell(_halve_sigmoid_gates(w @ np.concatenate([x, h_prev]) + b), c_prev, gates)
+        c, h = cell(_halve_sigmoid_gates(w @ np.concatenate([x, h_prev]) + b), c_prev, np.empty(4 * nh))
         assert np.all(np.abs(c - np.array(c_ref)) < 1e-12)
-        assert np.all(np.abs(gates[2 * nh:3 * nh] * np.tanh(c) - np.array(h_ref)) < 1e-12)
+        assert np.all(np.abs(h - np.array(h_ref)) < 1e-12)
         h = decode_one_step(one_step_snapshot(x, h_prev, c_prev, w, b))
         assert np.all(np.abs(h - np.array(h_ref)) < 1e-12)
 
@@ -270,11 +271,11 @@ class TestForwardTeacherForced:
         seen = []
 
         def recording_cell(gates, ig):
-            update = _cell(gates, ig)
+            step = _cell(gates, ig)
 
-            def call(z, c_prev, out):
+            def call(z, c_prev, c, c_tanh, h):
                 seen.append(z.copy())
-                return update(z, c_prev, out)
+                return step(z, c_prev, c, c_tanh, h)
             return call
 
         monkeypatch.setattr(decoder, "_cell", recording_cell)

@@ -16,10 +16,10 @@ from hypothesis import strategies as st
 
 from novelcap import checkpoint
 from novelcap.cli import main as cli_main
-from novelcap.config import RunConfig, load_config
+from novelcap.config import RunConfig, load_config, validate_config
 from novelcap.data import _WORLD_KEYS, load_dataset, load_manifest, load_world_config
 from novelcap.decoder import CaptionModel
-from novelcap.errors import CheckpointError, NovelcapError, ParseError, SchemaError
+from novelcap.errors import CheckpointError, ConfigError, NovelcapError, ParseError, SchemaError
 
 
 
@@ -339,13 +339,26 @@ def test_world_config(workdir, raw):
         loads_or_fails_by_name(load_world_config, path)
 
 
+RUN_KEYS = tuple(RunConfig.__dataclass_fields__)
+# 10**12 is past every budget; no mid-sized value is drawn, since a run given one would really allocate
+RUN_VALUES = SMALL_VALUES | st.just(str(10 ** 12)) | st.text(max_size=8)
+# each key once, so more of the drawn configs load and reach validate_config
+ASSIGNMENTS = st.dictionaries(st.sampled_from(RUN_KEYS), RUN_VALUES, max_size=6).map(
+    lambda kv: "\n".join(f"{k} = {v}" for k, v in kv.items()))
+
+
 @FUZZ
-@given(raw=key_value_text(tuple(RunConfig.__dataclass_fields__), SMALL_VALUES | st.text(max_size=8))
-       .map(str.encode) | st.binary(max_size=40))
+@given(raw=(key_value_text(RUN_KEYS, RUN_VALUES) | ASSIGNMENTS).map(str.encode) | st.binary(max_size=40))
 def test_run_config(workdir, raw):
+    """A config the reader accepts is returned by ``validate_config`` or refused as a ConfigError."""
     path = workdir / "fuzz-run.cfg"
     path.write_bytes(raw)
-    loads_or_fails_by_name(load_config, path)
+    cfg = loads_or_fails_by_name(load_config, path)
+    if cfg is not None:
+        try:
+            assert validate_config(cfg) is cfg
+        except ConfigError as e:
+            assert str(e).startswith("config: "), str(e)
 
 
 @FUZZ
