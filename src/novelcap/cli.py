@@ -29,10 +29,10 @@ def _committed(*paths, inputs=()):
     """A temporary file beside each of ``paths``, made before the block runs
     and renamed onto its path with ``os.replace`` once the block returns.
     Every file a command writes goes through here: an output path that
-    names a directory, one of the command's ``inputs`` (empty entries are
-    skipped) or another output fails before any directory or temporary
-    file is made, and on any failure the temporary files go and ``paths``
-    stay as they were."""
+    names a directory, runs through a file, names one of the command's
+    ``inputs`` (empty entries are skipped) or another output fails before
+    any directory or temporary file is made, and on any failure the
+    temporary files go and ``paths`` stay as they were."""
     real = [os.path.realpath(path) for path in paths]
     read = {os.path.realpath(path): path for path in inputs if path}
     for i, path in enumerate(paths):
@@ -42,6 +42,11 @@ def _committed(*paths, inputs=()):
             raise ConfigError(f"cli: output {path} and input {read[real[i]]} name one file")
         if os.path.isdir(path):  # os.replace would refuse it only at the end
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        parent = os.path.dirname(os.path.abspath(path))
+        while not os.path.lexists(parent):  # where makedirs would start; a dangling link is no directory
+            parent = os.path.dirname(parent)
+        if not os.path.isdir(parent):
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
     temps = []
     try:
         for path in paths:

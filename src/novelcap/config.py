@@ -39,22 +39,17 @@ class RunConfig:
 
 
 def text_lines(path, owner: str):
-    """(line number, line) of each line of a UTF-8 text file, read lazily.
-    Bytes that are not UTF-8 are a ParseError naming ``owner`` (the module)
-    and the first line that does not decode."""
-    with open(path, encoding="utf-8") as f:
-        try:
-            yield from enumerate(f, start=1)
-            return
-        except UnicodeDecodeError:
-            pass  # the decoder fails a whole read block; the bytes below find its line
-    with open(path, "rb") as f:
-        for line_no, raw in enumerate(f, start=1):
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError:
-                raise ParseError(f"{owner}: line {line_no}: not UTF-8 text") from None
-    raise ParseError(f"{owner}: {path} is not UTF-8 text")
+    """(line number, line) of each line of a UTF-8 text file, read lazily in
+    one pass; lines end at ``\\n``, ``\\r\\n`` or ``\\r``, each read as ``\\n``.
+    A line that holds a byte that is not UTF-8 is a ParseError naming
+    ``owner`` (the module) and that line, so a file is refused at its first
+    faulty line whatever its size."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as f:
+        for line_no, line in enumerate(f, start=1):
+            # surrogateescape reads such a byte as U+DC80..U+DCFF, which no UTF-8 text holds
+            if not line.isascii() and any("\udc80" <= ch <= "\udcff" for ch in line):
+                raise ParseError(f"{owner}: line {line_no}: not UTF-8 text")
+            yield line_no, line
 
 
 def read_json(path, owner: str):

@@ -190,7 +190,8 @@ def generate_synthetic(world: SyntheticWorld, n_images: int,
     """Seeded corpus: sampled objects, summed-anchor features, mock detections.
 
     Object frequencies are kept balanced by redrawing the whole corpus if
-    any object exceeds three times the median frequency.
+    any object exceeds three times the median frequency. A corpus whose
+    arrays would pass ``BUFFER_BUDGET`` is refused before any draw.
     """
     lo, hi = objects_per_image
     n_obj = len(world.names)
@@ -204,6 +205,12 @@ def generate_synthetic(world: SyntheticWorld, n_images: int,
     for k in range(lo, hi + 1):
         if k not in pools:
             raise DomainError(f"data: no sentence template with {k} object slots")
+    # per image: the feature, a detection table of at most hi + distractors rows, the longest references
+    rows, tokens = min(hi + world.distractors, n_obj), max(len(t.split()) for t in world.templates)
+    corpus_bytes = n_images * (world.dim + rows * (world.dim + 2) + world.refs_per_image * tokens) * 8
+    if corpus_bytes > BUFFER_BUDGET:
+        raise DomainError(f"data: n_images {n_images}, refs_per_image {world.refs_per_image} and dim {world.dim} "
+                          f"size the corpus at {corpus_bytes} bytes, past the {BUFFER_BUDGET}-byte budget")
     rng = np.random.default_rng(world.seed)
     for _ in range(100):
         records = _generate_once(world, n_images, lo, hi, pools, rng)

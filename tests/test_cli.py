@@ -394,6 +394,20 @@ class TestCommittedOutputs:
         assert not (tmp_path / "fresh").exists() and files_under(tmp_path) == before
 
 
+    @pytest.mark.parametrize("through", ["afile/model.ckpt", "afile/sub/model.ckpt", "dangling/model.ckpt"])
+    def test_an_output_whose_directory_path_runs_through_a_file_is_refused_by_name(self, trained, capsys, through):
+        tmp_path, _ = trained
+        (tmp_path / "afile").write_text("a file, not a directory\n")
+        (tmp_path / "dangling").symlink_to(tmp_path / "nowhere")
+        cfg_path = write_config(tmp_path, train_log=tmp_path / "fresh" / "train.log")
+        output = tmp_path / through
+        before = files_under(tmp_path)
+        capsys.readouterr()
+        assert main(["train", "--config", cfg_path, "--checkpoint", str(output)]) == 1
+        assert capsys.readouterr().err == f"novelcap: io: [Errno 20] Not a directory: '{output}'\n"
+        assert not (tmp_path / "fresh").exists() and files_under(tmp_path) == before  # and no temporary file
+
+
 class TestEvalAndSweep:
     def test_eval_dnoc_report_round_trip(self, trained, capsys):
         tmp_path, cfg_path = trained
@@ -686,6 +700,29 @@ class TestEmbedSizePastTheBudget:
             f"image_dim 8 and key_dim 8 size theta at {theta_bytes} bytes, past the 1073741824-byte budget\n"))
         before["run.cfg"] = Path(cfg_path).read_bytes()
         assert files_under(tmp_path) == before  # the last run's log and checkpoint, and no temporary file
+
+
+class TestCorpusPastTheBudget:
+    @pytest.mark.parametrize("n_images, world_changes, refs, corpus_bytes", [
+        ("1000000000000", {}, 2, 624000000000000),
+        ("80", {"refs_per_image": 10 ** 12}, 10 ** 12, 6400000000037120),
+    ], ids=["n-images", "refs_per_image"])
+    def test_gen_data_refuses_it_by_its_sizes_before_any_draw(self, tmp_path, capsys, monkeypatch, n_images,
+                                                              world_changes, refs, corpus_bytes):
+        # 8 objects of dim 8, 2 + 3 distractor rows, 10-token templates: 10**12 of either is past the budget
+        def unreachable(*args, **kwargs):
+            raise AssertionError("records drawn for a refused corpus")
+
+        monkeypatch.setattr(datamod, "_generate_once", unreachable)
+        cfg_path = write_config(tmp_path)
+        world = write_world(tmp_path, **world_changes)
+        before = files_under(tmp_path)
+        assert main(gen_args(cfg_path, world, n_images=n_images)) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", (
+            f"novelcap: DomainError: data: n_images {n_images}, refs_per_image {refs} and dim 8 size the corpus "
+            f"at {corpus_bytes} bytes, past the 1073741824-byte budget\n"))
+        assert files_under(tmp_path) == before  # no dataset, manifest or temporary file
 
 
 class TestCaption:

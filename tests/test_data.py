@@ -122,6 +122,29 @@ class TestGenerate:
         with pytest.raises(DomainError):
             generate_synthetic(world, 3)
 
+    @pytest.mark.parametrize("n_images, objects_per_image, distractors, corpus_bytes", [
+        (1050, (1, 1), 3, 1_579_200), (2000, (1, 3), 12, 8_992_000)], ids=["benchmark", "crowded"])
+    def test_the_corpus_budget_holds_features_tables_and_references_at_its_edge(
+            self, monkeypatch, n_images, objects_per_image, distractors, corpus_bytes):
+        # 20 objects of dim 32, at most hi + distractors rows of dim + 2 floats, two references of 10 tokens
+        world = make_world(dim=32, latent_rank=6, distractors=distractors)
+
+        class Drawn(Exception):
+            pass
+
+        def drawn(*args):
+            raise Drawn
+
+        monkeypatch.setattr(datamod, "_generate_once", drawn)
+        monkeypatch.setattr(datamod, "BUFFER_BUDGET", corpus_bytes)
+        with pytest.raises(Drawn):
+            generate_synthetic(world, n_images, objects_per_image)
+        monkeypatch.setattr(datamod, "BUFFER_BUDGET", corpus_bytes - 1)
+        with pytest.raises(DomainError) as caught:
+            generate_synthetic(world, n_images, objects_per_image)
+        assert str(caught.value) == (f"data: n_images {n_images}, refs_per_image 2 and dim 32 size the corpus at "
+                                     f"{corpus_bytes} bytes, past the {corpus_bytes - 1}-byte budget")
+
 
 class TestHeldOutSplit:
     def records(self):

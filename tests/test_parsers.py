@@ -5,6 +5,7 @@ escaped as raw exceptions; the fuzz tests throw bounded random input at
 each parser."""
 
 import base64
+import dataclasses
 import json
 import re
 import string
@@ -244,19 +245,47 @@ def test_a_checkpoint_entry_of_more_than_two_dimensions(tmp_path):
 
 
 NOT_UTF8 = b"\xff\xfe bad"
+# each reader with three lines it reads without fault: a key-value file sets each key once
+NOT_UTF8_CASES = [
+    pytest.param(load_config, "config", ("seed = 3\n", "epochs = 2\n", "n_det = 4\n"), id="load_config-config"),
+    pytest.param(load_world_config, "data", ("seed = 3\n", "dim = 8\n", "distractors = 1\n"),
+                 id="load_world_config-data"),
+    (load_dataset, "data", json.dumps(GOOD_RECORD) + "\n"),
+    (load_manifest, "data: manifest", "{\n"),
+]
+
+
+def three_lines(good):
+    return good if isinstance(good, tuple) else (good,) * 3
 
 
 class TestNotUtf8:
-    @pytest.mark.parametrize("parse, owner, good", [
-        (load_config, "config", "seed = 3\n"),
-        (load_world_config, "data", "seed = 3\n"),
-        (load_dataset, "data", json.dumps(GOOD_RECORD) + "\n"),
-        (load_manifest, "data: manifest", "{\n"),
-    ])
+    @pytest.mark.parametrize("parse, owner, good", NOT_UTF8_CASES)
     def test_names_the_module_and_the_line(self, tmp_path, parse, owner, good):
+        lines = three_lines(good)
         path = tmp_path / "file"
-        path.write_bytes(good.encode() * 3 + NOT_UTF8 + b"\n" + good.encode())
+        path.write_bytes("".join(lines).encode() + NOT_UTF8 + b"\n" + lines[0].encode())
         with pytest.raises(ParseError, match=f"^{owner}: line 4: not UTF-8 text$"):
+            parse(path)
+
+    @pytest.mark.parametrize("ending", ["\r\n", "\r"], ids=["crlf", "cr"])
+    @pytest.mark.parametrize("parse, owner, good", NOT_UTF8_CASES)
+    def test_numbers_the_line_as_text_mode_splits_it(self, tmp_path, parse, owner, good, ending):
+        lines = [line.replace("\n", ending) for line in three_lines(good)]
+        path = tmp_path / "file"
+        path.write_bytes("".join(lines).encode() + NOT_UTF8 + ending.encode() + lines[0].encode())
+        with pytest.raises(ParseError, match=f"^{owner}: line 4: not UTF-8 text$"):
+            parse(path)
+
+    @pytest.mark.parametrize("padded", [False, True], ids=["as-written", "padded-past-8-KB"])
+    @pytest.mark.parametrize("parse, owner", [(load_config, "config"), (load_world_config, "data")])
+    def test_a_repeated_key_before_a_bad_byte_is_refused_at_its_line(self, tmp_path, parse, owner, padded):
+        # the key repeats on line 2 and the bad byte follows, inside the first 8 KB read block or past it
+        padding = b"# a comment line the reader skips, one of many\n" * (200 if padded else 0)
+        path = tmp_path / "file"
+        path.write_bytes(b"seed = 3\n" * 2 + padding + b"seed = 3\n" + NOT_UTF8 + b"\n" + b"seed = 3\n")
+        assert (path.stat().st_size > 8192) == padded
+        with pytest.raises(ParseError, match=f"^{owner}: line 2: key 'seed' is set twice \\(first on line 1\\)$"):
             parse(path)
 
     def test_a_bad_byte_past_the_first_read_block_names_its_line(self, tmp_path):
@@ -309,6 +338,54 @@ def dataset_bytes(draw):
     return b"\n".join(record() if line is None else line for line in lines)
 
 
+def plain(value):
+    """``value`` as nested tuples that are equal exactly when two reads agree: an array by its dtype, shape
+    and bytes, a dataclass or slotted object by its fields, any other leaf by its repr (so NaN equals NaN)."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, dict):
+        return tuple((key, plain(item)) for key, item in value.items())
+    if isinstance(value, (list, tuple)):
+        return tuple(map(plain, value))
+    names = ([f.name for f in dataclasses.fields(value)] if dataclasses.is_dataclass(value)
+             else getattr(type(value), "__slots__", ()))
+    return tuple(plain(getattr(value, name)) for name in names) if names else repr(value)
+
+
+def outcome(parse, path):
+    """("read", what ``parse`` reads from ``path`` as ``plain`` parts), or ("refused", its error and message)."""
+    try:
+        return "read", plain(parse(path))
+    except NovelcapError as e:
+        return "refused", f"{type(e).__name__}: {e}"
+
+
+LINE_ENDINGS = (b"\n", b"\r\n", b"\r")
+LINE_PICK = st.integers(0, 63)  # a line, or an offset in it, modulo what the text has
+
+
+def reads_alike_at_every_line_ending(parse, owner, path, raw, k, at):
+    """A text that holds no \\r reads as it did (``path`` holds ``raw``) with its line endings rewritten
+    to \\r\\n and to \\r; if the text is read, a \\xff byte put into its line k (``k`` and the
+    offset ``at`` taken modulo the lines and the line) is refused as line k at all three endings."""
+    if b"\r" in raw:
+        return
+    first = outcome(parse, path)
+    for ending in LINE_ENDINGS[1:]:
+        path.write_bytes(raw.replace(b"\n", ending))
+        assert outcome(parse, path) == first, ending
+    if first[0] == "refused":
+        return
+    lines = raw.split(b"\n")
+    k %= len(lines)
+    at %= len(lines[k]) + 1
+    lines[k] = lines[k][:at] + b"\xff" + lines[k][at:]
+    for ending in LINE_ENDINGS:
+        path.write_bytes(ending.join(lines))
+        with pytest.raises(ParseError, match=f"^{re.escape(owner)}: line {k + 1}: not UTF-8 text$"):
+            parse(path)
+
+
 def key_value_text(keys, values):
     line = st.tuples(st.sampled_from(keys) | st.text(string.ascii_lowercase + "_-", max_size=5), values).map(
         lambda kv: f"{kv[0]} = {kv[1]}")
@@ -320,23 +397,35 @@ def key_value_text(keys, values):
 SMALL_VALUES = (st.integers(-3, 12).map(str) | st.floats(-2, 2).map(repr)
                 | st.lists(st.sampled_from(["dog", "cat", "bus", "tree", "a", "|", "{}", "0.5", "x"]),
                            max_size=6).map(" ".join))
+# a world config that loads, in any line order, so the line-ending checks see texts that are read
+GOOD_WORLD = ("inventory = dog cat bus tree", "templates = a {} here | a {} and a {}", "noise_scale = 0.05",
+              "seed = 3", "dim = 4", "latent_rank = 2", "distractors = 1", "present_score = 0.55 1.0")
+GOOD_WORLDS = st.permutations(GOOD_WORLD).map(lambda lines: ("\n".join(lines) + "\n").encode())
+
+
+# records that load together: one per image id
+GOOD_DATASETS = st.lists(st.sampled_from("abcd"), unique=True, max_size=4).map(
+    lambda ids: "".join(json.dumps(dict(GOOD_RECORD, image_id=i)) + "\n" for i in ids).encode())
 
 
 @FUZZ
-@given(raw=dataset_bytes())
-def test_dataset_lines(workdir, raw):
+@given(raw=dataset_bytes() | GOOD_DATASETS, k=LINE_PICK, at=LINE_PICK)
+def test_dataset_lines(workdir, raw, k, at):
     path = workdir / "fuzz.jsonl"
     path.write_bytes(raw)
     loads_or_fails_by_name(load_dataset, path)
+    reads_alike_at_every_line_ending(load_dataset, "data", path, raw, k, at)
 
 
 @FUZZ
-@given(raw=key_value_text(_WORLD_KEYS, SMALL_VALUES).map(str.encode) | st.binary(max_size=40))
-def test_world_config(workdir, raw):
+@given(raw=key_value_text(_WORLD_KEYS, SMALL_VALUES).map(str.encode) | st.binary(max_size=40) | GOOD_WORLDS,
+       k=LINE_PICK, at=LINE_PICK)
+def test_world_config(workdir, raw, k, at):
     path = workdir / "fuzz-world.cfg"
     path.write_bytes(raw)
     with np.errstate(all="raise"):  # a floating-point fault while loading fails the case
         loads_or_fails_by_name(load_world_config, path)
+        reads_alike_at_every_line_ending(load_world_config, "data", path, raw, k, at)
 
 
 RUN_KEYS = tuple(RunConfig.__dataclass_fields__)
@@ -345,11 +434,15 @@ RUN_VALUES = SMALL_VALUES | st.just(str(10 ** 12)) | st.text(max_size=8)
 # each key once, so more of the drawn configs load and reach validate_config
 ASSIGNMENTS = st.dictionaries(st.sampled_from(RUN_KEYS), RUN_VALUES, max_size=6).map(
     lambda kv: "\n".join(f"{k} = {v}" for k, v in kv.items()))
+# default values, which load, for a few keys in any order
+GOOD_CONFIGS = st.lists(st.sampled_from(RUN_KEYS), unique=True, max_size=6).map(
+    lambda keys: "".join(f"{k} = {getattr(RunConfig(), k)}\n" for k in keys))
 
 
 @FUZZ
-@given(raw=(key_value_text(RUN_KEYS, RUN_VALUES) | ASSIGNMENTS).map(str.encode) | st.binary(max_size=40))
-def test_run_config(workdir, raw):
+@given(raw=(key_value_text(RUN_KEYS, RUN_VALUES) | ASSIGNMENTS | GOOD_CONFIGS).map(str.encode)
+       | st.binary(max_size=40), k=LINE_PICK, at=LINE_PICK)
+def test_run_config(workdir, raw, k, at):
     """A config the reader accepts is returned by ``validate_config`` or refused as a ConfigError."""
     path = workdir / "fuzz-run.cfg"
     path.write_bytes(raw)
@@ -359,15 +452,19 @@ def test_run_config(workdir, raw):
             assert validate_config(cfg) is cfg
         except ConfigError as e:
             assert str(e).startswith("config: "), str(e)
+    reads_alike_at_every_line_ending(load_config, "config", path, raw, k, at)
 
 
 @FUZZ
 @given(raw=st.binary(max_size=40) | mutated(GOOD_MANIFEST).map(lambda d: json.dumps(d).encode())
-       | JSON_VALUES.map(lambda v: json.dumps(v).encode()))
-def test_manifest(workdir, raw):
+       | JSON_VALUES.map(lambda v: json.dumps(v).encode())
+       | st.sampled_from([None, 0, 1]).map(lambda indent: json.dumps(GOOD_MANIFEST, indent=indent).encode()),
+       k=LINE_PICK, at=LINE_PICK)
+def test_manifest(workdir, raw, k, at):
     path = workdir / "fuzz-split.json"
     path.write_bytes(raw)
     loads_or_fails_by_name(load_manifest, path)
+    reads_alike_at_every_line_ending(load_manifest, "data: manifest", path, raw, k, at)
 
 
 @pytest.fixture(scope="module")
