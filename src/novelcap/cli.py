@@ -3,8 +3,9 @@
 Commands: gen-data, train, caption, eval, sweep-ndet. Every command is
 deterministic given the config seed; all errors exit nonzero with a
 message naming the failing module. ``train`` stores the digest of the
-training records' vocabulary in the checkpoint, and the commands that load
-one refuse any other; ``eval`` writes a report that no command reads.
+training records' vocabulary in the checkpoint; the commands that load one
+take the model's sizes from it and refuse any other vocabulary. ``eval``
+writes a report that no command reads.
 """
 
 import argparse
@@ -16,7 +17,7 @@ import sys
 
 from . import checkpoint as ckpt
 from . import data as datamod
-from .config import RunConfig, load_config, validate_config
+from .config import RunConfig, decode_within_budget, load_config, validate_config
 from .decoder import CaptionModel
 from .errors import CheckpointError, ConfigError, CoverageError, DomainError, NovelcapError, SchemaError
 from .evaluation import average_f1_over, evaluate_split, format_report_lines, write_report
@@ -97,28 +98,30 @@ class _Parser(argparse.ArgumentParser):
         return super().parse_known_args(joined, namespace)
 
 
-def _build_config(args) -> RunConfig:
+def _build_config(args, sizes: bool = True) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
     # a flag's dest is the config key it overrides; a command has only the flags it reads
     overrides = {key: getattr(args, key, None) for key in ("seed", "n_det", "checkpoint", "world")}
-    return validate_config(dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None}))
+    return validate_config(dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None}), sizes)
 
 
 def _training_vocabulary(split):  # a run's one vocabulary: the words of its training captions
     return build_vocabulary([ref for rec in split.train for ref in rec.references])
 
 
-def _load_common(cfg):
+def _load_common(cfg, model=None):
     """The config's data, with the image and detection feature lengths
-    checked against its image_dim and key_dim, and its training vocabulary."""
+    checked against the image_dim and key_dim of ``model`` (a checkpoint's)
+    or, with none, of the config, and its training vocabulary."""
+    sized, owner = (model, "checkpoint") if model else (cfg, "config")
     records = datamod.load_dataset(cfg.dataset)
     # load_dataset holds every image feature to one length, and every detection feature
     image_len = next((len(rec.feature) for rec in records), None)
     key_len = next((rec.detections.features.shape[1] for rec in records if rec.detections), None)
     for kind, key, length in (("image", "image_dim", image_len), ("detection", "key_dim", key_len)):
-        if length not in (None, getattr(cfg, key)):
+        if length not in (None, getattr(sized, key)):
             raise SchemaError(f"cli: {kind} features in {cfg.dataset} have length {length}, "
-                              f"not the config's {key} {getattr(cfg, key)}")
+                              f"not the {owner}'s {key} {getattr(sized, key)}")
     manifest = datamod.load_manifest(cfg.manifest)
     split = datamod.split_from_manifest(records, manifest)
     vocab = _training_vocabulary(split)
@@ -126,26 +129,23 @@ def _load_common(cfg):
     return records, vocab, manifest, split, det_map
 
 
-def _load_model(cfg, vocab) -> CaptionModel:
-    """The checkpoint's model, checked against the vocabulary of the
-    manifest's training records and against the config's dimensions."""
+def _load_trained(cfg):
+    """The checkpoint's model, whose arrays state its sizes, then the config's
+    data as ``_load_common`` gives it: before any decode, the model is held to
+    the decode budget at its hidden_size, then to the data's feature lengths,
+    then to the training vocabulary's digest and then its vocab_size."""
     params, vocab_ref = ckpt.load_checkpoint(cfg.checkpoint)
     model = CaptionModel.from_params(params)
+    decode_within_budget(cfg.max_steps, model.hidden_size)
+    records, vocab, manifest, split, det_map = _load_common(cfg, model)
     digest = vocab.digest()
     if vocab_ref != digest:
         raise CheckpointError(f"cli: checkpoint {cfg.checkpoint} was not trained with the vocabulary of the "
                               f"training records of {cfg.manifest} (it holds {vocab_ref!r}, they give {digest!r})")
-    mismatches = [(name, got, want) for name, got, want in (
-        ("hidden_size", model.hidden_size, cfg.hidden_size),
-        ("embed_size", model.embed_size, cfg.embed_size),
-        ("image_dim", model.image_dim, cfg.image_dim),
-        ("key_dim", model.key_dim, cfg.key_dim),
-        ("vocab_size", model.vocab_size, vocab.size),
-    ) if got != want]
-    if mismatches:
-        detail = ", ".join(f"{n}: checkpoint {g} vs config {w}" for n, g, w in mismatches)
-        raise CheckpointError(f"cli: checkpoint incompatible with config dims ({detail})")
-    return model
+    if model.vocab_size != vocab.size:
+        raise CheckpointError(f"cli: checkpoint {cfg.checkpoint} has vocab_size {model.vocab_size}, not the "
+                              f"{vocab.size} words of the training records of {cfg.manifest}")
+    return model, records, vocab, manifest, split, det_map
 
 
 def cmd_gen_data(args) -> int:
@@ -198,9 +198,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_caption(args) -> int:
-    cfg = _build_config(args)
-    records, vocab, _, _, det_map = _load_common(cfg)
-    model = _load_model(cfg, vocab)
+    cfg = _build_config(args, sizes=False)
+    model, records, vocab, _, _, det_map = _load_trained(cfg)
     by_id = {r.image_id: r for r in records}
     if args.image_id not in by_id:
         raise CoverageError(f"cli: image id {args.image_id!r} not found in {cfg.dataset}")
@@ -211,9 +210,8 @@ def cmd_caption(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = _build_config(args)
-    records, vocab, manifest, split, det_map = _load_common(cfg)
-    model = _load_model(cfg, vocab)
+    cfg = _build_config(args, sizes=False)
+    model, _, vocab, manifest, split, det_map = _load_trained(cfg)
     split_hash = datamod.manifest_hash(cfg.manifest)
     read = (args.config, cfg.dataset, cfg.manifest, cfg.checkpoint)
     with _committed(args.out or cfg.report, inputs=read) as (report_temp,):
@@ -227,12 +225,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep_ndet(args) -> int:
-    cfg = _build_config(args)
+    cfg = _build_config(args, sizes=False)
     values = _list_flag("--values", args.values, int)
     if any(v < 1 for v in values):
         raise DomainError("cli: sweep values must all be >= 1")
-    records, vocab, _, split, det_map = _load_common(cfg)
-    model = _load_model(cfg, vocab)
+    model, _, vocab, _, split, det_map = _load_trained(cfg)
     read = (args.config, cfg.dataset, cfg.manifest, cfg.checkpoint)
     with _committed(*filter(None, [args.out]), inputs=read) as temps:  # the table's file, if --out names one
         lines = ["n_det\taverage_f1"]

@@ -13,7 +13,8 @@ from dataclasses import dataclass, fields
 from .errors import ConfigError, ParseError
 
 TRAIN_MODES = ("dnoc", "no-placeholder")
-BUFFER_BUDGET = 2 ** 30  # bytes of float64 a run's sizes may allocate at once: decode state, theta, world anchors
+BUFFER_BUDGET = 2 ** 30  # bytes of float64 a run's sizes may allocate at once: decode state, theta, world, corpus
+MODEL_SIZES = ("hidden_size", "embed_size", "image_dim", "key_dim")  # read by train; a checkpoint states its own
 
 
 @dataclass
@@ -39,12 +40,12 @@ class RunConfig:
 
 
 def text_lines(path, owner: str):
-    """(line number, line) of each line of a UTF-8 text file, read lazily in
-    one pass; lines end at ``\\n``, ``\\r\\n`` or ``\\r``, each read as ``\\n``.
-    A line that holds a byte that is not UTF-8 is a ParseError naming
-    ``owner`` (the module) and that line, so a file is refused at its first
-    faulty line whatever its size."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as f:
+    """(line number, line) of each line of a UTF-8 text file (after any
+    byte-order mark), read lazily in one pass; lines end at ``\\n``, ``\\r\\n``
+    or ``\\r``, each read as ``\\n``. A line that holds a byte that is not UTF-8
+    is a ParseError naming ``owner`` (the module) and that line, so a file is
+    refused at its first faulty line whatever its size."""
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as f:
         for line_no, line in enumerate(f, start=1):
             # surrogateescape reads such a byte as U+DC80..U+DCFF, which no UTF-8 text holds
             if not line.isascii() and any("\udc80" <= ch <= "\udcff" for ch in line):
@@ -94,15 +95,26 @@ def load_config(path) -> RunConfig:
     return RunConfig(**read_key_values(path, {f.name: f.type for f in fields(RunConfig)}, "config"))
 
 
-def validate_config(cfg: RunConfig) -> RunConfig:
-    for name in ("hidden_size", "embed_size", "image_dim", "key_dim", "n_det", "max_steps",
-                 "epochs", "batch_size"):
+def within_budget(n_bytes: int, error: type, sizes: str, holding: str) -> None:
+    """Raises ``error`` when ``n_bytes`` pass the budget, saying that ``sizes`` size ``holding`` at them."""
+    if n_bytes > BUFFER_BUDGET:
+        raise error(f"{sizes} size {holding} at {n_bytes} bytes, past the {BUFFER_BUDGET}-byte budget")
+
+
+def decode_within_budget(max_steps: int, hidden_size: int) -> None:
+    within_budget((2 * max_steps + 1) * hidden_size * 8, ConfigError,  # decode_greedy's h and c
+                  f"config: max_steps {max_steps} and hidden_size {hidden_size}", "a greedy decode's buffers")
+
+
+def validate_config(cfg: RunConfig, sizes: bool = True) -> RunConfig:
+    """``cfg``, or a ConfigError naming its first key that no run can honour.
+    With ``sizes`` false, for a command that loads a checkpoint, which states
+    them, the ``MODEL_SIZES`` are read neither here nor by the decode budget."""
+    for name in (MODEL_SIZES if sizes else ()) + ("n_det", "max_steps", "epochs", "batch_size"):
         if getattr(cfg, name) < 1:
             raise ConfigError(f"config: {name} must be >= 1, got {getattr(cfg, name)}")
-    decode_bytes = (2 * cfg.max_steps + 1) * cfg.hidden_size * 8  # decode_greedy's h and c
-    if decode_bytes > BUFFER_BUDGET:
-        raise ConfigError(f"config: max_steps {cfg.max_steps} and hidden_size {cfg.hidden_size} size a greedy "
-                          f"decode's buffers at {decode_bytes} bytes, past the {BUFFER_BUDGET}-byte budget")
+    if sizes:
+        decode_within_budget(cfg.max_steps, cfg.hidden_size)
     if cfg.seed < 0:
         raise ConfigError(f"config: seed must be >= 0, got {cfg.seed}")
     if not 0 < cfg.lr < float("inf"):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import BUFFER_BUDGET, read_json, read_key_values, text_lines
+from .config import read_json, read_key_values, text_lines, within_budget
 from .errors import CoverageError, DomainError, ParseError, SchemaError, ShapeError
 from .memory import Detections
 from .numerics import FLOAT
@@ -155,10 +155,8 @@ def make_world(names: tuple[str, ...] = DEFAULT_INVENTORY, dim: int = 32, seed: 
             ("templates", bad_templates, not bad_templates, "free of special tokens")):
         if not ok:  # refused before any anchor is drawn
             raise DomainError(f"data: world {key} must be {rule}, got {value}")
-    anchor_bytes = (min(latent_rank, dim) + len(names)) * dim * 8  # _make_anchors' basis and anchors
-    if anchor_bytes > BUFFER_BUDGET:
-        raise DomainError(f"data: world dim {dim}, latent_rank {latent_rank} and {len(names)} names size the basis "
-                          f"and anchors at {anchor_bytes} bytes, past the {BUFFER_BUDGET}-byte budget")
+    within_budget((min(latent_rank, dim) + len(names)) * dim * 8, DomainError,  # _make_anchors' basis and anchors
+                  f"data: world dim {dim}, latent_rank {latent_rank} and {len(names)} names", "the basis and anchors")
     rng = np.random.default_rng(seed)
     anchors = _make_anchors(rng, len(names), dim, latent_rank)
     return SyntheticWorld(names=tuple(names), anchors=anchors, templates=tuple(templates), noise_scale=noise_scale,
@@ -191,7 +189,7 @@ def generate_synthetic(world: SyntheticWorld, n_images: int,
 
     Object frequencies are kept balanced by redrawing the whole corpus if
     any object exceeds three times the median frequency. A corpus whose
-    arrays would pass ``BUFFER_BUDGET`` is refused before any draw.
+    arrays would pass ``config.BUFFER_BUDGET`` is refused before any draw.
     """
     lo, hi = objects_per_image
     n_obj = len(world.names)
@@ -207,10 +205,8 @@ def generate_synthetic(world: SyntheticWorld, n_images: int,
             raise DomainError(f"data: no sentence template with {k} object slots")
     # per image: the feature, a detection table of at most hi + distractors rows, the longest references
     rows, tokens = min(hi + world.distractors, n_obj), max(len(t.split()) for t in world.templates)
-    corpus_bytes = n_images * (world.dim + rows * (world.dim + 2) + world.refs_per_image * tokens) * 8
-    if corpus_bytes > BUFFER_BUDGET:
-        raise DomainError(f"data: n_images {n_images}, refs_per_image {world.refs_per_image} and dim {world.dim} "
-                          f"size the corpus at {corpus_bytes} bytes, past the {BUFFER_BUDGET}-byte budget")
+    within_budget(n_images * (world.dim + rows * (world.dim + 2) + world.refs_per_image * tokens) * 8, DomainError,
+                  f"data: n_images {n_images}, refs_per_image {world.refs_per_image} and dim {world.dim}", "the corpus")
     rng = np.random.default_rng(world.seed)
     for _ in range(100):
         records = _generate_once(world, n_images, lo, hi, pools, rng)
@@ -485,31 +481,25 @@ def _band(raw: str) -> tuple[float, float]:
     return float(low), float(high)
 
 
-# file key: (make_world argument and SyntheticWorld attribute, parser of the raw value,
-# formatter), in file order; the first four keys are required, the others take make_world's defaults
+# file key: (make_world argument, parser of the raw value); the first four keys are required,
+# the others take make_world's defaults
 _WORLD_TABLE = {
-    "inventory": ("names", str.split, " ".join),
-    "templates": ("templates", lambda raw: [t.strip() for t in raw.split("|")], " | ".join),
-    "noise_scale": ("noise_scale", float, repr),
-    "seed": ("seed", int, str),
-    "dim": ("dim", int, str),
-    "latent_rank": ("latent_rank", int, str),
-    "distractors": ("distractors", int, str),
-    "refs_per_image": ("refs_per_image", int, str),
-    "present_score": ("present_score", _band, lambda band: " ".join(map(repr, band))),
-    "distractor_score": ("distractor_score", _band, lambda band: " ".join(map(repr, band))),
+    "inventory": ("names", str.split),
+    "templates": ("templates", lambda raw: [t.strip() for t in raw.split("|")]),
+    "noise_scale": ("noise_scale", float),
+    "seed": ("seed", int),
+    "dim": ("dim", int),
+    "latent_rank": ("latent_rank", int),
+    "distractors": ("distractors", int),
+    "refs_per_image": ("refs_per_image", int),
+    "present_score": ("present_score", _band),
+    "distractor_score": ("distractor_score", _band),
 }
 _WORLD_KEYS = tuple(_WORLD_TABLE)
 
 
-def save_world_config(world: SyntheticWorld, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for key, (attr, _, fmt) in _WORLD_TABLE.items():
-            f.write(f"{key} = {fmt(getattr(world, attr))}\n")
-
-
 def load_world_config(path) -> SyntheticWorld:
-    values = read_key_values(path, {key: parse for key, (_, parse, _) in _WORLD_TABLE.items()}, "data")
+    values = read_key_values(path, {key: parse for key, (_, parse) in _WORLD_TABLE.items()}, "data")
     missing = next((key for key in _WORLD_KEYS[:4] if key not in values), None)
     if missing is not None:
         raise ParseError(f"data: world config is missing required key {missing!r}")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import BUFFER_BUDGET
+from .config import within_budget
 from .errors import CheckpointError, ConfigError, DomainError, NumericError, ShapeError
 from .numerics import FLOAT, cross_entropy
 
@@ -54,11 +54,9 @@ class CaptionModel:
     def __init__(self, vocab_size: int, hidden_size: int, embed_size: int, image_dim: int, key_dim: int,
                  seed: int = 0):
         sizes = (vocab_size, hidden_size, embed_size, image_dim, key_dim)
-        theta_bytes = sum(math.prod(s) for s in param_shapes(*sizes).values()) * 8
-        if theta_bytes > BUFFER_BUDGET:  # refused before theta is allocated
-            raise ConfigError(f"decoder: vocab_size {vocab_size}, hidden_size {hidden_size}, embed_size {embed_size}, "
-                              f"image_dim {image_dim} and key_dim {key_dim} size theta at {theta_bytes} bytes, "
-                              f"past the {BUFFER_BUDGET}-byte budget")
+        within_budget(sum(math.prod(s) for s in param_shapes(*sizes).values()) * 8, ConfigError,
+                      f"decoder: vocab_size {vocab_size}, hidden_size {hidden_size}, embed_size {embed_size}, "
+                      f"image_dim {image_dim} and key_dim {key_dim}", "theta")
         self._allocate(sizes)
         rng = np.random.default_rng(seed)
         for p in self.params().values():

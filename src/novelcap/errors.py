@@ -35,7 +35,7 @@ class CoverageError(NovelcapError):
 
 
 class CheckpointError(NovelcapError):
-    """Checkpoint file is unreadable or incompatible with the model config."""
+    """Checkpoint file is unreadable, or was not trained on the vocabulary it is run with."""
 
 
 class ConfigError(NovelcapError):

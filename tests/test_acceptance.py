@@ -19,7 +19,7 @@ import pytest
 
 from novelcap.cli import main as cli_main
 from novelcap.config import RunConfig
-from novelcap.data import build_heldout_split, generate_synthetic, make_world, save_world_config
+from novelcap.data import DEFAULT_TEMPLATES, build_heldout_split, generate_synthetic, make_world
 from novelcap.decoder import CaptionModel
 from novelcap.evaluation import average_f1_over, evaluate_split
 from novelcap.memory import Detections, ObjectMemory, memory_read
@@ -286,10 +286,10 @@ def test_criterion_8_known_object_direction(bench):
 
 
 def test_criterion_9_determinism(tmp_path):
-    world = make_world(names=("dog", "cat", "bus", "tree", "boat", "bird", "car", "horse"),
-                       dim=8, seed=3, noise_scale=0.05, latent_rank=5)
     world_path = tmp_path / "world.cfg"
-    save_world_config(world, world_path)
+    world_path.write_text("inventory = dog cat bus tree boat bird car horse\n"
+                          f"templates = {' | '.join(DEFAULT_TEMPLATES)}\n"
+                          "noise_scale = 0.05\nseed = 3\ndim = 8\nlatent_rank = 5\n")
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text("".join(f"{k} = {v}\n" for k, v in {
         "hidden_size": 24, "embed_size": 16, "image_dim": 8, "key_dim": 8,

@@ -8,12 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from novelcap import checkpoint as ckpt, cli, data as datamod, evaluation
+from novelcap import cli, data as datamod, evaluation, pipeline
 from novelcap.checkpoint import load_checkpoint, save_checkpoint
 from novelcap.cli import _build_config, build_parser, main
-from novelcap.config import load_config
-from novelcap.data import (load_dataset, load_manifest, load_world_config, make_world, save_dataset,
-                           save_world_config, split_from_manifest)
+from novelcap.config import load_config, validate_config
+from novelcap.data import load_dataset, load_manifest, load_world_config, save_dataset, split_from_manifest
 from novelcap.decoder import CaptionModel, param_shapes
 from novelcap.errors import NumericError
 from novelcap.evaluation import average_f1_over
@@ -21,13 +20,15 @@ from novelcap.memory import Detections
 from novelcap.pipeline import TrainingPairs, make_captioner
 from novelcap.vocabulary import build_vocabulary, intersect_detectable
 
+from support import world_text
+
 SMALL_WORLD = dict(names=("dog", "cat", "bus", "tree", "boat", "bird", "car", "horse"),
                    dim=8, seed=3, noise_scale=0.05, latent_rank=5)
 
 
 def write_world(tmp_path, name="world.cfg", **changes):
     path = tmp_path / name
-    save_world_config(make_world(**dict(SMALL_WORLD, **changes)), path)
+    path.write_text(world_text(**dict(SMALL_WORLD, **changes)))
     return str(path)
 
 
@@ -212,9 +213,8 @@ class TestGenData:
                                            f"twice (first on line {first})\n")
         assert not os.path.exists(load_config(cfg_path).dataset)
 
-    def test_repeated_known_word_in_the_manifest_fails_eval(self, tmp_path, capsys):
-        cfg_path = write_config(tmp_path)
-        assert main(gen_args(cfg_path, write_world(tmp_path))) == 0
+    def test_repeated_known_word_in_the_manifest_fails_eval(self, trained, capsys):
+        _, cfg_path = trained  # eval reads its checkpoint before the manifest
         manifest = Path(load_config(cfg_path).manifest)
         doc = json.loads(manifest.read_text())
         doc["known_words"].append(doc["known_words"][0])
@@ -468,12 +468,21 @@ class TestEvalAndSweep:
         assert lines[0] == "n_det\taverage_f1"
         assert len(lines) == 3
 
-    def test_dim_mismatch_is_checkpoint_error(self, trained, capsys):
-        tmp_path, cfg_path = trained
-        bad_cfg = write_config(tmp_path, hidden_size=16)
-        code = main(["eval", "--config", bad_cfg, "--mode", "dnoc"])
-        assert code == 1
-        assert "CheckpointError" in capsys.readouterr().err
+    def test_the_config_sizes_change_no_output_of_a_trained_model(self, trained, capsys):
+        # the checkpoint states the model's sizes: eval, caption and sweep-ndet read none of the config's
+        tmp_path, _ = trained
+        table = str(tmp_path / "sweep.tsv")
+        commands = (["eval", "--mode", "dnoc"], ["caption", "--image-id", "synth-00000"],
+                    ["sweep-ndet", "--values", "1,4", "--out", table])
+        runs = []
+        for sizes in ({}, {"hidden_size": 10 ** 12, "embed_size": 0, "image_dim": 3, "key_dim": -1}):
+            cfg_path = write_config(tmp_path, **sizes)
+            outputs = []
+            for command in commands:
+                assert main(command[:1] + ["--config", cfg_path] + command[1:]) == 0
+                outputs.append(capsys.readouterr())
+            runs.append((outputs, Path(load_config(cfg_path).report).read_bytes(), Path(table).read_bytes()))
+        assert runs[0] == runs[1]
 
     def test_malformed_checkpoint_is_checkpoint_error(self, trained, capsys):
         tmp_path, cfg_path = trained
@@ -540,6 +549,22 @@ class TestCheckpointVocabulary:
             f"the training records of {other} (it holds {trained_on.digest()!r}, they give {gives!r})\n")
 
     @pytest.mark.parametrize("command", ["eval", "caption", "sweep-ndet"])
+    def test_a_checkpoint_of_another_vocab_size_under_the_same_digest_is_refused(self, trained, capsys, command):
+        tmp_path, cfg_path = trained
+        cfg = load_config(cfg_path)
+        params, vocab_ref = load_checkpoint(cfg.checkpoint)
+        # one word more in every array the vocabulary sizes
+        wider = dict(params, embed=np.pad(params["embed"], ((0, 0), (0, 1))),
+                     w_out=np.pad(params["w_out"], ((0, 1), (0, 0))), b_out=np.pad(params["b_out"], (0, 1)))
+        save_checkpoint(cfg.checkpoint, wider, vocab_ref=vocab_ref)
+        size = training_vocabulary(cfg).size
+        capsys.readouterr()
+        assert main(self.args(command, cfg_path)) == 1
+        assert capsys.readouterr() == ("", (
+            f"novelcap: CheckpointError: cli: checkpoint {cfg.checkpoint} has vocab_size {size + 1}, not the "
+            f"{size} words of the training records of {cfg.manifest}\n"))
+
+    @pytest.mark.parametrize("command", ["eval", "caption", "sweep-ndet"])
     def test_a_checkpoint_that_holds_a_vocabulary_path_is_refused(self, trained, capsys, command):
         tmp_path, cfg_path = trained
         cfg = load_config(cfg_path)
@@ -575,12 +600,14 @@ class TestDetectionChecks:
         assert "SchemaError" in err and "record 'synth-00005' has detection label 99" in err, err
 
     @pytest.mark.parametrize("command, key", [(["eval", "--mode", "no-memory"], "key_dim"),
+                                              (["eval"], "image_dim"),
                                               (["caption", "--image-id", "synth-00000"], "key_dim"),
                                               (["sweep-ndet", "--values", "1,2"], "key_dim"),
                                               (["train"], "key_dim"),
                                               (["train"], "image_dim")],
-                             ids=["eval", "caption", "sweep-ndet", "train", "train-image_dim"])
+                             ids=["eval", "eval-image_dim", "caption", "sweep-ndet", "train", "train-image_dim"])
     def test_detection_length_must_match_key_dim(self, trained, capsys, monkeypatch, command, key):
+        # train holds the data to the config's sizes; the others, to the sizes of the checkpoint they load
         tmp_path, cfg_path = trained
 
         def shorten(rec):
@@ -592,15 +619,16 @@ class TestDetectionChecks:
         rewrite_dataset(cfg_path, shorten)
 
         def unreachable(*args, **kwargs):
-            raise AssertionError("pairs built or checkpoint read for data of the wrong length")
+            raise AssertionError("pairs built or a caption decoded for data of the wrong length")
 
         monkeypatch.setattr(TrainingPairs, "of", unreachable)
-        monkeypatch.setattr(ckpt, "load_checkpoint", unreachable)
+        monkeypatch.setattr(pipeline, "decode_greedy", unreachable)
         assert main(command[:1] + ["--config", cfg_path] + command[1:]) == 1
         captured = capsys.readouterr()
-        assert not captured.out
-        assert "SchemaError" in captured.err and f"{key} 8" in captured.err, captured.err
-        assert captured.err.count("\n") == 1, captured.err
+        kind = "image" if key == "image_dim" else "detection"
+        assert (captured.out, captured.err) == ("", (
+            f"novelcap: SchemaError: cli: {kind} features in {load_config(cfg_path).dataset} have length 6, "
+            f"not the {'config' if command == ['train'] else 'checkpoint'}'s {key} 8\n"))
 
 
 class TestListFlags:
@@ -678,6 +706,24 @@ class TestMaxStepsPastTheBudget:
         assert not captured.out
         assert captured.err == ("novelcap: ConfigError: config: max_steps 1000000000000 and hidden_size 24 size a "
                                 "greedy decode's buffers at 384000000000192 bytes, past the 1073741824-byte budget\n")
+
+    def test_eval_counts_it_at_the_checkpoint_hidden_size(self, trained, capsys, monkeypatch):
+        # 10**7 steps fit the budget at the config's hidden_size 1, not at the checkpoint's 24
+        tmp_path, _ = trained
+        cfg_path = write_config(tmp_path, hidden_size=1, max_steps=10 ** 7, report=tmp_path / "fresh.json")
+        cfg = load_config(cfg_path)
+        assert validate_config(cfg) is cfg
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("data read for a refused max_steps")
+
+        monkeypatch.setattr(datamod, "load_dataset", unreachable)
+        capsys.readouterr()
+        assert main(["eval", "--config", cfg_path]) == 1
+        assert capsys.readouterr() == ("", (
+            "novelcap: ConfigError: config: max_steps 10000000 and hidden_size 24 size a greedy decode's buffers "
+            "at 3840000192 bytes, past the 1073741824-byte budget\n"))
+        assert not os.path.exists(cfg.report)
 
 
 class TestEmbedSizePastTheBudget:

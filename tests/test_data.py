@@ -5,18 +5,18 @@ import json
 import struct
 import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from novelcap import data as datamod
+from novelcap import config, data as datamod
 from novelcap.data import (_WORLD_KEYS, DEFAULT_HELD_OUT, DEFAULT_INVENTORY, DatasetRecord, build_heldout_split,
                            generate_synthetic, load_dataset, load_manifest, load_world_config,
-                           make_world, mentions, save_dataset, save_world_config,
-                           split_from_manifest)
+                           make_world, mentions, save_dataset, split_from_manifest)
 from novelcap.errors import CoverageError, DomainError, ParseError, SchemaError
 from novelcap.memory import Detections
+
+from support import world_text
 
 
 def record_mentions(record, words) -> bool:
@@ -26,11 +26,10 @@ def record_mentions(record, words) -> bool:
 
 
 def world_file_with(tmp_path, line):
-    """A saved small world whose line for ``line``'s key is replaced by ``line``."""
+    """The small world's config, every key set once, with the line for ``line``'s key replaced by ``line``."""
     path = tmp_path / "world.cfg"
-    save_world_config(small_world(), path)
     key = line.split(" =")[0]
-    lines = [line if old.startswith(f"{key} =") else old for old in path.read_text().splitlines()]
+    lines = [line if old.startswith(f"{key} =") else old for old in world_text(**SMALL_WORLD).splitlines()]
     path.write_text("\n".join(lines) + "\n")
     return path
 
@@ -48,11 +47,11 @@ def line(image_id, feature, features=(), labels=(), scores=(), tokens=("dog",)) 
                       separators=(",", ":"))
 
 
+SMALL_WORLD = dict(names=("dog", "cat", "bus", "tree", "boat", "bird"), dim=8, seed=3, noise_scale=0.05, latent_rank=4)
+
+
 def small_world(**kwargs):
-    defaults = dict(names=("dog", "cat", "bus", "tree", "boat", "bird"),
-                    dim=8, seed=3, noise_scale=0.05, latent_rank=4)
-    defaults.update(kwargs)
-    return make_world(**defaults)
+    return make_world(**dict(SMALL_WORLD, **kwargs))
 
 
 class TestGenerate:
@@ -136,10 +135,10 @@ class TestGenerate:
             raise Drawn
 
         monkeypatch.setattr(datamod, "_generate_once", drawn)
-        monkeypatch.setattr(datamod, "BUFFER_BUDGET", corpus_bytes)
+        monkeypatch.setattr(config, "BUFFER_BUDGET", corpus_bytes)
         with pytest.raises(Drawn):
             generate_synthetic(world, n_images, objects_per_image)
-        monkeypatch.setattr(datamod, "BUFFER_BUDGET", corpus_bytes - 1)
+        monkeypatch.setattr(config, "BUFFER_BUDGET", corpus_bytes - 1)
         with pytest.raises(DomainError) as caught:
             generate_synthetic(world, n_images, objects_per_image)
         assert str(caught.value) == (f"data: n_images {n_images}, refs_per_image 2 and dim 32 size the corpus at "
@@ -488,23 +487,20 @@ class TestTemplates:
 
 
 class TestWorldConfig:
-    def test_round_trip(self, tmp_path):
+    def test_reads_every_key(self, tmp_path):
+        path = tmp_path / "world.cfg"
+        path.write_text("inventory = dog cat bus tree boat bird\ntemplates = a {} here | a {} and a {}\n"
+                        "noise_scale = 0.05\nseed = 3\ndim = 8\nlatent_rank = 4\ndistractors = 2\n"
+                        "refs_per_image = 1\npresent_score = 0.6 0.9\ndistractor_score = 0.25 0.5\n")
+        loaded = load_world_config(path)
         world = small_world(templates=("a {} here", "a {} and a {}"), distractors=2, refs_per_image=1,
                             present_score=(0.6, 0.9), distractor_score=(0.25, 0.5))
-        path = tmp_path / "world.cfg"
-        save_world_config(world, path)
-        loaded = load_world_config(path)
         attrs = ("names", "templates", "noise_scale", "seed", "dim", "latent_rank", "distractors",
                  "refs_per_image", "present_score", "distractor_score")
         default = make_world()
         for attr in attrs:  # every key, each at a value that is not its default
             assert getattr(loaded, attr) == getattr(world, attr) != getattr(default, attr), attr
         assert np.array_equal(loaded.anchors, world.anchors)  # same seed, same anchors
-
-    def test_shipped_world_saves_back_to_its_own_bytes(self, tmp_path):
-        shipped = Path(__file__).resolve().parent.parent / "configs" / "benchmark-world.cfg"
-        save_world_config(load_world_config(shipped), tmp_path / "world.cfg")
-        assert (tmp_path / "world.cfg").read_bytes() == shipped.read_bytes()
 
     @pytest.mark.parametrize("line, message", [
         ("present_score = 0.9 0.1", "present_score must be 0 <= low <= high <= 1, got (0.9, 0.1)"),
@@ -543,7 +539,7 @@ class TestWorldConfig:
                                            ("noise_scale = ", "noise_scale")],
                              ids=["band-one-number", "band-three-numbers", "dim-word", "seed-float", "noise-empty"])
     def test_a_value_that_does_not_parse_is_refused_by_key(self, tmp_path, line, key):
-        line_no = _WORLD_KEYS.index(key) + 1  # the saved world writes its keys in table order
+        line_no = _WORLD_KEYS.index(key) + 1  # world_text writes its keys in table order
         with pytest.raises(ParseError, match=f"^data: line {line_no}: {key} = .* does not parse"):
             load_world_config(world_file_with(tmp_path, line))
 

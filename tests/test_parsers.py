@@ -302,6 +302,35 @@ class TestNotUtf8:
         assert err == "novelcap: ParseError: config: line 2: not UTF-8 text\n", err
 
 
+BOM = b"\xef\xbb\xbf"  # the UTF-8 byte-order mark, as some editors write it first
+# each reader with a text it reads
+BOM_CASES = [
+    pytest.param(load_config, b"seed = 3\nepochs = 2\n", id="load_config"),
+    pytest.param(load_world_config, b"inventory = dog cat bus tree\ntemplates = a {} here\nnoise_scale = 0.05\n"
+                 b"seed = 3\ndim = 4\n", id="load_world_config"),
+    pytest.param(load_dataset, (json.dumps(GOOD_RECORD) + "\n").encode(), id="load_dataset"),
+    pytest.param(load_manifest, json.dumps(GOOD_MANIFEST, indent=1).encode(), id="load_manifest"),
+]
+
+
+class TestByteOrderMark:
+    @pytest.mark.parametrize("parse, raw", BOM_CASES)
+    def test_a_leading_mark_reads_as_the_text_without_it(self, tmp_path, parse, raw):
+        path = tmp_path / "file"
+        path.write_bytes(raw)
+        without = outcome(parse, path)
+        assert without[0] == "read", without
+        path.write_bytes(BOM + raw)
+        assert outcome(parse, path) == without
+
+    def test_a_mark_past_the_start_is_text(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"seed = 3\n" + BOM + b"epochs = 2\n")
+        with pytest.raises(ParseError) as caught:
+            load_config(path)
+        assert str(caught.value) == r"config: line 2: unknown key '\ufeffepochs'"
+
+
 # --- fuzzing ---------------------------------------------------------------
 
 JSON_SCALARS = (st.none() | st.booleans() | st.integers(-10 ** 6, 10 ** 6) | st.text(max_size=6)
