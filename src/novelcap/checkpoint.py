@@ -50,9 +50,7 @@ def save_checkpoint(path, params: dict[str, np.ndarray], vocab_ref: str = "") ->
         for name, arr in params.items():
             arr = np.ascontiguousarray(arr, dtype=FLOAT)
             _write_str(f, name)
-            f.write(struct.pack("<I", arr.ndim))
-            for d in arr.shape:
-                f.write(struct.pack("<I", d))
+            f.write(struct.pack(f"<{1 + arr.ndim}I", arr.ndim, *arr.shape))
             f.write(arr.astype("<f8", copy=False).tobytes())
 
 

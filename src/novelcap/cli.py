@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Commands: gen-data, train, caption, eval, sweep-ndet. Every command is
-deterministic given the config seed; all errors exit nonzero with a
-message naming the failing module. ``train`` stores the digest of the
+deterministic given the config seed; every error, a float fault included,
+exits nonzero with one line naming the failing module. ``train`` alone
+reads the model's sizes from the config, and stores the digest of the
 training records' vocabulary in the checkpoint; the commands that load one
 take the model's sizes from it and refuse any other vocabulary. ``eval``
 writes a report that no command reads.
@@ -14,11 +15,14 @@ import dataclasses
 import errno
 import os
 import sys
+import traceback
+
+import numpy as np
 
 from . import checkpoint as ckpt
 from . import data as datamod
-from .config import RunConfig, decode_within_budget, load_config, validate_config
-from .decoder import CaptionModel
+from .config import MODEL_SIZES, RunConfig, at_least_one, load_config, validate_config
+from .decoder import CaptionModel, decode_within_budget
 from .errors import CheckpointError, ConfigError, CoverageError, DomainError, NovelcapError, SchemaError
 from .evaluation import average_f1_over, evaluate_split, format_report_lines, write_report
 from .pipeline import CAPTION_MODES, make_captioner, train_model
@@ -98,11 +102,11 @@ class _Parser(argparse.ArgumentParser):
         return super().parse_known_args(joined, namespace)
 
 
-def _build_config(args, sizes: bool = True) -> RunConfig:
+def _build_config(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
     # a flag's dest is the config key it overrides; a command has only the flags it reads
     overrides = {key: getattr(args, key, None) for key in ("seed", "n_det", "checkpoint", "world")}
-    return validate_config(dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None}), sizes)
+    return validate_config(dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None}))
 
 
 def _training_vocabulary(split):  # a run's one vocabulary: the words of its training captions
@@ -136,7 +140,7 @@ def _load_trained(cfg):
     then to the training vocabulary's digest and then its vocab_size."""
     params, vocab_ref = ckpt.load_checkpoint(cfg.checkpoint)
     model = CaptionModel.from_params(params)
-    decode_within_budget(cfg.max_steps, model.hidden_size)
+    decode_within_budget(cfg.max_steps, model.hidden_size, "checkpoint")
     records, vocab, manifest, split, det_map = _load_common(cfg, model)
     digest = vocab.digest()
     if vocab_ref != digest:
@@ -181,6 +185,8 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _build_config(args)
+    at_least_one(cfg, MODEL_SIZES)  # the one command that reads them, before any data
+    decode_within_budget(cfg.max_steps, cfg.hidden_size, "config")
     _, vocab, _, split, det_map = _load_common(cfg)
     # only a finished run renames its outputs into place, so a failed one leaves the last run's whole
     read = (args.config, cfg.dataset, cfg.manifest)
@@ -198,7 +204,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_caption(args) -> int:
-    cfg = _build_config(args, sizes=False)
+    cfg = _build_config(args)
     model, records, vocab, _, _, det_map = _load_trained(cfg)
     by_id = {r.image_id: r for r in records}
     if args.image_id not in by_id:
@@ -210,7 +216,7 @@ def cmd_caption(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = _build_config(args, sizes=False)
+    cfg = _build_config(args)
     model, _, vocab, manifest, split, det_map = _load_trained(cfg)
     split_hash = datamod.manifest_hash(cfg.manifest)
     read = (args.config, cfg.dataset, cfg.manifest, cfg.checkpoint)
@@ -225,7 +231,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep_ndet(args) -> int:
-    cfg = _build_config(args, sizes=False)
+    cfg = _build_config(args)
     values = _list_flag("--values", args.values, int)
     if any(v < 1 for v in values):
         raise DomainError("cli: sweep values must all be >= 1")
@@ -293,7 +299,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(divide="raise", over="raise", invalid="raise"):  # underflow stays ignored
+            return args.func(args)
+    except FloatingPointError as e:  # a fault no named check follows, refused in the module that made it
+        package = os.path.dirname(os.path.abspath(__file__))
+        where = next(frame.filename for frame in reversed(traceback.extract_tb(e.__traceback__))
+                     if os.path.dirname(os.path.abspath(frame.filename)) == package)
+        print(f"novelcap: NumericError: {os.path.basename(where)[:-3]}: {e}", file=sys.stderr)
+        return 1
     except NovelcapError as e:
         print(f"novelcap: {type(e).__name__}: {e}", file=sys.stderr)
         return 1

@@ -4,7 +4,9 @@ Defaults follow the reference operating point where one exists (four
 memory slots, 15 decode steps, Adam at 1e-3 with 5e-5 weight decay, 50
 epochs) with desk-scale dimensions. A config file is plain ``key = value``
 lines, each value converted to its field's type as its line is read;
-command-line flags win over file values.
+command-line flags win over file values. The model's sizes
+(``MODEL_SIZES``) are ``train``'s to check, as it alone reads them;
+``within_budget`` is the one budget that every size is held to.
 """
 
 import json
@@ -13,8 +15,8 @@ from dataclasses import dataclass, fields
 from .errors import ConfigError, ParseError
 
 TRAIN_MODES = ("dnoc", "no-placeholder")
-BUFFER_BUDGET = 2 ** 30  # bytes of float64 a run's sizes may allocate at once: decode state, theta, world, corpus
-MODEL_SIZES = ("hidden_size", "embed_size", "image_dim", "key_dim")  # read by train; a checkpoint states its own
+BUFFER_BUDGET = 2 ** 30  # bytes of float64 a run's sizes may allocate at once: decode, training, world, corpus
+MODEL_SIZES = ("hidden_size", "embed_size", "image_dim", "key_dim")  # train's alone; a checkpoint states its own
 
 
 @dataclass
@@ -101,20 +103,17 @@ def within_budget(n_bytes: int, error: type, sizes: str, holding: str) -> None:
         raise error(f"{sizes} size {holding} at {n_bytes} bytes, past the {BUFFER_BUDGET}-byte budget")
 
 
-def decode_within_budget(max_steps: int, hidden_size: int) -> None:
-    within_budget((2 * max_steps + 1) * hidden_size * 8, ConfigError,  # decode_greedy's h and c
-                  f"config: max_steps {max_steps} and hidden_size {hidden_size}", "a greedy decode's buffers")
-
-
-def validate_config(cfg: RunConfig, sizes: bool = True) -> RunConfig:
-    """``cfg``, or a ConfigError naming its first key that no run can honour.
-    With ``sizes`` false, for a command that loads a checkpoint, which states
-    them, the ``MODEL_SIZES`` are read neither here nor by the decode budget."""
-    for name in (MODEL_SIZES if sizes else ()) + ("n_det", "max_steps", "epochs", "batch_size"):
+def at_least_one(cfg: RunConfig, names) -> None:
+    """A ConfigError naming the first of ``names`` whose value in ``cfg`` is below 1."""
+    for name in names:
         if getattr(cfg, name) < 1:
             raise ConfigError(f"config: {name} must be >= 1, got {getattr(cfg, name)}")
-    if sizes:
-        decode_within_budget(cfg.max_steps, cfg.hidden_size)
+
+
+def validate_config(cfg: RunConfig) -> RunConfig:
+    """``cfg``, or a ConfigError naming its first key that no run can honour.
+    The ``MODEL_SIZES`` are ``train``'s to check; no other command reads them."""
+    at_least_one(cfg, ("n_det", "max_steps", "epochs", "batch_size"))
     if cfg.seed < 0:
         raise ConfigError(f"config: seed must be >= 0, got {cfg.seed}")
     if not 0 < cfg.lr < float("inf"):

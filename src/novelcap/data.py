@@ -295,10 +295,8 @@ def build_heldout_split(records: list[DatasetRecord], held_out_words,
 
     safe_order = [records[i] for i in safe[rng.permutation(len(safe))]]
     n = len(safe_order)
-    n_train = int(round(ratios[0] * n))
-    n_val = int(round(ratios[1] * n))
-    n_train = min(n_train, n)
-    n_val = min(n_val, n - n_train)
+    n_train = min(int(round(ratios[0] * n)), n)
+    n_val = min(int(round(ratios[1] * n)), n - n_train)
     train = safe_order[:n_train]
     val = safe_order[n_train:n_train + n_val] + [records[i] for i in eval_val]
     test = safe_order[n_train + n_val:] + [records[i] for i in eval_test]
@@ -516,9 +514,7 @@ def save_manifest(split: HeldOutSplit, class_names, path) -> None:
         "held_out_words": list(split.held_out_words),
         "class_names": list(class_names),
         "known_words": [w for w in class_names if w not in split.held_out_words],
-        "train": [r.image_id for r in split.train],
-        "val": [r.image_id for r in split.val],
-        "test": [r.image_id for r in split.test],
+        **{part: [r.image_id for r in getattr(split, part)] for part in ("train", "val", "test")},
     }
     with open(path, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=1)

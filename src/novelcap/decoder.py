@@ -42,6 +42,13 @@ def param_shapes(vocab_size: int, hidden_size: int, embed_size: int, image_dim: 
 PARAM_NAMES = tuple(param_shapes(1, 1, 1, 1, 1))
 
 
+def theta_within_budget(sizes: tuple[int, int, int, int, int], copies: int, holding: str) -> None:
+    """A ConfigError naming the five ``sizes`` when ``copies`` vectors of their ``theta``'s size pass the budget."""
+    v, h, e, d, k = sizes
+    within_budget(copies * sum(math.prod(s) for s in param_shapes(*sizes).values()) * 8, ConfigError,
+                  f"decoder: vocab_size {v}, hidden_size {h}, embed_size {e}, image_dim {d} and key_dim {k}", holding)
+
+
 class CaptionModel:
     """All trainable parameters, as named views into one float64 vector, ``theta``.
 
@@ -54,9 +61,7 @@ class CaptionModel:
     def __init__(self, vocab_size: int, hidden_size: int, embed_size: int, image_dim: int, key_dim: int,
                  seed: int = 0):
         sizes = (vocab_size, hidden_size, embed_size, image_dim, key_dim)
-        within_budget(sum(math.prod(s) for s in param_shapes(*sizes).values()) * 8, ConfigError,
-                      f"decoder: vocab_size {vocab_size}, hidden_size {hidden_size}, embed_size {embed_size}, "
-                      f"image_dim {image_dim} and key_dim {key_dim}", "theta")
+        theta_within_budget(sizes, 1, "theta")
         self._allocate(sizes)
         rng = np.random.default_rng(seed)
         for p in self.params().values():
@@ -384,6 +389,13 @@ class DecodeTrace:
     ids: list[int]
     hiddens: np.ndarray
     placeholder_positions: list[int]
+
+
+def decode_within_budget(max_steps: int, hidden_size: int, owner: str) -> None:
+    """Refuses ``decode_greedy``'s h and c past the budget at the hidden_size of ``owner``, config or checkpoint."""
+    within_budget((2 * max_steps + 1) * hidden_size * 8, ConfigError,
+                  f"decoder: max_steps {max_steps} and the {owner}'s hidden_size {hidden_size}",
+                  "a greedy decode's buffers")
 
 
 def decode_greedy(image_feature: np.ndarray, snapshot: DecodeSnapshot, go_id: int, eos_id: int,

@@ -85,7 +85,9 @@ def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState) -> tuple[np
     and the guard eps*sqrt(1-b2^t) (Kingma & Ba 2015, section 2), so no pass
     forms m_hat or v_hat. Squares cannot cancel, so a non-finite entry makes
     param . param non-finite and is refused at the step that made it (as is
-    an entry past 1e154, whose square overflows).
+    an entry past 1e154, whose square overflows). So is a gradient entry
+    past 1e154, whose square makes ``v`` infinite and every later update of
+    that entry zero.
     """
     if param.shape != grad.shape or param.shape != state.m.shape:
         raise ShapeError(
@@ -104,6 +106,8 @@ def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState) -> tuple[np
                        denom, out=a)
     if not math.isfinite(np.vdot(param, param)):
         raise NumericError("numerics: adam_step produced non-finite parameter entries")
+    if not math.isfinite(np.maximum.reduce(state.v, axis=None)):  # v >= 0: only an overflow makes its max infinite
+        raise NumericError("numerics: adam_step overflowed the second moment: a gradient entry is past 1e154")
     return param, state
 
 

@@ -28,7 +28,7 @@ from . import evaluation
 from .config import TRAIN_MODES
 from .data import HeldOutSplit
 from .decoder import (CaptionModel, DecodeSnapshot, backward_pass, decode_greedy, forward_teacher_forced,
-                      pad_sequences, sequence_loss)
+                      pad_sequences, sequence_loss, theta_within_budget)
 from .errors import ConfigError, DomainError, NumericError
 from .memory import (Detections, ObjectMemory, build_memory, check_labels, make_query, memory_loss_forward,
                      memory_read, read_loss_backward, select_top_detections)
@@ -36,6 +36,9 @@ from .numerics import AdamState, adam_step
 from .vocabulary import PLACEHOLDER, DetectableSet, Vocabulary, mask_weights, rewrite_targets
 
 CLIP_NORM = 5.0  # global L2 bound on each batch's summed gradients
+# theta-sized float64 vectors training holds at once: theta, its gradient, Adam's two moments and three work
+# rows, the best snapshot and the last epoch's decode snapshot
+TRAINING_VECTORS = 9
 CAPTION_MODES = ("dnoc", "no-memory", "no-placeholder")
 
 
@@ -201,8 +204,9 @@ def train_model(split: HeldOutSplit, vocab: Vocabulary, det_map: DetectableSet, 
     if mode == "no-placeholder":
         train_map = replace(det_map, word_classes=np.full_like(det_map.word_classes, -1))
         selection_words = tuple(sorted(vocab.word_of(i) for i in np.flatnonzero(det_map.word_classes >= 0)))
-    model = CaptionModel(vocab.size, hidden_size=cfg.hidden_size, embed_size=cfg.embed_size,
-                         image_dim=cfg.image_dim, key_dim=cfg.key_dim, seed=cfg.seed)
+    sizes = (vocab.size, cfg.hidden_size, cfg.embed_size, cfg.image_dim, cfg.key_dim)
+    theta_within_budget(sizes, TRAINING_VECTORS, f"the {TRAINING_VECTORS} theta-sized vectors training holds")
+    model = CaptionModel(*sizes, seed=cfg.seed)
     opt = AdamState.for_param(model.theta, lr=cfg.lr, weight_decay=cfg.weight_decay)
     pairs = TrainingPairs.of([TrainExample(rec.feature, vocab.encode(ref, append_eos=True), rec.detections)
                               for rec in split.train for ref in rec.references], train_map,
@@ -211,13 +215,11 @@ def train_model(split: HeldOutSplit, vocab: Vocabulary, det_map: DetectableSet, 
     result = TrainResult()
     for epoch in range(1, cfg.epochs + 1):
         order = np.random.default_rng([cfg.seed, epoch]).permutation(len(pairs))
-        sums = np.zeros(2)
-        n_batches = 0
-        for start in range(0, len(order), cfg.batch_size):
-            ls, lm, _ = train_step(order[start:start + cfg.batch_size], pairs, model, opt)
-            sums += (ls, lm)
-            n_batches += 1
-        loss_seq, loss_mem = sums / max(n_batches, 1)
+        starts, sums = range(0, len(order), cfg.batch_size), np.zeros(2)
+        with np.errstate(all="ignore"):  # a step's float fault is refused by name: by its loss or adam_step check
+            for start in starts:
+                sums += train_step(order[start:start + cfg.batch_size], pairs, model, opt)[:2]
+        loss_seq, loss_mem = sums / max(len(starts), 1)
         captioner = make_captioner(model, vocab, det_map, cfg, mode)
         val_f1 = evaluation.average_f1_over(split.val, captioner, selection_words)
         stats = EpochStats(epoch=epoch, loss_seq=loss_seq, loss_mem=loss_mem,

@@ -112,9 +112,7 @@ def build_vocabulary(training_sentences: list[list[str]]) -> Vocabulary:
     Two builds from the same sentences, in any order, assign identical ids."""
     if not training_sentences:
         raise DomainError("vocabulary: cannot build from an empty corpus")
-    counts = Counter()
-    for sent in training_sentences:
-        counts.update(sent)
+    counts = Counter(word for sent in training_sentences for word in sent)
     kept = sorted((w for w in counts if w not in SPECIAL_TOKENS), key=lambda w: (-counts[w], w))
     return Vocabulary(words=tuple(kept) + SPECIAL_TOKENS)
 
@@ -146,19 +144,16 @@ def intersect_detectable(vocab: Vocabulary, detection_classes: list[str]) -> Det
     that repeats, is refused by name. An empty intersection is legal;
     out-of-vocabulary classes are marked novel.
     """
-    seen = set()
-    for name in detection_classes:
+    seen, word_classes = set(), np.full(vocab.size, -1, dtype=np.intp)
+    for c, name in enumerate(detection_classes):
         fault = word_fault(name)
         if fault:
             raise DomainError(f"vocabulary: detection class {name!r} {fault}")
         if name in seen:
             raise DomainError(f"vocabulary: duplicate detection class {name!r}")
         seen.add(name)
-    word_classes = np.full(vocab.size, -1, dtype=np.intp)
-    for c, name in enumerate(detection_classes):
-        wid = vocab.index.get(name)
-        if wid is not None:
-            word_classes[wid] = c
+        if name in vocab.index:
+            word_classes[vocab.index[name]] = c
     return DetectableSet(
         class_words=tuple(detection_classes),
         placeholder_id=vocab.placeholder_id,

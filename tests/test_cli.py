@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -11,9 +12,9 @@ import pytest
 from novelcap import cli, data as datamod, evaluation, pipeline
 from novelcap.checkpoint import load_checkpoint, save_checkpoint
 from novelcap.cli import _build_config, build_parser, main
-from novelcap.config import load_config, validate_config
+from novelcap.config import MODEL_SIZES, load_config
 from novelcap.data import load_dataset, load_manifest, load_world_config, save_dataset, split_from_manifest
-from novelcap.decoder import CaptionModel, param_shapes
+from novelcap.decoder import CaptionModel, decode_within_budget, param_shapes
 from novelcap.errors import NumericError
 from novelcap.evaluation import average_f1_over
 from novelcap.memory import Detections
@@ -22,6 +23,7 @@ from novelcap.vocabulary import build_vocabulary, intersect_detectable
 
 from support import world_text
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SMALL_WORLD = dict(names=("dog", "cat", "bus", "tree", "boat", "bird", "car", "horse"),
                    dim=8, seed=3, noise_scale=0.05, latent_rank=5)
 
@@ -704,15 +706,17 @@ class TestMaxStepsPastTheBudget:
         assert main(command[:1] + ["--config", cfg_path] + command[1:]) == 1
         captured = capsys.readouterr()
         assert not captured.out
-        assert captured.err == ("novelcap: ConfigError: config: max_steps 1000000000000 and hidden_size 24 size a "
-                                "greedy decode's buffers at 384000000000192 bytes, past the 1073741824-byte budget\n")
+        owner = "config" if command[0] == "train" else "checkpoint"  # whose hidden_size sizes the decode
+        assert captured.err == (f"novelcap: ConfigError: decoder: max_steps 1000000000000 and the {owner}'s "
+                                f"hidden_size 24 size a greedy decode's buffers at 384000000000192 bytes, past the "
+                                f"1073741824-byte budget\n")
 
     def test_eval_counts_it_at_the_checkpoint_hidden_size(self, trained, capsys, monkeypatch):
         # 10**7 steps fit the budget at the config's hidden_size 1, not at the checkpoint's 24
         tmp_path, _ = trained
         cfg_path = write_config(tmp_path, hidden_size=1, max_steps=10 ** 7, report=tmp_path / "fresh.json")
         cfg = load_config(cfg_path)
-        assert validate_config(cfg) is cfg
+        decode_within_budget(cfg.max_steps, cfg.hidden_size, "config")  # train would decode within the budget
 
         def unreachable(*args, **kwargs):
             raise AssertionError("data read for a refused max_steps")
@@ -721,8 +725,8 @@ class TestMaxStepsPastTheBudget:
         capsys.readouterr()
         assert main(["eval", "--config", cfg_path]) == 1
         assert capsys.readouterr() == ("", (
-            "novelcap: ConfigError: config: max_steps 10000000 and hidden_size 24 size a greedy decode's buffers "
-            "at 3840000192 bytes, past the 1073741824-byte budget\n"))
+            "novelcap: ConfigError: decoder: max_steps 10000000 and the checkpoint's hidden_size 24 size a greedy "
+            "decode's buffers at 3840000192 bytes, past the 1073741824-byte budget\n"))
         assert not os.path.exists(cfg.report)
 
 
@@ -743,7 +747,8 @@ class TestEmbedSizePastTheBudget:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", (
             f"novelcap: ConfigError: decoder: vocab_size {vocab_size}, hidden_size 24, embed_size 1000000000000, "
-            f"image_dim 8 and key_dim 8 size theta at {theta_bytes} bytes, past the 1073741824-byte budget\n"))
+            f"image_dim 8 and key_dim 8 size the 9 theta-sized vectors training holds at {9 * theta_bytes} bytes, "
+            f"past the 1073741824-byte budget\n"))
         before["run.cfg"] = Path(cfg_path).read_bytes()
         assert files_under(tmp_path) == before  # the last run's log and checkpoint, and no temporary file
 
@@ -769,6 +774,84 @@ class TestCorpusPastTheBudget:
             f"novelcap: DomainError: data: n_images {n_images}, refs_per_image {refs} and dim 8 size the corpus "
             f"at {corpus_bytes} bytes, past the 1073741824-byte budget\n"))
         assert files_under(tmp_path) == before  # no dataset, manifest or temporary file
+
+
+class TestModelSizesAreTrainsAlone:
+    def test_gen_data_reads_neither_them_nor_the_decode_budget(self, tmp_path, capsys):
+        # sizes that train refuses, and a decode past the budget, change no byte of gen-data's outputs
+        shipped = (CONFIGS / "benchmark.cfg").read_text()
+        broken = shipped
+        for key, value in {"hidden_size": 0, "embed_size": 0, "image_dim": -1, "key_dim": 0,
+                           "max_steps": 10 ** 12}.items():
+            broken, count = re.subn(rf"^{key} = .*$", f"{key} = {value}", broken, flags=re.MULTILINE)
+            assert count == 1, key
+        (tmp_path / "sizes.cfg").write_text(broken)
+        runs = []
+        for cfg_path in (CONFIGS / "benchmark.cfg", tmp_path / "sizes.cfg"):
+            out = tmp_path / "data"
+            assert main(["gen-data", "--config", str(cfg_path), "--world-config", str(CONFIGS / "benchmark-world.cfg"),
+                         "--n-images", "1050", "--objects-per-image", "1,1", "--out", str(out)]) == 0
+            runs.append((capsys.readouterr(), files_under(out)))
+        assert runs[0] == runs[1] and runs[0][1]
+
+    @pytest.mark.parametrize("key", MODEL_SIZES)
+    def test_train_refuses_each_at_zero_by_key_before_any_data(self, tmp_path, capsys, monkeypatch, key):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("data read for a refused size")
+
+        monkeypatch.setattr(datamod, "load_dataset", unreachable)
+        cfg_path = write_config(tmp_path, **{key: 0})
+        assert main(["train", "--config", cfg_path]) == 1
+        assert capsys.readouterr() == ("", f"novelcap: ConfigError: config: {key} must be >= 1, got 0\n")
+        assert os.listdir(tmp_path) == ["run.cfg"]
+
+
+@pytest.mark.filterwarnings("error")  # a RuntimeWarning would raise out of main and fail the test
+class TestFloatFaults:
+    """A float fault prints one stderr line and writes nothing: the named
+    check that follows it, or else a NumericError naming the module that
+    made it."""
+
+    @pytest.mark.parametrize("key, message", [
+        ("weight_decay", "adam_step overflowed the second moment: a gradient entry is past 1e154"),
+        ("lr", "adam_step produced non-finite parameter entries"),
+    ])
+    def test_train_refuses_an_adam_step_past_float64_by_name(self, trained, capsys, key, message):
+        tmp_path, _ = trained
+        cfg_path = write_config(tmp_path, **{key: 1e300})
+        before = files_under(tmp_path)
+        capsys.readouterr()
+        assert main(["train", "--config", cfg_path]) == 1
+        assert capsys.readouterr() == ("", f"novelcap: NumericError: numerics: {message}\n")
+        assert files_under(tmp_path) == before  # the last run's log and checkpoint, and no temporary file
+
+    def test_train_on_a_world_past_float64_prints_only_its_loss_check(self, tmp_path, capsys):
+        # the memory loss divides by a zero probability: the loss check names the fault, numpy does not
+        cfg_path = write_config(tmp_path)
+        assert main(gen_args(cfg_path, write_world(tmp_path, noise_scale=1e300))) == 0
+        capsys.readouterr()
+        assert main(["train", "--config", cfg_path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1, captured
+        assert captured.err.startswith("novelcap: NumericError: pipeline: non-finite training loss ("), captured
+        cfg = load_config(cfg_path)
+        assert not os.path.exists(cfg.checkpoint) and not os.path.exists(cfg.train_log)
+
+    def test_a_fault_that_no_check_follows_is_refused_in_its_module(self, trained, capsys):
+        # keys and a query projection near float64's edge overflow each fill's similarities: a report of those
+        # fills would be noise
+        tmp_path, cfg_path = trained
+        cfg = load_config(cfg_path)
+        save_dataset([dataclasses.replace(rec, detections=Detections(rec.detections.features * 1e300,
+                                                                     rec.detections.labels, rec.detections.scores))
+                      for rec in load_dataset(cfg.dataset)], cfg.dataset)
+        params, vocab_ref = load_checkpoint(cfg.checkpoint)
+        huge = str(tmp_path / "huge.ckpt")
+        save_checkpoint(huge, dict(params, w_query=params["w_query"] * 1e300), vocab_ref=vocab_ref)
+        capsys.readouterr()
+        assert main(["eval", "--config", cfg_path, "--checkpoint", huge]) == 1
+        assert capsys.readouterr() == ("", "novelcap: NumericError: memory: overflow encountered in matmul\n")
+        assert not os.path.exists(cfg.report)
 
 
 class TestCaption:

@@ -162,6 +162,26 @@ class TestAdam:
         assert state.step == 2
 
 
+    @pytest.mark.parametrize("weight_decay, entry", [(0.0, 1e155), (1e300, 0.5)], ids=["gradient", "weight_decay"])
+    def test_a_square_past_float64_is_refused_at_the_step_that_makes_it(self, weight_decay, entry):
+        # an infinite second moment would make every later update of its entry exactly zero: a silent freeze
+        theta = np.random.default_rng(3).uniform(-0.08, 0.08, 1000)
+        state = AdamState.for_param(theta, lr=3e-3, weight_decay=weight_decay)
+        grad = np.full_like(theta, 0.5)
+        grad[7] = entry
+        with np.errstate(over="ignore"), pytest.raises(
+                NumericError, match="^numerics: adam_step overflowed the second moment: a gradient entry is past "
+                                    "1e154$"):
+            adam_step(theta, grad, state)
+        assert state.step == 1
+
+    def test_a_square_within_float64_is_stepped(self):
+        theta = np.zeros(4)
+        state = AdamState.for_param(theta, lr=3e-3)
+        adam_step(theta, np.array([1e154, -1e154, 0.5, 0.0]), state)
+        assert np.isfinite(state.v).all() and np.array_equal(np.sign(theta), [-1.0, 1.0, -1.0, 0.0])
+
+
 class TestFiniteDiffCheck:
     def test_quadratic_is_exact(self):
         theta = np.array([3.0])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from novelcap import evaluation, pipeline
+from novelcap import config, evaluation, pipeline
 from novelcap.config import RunConfig
 from novelcap.data import DatasetRecord, HeldOutSplit, generate_synthetic, make_world
 from novelcap.decoder import (CELL_SANITY_BOUND, PARAM_NAMES, CaptionModel, DecodeTrace,
@@ -287,6 +287,32 @@ def test_train_model_refuses_a_mode_it_cannot_train_before_building_pairs(mode, 
     with pytest.raises(ConfigError, match=f"^pipeline: training mode must be dnoc or no-placeholder, "
                                           f"got '{mode}'$"):
         pipeline.train_model(split, vocab, det_map, RunConfig(epochs=1), mode=mode)
+
+
+def test_training_counts_its_theta_sized_vectors_before_it_builds_the_model(monkeypatch):
+    # theta, its gradient, Adam's two moments and three work rows, the best and the last decode snapshot
+    _, records, vocab, det_map = small_setup()
+    split = HeldOutSplit(train=records[:6], val=records[6:8], test=[], held_out_words=("bus",))
+    cfg = RunConfig(hidden_size=8, embed_size=8, image_dim=8, key_dim=8, epochs=1)
+    theta_bytes = CaptionModel(vocab.size, 8, 8, 8, 8).theta.nbytes
+
+    class Built(Exception):
+        pass
+
+    def built(*args, **kwargs):
+        raise Built
+
+    monkeypatch.setattr(pipeline, "CaptionModel", built)
+    monkeypatch.setattr(config, "BUFFER_BUDGET", 9 * theta_bytes)
+    with pytest.raises(Built):
+        pipeline.train_model(split, vocab, det_map, cfg)
+    monkeypatch.setattr(config, "BUFFER_BUDGET", 9 * theta_bytes - 1)
+    with pytest.raises(ConfigError) as caught:
+        pipeline.train_model(split, vocab, det_map, cfg)
+    assert str(caught.value) == (f"decoder: vocab_size {vocab.size}, hidden_size 8, embed_size 8, image_dim 8 and "
+                                 f"key_dim 8 size the 9 theta-sized vectors training holds at {9 * theta_bytes} "
+                                 f"bytes, past the {9 * theta_bytes - 1}-byte budget")
+    assert CaptionModel(vocab.size, 8, 8, 8, 8).theta.nbytes == theta_bytes  # theta alone is within that budget
 
 
 @pytest.mark.parametrize("target", [99, -3, 9])
