@@ -221,7 +221,7 @@ def cmd_eval(args) -> int:
     split_hash = datamod.manifest_hash(cfg.manifest)
     read = (args.config, cfg.dataset, cfg.manifest, cfg.checkpoint)
     with _committed(args.out or cfg.report, inputs=read) as (report_temp,):
-        captioner = make_captioner(model, vocab, det_map, cfg, mode=args.mode)
+        captioner = make_captioner(model, vocab, det_map, cfg, mode=args.mode, records=split.test)
         report = evaluate_split(split, captioner, known_words=manifest["known_words"], mode=args.mode,
                                 split_hash=split_hash)
         write_report(report, report_temp)
@@ -241,7 +241,7 @@ def cmd_sweep_ndet(args) -> int:
         lines = ["n_det\taverage_f1"]
         for n_det in values:
             sweep_cfg = dataclasses.replace(cfg, n_det=n_det)
-            captioner = make_captioner(model, vocab, det_map, sweep_cfg, mode="dnoc")
+            captioner = make_captioner(model, vocab, det_map, sweep_cfg, mode="dnoc", records=split.test)
             f1 = average_f1_over(split.test, captioner, split.held_out_words)
             lines.append(f"{n_det}\t{f1!r}")
         for temp in temps:

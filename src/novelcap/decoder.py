@@ -10,6 +10,12 @@ matching backward pass that walks its cached time steps in reverse.
 All parameters are float64 views into one contiguous vector, ``theta``,
 in the order and shapes of ``param_shapes``; gradients and the Adam
 moments use the same layout, so one update steps the whole model.
+
+Greedy decoding has two loops over the one ``_cell`` step:
+``decode_greedy`` for one image, and ``decode_batch`` for a block of
+images whose rows end at their own <EOS>. A batch of one would be
+slower than the one-image loop, so a caller that captions one record
+at a time keeps it.
 """
 
 import logging
@@ -18,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import config
 from .config import within_budget
 from .errors import CheckpointError, ConfigError, DomainError, NumericError, ShapeError
 from .numerics import FLOAT, cross_entropy
@@ -42,10 +49,12 @@ def param_shapes(vocab_size: int, hidden_size: int, embed_size: int, image_dim: 
 PARAM_NAMES = tuple(param_shapes(1, 1, 1, 1, 1))
 
 
-def theta_within_budget(sizes: tuple[int, int, int, int, int], copies: int, holding: str) -> None:
-    """A ConfigError naming the five ``sizes`` when ``copies`` vectors of their ``theta``'s size pass the budget."""
+def theta_within_budget(sizes: tuple[int, int, int, int, int], copies: int, holding: str, tables: int = 0) -> None:
+    """A ConfigError naming the five ``sizes`` when ``copies`` vectors of their
+    ``theta``'s size and ``tables`` sets of a ``DecodeSnapshot``'s tables pass the budget."""
     v, h, e, d, k = sizes
-    within_budget(copies * sum(math.prod(s) for s in param_shapes(*sizes).values()) * 8, ConfigError,
+    floats = copies * sum(math.prod(s) for s in param_shapes(*sizes).values()) + tables * _table_floats(v, h)
+    within_budget(floats * 8, ConfigError,
                   f"decoder: vocab_size {v}, hidden_size {h}, embed_size {e}, image_dim {d} and key_dim {k}", holding)
 
 
@@ -380,6 +389,13 @@ class DecodeSnapshot:
         return cls(weights, *_gate_weights(weights), np.ascontiguousarray(weights.w_out.T))
 
 
+def _table_floats(vocab_size: int, hidden_size: int) -> int:
+    """The floats a ``DecodeSnapshot`` holds beside its weights: the (vocab_size,
+    4*hidden) gate table, the (hidden, 4*hidden) recurrent block and w_out's
+    transpose; a teacher-forced pass builds the first two."""
+    return 4 * hidden_size * (vocab_size + hidden_size) + hidden_size * vocab_size
+
+
 @dataclass
 class DecodeTrace:
     """Greedy decode output: ids, the pre-step hidden state of each emission
@@ -432,3 +448,75 @@ def decode_greedy(image_feature: np.ndarray, snapshot: DecodeSnapshot, go_id: in
     _check_cell(c[:len(ids)])
     return DecodeTrace(ids=ids, hiddens=h[:len(ids)],
                        placeholder_positions=[pos for pos, t in enumerate(ids) if t == placeholder_id])
+
+
+@dataclass
+class BatchTrace:
+    """Batched greedy decode output: row b's ids are ``ids[b, :lengths[b]]``,
+    and each placeholder emission has its row and its pre-step hidden state,
+    rows in order and each row's emissions in step order."""
+
+    ids: np.ndarray  # (B, max_steps); past a row's length, unread
+    lengths: np.ndarray  # (B,)
+    placeholder_rows: np.ndarray  # (P,)
+    placeholder_hiddens: np.ndarray  # (P, hidden)
+
+
+def decode_block_rows(snapshot: DecodeSnapshot, max_steps: int) -> int:
+    """The rows of a ``decode_batch`` block whose buffers fit the budget, at
+    least one. A row holds its feature; seven state-sized rows (the two
+    states, the next two, i*g and the check's two); two gate-sized rows
+    (the pre-activations, and the gathered table row that becomes the
+    gates); its logits; its ids, length, mask and token; and, at most, a
+    placeholder state and row per step, twice while they are put in row
+    order."""
+    v, h, d = len(snapshot.gate_table), len(snapshot.w_h), snapshot.weights.image_dim
+    row_bytes = 8 * (d + 7 * h + 2 * 4 * h + v + max_steps + 3 + 2 * max_steps * (h + 1))
+    return max(1, config.BUFFER_BUDGET // row_bytes)
+
+
+def decode_batch(features: np.ndarray, snapshot: DecodeSnapshot, go_id: int, eos_id: int, placeholder_id: int,
+                 max_steps: int) -> BatchTrace:
+    """``decode_greedy`` of every row of ``features`` (B, image_dim) at once:
+    a step is one (B, hidden)·(hidden, 4*hidden) product, one gather of
+    gate-table rows, the ``_cell`` step, one output product and one row-wise
+    argmax, each into buffers allocated once. A row that has emitted <EOS>
+    stays in the batch, masked: its later steps are never read or checked.
+    The loop stops when every row has ended or after max_steps steps. Only
+    the current step's states are held; each placeholder's pre-step state
+    is copied out as it is emitted. The cell states of the live rows are
+    range-checked after every step."""
+    table, w_h, w_out_t, b_out = snapshot.gate_table, snapshot.w_h, snapshot.w_out_t, snapshot.weights.b_out
+    if np.ndim(features) != 2:
+        raise ShapeError(f"decoder: batched decoding takes a block of image features, got shape {np.shape(features)}")
+    h, c = init_state(features, snapshot.weights)
+    batch, nh = h.shape
+    h_next, c_next, z = np.empty_like(h), np.empty_like(c), np.empty((batch, 4 * nh), dtype=FLOAT)
+    gates, logits = np.empty_like(z), np.empty((batch, len(b_out)), dtype=FLOAT)
+    step = _cell(gates, np.empty_like(h))
+    ids = np.empty((batch, max_steps), dtype=np.intp)
+    lengths = np.zeros(batch, dtype=np.intp)
+    live = np.ones(batch, dtype=bool)
+    tok = np.full(batch, go_id, dtype=np.intp)
+    rows, hiddens = [np.empty(0, dtype=np.intp)], [np.empty((0, nh), dtype=FLOAT)]
+    for t in range(max_steps):
+        np.dot(h, w_h, z)
+        z += np.take(table, tok, axis=0, out=gates)  # the gathered rows, until the step activates the gates
+        step(z, c, c_next, h_next, h_next)  # h_next holds tanh(c), then o*tanh(c)
+        _check_cell(c_next[live])
+        np.dot(h_next, w_out_t, logits)
+        logits += b_out
+        np.argmax(logits, axis=1, out=tok)
+        ids[:, t] = tok
+        placeholders = np.flatnonzero(live & (tok == placeholder_id))
+        if placeholders.size:
+            rows.append(placeholders)
+            hiddens.append(h[placeholders])
+        lengths += live
+        live &= tok != eos_id
+        if not live.any():
+            break
+        h, h_next, c, c_next = h_next, h, c_next, c
+    rows, hiddens = np.concatenate(rows), np.concatenate(hiddens)
+    order = rows.argsort(kind="stable")  # gathered step by step: each row's emissions stay in step order
+    return BatchTrace(ids, lengths, rows[order], hiddens[order])

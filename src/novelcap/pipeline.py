@@ -15,7 +15,11 @@ top detections, once; (iii) query the memory with the block of hidden
 states recorded before the placeholders, in one read of their classes,
 and substitute each class's word. Filling is a pure post-process:
 non-placeholder positions are untouched. The ablations share steps (i)
-and (iii) and swap only the filler.
+and (iii) and swap only the filler. Since the decode never reads the
+memory, a known split (validation, or the test split of ``eval`` and
+``sweep-ndet``) is captioned in one pass on the first call: one batched
+decode of its records, one memory of their tables and one read of every
+placeholder. A record captioned alone takes the one-record decode.
 """
 
 import math
@@ -27,11 +31,11 @@ import numpy as np
 from . import evaluation
 from .config import TRAIN_MODES
 from .data import HeldOutSplit
-from .decoder import (CaptionModel, DecodeSnapshot, backward_pass, decode_greedy, forward_teacher_forced,
-                      pad_sequences, sequence_loss, theta_within_budget)
+from .decoder import (CaptionModel, DecodeSnapshot, backward_pass, decode_batch, decode_block_rows, decode_greedy,
+                      forward_teacher_forced, pad_sequences, sequence_loss, theta_within_budget)
 from .errors import ConfigError, DomainError, NumericError
 from .memory import (Detections, ObjectMemory, build_memory, check_labels, make_query, memory_loss_forward,
-                     memory_read, read_loss_backward, select_top_detections)
+                     memory_read, read_loss_backward, read_slots, select_top_detections)
 from .numerics import AdamState, adam_step
 from .vocabulary import PLACEHOLDER, DetectableSet, Vocabulary, mask_weights, rewrite_targets
 
@@ -39,6 +43,9 @@ CLIP_NORM = 5.0  # global L2 bound on each batch's summed gradients
 # theta-sized float64 vectors training holds at once: theta, its gradient, Adam's two moments and three work
 # rows, the best snapshot and the last epoch's decode snapshot
 TRAINING_VECTORS = 9
+# sets of a decode snapshot's tables training holds at once: the last epoch's snapshot's, and a teacher-forced
+# pass's gate table and recurrent block (counted with a w_out transpose it does not build)
+TRAINING_TABLES = 2
 CAPTION_MODES = ("dnoc", "no-memory", "no-placeholder")
 
 
@@ -205,7 +212,8 @@ def train_model(split: HeldOutSplit, vocab: Vocabulary, det_map: DetectableSet, 
         train_map = replace(det_map, word_classes=np.full_like(det_map.word_classes, -1))
         selection_words = tuple(sorted(vocab.word_of(i) for i in np.flatnonzero(det_map.word_classes >= 0)))
     sizes = (vocab.size, cfg.hidden_size, cfg.embed_size, cfg.image_dim, cfg.key_dim)
-    theta_within_budget(sizes, TRAINING_VECTORS, f"the {TRAINING_VECTORS} theta-sized vectors training holds")
+    theta_within_budget(sizes, TRAINING_VECTORS, f"the {TRAINING_VECTORS} theta-sized vectors and "
+                        f"{TRAINING_TABLES} sets of decode tables training holds", tables=TRAINING_TABLES)
     model = CaptionModel(*sizes, seed=cfg.seed)
     opt = AdamState.for_param(model.theta, lr=cfg.lr, weight_decay=cfg.weight_decay)
     pairs = TrainingPairs.of([TrainExample(rec.feature, vocab.encode(ref, append_eos=True), rec.detections)
@@ -220,7 +228,7 @@ def train_model(split: HeldOutSplit, vocab: Vocabulary, det_map: DetectableSet, 
             for start in starts:
                 sums += train_step(order[start:start + cfg.batch_size], pairs, model, opt)[:2]
         loss_seq, loss_mem = sums / max(len(starts), 1)
-        captioner = make_captioner(model, vocab, det_map, cfg, mode)
+        captioner = make_captioner(model, vocab, det_map, cfg, mode, records=split.val)
         val_f1 = evaluation.average_f1_over(split.val, captioner, selection_words)
         stats = EpochStats(epoch=epoch, loss_seq=loss_seq, loss_mem=loss_mem,
                            total=loss_seq + loss_mem, val_f1=val_f1)
@@ -236,7 +244,7 @@ def train_model(split: HeldOutSplit, vocab: Vocabulary, det_map: DetectableSet, 
 
 
 def make_captioner(model: CaptionModel, vocab: Vocabulary, det_map: DetectableSet, cfg,
-                   mode: str = "dnoc"):
+                   mode: str = "dnoc", records=()):
     """Record -> Caption callable for one of the three evaluation modes.
 
     Every mode decodes once; a sentence with placeholders is then filled
@@ -246,18 +254,26 @@ def make_captioner(model: CaptionModel, vocab: Vocabulary, det_map: DetectableSe
     ("no-memory"), or nothing ("no-placeholder"). Each class is written as
     its word; a placeholder without one stays as the literal token.
 
+    A captioner told the ``records`` (a sequence) it will caption
+    captions all of them in its first call for one of them, block by
+    block (``decode_block_rows``): one ``decode_batch`` of the block, then,
+    in dnoc mode, one ``build_memory`` of its records' tables and one read
+    of all their placeholders; each call then returns its record's
+    caption. Any other record is decoded on its own, by ``decode_greedy``.
+
     The captioner reads the model's weights once, here: it captions with
     a snapshot of them, and later updates to ``model`` do not reach it.
     """
     if mode not in CAPTION_MODES:
         raise ConfigError(f"pipeline: unknown captioning mode {mode!r}")
     snapshot = DecodeSnapshot.of(model)
+    key_dim, w_query = snapshot.weights.key_dim, snapshot.weights.w_query
     if mode == "dnoc":
         def filler(rec, hiddens):
-            mem = build_memory([rec.detections], cfg.n_det, snapshot.weights.key_dim, det_map.n_classes)
+            mem = build_memory([rec.detections], cfg.n_det, key_dim, det_map.n_classes)
             if mem.n == 0:
                 return None
-            distribution = memory_read(make_query(hiddens, snapshot.weights.w_query), mem)
+            distribution = memory_read(make_query(hiddens, w_query), mem)
             return distribution.argmax(1).tolist()  # argmax takes the first, so a tie goes to the lowest class
     elif mode == "no-memory":
         def filler(rec, hiddens):
@@ -271,16 +287,56 @@ def make_captioner(model: CaptionModel, vocab: Vocabulary, det_map: DetectableSe
         def filler(rec, hiddens):
             return None
 
+    def fill_block(block, trace, bounds):
+        """Each record's classes, or None where it has placeholders and no fill, from ``trace``, the
+        ``decode_batch`` of ``block``, whose placeholders ``bounds`` splits by record."""
+        hiddens = trace.placeholder_hiddens
+        if mode != "dnoc":
+            return [filler(rec, h) if len(h) else [] for rec, h in zip(block, np.split(hiddens, bounds))]
+        mem = build_memory([rec.detections for rec in block], cfg.n_det, key_dim, det_map.n_classes)
+        rows = trace.placeholder_rows
+        # a read of no slot would be a softmax over -inf alone: such a record keeps its placeholders, as alone
+        read = mem.counts[rows] > 0
+        classes = np.full(len(rows), -1)
+        if read.any():
+            classes[read] = read_slots(make_query(hiddens[read], w_query), mem[rows[read]])[1].argmax(1)
+        return [None if c and c[0] < 0 else c for c in map(np.ndarray.tolist, np.split(classes, bounds))]
+
     skip = {vocab.go_id, vocab.pad_id, vocab.eos_id}
 
+    def caption_of(ids, n_placeholders, classes):
+        tokens = [vocab.word_of(tok_id) for tok_id in ids if tok_id not in skip]  # a placeholder is <PL>
+        if classes is None:
+            return Caption(tokens=tokens, placeholder_count_unfilled=n_placeholders)
+        fills = (det_map.class_words[c] for c in classes)
+        return Caption(tokens=[next(fills) if tok == PLACEHOLDER else tok for tok in tokens])
+
+    def caption_split():
+        captions = []
+        rows = decode_block_rows(snapshot, cfg.max_steps)
+        for start in range(0, len(records), rows):
+            block = records[start:start + rows]
+            trace = decode_batch(np.array([rec.feature for rec in block]), snapshot, vocab.go_id, vocab.eos_id,
+                                 vocab.placeholder_id, cfg.max_steps)
+            counts = np.bincount(trace.placeholder_rows, minlength=len(block))
+            fills = fill_block(block, trace, np.cumsum(counts)[:-1])
+            captions += [caption_of(ids[:n], p, classes) for ids, n, p, classes
+                         in zip(trace.ids.tolist(), trace.lengths.tolist(), counts.tolist(), fills)]
+        return captions
+
+    index = {id(rec): i for i, rec in enumerate(records)}  # the captioner holds records, so their ids stay theirs
+    split_captions = None
+
     def captioner(rec):
+        nonlocal split_captions
+        i = index.get(id(rec))
+        if i is not None:
+            if split_captions is None:
+                split_captions = caption_split()
+            return split_captions[i]
         trace = decode_greedy(rec.feature, snapshot, vocab.go_id, vocab.eos_id,
                               vocab.placeholder_id, cfg.max_steps)
         positions = trace.placeholder_positions
         classes = filler(rec, trace.hiddens[positions]) if positions else []
-        tokens = [vocab.word_of(tok_id) for tok_id in trace.ids if tok_id not in skip]  # a placeholder is <PL>
-        if classes is None:
-            return Caption(tokens=tokens, placeholder_count_unfilled=len(positions))
-        fills = (det_map.class_words[c] for c in classes)
-        return Caption(tokens=[next(fills) if tok == PLACEHOLDER else tok for tok in tokens])
+        return caption_of(trace.ids, len(positions), classes)
     return captioner

@@ -74,14 +74,14 @@ class Benchmark:
         self.sweep = {}
         for n_det in THRESH["sweep_values"]:
             cfg = dataclasses.replace(self.cfg, n_det=n_det)
-            captioner = make_captioner(self.model, self.vocab, self.det_map, cfg, "dnoc")
+            captioner = make_captioner(self.model, self.vocab, self.det_map, cfg, "dnoc", records=self.split.test)
             self.sweep[n_det] = average_f1_over(self.split.test, captioner,
                                                 self.split.held_out_words)
         self.sweep_seconds = time.time() - t_sweep
         self.total_seconds = time.time() - t0
 
     def _evaluate(self, model, mode):
-        captioner = make_captioner(model, self.vocab, self.det_map, self.cfg, mode)
+        captioner = make_captioner(model, self.vocab, self.det_map, self.cfg, mode, records=self.split.test)
         return evaluate_split(self.split, captioner, known_words=self.known, mode=mode)
 
 

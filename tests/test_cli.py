@@ -625,6 +625,7 @@ class TestDetectionChecks:
 
         monkeypatch.setattr(TrainingPairs, "of", unreachable)
         monkeypatch.setattr(pipeline, "decode_greedy", unreachable)
+        monkeypatch.setattr(pipeline, "decode_batch", unreachable)
         assert main(command[:1] + ["--config", cfg_path] + command[1:]) == 1
         captured = capsys.readouterr()
         kind = "image" if key == "image_dim" else "detection"
@@ -742,13 +743,14 @@ class TestEmbedSizePastTheBudget:
         cfg_path = write_config(tmp_path, embed_size=10 ** 12)
         vocab_size = training_vocabulary(load_config(cfg_path)).size
         theta_bytes = sum(math.prod(s) for s in param_shapes(vocab_size, 24, 10 ** 12, 8, 8).values()) * 8
+        table_bytes = (4 * 24 * (vocab_size + 24) + 24 * vocab_size) * 8  # gate table, recurrent block, w_out.T
         capsys.readouterr()
         assert main(["train", "--config", cfg_path]) == 1
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", (
             f"novelcap: ConfigError: decoder: vocab_size {vocab_size}, hidden_size 24, embed_size 1000000000000, "
-            f"image_dim 8 and key_dim 8 size the 9 theta-sized vectors training holds at {9 * theta_bytes} bytes, "
-            f"past the 1073741824-byte budget\n"))
+            f"image_dim 8 and key_dim 8 size the 9 theta-sized vectors and 2 sets of decode tables training holds "
+            f"at {9 * theta_bytes + 2 * table_bytes} bytes, past the 1073741824-byte budget\n"))
         before["run.cfg"] = Path(cfg_path).read_bytes()
         assert files_under(tmp_path) == before  # the last run's log and checkpoint, and no temporary file
 

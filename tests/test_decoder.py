@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from novelcap import decoder
+from novelcap import config, decoder
 from novelcap.data import generate_synthetic, make_world
-from novelcap.decoder import (CaptionModel, DecodeSnapshot, _cell, _halve_sigmoid_gates, decode_greedy,
+from novelcap.decoder import (CaptionModel, DecodeSnapshot, _cell, _halve_sigmoid_gates, decode_batch, decode_greedy,
                               forward_teacher_forced, init_state, pad_sequences, sequence_loss)
 from novelcap.errors import ConfigError, DomainError, NumericError, ShapeError
 from novelcap.numerics import AdamState
@@ -376,6 +376,95 @@ class TestDecodeGreedy:
             decode(np.ones(7), m, v)
 
 
+def varied_model(vocab):
+    """Large weights: over 40 normal features, decodes of every length from 1
+    to 8 steps and several placeholders."""
+    m = CaptionModel(vocab.size, hidden_size=6, embed_size=5, image_dim=7, key_dim=6, seed=5)
+    m.theta *= 20.0
+    return m
+
+
+def batch_decode(features, model, vocab, max_steps=15):
+    return decode_batch(features, DecodeSnapshot.of(model), vocab.go_id, vocab.eos_id, vocab.placeholder_id,
+                        max_steps)
+
+
+def padding_runaway_model(vocab):
+    """A model whose cell state gains 1 a step only while <EOS> is its input:
+    a feature with a positive first entry emits <EOS> on every step, one
+    with a negative first entry emits "a" on every step."""
+    m = CaptionModel(vocab.size, hidden_size=2, embed_size=1, image_dim=2, key_dim=2, seed=0)
+    m.theta[:] = 0.0
+    m.embed[0, vocab.eos_id] = 1.0
+    m.lstm_w[:2, 0] = m.lstm_w[6:, 0] = 30.0  # <EOS> opens the input gate onto a candidate of +1
+    m.lstm_b[2:6] = 30.0  # forget and output gates open
+    m.w_img_cell[:, 0] = 1.0
+    m.w_out[vocab.eos_id, 0], m.w_out[vocab.index["a"], 0] = 10.0, -10.0
+    return m
+
+
+class TestDecodeBatch:
+    def test_each_row_is_its_greedy_decode(self):
+        v = tiny_vocab()
+        m = varied_model(v)
+        features = np.random.default_rng(3).normal(size=(40, 7))
+        batch = batch_decode(features, m, v, max_steps=8)
+        traces = [decode(f, m, v, max_steps=8) for f in features]
+        assert [batch.ids[b, :n].tolist() for b, n in enumerate(batch.lengths)] == [t.ids for t in traces]
+        assert len(set(batch.lengths.tolist())) > 4  # rows end at different steps, and the rest are masked
+        assert batch.placeholder_rows.tolist() == [b for b, t in enumerate(traces) for _ in t.placeholder_positions]
+        want = np.concatenate([t.hiddens[t.placeholder_positions] for t in traces])
+        assert len(want) > 20 and np.allclose(batch.placeholder_hiddens, want, rtol=0.0, atol=1e-12)
+
+    def test_zero_max_steps(self):
+        v = tiny_vocab()
+        batch = batch_decode(np.zeros((3, 7)), tiny_model(v), v, max_steps=0)
+        assert batch.ids.shape == (3, 0) and batch.lengths.tolist() == [0, 0, 0]
+        assert batch.placeholder_rows.shape == (0,) and batch.placeholder_hiddens.shape == (0, 6)
+
+    def test_stops_when_every_row_has_ended(self):
+        v = tiny_vocab()
+        batch = batch_decode(np.zeros((2, 7)), rigged_eos_model(v), v)
+        assert batch.lengths.tolist() == [1, 1] and batch.ids[:, 0].tolist() == [v.eos_id, v.eos_id]
+
+    def test_a_single_feature_is_refused(self):
+        v = tiny_vocab()
+        with pytest.raises(ShapeError, match=r"^decoder: batched decoding takes a block of image features, "
+                                             r"got shape \(7,\)$"):
+            batch_decode(np.ones(7), tiny_model(v), v)
+
+    def test_a_row_past_its_eos_is_neither_read_nor_checked(self):
+        # row 0 ends at step 1, and its masked steps then pass the cell bound while row 1 runs all 60 steps
+        v = tiny_vocab()
+        m = padding_runaway_model(v)
+        features = np.array([[2.0, 0.0], [-2.0, 0.0]])
+        batch = batch_decode(features, m, v, max_steps=60)
+        assert batch.lengths.tolist() == [1, 60]
+        assert batch.ids[0, 0] == v.eos_id and set(batch.ids[1].tolist()) == {v.index["a"]}
+        assert decode(features[0], m, v, max_steps=60).ids == [v.eos_id]
+        m.embed[0, :] = 1.0  # every input now grows the cell state, and no row ends: real steps pass the bound
+        m.w_out[v.eos_id, 0] = -10.0
+        with pytest.raises(NumericError, match="cell state"):
+            batch_decode(features, m, v, max_steps=60)
+
+    def test_nan_cell_state_raises(self):
+        v = tiny_vocab()
+        m = tiny_model(v, seed=2)
+        m.embed[:, v.go_id] = np.nan
+        with pytest.raises(NumericError, match="cell state"):
+            batch_decode(np.ones((2, 7)), m, v)
+
+    def test_a_block_is_as_many_rows_as_the_budget_holds(self, monkeypatch):
+        v = tiny_vocab()
+        snapshot = DecodeSnapshot.of(tiny_model(v))
+        rows = decoder.decode_block_rows(snapshot, 15)
+        assert rows > 10 ** 5  # a split of the shipped sizes is one block
+        monkeypatch.setattr(config, "BUFFER_BUDGET", config.BUFFER_BUDGET // 1000)
+        assert decoder.decode_block_rows(snapshot, 15) == rows // 1000
+        monkeypatch.setattr(config, "BUFFER_BUDGET", 1)
+        assert decoder.decode_block_rows(snapshot, 15) == 1
+
+
 class TestModelPlumbing:
     def test_param_roundtrip_through_from_params(self):
         v = tiny_vocab()
@@ -474,30 +563,53 @@ def reference_decode(feature, model, go_id, eos_id, max_steps):
 
 def test_gate_table_decode_matches_reference_on_caption_workload(tmp_path):
     """Every record the caption workload captions first at seeds 101-110,
-    decoded by the trained caption-workload model: equal ids and hidden
-    states within 1e-12. A flipped argmax fails the test and is listed with
-    its reference logit margin."""
+    decoded by the trained caption-workload model one record at a time and
+    each seed's records as one batch: equal ids, hidden states within
+    1e-12 and, from the batch, placeholder queries within 1e-12. A flipped
+    argmax fails the test and is listed with its reference logit margin."""
     wl = load_workloads()
     corpus = wl.build_corpus(tmp_path, wl.N_IMAGES, (1, 1), wl.WORLD["distractors"])
     model = CaptionModel.from_params(wl.train(corpus, wl.Checks()).params)
     v, max_steps = corpus.vocab, corpus.cfg.max_steps
     snapshot = DecodeSnapshot.of(model)
-    flips, worst, n_records = [], 0.0, 0
+    flips, worst, worst_query, n_records, n_placeholders = [], 0.0, 0.0, 0, 0
+
+    def flip(how, seed, rec, got, ids, logits):
+        t = next(t for t, (a, b) in enumerate(zip(got, ids)) if a != b)
+        margin = logits[t][ids[t]] - logits[t][got[t]]
+        flips.append(f"{how} seed {seed} {rec.image_id} step {t}: {got[t]} for {ids[t]}, "
+                     f"reference margin {margin:.3g}")
+
     for seed in ORACLE_SEEDS:
-        for rec in corpus.draw(seed, 0, wl.CAPTION_RECORDS).test:
+        records = corpus.draw(seed, 0, wl.CAPTION_RECORDS).test
+        batch = decode_batch(np.array([rec.feature for rec in records]), snapshot, v.go_id, v.eos_id,
+                             v.placeholder_id, max_steps)
+        starts = np.searchsorted(batch.placeholder_rows, np.arange(len(records)))
+        for b, rec in enumerate(records):
             ids, hiddens, logits = reference_decode(rec.feature, model, v.go_id, v.eos_id, max_steps)
             trace = decode_greedy(rec.feature, snapshot, v.go_id, v.eos_id, v.placeholder_id, max_steps)
+            batch_ids = batch.ids[b, :batch.lengths[b]].tolist()
             n_records += 1
             if trace.ids != ids:
-                t = next(t for t, (a, b) in enumerate(zip(trace.ids, ids)) if a != b)
-                margin = logits[t][ids[t]] - logits[t][trace.ids[t]]
-                flips.append(f"seed {seed} {rec.image_id} step {t}: {trace.ids[t]} for {ids[t]}, "
-                             f"reference margin {margin:.3g}")
+                flip("one", seed, rec, trace.ids, ids, logits)
+            else:
+                worst = max(worst, float(np.max(np.abs(trace.hiddens - np.array(hiddens)))))
+            if batch_ids != ids:
+                flip("batch", seed, rec, batch_ids, ids, logits)
                 continue
-            worst = max(worst, float(np.max(np.abs(trace.hiddens - np.array(hiddens)))))
+            positions = [t for t, tok in enumerate(ids) if tok == v.placeholder_id]
+            got = batch.placeholder_hiddens[starts[b]:starts[b] + len(positions)] @ model.w_query.T
+            want = np.array([hiddens[t] for t in positions]).reshape(-1, model.hidden_size) @ model.w_query.T
+            assert got.shape == want.shape
+            worst_query = max(worst_query, float(np.max(np.abs(got - want), initial=0.0)))
+            n_placeholders += len(positions)
+        assert len(batch.placeholder_rows) == sum(batch.ids[b, :n].tolist().count(v.placeholder_id)
+                                                  for b, n in enumerate(batch.lengths.tolist()))
     assert n_records == len(ORACLE_SEEDS) * wl.CAPTION_RECORDS
+    assert n_placeholders >= n_records / 2  # the trained model emits one in every caption
     assert not flips, f"{len(flips)} argmax flips:\n" + "\n".join(flips)
     assert worst < 1e-12, worst
+    assert worst_query < 1e-12, worst_query
 
 
 def test_teacher_forcing_the_greedy_ids_walks_the_decode_bit_for_bit():

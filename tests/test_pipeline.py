@@ -289,12 +289,17 @@ def test_train_model_refuses_a_mode_it_cannot_train_before_building_pairs(mode, 
         pipeline.train_model(split, vocab, det_map, RunConfig(epochs=1), mode=mode)
 
 
-def test_training_counts_its_theta_sized_vectors_before_it_builds_the_model(monkeypatch):
-    # theta, its gradient, Adam's two moments and three work rows, the best and the last decode snapshot
+def table_bytes(vocab_size, hidden_size):
+    """A decode snapshot's gate table, recurrent block and transposed w_out, in bytes."""
+    return (4 * hidden_size * (vocab_size + hidden_size) + hidden_size * vocab_size) * 8
+
+
+def refused_before_the_model(monkeypatch, embed_size, budget):
+    """Train with ``embed_size`` under ``budget`` bytes: None if it reaches the
+    model's construction, else the ConfigError's message."""
     _, records, vocab, det_map = small_setup()
     split = HeldOutSplit(train=records[:6], val=records[6:8], test=[], held_out_words=("bus",))
-    cfg = RunConfig(hidden_size=8, embed_size=8, image_dim=8, key_dim=8, epochs=1)
-    theta_bytes = CaptionModel(vocab.size, 8, 8, 8, 8).theta.nbytes
+    cfg = RunConfig(hidden_size=8, embed_size=embed_size, image_dim=8, key_dim=8, epochs=1)
 
     class Built(Exception):
         pass
@@ -303,16 +308,39 @@ def test_training_counts_its_theta_sized_vectors_before_it_builds_the_model(monk
         raise Built
 
     monkeypatch.setattr(pipeline, "CaptionModel", built)
-    monkeypatch.setattr(config, "BUFFER_BUDGET", 9 * theta_bytes)
-    with pytest.raises(Built):
+    monkeypatch.setattr(config, "BUFFER_BUDGET", budget)
+    try:
         pipeline.train_model(split, vocab, det_map, cfg)
-    monkeypatch.setattr(config, "BUFFER_BUDGET", 9 * theta_bytes - 1)
-    with pytest.raises(ConfigError) as caught:
-        pipeline.train_model(split, vocab, det_map, cfg)
-    assert str(caught.value) == (f"decoder: vocab_size {vocab.size}, hidden_size 8, embed_size 8, image_dim 8 and "
-                                 f"key_dim 8 size the 9 theta-sized vectors training holds at {9 * theta_bytes} "
-                                 f"bytes, past the {9 * theta_bytes - 1}-byte budget")
+    except Built:
+        return None
+    except ConfigError as e:
+        return str(e)
+
+
+def test_training_counts_its_theta_sized_vectors_and_tables_before_it_builds_the_model(monkeypatch):
+    # theta, its gradient, Adam's two moments and three work rows, the best and the last decode snapshot; the
+    # snapshot's tables and a teacher-forced pass's
+    _, _, vocab, _ = small_setup()
+    theta_bytes = CaptionModel(vocab.size, 8, 8, 8, 8).theta.nbytes
+    held = 9 * theta_bytes + 2 * table_bytes(vocab.size, 8)
+    assert refused_before_the_model(monkeypatch, 8, held) is None
+    assert refused_before_the_model(monkeypatch, 8, held - 1) == (
+        f"decoder: vocab_size {vocab.size}, hidden_size 8, embed_size 8, image_dim 8 and key_dim 8 size the 9 "
+        f"theta-sized vectors and 2 sets of decode tables training holds at {held} bytes, past the {held - 1}-byte "
+        f"budget")
     assert CaptionModel(vocab.size, 8, 8, 8, 8).theta.nbytes == theta_bytes  # theta alone is within that budget
+
+
+def test_training_counts_the_tables_where_they_outweigh_theta(monkeypatch):
+    # at embed_size 1 the gate table (vocab_size, 4*hidden) is larger than theta: a budget that holds the nine
+    # vectors alone, as the count once was, is refused
+    _, _, vocab, _ = small_setup()
+    theta_bytes = CaptionModel(vocab.size, 8, 1, 8, 8).theta.nbytes
+    assert table_bytes(vocab.size, 8) > theta_bytes
+    assert refused_before_the_model(monkeypatch, 1, 9 * theta_bytes + 2 * table_bytes(vocab.size, 8)) is None
+    message = refused_before_the_model(monkeypatch, 1, 9 * theta_bytes)
+    assert message is not None and message.endswith(
+        f"at {9 * theta_bytes + 2 * table_bytes(vocab.size, 8)} bytes, past the {9 * theta_bytes}-byte budget")
 
 
 @pytest.mark.parametrize("target", [99, -3, 9])
@@ -531,13 +559,14 @@ def diverged_models(vocab):
     return {"past-bound": runaway, "nan": nan}
 
 
+@pytest.mark.parametrize("split_pass", [False, True], ids=["per-record", "split-pass"])
 @pytest.mark.parametrize("kind", ["past-bound", "nan"])
-def test_diverged_model_aborts_evaluate_split(kind):
+def test_diverged_model_aborts_evaluate_split(kind, split_pass):
     # the whole report fails: a diverged model never yields a caption or a score
     _, records, vocab, det_map = small_setup()
-    captioner = make_captioner(diverged_models(vocab)[kind], vocab, det_map,
-                               RunConfig(n_det=4, max_steps=60), "dnoc")
     split = HeldOutSplit(train=[], val=[], test=records[:5], held_out_words=("bus",))
+    captioner = make_captioner(diverged_models(vocab)[kind], vocab, det_map,
+                               RunConfig(n_det=4, max_steps=60), "dnoc", records=split.test if split_pass else ())
     with pytest.raises(NumericError, match="cell state"):
         evaluate_split(split, captioner)
 

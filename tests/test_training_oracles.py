@@ -15,7 +15,8 @@ Captioning builds a record's memory once, in one block write, and fills
 all of its placeholders with one read. Its oracle is the captioner it
 replaced (a memory of Python-sorted rows, one query product and one read
 per placeholder, each filler made eagerly), over the benchmark's caption
-and crowded-sweep draws.
+and crowded-sweep draws. A captioner told its records captions them in
+one split pass; its oracle is the per-record captioner.
 
 A record's detections are one table, and a row of a memory comes from one
 sort and one gather of its table. Their oracle is the memory build by a
@@ -32,11 +33,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from novelcap import memory, pipeline
+from novelcap import config, evaluation, memory, pipeline
 from novelcap.config import RunConfig
 from novelcap.data import HeldOutSplit, build_heldout_split, generate_synthetic, make_world
 from novelcap.decoder import (CaptionModel, DecodeSnapshot, ForwardCache, _check_cell, _halve_sigmoid_gates,
-                              decode_greedy, init_state, sequence_loss)
+                              decode_block_rows, decode_greedy, init_state, sequence_loss)
 from novelcap.errors import DomainError
 from novelcap.memory import Detections, LossReads, ObjectMemory, build_memory, memory_loss_forward, read_loss_backward
 from novelcap.numerics import FLOAT, AdamState, adam_step, softmax
@@ -674,3 +675,119 @@ def test_captions_equal_the_per_placeholder_captioner_on_the_crowded_sweep(tmp_p
     assert tally["captions"] == 2 * len(SWEEP_SEEDS) * wl.SWEEP_RECORDS * len(wl.SWEEP_NDET)
     assert tally["block reads"] >= tally["captions"] / 2, tally  # two placeholders in every caption
     assert not differences, f"{len(differences)} differences:\n" + "\n".join(differences)
+
+
+# A captioner told its records captions them all in its first call: one batched decode per block, one memory
+# build and one read. Its oracle is the captioner that decodes, builds and reads one record at a time.
+
+
+@pytest.fixture(scope="module")
+def trained_worlds(tmp_path_factory):
+    wl = load_workloads()
+    return wl, {crowded: trained_corpus(wl, tmp_path_factory.mktemp("crowded" if crowded else "caption"), crowded)
+                for crowded in (False, True)}
+
+
+def without_detections_every(records, k):
+    """``records`` with every k-th record's detection table emptied."""
+    return [dataclasses.replace(rec, detections=rec.detections.take(np.empty(0, dtype=np.intp))) if i % k == 0
+            else rec for i, rec in enumerate(records)]
+
+
+def split_differences(records, model, corpus, cfg, mode, tally):
+    """Each record whose split-pass caption differs from its per-record
+    caption, with the reference margins (top class minus runner-up) of its
+    memory reads. ``tally`` counts captions, records without detections and
+    captions of several placeholders, filled or not."""
+    split = pipeline.make_captioner(model, corpus.vocab, corpus.det_map, cfg, mode, records=records)
+    one = pipeline.make_captioner(model, corpus.vocab, corpus.det_map, cfg, mode)
+    reference = per_placeholder_captioner(model, corpus.vocab, corpus.det_map, cfg, mode)
+    differences = []
+    for rec in records:
+        got, want = split(rec), one(rec)
+        _, reads = reference(rec)
+        tally["captions"] += 1
+        tally["no detections"] += not rec.detections
+        tally["several placeholders"] += max(len(reads), want.placeholder_count_unfilled) > 1
+        if got != want:
+            margins = [float(np.diff(np.sort(d)[-2:])[0]) for d in reads if d is not None]
+            differences.append(f"{mode} n_det {cfg.n_det} {rec.image_id}: {got} for {want}, read margins {margins}")
+    return differences
+
+
+@pytest.mark.parametrize("crowded", [False, True], ids=["caption", "crowded"])
+def test_split_pass_captions_equal_per_record_captions(trained_worlds, crowded):
+    """The caption workload's first draw at seed 101 (one placeholder a
+    caption), or two crowded-sweep draws at n_det 1, 4 and 16 (several),
+    with every seventh record's detections emptied, in all three modes:
+    equal captions. A difference fails the test and is listed with its read
+    margins."""
+    wl, worlds = trained_worlds
+    corpus, model = worlds[crowded]
+    draws = [corpus.draw(seed, 0, wl.SWEEP_RECORDS).test for seed in SWEEP_SEEDS] if crowded else \
+        [corpus.draw(CAPTION_SEEDS[0], 0, wl.CAPTION_RECORDS).test]
+    tally, differences = dict.fromkeys(("captions", "no detections", "several placeholders"), 0), []
+    for records in draws:
+        records = without_detections_every(records, 7)
+        for n_det in (1, 4, 16) if crowded else (corpus.cfg.n_det,):
+            cfg = dataclasses.replace(corpus.cfg, n_det=n_det)
+            for mode in pipeline.CAPTION_MODES:
+                differences += split_differences(records, model, corpus, cfg, mode, tally)
+    assert tally["no detections"] >= tally["captions"] / 8, tally
+    assert tally["several placeholders"] >= tally["captions"] / 4 if crowded else not tally["several placeholders"]
+    assert not differences, f"{len(differences)} differences:\n" + "\n".join(differences)
+
+
+def counting_decodes(monkeypatch):
+    """Count the calls of the two decodes the captioner makes, and the rows of each batched one."""
+    calls = {"decode_greedy": 0, "decode_batch": []}
+    one, batch = pipeline.decode_greedy, pipeline.decode_batch
+
+    def decode_greedy(*args):
+        calls["decode_greedy"] += 1
+        return one(*args)
+
+    def decode_batch(features, *args):
+        calls["decode_batch"].append(len(features))
+        return batch(features, *args)
+
+    monkeypatch.setattr(pipeline, "decode_greedy", decode_greedy)
+    monkeypatch.setattr(pipeline, "decode_batch", decode_batch)
+    return calls
+
+
+def test_a_split_is_decoded_once_in_its_first_call_and_never_if_not_called(trained_worlds, monkeypatch):
+    wl, worlds = trained_worlds
+    corpus, model = worlds[False]
+    records = corpus.draw(CAPTION_SEEDS[0], 0, 300).test
+    calls = counting_decodes(monkeypatch)
+    made = pipeline.make_captioner(model, corpus.vocab, corpus.det_map, corpus.cfg, "dnoc", records=records)
+    assert evaluation.average_f1_over(records, made, ()) == 0.0  # no words: no caption
+    assert calls == {"decode_greedy": 0, "decode_batch": []}
+    captioner = pipeline.make_captioner(model, corpus.vocab, corpus.det_map, corpus.cfg, "dnoc", records=records)
+    first = captioner(records[5])
+    assert calls == {"decode_greedy": 0, "decode_batch": [len(records)]}
+    captions = [captioner(rec) for rec in records]
+    assert captions[5] == first and calls == {"decode_greedy": 0, "decode_batch": [len(records)]}
+    # a record of another draw, with the image id of a split record, is not in the split
+    outside = corpus.draw(CAPTION_SEEDS[1], 0, 1).test[0]
+    assert outside.image_id == records[0].image_id and not np.array_equal(outside.feature, records[0].feature)
+    one = pipeline.make_captioner(model, corpus.vocab, corpus.det_map, corpus.cfg, "dnoc")
+    assert captioner(outside) == one(outside) and calls["decode_greedy"] == 2
+    assert calls["decode_batch"] == [len(records)]
+
+
+def test_a_budget_of_a_few_rows_decodes_in_blocks_with_the_same_captions(trained_worlds, monkeypatch):
+    wl, worlds = trained_worlds
+    corpus, model = worlds[True]
+    records = without_detections_every(corpus.draw(SWEEP_SEEDS[0], 0, wl.SWEEP_RECORDS).test, 7)
+    whole = pipeline.make_captioner(model, corpus.vocab, corpus.det_map, corpus.cfg, "dnoc", records=records)
+    want = [whole(rec) for rec in records]
+    rows = decode_block_rows(DecodeSnapshot.of(model), corpus.cfg.max_steps)
+    assert rows >= len(records)
+    monkeypatch.setattr(config, "BUFFER_BUDGET", config.BUFFER_BUDGET * 40 // rows)  # about 40 rows a block
+    calls = counting_decodes(monkeypatch)
+    blocks = pipeline.make_captioner(model, corpus.vocab, corpus.det_map, corpus.cfg, "dnoc", records=records)
+    assert [blocks(rec) for rec in records] == want
+    assert len(calls["decode_batch"]) >= 2 and sum(calls["decode_batch"]) == len(records)
+    assert 40 <= max(calls["decode_batch"]) < len(records)
